@@ -10,19 +10,12 @@ Measurements, written machine-readably to ``BENCH_kernels.json``:
   of the original per-record Python loop (also an equivalence check).
 * **Cold cell** — one cold-cache simulation cell under *every* kernel
   backend available on this host (``python``/``numpy``/``compiled``),
-  each timed twice: with the leaf write-phase samplers and with the
-  fused write-phase kernel forced on (``REPRO_KERNEL_FUSED=1``), with a
-  hard byte-identity gate across every backend × mode combination.  The
-  best leaf time is the headline ``cold_cell_s`` (compared to the pre-PR
-  wall time for the ≥3x acceptance number; ``pr4_cold_cell_s`` keeps the
-  warm-pool PR's reference so the trend stays visible), and the
-  per-backend table — including the ``cold_cell_fused_s`` rows — is the
-  calibration the adaptive planner seeds its kernel-backend and
-  fused-vs-leaf picks from, guarded by the measuring host's
-  fingerprint, so calibration never transfers across machines.  Each
-  backend's same-run ``fused_speedup`` (leaf/fused) is asserted loudly
-  against MIN_FUSED_SPEEDUP so a fused-path regression >20% fails CI
-  instead of just flipping a recorded flag.
+  with a hard byte-identity gate across backends.  The best time is the
+  headline ``cold_cell_s`` (compared to the pre-PR wall time for the
+  ≥3x acceptance number; ``pr4_cold_cell_s`` keeps the warm-pool PR's
+  reference so the trend stays visible), and the per-backend table,
+  stamped with the measuring host's fingerprint, records what the
+  engine's fixed "compiled if it builds, else python" rule gains.
 * **Batched cells** — a four-cell batch through the cross-cell batch
   layer versus the same cells per-cell, with a hard byte-identity check
   (the CI divergence gate) and the amortized per-cell time.
@@ -64,10 +57,11 @@ from conftest import OUT_DIR
 #: Bump when a field is renamed or its meaning changes; additions are free.
 #: v2: per-backend ``backends`` cold-cell table + measuring ``host``
 #: fingerprint (the planner's kernel calibration source).
-#: v3: per-backend ``cold_cell_fused_s`` / ``fused_speedup`` rows (the
-#: fused write-phase calibration ``decide_fused`` seeds from) plus
+#: v3: per-backend ``cold_cell_fused_s`` / ``fused_speedup`` rows plus
 #: top-level ``fused_<backend>_speedup`` ratio gates.
-SCHEMA_VERSION = 3
+#: v4: the fused write phase is gone, and with it every fused row and
+#: ratio; no planner reads this file any more.
+SCHEMA_VERSION = 4
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,23 +73,14 @@ PRE_PR_COLD_CELL_S = 2.209
 #: baseline, recorded so the per-PR trend stays visible in the JSON.
 PR4_COLD_CELL_S = 0.65
 MIN_CELL_SPEEDUP = 3.0
-#: The aspirational cold-cell wall time for the reference cell, set to
-#: the fused-kernel PR's 0.20s goal for the 1-CPU bench host.  A
+#: The aspirational cold-cell wall time for the reference cell: 0.20s
+#: on the 1-CPU bench host.  A
 #: multi-core dev box with the compiled backend gets there; the 1-CPU CI
 #: runner honestly does not (ctypes per-call overhead is the floor), so
 #: the target is *recorded* (with a ``cold_cell_target_met`` flag)
 #: rather than asserted — the enforced gates are the same-run speedup
 #: ratios, which transfer across hosts.
 COLD_CELL_TARGET_S = 0.20
-#: Loud same-run gate for the fused write phase: each backend's
-#: leaf/fused ratio may not drop below 0.8 — i.e. forcing the fused
-#: kernel may cost at most 20% over the leaf path it replaces.  On the
-#: 1-CPU bench host fused roughly breaks even (per-call ctypes argument
-#: marshalling is the floor), so this catches a real fused-path
-#: regression without asserting a win it does not have on every host;
-#: where fused measures faster, the planner's ``auto`` mode picks it up
-#: from the ``cold_cell_fused_s`` calibration rows.
-MIN_FUSED_SPEEDUP = 0.8
 MIN_POPCOUNT_SPEEDUP = 2.0
 MIN_SAMPLE_SPEEDUP = 1.2
 MIN_TRACE_SPEEDUP = 3.0
@@ -111,8 +96,6 @@ BASELINE_RATIO_FIELDS = (
     "popcount_speedup", "sample_speedup", "trace_speedup",
     "rows_sample_speedup", "din_rows_speedup",
     "kernel_numpy_speedup", "kernel_compiled_speedup",
-    "fused_python_speedup", "fused_numpy_speedup",
-    "fused_compiled_speedup",
 )
 BASELINE_TOLERANCE = 0.8
 
@@ -280,13 +263,8 @@ def _bench_traces() -> dict:
 def _bench_cold_cell(tmp_path) -> dict:
     """The reference cell, cold, under every kernel backend on this host.
 
-    Each backend is timed both with the leaf write-phase samplers and
-    with the fused write-phase kernel forced on.  Byte-identity across
-    every backend × mode combination is a hard gate; the per-backend
-    times become the ``backends`` calibration table the adaptive planner
-    seeds its kernel and fused-vs-leaf picks from (host-fingerprint
-    guarded), and each same-run ``fused_speedup`` is asserted against
-    MIN_FUSED_SPEEDUP so a fused regression fails loudly.
+    Byte-identity across every backend is a hard gate; the per-backend
+    times (best of two) become the ``backends`` table.
     """
     from repro.pcm import kernels
 
@@ -296,59 +274,28 @@ def _bench_cold_cell(tmp_path) -> dict:
     engine.reset()
     backends: dict = {}
     digests: dict = {}
-    saved_fused = os.environ.get("REPRO_KERNEL_FUSED")
-    try:
-        for name in kernels.available_backends():
-            entry: dict = {}
-            for fused, key in (
-                (False, "cold_cell_s"), (True, "cold_cell_fused_s")
-            ):
-                if fused:
-                    os.environ["REPRO_KERNEL_FUSED"] = "1"
-                else:
-                    os.environ.pop("REPRO_KERNEL_FUSED", None)
-                best = float("inf")
-                for attempt in range(2):
-                    runner = CellRunner(
-                        jobs=1, kernel_backend=name,
-                        cache=ResultCache(
-                            tmp_path / f"{name}{'f' if fused else ''}{attempt}",
-                            enabled=True,
-                        ),
-                    )
-                    t0 = time.perf_counter()
-                    results = runner.run_cells([spec])
-                    best = min(best, time.perf_counter() - t0)
-                digests[f"{name}+fused" if fused else name] = _digest(results)
-                entry[key] = best
-            entry["fused_speedup"] = entry["cold_cell_s"] / max(
-                entry["cold_cell_fused_s"], 1e-12
+    for name in kernels.available_backends():
+        best = float("inf")
+        for attempt in range(2):
+            runner = CellRunner(
+                jobs=1, kernel_backend=name,
+                cache=ResultCache(tmp_path / f"{name}{attempt}", enabled=True),
             )
-            flavor = getattr(kernels.get_backend(name), "flavor", None)
-            if flavor:
-                entry["flavor"] = flavor
-            backends[name] = entry
-    finally:
-        if saved_fused is None:
-            os.environ.pop("REPRO_KERNEL_FUSED", None)
-        else:
-            os.environ["REPRO_KERNEL_FUSED"] = saved_fused
+            t0 = time.perf_counter()
+            results = runner.run_cells([spec])
+            best = min(best, time.perf_counter() - t0)
+        digests[name] = _digest(results)
+        entry: dict = {"cold_cell_s": best}
+        flavor = getattr(kernels.get_backend(name), "flavor", None)
+        if flavor:
+            entry["flavor"] = flavor
+        backends[name] = entry
     engine.reset()
 
-    # The CI divergence gate: every backend and mode, the same bytes.
+    # The CI divergence gate: every backend, the same bytes.
     assert digests and all(d == digests["python"] for d in digests.values()), (
         f"kernel backends diverged from the pure-Python reference: {digests}"
     )
-    # The loud fused gate: >20% same-run regression is a failure, not a
-    # recorded flag.
-    for name, entry in backends.items():
-        assert entry["fused_speedup"] >= MIN_FUSED_SPEEDUP, (
-            f"fused write phase regressed on the {name} backend: "
-            f"leaf {entry['cold_cell_s']:.3f}s vs fused "
-            f"{entry['cold_cell_fused_s']:.3f}s is a "
-            f"{entry['fused_speedup']:.2f}x ratio "
-            f"(need >= {MIN_FUSED_SPEEDUP})"
-        )
     best_backend = min(backends, key=lambda n: backends[n]["cold_cell_s"])
     best = backends[best_backend]["cold_cell_s"]
     python_s = backends["python"]["cold_cell_s"]
@@ -371,10 +318,6 @@ def _bench_cold_cell(tmp_path) -> dict:
             out[f"kernel_{name}_speedup"] = python_s / max(
                 backends[name]["cold_cell_s"], 1e-12
             )
-    # Same-run leaf-vs-fused ratios, lifted to the top level so the
-    # committed-baseline check can gate them like the other ratios.
-    for name, entry in backends.items():
-        out[f"fused_{name}_speedup"] = entry["fused_speedup"]
     return out
 
 
@@ -479,7 +422,6 @@ def test_bench_kernels(tmp_path):
         f"{results['cold_cell_speedup_vs_pr4']:.2f}x vs PR 4; "
         + ", ".join(
             f"{name}={entry['cold_cell_s']:.3f}s"
-            f"/fused={entry['cold_cell_fused_s']:.3f}s"
             for name, entry in results["backends"].items()
         )
         + "), "

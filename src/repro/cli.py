@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("auto", "python", "numpy", "compiled"),
         default=None,
         help="bit-kernel backend (default REPRO_KERNEL_BACKEND or auto: "
-        "the planner picks the cheapest backend available on this host)",
+        "compiled when it builds on this host, else python)",
     )
 
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache")
@@ -147,8 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kernel-backend",
         choices=("auto", "python", "numpy", "compiled"),
         default="auto",
-        help="bit-kernel backend to profile under (auto: the planner's "
-        "pick for this host)",
+        help="bit-kernel backend to profile under (auto: compiled when it "
+        "builds on this host, else python)",
     )
 
     serve_p = sub.add_parser(
@@ -348,9 +348,7 @@ def _cmd_cache(action: str) -> int:
         ["session planner pool picks", STATS.planner_pool_picks],
         ["session planner batch picks", STATS.planner_batch_picks],
         ["session kernel python picks", STATS.kernel_python_picks],
-        ["session kernel numpy picks", STATS.kernel_numpy_picks],
         ["session kernel compiled picks", STATS.kernel_compiled_picks],
-        ["session kernel fused picks", STATS.kernel_fused_picks],
     ]
     print(format_table("result cache", ["metric", "value"], rows))
     return 0
@@ -398,10 +396,10 @@ def _cmd_perf_profile(args: argparse.Namespace) -> int:
     config = SystemConfig(cores=args.cores, seed=args.seed).with_scheme(scheme)
     spec = CellSpec(bench=args.workload, length=args.length, config=config)
 
-    if args.kernel_backend == "auto":
-        backend_name = PLANNER.decide_kernel(kernels.available_backends())
-    else:
-        backend_name = args.kernel_backend
+    available = kernels.available_backends()
+    backend_name = args.kernel_backend
+    if backend_name == "auto":
+        backend_name = "compiled" if "compiled" in available else "python"
     backend = kernels.activate(backend_name)
     flavor = getattr(backend, "flavor", None)
     backend_label = (
@@ -426,8 +424,7 @@ def _cmd_perf_profile(args: argparse.Namespace) -> int:
     )
     rows = []
     for phase in ("trace_gen", "write_plan", "write_sample", "write_din",
-                  "write_fused", "rng_draw", "write_ecp", "write_commit",
-                  "bit_kernels"):
+                  "write_ecp", "write_commit", "bit_kernels"):
         if phase in prof.seconds:
             rows.append(
                 [phase, f"{prof.seconds[phase]:.3f}", prof.calls[phase],
@@ -446,9 +443,9 @@ def _cmd_perf_profile(args: argparse.Namespace) -> int:
             rows,
         )
     )
-    print("note: write_sample/write_din/write_fused/rng_draw/write_ecp and "
-          "bit_kernels are inside write_plan; fine timing adds per-call "
-          "overhead, so compare shares, not absolutes.")
+    print("note: write_sample/write_din/write_ecp and bit_kernels are "
+          "inside write_plan; fine timing adds per-call overhead, so "
+          "compare shares, not absolutes.")
     from .pcm import stateplane
     from .perf.engine import STATS
 
@@ -463,14 +460,7 @@ def _cmd_perf_profile(args: argparse.Namespace) -> int:
         + f"; batched: {STATS.batched_cells} cells in "
         f"{STATS.batch_dispatches} dispatches"
     )
-    kernel_costs = PLANNER.kernel_snapshot()
-    print(
-        "kernel model (s/cell): "
-        + ", ".join(
-            f"{name}={cost:.3f}" for name, cost in kernel_costs.items()
-        )
-        + f"; available: {'/'.join(kernels.available_backends())}"
-    )
+    print(f"kernel backends available: {'/'.join(available)}")
     return 0
 
 

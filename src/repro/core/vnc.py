@@ -49,10 +49,8 @@ from ..pcm.array import LineAddress, PCMArray
 from ..pcm.differential_write import (
     correction_latency,
     plan_write_int,
-    rounds_latency,
 )
 from ..pcm.din import DINEncoder, wordline_vulnerable_mask_int
-from ..pcm.kernels import rngplane
 from ..perf.profiler import PROFILER
 
 Key = Tuple[int, int, int]
@@ -151,16 +149,9 @@ class VnCExecutor:
         self.rng = rng
         self.encoder = DINEncoder()
         #: The process-wide active bit-kernel backend, captured at
-        #: construction (the engine activates the planner's pick before
-        #: any executor is built; every backend is byte-identical).
+        #: construction (the engine activates its pick before any
+        #: executor is built; every backend is byte-identical).
         self.kernels = kernels.active()
-        #: Whether demand writes take the fused write-phase kernel
-        #: (:meth:`_plan_fused`), captured like the backend itself — the
-        #: engine calls :func:`repro.pcm.kernels.set_fused` with the
-        #: planner's per-batch decision before executors are built, and
-        #: ``REPRO_KERNEL_FUSED`` overrides either way.  Both paths are
-        #: byte- and RNG-stream-identical.
-        self.fused = kernels.fused_active()
         self.flip_fractions = flip_fractions or []
         self.default_flip = 0.14
         #: Per-line demand-write epoch, for PreRead staleness checks.
@@ -209,13 +200,12 @@ class VnCExecutor:
         slot.epoch = self.epochs.get(key, 0)
 
     def execute(self, entry: WriteEntry, now: int) -> WriteOp:
-        plan_fn = self._plan_fused if self.fused else self._plan
         if PROFILER.fine:
             start = _perf()
-            plan = plan_fn(entry)
+            plan = self._plan(entry)
             PROFILER.add("write_plan", _perf() - start)
         else:
-            plan = plan_fn(entry)
+            plan = self._plan(entry)
         return WriteOp(
             latency=plan.latency,
             commit=lambda: self._commit(entry, plan),
@@ -300,19 +290,6 @@ class VnCExecutor:
             )
             self._weak_masks[key] = mask
         return mask
-
-    def _weak_masks_for(self, keys: List[Key]) -> List[int]:
-        """Batched :meth:`_weak_mask` (the fused path stages all victims
-        of a write at once)."""
-        local = self._weak_masks
-        missing = [key for key in keys if key not in local]
-        if missing:
-            masks = stateplane.PLANE.weak_masks(
-                self.disturbance.weak_cell_fraction, missing
-            )
-            for key, mask in zip(missing, masks):
-                local[key] = mask
-        return [local[key] for key in keys]
 
     def _shadow(self, plan: _Plan, addr: LineAddress) -> _Shadow:
         key = _key(addr)
@@ -538,194 +515,6 @@ class VnCExecutor:
             plan.injections.append((vaddr, sampled))
             if scheme.vnc:
                 vkey = _key(vaddr)
-                pending = self.uncovered.get(vkey)
-                if pending is not None:
-                    sampled |= pending & vshadow.disturbed
-                    plan.uncovered_resolved.add(vkey)
-                detected.append((vaddr, sampled))
-
-        if not scheme.vnc:
-            # Unprotected super dense PCM: disturbance lands undetected.
-            for vaddr, sampled in plan.injections:
-                if sampled:
-                    vkey = _key(vaddr)
-                    self.uncovered[vkey] = self.uncovered.get(vkey, 0) | sampled
-            return plan
-
-        # ---- verification ---------------------------------------------------
-        plan.latency += self.timing.read_cycles * len(victims)
-        plan.bump("verify_reads", len(victims))
-        plan.bump("verifications", len(victims))
-
-        # ---- correction / LazyCorrection ------------------------------------
-        nm_tag = entry.request.nm_tag
-        if fine:
-            t0 = _perf()
-        for vaddr, new_mask in detected:
-            self._handle_errors(plan, vaddr, new_mask, nm_tag, depth=0)
-        if fine:
-            PROFILER.add("write_ecp", _perf() - t0)
-        return plan
-
-    def _plan_fused(self, entry: WriteEntry) -> _Plan:
-        """Fused twin of :meth:`_plan`: one ``write_phase_batch`` call.
-
-        Byte- and RNG-stream-identical to the per-leaf path by the
-        :mod:`repro.pcm.kernels.rngplane` draw-order contract: the flip
-        pool (``rng.integers``, non-concatenative) stays in Python
-        *before* the fused call, the word-line + victim uniforms fuse
-        into one plane inside it, and the correction cascades (which
-        depend on state mutated mid-plan) stay on the leaf samplers
-        *after* it.  Victim staging — shadows, stuck masks, weak masks,
-        drift — moves ahead of the kernel call; none of it touches
-        ``self.rng`` (the drift and fault streams are per-key), so the
-        stream position at every draw matches :meth:`_plan` exactly.
-        """
-        plan = _Plan()
-        scheme = self.scheme
-        disturbance = self.disturbance
-        addr = entry.addr
-        key = _key(addr)
-        backend = self.kernels
-        fine = PROFILER.fine
-        wd_on = disturbance.enabled
-        inject = wd_on and not scheme.wd_free_bitlines
-
-        shadow = self._shadow(plan, addr)
-        # Payload resolution stays ahead of the plane (leaf order).
-        data = entry.payload_int
-        data_is_flip = False
-        if data is None:
-            if entry.payload is not None:
-                data = L.to_int(entry.payload)
-                entry.payload_int = data
-            else:
-                data = self._flip_mask(entry)
-                data_is_flip = True
-
-        # ---- pre-write reads (accounting only) -----------------------------
-        victims: List[LineAddress] = []
-        if inject:
-            for slot in entry.slots:
-                victims.append(slot.addr)
-                vkey = _key(slot.addr)
-                if slot.forwarded:
-                    pass  # satisfied from the write queue, no array access
-                elif slot.done and slot.epoch == self.epochs.get(vkey, 0):
-                    plan.bump("preread_hits")
-                elif slot.done:
-                    plan.bump("preread_stale")
-                    plan.latency += self.timing.read_cycles
-                else:
-                    plan.bump("pre_write_reads")
-                    plan.latency += self.timing.read_cycles
-
-        # ---- victim staging -------------------------------------------------
-        staged: List[Tuple[LineAddress, Key, _Shadow, int]] = []
-        vtriples: List[Tuple[int, int, int]] = []
-        if inject:
-            injection_targets = victims if scheme.vnc else [
-                nb for nb in self.array.bitline_neighbours(addr)
-            ]
-            vkeys = [_key(vaddr) for vaddr in injection_targets]
-            weak_cells = self._weak_masks_for(vkeys)
-            for vaddr, vkey, weak_line in zip(
-                injection_targets, vkeys, weak_cells
-            ):
-                vshadow = self._shadow(plan, vaddr)
-                stuck = self._invulnerable_int(vkey)
-                drift = 0
-                if self.fault_plan is not None:
-                    candidates = (vshadow.physical ^ L.MASK_ALL) & (
-                        stuck ^ L.MASK_ALL
-                    )
-                    drift = self.fault_plan.drift_mask(vkey, candidates)
-                staged.append((vaddr, vkey, vshadow, drift))
-                vtriples.append((vshadow.physical, stuck, weak_line))
-
-        # ---- the fused write phase ------------------------------------------
-        request = rngplane.WriteRequest(
-            stored=shadow.stored,
-            flags=self.array.line_flags(addr),
-            disturbed=shadow.disturbed,
-            data=data,
-            data_is_flip=data_is_flip,
-            victims=vtriples,
-        )
-        p_wl = disturbance.p_wordline * disturbance.din_residual_scale
-        if fine:
-            t0 = _perf()
-        res = backend.write_phase_batch(
-            [request], p_wl, disturbance.p_bitline_weak, self.rng,
-            wl_enabled=wd_on,
-        )[0]
-        if fine:
-            PROFILER.add("write_fused", _perf() - t0)
-
-        # ---- unpack: the data write itself ----------------------------------
-        changed_bits = res.reset_bits + res.set_bits
-        plan.latency += rounds_latency(res.reset_bits, res.set_bits, self.timing)
-        plan.demand_cell_writes = changed_bits
-        plan.written_key = key
-        plan.written_flags = res.flags
-        plan.bump("data_cell_writes_demand", changed_bits)
-        plan.bump("ecp_cell_writes_background", changed_bits)
-        if data_is_flip:
-            entry.payload_int = res.logical
-            entry.payload = L.from_int(res.logical)
-
-        # ---- word-line disturbance ------------------------------------------
-        if wd_on:
-            plan.bump("wordline_vulnerable_cells", res.wl_vuln_bits)
-            plan.bump("wordline_errors", res.wl_errors)
-            plan.wordline_note = res.wl_errors
-            if res.wl_errors:
-                plan.latency += self.timing.reset_cycles
-                plan.bump("data_cell_writes_demand", res.wl_errors)
-
-        # Shadow commit of the written line: stored image in, flips cleared.
-        shadow.stored = res.stored
-        shadow.disturbed = 0
-        shadow.write_back = True
-        if key in self.uncovered:
-            plan.uncovered_resolved.add(key)
-        existing_ecp = self.ecp.peek(key)
-        if existing_ecp is not None and existing_ecp.wd_count:
-            plan.bump("ecp_cleared_by_write", existing_ecp.wd_count)
-            plan.ecp_clears.add(key)
-
-        # ---- stuck-at faults on the written line ----------------------------
-        if self.fault_plan is not None:
-            stuck = self.fault_plan.stuck_profile(key)
-            if stuck.mask:
-                self._ecp_line(key)
-                uncovered = self._stuck_uncovered.get(key, 0)
-                wrong = L.stuck_error_mask_int(
-                    res.stored, stuck.mask, stuck.values
-                ) & uncovered
-                if wrong:
-                    plan.bump("uncorrectable_bits", wrong.bit_count())
-
-        if not inject:
-            return plan  # 8F^2 chip: no bit-line WD, no VnC.
-
-        # ---- bit-line disturbance injection ---------------------------------
-        detected: List[Tuple[LineAddress, int]] = []
-        for (vaddr, vkey, vshadow, drift), vuln_bits, sampled in zip(
-            staged, res.victim_vuln_bits, res.victim_sampled
-        ):
-            errors = sampled.bit_count()
-            plan.bump("bitline_vulnerable_cells", vuln_bits)
-            plan.bump("bitline_errors", errors)
-            plan.adjacent_notes.append(errors)
-            new_drift = drift & ~sampled
-            if new_drift:
-                plan.bump("drift_flips", new_drift.bit_count())
-                sampled |= new_drift
-            vshadow.disturbed |= sampled
-            vshadow.write_back = True
-            plan.injections.append((vaddr, sampled))
-            if scheme.vnc:
                 pending = self.uncovered.get(vkey)
                 if pending is not None:
                     sampled |= pending & vshadow.disturbed

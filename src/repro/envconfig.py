@@ -26,8 +26,6 @@ Knobs parsed here:
 ``REPRO_KERNEL_BACKEND`` bit-kernel backend: ``auto``/``python``/``numpy``/
                        ``compiled`` (auto)
 ``REPRO_KERNEL_CC``    C compiler for the compiled kernel backend (PATH search)
-``REPRO_KERNEL_FUSED`` fused write-phase kernels: ``auto``/``on``/``off``
-                       (auto — planner decides per batch)
 ``REPRO_HEARTBEAT_S``  watchdog heartbeat window, seconds (float >= 0; off)
 ``REPRO_MEM_BUDGET_MB`` soft RSS budget, MiB (int >= 0; off)
 ``REPRO_BREAKER_THRESHOLD`` consecutive failures before a circuit breaker
@@ -338,35 +336,6 @@ def service_dir() -> Path:
     if raw:
         return Path(raw)
     return cache_dir() / "service"
-
-
-#: Legal values for ``REPRO_KERNEL_FUSED`` after truthy/falsy aliasing.
-KERNEL_FUSED_MODES = ("auto", "on", "off")
-
-
-def kernel_fused() -> str:
-    """Fused write-phase selection (``REPRO_KERNEL_FUSED``, default ``auto``).
-
-    ``on`` forces every demand write through the fused
-    ``write_phase_batch`` kernel; ``off`` forces the per-leaf path;
-    ``auto`` (unset) defers to the planner's measured fused-vs-leaf
-    costs.  Common boolean spellings alias onto ``on``/``off`` so CI can
-    say ``REPRO_KERNEL_FUSED=1``.
-    """
-    raw = os.environ.get("REPRO_KERNEL_FUSED")
-    if raw is None:
-        return "auto"
-    value = raw.strip().lower()
-    if value in ("1", "on", "true", "yes"):
-        return "on"
-    if value in ("0", "off", "false", "no"):
-        return "off"
-    if value == "auto" or value == "":
-        return "auto"
-    raise ValueError(
-        f"REPRO_KERNEL_FUSED must be one of auto/on/off (or a boolean "
-        f"spelling thereof), got {raw!r}"
-    )
 
 
 def kernel_cc() -> Optional[str]:

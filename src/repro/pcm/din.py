@@ -124,7 +124,7 @@ def din_tables() -> "tuple[np.ndarray, np.ndarray]":
 
     C-contiguous ``(256, 256)`` uint8 arrays indexed ``[old, raw]`` —
     the exact tables :meth:`DINEncoder.encode_stored_int` gathers from,
-    cached so every backend (and every fused-kernel veneer) shares one
+    cached so every backend shares one
     pair of buffers whose addresses stay valid for the process lifetime.
     """
     return (

@@ -4,17 +4,17 @@ Process-wide registry of the interchangeable bit-kernel
 implementations (see :mod:`.base` for the contract):
 
 >>> from repro.pcm.kernels import activate, active
->>> activate("numpy")           # force a backend for this process
+>>> activate("compiled")        # force a backend for this process
 >>> active().popcount_rows(rows)
 
 ``active()`` defaults to the pure-Python reference backend; the
-execution layer (:mod:`repro.perf.engine`) activates the planner's
-per-batch choice in the parent and in every pool worker.  Construction
-is lazy and memoised: asking for ``compiled`` the first time may
-trigger a (cached) C build; hosts where that fails — no compiler, no
-numba — see :class:`BackendUnavailable` from :func:`get_backend`, while
+execution layer (:mod:`repro.perf.engine`) activates its per-batch
+choice in the parent and in every pool worker.  Construction is lazy
+and memoised: asking for ``compiled`` the first time may trigger a
+(cached) C build; hosts where that fails (no C compiler) see
+:class:`BackendUnavailable` from :func:`get_backend`, while
 :func:`available_backends` silently omits the name and ``auto``
-selection degrades to pure Python.
+selection runs pure Python.
 """
 
 from __future__ import annotations
@@ -32,10 +32,8 @@ __all__ = [
     "active",
     "active_name",
     "available_backends",
-    "fused_active",
     "get_backend",
     "reset",
-    "set_fused",
 ]
 
 #: Registered backend names, in preference order (fastest-candidate last).
@@ -44,7 +42,6 @@ BACKEND_NAMES: Tuple[str, ...] = ("python", "numpy", "compiled")
 _instances: Dict[str, KernelBackend] = {}
 _active: Optional[KernelBackend] = None
 _unavailable: Dict[str, str] = {}
-_fused: bool = False
 
 
 def _construct(name: str) -> KernelBackend:
@@ -131,38 +128,9 @@ def active_name() -> str:
     return active().name
 
 
-def set_fused(enabled: bool) -> None:
-    """Record the planner's per-batch fused-path decision for this process.
-
-    Like :func:`activate`, the execution layer calls this in the parent
-    and in every pool worker before advancing a chunk; executors read it
-    once at construction via :func:`fused_active`.
-    """
-    global _fused
-    _fused = bool(enabled)
-
-
-def fused_active() -> bool:
-    """Whether demand writes should take the fused write-phase kernel.
-
-    ``REPRO_KERNEL_FUSED=on``/``off`` overrides unconditionally; under
-    ``auto`` (the default) this reports the planner's last
-    :func:`set_fused` decision — ``False`` until anything decides.
-    """
-    from ... import envconfig
-
-    mode = envconfig.kernel_fused()
-    if mode == "on":
-        return True
-    if mode == "off":
-        return False
-    return _fused
-
-
 def reset() -> None:
     """Drop every memoised instance and re-arm failed probes (tests)."""
-    global _active, _fused
+    global _active
     _active = None
-    _fused = False
     _instances.clear()
     _unavailable.clear()

@@ -17,20 +17,10 @@
 #include <stdint.h>
 #include <string.h>
 
-#define SD_ABI_VERSION 2
+#define SD_ABI_VERSION 3
 
 /* Loader probe: the Python side checks the ABI before trusting the lib. */
 int sd_abi_version(void) { return SD_ABI_VERSION; }
-
-static inline int popcount8(uint8_t v) {
-#if defined(__GNUC__) || defined(__clang__)
-    return __builtin_popcount((unsigned)v);
-#else
-    int n = 0;
-    while (v) { v &= (uint8_t)(v - 1); ++n; }
-    return n;
-#endif
-}
 
 static inline int ctz8(uint8_t v) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -42,27 +32,10 @@ static inline int ctz8(uint8_t v) {
 #endif
 }
 
-/* Keep the i-th set bit (ascending cell order) of cand iff keep[i].
- * Returns the number of keep flags consumed.  Mirror of
- * repro.pcm.line._apply_keep. */
-int sd_apply_keep(const uint8_t *cand, const uint8_t *keep,
-                  uint8_t *out, int nbytes) {
-    int i = 0;
-    for (int b = 0; b < nbytes; ++b) {
-        uint8_t c = cand[b];
-        uint8_t o = 0;
-        while (c) {
-            uint8_t low = (uint8_t)(c & (uint8_t)(-c));
-            if (keep[i++]) o |= low;
-            c = (uint8_t)(c ^ low);
-        }
-        out[b] = o;
-    }
-    return i;
-}
-
-/* Row-batched sd_apply_keep over n_rows contiguous rows sharing one
- * keep stream (the batched samplers' one-big-draw contract). */
+/* Keep the i-th set bit (ascending cell order) of cand iff keep[i],
+ * over n_rows contiguous rows sharing one keep stream (the batched
+ * samplers' one-big-draw contract).  Returns the number of keep flags
+ * consumed.  Mirror of repro.pcm.line._apply_keep. */
 int sd_apply_keep_rows(const uint8_t *cand, int n_rows, int row_bytes,
                        const uint8_t *keep, uint8_t *out) {
     int i = 0;
@@ -144,190 +117,4 @@ int sd_bit_positions(const uint8_t *buf, int nbytes, int32_t *out) {
         }
     }
     return k;
-}
-
-/* Fused write-phase stage: the draw-free half of a batch of demand
- * writes.  Per request (row_bytes-byte lines, little-endian bit order):
- *
- *   physical   = stored | disturbed
- *   logical    = data_is_flip ? din_decode(stored, flags) ^ data : data
- *   stored_new = din_encode(physical, logical)      (+ flag bits)
- *   reset/set  = differential-write masks over physical -> stored_new
- *   wl_vuln    = wordline_neighbours(reset) & ~changed & ~physical
- *                (per-64-bit-word adjacency; zeroed when !wl_enabled)
- *   per victim: vulnerable = reset & ~v.physical & ~v.stuck
- *               weak       = vulnerable & v.weak_cells
- *
- * Victims are flattened across the batch: victim_counts[r] names how
- * many of the vphys/vstuck/vweak rows belong to request r.  Outputs:
- * stored_out/logical_out (n*row_bytes), flags_out (n*row_bytes/8,
- * caller-zeroed), wl_vuln_out (n*row_bytes), weak_out (V*row_bytes),
- * counts_out (n*3 int32: reset, set, wl_vuln bits) and vcounts_out
- * (V*2 int32: vulnerable, weak bits).  Consumes no RNG: a crash here
- * is recoverable by rerunning the pure-Python stage.
- */
-void sd_write_stage(const uint8_t *stored, const uint8_t *flags,
-                    const uint8_t *disturbed, const uint8_t *data,
-                    const uint8_t *data_is_flip,
-                    const uint8_t *vphys, const uint8_t *vstuck,
-                    const uint8_t *vweak, const int32_t *victim_counts,
-                    const uint8_t *stored_tab, const uint8_t *invert_tab,
-                    int n_rows, int row_bytes, int wl_enabled,
-                    uint8_t *stored_out, uint8_t *flags_out,
-                    uint8_t *logical_out, uint8_t *wl_vuln_out,
-                    uint8_t *weak_out, int32_t *counts_out,
-                    int32_t *vcounts_out) {
-    const int flag_bytes = row_bytes / 8;
-    int k = 0;  /* flattened victim index */
-    for (int r = 0; r < n_rows; ++r) {
-        const uint8_t *st = stored + (size_t)r * row_bytes;
-        const uint8_t *fl = flags + (size_t)r * flag_bytes;
-        const uint8_t *di = disturbed + (size_t)r * row_bytes;
-        const uint8_t *da = data + (size_t)r * row_bytes;
-        uint8_t *so = stored_out + (size_t)r * row_bytes;
-        uint8_t *fo = flags_out + (size_t)r * flag_bytes;
-        uint8_t *lo = logical_out + (size_t)r * row_bytes;
-        uint8_t *wv = wl_vuln_out + (size_t)r * row_bytes;
-        uint8_t ph[512], chg[512], rs[512];
-        int reset_bits = 0, set_bits = 0, wl_bits = 0;
-        const int flip = data_is_flip[r] != 0;
-        for (int i = 0; i < row_bytes; ++i) {
-            const uint8_t p = (uint8_t)(st[i] | di[i]);
-            ph[i] = p;
-            uint8_t lg;
-            if (flip) {
-                const uint8_t dec = (uint8_t)(
-                    st[i] ^ (((fl[i >> 3] >> (i & 7)) & 1) ? 0xFF : 0x00));
-                lg = (uint8_t)(dec ^ da[i]);
-            } else {
-                lg = da[i];
-            }
-            lo[i] = lg;
-            const int idx = ((int)p << 8) | lg;
-            const uint8_t sn = stored_tab[idx];
-            so[i] = sn;
-            fo[i >> 3] |= (uint8_t)(invert_tab[idx] << (i & 7));
-            const uint8_t c = (uint8_t)(p ^ sn);
-            chg[i] = c;
-            const uint8_t rst = (uint8_t)(c & p);
-            rs[i] = rst;
-            reset_bits += popcount8(rst);
-            set_bits += popcount8((uint8_t)(c & sn));
-        }
-        if (wl_enabled) {
-            /* Word-line adjacency lives within each 64-bit word (one
-             * chip segment): shift the reset bytes by one bit with
-             * byte-carry inside the word, dropping at word edges. */
-            for (int w = 0; w < row_bytes / 8; ++w) {
-                const uint8_t *rb = rs + w * 8;
-                for (int j = 0; j < 8; ++j) {
-                    const uint8_t left = (uint8_t)(
-                        (uint8_t)(rb[j] << 1) |
-                        (j ? (uint8_t)(rb[j - 1] >> 7) : 0));
-                    const uint8_t right = (uint8_t)(
-                        (uint8_t)(rb[j] >> 1) |
-                        (j < 7 ? (uint8_t)(rb[j + 1] << 7) : 0));
-                    const int i = w * 8 + j;
-                    const uint8_t v = (uint8_t)(
-                        (left | right) & (uint8_t)~chg[i] & (uint8_t)~ph[i]);
-                    wv[i] = v;
-                    wl_bits += popcount8(v);
-                }
-            }
-        } else {
-            memset(wv, 0, (size_t)row_bytes);
-        }
-        counts_out[r * 3 + 0] = (int32_t)reset_bits;
-        counts_out[r * 3 + 1] = (int32_t)set_bits;
-        counts_out[r * 3 + 2] = (int32_t)wl_bits;
-        const int nv = (int)victim_counts[r];
-        for (int v = 0; v < nv; ++v, ++k) {
-            const uint8_t *vp = vphys + (size_t)k * row_bytes;
-            const uint8_t *vs = vstuck + (size_t)k * row_bytes;
-            const uint8_t *vw = vweak + (size_t)k * row_bytes;
-            uint8_t *wo = weak_out + (size_t)k * row_bytes;
-            int vuln_bits = 0, weak_bits = 0;
-            for (int i = 0; i < row_bytes; ++i) {
-                const uint8_t vul = (uint8_t)(
-                    rs[i] & (uint8_t)~vp[i] & (uint8_t)~vs[i]);
-                const uint8_t wk = (uint8_t)(vul & vw[i]);
-                wo[i] = wk;
-                vuln_bits += popcount8(vul);
-                weak_bits += popcount8(wk);
-            }
-            vcounts_out[k * 2 + 0] = (int32_t)vuln_bits;
-            vcounts_out[k * 2 + 1] = (int32_t)weak_bits;
-        }
-    }
-}
-
-/* Fused write-phase apply: consume one drawn RNG plane through the
- * batch, request-major, word-line stream first, then that request's
- * victims — the draw-order contract from repro.pcm.kernels.rngplane.
- * Modes carry the leaf samplers' probability-edge semantics: 0 = empty
- * result, no draws; 1 = candidates pass through, no draws; 2 = one
- * uniform per candidate bit, kept where draw < p.  The word-line side
- * only needs error *counts*; victims need the sampled masks
- * (V*row_bytes into sampled_out). */
-void sd_write_apply(const uint8_t *wl_vuln, const uint8_t *weak,
-                    const int32_t *victim_counts, const double *draws,
-                    double p_wl, double p_bl, int n_rows, int row_bytes,
-                    int wl_mode, int bl_mode,
-                    int32_t *wl_err_out, uint8_t *sampled_out) {
-    int di = 0;  /* plane position */
-    int k = 0;   /* flattened victim index */
-    for (int r = 0; r < n_rows; ++r) {
-        const uint8_t *wv = wl_vuln + (size_t)r * row_bytes;
-        int errs = 0;
-        if (wl_mode == 2) {
-            for (int i = 0; i < row_bytes; ++i) {
-                uint8_t c = wv[i];
-                while (c) {
-                    const uint8_t low = (uint8_t)(c & (uint8_t)(-c));
-                    if (draws[di++] < p_wl) ++errs;
-                    c = (uint8_t)(c ^ low);
-                }
-            }
-        } else if (wl_mode == 1) {
-            for (int i = 0; i < row_bytes; ++i) errs += popcount8(wv[i]);
-        }
-        wl_err_out[r] = (int32_t)errs;
-        const int nv = (int)victim_counts[r];
-        for (int v = 0; v < nv; ++v, ++k) {
-            const uint8_t *wk = weak + (size_t)k * row_bytes;
-            uint8_t *so = sampled_out + (size_t)k * row_bytes;
-            if (bl_mode == 2) {
-                for (int i = 0; i < row_bytes; ++i) {
-                    uint8_t c = wk[i];
-                    uint8_t o = 0;
-                    while (c) {
-                        const uint8_t low = (uint8_t)(c & (uint8_t)(-c));
-                        if (draws[di++] < p_bl) o |= low;
-                        c = (uint8_t)(c ^ low);
-                    }
-                    so[i] = o;
-                }
-            } else if (bl_mode == 1) {
-                memcpy(so, wk, (size_t)row_bytes);
-            } else {
-                memset(so, 0, (size_t)row_bytes);
-            }
-        }
-    }
-}
-
-int sd_popcount(const uint8_t *buf, int nbytes) {
-    int n = 0;
-    for (int b = 0; b < nbytes; ++b) n += popcount8(buf[b]);
-    return n;
-}
-
-void sd_popcount_rows(const uint8_t *rows, int n_rows, int row_bytes,
-                      int64_t *out) {
-    for (int r = 0; r < n_rows; ++r) {
-        const uint8_t *p = rows + (size_t)r * row_bytes;
-        int n = 0;
-        for (int b = 0; b < row_bytes; ++b) n += popcount8(p[b]);
-        out[r] = (int64_t)n;
-    }
 }

@@ -13,11 +13,12 @@ Three interchangeable implementations live in this package:
     :mod:`repro.pcm.din` (CPython big-int bit ops + numpy LUT gathers);
 ``numpy``
     packed-uint64 row kernels — scalar entry points route through the
-    whole-chunk row forms so numpy amortises dispatch over many lines;
+    whole-chunk row forms so numpy amortises dispatch over many lines
+    (selected only when forced with ``REPRO_KERNEL_BACKEND=numpy``);
 ``compiled``
-    a small C shared library (built on demand, loaded via ctypes) with a
-    numba fallback, for the scatter/LUT/pack loops; RNG draws stay in
-    Python so streams match the reference draw-for-draw.
+    a small C shared library (built on demand, loaded via ctypes) for
+    the scatter/LUT/pack loops; RNG draws stay in Python so streams
+    match the reference draw-for-draw.
 
 **Byte-identity is the hard contract.**  Every backend must produce
 bit-for-bit identical masks, stored images, and flag words — and consume
@@ -85,35 +86,6 @@ class KernelBackend:
         self, rows: np.ndarray, probability: float, rng: np.random.Generator
     ) -> np.ndarray:
         """Row-batched sampling over an ``(N, 8)`` uint64 array."""
-        raise NotImplementedError
-
-    # -- fused write phase -------------------------------------------------------
-
-    def write_phase_batch(
-        self,
-        requests,
-        wl_probability: float,
-        bl_probability: float,
-        rng: np.random.Generator,
-        wl_enabled: bool = True,
-    ):
-        """Advance N queued demand writes through the fused write phase.
-
-        One call executes, for every :class:`~.rngplane.WriteRequest` in
-        ``requests``: payload decode (flip requests) -> DIN encode ->
-        differential-write planning -> word-line-vulnerability masking
-        and sampling -> per-victim bit-line vulnerable/weak masking and
-        sampling.  Returns one :class:`~.rngplane.WriteResult` per
-        request.
-
-        **RNG contract** (see :mod:`.rngplane` for the full statement):
-        the whole batch consumes exactly one ``rng.random(total)``
-        plane, request-major, word-line draws before that request's
-        victim draws, set bits in ascending cell order, with the leaf
-        samplers' no-draw probability edges — so the stream position
-        after the call is identical to the per-leaf path's, and
-        identical across every backend.
-        """
         raise NotImplementedError
 
     # -- counting / positions ----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Compiled kernel backend: C shared library via ctypes, numba fallback.
+"""Compiled kernel backend: a C shared library loaded via ctypes.
 
 The C source (``_kernels.c``) has no ``Python.h`` dependency, so the
 build is a single ``cc -O2 -shared -fPIC`` invocation — no Python
@@ -9,13 +9,10 @@ headers, no setuptools machinery at runtime.  Resolution order:
 2. a **cached build** under ``<cache_dir>/kernels/``, keyed by the
    source hash so stale libraries are never reused;
 3. a fresh compile with ``REPRO_KERNEL_CC`` (or the first of
-   ``cc``/``gcc``/``clang`` on ``PATH``);
-4. the **numba** flavour (``_numba_kernels``) when no C toolchain
-   exists but numba is importable.
+   ``cc``/``gcc``/``clang`` on ``PATH``).
 
-If every flavour fails, construction raises
-:class:`~.base.BackendUnavailable` and the registry degrades to the
-pure-Python backend.
+If none loads, construction raises :class:`~.base.BackendUnavailable`
+and the engine runs the pure-Python backend instead.
 
 The ctypes veneer passes ``bytes`` objects and pre-computed buffer
 addresses instead of numpy pointers: ``ndarray.ctypes.data`` costs
@@ -40,7 +37,6 @@ import ctypes
 import hashlib
 import os
 import shutil
-import struct
 import subprocess
 import warnings
 from pathlib import Path
@@ -52,18 +48,12 @@ from ... import envconfig
 from ...config import LINE_BITS, LINE_BYTES, LINE_WORDS
 from .. import din as D
 from .. import line as L
-from . import rngplane
 from .base import BackendUnavailable, KernelBackend
 from .python_backend import PythonBackend
 
-#: Expected ``sd_abi_version()`` of a loadable library.  Bumped to 2 for
-#: the fused write-phase entry points (``sd_write_stage`` /
-#: ``sd_write_apply``); older cached libraries fail the probe and are
-#: rebuilt from source.
-_ABI_VERSION = 2
-
-#: Native-order int32 packer for the single-request fused fast path.
-_PACK_I = struct.Struct("=i").pack
+#: Expected ``sd_abi_version()`` of a loadable library; a library with
+#: another entry-point set fails the probe and is rebuilt from source.
+_ABI_VERSION = 3
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 
@@ -141,8 +131,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     """Bind argtypes/restypes; pointers travel as ``c_void_p`` (bytes or int)."""
     p = ctypes.c_void_p
     i = ctypes.c_int
-    lib.sd_apply_keep.argtypes = [p, p, p, i]
-    lib.sd_apply_keep.restype = i
     lib.sd_apply_keep_rows.argtypes = [p, i, i, p, p]
     lib.sd_apply_keep_rows.restype = i
     lib.sd_din_encode.argtypes = [p, p, p, p, i, i, p, p]
@@ -155,21 +143,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.sd_pack_less_than.restype = None
     lib.sd_bit_positions.argtypes = [p, i, p]
     lib.sd_bit_positions.restype = i
-    lib.sd_popcount.argtypes = [p, i]
-    lib.sd_popcount.restype = i
-    lib.sd_popcount_rows.argtypes = [p, i, i, p]
-    lib.sd_popcount_rows.restype = None
-    d = ctypes.c_double
-    lib.sd_write_stage.argtypes = [
-        p, p, p, p, p,  # stored, flags, disturbed, data, data_is_flip
-        p, p, p, p,     # vphys, vstuck, vweak, victim_counts
-        p, p,           # stored_tab, invert_tab
-        i, i, i,        # n_rows, row_bytes, wl_enabled
-        p, p, p, p, p, p, p,  # stage outputs
-    ]
-    lib.sd_write_stage.restype = None
-    lib.sd_write_apply.argtypes = [p, p, p, p, d, d, i, i, i, i, p, p]
-    lib.sd_write_apply.restype = None
 
 
 class _COps:
@@ -179,8 +152,6 @@ class _COps:
     computed once; batch calls allocate per invocation (amortised over
     the rows).
     """
-
-    flavor = "c"
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
@@ -196,37 +167,6 @@ class _COps:
         self._pos_buf = ctypes.create_string_buffer(LINE_BITS * 4)
         self._pos_addr = ctypes.addressof(self._pos_buf)
         self._pos_view = np.frombuffer(self._pos_buf, np.int32)
-        # Reusable fused write-phase arena, grown on demand.  The hot
-        # shape is one request with a couple of victims per call, so
-        # per-call buffer allocation would dominate the native work.
-        self._ws_rows = 0
-        self._ws_vics = 0
-        self._grow_fused(1, 4)
-
-    def _grow_fused(self, n_rows: int, n_victims: int) -> None:
-        if n_rows > self._ws_rows:
-            self._ws_rows = n_rows
-            self._ws_stored = ctypes.create_string_buffer(n_rows * LINE_BYTES)
-            self._ws_flags = ctypes.create_string_buffer(n_rows * 8)
-            self._ws_logical = ctypes.create_string_buffer(n_rows * LINE_BYTES)
-            self._ws_wl = ctypes.create_string_buffer(n_rows * LINE_BYTES)
-            self._ws_counts = ctypes.create_string_buffer(n_rows * 12)
-            self._ws_errs = ctypes.create_string_buffer(n_rows * 4)
-            self._ws_stored_a = ctypes.addressof(self._ws_stored)
-            self._ws_flags_a = ctypes.addressof(self._ws_flags)
-            self._ws_logical_a = ctypes.addressof(self._ws_logical)
-            self._ws_wl_a = ctypes.addressof(self._ws_wl)
-            self._ws_counts_a = ctypes.addressof(self._ws_counts)
-            self._ws_errs_a = ctypes.addressof(self._ws_errs)
-        if n_victims > self._ws_vics:
-            v = max(n_victims, 1)
-            self._ws_vics = v
-            self._ws_weak = ctypes.create_string_buffer(v * LINE_BYTES)
-            self._ws_vcounts = ctypes.create_string_buffer(v * 8)
-            self._ws_sampled = ctypes.create_string_buffer(v * LINE_BYTES)
-            self._ws_weak_a = ctypes.addressof(self._ws_weak)
-            self._ws_vcounts_a = ctypes.addressof(self._ws_vcounts)
-            self._ws_sampled_a = ctypes.addressof(self._ws_sampled)
 
     def apply_keep(self, cand: bytes, keep: bytes, n_rows: int) -> bytes:
         if n_rows == 1:
@@ -288,192 +228,9 @@ class _COps:
         self._lib.sd_bit_positions(buf, len(buf), self._pos_addr)
         return self._pos_view[:count].tolist()
 
-    def write_stage(
-        self,
-        stored: bytes,
-        flags: bytes,
-        disturbed: bytes,
-        data: bytes,
-        flips: bytes,
-        vphys: bytes,
-        vstuck: bytes,
-        vweak: bytes,
-        vcounts: bytes,
-        n_rows: int,
-        n_victims: int,
-        wl_enabled: int,
-    ):
-        self._grow_fused(n_rows, n_victims)
-        # Only flags_out accumulates with |= in C; the rest is written.
-        ctypes.memset(self._ws_flags_a, 0, n_rows * 8)
-        self._lib.sd_write_stage(
-            stored, flags, disturbed, data, flips,
-            vphys, vstuck, vweak, vcounts,
-            self._stored_ptr, self._invert_ptr,
-            n_rows, LINE_BYTES, wl_enabled,
-            self._ws_stored_a, self._ws_flags_a, self._ws_logical_a,
-            self._ws_wl_a, self._ws_weak_a, self._ws_counts_a,
-            self._ws_vcounts_a,
-        )
-        return (
-            ctypes.string_at(self._ws_stored_a, n_rows * LINE_BYTES),
-            ctypes.string_at(self._ws_flags_a, n_rows * 8),
-            ctypes.string_at(self._ws_logical_a, n_rows * LINE_BYTES),
-            ctypes.string_at(self._ws_wl_a, n_rows * LINE_BYTES),
-            ctypes.string_at(self._ws_weak_a, n_victims * LINE_BYTES),
-            struct.unpack_from(f"={n_rows * 3}i", self._ws_counts),
-            struct.unpack_from(f"={n_victims * 2}i", self._ws_vcounts),
-        )
 
-    def write_apply(
-        self,
-        wl_vuln: bytes,
-        weak: bytes,
-        vcounts: bytes,
-        draws: bytes,
-        p_wl: float,
-        p_bl: float,
-        n_rows: int,
-        n_victims: int,
-        wl_mode: int,
-        bl_mode: int,
-    ):
-        self._grow_fused(n_rows, n_victims)
-        self._lib.sd_write_apply(
-            wl_vuln, weak, vcounts, draws,
-            p_wl, p_bl, n_rows, LINE_BYTES, wl_mode, bl_mode,
-            self._ws_errs_a, self._ws_sampled_a,
-        )
-        return (
-            struct.unpack_from(f"={n_rows}i", self._ws_errs),
-            ctypes.string_at(self._ws_sampled_a, n_victims * LINE_BYTES),
-        )
-
-
-class _NumbaOps:
-    """Same bytes veneer over the ``@njit`` kernels (numba flavour)."""
-
-    flavor = "numba"
-
-    def __init__(self, mod) -> None:
-        self._mod = mod
-        stored_tab, invert_tab = D.din_tables()
-        self._stored_tab = stored_tab.reshape(-1)
-        self._invert_tab = invert_tab.reshape(-1)
-
-    def apply_keep(self, cand: bytes, keep: bytes, n_rows: int) -> bytes:
-        out = np.empty(n_rows * LINE_BYTES, np.uint8)
-        self._mod.apply_keep_rows(
-            np.frombuffer(cand, np.uint8), n_rows, LINE_BYTES,
-            np.frombuffer(keep, np.uint8), out,
-        )
-        return out.tobytes()
-
-    def din_encode(self, old: bytes, raw: bytes, n_rows: int) -> Tuple[bytes, bytes]:
-        stored = np.empty(n_rows * LINE_BYTES, np.uint8)
-        flags = np.zeros(n_rows * 8, np.uint8)
-        self._mod.din_encode(
-            np.frombuffer(old, np.uint8), np.frombuffer(raw, np.uint8),
-            self._stored_tab, self._invert_tab,
-            n_rows, LINE_BYTES, stored, flags,
-        )
-        return stored.tobytes(), flags.tobytes()
-
-    def din_decode(self, stored: bytes, flags: bytes, n_rows: int) -> bytes:
-        out = np.empty(n_rows * LINE_BYTES, np.uint8)
-        self._mod.din_decode(
-            np.frombuffer(stored, np.uint8), np.frombuffer(flags, np.uint8),
-            n_rows, LINE_BYTES, out,
-        )
-        return out.tobytes()
-
-    def pack_less_than(self, draws: bytes, n: int, threshold: float) -> bytes:
-        out = np.empty((n + 7) // 8, np.uint8)
-        self._mod.pack_less_than(
-            np.frombuffer(draws, np.float64), n, threshold, out
-        )
-        return out.tobytes()
-
-    def pack_bits(self, bits: bytes, n: int) -> bytes:
-        out = np.empty((n + 7) // 8, np.uint8)
-        self._mod.pack_bits(np.frombuffer(bits, np.uint8), n, out)
-        return out.tobytes()
-
-    def bit_positions(self, buf: bytes, count: int) -> List[int]:
-        out = np.empty(max(count, 1), np.int32)
-        self._mod.bit_positions(np.frombuffer(buf, np.uint8), len(buf), out)
-        return out[:count].tolist()
-
-    def write_stage(
-        self,
-        stored: bytes,
-        flags: bytes,
-        disturbed: bytes,
-        data: bytes,
-        flips: bytes,
-        vphys: bytes,
-        vstuck: bytes,
-        vweak: bytes,
-        vcounts: bytes,
-        n_rows: int,
-        n_victims: int,
-        wl_enabled: int,
-    ):
-        v = max(n_victims, 1)
-        stored_out = np.empty(n_rows * LINE_BYTES, np.uint8)
-        flags_out = np.zeros(n_rows * 8, np.uint8)
-        logical_out = np.empty(n_rows * LINE_BYTES, np.uint8)
-        wl_out = np.empty(n_rows * LINE_BYTES, np.uint8)
-        weak_out = np.zeros(v * LINE_BYTES, np.uint8)
-        counts = np.empty(n_rows * 3, np.int32)
-        vcounts_out = np.zeros(v * 2, np.int32)
-        self._mod.write_stage(
-            np.frombuffer(stored, np.uint8), np.frombuffer(flags, np.uint8),
-            np.frombuffer(disturbed, np.uint8), np.frombuffer(data, np.uint8),
-            np.frombuffer(flips, np.uint8),
-            np.frombuffer(vphys, np.uint8), np.frombuffer(vstuck, np.uint8),
-            np.frombuffer(vweak, np.uint8), np.frombuffer(vcounts, np.int32),
-            self._stored_tab, self._invert_tab,
-            n_rows, LINE_BYTES, wl_enabled,
-            stored_out, flags_out, logical_out, wl_out, weak_out,
-            counts, vcounts_out,
-        )
-        return (
-            stored_out.tobytes(), flags_out.tobytes(), logical_out.tobytes(),
-            wl_out.tobytes(), weak_out.tobytes()[:n_victims * LINE_BYTES],
-            tuple(int(x) for x in counts),
-            tuple(int(x) for x in vcounts_out[:n_victims * 2]),
-        )
-
-    def write_apply(
-        self,
-        wl_vuln: bytes,
-        weak: bytes,
-        vcounts: bytes,
-        draws: bytes,
-        p_wl: float,
-        p_bl: float,
-        n_rows: int,
-        n_victims: int,
-        wl_mode: int,
-        bl_mode: int,
-    ):
-        errs = np.zeros(n_rows, np.int32)
-        sampled = np.zeros(max(n_victims, 1) * LINE_BYTES, np.uint8)
-        self._mod.write_apply(
-            np.frombuffer(wl_vuln, np.uint8), np.frombuffer(weak, np.uint8),
-            np.frombuffer(vcounts, np.int32), np.frombuffer(draws, np.float64),
-            p_wl, p_bl, n_rows, LINE_BYTES, wl_mode, bl_mode,
-            errs, sampled,
-        )
-        return (
-            tuple(int(x) for x in errs),
-            sampled.tobytes()[:n_victims * LINE_BYTES],
-        )
-
-
-def _make_ops():
-    """Build the best available native ops, or raise BackendUnavailable."""
+def _make_ops() -> _COps:
+    """Load (or build) the native library, or raise BackendUnavailable."""
     reasons = []
     prebuilt = _prebuilt_library()
     if prebuilt is not None:
@@ -485,30 +242,22 @@ def _make_ops():
         return _COps(_load_library(_build_library()))
     except BackendUnavailable as exc:
         reasons.append(str(exc))
-    try:
-        from . import _numba_kernels
-        return _NumbaOps(_numba_kernels)
-    except ImportError:
-        reasons.append("numba is not installed")
     raise BackendUnavailable(
         "compiled kernel backend unavailable: " + "; ".join(reasons)
     )
 
 
 class CompiledBackend(KernelBackend):
-    """C/numba-accelerated kernels with a self-retiring Python fallback."""
+    """C-accelerated kernels with a self-retiring Python fallback."""
 
     name = "compiled"
+    #: The native flavour (kept for reports that print it).
+    flavor = "c"
 
     def __init__(self) -> None:
         self._ops = _make_ops()
         self._py = PythonBackend()
         self._dead = False
-
-    @property
-    def flavor(self) -> str:
-        """Which native flavour loaded: ``"c"`` or ``"numba"``."""
-        return self._ops.flavor
 
     @property
     def dead(self) -> bool:
@@ -623,142 +372,6 @@ class CompiledBackend(KernelBackend):
                 self._apply_keep_fallback(values, [int(c) for c in counts], keep)
             )
         return np.frombuffer(data, L.WORD_DTYPE).reshape(n_rows, LINE_WORDS).copy()
-
-    # -- fused write phase -------------------------------------------------------
-
-    def write_phase_batch(
-        self,
-        requests,
-        wl_probability: float,
-        bl_probability: float,
-        rng: np.random.Generator,
-        wl_enabled: bool = True,
-    ):
-        if self._dead:
-            return self._py.write_phase_batch(
-                requests, wl_probability, bl_probability, rng, wl_enabled
-            )
-        n = len(requests)
-        if n == 0:
-            return []
-        if n == 1:
-            # The hot shape: the write planner fuses one demand write
-            # (plus its victims) per call, so skip the generator joins.
-            req = requests[0]
-            victims = req.victims
-            nv = len(victims)
-            victim_counts = [nv]
-            n_victims = nv
-            stored = req.stored.to_bytes(LINE_BYTES, "little")
-            flags = req.flags.to_bytes(8, "little")
-            disturbed = req.disturbed.to_bytes(LINE_BYTES, "little")
-            data = req.data.to_bytes(LINE_BYTES, "little")
-            flips = b"\x01" if req.data_is_flip else b"\x00"
-            if nv:
-                vphys = b"".join(
-                    v[0].to_bytes(LINE_BYTES, "little") for v in victims
-                )
-                vstuck = b"".join(
-                    v[1].to_bytes(LINE_BYTES, "little") for v in victims
-                )
-                vweak = b"".join(
-                    v[2].to_bytes(LINE_BYTES, "little") for v in victims
-                )
-            else:
-                vphys = vstuck = vweak = b""
-            vcounts_b = _PACK_I(nv)
-        else:
-            victim_counts = [len(req.victims) for req in requests]
-            n_victims = sum(victim_counts)
-            stored = b"".join(
-                req.stored.to_bytes(LINE_BYTES, "little") for req in requests
-            )
-            flags = b"".join(
-                req.flags.to_bytes(8, "little") for req in requests
-            )
-            disturbed = b"".join(
-                req.disturbed.to_bytes(LINE_BYTES, "little")
-                for req in requests
-            )
-            data = b"".join(
-                req.data.to_bytes(LINE_BYTES, "little") for req in requests
-            )
-            flips = bytes(1 if req.data_is_flip else 0 for req in requests)
-            vphys = b"".join(
-                v[0].to_bytes(LINE_BYTES, "little")
-                for req in requests for v in req.victims
-            )
-            vstuck = b"".join(
-                v[1].to_bytes(LINE_BYTES, "little")
-                for req in requests for v in req.victims
-            )
-            vweak = b"".join(
-                v[2].to_bytes(LINE_BYTES, "little")
-                for req in requests for v in req.victims
-            )
-            vcounts_b = struct.pack(f"={n}i", *victim_counts)
-        try:
-            (stored_out, flags_out, logical_out, wl_out, weak_out,
-             counts, vcounts) = self._ops.write_stage(
-                stored, flags, disturbed, data, flips,
-                vphys, vstuck, vweak, vcounts_b, n, n_victims,
-                1 if wl_enabled else 0,
-            )
-        except Exception as exc:
-            # Stage failures consume no RNG: the pure-Python fused path
-            # replays the whole call stream-identically from the inputs.
-            self._retire(exc)
-            return self._py.write_phase_batch(
-                requests, wl_probability, bl_probability, rng, wl_enabled
-            )
-        wl_mode, bl_mode = rngplane.sample_modes(wl_probability, bl_probability)
-        total = 0
-        if wl_mode == 2:
-            total += sum(counts[2::3])
-        if bl_mode == 2 and n_victims:
-            total += sum(vcounts[1::2])
-        draws = rngplane.draw_plane(rng, total)
-        try:
-            errs, sampled = self._ops.write_apply(
-                wl_out, weak_out, vcounts_b, draws.tobytes(),
-                float(wl_probability), float(bl_probability),
-                n, n_victims, wl_mode, bl_mode,
-            )
-        except Exception as exc:
-            # The plane is already consumed: re-stage in pure Python
-            # (draw-free, deterministic) and scatter the very same draws
-            # so the results and the stream position stay identical.
-            self._retire(exc)
-            staged = rngplane.stage_reference(self._py, requests, wl_enabled)
-            return rngplane.apply_reference(
-                staged, draws, wl_probability, bl_probability
-            )
-        results = []
-        k = 0
-        for r in range(n):
-            o = r * LINE_BYTES
-            nv = victim_counts[r]
-            results.append(rngplane.WriteResult(
-                stored=int.from_bytes(stored_out[o:o + LINE_BYTES], "little"),
-                flags=int.from_bytes(flags_out[r * 8:(r + 1) * 8], "little"),
-                logical=int.from_bytes(logical_out[o:o + LINE_BYTES], "little"),
-                reset_bits=counts[r * 3],
-                set_bits=counts[r * 3 + 1],
-                wl_vuln_bits=counts[r * 3 + 2],
-                wl_errors=errs[r],
-                victim_vuln_bits=[
-                    vcounts[(k + v) * 2] for v in range(nv)
-                ],
-                victim_sampled=[
-                    int.from_bytes(
-                        sampled[(k + v) * LINE_BYTES:(k + v + 1) * LINE_BYTES],
-                        "little",
-                    )
-                    for v in range(nv)
-                ],
-            ))
-            k += nv
-        return results
 
     # -- counting / positions ----------------------------------------------------
 

@@ -23,7 +23,6 @@ import numpy as np
 from ...config import LINE_BITS
 from .. import din as D
 from .. import line as L
-from . import rngplane
 from .base import KernelBackend
 
 
@@ -59,23 +58,6 @@ class NumpyBackend(KernelBackend):
         self, rows: np.ndarray, probability: float, rng: np.random.Generator
     ) -> np.ndarray:
         return L.sample_masks_rows(rows, probability, rng)
-
-    # -- fused write phase -------------------------------------------------------
-
-    def write_phase_batch(
-        self,
-        requests,
-        wl_probability: float,
-        bl_probability: float,
-        rng: np.random.Generator,
-        wl_enabled: bool = True,
-    ):
-        # The reference driver dispatches decode/encode back through this
-        # backend, so the numpy LUT coders serve the fused path too; the
-        # scatter itself goes through the shared ``_apply_keep`` walk.
-        return rngplane.write_phase_batch_reference(
-            self, requests, wl_probability, bl_probability, rng, wl_enabled
-        )
 
     # -- counting / positions ----------------------------------------------------
 

@@ -3,7 +3,7 @@
 Thin delegation onto the existing int-domain kernels in
 :mod:`repro.pcm.line` and :mod:`repro.pcm.din` — this backend *is* the
 behavioural reference the other backends are pinned against, and the
-guaranteed-available fallback on hosts with no C compiler and no numba.
+guaranteed-available fallback on hosts with no C compiler.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 from .. import din as D
 from .. import line as L
-from . import rngplane
 from .base import KernelBackend
 
 
@@ -42,20 +41,6 @@ class PythonBackend(KernelBackend):
         self, rows: np.ndarray, probability: float, rng: np.random.Generator
     ) -> np.ndarray:
         return L.sample_masks_rows(rows, probability, rng)
-
-    # -- fused write phase -------------------------------------------------------
-
-    def write_phase_batch(
-        self,
-        requests,
-        wl_probability: float,
-        bl_probability: float,
-        rng: np.random.Generator,
-        wl_enabled: bool = True,
-    ):
-        return rngplane.write_phase_batch_reference(
-            self, requests, wl_probability, bl_probability, rng, wl_enabled
-        )
 
     # -- counting / positions ----------------------------------------------------
 

@@ -122,18 +122,6 @@ class StatePlane:
         self._masks[pool_key] = mask
         return mask
 
-    def weak_masks(
-        self, fraction: float, keys: "list[Tuple[int, int, int]]"
-    ) -> "list[int]":
-        """Batched :meth:`weak_mask` over many line coordinates.
-
-        The fused write phase stages every victim of a write in one
-        call, so its weak-mask lookups arrive as a small batch; each key
-        still resolves through the same pool (identical bytes, identical
-        hit accounting) — this is a loop saver, not a new recipe.
-        """
-        return [self.weak_mask(fraction, key) for key in keys]
-
     # -- bookkeeping -------------------------------------------------------
 
     @property

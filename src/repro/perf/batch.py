@@ -88,7 +88,6 @@ def plan_batches(
 def simulate_chunk(
     specs: List[CellSpec], handles: Optional[list] = None,
     kernel: Optional[str] = None, hb: Optional[str] = None,
-    fused: bool = False,
 ) -> Tuple[List[SimulationResult], Snapshot]:
     """Pool-worker entry: advance one whole chunk in a single dispatch.
 
@@ -98,13 +97,11 @@ def simulate_chunk(
     are reused across chunks, so the per-process profiler is reset first
     — exactly the contract of the per-cell ``_simulate_with_phases``.
 
-    ``kernel`` carries the parent planner's bit-kernel backend pick into
-    the worker process explicitly (warm workers outlive batches, so the
+    ``kernel`` carries the parent's bit-kernel backend pick into the
+    worker process explicitly (warm workers outlive batches, so the
     choice cannot ride on inherited module state); a backend the worker
     cannot construct degrades to pure Python, which is byte-identical.
-    ``fused`` rides the same plumbing for the planner's fused
-    write-phase decision (both paths are byte-identical too).  ``hb``
-    names the parent's heartbeat segment (see
+    ``hb`` names the parent's heartbeat segment (see
     :mod:`repro.resilience.watchdog`); the worker stamps it per cell so
     a long chunk still beats between cells.
     """
@@ -116,7 +113,6 @@ def simulate_chunk(
         from ..pcm import kernels
 
         kernels.activate_preferred(kernel)
-        kernels.set_fused(bool(fused))
     PROFILER.reset()
     results = []
     for spec in specs:

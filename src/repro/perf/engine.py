@@ -156,9 +156,10 @@ class EngineStats:
     planner_batch_picks: int = 0
     #: Kernel-backend decisions, by chosen backend (``auto`` backend only).
     kernel_python_picks: int = 0
-    kernel_numpy_picks: int = 0
     kernel_compiled_picks: int = 0
-    #: Cold batches dispatched through the fused write-phase kernel.
+    #: Always 0: ``auto`` never picks numpy and the fused write phase is
+    #: gone, but ``perfbench/`` still reads both counters by name.
+    kernel_numpy_picks: int = 0
     kernel_fused_picks: int = 0
     #: Rounds reclaimed by the heartbeat watchdog before the deadline.
     watchdog_stalls: int = 0
@@ -248,19 +249,11 @@ class EngineStats:
                 f"{self.planner_pool_picks} pool / "
                 f"{self.planner_batch_picks} batch picks"
             )
-        kernel_picks = (
-            self.kernel_python_picks
-            + self.kernel_numpy_picks
-            + self.kernel_compiled_picks
-        )
-        if kernel_picks:
+        if self.kernel_python_picks or self.kernel_compiled_picks:
             base += (
                 f"; kernels: {self.kernel_python_picks} python / "
-                f"{self.kernel_numpy_picks} numpy / "
                 f"{self.kernel_compiled_picks} compiled picks"
             )
-        if self.kernel_fused_picks:
-            base += f"; fused write phase: {self.kernel_fused_picks} batches"
         if self.batched_cells:
             base += (
                 f"; batch: {self.batched_cells} cells in "
@@ -461,7 +454,6 @@ class CellRunner:
         if self.jobs <= 1:
             return 0
         kernel = self._resolve_kernel()
-        fused = self._resolve_fused(kernel)
         hb = self._heartbeat_handle()
         submitted = 0
         seen: set = set()
@@ -486,7 +478,6 @@ class CellRunner:
                 try:
                     future = pool.submit(
                         _simulate_with_phases, spec, handle, kernel, hb,
-                        fused,
                     )
                 except (BrokenProcessPool, RuntimeError):
                     # The pool died mid-prefetch; unsubmitted cells simply
@@ -534,13 +525,10 @@ class CellRunner:
         if not specs:
             return []
         mode = self._pick_mode(len(specs))
-        # One kernel backend (and one fused-vs-leaf decision) per cold
-        # batch: activated here for the in-process paths and shipped by
-        # name/flag to every pool worker.
+        # One kernel backend per cold batch: activated here for the
+        # in-process paths and shipped by name to every pool worker.
         kernel = self._resolve_kernel()
         kernels.activate(kernel)
-        fused = self._resolve_fused(kernel)
-        kernels.set_fused(fused)
         pool_alive = WARM_POOL.alive
         start = time.monotonic()
         if mode == "serial":
@@ -552,16 +540,15 @@ class CellRunner:
             wall = time.monotonic() - start
             PLANNER.observe("serial", len(specs), wall)
         elif mode == "batch":
-            out = self._simulate_batched(specs, notify, kernel, fused)
+            out = self._simulate_batched(specs, notify, kernel)
             wall = time.monotonic() - start
             PLANNER.observe("batch", len(specs), wall)
         else:
-            out = self._simulate_pooled(specs, notify, kernel, fused)
+            out = self._simulate_pooled(specs, notify, kernel)
             wall = time.monotonic() - start
             PLANNER.observe(
                 "pool_warm" if pool_alive else "pool_cold", len(specs), wall
             )
-        PLANNER.observe_kernel(kernel, len(specs), wall, fused=fused)
         self._observe_kernel_health(kernel)
         return out
 
@@ -596,46 +583,24 @@ class CellRunner:
         A forced backend (``REPRO_KERNEL_BACKEND`` / ``kernel_backend=``)
         is honoured outright — forcing one that cannot be constructed on
         this host raises :class:`~repro.pcm.kernels.BackendUnavailable`
-        rather than silently degrading.  ``auto`` asks the planner for
-        the cheapest of the backends constructible here (pure Python when
-        nothing else builds) and records the pick — unless the ``kernel``
-        circuit breaker is open, in which case ``auto`` routes straight
-        to the byte-identical pure-Python reference until the breaker's
-        half-open probe lets a native backend try again.
+        rather than silently degrading.  ``auto`` runs ``compiled`` when
+        it builds on this host and the ``kernel`` circuit breaker allows
+        it, and the byte-identical pure-Python reference otherwise (no C
+        compiler, or a native backend that keeps failing until the
+        breaker's half-open probe lets it try again); the pick is
+        recorded in the session counters.
         """
         if self.kernel_backend != "auto":
             kernels.get_backend(self.kernel_backend)  # raise if unavailable
             return self.kernel_backend
-        if not breaker_mod.breaker("kernel").allow():
-            STATS.kernel_python_picks += 1
-            return "python"
-        name = PLANNER.decide_kernel(kernels.available_backends())
-        if name == "python":
-            STATS.kernel_python_picks += 1
-        elif name == "numpy":
-            STATS.kernel_numpy_picks += 1
-        else:
+        if (
+            breaker_mod.breaker("kernel").allow()
+            and "compiled" in kernels.available_backends()
+        ):
             STATS.kernel_compiled_picks += 1
-        return name
-
-    def _resolve_fused(self, kernel: str) -> bool:
-        """Whether the next cold batch takes the fused write-phase path.
-
-        ``REPRO_KERNEL_FUSED=on``/``off`` overrides outright; ``auto``
-        asks the planner whether ``kernel``'s fused cost row beats its
-        leaf row on this host.  Both paths are byte-identical, so — like
-        the backend pick — this is pure performance.
-        """
-        mode = envconfig.kernel_fused()
-        if mode == "on":
-            fused = True
-        elif mode == "off":
-            fused = False
-        else:
-            fused = PLANNER.decide_fused(kernel)
-        if fused:
-            STATS.kernel_fused_picks += 1
-        return fused
+            return "compiled"
+        STATS.kernel_python_picks += 1
+        return "python"
 
     def _pick_mode(self, cells: int) -> str:
         """Resolve the execution mode for one cold batch.
@@ -674,7 +639,6 @@ class CellRunner:
 
     def _simulate_batched(
         self, specs: List[CellSpec], notify: _OnResult, kernel: str,
-        fused: bool = False,
     ) -> List[SimulationResult]:
         """Batched pool execution: one future advances a whole chunk.
 
@@ -709,7 +673,7 @@ class CellRunner:
                     with defer_sigint():
                         futures[position] = pool.submit(
                             batchexec.simulate_chunk, chunk_specs, handles,
-                            kernel, hb, fused,
+                            kernel, hb,
                         )
                     submitted[position] = chunk
                     STATS.batch_dispatches += 1
@@ -756,7 +720,7 @@ class CellRunner:
 
             if len(sub_specs) > 1:
                 sub_results = self._simulate_pooled(
-                    sub_specs, sub_notify, kernel, fused
+                    sub_specs, sub_notify, kernel
                 )
             else:
                 sub_results = [simulate_cell(sub_specs[0])]
@@ -767,7 +731,6 @@ class CellRunner:
 
     def _simulate_pooled(
         self, specs: List[CellSpec], notify: _OnResult, kernel: str,
-        fused: bool = False,
     ) -> List[SimulationResult]:
         """The failure-handling ladder: pool -> retries -> serial fallback.
 
@@ -791,7 +754,7 @@ class CellRunner:
                     len(pending), attempt, self.retries,
                 )
             pending = self._pool_round(
-                specs, pending, results, notify, kernel, fused
+                specs, pending, results, notify, kernel
             )
         if pending:
             STATS.serial_fallback_cells += len(pending)
@@ -811,7 +774,6 @@ class CellRunner:
         results: List[Optional[SimulationResult]],
         notify: _OnResult,
         kernel: str,
-        fused: bool = False,
     ) -> List[int]:
         """Run one warm-pool attempt over ``indices``; returns the failures.
 
@@ -832,7 +794,7 @@ class CellRunner:
                 with defer_sigint():
                     futures[index] = pool.submit(
                         _simulate_with_phases, specs[index], handle, kernel,
-                        hb, fused,
+                        hb,
                     )
         except (BrokenProcessPool, RuntimeError):
             for future in futures.values():
@@ -1003,7 +965,7 @@ def _publish_trace(spec: CellSpec):
 
 
 def _simulate_with_phases(
-    spec: CellSpec, handle=None, kernel=None, hb=None, fused: bool = False
+    spec: CellSpec, handle=None, kernel=None, hb=None
 ) -> tuple:
     """Pool worker: simulate one cell, shipping its phase timings back.
 
@@ -1014,8 +976,7 @@ def _simulate_with_phases(
     is reset before each cell and its delta returned with the result.
     ``kernel`` names the parent's bit-kernel backend pick; a worker that
     cannot construct it degrades to the byte-identical pure-Python
-    reference.  ``fused`` ships the parent's fused write-phase decision
-    the same way.  ``hb`` names the parent's heartbeat segment: the worker
+    reference.  ``hb`` names the parent's heartbeat segment: the worker
     stamps it per cell (and the armed event loop stamps it mid-cell) so
     the watchdog can tell slow from wedged.
     """
@@ -1025,7 +986,6 @@ def _simulate_with_phases(
         shm.ensure_attached(handle)
     if kernel is not None:
         kernels.activate_preferred(kernel)
-        kernels.set_fused(bool(fused))
     PROFILER.reset()
     result = simulate_cell(spec)
     snapshot: Snapshot = PROFILER.snapshot()

@@ -84,7 +84,7 @@ PROFILER = PhaseProfiler()
 _KERNEL_NAMES = ("sample_mask_int", "sample_masks_int", "sample_masks_rows",
                  "popcount_rows", "bit_positions_int", "encode_stored_int",
                  "decode_int", "encode_stored_rows", "decode_rows",
-                 "mask_from_draws", "write_phase_batch")
+                 "mask_from_draws")
 
 #: The backend instance currently carrying timer wrappers (None = none).
 _timed_backend = None

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import shutil
+
 import numpy as np
 import pytest
 
+from repro import envconfig
+from repro.pcm import kernels
 from repro.perf import engine
 from repro.config import (
     DisturbanceConfig,
@@ -16,17 +20,51 @@ from repro.config import (
 from repro.traces.workload import Workload, homogeneous_workload
 
 
+@pytest.fixture(scope="session")
+def _kernel_build(tmp_path_factory):
+    """The compiled kernel library, built once for the whole session.
+
+    Returns the build directory, or ``None`` when nothing was built (no
+    C compiler, or a prebuilt library next to the package).
+    """
+    root = tmp_path_factory.mktemp("kernel-build")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(root))
+        try:
+            kernels.get_backend("compiled")
+        except kernels.BackendUnavailable:
+            return None
+        finally:
+            kernels.reset()
+    build = root / "kernels"
+    return build if build.is_dir() else None
+
+
 @pytest.fixture(autouse=True)
-def _isolated_result_cache(tmp_path, monkeypatch):
+def _isolated_result_cache(tmp_path_factory, monkeypatch, _kernel_build):
     """Point the perf engine's result cache at a per-test directory.
 
     Keeps the suite hermetic (no reads from or writes to the user's
-    ~/.cache/repro) while still exercising the cache code paths.
+    ~/.cache/repro) while still exercising the cache code paths.  The
+    session's kernel build is copied in, so a test that needs the
+    compiled backend loads it (about 1 ms) instead of compiling it.
+    The directory lies outside ``tmp_path``, which tests own.
     """
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
+    cache_dir = tmp_path_factory.mktemp("repro-cache")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+    if _kernel_build is not None:
+        shutil.copytree(_kernel_build, cache_dir / "kernels")
     engine.reset()
     yield
     engine.reset()
+
+
+@pytest.fixture
+def no_compiler(monkeypatch):
+    """A host with no C toolchain: no compiler and no earlier build."""
+    monkeypatch.setenv("REPRO_KERNEL_CC", "/bin/false")
+    shutil.rmtree(envconfig.cache_dir() / "kernels", ignore_errors=True)
+    kernels.reset()
 
 
 @pytest.fixture

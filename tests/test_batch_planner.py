@@ -15,14 +15,18 @@ Covers the three new execution-layer pieces:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core import schemes
 from repro.experiments import common
+from repro.pcm import kernels
 from repro.pcm import line as L
 from repro.pcm import stateplane
 from repro.perf import batch as batchexec
@@ -32,20 +36,10 @@ from repro.perf.engine import STATS, CellRunner
 from repro.perf.planner import (
     DEFAULT_COSTS,
     EWMA_ALPHA,
-    KERNEL_DEFAULT_COSTS,
-    KERNEL_FUSED_DEFAULT_COSTS,
     AdaptivePlanner,
     fingerprint_matches,
     host_fingerprint,
 )
-
-
-def full_kernel_defaults() -> dict:
-    """The default kernel snapshot: leaf rows plus ``_fused`` rows."""
-    snapshot = dict(KERNEL_DEFAULT_COSTS)
-    for name, value in KERNEL_FUSED_DEFAULT_COSTS.items():
-        snapshot[f"{name}_fused"] = value
-    return snapshot
 
 SMALL = dict(length=60, cores=2)
 MAIN_PID = os.getpid()
@@ -234,13 +228,8 @@ class TestPlanner:
 
 
 class TestKernelPlanner:
-    """The per-backend bit-kernel cost model and its host gating."""
-
-    def _planner(self) -> AdaptivePlanner:
-        planner = AdaptivePlanner()
-        planner._seeded = True
-        planner._kernel_seeded = True  # isolate from committed calibration
-        return planner
+    """Host fingerprints, and the ``auto`` kernel rule: compiled when it
+    builds on this host, pure Python otherwise — never a timing model."""
 
     def test_fingerprint_matching_rules(self):
         current = host_fingerprint()
@@ -254,125 +243,43 @@ class TestKernelPlanner:
         relaxed = dict(current, python="2.7")
         assert fingerprint_matches(relaxed) is True
 
-    def test_decide_kernel_picks_cheapest_available(self):
-        planner = self._planner()
-        assert planner.decide_kernel(("python", "numpy", "compiled")) == (
-            "compiled"
+    @staticmethod
+    def _cold_batches(tmp_path, monkeypatch, count: int = 4) -> None:
+        """Serial cold ``run_cells`` batches under ``auto``, each made to
+        look far slower than any default cost (a 7 s tick per clock
+        read), so a timing-driven pick would have to move."""
+        ticks = itertools.count(step=7.0)
+        monkeypatch.setattr(engine, "time", SimpleNamespace(
+            monotonic=lambda: next(ticks), sleep=time.sleep,
+        ))
+        runner = CellRunner(
+            jobs=1, kernel_backend="auto",
+            cache=ResultCache(tmp_path / "k", enabled=True),
         )
-        assert planner.decide_kernel(("python", "numpy")) == "numpy"
-        assert planner.decide_kernel(("python",)) == "python"
-        # Nothing available (or only unknown names): pure Python.
-        assert planner.decide_kernel(()) == "python"
-        assert planner.decide_kernel(("fortran",)) == "python"
+        for seed in range(count):
+            runner.run_cells([small_cell("stream", seed=seed)])
 
-    def test_observe_kernel_is_an_ewma(self):
-        planner = self._planner()
-        before = planner.kernel_cost("compiled")
-        planner.observe_kernel("compiled", cells=2, seconds=2.0)  # 1.0 s/cell
-        expected = EWMA_ALPHA * 1.0 + (1 - EWMA_ALPHA) * before
-        assert planner.kernel_cost("compiled") == pytest.approx(expected)
-        planner.observe_kernel("compiled", cells=0, seconds=1.0)  # ignored
-        planner.observe_kernel("fortran", cells=1, seconds=1.0)  # ignored
-        assert planner.kernel_cost("compiled") == pytest.approx(expected)
-        # Enough slow observations flip the decision to the next backend
-        # — on *both* cost rows, since a backend is costed at the
-        # cheaper of its leaf and fused paths.
-        for _ in range(12):
-            planner.observe_kernel("compiled", cells=1, seconds=9.0)
-            planner.observe_kernel(
-                "compiled", cells=1, seconds=9.0, fused=True
-            )
-        assert planner.decide_kernel(("python", "numpy", "compiled")) == (
-            "numpy"
-        )
+    def test_auto_picks_compiled_whatever_the_timings(
+        self, tmp_path, monkeypatch
+    ):
+        try:
+            kernels.get_backend("compiled")
+        except kernels.BackendUnavailable as exc:
+            pytest.skip(f"compiled backend unavailable here: {exc}")
+        self._cold_batches(tmp_path, monkeypatch)
+        assert STATS.kernel_compiled_picks == 4
+        assert STATS.kernel_python_picks == 0
+        assert STATS.kernel_numpy_picks == 0
+        assert kernels.active_name() == "compiled"
 
-    def test_seed_kernels_from_file(self, tmp_path):
-        path = tmp_path / "BENCH_kernels.json"
-        path.write_text(json.dumps({
-            "schema_version": 3,
-            "host": host_fingerprint(),
-            "backends": {
-                "python": {"cold_cell_s": 0.5, "cold_cell_fused_s": 0.45},
-                "numpy": {"cold_cell_s": 0.4},
-                "compiled": {"cold_cell_s": 0.1, "cold_cell_fused_s": 0.05},
-                "fortran": {"cold_cell_s": 0.01},  # unknown: ignored
-            },
-        }))
-        planner = self._planner()
-        assert planner.seed_kernels_from_file(path) is True
-        assert planner.kernel_snapshot() == {
-            "python": 0.5, "numpy": 0.4, "compiled": 0.1,
-            "python_fused": 0.45, "compiled_fused": 0.05,
-            # No fused measurement for numpy: the default row stays.
-            "numpy_fused": KERNEL_FUSED_DEFAULT_COSTS["numpy"],
-        }
-
-    def test_seed_kernels_ignores_foreign_host(self, tmp_path):
-        path = tmp_path / "BENCH_kernels.json"
-        path.write_text(json.dumps({
-            "schema_version": 2,
-            "host": {"cpu_count": 4096, "machine": "vax"},
-            "backends": {"compiled": {"cold_cell_s": 0.001}},
-        }))
-        planner = self._planner()
-        assert planner.seed_kernels_from_file(path) is False
-        assert planner.kernel_snapshot() == full_kernel_defaults()
-
-    def test_seed_kernels_ignores_malformed_files(self, tmp_path):
-        planner = self._planner()
-        assert planner.seed_kernels_from_file(tmp_path / "nope.json") is False
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert planner.seed_kernels_from_file(bad) is False
-        flat = tmp_path / "flat.json"
-        flat.write_text(json.dumps({"backends": "compiled"}))
-        assert planner.seed_kernels_from_file(flat) is False
-        assert planner.kernel_snapshot() == full_kernel_defaults()
-
-    def test_reset_restores_kernel_defaults(self):
-        planner = self._planner()
-        planner.observe_kernel("python", cells=1, seconds=9.0)
-        planner.observe_kernel("python", cells=1, seconds=9.0, fused=True)
-        planner.reset()
-        planner._kernel_seeded = True
-        assert planner.kernel_snapshot() == full_kernel_defaults()
-
-    def test_decide_fused_defaults(self):
-        """Out of the box ``auto`` fuses only where fusing pays: the
-        compiled backend's fused default undercuts its leaf row; the
-        interpreted backends must measure faster first."""
-        planner = self._planner()
-        assert planner.decide_fused("compiled") is True
-        assert planner.decide_fused("python") is False
-        assert planner.decide_fused("numpy") is False
-        assert planner.decide_fused("fortran") is False  # unknown name
-
-    def test_fused_observations_flip_decide_fused(self):
-        planner = self._planner()
-        # A fused regression steers compiled back to the leaf path...
-        for _ in range(12):
-            planner.observe_kernel(
-                "compiled", cells=1, seconds=9.0, fused=True
-            )
-        assert planner.decide_fused("compiled") is False
-        # ...and fast fused measurements earn python the fused pick.
-        for _ in range(12):
-            planner.observe_kernel(
-                "python", cells=1, seconds=0.001, fused=True
-            )
-        assert planner.decide_fused("python") is True
-
-    def test_observe_kernel_fused_is_a_separate_ewma(self):
-        planner = self._planner()
-        leaf_before = planner.kernel_cost("compiled")
-        fused_before = planner.kernel_cost("compiled", fused=True)
-        planner.observe_kernel("compiled", cells=2, seconds=2.0, fused=True)
-        expected = EWMA_ALPHA * 1.0 + (1 - EWMA_ALPHA) * fused_before
-        assert planner.kernel_cost("compiled", fused=True) == (
-            pytest.approx(expected)
-        )
-        # The leaf row is untouched by fused observations.
-        assert planner.kernel_cost("compiled") == leaf_before
+    def test_auto_picks_python_without_a_compiler(
+        self, tmp_path, monkeypatch, no_compiler
+    ):
+        self._cold_batches(tmp_path, monkeypatch)
+        assert STATS.kernel_python_picks == 4
+        assert STATS.kernel_compiled_picks == 0
+        assert STATS.kernel_numpy_picks == 0
+        assert kernels.active_name() == "python"
 
 
 class TestBatchedEngine:
@@ -458,39 +365,8 @@ class TestBatchedEngine:
             cache=ResultCache(tmp_path / "k", enabled=True),
         )
         runner.run_cells([small_cell("stream")])
-        picks = (
-            STATS.kernel_python_picks
-            + STATS.kernel_numpy_picks
-            + STATS.kernel_compiled_picks
-        )
-        assert picks == 1
+        assert STATS.kernel_python_picks + STATS.kernel_compiled_picks == 1
         assert "kernels:" in STATS.summary()
-
-    def test_forced_fused_counts_and_stays_byte_identical(
-        self, tmp_path, monkeypatch
-    ):
-        specs = [small_cell("stream"), small_cell("mcf")]
-        want = [
-            payload(r)
-            for r in CellRunner(
-                jobs=1, cache=ResultCache(tmp_path / "leaf", enabled=True)
-            ).run_cells(specs)
-        ]
-        monkeypatch.setenv("REPRO_KERNEL_FUSED", "1")
-        results = CellRunner(
-            jobs=1, cache=ResultCache(tmp_path / "fused", enabled=True)
-        ).run_cells(specs)
-        assert [payload(r) for r in results] == want
-        assert STATS.kernel_fused_picks >= 1
-        assert "fused write phase" in STATS.summary()
-
-    def test_fused_off_never_picks(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_FUSED", "off")
-        CellRunner(
-            jobs=1, cache=ResultCache(tmp_path / "off", enabled=True)
-        ).run_cells([small_cell("stream")])
-        assert STATS.kernel_fused_picks == 0
-        assert "fused write phase" not in STATS.summary()
 
     def test_invalid_plan_and_batch_cells_rejected(self):
         with pytest.raises(ValueError, match="plan must be one of"):

@@ -266,12 +266,15 @@ class TestCheckpointResume:
         monkeypatch.setenv("REPRO_TRACE_LEN", "999")
         assert not runner.is_completed("table1", manifest)
 
-    def test_interrupt_checkpoints_finished_work(self, capsys, monkeypatch):
-        def boom():
-            raise KeyboardInterrupt
+    @staticmethod
+    def _boom():
+        raise KeyboardInterrupt
 
-        monkeypatch.setitem(runner.EXPERIMENTS, "boom", boom)
-        assert runner.main(["table1", "boom", "capacity"]) == 130
+    def test_interrupt_checkpoints_finished_work(self, capsys, monkeypatch):
+        monkeypatch.setitem(runner.EXPERIMENTS, "boom", self._boom)
+        # Sequential sweep: table1 finishes before boom's interrupt.
+        argv = ["--no-pipeline", "table1", "boom", "capacity"]
+        assert runner.main(argv) == 130
         out = capsys.readouterr().out
         assert "interrupted after 1/3" in out
         assert "--resume" in out
@@ -279,6 +282,21 @@ class TestCheckpointResume:
         assert runner.is_completed("table1", manifest)
         assert not runner.is_completed("boom", manifest)
         assert not runner.is_completed("capacity", manifest)
+
+    def test_interrupt_during_planning_checkpoints_nothing(
+        self, capsys, monkeypatch
+    ):
+        """A pipelined sweep calls every experiment in its planning pass
+        before the main loop, so an interrupt there lands before any
+        experiment finished: nothing is checkpointed, and the message
+        says so."""
+        monkeypatch.setitem(runner.EXPERIMENTS, "boom", self._boom)
+        argv = ["--jobs", "2", "table1", "boom", "capacity"]
+        assert runner.main(argv) == 130
+        out = capsys.readouterr().out
+        assert "interrupted after 0/3" in out
+        assert "--resume" in out
+        assert runner.load_manifest() == {}
 
     def test_torn_manifest_is_tolerated(self):
         path = runner.manifest_path()

@@ -19,7 +19,7 @@ def _clean_env(monkeypatch):
         "REPRO_RETRY_BACKOFF", "REPRO_TRACE_LEN", "REPRO_CORES",
         "REPRO_CACHE", "REPRO_CACHE_DIR", "REPRO_PROFILE", "REPRO_PIPELINE",
         "REPRO_BATCH_CELLS", "REPRO_PLAN", "REPRO_STATE_PLANE",
-        "REPRO_KERNEL_BACKEND", "REPRO_KERNEL_CC", "REPRO_KERNEL_FUSED",
+        "REPRO_KERNEL_BACKEND", "REPRO_KERNEL_CC",
         "REPRO_HEARTBEAT_S", "REPRO_MEM_BUDGET_MB",
         "REPRO_BREAKER_THRESHOLD", "REPRO_BREAKER_BACKOFF",
         "REPRO_DISK_MIN_MB", "REPRO_SHM_MIN_MB",
@@ -163,22 +163,6 @@ class TestAccessors:
         ):
             envconfig.kernel_backend()
 
-    def test_kernel_fused(self, monkeypatch):
-        assert envconfig.kernel_fused() == "auto"
-        for mode in envconfig.KERNEL_FUSED_MODES:
-            monkeypatch.setenv("REPRO_KERNEL_FUSED", mode)
-            assert envconfig.kernel_fused() == mode
-        # Boolean spellings alias onto on/off so CI can say FUSED=1.
-        for alias, mode in (
-            ("1", "on"), ("true", "on"), ("YES", "on"), (" On ", "on"),
-            ("0", "off"), ("False", "off"), ("no", "off"), ("", "auto"),
-        ):
-            monkeypatch.setenv("REPRO_KERNEL_FUSED", alias)
-            assert envconfig.kernel_fused() == mode
-        monkeypatch.setenv("REPRO_KERNEL_FUSED", "sometimes")
-        with pytest.raises(ValueError, match="REPRO_KERNEL_FUSED must be"):
-            envconfig.kernel_fused()
-
     def test_kernel_cc(self, monkeypatch):
         assert envconfig.kernel_cc() is None
         monkeypatch.setenv("REPRO_KERNEL_CC", "   ")
@@ -310,7 +294,6 @@ class TestConsumersDelegate:
             "REPRO_BATCH_CELLS": envconfig.batch_cells,
             "REPRO_PLAN": envconfig.plan_mode,
             "REPRO_KERNEL_BACKEND": envconfig.kernel_backend,
-            "REPRO_KERNEL_FUSED": envconfig.kernel_fused,
             "REPRO_HEARTBEAT_S": envconfig.heartbeat_s,
             "REPRO_MEM_BUDGET_MB": envconfig.mem_budget_mb,
             "REPRO_BREAKER_THRESHOLD": envconfig.breaker_threshold,

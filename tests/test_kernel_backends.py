@@ -9,10 +9,10 @@ force-mode errors, graceful degradation) and the compiled backend's
 crash containment: a native kernel that raises mid-run retires itself
 with one warning and finishes byte- and stream-identically in Python.
 
-Backends unavailable on the host (no C compiler *and* no numba for
-``compiled``) skip their equivalence cases; the registry/degradation
-tests simulate such hosts with ``REPRO_KERNEL_CC`` pointed at a
-non-compiler.
+Backends unavailable on the host (no C compiler for ``compiled``) skip
+their equivalence cases; the registry/degradation tests simulate such
+hosts with the ``no_compiler`` fixture.  The equivalence suites set no
+Hypothesis deadline: they check results, not wall-clock time.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.config import LINE_BITS, LINE_WORDS, SystemConfig
 from repro.core import schemes
 from repro.pcm import kernels
 from repro.pcm import line as L
-from repro.pcm.kernels import rngplane
 from repro.pcm.kernels.base import BackendUnavailable
 from repro.pcm.kernels.python_backend import PythonBackend
 
@@ -101,9 +100,7 @@ class TestRegistry:
         order = [kernels.BACKEND_NAMES.index(name) for name in available]
         assert order == sorted(order)
 
-    def test_unavailability_is_memoised(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CC", "/bin/false")
-        kernels.reset()
+    def test_unavailability_is_memoised(self, no_compiler):
         with pytest.raises(BackendUnavailable):
             kernels.get_backend("compiled")
         # The failed probe is remembered: no second build attempt, and
@@ -112,23 +109,19 @@ class TestRegistry:
             kernels.get_backend("compiled")
         assert kernels.available_backends() == ("python", "numpy")
 
-    def test_activate_preferred_degrades_to_python(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CC", "/bin/false")
-        kernels.reset()
+    def test_activate_preferred_degrades_to_python(self, no_compiler):
         backend = kernels.activate_preferred("compiled")
         assert backend.name == "python"
         assert kernels.active_name() == "python"
         # But a constructible preference is honoured.
         assert kernels.activate_preferred("numpy").name == "numpy"
 
-    def test_forced_unavailable_backend_fails_the_runner(self, monkeypatch):
+    def test_forced_unavailable_backend_fails_the_runner(self, no_compiler):
         """Forcing a backend the host lacks is an error, not a degrade."""
         from repro.experiments import common
         from repro.perf.cache import ResultCache
         from repro.perf.engine import CellRunner
 
-        monkeypatch.setenv("REPRO_KERNEL_CC", "/bin/false")
-        kernels.reset()
         runner = CellRunner(jobs=1, kernel_backend="compiled")
         spec = common.cell("stream", schemes.baseline(), length=40, cores=2)
         with pytest.raises(BackendUnavailable):
@@ -148,7 +141,7 @@ class TestRegistry:
 class TestBackendEquivalence:
     """Every backend against the pure-Python reference, same RNG streams."""
 
-    @settings(max_examples=120)
+    @settings(max_examples=120, deadline=None)
     @given(mask_ints, probabilities, seeds)
     def test_sample_mask_int(self, name, mask, p, seed):
         backend = backend_or_skip(name)
@@ -160,7 +153,7 @@ class TestBackendEquivalence:
         # Identical draw consumption: the streams stay in lock-step.
         assert fast_rng.random() == ref_rng.random()
 
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     @given(st.lists(mask_ints, max_size=5), probabilities, seeds)
     def test_sample_masks_int(self, name, values, p, seed):
         backend = backend_or_skip(name)
@@ -171,7 +164,7 @@ class TestBackendEquivalence:
         assert got == want
         assert fast_rng.random() == ref_rng.random()
 
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     @given(st.lists(mask_ints, max_size=5), probabilities, seeds)
     def test_sample_masks_rows(self, name, values, p, seed):
         backend = backend_or_skip(name)
@@ -196,7 +189,7 @@ class TestBackendEquivalence:
         assert backend.sample_masks_rows(empty, 0.5, rng).shape == empty.shape
         assert rng.bit_generator.state["state"]["state"] == before
 
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     @given(mask_ints, mask_ints)
     def test_din_int_coders(self, name, physical, data):
         backend = backend_or_skip(name)
@@ -204,7 +197,7 @@ class TestBackendEquivalence:
         assert (stored, flags) == REFERENCE.encode_stored_int(physical, data)
         assert backend.decode_int(stored, flags) == data
 
-    @settings(max_examples=80)
+    @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(mask_ints, mask_ints), min_size=1, max_size=5))
     def test_din_row_coders(self, name, pairs):
         backend = backend_or_skip(name)
@@ -217,7 +210,7 @@ class TestBackendEquivalence:
         decoded = backend.decode_rows(stored, flags)
         assert np.array_equal(decoded, data)
 
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     @given(mask_ints)
     def test_counting_kernels(self, name, mask):
         backend = backend_or_skip(name)
@@ -229,7 +222,7 @@ class TestBackendEquivalence:
             backend.popcount_rows(rows), REFERENCE.popcount_rows(rows)
         )
 
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     @given(seeds, probabilities)
     def test_mask_packing(self, name, seed, threshold):
         backend = backend_or_skip(name)
@@ -240,90 +233,6 @@ class TestBackendEquivalence:
         )
         bits = (draws < 0.5).astype(np.uint8)
         assert backend.pack_mask(bits) == REFERENCE.pack_mask(bits)
-
-
-# -- fused write-phase equivalence -------------------------------------------
-
-
-@st.composite
-def write_requests(draw):
-    """A valid fused-write request: flags come from a real DIN encode."""
-    physical = draw(mask_ints)
-    stored, flags = REFERENCE.encode_stored_int(physical, draw(mask_ints))
-    victims = tuple(
-        (draw(mask_ints), draw(mask_ints), draw(mask_ints))
-        for _ in range(draw(st.integers(0, 3)))
-    )
-    return rngplane.WriteRequest(
-        stored=stored,
-        flags=flags,
-        disturbed=draw(mask_ints),
-        data=draw(mask_ints),
-        data_is_flip=draw(st.booleans()),
-        victims=victims,
-    )
-
-
-def _fused_request() -> rngplane.WriteRequest:
-    """A fixed request with candidates on every sampling path."""
-    stored, flags = REFERENCE.encode_stored_int(L.MASK_ALL, 0x0F0F)
-    return rngplane.WriteRequest(
-        stored=stored, flags=flags, disturbed=0, data=0xFF00FF,
-        victims=((0, 0, (1 << 100) - 1), (1 << 30, 0, L.MASK_ALL)),
-    )
-
-
-@pytest.mark.parametrize("name", kernels.BACKEND_NAMES)
-class TestFusedWritePhaseEquivalence:
-    """``write_phase_batch`` against the reference: bytes AND stream."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(write_requests(), max_size=4), probabilities,
-           probabilities, st.booleans(), seeds)
-    def test_write_phase_batch(self, name, requests, wl_p, bl_p,
-                               wl_enabled, seed):
-        backend = backend_or_skip(name)
-        fast_rng = np.random.default_rng(seed)
-        ref_rng = np.random.default_rng(seed)
-        got = backend.write_phase_batch(
-            requests, wl_p, bl_p, fast_rng, wl_enabled=wl_enabled
-        )
-        want = REFERENCE.write_phase_batch(
-            requests, wl_p, bl_p, ref_rng, wl_enabled=wl_enabled
-        )
-        assert [r.astuple() for r in got] == [r.astuple() for r in want]
-        # The whole plane was consumed identically: not just the same
-        # draw count, the same post-call bit-generator state.
-        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(write_requests(), min_size=1, max_size=3), seeds)
-    def test_plane_matches_sequential_leaf_draws(self, name, requests, seed):
-        """The draw-order contract: one plane == the leaf calls, in order."""
-        backend = backend_or_skip(name)
-        wl_p, bl_p = 0.37, 0.61
-        fused_rng = np.random.default_rng(seed)
-        leaf_rng = np.random.default_rng(seed)
-        got = backend.write_phase_batch(requests, wl_p, bl_p, fused_rng)
-        staged = rngplane.stage_reference(REFERENCE, requests)
-        for sw, res in zip(staged, got):
-            wl_sample = REFERENCE.sample_mask_int(sw.wl_vuln, wl_p, leaf_rng)
-            assert wl_sample.bit_count() == res.wl_errors
-            sampled = REFERENCE.sample_masks_int(
-                sw.victim_weak, bl_p, leaf_rng
-            )
-            assert sampled == res.victim_sampled
-        assert fused_rng.bit_generator.state == leaf_rng.bit_generator.state
-
-    def test_fused_edges_draw_nothing(self, name):
-        backend = backend_or_skip(name)
-        request = _fused_request()
-        rng = np.random.default_rng(11)
-        before = rng.bit_generator.state["state"]["state"]
-        for wl_p, bl_p in ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.5, -0.2)):
-            backend.write_phase_batch([request], wl_p, bl_p, rng)
-        assert backend.write_phase_batch([], 0.5, 0.5, rng) == []
-        assert rng.bit_generator.state["state"]["state"] == before
 
 
 def _digest(result) -> str:
@@ -339,13 +248,12 @@ def _tiny_spec():
     return CellSpec(bench="mcf", length=60, config=config)
 
 
-def _simulate_under(name: str, fused: bool = False) -> str:
+def _simulate_under(name: str) -> str:
     from repro.pcm import stateplane
     from repro.perf.cellspec import simulate_cell
 
     stateplane.PLANE.reset()
     kernels.activate(name)
-    kernels.set_fused(fused)
     try:
         return _digest(simulate_cell(_tiny_spec()))
     finally:
@@ -361,12 +269,6 @@ class TestFullCellEquivalence:
         backend_or_skip(name)
         assert _simulate_under(name) == _simulate_under("python")
 
-    @pytest.mark.parametrize("name", kernels.BACKEND_NAMES)
-    def test_fused_cell_digest_matches_leaf(self, name):
-        """The fused write phase changes wall clock, never a byte."""
-        backend_or_skip(name)
-        assert _simulate_under(name, fused=True) == _simulate_under("python")
-
 
 # -- compiled-backend crash containment --------------------------------------
 
@@ -377,7 +279,6 @@ class _FlakyOps:
     def __init__(self, real, fuse: int) -> None:
         self._real = real
         self._fuse = fuse
-        self.flavor = real.flavor
 
     def _call(self, method, *args):
         if self._fuse <= 0:
@@ -403,11 +304,6 @@ class _FlakyOps:
     def bit_positions(self, *args):
         return self._call("bit_positions", *args)
 
-    def write_stage(self, *args):
-        return self._call("write_stage", *args)
-
-    def write_apply(self, *args):
-        return self._call("write_apply", *args)
 
 
 def _fresh_compiled():
@@ -479,84 +375,6 @@ class TestCompiledCrashFallback:
         backend._ops = _FlakyOps(backend._ops, fuse=100)
         kernels._instances["compiled"] = backend
         kernels._active = backend
-        stateplane.PLANE.reset()
-        try:
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                chaos = _digest(simulate_cell(_tiny_spec()))
-        finally:
-            kernels.reset()
-            stateplane.PLANE.reset()
-        assert backend.dead is True
-        assert chaos == reference
-
-
-class TestCompiledFusedCrashFallback:
-    """Crash containment inside the fused ``write_phase_batch`` call."""
-
-    def test_stage_crash_retires_before_any_draw(self):
-        """A native fault in the draw-free stage delegates the whole
-        call: no RNG was consumed, so the Python reference starts from
-        the identical stream position."""
-        backend = _fresh_compiled()
-        backend._ops = _FlakyOps(backend._ops, fuse=0)
-        requests = [_fused_request(), _fused_request()]
-        fast_rng = np.random.default_rng(5)
-        ref_rng = np.random.default_rng(5)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            got = backend.write_phase_batch(requests, 0.4, 0.7, fast_rng)
-        want = REFERENCE.write_phase_batch(requests, 0.4, 0.7, ref_rng)
-        assert [r.astuple() for r in got] == [r.astuple() for r in want]
-        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
-        assert backend.dead is True
-
-    def test_apply_crash_replays_the_consumed_plane(self):
-        """A native fault *after* the plane is drawn must not re-draw:
-        the replay walks the already-consumed uniforms through the
-        Python scatter and lands byte- and stream-identically."""
-        backend = _fresh_compiled()
-        # One fuse: the stage call succeeds, the apply call dies.
-        backend._ops = _FlakyOps(backend._ops, fuse=1)
-        requests = [_fused_request(), _fused_request()]
-        fast_rng = np.random.default_rng(13)
-        ref_rng = np.random.default_rng(13)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            got = backend.write_phase_batch(requests, 0.4, 0.7, fast_rng)
-        want = REFERENCE.write_phase_batch(requests, 0.4, 0.7, ref_rng)
-        assert [r.astuple() for r in got] == [r.astuple() for r in want]
-        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
-        assert backend.dead is True
-
-    def test_retired_backend_fuses_through_python_silently(self):
-        backend = _fresh_compiled()
-        backend._ops = _FlakyOps(backend._ops, fuse=0)
-        with pytest.warns(RuntimeWarning):
-            backend.write_phase_batch([_fused_request()], 0.4, 0.7,
-                                      np.random.default_rng(1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rng = np.random.default_rng(2)
-            ref = np.random.default_rng(2)
-            got = backend.write_phase_batch([_fused_request()], 0.4, 0.7, rng)
-            want = REFERENCE.write_phase_batch(
-                [_fused_request()], 0.4, 0.7, ref
-            )
-            assert [r.astuple() for r in got] == [
-                r.astuple() for r in want
-            ]
-            assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_midcell_fused_crash_leaves_the_cell_byte_identical(self):
-        """The chaos case on the fused path: native kernels die partway
-        through a fused cell; the finished cell matches pure Python."""
-        from repro.pcm import stateplane
-        from repro.perf.cellspec import simulate_cell
-
-        reference = _simulate_under("python")
-        backend = _fresh_compiled()
-        backend._ops = _FlakyOps(backend._ops, fuse=100)
-        kernels._instances["compiled"] = backend
-        kernels._active = backend
-        kernels.set_fused(True)
         stateplane.PLANE.reset()
         try:
             with pytest.warns(RuntimeWarning, match="falling back"):
