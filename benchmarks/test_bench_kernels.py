@@ -16,9 +16,6 @@ Measurements, written machine-readably to ``BENCH_kernels.json``:
   reference so the trend stays visible), and the per-backend table,
   stamped with the measuring host's fingerprint, records what the
   engine's fixed "compiled if it builds, else python" rule gains.
-* **Batched cells** — a four-cell batch through the cross-cell batch
-  layer versus the same cells per-cell, with a hard byte-identity check
-  (the CI divergence gate) and the amortized per-cell time.
 
 Set ``REPRO_BENCH_BASELINE=/path/to/BENCH_kernels.json`` to additionally
 fail on a >20% regression of any speedup ratio against that committed
@@ -43,10 +40,8 @@ from repro.core import schemes
 from repro.experiments import common
 from repro.pcm import din as D
 from repro.pcm import line as L
-from repro.perf import batch as batchexec
 from repro.perf import engine
 from repro.perf.cache import ResultCache
-from repro.perf.cellspec import simulate_cell
 from repro.perf.engine import CellRunner
 
 from repro.traces.profiles import profile
@@ -61,7 +56,9 @@ from conftest import OUT_DIR
 #: top-level ``fused_<backend>_speedup`` ratio gates.
 #: v4: the fused write phase is gone, and with it every fused row and
 #: ratio; no planner reads this file any more.
-SCHEMA_VERSION = 4
+#: v5: the cross-cell batch layer is gone, and with it the ``batched_*``
+#: and ``percell_cells_s`` fields.
+SCHEMA_VERSION = 5
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -326,42 +323,6 @@ def _digest(results) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _bench_batched_cells() -> dict:
-    """The cross-cell batch layer vs per-cell, byte-identity enforced.
-
-    Four cold cells over one workload trace: per-cell and batched runs
-    each start from a cleared state plane, so the batched number shows
-    what chunk-mates sharing the plane (and one trace attachment) buys.
-    """
-    specs = [
-        common.cell("mcf", schemes.by_name(name), length=300, cores=2)
-        for name in ("baseline", "DIN", "LazyC", "LazyC+PreRead")
-    ]
-
-    engine.reset()
-    t0 = time.perf_counter()
-    reference = [simulate_cell(spec) for spec in specs]
-    percell_s = time.perf_counter() - t0
-
-    engine.reset()
-    t0 = time.perf_counter()
-    batched = batchexec.simulate_batch(specs, batch_cells=8)
-    batched_s = time.perf_counter() - t0
-    engine.reset()
-
-    # The CI divergence gate: batching must not change a single byte.
-    assert _digest(batched) == _digest(reference), (
-        "batched cell results diverged from the per-cell reference"
-    )
-    return {
-        "batched_cells": len(specs),
-        "percell_cells_s": percell_s,
-        "batched_cells_s": batched_s,
-        "batched_amortized_cell_s": batched_s / len(specs),
-        "batched_identical_to_percell": True,
-    }
-
-
 def _check_against_baseline(results: dict) -> None:
     """Fail on a >20% ratio regression vs a committed baseline (CI gate)."""
     baseline_path = os.environ.get("REPRO_BENCH_BASELINE")
@@ -407,7 +368,6 @@ def test_bench_kernels(tmp_path):
     results.update(_bench_row_kernels())
     results.update(_bench_traces())
     results.update(_bench_cold_cell(tmp_path))
-    results.update(_bench_batched_cells())
 
     out_path = _write_results(results, "BENCH_kernels.json")
     print(
@@ -424,9 +384,7 @@ def test_bench_kernels(tmp_path):
             f"{name}={entry['cold_cell_s']:.3f}s"
             for name, entry in results["backends"].items()
         )
-        + "), "
-        f"batched cell {results['batched_amortized_cell_s']:.3f}s amortized "
-        f"-> {out_path}"
+        + f") -> {out_path}"
     )
 
     assert results["popcount_speedup"] >= MIN_POPCOUNT_SPEEDUP

@@ -10,20 +10,15 @@ Three measurements, written machine-readably to ``BENCH_pool.json``:
 * ``serial_batch_s`` — the same second batch simulated serially, as the
   equivalence baseline: pooled payload hashes must match serial ones
   byte-for-byte.
-* ``batch_batch_s`` — a third batch through the cross-cell batched path
-  (one chunk per dispatch instead of one cell), also hash-checked
-  against its own serial run.  This is the calibration field the
-  adaptive planner seeds its ``batch`` per-cell cost from.
 
 The hard assertions are semantic (pool reused, plane hit, results
-identical, and the planner refusing to pool on a 1-CPU host); the
-wall-clock ratio is recorded but only loosely bounded — on a
-single-core CI runner process parallelism cannot beat serial compute,
-and the honest win there is the amortized fork + zero-copy trace reuse.
+identical); the wall-clock ratio is recorded but only loosely bounded —
+on a single-core CI runner process parallelism cannot beat serial
+compute, and the honest win there is the amortized fork + zero-copy
+trace reuse.
 
 Set ``REPRO_BENCH_WRITE_ROOT=1`` to refresh the repo-root
-``BENCH_pool.json`` baseline (the planner's calibration source) in
-place.
+``BENCH_pool.json`` baseline in place.
 """
 
 from __future__ import annotations
@@ -42,14 +37,15 @@ from repro.experiments import common
 from repro.perf import engine
 from repro.perf.cache import ResultCache
 from repro.perf.engine import STATS, CellRunner
-from repro.perf.planner import AdaptivePlanner
+from repro.perf.planner import host_fingerprint
 from repro.perf.pool import WARM_POOL
 from repro.traces import shm
 
 #: Bump when a field is renamed or its meaning changes; additions are free.
-#: v2: measuring ``host`` fingerprint — the planner ignores committed
-#: calibration recorded on a materially different machine.
-SCHEMA_VERSION = 2
+#: v2: measuring ``host`` fingerprint.
+#: v3: the batched third batch is gone, and with it ``batch_batch_s``,
+#: ``batched_cells`` and ``batch_dispatches``.
+SCHEMA_VERSION = 3
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,10 +71,9 @@ def sweep_hash(results) -> str:
 
 def test_bench_warm_pool(tmp_path):
     engine.reset()
-    # The bench measures the *forced* modes (that is what the planner's
-    # calibration is seeded from); auto mode would rightly pick serial
-    # on a 1-CPU CI runner and never fork the pool.
-    runner = CellRunner(jobs=2, plan="pool",
+    # jobs=2 runs every multi-cell cold batch on the pool, whatever the
+    # CPU count of the host.
+    runner = CellRunner(jobs=2,
                         cache=ResultCache(tmp_path / "pool", enabled=True))
 
     start = time.perf_counter()
@@ -105,34 +100,12 @@ def test_bench_warm_pool(tmp_path):
         "warm-pool + trace-plane results must be byte-identical to serial"
     )
 
-    # Third batch: the cross-cell batched path (four cells, one trace key,
-    # one chunk dispatch) with its own serial equivalence check.
-    third = batch("mcf", seed=13)
-    batch_runner = CellRunner(
-        jobs=2, plan="batch",
-        cache=ResultCache(tmp_path / "batched", enabled=True),
-    )
-    start = time.perf_counter()
-    chunked = batch_runner.run_cells(third)
-    batch_s = time.perf_counter() - start
-    assert STATS.batched_cells == len(third)
-    assert STATS.batch_dispatches == 1
-    third_serial = CellRunner(
-        jobs=1, cache=ResultCache(tmp_path / "serial3", enabled=True)
-    ).run_cells(third)
-    assert sweep_hash(chunked) == sweep_hash(third_serial), (
-        "batched-chunk results must be byte-identical to serial"
-    )
-
-    from repro.perf.planner import host_fingerprint
-
     results = {
         "schema_version": SCHEMA_VERSION,
         "host": host_fingerprint(),
         "cold_batch_s": round(cold_s, 4),
         "warm_batch_s": round(warm_s, 4),
         "serial_batch_s": round(serial_s, 4),
-        "batch_batch_s": round(batch_s, 4),
         "warm_vs_cold_speedup": round(cold_s / max(warm_s, 1e-9), 2),
         "cells_per_batch": len(second),
         "jobs": runner.jobs,
@@ -141,8 +114,6 @@ def test_bench_warm_pool(tmp_path):
         "pool_generations": WARM_POOL.generation,
         "plane_segments": shm.PLANE.published,
         "plane_reuses": shm.PLANE.hits,
-        "batched_cells": STATS.batched_cells,
-        "batch_dispatches": STATS.batch_dispatches,
     }
     print("\n" + json.dumps(results, indent=2, sort_keys=True))
     OUT_DIR.mkdir(parents=True, exist_ok=True)
@@ -156,18 +127,3 @@ def test_bench_warm_pool(tmp_path):
     # drastically slower than paying a fresh fork for the same work.
     assert warm_s < max(cold_s * 3.0, 5.0), results
     engine.reset()
-
-
-def test_planner_refuses_to_pool_on_one_cpu(monkeypatch):
-    """The acceptance case: 1 effective CPU, small cold batch -> serial.
-
-    Seeded from this machine's own calibration (when the committed
-    baseline exists) or the defaults, the planner must decide that a
-    six-cell cold batch on a single CPU runs serially — pooling there
-    pays fork + IPC for no parallelism (BENCH_pool.json: 0.66s pooled
-    vs 0.54s serial for the same cells when this was measured).
-    """
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    planner = AdaptivePlanner()
-    assert planner.decide(6, jobs=4, batch_cells=8) == "serial"
-    assert planner.decide(2, jobs=2, batch_cells=1) == "serial"

@@ -68,20 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "into the warm pool); also REPRO_PIPELINE=0",
     )
     exp.add_argument(
-        "--batch-cells",
-        type=int,
-        default=None,
-        help="cells per batched pool dispatch (default REPRO_BATCH_CELLS "
-        "or 8)",
-    )
-    exp.add_argument(
-        "--plan",
-        choices=("auto", "serial", "pool", "batch"),
-        default=None,
-        help="execution planner mode (default REPRO_PLAN or auto: the "
-        "adaptive planner picks per batch)",
-    )
-    exp.add_argument(
         "--kernel-backend",
         choices=("auto", "python", "numpy", "compiled"),
         default=None,
@@ -291,16 +277,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(
     names: List[str], jobs: Optional[int] = None, resume: bool = False,
-    no_pipeline: bool = False, batch_cells: Optional[int] = None,
-    plan: Optional[str] = None, kernel_backend: Optional[str] = None,
+    no_pipeline: bool = False, kernel_backend: Optional[str] = None,
 ) -> int:
     from .experiments import runner
 
     argv = ["--jobs", str(jobs)] if jobs is not None else []
-    if batch_cells is not None:
-        argv += ["--batch-cells", str(batch_cells)]
-    if plan is not None:
-        argv += ["--plan", plan]
     if kernel_backend is not None:
         argv += ["--kernel-backend", kernel_backend]
     if resume:
@@ -342,11 +323,8 @@ def _cmd_cache(action: str) -> int:
         ["session trace-plane reuses", shm.PLANE.hits],
         ["session prefetched cells", STATS.prefetched],
         ["session cross-experiment dedups", STATS.cross_exp_dedup],
-        ["session batched cells", STATS.batched_cells],
-        ["session batch dispatches", STATS.batch_dispatches],
-        ["session planner serial picks", STATS.planner_serial_picks],
-        ["session planner pool picks", STATS.planner_pool_picks],
-        ["session planner batch picks", STATS.planner_batch_picks],
+        ["session serial batches", STATS.planner_serial_picks],
+        ["session pool batches", STATS.planner_pool_picks],
         ["session kernel python picks", STATS.kernel_python_picks],
         ["session kernel compiled picks", STATS.kernel_compiled_picks],
     ]
@@ -390,7 +368,6 @@ def _cmd_perf_profile(args: argparse.Namespace) -> int:
     from .pcm import kernels
     from .perf.cellspec import CellSpec, simulate_cell
     from .perf import profiler
-    from .perf.planner import PLANNER
 
     scheme = schemes.by_name(args.scheme)
     config = SystemConfig(cores=args.cores, seed=args.seed).with_scheme(scheme)
@@ -447,19 +424,8 @@ def _cmd_perf_profile(args: argparse.Namespace) -> int:
           "inside write_plan; fine timing adds per-call overhead, so "
           "compare shares, not absolutes.")
     from .pcm import stateplane
-    from .perf.engine import STATS
 
     print(f"state plane: {stateplane.PLANE.summary()}")
-    costs = PLANNER.snapshot()
-    print(
-        "planner model (s/cell): "
-        + ", ".join(f"{mode}={cost:.3f}" for mode, cost in costs.items())
-        + f"; session picks: {STATS.planner_serial_picks} serial / "
-        f"{STATS.planner_pool_picks} pool / "
-        f"{STATS.planner_batch_picks} batch"
-        + f"; batched: {STATS.batched_cells} cells in "
-        f"{STATS.batch_dispatches} dispatches"
-    )
     print(f"kernel backends available: {'/'.join(available)}")
     return 0
 
@@ -514,7 +480,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "experiment":
         return _cmd_experiment(args.names, jobs=args.jobs, resume=args.resume,
                                no_pipeline=args.no_pipeline,
-                               batch_cells=args.batch_cells, plan=args.plan,
                                kernel_backend=args.kernel_backend)
     if args.command == "cache":
         return _cmd_cache(args.action)

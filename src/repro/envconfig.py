@@ -19,10 +19,6 @@ Knobs parsed here:
 ``REPRO_CACHE_DIR``    result-cache directory (``~/.cache/repro``)
 ``REPRO_PROFILE``      non-``0``/empty enables fine-grained phase timing (off)
 ``REPRO_PIPELINE``     ``0`` disables cross-experiment pipelining (on)
-``REPRO_BATCH_CELLS``  cells per batched pool dispatch (int >= 1; 8)
-``REPRO_PLAN``         execution planner mode: ``auto``/``serial``/``pool``/
-                       ``batch`` (auto)
-``REPRO_STATE_PLANE``  ``0`` disables the deterministic state plane (on)
 ``REPRO_KERNEL_BACKEND`` bit-kernel backend: ``auto``/``python``/``numpy``/
                        ``compiled`` (auto)
 ``REPRO_KERNEL_CC``    C compiler for the compiled kernel backend (PATH search)
@@ -169,37 +165,6 @@ def pipeline_enabled() -> bool:
     return env_flag("REPRO_PIPELINE", True)
 
 
-#: Legal values for ``REPRO_PLAN`` / ``--plan`` / ``CellRunner(plan=...)``.
-PLAN_MODES = ("auto", "serial", "pool", "batch")
-
-
-def batch_cells() -> int:
-    """Cells per batched pool dispatch (``REPRO_BATCH_CELLS``, default 8)."""
-    return env_int("REPRO_BATCH_CELLS", 8, minimum=1)
-
-
-def plan_mode() -> str:
-    """Execution planner mode (``REPRO_PLAN``, default ``auto``).
-
-    ``auto`` lets the adaptive planner pick per batch; ``serial``,
-    ``pool``, and ``batch`` force that execution path.
-    """
-    raw = os.environ.get("REPRO_PLAN")
-    if raw is None:
-        return "auto"
-    value = raw.strip().lower()
-    if value not in PLAN_MODES:
-        raise ValueError(
-            f"REPRO_PLAN must be one of {'/'.join(PLAN_MODES)}, got {raw!r}"
-        )
-    return value
-
-
-def state_plane_enabled() -> bool:
-    """Whether the deterministic state plane is on (``REPRO_STATE_PLANE``)."""
-    return env_flag("REPRO_STATE_PLANE", True)
-
-
 #: Legal values for ``REPRO_KERNEL_BACKEND`` / ``--kernel-backend``:
 #: ``auto`` plus the registry names in ``repro.pcm.kernels.BACKEND_NAMES``
 #: (kept as a literal so this module stays import-light; a registry test
@@ -210,8 +175,8 @@ KERNEL_BACKENDS = ("auto", "python", "numpy", "compiled")
 def kernel_backend() -> str:
     """Bit-kernel backend selection (``REPRO_KERNEL_BACKEND``, default ``auto``).
 
-    ``auto`` lets the adaptive planner pick per batch from the backends
-    available on this host; ``python``, ``numpy``, and ``compiled``
+    ``auto`` runs ``compiled`` when it builds on this host and
+    ``python`` otherwise; ``python``, ``numpy``, and ``compiled``
     force that backend (forcing ``compiled`` on a host where it cannot
     build is an error rather than a silent degrade).
     """
@@ -244,8 +209,8 @@ def mem_budget_mb() -> Optional[int]:
     """Soft RSS budget in MiB (``REPRO_MEM_BUDGET_MB``).
 
     When the process RSS exceeds the budget, the pressure monitor forces
-    serial execution and shrinks batch chunks until RSS drops back under
-    80% of it.  Unset or ``0`` disables the check.
+    serial execution until RSS drops back under 80% of it.  Unset or
+    ``0`` disables the check.
     """
     return env_int("REPRO_MEM_BUDGET_MB", 0, minimum=0) or None
 

@@ -222,8 +222,6 @@ def collect_sweep_specs(names: List[str]) -> List[object]:
 def main(argv: list[str]) -> int:
     json_dir = None
     jobs = None
-    batch_cells = None
-    plan = None
     kernel_backend = None
     resume = False
     pipeline = envconfig.pipeline_enabled()
@@ -235,22 +233,13 @@ def main(argv: list[str]) -> int:
             resume = True
         elif arg == "--no-pipeline":
             pipeline = False
-        elif arg in ("--json", "--jobs", "--batch-cells", "--plan",
-                     "--kernel-backend"):
+        elif arg in ("--json", "--jobs", "--kernel-backend"):
             if not argv:
                 print(f"{arg} requires a value")
                 return 2
             value = argv.pop(0)
             if arg == "--json":
                 json_dir = value
-            elif arg == "--plan":
-                if value not in envconfig.PLAN_MODES:
-                    print(
-                        f"--plan must be one of "
-                        f"{'/'.join(envconfig.PLAN_MODES)}, got {value!r}"
-                    )
-                    return 2
-                plan = value
             elif arg == "--kernel-backend":
                 if value not in envconfig.KERNEL_BACKENDS:
                     print(
@@ -269,10 +258,7 @@ def main(argv: list[str]) -> int:
                 if parsed < 1:
                     print(f"{arg} must be >= 1, got {parsed}")
                     return 2
-                if arg == "--jobs":
-                    jobs = parsed
-                else:
-                    batch_cells = parsed
+                jobs = parsed
         else:
             names.append(arg)
     requested = names or list(EXPERIMENTS)
@@ -282,8 +268,7 @@ def main(argv: list[str]) -> int:
         return 2
     # One persistent runner for the whole sweep: the in-flight prefetch
     # table and the warm pool live on it across experiments.
-    runner = engine.configure(jobs=jobs, plan=plan, batch_cells=batch_cells,
-                              kernel_backend=kernel_backend)
+    runner = engine.configure(jobs=jobs, kernel_backend=kernel_backend)
     manifest = load_manifest() if resume else {}
     if not resume:
         # A fresh sweep starts a fresh checkpoint ledger.

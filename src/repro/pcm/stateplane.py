@@ -20,9 +20,8 @@ value and a freshly generated one are the same array/int.  Cells within
 a batch, across batches, and across experiments then share the state —
 only the first touch of a key in a process pays generation.
 
-Consumers call :func:`pristine_row` / :func:`weak_mask` unconditionally;
-the plane decides internally whether to cache (``REPRO_STATE_PLANE=0``
-degrades to straight generation, for A/B testing the identity claim).
+Consumers always go through the plane (:meth:`StatePlane.pristine_row`,
+:meth:`StatePlane.weak_mask`); there is no uncached mode.
 
 Pools are FIFO-capped so a huge sweep cannot grow without bound: row
 images are ~4 KB each (cap 16384 ≈ 64 MB), weak masks are small ints
@@ -38,7 +37,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .. import envconfig
 from ..config import LINES_PER_PAGE, LINE_BITS, LINE_WORDS
 from . import kernels
 from . import line as L
@@ -96,8 +94,6 @@ class StatePlane:
             return stored
         self.row_misses += 1
         stored = _generate_row(seed, bank, row)
-        if not envconfig.state_plane_enabled():
-            return stored
         stored.flags.writeable = False
         if len(self._rows) >= ROW_POOL_CAP:
             self._rows.pop(next(iter(self._rows)))
@@ -114,8 +110,6 @@ class StatePlane:
             return mask
         self.mask_misses += 1
         mask = _generate_weak_mask(fraction, key)
-        if not envconfig.state_plane_enabled():
-            return mask
         if len(self._masks) >= MASK_POOL_CAP:
             self._masks.pop(next(iter(self._masks)))
             self.evictions += 1

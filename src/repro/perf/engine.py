@@ -22,15 +22,11 @@ reused across batches and experiments, and each distinct workload trace
 is synthesized once in the parent and shared with workers zero-copy via
 the :mod:`repro.traces.shm` trace plane.
 
-Each cold batch runs in one of three modes — in-process **serial**,
-per-cell **pool** dispatch, or **batched** dispatch (one future per
-multi-cell chunk, see :mod:`repro.perf.batch`).  ``REPRO_PLAN`` /
-``CellRunner(plan=...)`` forces a mode; the default ``auto`` consults
-the :data:`~repro.perf.planner.PLANNER`, which costs the three modes
-from committed-benchmark calibration plus online timings and, e.g.,
-picks serial on a 1-CPU host where pooling can only add overhead.
-All three modes are byte-identical: every cell is an independent
-simulation seeded from its own spec.
+A cold batch runs in-process (:func:`repro.perf.batch.simulate_batch`)
+when ``jobs`` is 1, when it holds one cell, or while the pressure
+monitor forces serial execution; otherwise it runs on the warm pool,
+one future per cell.  Both modes are byte-identical: every cell is an
+independent simulation seeded from its own spec.
 
 Pooled execution is crash-proof: a worker that raises, dies (broken
 pool), or exceeds the per-cell wall-clock budget (``REPRO_CELL_TIMEOUT``
@@ -80,7 +76,6 @@ from ..traces import shm
 from . import batch as batchexec
 from .cache import ResultCache
 from .cellspec import CellSpec, cache_key, simulate_cell
-from .planner import PLANNER
 from .pool import WARM_POOL, defer_sigint
 from .profiler import PROFILER, Snapshot
 
@@ -146,14 +141,13 @@ class EngineStats:
     inflight_hits: int = 0
     #: Duplicate specs dropped by cross-experiment (global) dedup.
     cross_exp_dedup: int = 0
-    #: Cells advanced inside a multi-cell batched dispatch.
-    batched_cells: int = 0
-    #: Batched chunk futures submitted to the pool.
-    batch_dispatches: int = 0
-    #: Adaptive-planner decisions, by chosen mode (``auto`` plan only).
+    #: Execution mode of every cold batch (see ``CellRunner._runs_serial``).
     planner_serial_picks: int = 0
     planner_pool_picks: int = 0
+    #: Always 0: batched chunk dispatch is gone, but ``perfbench/`` still
+    #: reads both counters by name.
     planner_batch_picks: int = 0
+    batch_dispatches: int = 0
     #: Kernel-backend decisions, by chosen backend (``auto`` backend only).
     kernel_python_picks: int = 0
     kernel_compiled_picks: int = 0
@@ -238,26 +232,15 @@ class EngineStats:
                 f"{self.inflight_hits} collected, "
                 f"{self.cross_exp_dedup} cross-experiment dedups"
             )
-        picks = (
-            self.planner_serial_picks
-            + self.planner_pool_picks
-            + self.planner_batch_picks
-        )
-        if picks:
+        if self.planner_serial_picks or self.planner_pool_picks:
             base += (
-                f"; planner: {self.planner_serial_picks} serial / "
-                f"{self.planner_pool_picks} pool / "
-                f"{self.planner_batch_picks} batch picks"
+                f"; modes: {self.planner_serial_picks} serial / "
+                f"{self.planner_pool_picks} pool batches"
             )
         if self.kernel_python_picks or self.kernel_compiled_picks:
             base += (
                 f"; kernels: {self.kernel_python_picks} python / "
                 f"{self.kernel_compiled_picks} compiled picks"
-            )
-        if self.batched_cells:
-            base += (
-                f"; batch: {self.batched_cells} cells in "
-                f"{self.batch_dispatches} dispatches"
             )
         if (
             self.watchdog_stalls
@@ -343,8 +326,6 @@ class CellRunner:
                  retries: Optional[int] = None,
                  cell_timeout: Optional[float] = None,
                  backoff: Optional[float] = None,
-                 plan: Optional[str] = None,
-                 batch_cells: Optional[int] = None,
                  kernel_backend: Optional[str] = None,
                  heartbeat_s: Optional[float] = None):
         if jobs is not None and jobs < 1:
@@ -358,19 +339,6 @@ class CellRunner:
             cell_timeout if cell_timeout is not None else default_cell_timeout()
         )
         self.backoff = backoff if backoff is not None else default_backoff()
-        self.plan = plan if plan is not None else envconfig.plan_mode()
-        if self.plan not in envconfig.PLAN_MODES:
-            raise ValueError(
-                f"plan must be one of {'/'.join(envconfig.PLAN_MODES)}, "
-                f"got {self.plan!r}"
-            )
-        self.batch_cells = (
-            batch_cells if batch_cells is not None else envconfig.batch_cells()
-        )
-        if self.batch_cells < 1:
-            raise ValueError(
-                f"batch_cells must be >= 1, got {self.batch_cells}"
-            )
         self.kernel_backend = (
             kernel_backend if kernel_backend is not None
             else envconfig.kernel_backend()
@@ -398,7 +366,7 @@ class CellRunner:
     def run_cells(self, specs: Sequence[CellSpec]) -> List[SimulationResult]:
         """Simulate (or recall) every cell, in submission order."""
         # Periodic resource-pressure check (rate-limited): applies/lifts
-        # degradation policies before this batch commits to a mode.
+        # degradation policies before this batch picks its mode.
         PRESSURE.maybe_check(self.cache)
         keys = [cache_key(spec) for spec in specs]
         unique: Dict[str, CellSpec] = {}
@@ -447,11 +415,13 @@ class CellRunner:
 
         Returns the number of cells submitted.  Results are *not*
         awaited here; later :meth:`run_cells` calls collect them from
-        the in-flight table as their experiments need them.  With
-        ``jobs <= 1`` this is a no-op — serial execution has nothing to
+        the in-flight table as their experiments need them.  Whenever a
+        cold batch of ``specs`` would run serially (see
+        :meth:`_runs_serial`) this is a no-op: there is no pool to
         overlap with.
         """
-        if self.jobs <= 1:
+        PRESSURE.maybe_check(self.cache)
+        if self._runs_serial(len(specs)):
             return 0
         kernel = self._resolve_kernel()
         hb = self._heartbeat_handle()
@@ -524,33 +494,32 @@ class CellRunner:
         notify = on_result or (lambda index, result: None)
         if not specs:
             return []
-        mode = self._pick_mode(len(specs))
+        serial = self._runs_serial(len(specs))
+        if serial:
+            STATS.planner_serial_picks += 1
+        else:
+            STATS.planner_pool_picks += 1
         # One kernel backend per cold batch: activated here for the
-        # in-process paths and shipped by name to every pool worker.
+        # in-process path and shipped by name to every pool worker.
         kernel = self._resolve_kernel()
         kernels.activate(kernel)
-        pool_alive = WARM_POOL.alive
-        start = time.monotonic()
-        if mode == "serial":
-            # In-process, chunk-grouped for state-plane and trace-memo
-            # locality: simulate_cell feeds PROFILER directly.
-            out = batchexec.simulate_batch(
-                specs, notify, self._effective_batch_cells()
-            )
-            wall = time.monotonic() - start
-            PLANNER.observe("serial", len(specs), wall)
-        elif mode == "batch":
-            out = self._simulate_batched(specs, notify, kernel)
-            wall = time.monotonic() - start
-            PLANNER.observe("batch", len(specs), wall)
+        if serial:
+            # simulate_cell feeds PROFILER directly in-process.
+            out = batchexec.simulate_batch(specs, notify)
         else:
             out = self._simulate_pooled(specs, notify, kernel)
-            wall = time.monotonic() - start
-            PLANNER.observe(
-                "pool_warm" if pool_alive else "pool_cold", len(specs), wall
-            )
         self._observe_kernel_health(kernel)
         return out
+
+    def _runs_serial(self, cells: int) -> bool:
+        """Whether a cold batch of ``cells`` cells runs in-process.
+
+        It does when there is nothing to overlap (one worker or one
+        cell) and while the pressure monitor forces serial execution
+        (RSS over ``REPRO_MEM_BUDGET_MB``): forked workers would only
+        multiply the footprint.  Every other batch goes to the warm pool.
+        """
+        return self.jobs <= 1 or cells <= 1 or PRESSURE.serial_forced
 
     def _observe_kernel_health(self, kernel: str) -> None:
         """Feed the ``kernel`` breaker from the in-process backend state.
@@ -602,132 +571,11 @@ class CellRunner:
         STATS.kernel_python_picks += 1
         return "python"
 
-    def _pick_mode(self, cells: int) -> str:
-        """Resolve the execution mode for one cold batch.
-
-        A forced plan (``REPRO_PLAN`` / ``plan=``) is honoured outright
-        — except that pooled modes degrade to serial when there is
-        nothing to overlap (one worker or one cell), preserving the
-        pre-planner contract.  ``auto`` consults the adaptive planner
-        and records its pick in the session counters.
-        """
-        trivial = self.jobs <= 1 or cells <= 1
-        if self.plan != "auto":
-            return "serial" if trivial else self.plan
-        if trivial:
-            return "serial"
-        mode = PLANNER.decide(
-            cells, self.jobs, self._effective_batch_cells(), WARM_POOL.alive
-        )
-        if mode == "serial":
-            STATS.planner_serial_picks += 1
-        elif mode == "pool":
-            STATS.planner_pool_picks += 1
-        else:
-            STATS.planner_batch_picks += 1
-        return mode
-
-    def _effective_batch_cells(self) -> int:
-        """Configured chunk size, shrunk under memory pressure."""
-        return PRESSURE.effective_batch_cells(self.batch_cells)
-
     def _heartbeat_handle(self) -> Optional[str]:
         """The heartbeat segment name workers arm against (or ``None``)."""
         if not self.heartbeat_s:
             return None
         return watchdog.HEARTBEATS.ensure()
-
-    def _simulate_batched(
-        self, specs: List[CellSpec], notify: _OnResult, kernel: str,
-    ) -> List[SimulationResult]:
-        """Batched pool execution: one future advances a whole chunk.
-
-        Chunks that fail (worker crash, hang, broken pool) rejoin the
-        per-cell retry ladder cell by cell — the batched path only adds
-        one cheap attempt in front of the crash-proofing, it never
-        weakens it.  Failure counters tick once per failed *dispatch*
-        here; the per-cell ladder then accounts the rejoined cells as
-        usual.  Non-batchable specs (active fault plans) skip straight
-        to the per-cell ladder.
-        """
-        results: List[Optional[SimulationResult]] = [None] * len(specs)
-        chunks, singles = batchexec.plan_batches(
-            specs, self._effective_batch_cells()
-        )
-        failed_cells: List[int] = []
-        futures: Dict[int, Future] = {}
-        submitted: Dict[int, List[int]] = {}
-        if chunks:
-            pool = self._get_pool(min(self.jobs, len(chunks)))
-            hb = self._heartbeat_handle()
-            try:
-                for position, chunk in enumerate(chunks):
-                    handles = []
-                    names = set()
-                    for index in chunk:
-                        handle = _publish_trace(specs[index])
-                        if handle is not None and handle.name not in names:
-                            names.add(handle.name)
-                            handles.append(handle)
-                    chunk_specs = [specs[index] for index in chunk]
-                    with defer_sigint():
-                        futures[position] = pool.submit(
-                            batchexec.simulate_chunk, chunk_specs, handles,
-                            kernel, hb,
-                        )
-                    submitted[position] = chunk
-                    STATS.batch_dispatches += 1
-            except (BrokenProcessPool, RuntimeError):
-                for future in futures.values():
-                    future.cancel()
-                STATS.worker_crashes += 1
-                self._retire_pool(terminate=False)
-                failed_cells.extend(
-                    index for chunk in chunks for index in chunk
-                )
-                futures = {}
-                submitted = {}
-        if futures:
-            # A chunk's wall clock is its cell count times one cell's, so
-            # the no-progress window scales with the largest chunk.
-            timeout = None
-            if self.cell_timeout:
-                timeout = self.cell_timeout * max(
-                    len(chunk) for chunk in submitted.values()
-                )
-            payloads, failed, hung, broken = self._collect_futures(
-                futures, timeout=timeout
-            )
-            for position, (chunk_results, phases) in payloads.items():
-                PROFILER.merge(phases)
-                chunk = submitted[position]
-                STATS.batched_cells += len(chunk)
-                for index, result in zip(chunk, chunk_results):
-                    results[index] = result
-                    notify(index, result)
-            if hung or broken or failed:
-                self._retire_pool(terminate=hung)
-            for position in failed:
-                failed_cells.extend(submitted[position])
-        if failed_cells:
-            STATS.worker_retries += len(failed_cells)
-        pending = sorted(singles + failed_cells)
-        if pending:
-            sub_specs = [specs[index] for index in pending]
-
-            def sub_notify(position: int, result: SimulationResult) -> None:
-                notify(pending[position], result)
-
-            if len(sub_specs) > 1:
-                sub_results = self._simulate_pooled(
-                    sub_specs, sub_notify, kernel
-                )
-            else:
-                sub_results = [simulate_cell(sub_specs[0])]
-                sub_notify(0, sub_results[0])
-            for index, result in zip(pending, sub_results):
-                results[index] = result
-        return results  # type: ignore[return-value]  # every slot is filled
 
     def _simulate_pooled(
         self, specs: List[CellSpec], notify: _OnResult, kernel: str,
@@ -813,7 +661,6 @@ class CellRunner:
 
     def _collect_futures(
         self, futures: Dict[object, Future],
-        timeout: Optional[float] = None,
     ) -> Tuple[Dict[object, tuple], List[object], bool, bool]:
         """Deadline-based collection of (result, phases) payloads.
 
@@ -824,8 +671,6 @@ class CellRunner:
         (unlike the old submission-order ``result(timeout=...)`` walk,
         where N hung cells serially accumulated N budgets and a cell's
         window silently included time spent waiting on earlier futures).
-        ``timeout`` overrides the per-cell budget (the batched path
-        scales it by chunk size); ``None`` uses ``self.cell_timeout``.
 
         With ``heartbeat_s`` set, a :class:`~repro.resilience.watchdog.
         Watchdog` thread supervises the round: workers stamp the shared
@@ -839,8 +684,7 @@ class CellRunner:
         failed: List[object] = []
         hung = broken = False
         pending = dict(futures)
-        if timeout is None:
-            timeout = self.cell_timeout
+        timeout = self.cell_timeout
         deadline = (time.monotonic() + timeout) if timeout else None
         supervisor: Optional[watchdog.Watchdog] = None
         if self.heartbeat_s and pending:
@@ -1000,14 +844,11 @@ _configured: Optional[CellRunner] = None
 
 def configure(jobs: Optional[int] = None,
               cache: Optional[ResultCache] = None,
-              plan: Optional[str] = None,
-              batch_cells: Optional[int] = None,
               kernel_backend: Optional[str] = None) -> CellRunner:
-    """Install the session's runner (the CLI's ``--jobs``/``--batch-cells``)."""
+    """Install the session's runner (the CLI's ``--jobs``)."""
     global _configured
     _configured = CellRunner(
-        jobs=jobs, cache=cache, plan=plan, batch_cells=batch_cells,
-        kernel_backend=kernel_backend,
+        jobs=jobs, cache=cache, kernel_backend=kernel_backend,
     )
     return _configured
 
@@ -1037,7 +878,6 @@ def reset() -> None:
     _configured = None
     STATS.reset()
     PROFILER.reset()
-    PLANNER.reset()
     kernels.reset()
     stateplane.PLANE.reset()
     WARM_POOL.shutdown()

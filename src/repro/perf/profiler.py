@@ -97,7 +97,7 @@ def install_kernel_timers() -> None:
     path dispatches through the registry's active backend instance
     (``VnCExecutor.kernels``), so shadowing the bound methods in the
     instance dict times every call regardless of which backend the
-    planner picked.
+    engine picked.
     """
     global _timed_backend
     from ..pcm import kernels

@@ -13,8 +13,8 @@ free disk under the cache dir  evict LRU cache entries, then pause cache
 ``< REPRO_DISK_MIN_MB``        writes (resume at 2x the floor)
 ``/dev/shm`` headroom          suspend trace-plane publishing — workers
 ``< REPRO_SHM_MIN_MB``         synthesize in-process (resume at 2x)
-RSS ``> REPRO_MEM_BUDGET_MB``  force serial execution and halve batched
-                               chunks (recover below 80% of budget)
+RSS ``> REPRO_MEM_BUDGET_MB``  force serial execution of cold batches and
+                               skip prefetch (recover below 80% of budget)
 =============================  =========================================
 
 Every transition is recorded as a ``pressure_*`` event (mirrored into
@@ -92,10 +92,8 @@ class PressureMonitor:
 
     def reset(self) -> None:
         self._last_check: Optional[float] = None
-        #: Memory policy state: force the planner to serial and shrink
-        #: batched chunks by this power of two.
+        #: Memory policy state: run every cold batch in-process.
         self.serial_forced = False
-        self.batch_shrink = 0
         #: Which degradations *this monitor* applied (so it only resumes
         #: what it paused, never a user-paused resource).
         self.cache_paused = False
@@ -106,7 +104,8 @@ class PressureMonitor:
     # -- entry points --------------------------------------------------------
 
     def maybe_check(self, cache=None) -> None:
-        """Rate-limited :meth:`check` (the engine calls this per batch)."""
+        """Rate-limited :meth:`check` (the engine calls this before every
+        batch and every prefetch)."""
         now = self._clock()
         if (
             self._last_check is not None
@@ -212,15 +211,13 @@ class PressureMonitor:
             return
         if rss > budget and not self.serial_forced:
             self.serial_forced = True
-            self.batch_shrink = 1
             record_event(
                 "pressure_mem_degrade",
                 f"RSS {rss:.0f} MiB > REPRO_MEM_BUDGET_MB={budget}; "
-                "forcing serial execution, halving batch chunks",
+                "forcing serial execution",
             )
         elif self.serial_forced and rss <= budget * MEM_RECOVERY_FRACTION:
             self.serial_forced = False
-            self.batch_shrink = 0
             record_event(
                 "pressure_mem_recover",
                 f"RSS {rss:.0f} MiB back under budget; "
@@ -228,10 +225,6 @@ class PressureMonitor:
             )
 
     # -- consumers -----------------------------------------------------------
-
-    def effective_batch_cells(self, configured: int) -> int:
-        """``configured`` shrunk by the current memory-pressure level."""
-        return max(1, configured >> self.batch_shrink)
 
     def degradations(self) -> List[str]:
         out = []
@@ -248,7 +241,6 @@ class PressureMonitor:
             "reading": self.last_reading,
             "degradations": self.degradations(),
             "evicted_entries": self.evicted_entries,
-            "batch_shrink": self.batch_shrink,
         }
 
 

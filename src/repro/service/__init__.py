@@ -2,7 +2,7 @@
 
 ``repro serve`` runs a long-lived asyncio daemon that accepts cell jobs
 from many concurrent clients over a local HTTP/JSON API and executes
-them on the existing warm pool + planner (:mod:`repro.perf`).  Where
+them on the existing warm pool (:mod:`repro.perf`).  Where
 :mod:`repro.resilience` made one *process* resilient, this package makes
 the *jobs* durable and the engine safe from its clients:
 

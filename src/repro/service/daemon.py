@@ -4,7 +4,7 @@
 owns the HTTP surface, admission, dedup, and the journal's non-terminal
 transitions; one daemonized executor thread runs jobs through a single
 long-lived :class:`~repro.perf.engine.CellRunner`, so the warm pool,
-trace plane, planner calibration, and result cache all persist across
+trace plane, state plane, and result cache all persist across
 jobs (the whole point of being a daemon).
 
 HTTP/JSON API (HTTP/1.1, ``Connection: close``):
@@ -319,8 +319,7 @@ class ServiceDaemon:
 
         One in-flight job by design: the runner itself fans each job out
         over the warm pool, so service-level concurrency would just make
-        jobs fight for the same workers while wrecking the planner's
-        online cost model.
+        jobs fight for the same workers.
         """
         while True:
             job = await self._queue.get()

@@ -311,20 +311,6 @@ def ensure_attached(handle: TraceHandle) -> None:
     )
 
 
-def ensure_attached_all(handles) -> None:
-    """Worker-side: attach every handle of one batched dispatch.
-
-    A batch chunk may span several distinct workloads; each worker maps
-    each segment at most once (per-process attach cache), so a chunk's
-    attachment cost is bounded by the number of *new* segments it sees,
-    not its cell count.  ``None`` entries (degenerate empty workloads)
-    are skipped — those cells synthesize in-process.
-    """
-    for handle in handles:
-        if handle is not None:
-            ensure_attached(handle)
-
-
 def reset() -> None:
     """Drop every memoized workload and attachment; unlink published
     segments (test isolation and the engine's ``reset``)."""

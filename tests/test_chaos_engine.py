@@ -83,7 +83,7 @@ class TestFailureLadder:
     ):
         specs, expected = clean_results
         monkeypatch.setattr(engine, "simulate_cell", crash_in_worker)
-        chaos = CellRunner(jobs=2, plan="pool", cache=ResultCache(tmp_path / "chaos",
+        chaos = CellRunner(jobs=2, cache=ResultCache(tmp_path / "chaos",
                                                      enabled=True),
                            retries=2, backoff=0.0)
         results = chaos.run_cells(specs)
@@ -100,7 +100,7 @@ class TestFailureLadder:
     ):
         specs, expected = clean_results
         monkeypatch.setattr(engine, "simulate_cell", die_in_worker)
-        chaos = CellRunner(jobs=2, plan="pool", cache=ResultCache(tmp_path / "chaos",
+        chaos = CellRunner(jobs=2, cache=ResultCache(tmp_path / "chaos",
                                                      enabled=True),
                            retries=1, backoff=0.0)
         results = chaos.run_cells(specs)
@@ -113,7 +113,7 @@ class TestFailureLadder:
     ):
         specs, expected = clean_results
         monkeypatch.setattr(engine, "simulate_cell", hang_in_worker)
-        chaos = CellRunner(jobs=2, plan="pool", cache=ResultCache(tmp_path / "chaos",
+        chaos = CellRunner(jobs=2, cache=ResultCache(tmp_path / "chaos",
                                                      enabled=True),
                            retries=0, cell_timeout=1.0, backoff=0.0)
         start = time.monotonic()
@@ -128,7 +128,7 @@ class TestFailureLadder:
     ):
         specs = [small_cell("stream"), small_cell("mcf")]
         monkeypatch.setattr(engine, "simulate_cell", always_broken)
-        chaos = CellRunner(jobs=2, plan="pool", cache=ResultCache(tmp_path, enabled=True),
+        chaos = CellRunner(jobs=2, cache=ResultCache(tmp_path, enabled=True),
                            retries=0, backoff=0.0)
         with pytest.raises(ValueError, match="injected deterministic bug"):
             chaos.run_cells(specs)
@@ -136,7 +136,7 @@ class TestFailureLadder:
 
     def test_clean_pool_run_touches_no_resilience_counters(self, tmp_path):
         specs = [small_cell("stream"), small_cell("mcf")]
-        CellRunner(jobs=2, plan="pool", cache=ResultCache(tmp_path, enabled=True),
+        CellRunner(jobs=2, cache=ResultCache(tmp_path, enabled=True),
                    retries=2).run_cells(specs)
         assert STATS.worker_crashes == 0
         assert STATS.cell_timeouts == 0

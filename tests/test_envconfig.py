@@ -18,7 +18,6 @@ def _clean_env(monkeypatch):
         "REPRO_JOBS", "REPRO_RETRIES", "REPRO_CELL_TIMEOUT",
         "REPRO_RETRY_BACKOFF", "REPRO_TRACE_LEN", "REPRO_CORES",
         "REPRO_CACHE", "REPRO_CACHE_DIR", "REPRO_PROFILE", "REPRO_PIPELINE",
-        "REPRO_BATCH_CELLS", "REPRO_PLAN", "REPRO_STATE_PLANE",
         "REPRO_KERNEL_BACKEND", "REPRO_KERNEL_CC",
         "REPRO_HEARTBEAT_S", "REPRO_MEM_BUDGET_MB",
         "REPRO_BREAKER_THRESHOLD", "REPRO_BREAKER_BACKOFF",
@@ -124,30 +123,6 @@ class TestAccessors:
         monkeypatch.setenv("REPRO_PIPELINE", "0")
         assert envconfig.pipeline_enabled() is False
 
-    def test_batch_cells(self, monkeypatch):
-        assert envconfig.batch_cells() == 8
-        monkeypatch.setenv("REPRO_BATCH_CELLS", "16")
-        assert envconfig.batch_cells() == 16
-        monkeypatch.setenv("REPRO_BATCH_CELLS", "0")
-        with pytest.raises(ValueError, match="REPRO_BATCH_CELLS must be >= 1"):
-            envconfig.batch_cells()
-        monkeypatch.setenv("REPRO_BATCH_CELLS", "lots")
-        with pytest.raises(ValueError, match="REPRO_BATCH_CELLS must be"):
-            envconfig.batch_cells()
-
-    def test_plan_mode(self, monkeypatch):
-        assert envconfig.plan_mode() == "auto"
-        for mode in envconfig.PLAN_MODES:
-            monkeypatch.setenv("REPRO_PLAN", mode)
-            assert envconfig.plan_mode() == mode
-        monkeypatch.setenv("REPRO_PLAN", " Batch ")
-        assert envconfig.plan_mode() == "batch"  # trimmed, case-insensitive
-        monkeypatch.setenv("REPRO_PLAN", "parallel")
-        with pytest.raises(
-            ValueError, match="REPRO_PLAN must be one of auto/serial/pool/batch"
-        ):
-            envconfig.plan_mode()
-
     def test_kernel_backend(self, monkeypatch):
         assert envconfig.kernel_backend() == "auto"
         for name in envconfig.KERNEL_BACKENDS:
@@ -213,13 +188,6 @@ class TestAccessors:
         monkeypatch.setenv("REPRO_DISK_MIN_MB", "-5")
         with pytest.raises(ValueError, match="REPRO_DISK_MIN_MB"):
             envconfig.disk_min_mb()
-
-    def test_state_plane_flag(self, monkeypatch):
-        assert envconfig.state_plane_enabled() is True
-        monkeypatch.setenv("REPRO_STATE_PLANE", "0")
-        assert envconfig.state_plane_enabled() is False
-        monkeypatch.setenv("REPRO_STATE_PLANE", "1")
-        assert envconfig.state_plane_enabled() is True
 
     def test_service_endpoint_knobs(self, monkeypatch, tmp_path):
         assert envconfig.service_host() == "127.0.0.1"
@@ -291,8 +259,6 @@ class TestConsumersDelegate:
             "REPRO_RETRY_BACKOFF": envconfig.retry_backoff,
             "REPRO_TRACE_LEN": envconfig.trace_length,
             "REPRO_CORES": envconfig.core_count,
-            "REPRO_BATCH_CELLS": envconfig.batch_cells,
-            "REPRO_PLAN": envconfig.plan_mode,
             "REPRO_KERNEL_BACKEND": envconfig.kernel_backend,
             "REPRO_HEARTBEAT_S": envconfig.heartbeat_s,
             "REPRO_MEM_BUDGET_MB": envconfig.mem_budget_mb,

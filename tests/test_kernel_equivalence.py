@@ -276,66 +276,54 @@ cell_choices = st.tuples(
 
 
 class TestSimulateBatchEquivalence:
-    """The batched path must be byte-identical to per-cell simulation."""
+    """The serial batch path must be byte-identical to per-cell simulation."""
 
     @settings(max_examples=10, deadline=None)
-    @given(
-        st.lists(cell_choices, min_size=1, max_size=5),
-        st.integers(min_value=1, max_value=3),
-    )
-    def test_ragged_batches_match_per_cell(self, choices, batch_cells):
+    @given(st.lists(cell_choices, min_size=1, max_size=5))
+    def test_ragged_batches_match_per_cell(self, choices):
         from repro.perf.batch import simulate_batch
 
         specs = [_tiny_spec(*choice) for choice in choices]
         expected = [_reference_digest(spec) for spec in specs]
         seen = []
         results = simulate_batch(
-            specs,
-            on_result=lambda index, result: seen.append(index),
-            batch_cells=batch_cells,
+            specs, on_result=lambda index, result: seen.append(index),
         )
         assert [_digest(result) for result in results] == expected
-        assert sorted(seen) == list(range(len(specs)))
+        assert seen == list(range(len(specs)))
 
     def test_batch_of_one(self):
         from repro.perf.batch import simulate_batch
 
         spec = _tiny_spec("mcf", "LazyC", 0)
-        [result] = simulate_batch([spec], batch_cells=1)
+        [result] = simulate_batch([spec])
         assert _digest(result) == _reference_digest(spec)
 
     def test_batch_with_one_faulted_cell(self):
-        """A faulted cell rides the per-cell fallback, mates stay batched."""
-        from repro.perf import batch as batchexec
+        """A faulted cell changes none of its batch-mates' bytes."""
+        from repro.perf.batch import simulate_batch
 
         specs = [
             _tiny_spec("mcf", "baseline", 0),
             _tiny_spec("mcf", "LazyC", 1),  # active fault plan
             _tiny_spec("mcf", "DIN", 0),
         ]
-        chunks, singles = batchexec.plan_batches(specs, batch_cells=8)
-        assert singles == [1]
-        assert sorted(i for chunk in chunks for i in chunk) == [0, 2]
-        results = batchexec.simulate_batch(specs, batch_cells=8)
+        results = simulate_batch(specs)
         assert [_digest(r) for r in results] == [
             _reference_digest(spec) for spec in specs
         ]
 
-    def test_state_plane_on_off_identical(self, monkeypatch):
-        """REPRO_STATE_PLANE=0 must not change a single byte."""
+    def test_state_plane_cold_and_warm_identical(self):
+        """Pooled state from earlier cells must not change a single byte."""
         from repro.pcm import stateplane
         from repro.perf.cellspec import simulate_cell
 
         spec = _tiny_spec("lbm", "LazyC+PreRead", 0)
-        monkeypatch.setenv("REPRO_STATE_PLANE", "0")
         stateplane.PLANE.reset()
-        off = _digest(simulate_cell(spec))
-        monkeypatch.setenv("REPRO_STATE_PLANE", "1")
-        stateplane.PLANE.reset()
-        on = _digest(simulate_cell(spec))
+        cold = _digest(simulate_cell(spec))
         warm = _digest(simulate_cell(spec))  # pooled state, second touch
         stateplane.PLANE.reset()
-        assert off == on == warm
+        assert cold == warm
 
 
 class TestIntRoundTrip:

@@ -131,7 +131,7 @@ class TestDeterminism:
         ).run_cells(specs)
 
         pooled = CellRunner(
-            jobs=2, plan="pool", cache=ResultCache(tmp_path / "pool", enabled=True)
+            jobs=2, cache=ResultCache(tmp_path / "pool", enabled=True)
         ).run_cells(specs)
 
         warm_runner = CellRunner(

@@ -33,7 +33,6 @@ from repro.perf import cache as cache_mod
 from repro.perf import engine
 from repro.perf.cache import ResultCache
 from repro.perf.engine import STATS, CellRunner
-from repro.perf.planner import PLANNER
 from repro.resilience import breaker as breaker_mod
 from repro.resilience import events, health, pressure, taxonomy
 from repro.resilience.breaker import CircuitBreaker, breaker
@@ -261,7 +260,7 @@ class TestWatchdog:
     ):
         specs, expected = clean_results
         monkeypatch.setattr(engine, "simulate_cell", hang_in_worker)
-        chaos = CellRunner(jobs=2, plan="pool",
+        chaos = CellRunner(jobs=2,
                            cache=ResultCache(tmp_path / "chaos", enabled=True),
                            retries=0, cell_timeout=30.0, backoff=0.0,
                            heartbeat_s=0.5)
@@ -282,7 +281,7 @@ class TestWatchdog:
         # per cell (and mid-cell via the armed event loop), so nothing
         # stalls even though cells take longer than the window.
         specs = [small_cell("stream"), small_cell("mcf")]
-        runner = CellRunner(jobs=2, plan="pool",
+        runner = CellRunner(jobs=2,
                             cache=ResultCache(tmp_path / "c", enabled=True),
                             retries=0, heartbeat_s=1.0)
         runner.run_cells(specs)
@@ -306,7 +305,7 @@ class TestShmBreaker:
             raise OSError(errno.ENOSPC, "shm full")
 
         monkeypatch.setattr(shm.shared_memory, "SharedMemory", no_segments)
-        runner = CellRunner(jobs=2, plan="pool",
+        runner = CellRunner(jobs=2,
                             cache=ResultCache(tmp_path / "chaos",
                                               enabled=True),
                             retries=0, backoff=0.0)
@@ -342,7 +341,7 @@ class TestKernelBreaker:
         runner = CellRunner(jobs=1, kernel_backend="auto")
         name = runner._resolve_kernel()  # consumes the half-open probe
         if name == "python":
-            # The planner picked python anyway: the probe proves nothing
+            # The engine picked python anyway: the probe proves nothing
             # about native backends and must be released, not leaked.
             runner._observe_kernel_health("python")
             assert kb.state == "half_open"
@@ -384,24 +383,40 @@ class TestPressure:
         assert PRESSURE.degradations() == []
         assert any(e["kind"] == "pressure_cache_resume" for e in events())
 
-    def test_rss_over_budget_forces_serial_and_shrinks_batches(
-        self, monkeypatch
-    ):
+    @pytest.fixture
+    def over_budget(self, monkeypatch):
         monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "100")
         monkeypatch.setenv("REPRO_DISK_MIN_MB", "0")
         monkeypatch.setenv("REPRO_SHM_MIN_MB", "0")
         monkeypatch.setattr(pressure, "_rss_mb", lambda: 150.0)
-        PRESSURE.check()
+
+    def test_rss_over_budget_forces_serial(
+        self, tmp_path, monkeypatch, over_budget
+    ):
+        runner = CellRunner(
+            jobs=2, cache=ResultCache(tmp_path / "c", enabled=True)
+        )
+        runner.run_cells([small_cell("stream"), small_cell("mcf")])
         assert PRESSURE.serial_forced
-        assert PRESSURE.effective_batch_cells(8) == 4
-        assert PRESSURE.effective_batch_cells(1) == 1  # never below 1
-        # The planner honours the forced-serial policy for auto plans.
-        assert PLANNER.decide(8, 4, 8, pool_alive=True) == "serial"
+        assert STATS.planner_serial_picks == 1
+        assert STATS.planner_pool_picks == 0
+        assert not engine.WARM_POOL.alive
 
         monkeypatch.setattr(pressure, "_rss_mb", lambda: 70.0)  # < 80%
         PRESSURE.check()
         assert not PRESSURE.serial_forced
-        assert PRESSURE.effective_batch_cells(8) == 8
+        runner.run_cells([small_cell("lbm"), small_cell("mcf", seed=2)])
+        assert STATS.planner_pool_picks == 1
+
+    def test_rss_over_budget_skips_prefetch(self, tmp_path, over_budget):
+        runner = CellRunner(
+            jobs=2, cache=ResultCache(tmp_path / "c", enabled=True)
+        )
+        specs = [small_cell("stream"), small_cell("mcf")]
+        assert runner.prefetch(specs) == 0
+        assert PRESSURE.serial_forced
+        assert not engine.WARM_POOL.alive
+        assert STATS.prefetched == 0
 
     def test_shm_low_suspends_trace_plane(self, monkeypatch):
         import types

@@ -1,12 +1,12 @@
-"""Checkpoint resume across every execution-planner mode.
+"""Checkpoint resume across both execution modes.
 
 The contract under test: a sweep killed mid-experiment and restarted
 with ``--resume`` renders **byte-identical tables** no matter which
-planner mode (serial / pool / batch / auto) or pipelining setting the
-interrupted and resumed runs used.  The interrupt lands in the parent
-process via a cache ``store_async`` that raises ``KeyboardInterrupt``
-after N stores — portable across all plan modes, and mid-experiment by
-construction (figure4 stores nine cells).
+mode (``serial``: ``--jobs 1``; ``pool``: ``--jobs 2``) or pipelining
+setting the interrupted and resumed runs used.  The interrupt lands in
+the parent process via a cache ``store_async`` that raises
+``KeyboardInterrupt`` after N stores — portable across both modes, and
+mid-experiment by construction (figure4 stores nine cells).
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ from repro.perf import cache as cache_mod
 from repro.perf import engine
 
 pytestmark = pytest.mark.chaos
+
+#: ``--jobs`` per execution mode: one job runs every cold batch in-process,
+#: two run multi-cell batches (and the pipeline prefetch) on the warm pool.
+JOBS = {"serial": "1", "pool": "2"}
 
 #: figure4 simulates nine cells; table1 is analytic (exercises the
 #: checkpoint ledger with a zero-cell experiment in the same sweep).
@@ -60,15 +64,14 @@ class _InterruptAfterStores:
         return store_async
 
 
-@pytest.mark.parametrize("plan,no_pipeline", [
+@pytest.mark.parametrize("mode,no_pipeline", [
+    ("serial", False),
     ("serial", True),
     ("pool", False),
-    ("batch", False),
-    ("batch", True),
-    ("auto", False),
+    ("pool", True),
 ])
 def test_kill_midexperiment_then_resume_byte_identical(
-    plan, no_pipeline, tmp_path, monkeypatch, capsys, small_sweep_env
+    mode, no_pipeline, tmp_path, monkeypatch, capsys, small_sweep_env
 ):
     # Ground truth: a clean serial run in its own cache universe.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ref-cache"))
@@ -81,7 +84,7 @@ def test_kill_midexperiment_then_resume_byte_identical(
     engine.reset()
     bomb = _InterruptAfterStores(after=3)
     monkeypatch.setattr(cache_mod.ResultCache, "store_async", bomb.method())
-    argv = ["--jobs", "2", "--plan", plan]
+    argv = ["--jobs", JOBS[mode]]
     if no_pipeline:
         argv.append("--no-pipeline")
     assert runner.main(argv + SWEEP) == 130
@@ -94,7 +97,7 @@ def test_kill_midexperiment_then_resume_byte_identical(
     manifest = runner.load_manifest()
     assert not runner.is_completed("figure4", manifest)
 
-    # Resume under the same plan mode; tables must match the clean
+    # Resume with the same settings; tables must match the clean
     # serial reference byte for byte.
     bomb.armed = False
     engine.reset()
@@ -107,16 +110,15 @@ def test_kill_midexperiment_then_resume_byte_identical(
 def test_resume_skips_completed_under_every_plan_mode(
     tmp_path, monkeypatch, capsys, small_sweep_env
 ):
-    """A fully finished sweep resumes to pure skips in any plan mode."""
+    """A fully finished sweep resumes to pure skips in either mode."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     engine.reset()
     assert runner.main(["--jobs", "1"] + SWEEP) == 0
     capsys.readouterr()
-    for plan in ("serial", "pool", "batch", "auto"):
+    for argv in (["--jobs", JOBS["serial"]], ["--jobs", JOBS["pool"]],
+                 ["--jobs", JOBS["pool"], "--no-pipeline"]):
         engine.reset()
-        assert runner.main(
-            ["--resume", "--jobs", "2", "--plan", plan] + SWEEP
-        ) == 0
+        assert runner.main(["--resume"] + argv + SWEEP) == 0
         out = capsys.readouterr().out
         assert "[figure4 already completed; skipped (--resume)]" in out
         assert "[table1 already completed; skipped (--resume)]" in out

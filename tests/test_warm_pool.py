@@ -117,8 +117,8 @@ class TestWarmPoolUnit:
 
     def test_warm_pool_is_shared_across_runners(self, tmp_path):
         cache = ResultCache(tmp_path / "cache", enabled=False)
-        first = CellRunner(jobs=2, plan="pool", cache=cache)
-        second = CellRunner(jobs=2, plan="pool", cache=cache)
+        first = CellRunner(jobs=2, cache=cache)
+        second = CellRunner(jobs=2, cache=cache)
         first.run_cells([small_cell("stream"), small_cell("mcf")])
         generation = WARM_POOL.generation
         second.run_cells([small_cell("stream", seed=11),
@@ -185,7 +185,7 @@ class TestContractByteIdentical:
         want = sweep_hash(serial.run_cells(specs))
         assert shm.PLANE.published == 0  # serial mode never touches shm
 
-        pooled = CellRunner(jobs=2, plan="pool", cache=ResultCache(tmp_path / "pooled",
+        pooled = CellRunner(jobs=2, cache=ResultCache(tmp_path / "pooled",
                                                       enabled=True))
         submitted = pooled.prefetch(specs)
         assert submitted == 6  # 7 specs, one duplicate
@@ -196,7 +196,7 @@ class TestContractByteIdentical:
         assert shm.PLANE.published >= 1  # traces travelled via the plane
 
         # Third pass: everything recalled from the pooled run's cache.
-        cached = CellRunner(jobs=2, plan="pool", cache=ResultCache(tmp_path / "pooled",
+        cached = CellRunner(jobs=2, cache=ResultCache(tmp_path / "pooled",
                                                       enabled=True))
         hits_before = STATS.cache_hits
         assert sweep_hash(cached.run_cells(specs)) == want
@@ -212,7 +212,7 @@ class TestContractByteIdentical:
         cache = ResultCache(tmp_path / "c", enabled=True)
         specs = [small_cell("stream"), small_cell("mcf")]
         CellRunner(jobs=1, cache=cache).run_cells([specs[0]])  # warm one
-        pooled = CellRunner(jobs=2, plan="pool", cache=cache)
+        pooled = CellRunner(jobs=2, cache=cache)
         try:
             assert pooled.prefetch(specs) == 1  # only the cold cell
         finally:
@@ -235,7 +235,7 @@ class TestWarmPoolChaos:
         want = sweep_hash(clean.run_cells(specs))
 
         monkeypatch.setattr(engine, "simulate_cell", self.crash_in_worker)
-        runner = CellRunner(jobs=2, plan="pool", retries=1, backoff=0.0,
+        runner = CellRunner(jobs=2, retries=1, backoff=0.0,
                             cache=ResultCache(tmp_path / "chaos",
                                               enabled=True))
         generation = WARM_POOL.generation  # monotonic across the process
@@ -257,7 +257,7 @@ class TestWarmPoolChaos:
         want = sweep_hash(clean.run_cells(specs))
 
         monkeypatch.setattr(engine, "simulate_cell", self.crash_in_worker)
-        runner = CellRunner(jobs=2, plan="pool", retries=1, backoff=0.0,
+        runner = CellRunner(jobs=2, retries=1, backoff=0.0,
                             cache=ResultCache(tmp_path / "chaos",
                                               enabled=True))
         assert runner.prefetch(specs) == 2
