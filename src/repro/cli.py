@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-pipeline",
         action="store_true",
         help="disable cross-experiment pipelining (global spec prefetch "
-        "into the warm pool); also REPRO_PIPELINE=0",
+        "into the warm pool)",
     )
     exp.add_argument(
         "--kernel-backend",
@@ -121,8 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     perf_sub = perf_p.add_subparsers(dest="perf_command", required=True)
     prof = perf_sub.add_parser(
         "profile",
-        help="run one cold cell with fine-grained phase timing "
-        "(equivalent to REPRO_PROFILE=1) and print the breakdown",
+        help="run one cold cell and print its coarse phase timing "
+        "(trace_gen, simulate) and kernel backend",
     )
     prof.add_argument("workload", choices=WORKLOAD_ORDER)
     prof.add_argument("--scheme", default="LazyC+PreRead")
@@ -145,12 +145,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--host", default=None,
-        help="bind address (default REPRO_SERVICE_HOST or 127.0.0.1)",
+        help="bind address (default 127.0.0.1)",
     )
     serve_p.add_argument(
         "--port", type=int, default=None,
-        help="bind port; 0 picks an ephemeral port (default "
-        "REPRO_SERVICE_PORT or 7733)",
+        help="bind port, 0..65535; 0 picks an ephemeral port (default 7733)",
     )
     serve_p.add_argument(
         "--jobs", type=int, default=None,
@@ -159,23 +158,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--queue-max", type=int, default=None,
-        help="admission queue bound; submissions past it get 429 "
-        "(default REPRO_SERVICE_QUEUE_MAX or 64)",
+        help="admission queue bound (>= 1); submissions past it get 429 "
+        "(default 64)",
     )
     serve_p.add_argument(
         "--drain-s", type=float, default=None,
-        help="seconds SIGTERM waits for in-flight jobs before exiting "
-        "(default REPRO_SERVICE_DRAIN_S or 30)",
+        help="seconds (>= 0) SIGTERM waits for in-flight jobs before "
+        "exiting (default 30)",
     )
     serve_p.add_argument(
         "--deadline-s", type=float, default=None,
-        help="default per-job queue TTL in seconds; 0 disables (default "
-        "REPRO_SERVICE_DEADLINE_S or no TTL)",
+        help="default per-job queue TTL in seconds; 0 or less disables "
+        "(default no TTL)",
     )
     serve_p.add_argument(
         "--service-dir", default=None,
-        help="directory for the job journal (default REPRO_SERVICE_DIR "
-        "or <cache dir>/service)",
+        help="directory for the job journal (default <cache dir>/service)",
     )
     serve_p.add_argument(
         "--portfile", default=None,
@@ -365,84 +363,71 @@ def _cmd_faults_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf_profile(args: argparse.Namespace) -> int:
-    from .pcm import kernels
-    from .perf.cellspec import CellSpec, simulate_cell
-    from .perf import profiler
+    from .pcm import kernels, stateplane
+    from .perf.cache import ResultCache
+    from .perf.cellspec import CellSpec
+    from .perf.engine import CellRunner
+    from .perf.profiler import PROFILER
 
     scheme = schemes.by_name(args.scheme)
     config = SystemConfig(cores=args.cores, seed=args.seed).with_scheme(scheme)
     spec = CellSpec(bench=args.workload, length=args.length, config=config)
-
-    available = kernels.available_backends()
-    backend_name = args.kernel_backend
-    if backend_name == "auto":
-        backend_name = "compiled" if "compiled" in available else "python"
-    backend = kernels.activate(backend_name)
+    runner = CellRunner(jobs=1, cache=ResultCache(enabled=False),
+                        kernel_backend=args.kernel_backend)
+    PROFILER.reset()
+    result = runner.run_cells([spec])[0]
+    backend = kernels.active()
     flavor = getattr(backend, "flavor", None)
-    backend_label = (
-        f"{backend.name} ({flavor})" if flavor else backend.name
-    )
+    backend_label = f"{backend.name} ({flavor})" if flavor else backend.name
 
-    prof = profiler.PROFILER
-    prof.reset()
-    prof.fine = True
-    profiler.install_kernel_timers()
-    try:
-        result = simulate_cell(spec)
-    finally:
-        profiler.uninstall_kernel_timers()
-        prof.fine = profiler._env_fine()
-
-    total = prof.seconds.get("trace_gen", 0.0) + prof.seconds.get("simulate", 0.0)
-    # write_plan/write_commit/bit_kernels overlap `simulate`; the remainder
-    # is the event loop, controller scheduling, and hierarchy bookkeeping.
-    overlapped = prof.seconds.get("write_plan", 0.0) + prof.seconds.get(
-        "write_commit", 0.0
-    )
-    rows = []
-    for phase in ("trace_gen", "write_plan", "write_sample", "write_din",
-                  "write_ecp", "write_commit", "bit_kernels"):
-        if phase in prof.seconds:
-            rows.append(
-                [phase, f"{prof.seconds[phase]:.3f}", prof.calls[phase],
-                 f"{100.0 * prof.seconds[phase] / max(total, 1e-12):.1f}%"]
-            )
-    loop_s = max(0.0, prof.seconds.get("simulate", 0.0) - overlapped)
-    rows.append(["event loop + controller", f"{loop_s:.3f}", "",
-                 f"{100.0 * loop_s / max(total, 1e-12):.1f}%"])
-    rows.append(["total", f"{total:.3f}", "", "100.0%"])
+    phases = {p: PROFILER.seconds.get(p, 0.0) for p in ("trace_gen", "simulate")}
+    phases["total"] = total = sum(phases.values())
+    rows = [[phase, f"{s:.3f}", f"{100.0 * s / max(total, 1e-12):.1f}%"]
+            for phase, s in phases.items()]
     print(
         format_table(
             f"phase profile: {args.workload} under {args.scheme} "
             f"(length={args.length}, cores={args.cores}; "
             f"cycles={result.cycles}; kernels={backend_label})",
-            ["phase", "seconds", "calls", "share"],
+            ["phase", "seconds", "share"],
             rows,
         )
     )
-    print("note: write_sample/write_din/write_ecp and bit_kernels are "
-          "inside write_plan; fine timing adds per-call overhead, so "
-          "compare shares, not absolutes.")
-    from .pcm import stateplane
-
     print(f"state plane: {stateplane.PLANE.summary()}")
-    print(f"kernel backends available: {'/'.join(available)}")
+    print(f"kernel backends available: {'/'.join(kernels.available_backends())}")
     return 0
 
 
+def _serve_arg_error(args: argparse.Namespace) -> Optional[str]:
+    """The first out-of-range ``repro serve`` flag, as a message."""
+    if args.port is not None and not 0 <= args.port <= 65535:
+        return f"--port must be in 0..65535, got {args.port}"
+    for flag, value, minimum in (("--jobs", args.jobs, 1),
+                                 ("--queue-max", args.queue_max, 1),
+                                 ("--drain-s", args.drain_s, 0)):
+        if value is not None and value < minimum:
+            return f"{flag} must be >= {minimum}, got {value:g}"
+    return None
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
+    error = _serve_arg_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     from .service.daemon import ServiceDaemon
 
-    daemon = ServiceDaemon(
-        host=args.host,
-        port=args.port,
-        service_dir=args.service_dir,
-        queue_max=args.queue_max,
-        drain_s=args.drain_s,
-        deadline_s=args.deadline_s,
-        jobs=args.jobs,
-        portfile=args.portfile,
-    )
+    flags = {
+        "host": args.host,
+        "port": args.port,
+        "service_dir": args.service_dir,
+        "queue_max": args.queue_max,
+        "drain_s": args.drain_s,
+        "deadline_s": args.deadline_s,
+        "jobs": args.jobs,
+        "portfile": args.portfile,
+    }
+    daemon = ServiceDaemon(**{k: v for k, v in flags.items() if v is not None})
     return daemon.serve()
 
 

@@ -29,7 +29,6 @@ array-domain implementation, so results are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter as _perf
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -51,7 +50,6 @@ from ..pcm.differential_write import (
     plan_write_int,
 )
 from ..pcm.din import DINEncoder, wordline_vulnerable_mask_int
-from ..perf.profiler import PROFILER
 
 Key = Tuple[int, int, int]
 
@@ -200,12 +198,7 @@ class VnCExecutor:
         slot.epoch = self.epochs.get(key, 0)
 
     def execute(self, entry: WriteEntry, now: int) -> WriteOp:
-        if PROFILER.fine:
-            start = _perf()
-            plan = self._plan(entry)
-            PROFILER.add("write_plan", _perf() - start)
-        else:
-            plan = self._plan(entry)
+        plan = self._plan(entry)
         return WriteOp(
             latency=plan.latency,
             commit=lambda: self._commit(entry, plan),
@@ -364,26 +357,17 @@ class VnCExecutor:
         addr = entry.addr
         key = _key(addr)
         backend = self.kernels
-        fine = PROFILER.fine
 
         # ---- the data write itself ---------------------------------------
         shadow = self._shadow(plan, addr)
         physical_old = shadow.physical
-        if fine:
-            t0 = _perf()
         logical_old = backend.decode_int(
             shadow.stored, self.array.line_flags(addr)
         )
-        if fine:
-            PROFILER.add("write_din", _perf() - t0)
         new_logical = self._payload_int(entry, logical_old)
-        if fine:
-            t0 = _perf()
         stored_new, flags = backend.encode_stored_int(
             physical_old, new_logical
         )
-        if fine:
-            PROFILER.add("write_din", _perf() - t0)
         wplan = plan_write_int(physical_old, stored_new, self.timing)
         plan.latency += wplan.latency_cycles
         plan.demand_cell_writes = wplan.changed_bits
@@ -399,11 +383,7 @@ class VnCExecutor:
                 physical_old, wplan.reset_mask, changed
             )
             p_wl = self.disturbance.p_wordline * self.disturbance.din_residual_scale
-            if fine:
-                t0 = _perf()
             wl_sampled = backend.sample_mask_int(wl_vuln, p_wl, self.rng)
-            if fine:
-                PROFILER.add("write_sample", _perf() - t0)
             wl_errors = wl_sampled.bit_count()
             plan.bump("wordline_vulnerable_cells", wl_vuln.bit_count())
             plan.bump("wordline_errors", wl_errors)
@@ -490,15 +470,11 @@ class VnCExecutor:
                 )
                 drift = self.fault_plan.drift_mask(_key(vaddr), candidates)
             staged.append((vaddr, vshadow, vulnerable, weak, drift))
-        if fine:
-            t0 = _perf()
         sampled_masks = backend.sample_masks_int(
             [weak for _, _, _, weak, _ in staged],
             self.disturbance.p_bitline_weak,
             self.rng,
         )
-        if fine:
-            PROFILER.add("write_sample", _perf() - t0)
         for (vaddr, vshadow, vulnerable, _, drift), sampled in zip(
             staged, sampled_masks
         ):
@@ -536,12 +512,8 @@ class VnCExecutor:
 
         # ---- correction / LazyCorrection ------------------------------------
         nm_tag = entry.request.nm_tag
-        if fine:
-            t0 = _perf()
         for vaddr, new_mask in detected:
             self._handle_errors(plan, vaddr, new_mask, nm_tag, depth=0)
-        if fine:
-            PROFILER.add("write_ecp", _perf() - t0)
         return plan
 
     def _handle_errors(
@@ -646,14 +618,6 @@ class VnCExecutor:
     # -- commit / cancel -----------------------------------------------------------
 
     def _commit(self, entry: WriteEntry, plan: _Plan) -> None:
-        if PROFILER.fine:
-            start = _perf()
-            self._commit_now(entry, plan)
-            PROFILER.add("write_commit", _perf() - start)
-        else:
-            self._commit_now(entry, plan)
-
-    def _commit_now(self, entry: WriteEntry, plan: _Plan) -> None:
         array = self.array
         # Line states (int shadows back to the (8,) uint64 row arrays).
         for key, shadow in plan.shadows.items():

@@ -23,7 +23,7 @@ stub), dedups them globally, and prefetches the cold cells into the warm
 pool.  Each experiment then collects its own cells as they complete —
 experiment N+1's cells simulate while experiment N's table renders — and
 finished results stream to disk on a background cache-writer thread.
-Disable with ``--no-pipeline`` or ``REPRO_PIPELINE=0``; results are
+Disable with ``--no-pipeline``; results are
 byte-identical either way (every cell is an independent simulation
 seeded from its own spec).
 
@@ -224,7 +224,7 @@ def main(argv: list[str]) -> int:
     jobs = None
     kernel_backend = None
     resume = False
-    pipeline = envconfig.pipeline_enabled()
+    pipeline = True
     names: list[str] = []
     argv = list(argv)
     while argv:

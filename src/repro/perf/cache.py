@@ -269,7 +269,7 @@ class ResultCache:
 
         Returns ``(entries_removed, bytes_freed)``.  Used by the
         pressure monitor when free disk under the cache dir drops below
-        ``REPRO_DISK_MIN_MB`` — losing old entries costs re-simulation
+        ``DISK_MIN_MB`` — losing old entries costs re-simulation
         later, never correctness.
         """
         removed = 0

@@ -32,8 +32,8 @@ Pooled execution is crash-proof: a worker that raises, dies (broken
 pool), or exceeds the per-cell wall-clock budget (``REPRO_CELL_TIMEOUT``
 seconds) only fails *its* cells.  Any failure retires the warm pool's
 generation — the next round lazily forks a fresh one — and the failed
-cells are retried with capped exponential backoff (``REPRO_RETRIES``
-rounds, default 2).  Cells still failing after every round degrade
+cells are retried with capped exponential backoff (``retries=`` rounds,
+default :data:`RETRIES`).  Cells still failing after every round degrade
 gracefully to in-process serial execution — a deterministic worker-side
 bug then surfaces as the original exception, while transient crashes
 cost only the retries.  Every rung of the ladder is counted in
@@ -81,6 +81,14 @@ from .profiler import PROFILER, Snapshot
 
 _LOG = logging.getLogger("repro.perf")
 
+#: Default retry rounds for failed pool cells (``CellRunner(retries=)``).
+RETRIES = 2
+
+#: Default base retry backoff, seconds (``CellRunner(backoff=)``).  Round
+#: ``k`` sleeps ``min(BACKOFF_CAP, backoff * 2**(k-1))`` before
+#: resubmitting; 0 disables sleeping (used by the chaos tests).
+BACKOFF_S = 0.5
+
 #: Upper bound on one backoff sleep, seconds.
 BACKOFF_CAP = 2.0
 
@@ -93,11 +101,6 @@ def default_jobs() -> int:
     return envconfig.jobs()
 
 
-def default_retries() -> int:
-    """Retry rounds for failed pool cells (``REPRO_RETRIES``, default 2)."""
-    return envconfig.retries()
-
-
 def default_cell_timeout() -> Optional[float]:
     """Per-cell wall-clock budget in seconds (``REPRO_CELL_TIMEOUT``).
 
@@ -105,15 +108,6 @@ def default_cell_timeout() -> Optional[float]:
     time scales with ``REPRO_TRACE_LEN``, so no universal bound exists).
     """
     return envconfig.cell_timeout()
-
-
-def default_backoff() -> float:
-    """Base retry backoff in seconds (``REPRO_RETRY_BACKOFF``, default 0.5).
-
-    Round ``k`` sleeps ``min(BACKOFF_CAP, backoff * 2**(k-1))`` before
-    resubmitting; 0 disables sleeping (used by the chaos tests).
-    """
-    return envconfig.retry_backoff()
 
 
 @dataclass
@@ -323,22 +317,22 @@ class CellRunner:
 
     def __init__(self, jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
-                 retries: Optional[int] = None,
+                 retries: int = RETRIES,
                  cell_timeout: Optional[float] = None,
-                 backoff: Optional[float] = None,
+                 backoff: float = BACKOFF_S,
                  kernel_backend: Optional[str] = None,
                  heartbeat_s: Optional[float] = None):
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs if jobs is not None else default_jobs()
         self.cache = cache if cache is not None else ResultCache()
-        self.retries = retries if retries is not None else default_retries()
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
+        self.retries = retries
         self.cell_timeout = (
             cell_timeout if cell_timeout is not None else default_cell_timeout()
         )
-        self.backoff = backoff if backoff is not None else default_backoff()
+        self.backoff = backoff
         self.kernel_backend = (
             kernel_backend if kernel_backend is not None
             else envconfig.kernel_backend()

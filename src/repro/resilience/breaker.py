@@ -12,10 +12,10 @@ shm       shared-memory trace plane      in-worker trace synthesis
 
 State machine (classic three-state):
 
-- **closed** — normal operation; ``REPRO_BREAKER_THRESHOLD`` consecutive
+- **closed** — normal operation; :data:`THRESHOLD` consecutive
   classified failures open it.
 - **open** — callers are routed straight to the degraded path for
-  ``REPRO_BREAKER_BACKOFF`` seconds (doubling per failed probe, capped).
+  :data:`BACKOFF_S` seconds (doubling per failed probe, capped).
 - **half-open** — after the backoff, exactly one probe call is let
   through; success closes the breaker, failure reopens it.
 
@@ -30,11 +30,16 @@ import threading
 import time
 from typing import Callable, Dict, Optional
 
-from .. import envconfig
 from . import record_event
 
 #: The engine's supervised dependencies, in display order.
 BREAKER_NAMES = ("kernel", "cache", "shm")
+
+#: Default consecutive classified failures before a breaker opens.
+THRESHOLD = 5
+
+#: Default seconds an open breaker waits before its half-open probe.
+BACKOFF_S = 30.0
 
 #: Backoff growth per failed half-open probe, and its cap (as a multiple
 #: of the base backoff) so a persistently-broken dependency is still
@@ -67,18 +72,18 @@ class CircuitBreaker:
         self.closes = 0
         self.last_error: Optional[str] = None
 
-    # -- configuration (env re-read per call, like everything REPRO_*) ------
+    # -- configuration (module defaults read per call) ------------------------
 
     @property
     def threshold(self) -> int:
         if self._threshold is not None:
             return self._threshold
-        return envconfig.breaker_threshold()
+        return THRESHOLD
 
     def _base_backoff(self) -> float:
         if self._backoff_s is not None:
             return self._backoff_s
-        return envconfig.breaker_backoff_s()
+        return BACKOFF_S
 
     def _current_backoff(self) -> float:
         return self._base_backoff() * self._backoff_factor

@@ -10,9 +10,9 @@ responds with *policy*, not crashes:
 pressure                       response (and recovery)
 =============================  =========================================
 free disk under the cache dir  evict LRU cache entries, then pause cache
-``< REPRO_DISK_MIN_MB``        writes (resume at 2x the floor)
+``< DISK_MIN_MB``              writes (resume at 2x the floor)
 ``/dev/shm`` headroom          suspend trace-plane publishing — workers
-``< REPRO_SHM_MIN_MB``         synthesize in-process (resume at 2x)
+``< SHM_MIN_MB``               synthesize in-process (resume at 2x)
 RSS ``> REPRO_MEM_BUDGET_MB``  force serial execution of cold batches and
                                skip prefetch (recover below 80% of budget)
 =============================  =========================================
@@ -39,6 +39,14 @@ from . import record_event
 _LOG = logging.getLogger("repro.resilience")
 
 MB = 1024 * 1024
+
+#: Minimum free disk under the cache dir, MiB (0 disables the check).
+#: Below it the monitor evicts LRU cache entries, then pauses cache writes.
+DISK_MIN_MB = 64
+
+#: Minimum free ``/dev/shm`` headroom, MiB (0 disables the check).  Below
+#: it the trace plane stops publishing and workers synthesize in-process.
+SHM_MIN_MB = 16
 
 #: Seconds between periodic checks (``maybe_check`` rate limit).
 CHECK_INTERVAL_S = 5.0
@@ -129,7 +137,7 @@ class PressureMonitor:
     def _check_disk(self, cache, reading: Dict[str, object]) -> None:
         if cache is None or not getattr(cache, "enabled", False):
             return
-        min_mb = envconfig.disk_min_mb()
+        min_mb = DISK_MIN_MB
         try:
             free_mb = shutil.disk_usage(_existing_parent(cache.root)).free / MB
         except OSError:
@@ -160,7 +168,7 @@ class PressureMonitor:
                 self.cache_paused = True
                 record_event(
                     "pressure_cache_pause",
-                    f"{free_mb:.0f} MiB free < REPRO_DISK_MIN_MB={min_mb}; "
+                    f"{free_mb:.0f} MiB free < DISK_MIN_MB={min_mb}; "
                     "cache writes paused",
                 )
         elif self.cache_paused and free_mb >= min_mb * RECOVERY_FACTOR:
@@ -174,7 +182,7 @@ class PressureMonitor:
     def _check_shm(self, reading: Dict[str, object]) -> None:
         if not os.path.isdir("/dev/shm"):
             return
-        min_mb = envconfig.shm_min_mb()
+        min_mb = SHM_MIN_MB
         try:
             free_mb = shutil.disk_usage("/dev/shm").free / MB
         except OSError:
@@ -190,7 +198,7 @@ class PressureMonitor:
             self.shm_suspended = True
             record_event(
                 "pressure_shm_suspend",
-                f"/dev/shm {free_mb:.0f} MiB free < REPRO_SHM_MIN_MB="
+                f"/dev/shm {free_mb:.0f} MiB free < SHM_MIN_MB="
                 f"{min_mb}; trace plane suspended (workers synthesize)",
             )
         elif self.shm_suspended and free_mb >= min_mb * RECOVERY_FACTOR:

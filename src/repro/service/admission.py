@@ -26,10 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .. import envconfig
 from ..resilience.breaker import BREAKER_NAMES, breaker
 from ..resilience.pressure import PRESSURE
 from .jobs import ServiceStats
+
+#: Default admission-queue bound before the service sheds load with 429.
+QUEUE_MAX = 64
+
+#: ``Retry-After`` hint on shed responses, seconds.
+RETRY_AFTER_S = 2.0
 
 
 def current_degradations() -> List[str]:
@@ -65,21 +70,13 @@ class Shed:
 class AdmissionController:
     """Decides accept-vs-shed for one daemon instance."""
 
-    def __init__(self, queue_max: Optional[int] = None,
-                 retry_after_s: Optional[float] = None,
+    def __init__(self, queue_max: int = QUEUE_MAX,
+                 retry_after_s: float = RETRY_AFTER_S,
                  stats: Optional[ServiceStats] = None) -> None:
-        self.queue_max = (
-            queue_max if queue_max is not None
-            else envconfig.service_queue_max()
-        )
-        if self.queue_max < 1:
-            raise ValueError(
-                f"queue_max must be >= 1, got {self.queue_max}"
-            )
-        self.retry_after_s = (
-            retry_after_s if retry_after_s is not None
-            else envconfig.service_retry_after_s()
-        )
+        if queue_max < 1:
+            raise ValueError(f"queue_max must be >= 1, got {queue_max}")
+        self.queue_max = queue_max
+        self.retry_after_s = retry_after_s
         self.stats = stats if stats is not None else ServiceStats()
 
     def check(self, queue_depth: int, draining: bool) -> Optional[Shed]:

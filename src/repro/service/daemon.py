@@ -50,7 +50,7 @@ from .. import envconfig, resilience
 from ..errors import ReproError
 from ..perf import engine
 from ..resilience import taxonomy
-from .admission import AdmissionController
+from .admission import QUEUE_MAX, AdmissionController
 from .jobs import (
     DONE,
     FAILED,
@@ -74,6 +74,18 @@ _REASONS = {
 #: Seconds allowed for a client to present its request head + body.
 _REQUEST_TIMEOUT_S = 30.0
 
+#: Default bind address.  The protocol is unauthenticated, so the default
+#: is loopback only; bind elsewhere deliberately.
+HOST = "127.0.0.1"
+
+#: Default TCP port (0 asks the OS for an ephemeral one).
+PORT = 7733
+
+#: Default SIGTERM drain deadline, seconds: in-flight jobs get this long
+#: to finish before the daemon exits and leaves them journaled for the
+#: next start's replay.
+DRAIN_S = 30.0
+
 
 def _run_spec(runner: "engine.CellRunner", spec):
     """Execute one spec on the shared runner (module-level so chaos
@@ -86,36 +98,32 @@ class ServiceDaemon:
 
     def __init__(
         self,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
+        host: str = HOST,
+        port: int = PORT,
         service_dir: Optional[os.PathLike] = None,
-        queue_max: Optional[int] = None,
-        drain_s: Optional[float] = None,
+        queue_max: int = QUEUE_MAX,
+        drain_s: float = DRAIN_S,
         deadline_s: Optional[float] = None,
-        retry_after_s: Optional[float] = None,
         jobs: Optional[int] = None,
         portfile: Optional[os.PathLike] = None,
     ) -> None:
-        self.host = host if host is not None else envconfig.service_host()
-        self.port = port if port is not None else envconfig.service_port()
+        self.host = host
+        self.port = port
+        #: Job journal and portfile directory (default ``<cache dir>/service``).
         self.service_dir = (
             Path(service_dir) if service_dir is not None
-            else envconfig.service_dir()
+            else envconfig.cache_dir() / "service"
         )
-        self.drain_s = (
-            drain_s if drain_s is not None else envconfig.service_drain_s()
+        self.drain_s = drain_s
+        # No deadline, or a non-positive one, disables the queue TTL.
+        self.default_deadline_s = (
+            deadline_s if deadline_s is not None and deadline_s > 0 else None
         )
-        if deadline_s is None:
-            self.default_deadline_s = envconfig.service_deadline_s()
-        else:
-            # An explicit non-positive deadline disables the queue TTL.
-            self.default_deadline_s = deadline_s if deadline_s > 0 else None
         self.jobs_arg = jobs
         self.portfile = Path(portfile) if portfile is not None else None
         self.stats = ServiceStats()
         self.admission = AdmissionController(
-            queue_max=queue_max, retry_after_s=retry_after_s,
-            stats=self.stats,
+            queue_max=queue_max, stats=self.stats,
         )
         self.journal = JobJournal(self.service_dir / "journal.jsonl")
         self.runner: Optional[engine.CellRunner] = None

@@ -146,18 +146,6 @@ class TestFailureLadder:
 
 
 class TestEnvKnobs:
-    def test_repro_retries_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RETRIES", raising=False)
-        assert engine.default_retries() == 2
-        monkeypatch.setenv("REPRO_RETRIES", "0")
-        assert engine.default_retries() == 0
-        monkeypatch.setenv("REPRO_RETRIES", "-1")
-        with pytest.raises(ValueError, match="REPRO_RETRIES"):
-            engine.default_retries()
-        monkeypatch.setenv("REPRO_RETRIES", "lots")
-        with pytest.raises(ValueError, match="REPRO_RETRIES"):
-            engine.default_retries()
-
     def test_repro_cell_timeout_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_CELL_TIMEOUT", raising=False)
         assert engine.default_cell_timeout() is None
@@ -168,15 +156,6 @@ class TestEnvKnobs:
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "-1")
         with pytest.raises(ValueError, match="REPRO_CELL_TIMEOUT"):
             engine.default_cell_timeout()
-
-    def test_repro_retry_backoff_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RETRY_BACKOFF", raising=False)
-        assert engine.default_backoff() == 0.5
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        assert engine.default_backoff() == 0.0
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "soon")
-        with pytest.raises(ValueError, match="REPRO_RETRY_BACKOFF"):
-            engine.default_backoff()
 
 
 class TestCorruptCache:

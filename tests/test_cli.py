@@ -75,3 +75,48 @@ class TestExperiment:
     def test_unknown_experiment(self, capsys):
         rc = main(["experiment", "figure99"])
         assert rc == 2
+
+
+class TestServeFlags:
+    @pytest.mark.parametrize("argv, message", [
+        (["--port", "70000"], "--port must be in 0..65535, got 70000"),
+        (["--port", "-1"], "--port must be in 0..65535, got -1"),
+        (["--queue-max", "0"], "--queue-max must be >= 1, got 0"),
+        (["--jobs", "0"], "--jobs must be >= 1, got 0"),
+        (["--drain-s", "-1"], "--drain-s must be >= 0, got -1"),
+    ])
+    def test_out_of_range_flag_exits_2(self, argv, message, tmp_path, capsys):
+        rc = main(["serve", "--service-dir", str(tmp_path)] + argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.strip() == message
+        assert not (tmp_path / "journal.jsonl").exists()
+
+
+class TestPerfProfile:
+    ARGV = ["perf", "profile", "mcf", "--length", "200", "--cores", "2"]
+
+    def rows(self, out):
+        return [line.split()[0] for line in out.splitlines()
+                if line.strip() and line.split()[0] in
+                ("trace_gen", "simulate", "total")]
+
+    def test_prints_coarse_phases_and_backend(self, capsys):
+        from repro.pcm import kernels
+
+        assert main(self.ARGV) == 0
+        out = capsys.readouterr().out
+        assert self.rows(out) == ["trace_gen", "simulate", "total"]
+        assert "cycles=" in out
+        assert "write_plan" not in out
+        available = kernels.available_backends()
+        label = "compiled" if "compiled" in available else "python"
+        assert f"kernels={label}" in out
+        assert f"kernel backends available: {'/'.join(available)}" in out
+
+    def test_auto_falls_back_without_a_compiler(self, capsys, no_compiler):
+        assert main(self.ARGV) == 0
+        out = capsys.readouterr().out
+        assert self.rows(out) == ["trace_gen", "simulate", "total"]
+        assert "kernels=python)" in out
+        assert "compiled" not in out.split("kernel backends available:")[1]

@@ -7,27 +7,22 @@ the same way no matter which subsystem reads it first.
 
 from __future__ import annotations
 
+import os
+import re
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
 from repro import envconfig
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for name in (
-        "REPRO_JOBS", "REPRO_RETRIES", "REPRO_CELL_TIMEOUT",
-        "REPRO_RETRY_BACKOFF", "REPRO_TRACE_LEN", "REPRO_CORES",
-        "REPRO_CACHE", "REPRO_CACHE_DIR", "REPRO_PROFILE", "REPRO_PIPELINE",
-        "REPRO_KERNEL_BACKEND", "REPRO_KERNEL_CC",
-        "REPRO_HEARTBEAT_S", "REPRO_MEM_BUDGET_MB",
-        "REPRO_BREAKER_THRESHOLD", "REPRO_BREAKER_BACKOFF",
-        "REPRO_DISK_MIN_MB", "REPRO_SHM_MIN_MB",
-        "REPRO_SERVICE_HOST", "REPRO_SERVICE_PORT",
-        "REPRO_SERVICE_QUEUE_MAX", "REPRO_SERVICE_DRAIN_S",
-        "REPRO_SERVICE_DEADLINE_S", "REPRO_SERVICE_RETRY_AFTER_S",
-        "REPRO_SERVICE_DIR",
-    ):
-        monkeypatch.delenv(name, raising=False)
+    for name in [k for k in os.environ if k.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
 
 
 class TestPrimitives:
@@ -71,13 +66,15 @@ class TestAccessors:
         with pytest.raises(ValueError, match="REPRO_JOBS"):
             envconfig.jobs()
 
-    def test_retries(self, monkeypatch):
-        assert envconfig.retries() == 2
-        monkeypatch.setenv("REPRO_RETRIES", "0")
-        assert envconfig.retries() == 0
-        monkeypatch.setenv("REPRO_RETRIES", "-1")
-        with pytest.raises(ValueError, match="REPRO_RETRIES"):
-            envconfig.retries()
+    def test_retries(self):
+        """Retry rounds are a constructor argument, not a knob."""
+        from repro.perf.engine import RETRIES, CellRunner
+
+        assert RETRIES == 2
+        assert CellRunner(jobs=1).retries == 2
+        assert CellRunner(jobs=1, retries=0).retries == 0
+        with pytest.raises(ValueError, match="retries must be >= 0"):
+            CellRunner(jobs=1, retries=-1)
 
     def test_cell_timeout(self, monkeypatch):
         assert envconfig.cell_timeout() is None
@@ -89,13 +86,13 @@ class TestAccessors:
         with pytest.raises(ValueError, match="REPRO_CELL_TIMEOUT"):
             envconfig.cell_timeout()
 
-    def test_retry_backoff(self, monkeypatch):
-        assert envconfig.retry_backoff() == 0.5
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        assert envconfig.retry_backoff() == 0.0
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "soon")
-        with pytest.raises(ValueError, match="REPRO_RETRY_BACKOFF"):
-            envconfig.retry_backoff()
+    def test_retry_backoff(self):
+        """The retry backoff is a constructor argument, not a knob."""
+        from repro.perf.engine import BACKOFF_S, CellRunner
+
+        assert BACKOFF_S == 0.5
+        assert CellRunner(jobs=1).backoff == 0.5
+        assert CellRunner(jobs=1, backoff=0.0).backoff == 0.0
 
     def test_trace_length_and_cores(self, monkeypatch):
         assert envconfig.trace_length() == 1200
@@ -114,14 +111,6 @@ class TestAccessors:
         assert envconfig.cache_enabled() is False
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert envconfig.cache_dir() == tmp_path
-
-    def test_profile_and_pipeline_flags(self, monkeypatch):
-        assert envconfig.profile_fine() is False
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        assert envconfig.profile_fine() is True
-        assert envconfig.pipeline_enabled() is True
-        monkeypatch.setenv("REPRO_PIPELINE", "0")
-        assert envconfig.pipeline_enabled() is False
 
     def test_kernel_backend(self, monkeypatch):
         assert envconfig.kernel_backend() == "auto"
@@ -166,65 +155,70 @@ class TestAccessors:
             envconfig.mem_budget_mb()
 
     def test_breaker_knobs(self, monkeypatch):
-        assert envconfig.breaker_threshold() == 5
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "2")
-        assert envconfig.breaker_threshold() == 2
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "0")
-        with pytest.raises(
-            ValueError, match="REPRO_BREAKER_THRESHOLD must be >= 1"
-        ):
-            envconfig.breaker_threshold()
-        assert envconfig.breaker_backoff_s() == 30.0
-        monkeypatch.setenv("REPRO_BREAKER_BACKOFF", "0.1")
-        assert envconfig.breaker_backoff_s() == 0.1
+        """Breaker defaults are module constants, read per call."""
+        from repro.resilience import breaker
 
-    def test_pressure_floors(self, monkeypatch):
-        assert envconfig.disk_min_mb() == 64
-        assert envconfig.shm_min_mb() == 16
-        monkeypatch.setenv("REPRO_DISK_MIN_MB", "0")
-        monkeypatch.setenv("REPRO_SHM_MIN_MB", "0")
-        assert envconfig.disk_min_mb() == 0  # 0 disables the check
-        assert envconfig.shm_min_mb() == 0
-        monkeypatch.setenv("REPRO_DISK_MIN_MB", "-5")
-        with pytest.raises(ValueError, match="REPRO_DISK_MIN_MB"):
-            envconfig.disk_min_mb()
+        b = breaker.CircuitBreaker("test")
+        assert b.threshold == 5
+        assert b.snapshot()["backoff_s"] == 30.0
+        monkeypatch.setattr(breaker, "THRESHOLD", 2)
+        assert b.threshold == 2
+        assert breaker.CircuitBreaker("test", threshold=7).threshold == 7
+
+    def test_pressure_floors(self, monkeypatch, tmp_path):
+        """The disk and /dev/shm floors are constants; 0 disables one."""
+        from repro.perf.cache import ResultCache
+        from repro.resilience import pressure
+
+        assert pressure.DISK_MIN_MB == 64
+        assert pressure.SHM_MIN_MB == 16
+        free = [100 * pressure.MB]
+        monkeypatch.setattr(pressure.shutil, "disk_usage",
+                            lambda path: SimpleNamespace(free=free[0]))
+        cache = ResultCache(tmp_path, enabled=True)
+        monitor = pressure.PressureMonitor()
+        reading = monitor.check(cache)
+        assert reading["cache_disk_min_mb"] == 64
+        assert reading["shm_min_mb"] == 16
+        monkeypatch.setattr(pressure, "DISK_MIN_MB", 0)
+        monkeypatch.setattr(pressure, "SHM_MIN_MB", 0)
+        free[0] = 1 * pressure.MB  # under both default floors
+        reading = monitor.check(cache)
+        assert reading["cache_disk_min_mb"] == 0
+        assert monitor.degradations() == []
+        assert not cache.writes_paused
 
     def test_service_endpoint_knobs(self, monkeypatch, tmp_path):
-        assert envconfig.service_host() == "127.0.0.1"
-        assert envconfig.service_port() == 7733
-        monkeypatch.setenv("REPRO_SERVICE_HOST", "  0.0.0.0  ")
-        monkeypatch.setenv("REPRO_SERVICE_PORT", "0")  # 0 = ephemeral
-        assert envconfig.service_host() == "0.0.0.0"
-        assert envconfig.service_port() == 0
-        monkeypatch.setenv("REPRO_SERVICE_PORT", "-1")
-        with pytest.raises(ValueError, match="REPRO_SERVICE_PORT must be"):
-            envconfig.service_port()
-        monkeypatch.setenv("REPRO_SERVICE_DIR", str(tmp_path / "svc"))
-        assert envconfig.service_dir() == tmp_path / "svc"
+        """``repro serve`` defaults live in the daemon, not the env."""
+        from repro.service.daemon import ServiceDaemon
 
-    def test_service_admission_knobs(self, monkeypatch):
-        assert envconfig.service_queue_max() == 64
-        assert envconfig.service_drain_s() == 30.0
-        assert envconfig.service_retry_after_s() == 2.0
-        monkeypatch.setenv("REPRO_SERVICE_QUEUE_MAX", "0")
-        with pytest.raises(
-            ValueError, match="REPRO_SERVICE_QUEUE_MAX must be >= 1"
-        ):
-            envconfig.service_queue_max()
-        monkeypatch.setenv("REPRO_SERVICE_DRAIN_S", "1.5")
-        assert envconfig.service_drain_s() == 1.5
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        daemon = ServiceDaemon()
+        assert daemon.host == "127.0.0.1"
+        assert daemon.port == 7733
+        assert daemon.service_dir == tmp_path / "service"
+        assert ServiceDaemon(service_dir=tmp_path / "svc").service_dir == (
+            tmp_path / "svc"
+        )
 
-    def test_service_deadline_zero_means_no_ttl(self, monkeypatch):
-        assert envconfig.service_deadline_s() is None
-        monkeypatch.setenv("REPRO_SERVICE_DEADLINE_S", "0")
-        assert envconfig.service_deadline_s() is None
-        monkeypatch.setenv("REPRO_SERVICE_DEADLINE_S", "45")
-        assert envconfig.service_deadline_s() == 45.0
-        monkeypatch.setenv("REPRO_SERVICE_DEADLINE_S", "-3")
-        with pytest.raises(
-            ValueError, match="REPRO_SERVICE_DEADLINE_S must be"
-        ):
-            envconfig.service_deadline_s()
+    def test_service_admission_knobs(self, tmp_path):
+        from repro.service.admission import AdmissionController
+        from repro.service.daemon import ServiceDaemon
+
+        ctrl = AdmissionController()
+        assert ctrl.queue_max == 64
+        assert ctrl.retry_after_s == 2.0
+        with pytest.raises(ValueError, match="queue_max must be >= 1"):
+            AdmissionController(queue_max=0)
+        assert ServiceDaemon(service_dir=tmp_path).drain_s == 30.0
+
+    def test_service_deadline_zero_means_no_ttl(self, tmp_path):
+        from repro.service.daemon import ServiceDaemon
+
+        for deadline_s, ttl in ((None, None), (0, None), (-3, None),
+                                (45, 45)):
+            daemon = ServiceDaemon(service_dir=tmp_path, deadline_s=deadline_s)
+            assert daemon.default_deadline_s == ttl
 
 
 class TestConsumersDelegate:
@@ -234,13 +228,9 @@ class TestConsumersDelegate:
         from repro.perf import engine
 
         monkeypatch.setenv("REPRO_JOBS", "5")
-        monkeypatch.setenv("REPRO_RETRIES", "7")
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "1.5")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.25")
         assert engine.default_jobs() == 5
-        assert engine.default_retries() == 7
         assert engine.default_cell_timeout() == 1.5
-        assert engine.default_backoff() == 0.25
 
     def test_common_delegates(self, monkeypatch):
         from repro.experiments import common
@@ -254,26 +244,45 @@ class TestConsumersDelegate:
         """Every knob's error names the variable with 'must be'."""
         cases = {
             "REPRO_JOBS": envconfig.jobs,
-            "REPRO_RETRIES": envconfig.retries,
             "REPRO_CELL_TIMEOUT": envconfig.cell_timeout,
-            "REPRO_RETRY_BACKOFF": envconfig.retry_backoff,
             "REPRO_TRACE_LEN": envconfig.trace_length,
             "REPRO_CORES": envconfig.core_count,
             "REPRO_KERNEL_BACKEND": envconfig.kernel_backend,
             "REPRO_HEARTBEAT_S": envconfig.heartbeat_s,
             "REPRO_MEM_BUDGET_MB": envconfig.mem_budget_mb,
-            "REPRO_BREAKER_THRESHOLD": envconfig.breaker_threshold,
-            "REPRO_BREAKER_BACKOFF": envconfig.breaker_backoff_s,
-            "REPRO_DISK_MIN_MB": envconfig.disk_min_mb,
-            "REPRO_SHM_MIN_MB": envconfig.shm_min_mb,
-            "REPRO_SERVICE_PORT": envconfig.service_port,
-            "REPRO_SERVICE_QUEUE_MAX": envconfig.service_queue_max,
-            "REPRO_SERVICE_DRAIN_S": envconfig.service_drain_s,
-            "REPRO_SERVICE_DEADLINE_S": envconfig.service_deadline_s,
-            "REPRO_SERVICE_RETRY_AFTER_S": envconfig.service_retry_after_s,
         }
         for name, accessor in cases.items():
             monkeypatch.setenv(name, "garbage")
             with pytest.raises(ValueError, match=f"{name} must be"):
                 accessor()
             monkeypatch.delenv(name)
+
+
+class TestKnobSurface:
+    """The ``REPRO_*`` names the code reads are exactly the documented ones."""
+
+    KNOBS = {
+        "REPRO_JOBS", "REPRO_TRACE_LEN", "REPRO_CORES", "REPRO_CACHE",
+        "REPRO_CACHE_DIR", "REPRO_KERNEL_BACKEND", "REPRO_KERNEL_CC",
+        "REPRO_CELL_TIMEOUT", "REPRO_HEARTBEAT_S", "REPRO_MEM_BUDGET_MB",
+    }
+    NAME = re.compile(r"REPRO_[A-Z_]+")
+
+    def test_src_names_match_both_tables(self):
+        in_src = set()
+        for path in (ROOT / "src").rglob("*.py"):
+            in_src |= set(self.NAME.findall(path.read_text()))
+        in_docstring = {
+            m.group(1)
+            for m in re.finditer(r"^``(REPRO_[A-Z_]+)``", envconfig.__doc__,
+                                 re.MULTILINE)
+        }
+        perf_doc = (ROOT / "docs" / "PERFORMANCE.md").read_text()
+        in_docs = {
+            m.group(1)
+            for m in re.finditer(r"^\| `(REPRO_[A-Z_]+)` \|", perf_doc,
+                                 re.MULTILINE)
+        }
+        assert in_src == self.KNOBS
+        assert in_docstring == self.KNOBS
+        assert in_docs == self.KNOBS

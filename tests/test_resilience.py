@@ -192,7 +192,7 @@ class TestCacheBreaker:
         self, tmp_path, monkeypatch, clean_results
     ):
         specs, expected = clean_results
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "2")
+        monkeypatch.setattr(breaker_mod, "THRESHOLD", 2)
 
         def full_disk(self, key, result):
             raise OSError(errno.ENOSPC, "No space left on device")
@@ -299,7 +299,7 @@ class TestShmBreaker:
         self, tmp_path, monkeypatch, clean_results
     ):
         specs, expected = clean_results
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "1")
+        monkeypatch.setattr(breaker_mod, "THRESHOLD", 1)
 
         def no_segments(*args, **kwargs):
             raise OSError(errno.ENOSPC, "shm full")
@@ -357,8 +357,8 @@ class TestPressure:
     ):
         import types
 
-        monkeypatch.setenv("REPRO_DISK_MIN_MB", "100")
-        monkeypatch.setenv("REPRO_SHM_MIN_MB", "0")
+        monkeypatch.setattr(pressure, "DISK_MIN_MB", 100)
+        monkeypatch.setattr(pressure, "SHM_MIN_MB", 0)
         cache = ResultCache(tmp_path / "c", enabled=True)
         # Seed two entries so eviction has something to chew on.
         for bench in ("stream", "mcf"):
@@ -386,8 +386,8 @@ class TestPressure:
     @pytest.fixture
     def over_budget(self, monkeypatch):
         monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "100")
-        monkeypatch.setenv("REPRO_DISK_MIN_MB", "0")
-        monkeypatch.setenv("REPRO_SHM_MIN_MB", "0")
+        monkeypatch.setattr(pressure, "DISK_MIN_MB", 0)
+        monkeypatch.setattr(pressure, "SHM_MIN_MB", 0)
         monkeypatch.setattr(pressure, "_rss_mb", lambda: 150.0)
 
     def test_rss_over_budget_forces_serial(
@@ -423,8 +423,8 @@ class TestPressure:
 
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no /dev/shm on this host")
-        monkeypatch.setenv("REPRO_SHM_MIN_MB", "100")
-        monkeypatch.setenv("REPRO_DISK_MIN_MB", "0")
+        monkeypatch.setattr(pressure, "SHM_MIN_MB", 100)
+        monkeypatch.setattr(pressure, "DISK_MIN_MB", 0)
         free = [50 * pressure.MB]
         monkeypatch.setattr(
             pressure.shutil, "disk_usage",
@@ -472,8 +472,8 @@ class TestHealthCli:
 
     def test_snapshot_reflects_pressure_degradations(self, monkeypatch):
         monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "100")
-        monkeypatch.setenv("REPRO_DISK_MIN_MB", "0")
-        monkeypatch.setenv("REPRO_SHM_MIN_MB", "0")
+        monkeypatch.setattr(pressure, "DISK_MIN_MB", 0)
+        monkeypatch.setattr(pressure, "SHM_MIN_MB", 0)
         monkeypatch.setattr(pressure, "_rss_mb", lambda: 150.0)
         PRESSURE.check()
         snap = health.snapshot()
@@ -505,8 +505,8 @@ class TestDegradedByteIdentity:
         for name in ("kernel", "cache", "shm"):
             breaker(name).trip("chaos: everything is on fire")
         monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "100")
-        monkeypatch.setenv("REPRO_DISK_MIN_MB", "0")
-        monkeypatch.setenv("REPRO_SHM_MIN_MB", "0")
+        monkeypatch.setattr(pressure, "DISK_MIN_MB", 0)
+        monkeypatch.setattr(pressure, "SHM_MIN_MB", 0)
         monkeypatch.setattr(pressure, "_rss_mb", lambda: 150.0)
         PRESSURE.check()
         runner = CellRunner(jobs=2, cache=ResultCache(tmp_path / "chaos",
