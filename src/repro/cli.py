@@ -132,9 +132,10 @@ def _build_parser() -> argparse.ArgumentParser:
     prof.add_argument(
         "--kernel-backend",
         choices=("auto", "python", "numpy", "compiled"),
-        default="auto",
-        help="bit-kernel backend to profile under (auto: compiled when it "
-        "builds on this host, else python)",
+        default=None,
+        help="bit-kernel backend to profile under (default "
+        "REPRO_KERNEL_BACKEND or auto: compiled when it builds on this "
+        "host, else python)",
     )
 
     serve_p = sub.add_parser(

@@ -18,17 +18,17 @@ and the returned :class:`~repro.mem.controller.WriteOp` applies every
 mutation in ``commit()`` (write cancellation instead calls ``cancel()``,
 which applies only the partial disturbance of the pulses already fired).
 
-Planning works in the **int domain** (512-bit integers, see
-:mod:`repro.pcm.line`): shadow states, masks, and sampling all use Python
-big-integer bitwise ops, which beat 8-word numpy ufuncs by 3-10x on this
-size.  Array form is produced only at the commit boundary.  All RNG draws
+Everything works in the **int domain** (512-bit integers, see
+:mod:`repro.pcm.line`): the array stores each touched line as ints, and
+shadow states, masks, and sampling all use Python big-integer bitwise
+ops, which beat 8-word numpy ufuncs by 3-10x on this size.  All RNG draws
 happen in the same order and with the same counts as the original
-array-domain implementation, so results are bit-identical.
+array-domain implementation, so results are bit-identical.  Line keys
+are :class:`~repro.pcm.array.LineAddress` tuples ``(bank, row, line)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -69,12 +69,6 @@ MAX_CASCADE_DEPTH = 8
 NOVEL_ENTRY_BITS = 10
 REPEAT_ENTRY_BITS = 0
 
-_LINE_BYTES = LINE_BITS // 8
-
-
-def _key(addr: LineAddress) -> Key:
-    return (addr.bank, addr.row, addr.line)
-
 
 class _Shadow:
     """Copy-on-write planning state for one line (int-domain masks)."""
@@ -91,30 +85,37 @@ class _Shadow:
         return self.stored | self.disturbed
 
 
-@dataclass
 class _Plan:
     """Everything one composite write op will do."""
 
-    latency: int = 0
-    #: Shadow line states to write back on commit.
-    shadows: Dict[Key, _Shadow] = field(default_factory=dict)
-    #: flags value for the written line.
-    written_flags: int = 0
-    written_key: Optional[Key] = None
-    #: ECP mutations: key -> (clear_wd, [fresh wd positions])
-    ecp_clears: Set[Key] = field(default_factory=set)
-    ecp_records: Dict[Key, List[int]] = field(default_factory=dict)
-    #: Deferred counter increments, merged per attribute.
-    counts: Dict[str, int] = field(default_factory=dict)
-    adjacent_notes: List[int] = field(default_factory=list)
-    wordline_note: int = 0
-    #: uncovered-mask resolution: keys whose pending uncovered bits were
-    #: detected and handled by this op.
-    uncovered_resolved: Set[Key] = field(default_factory=set)
-    #: First-level injections (victim addr, sampled int mask) for cancel().
-    injections: List[Tuple[LineAddress, int]] = field(default_factory=list)
-    #: Demand-write cell changes (wear + partial-cancel accounting).
-    demand_cell_writes: int = 0
+    __slots__ = (
+        "latency", "shadows", "written_flags", "written_key", "ecp_clears",
+        "ecp_records", "counts", "adjacent_notes", "wordline_note",
+        "uncovered_resolved", "injections", "demand_cell_writes",
+    )
+
+    def __init__(self) -> None:
+        self.latency = 0
+        #: Shadow line states to write back on commit.
+        self.shadows: Dict[Key, _Shadow] = {}
+        #: flags value for the written line.
+        self.written_flags = 0
+        self.written_key: Optional[Key] = None
+        #: ECP mutations: lines whose WD entries clear, and fresh WD
+        #: positions to record per line.
+        self.ecp_clears: Set[Key] = set()
+        self.ecp_records: Dict[Key, List[int]] = {}
+        #: Deferred counter increments, merged per attribute.
+        self.counts: Dict[str, int] = {}
+        self.adjacent_notes: List[int] = []
+        self.wordline_note = 0
+        #: uncovered-mask resolution: keys whose pending uncovered bits
+        #: were detected and handled by this op.
+        self.uncovered_resolved: Set[Key] = set()
+        #: First-level injections (victim addr, sampled int mask) for cancel().
+        self.injections: List[Tuple[LineAddress, int]] = []
+        #: Demand-write cell changes (wear + partial-cancel accounting).
+        self.demand_cell_writes = 0
 
     def bump(self, attr: str, delta: int = 1) -> None:
         counts = self.counts
@@ -192,10 +193,8 @@ class VnCExecutor:
         return slots
 
     def capture_baseline(self, slot: PrereadSlot) -> None:
-        """PreRead completion: snapshot the victim's pre-write state."""
-        key = _key(slot.addr)
-        slot.baseline = self.array.disturbed_mask(slot.addr).copy()
-        slot.epoch = self.epochs.get(key, 0)
+        """PreRead completion: record the victim's write epoch."""
+        slot.epoch = self.epochs.get(slot.addr, 0)
 
     def execute(self, entry: WriteEntry, now: int) -> WriteOp:
         plan = self._plan(entry)
@@ -221,8 +220,7 @@ class VnCExecutor:
     FLIP_REUSE_PROB = 0.8
 
     def _flip_mask(self, entry: WriteEntry) -> int:
-        key = _key(entry.addr)
-        pool = self._flip_pools.setdefault(key, [])
+        pool = self._flip_pools.setdefault(entry.addr, [])
         if pool and (
             len(pool) >= self.FLIP_POOL_SIZE
             or self.rng.random() < self.FLIP_REUSE_PROB
@@ -285,18 +283,10 @@ class VnCExecutor:
         return mask
 
     def _shadow(self, plan: _Plan, addr: LineAddress) -> _Shadow:
-        key = _key(addr)
-        shadow = plan.shadows.get(key)
+        shadow = plan.shadows.get(addr)
         if shadow is None:
-            state = self.array.row_state(addr.bank, addr.row)
-            line = addr.line
-            shadow = _Shadow(
-                stored=int.from_bytes(state.stored[line].tobytes(), "little"),
-                disturbed=int.from_bytes(
-                    state.disturbed[line].tobytes(), "little"
-                ),
-            )
-            plan.shadows[key] = shadow
+            shadow = _Shadow(*self.array.line_ints(addr))
+            plan.shadows[addr] = shadow
         return shadow
 
     def _ecp_line(self, key: Key):
@@ -355,7 +345,6 @@ class VnCExecutor:
         plan = _Plan()
         scheme = self.scheme
         addr = entry.addr
-        key = _key(addr)
         backend = self.kernels
 
         # ---- the data write itself ---------------------------------------
@@ -371,7 +360,7 @@ class VnCExecutor:
         wplan = plan_write_int(physical_old, stored_new, self.timing)
         plan.latency += wplan.latency_cycles
         plan.demand_cell_writes = wplan.changed_bits
-        plan.written_key = key
+        plan.written_key = addr
         plan.written_flags = flags
         plan.bump("data_cell_writes_demand", wplan.changed_bits)
         plan.bump("ecp_cell_writes_background", wplan.changed_bits)
@@ -398,25 +387,25 @@ class VnCExecutor:
         shadow.stored = stored_new
         shadow.disturbed = 0
         shadow.write_back = True
-        if key in self.uncovered:
-            plan.uncovered_resolved.add(key)
+        if addr in self.uncovered:
+            plan.uncovered_resolved.add(addr)
         # A demand write makes the line's buffered WD corrections stale:
         # the rewrite physically repairs every deviating cell ("a normal
         # write operation clears the accumulated WD errors in ECP").
-        existing_ecp = self.ecp.peek(key)
+        existing_ecp = self.ecp.peek(addr)
         if existing_ecp is not None and existing_ecp.wd_count:
             plan.bump("ecp_cleared_by_write", existing_ecp.wd_count)
-            plan.ecp_clears.add(key)
+            plan.ecp_clears.add(addr)
 
         # ---- stuck-at faults on the written line ---------------------------
         if self.fault_plan is not None:
-            stuck = self.fault_plan.stuck_profile(key)
+            stuck = self.fault_plan.stuck_profile(addr)
             if stuck.mask:
                 # Materialise the line's ECP cover (and the exhaustion
                 # fallback) on first touch, then charge the bits no entry
                 # covers and whose frozen value disagrees with this write.
-                self._ecp_line(key)
-                uncovered = self._stuck_uncovered.get(key, 0)
+                self._ecp_line(addr)
+                uncovered = self._stuck_uncovered.get(addr, 0)
                 wrong = L.stuck_error_mask_int(
                     stored_new, stuck.mask, stuck.values
                 ) & uncovered
@@ -430,10 +419,9 @@ class VnCExecutor:
         victims: List[LineAddress] = []
         for slot in entry.slots:
             victims.append(slot.addr)
-            vkey = _key(slot.addr)
             if slot.forwarded:
                 pass  # satisfied from the write queue, no array access
-            elif slot.done and slot.epoch == self.epochs.get(vkey, 0):
+            elif slot.done and slot.epoch == self.epochs.get(slot.addr, 0):
                 plan.bump("preread_hits")
             elif slot.done:
                 plan.bump("preread_stale")
@@ -455,10 +443,10 @@ class VnCExecutor:
         for vaddr in injection_targets:
             vshadow = self._shadow(plan, vaddr)
             vulnerable = wplan.reset_mask & (vshadow.physical ^ L.MASK_ALL)
-            stuck = self._invulnerable_int(_key(vaddr))
+            stuck = self._invulnerable_int(vaddr)
             if stuck:
                 vulnerable &= stuck ^ L.MASK_ALL
-            weak = vulnerable & self._weak_mask(_key(vaddr))
+            weak = vulnerable & self._weak_mask(vaddr)
             drift = 0
             if self.fault_plan is not None:
                 # Resistance drift: any idle amorphous (non-stuck) cell can
@@ -468,7 +456,7 @@ class VnCExecutor:
                 candidates = (vshadow.physical ^ L.MASK_ALL) & (
                     stuck ^ L.MASK_ALL
                 )
-                drift = self.fault_plan.drift_mask(_key(vaddr), candidates)
+                drift = self.fault_plan.drift_mask(vaddr, candidates)
             staged.append((vaddr, vshadow, vulnerable, weak, drift))
         sampled_masks = backend.sample_masks_int(
             [weak for _, _, _, weak, _ in staged],
@@ -490,19 +478,17 @@ class VnCExecutor:
             vshadow.write_back = True
             plan.injections.append((vaddr, sampled))
             if scheme.vnc:
-                vkey = _key(vaddr)
-                pending = self.uncovered.get(vkey)
+                pending = self.uncovered.get(vaddr)
                 if pending is not None:
                     sampled |= pending & vshadow.disturbed
-                    plan.uncovered_resolved.add(vkey)
+                    plan.uncovered_resolved.add(vaddr)
                 detected.append((vaddr, sampled))
 
         if not scheme.vnc:
             # Unprotected super dense PCM: disturbance lands undetected.
             for vaddr, sampled in plan.injections:
                 if sampled:
-                    vkey = _key(vaddr)
-                    self.uncovered[vkey] = self.uncovered.get(vkey, 0) | sampled
+                    self.uncovered[vaddr] = self.uncovered.get(vaddr, 0) | sampled
             return plan
 
         # ---- verification ---------------------------------------------------
@@ -528,20 +514,17 @@ class VnCExecutor:
         if not new_mask:
             return
         new_positions = self.kernels.bit_positions_int(new_mask)
-        vkey = _key(vaddr)
-        ecp_line = self._ecp_line(vkey)
-        planned_wd = plan.ecp_records.setdefault(vkey, [])
-        if vkey in plan.ecp_clears:
-            already = set(planned_wd)
-        else:
-            already = {e.position for e in ecp_line.entries} | set(planned_wd)
-        fresh = [p for p in new_positions if p not in already]
+        ecp_line = self._ecp_line(vaddr)
+        planned_wd = plan.ecp_records.setdefault(vaddr, [])
+        cleared = vaddr in plan.ecp_clears
+        fresh = new_positions if cleared else ecp_line.uncovered(new_positions)
+        if planned_wd:
+            planned = set(planned_wd)
+            fresh = [p for p in fresh if p not in planned]
 
         if self.scheme.lazy_correction:
-            occupied = (
-                len(planned_wd) + ecp_line.hard_count
-                if vkey in plan.ecp_clears
-                else ecp_line.occupied + len(planned_wd)
+            occupied = len(planned_wd) + (
+                ecp_line.hard_count if cleared else ecp_line.occupied
             )
             if occupied + len(fresh) <= ecp_line.capacity:
                 planned_wd.extend(fresh)
@@ -573,10 +556,10 @@ class VnCExecutor:
         plan.bump("corrections" if depth == 0 else "cascade_corrections")
         vshadow.disturbed = 0
         vshadow.write_back = True
-        plan.ecp_clears.add(vkey)
-        plan.ecp_records[vkey] = []
-        if vkey in self.uncovered:
-            plan.uncovered_resolved.add(vkey)
+        plan.ecp_clears.add(vaddr)
+        plan.ecp_records[vaddr] = []
+        if vaddr in self.uncovered:
+            plan.uncovered_resolved.add(vaddr)
 
         # Cascade: the correction's RESET pulses disturb vaddr's neighbours.
         # At realistic disturbance rates the cascade decays geometrically
@@ -601,10 +584,10 @@ class VnCExecutor:
         for waddr in neighbours:
             wshadow = self._shadow(plan, waddr)
             vulnerable = corr_mask & (wshadow.physical ^ L.MASK_ALL)
-            stuck = self._invulnerable_int(_key(waddr))
+            stuck = self._invulnerable_int(waddr)
             if stuck:
                 vulnerable &= stuck ^ L.MASK_ALL
-            weak = vulnerable & self._weak_mask(_key(waddr))
+            weak = vulnerable & self._weak_mask(waddr)
             sampled = self.kernels.sample_mask_int(
                 weak, self.disturbance.p_bitline_weak, self.rng
             )
@@ -618,23 +601,16 @@ class VnCExecutor:
     # -- commit / cancel -----------------------------------------------------------
 
     def _commit(self, entry: WriteEntry, plan: _Plan) -> None:
-        array = self.array
-        # Line states (int shadows back to the (8,) uint64 row arrays).
-        for key, shadow in plan.shadows.items():
-            if not shadow.write_back:
-                continue
-            bank, row, line = key
-            state = array.row_state(bank, row)
-            state.stored[line] = np.frombuffer(
-                shadow.stored.to_bytes(_LINE_BYTES, "little"), L.WORD_DTYPE
-            )
-            state.disturbed[line] = np.frombuffer(
-                shadow.disturbed.to_bytes(_LINE_BYTES, "little"), L.WORD_DTYPE
-            )
-            if key == plan.written_key:
-                state.flags[line] = np.uint64(plan.written_flags)
-        # ECP state.
+        commit_line = self.array.commit_line
         wkey = plan.written_key
+        # Line states.
+        for key, shadow in plan.shadows.items():
+            if shadow.write_back:
+                commit_line(
+                    key, shadow.stored, shadow.disturbed,
+                    plan.written_flags if key == wkey else None,
+                )
+        # ECP state.
         for key in plan.ecp_clears:
             line = self.ecp.peek(key)
             if line is not None:
@@ -679,13 +655,10 @@ class VnCExecutor:
             return
         for vaddr, sampled in plan.injections:
             partial = self.kernels.sample_mask_int(sampled, progress, self.rng)
-            applied = self.array.disturb(vaddr, L.from_int(partial))
+            applied = self.array.disturb_int(vaddr, partial)
             if applied:
-                vkey = _key(vaddr)
-                merged = self.uncovered.get(vkey, 0) | partial
-                self.uncovered[vkey] = merged & L.to_int(
-                    self.array.disturbed_mask(vaddr)
-                )
+                merged = self.uncovered.get(vaddr, 0) | partial
+                self.uncovered[vaddr] = merged & self.array.disturbed_int(vaddr)
                 self.counters.partial_write_errors += applied
         burned = int(progress * plan.demand_cell_writes)
         self.counters.data_cell_writes_demand += burned

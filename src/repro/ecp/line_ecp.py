@@ -72,6 +72,11 @@ class ECPLine:
         out += [ECPEntry(p, v, EntryKind.WD) for p, v in sorted(self._wd.items())]
         return out
 
+    def uncovered(self, positions: List[int]) -> List[int]:
+        """The ``positions`` no entry holds yet, in their given order."""
+        hard, wd = self._hard, self._wd
+        return [p for p in positions if p not in hard and p not in wd]
+
     # -- hard errors ---------------------------------------------------------
 
     def add_hard_error(self, position: int, value: int) -> int:

@@ -8,13 +8,9 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .request import PrereadSlot, Request, RequestKind, WriteEntry
 
-#: (bank, row, line) — the unit the write-queue line index is keyed by.
+#: (bank, row, line) — the unit the write-queue line index is keyed by
+#: (a :class:`~repro.pcm.array.LineAddress` is one).
 LineKey = Tuple[int, int, int]
-
-
-def _line_key(entry: WriteEntry) -> LineKey:
-    addr = entry.addr
-    return (addr.bank, addr.row, addr.line)
 
 
 @dataclass
@@ -107,7 +103,7 @@ class BankState:
         """Enqueue a new write at the back of the queue."""
         self.write_q.append(entry)
         entry.in_write_q = True
-        self.wq_index.setdefault(_line_key(entry), []).append(entry)
+        self.wq_index.setdefault(entry.addr, []).append(entry)
         if entry.pending_preread() is not None:
             self._cursor_add(entry, front=False)
 
@@ -115,7 +111,7 @@ class BankState:
         """Re-insert a paused/cancelled write at the front of the queue."""
         self.write_q.appendleft(entry)
         entry.in_write_q = True
-        self.wq_index.setdefault(_line_key(entry), []).insert(0, entry)
+        self.wq_index.setdefault(entry.addr, []).insert(0, entry)
         if entry.pending_preread() is not None:
             self._cursor_add(entry, front=True)
 
@@ -123,7 +119,7 @@ class BankState:
         """Dequeue the oldest write for execution."""
         entry = self.write_q.popleft()
         entry.in_write_q = False
-        key = _line_key(entry)
+        key = entry.addr
         entries = self.wq_index[key]
         for i, candidate in enumerate(entries):
             if candidate is entry:

@@ -78,7 +78,7 @@ class WriteExecutor(Protocol):
         ...
 
     def capture_baseline(self, slot: PrereadSlot) -> None:
-        """Snapshot the victim line's pre-write state into a PreRead slot."""
+        """Record the victim line's write epoch into a completed PreRead slot."""
         ...
 
 
@@ -121,8 +121,7 @@ class MemoryController:
         """
         bank = self.banks[request.addr.bank]
         self.counters.demand_reads += 1
-        key = (request.addr.bank, request.addr.row, request.addr.line)
-        if bank.find_write(key) is not None:
+        if bank.find_write(request.addr) is not None:
             # Read-around-write: newest data is still in the write queue.
             self.counters.wq_forwarded_reads += 1
             self.scheduler.schedule(
@@ -178,8 +177,7 @@ class MemoryController:
         """Section 4.3: if an adjacent line's newest data is still queued,
         the pre-read is satisfied by forwarding, not by an array read."""
         for slot in entry.slots:
-            key = (slot.addr.bank, slot.addr.row, slot.addr.line)
-            if bank.find_write(key) is not None:
+            if bank.find_write(slot.addr) is not None:
                 slot.done = True
                 slot.forwarded = True
                 self.counters.preread_forwards += 1

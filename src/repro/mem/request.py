@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-import numpy as np
-
 from ..pcm.array import LineAddress
 
 
@@ -43,15 +41,12 @@ class PrereadSlot:
     """PreRead bookkeeping for one adjacent line of a write-queue entry.
 
     Mirrors the Figure 8 hardware: one flag bit plus one 64 B data buffer.
-    In the simulator the "data buffer" is the verification baseline — a
-    snapshot of the victim line's disturbed-cell mask and its write epoch,
-    from which the pre-read data is reconstructible.
+    The simulator needs only the buffer's freshness: the victim line's
+    write epoch when the pre-read completed (its data is the array's).
     """
 
     addr: LineAddress
     done: bool = False
-    #: Snapshot of the victim's disturbed mask when the pre-read completed.
-    baseline: Optional[np.ndarray] = None
     #: The victim line's write-epoch at snapshot time; a mismatch at verify
     #: time means an intervening demand write made the buffer stale.
     epoch: int = -1

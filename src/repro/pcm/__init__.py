@@ -23,7 +23,7 @@ from .geometry import (
     capacity_for_equal_array_area,
 )
 from .scaling import NodeProfile, ScalingModel
-from .array import LineAddress, PCMArray, RowState
+from .array import LineAddress, PCMArray
 from .thermal import Medium, ThermalModel, default_thermal_model
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "ScalingModel",
     "LineAddress",
     "PCMArray",
-    "RowState",
     "Medium",
     "ThermalModel",
     "default_thermal_model",

@@ -2,22 +2,29 @@
 
 The array is organised as ``banks x rows x 64 lines x 512 cells`` (Figure 6:
 one device row holds one 4 KB OS page, split into 64-byte lines; each line's
-eight 64-bit words live in the eight data chips).  Rows are materialised
-lazily and deterministically — an untouched row is initialised with seeded
-random contents the first time anything (a write, a verification read, a
-disturbance) touches it, so simulations are reproducible without allocating
-the full 8 GB.
+eight 64-bit words live in the eight data chips).  Contents are materialised
+lazily and deterministically — an untouched row reads as the seeded random
+pristine image the state plane pools for it (one shared, immutable 4 KB
+``bytes`` object per ``(seed, bank, row)``), so simulations are
+reproducible without allocating the full 8 GB.
 
-Per line the array tracks:
+Line state lives in the **int domain** (a 512-bit Python int per line, bit
+``i`` = cell ``i``; see :mod:`repro.pcm.line`).  A line becomes an int the
+first time anything touches it, and per touched line the array tracks:
 
 * ``stored``   — the *correct* stored-domain image (post-DIN encoding),
 * ``flags``    — the line's DIN per-byte inversion flags (WD-free metadata),
 * ``disturbed``— mask of cells whose physical state currently deviates from
-  ``stored`` due to uncorrected write disturbance.
+  ``stored`` due to uncorrected write disturbance (kept only while non-zero).
 
 The physical contents of a line are ``stored | disturbed`` — disturbance
 only ever flips amorphous ``0`` cells to ``1`` (partial crystallisation), so
 ``stored & disturbed == 0`` is a core invariant, checked in debug helpers.
+
+:mod:`repro.core.vnc` reads and writes the ints directly
+(:meth:`PCMArray.line_ints`, :meth:`PCMArray.commit_line`); the numpy line
+API (``stored_line``, ``disturbed_mask``, ``physical_line``, ``set_line``,
+``disturb``, ``correct``) converts to and from ``(8,)`` uint64 arrays.
 
 uTrench adjacency (Section 2.2): the bit-line neighbours of line ``l`` of
 row ``r`` are line ``l`` of rows ``r - 1`` and ``r + 1`` in the same bank.
@@ -25,33 +32,19 @@ row ``r`` are line ``l`` of rows ``r - 1`` and ``r + 1`` in the same bank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..config import LINES_PER_PAGE, LINE_WORDS
+from ..config import LINE_BYTES, LINES_PER_PAGE
 from ..errors import DeviceError
 from . import line as L
 from . import stateplane
 
-Coord = Tuple[int, int, int]  # (bank, row, line)
 
-
-class RowState:
-    """Materialised contents of one device row (64 lines)."""
-
-    __slots__ = ("stored", "flags", "disturbed")
-
-    def __init__(self, stored: np.ndarray, flags: np.ndarray, disturbed: np.ndarray):
-        self.stored = stored        # (64, 8) uint64
-        self.flags = flags          # (64,)  uint64
-        self.disturbed = disturbed  # (64, 8) uint64
-
-
-@dataclass(frozen=True)
-class LineAddress:
-    """A fully resolved device line coordinate."""
+class LineAddress(NamedTuple):
+    """A fully resolved device line coordinate; also its ``(bank, row,
+    line)`` dict key."""
 
     bank: int
     row: int
@@ -66,6 +59,9 @@ class LineAddress:
         return LineAddress(self.bank, row, self.line)
 
 
+Coord = Tuple[int, int, int]  # (bank, row, line); a LineAddress is one
+
+
 class PCMArray:
     """Lazily materialised, deterministic PCM cell array."""
 
@@ -75,9 +71,13 @@ class PCMArray:
         self.banks = banks
         self.rows_per_bank = rows_per_bank
         self._seed = seed
-        self._rows: Dict[Tuple[int, int], RowState] = {}
+        #: Pristine images of the rows touched so far (pooled, never copied).
+        self._pristine: Dict[Tuple[int, int], bytes] = {}
+        self._stored: Dict[Coord, int] = {}
+        self._disturbed: Dict[Coord, int] = {}
+        self._flags: Dict[Coord, int] = {}
 
-    # -- row materialisation -------------------------------------------------
+    # -- materialisation -----------------------------------------------------
 
     def _check(self, bank: int, row: int, line: int = 0) -> None:
         if not 0 <= bank < self.banks:
@@ -87,54 +87,98 @@ class PCMArray:
         if not 0 <= line < LINES_PER_PAGE:
             raise DeviceError(f"line {line} out of range 0..{LINES_PER_PAGE - 1}")
 
-    def row_state(self, bank: int, row: int) -> RowState:
-        """Fetch (materialising if needed) one row's state.
+    def _materialise(self, key: Coord) -> int:
+        """First touch of a line: validate it and read its pristine image.
 
-        Bounds are validated on the materialisation miss path only: a key
-        already present in ``_rows`` was validated when first materialised,
-        so the hit path is a plain dict probe.
+        The image is a pure function of ``(seed, bank, row)``; the state
+        plane generates it once per process and every array sharing the
+        key slices the same immutable bytes.
         """
-        key = (bank, row)
-        state = self._rows.get(key)
-        if state is None:
-            self._check(bank, row)
-            # The pristine image is a pure function of (seed, bank, row);
-            # the process-wide state plane generates it once and every
-            # array sharing the key copies the pooled bytes (rows are
-            # mutated by commits, so the pooled original stays read-only).
-            stored = stateplane.PLANE.pristine_row(self._seed, bank, row).copy()
-            flags = np.zeros(LINES_PER_PAGE, dtype=L.WORD_DTYPE)
-            disturbed = np.zeros((LINES_PER_PAGE, LINE_WORDS), dtype=L.WORD_DTYPE)
-            state = RowState(stored, flags, disturbed)
-            self._rows[key] = state
-        return state
+        bank, row, line = key
+        self._check(bank, row, line)
+        image = self._pristine.get((bank, row))
+        if image is None:
+            image = stateplane.PLANE.pristine_row(self._seed, bank, row)
+            self._pristine[(bank, row)] = image
+        start = line * LINE_BYTES
+        stored = int.from_bytes(image[start:start + LINE_BYTES], "little")
+        self._stored[key] = stored
+        return stored
 
     def is_materialised(self, bank: int, row: int) -> bool:
-        return (bank, row) in self._rows
+        return (bank, row) in self._pristine
 
     @property
     def materialised_rows(self) -> int:
-        return len(self._rows)
+        return len(self._pristine)
 
-    # -- line access ---------------------------------------------------------
+    # -- int-domain line state -----------------------------------------------
+
+    def stored_int(self, key: Coord) -> int:
+        """The correct stored-domain image of a line."""
+        stored = self._stored.get(key)
+        if stored is None:
+            stored = self._materialise(key)
+        return stored
+
+    def line_ints(self, key: Coord) -> Tuple[int, int]:
+        """``(stored, disturbed)`` of a line."""
+        return self.stored_int(key), self._disturbed.get(key, 0)
+
+    def disturbed_int(self, key: Coord) -> int:
+        """Outstanding WD flips of a line."""
+        self.stored_int(key)
+        return self._disturbed.get(key, 0)
+
+    def _set_disturbed(self, key: Coord, disturbed: int) -> None:
+        if disturbed:
+            self._disturbed[key] = disturbed
+        else:
+            self._disturbed.pop(key, None)
+
+    def commit_line(
+        self, key: Coord, stored: int, disturbed: int, flags: Optional[int] = None
+    ) -> None:
+        """Install a line's planned state (``flags`` only when rewritten)."""
+        self._stored[key] = stored
+        self._set_disturbed(key, disturbed)
+        if flags is not None:
+            self._flags[key] = flags
+
+    def disturb_int(self, key: Coord, mask: int) -> int:
+        """Apply WD flips to a line; returns the number of *new* flips.
+
+        Only cells storing 0 can be disturbed; the caller supplies a mask
+        already restricted to vulnerable cells, but the array re-masks
+        defensively to preserve the ``stored & disturbed == 0`` invariant.
+        """
+        current = self.disturbed_int(key)
+        legal = mask & ~self._stored[key]
+        self._set_disturbed(key, current | legal)
+        return (legal & ~current).bit_count()
+
+    def disturbed_lines(self) -> Iterator[Tuple[LineAddress, int, int]]:
+        """``(addr, stored, disturbed)`` of every line with outstanding flips."""
+        for key, disturbed in self._disturbed.items():
+            yield LineAddress(*key), self._stored[key], disturbed
+
+    # -- numpy line API --------------------------------------------------------
 
     def stored_line(self, addr: LineAddress) -> np.ndarray:
-        """The correct stored-domain image of a line (mutable view)."""
-        self._check(addr.bank, addr.row, addr.line)
-        return self.row_state(addr.bank, addr.row).stored[addr.line]
+        """The correct stored-domain image of a line (a copy)."""
+        return L.from_int(self.stored_int(addr))
 
     def disturbed_mask(self, addr: LineAddress) -> np.ndarray:
-        """Outstanding WD flips of a line (mutable view)."""
-        self._check(addr.bank, addr.row, addr.line)
-        return self.row_state(addr.bank, addr.row).disturbed[addr.line]
+        """Outstanding WD flips of a line (a copy)."""
+        return L.from_int(self.disturbed_int(addr))
 
     def physical_line(self, addr: LineAddress) -> np.ndarray:
         """What a raw array read returns: stored image plus WD flips."""
-        state = self.row_state(addr.bank, addr.row)
-        return state.stored[addr.line] | state.disturbed[addr.line]
+        stored, disturbed = self.line_ints(addr)
+        return L.from_int(stored | disturbed)
 
     def line_flags(self, addr: LineAddress) -> int:
-        return int(self.row_state(addr.bank, addr.row).flags[addr.line])
+        return self._flags.get(addr, 0)
 
     def set_line(self, addr: LineAddress, stored: np.ndarray, flags: int) -> None:
         """Commit a write: install the stored image and clear WD flips.
@@ -143,23 +187,12 @@ class PCMArray:
         from the new image, so after a demand write the line's physical and
         stored contents coincide.
         """
-        state = self.row_state(addr.bank, addr.row)
-        state.stored[addr.line] = stored
-        state.flags[addr.line] = np.uint64(flags)
-        state.disturbed[addr.line] = 0
+        self.stored_int(addr)
+        self.commit_line(addr, L.to_int(stored), 0, int(flags))
 
     def disturb(self, addr: LineAddress, mask: np.ndarray) -> int:
-        """Apply WD flips to a line; returns the number of *new* flips.
-
-        Only cells storing 0 can be disturbed; the caller supplies a mask
-        already restricted to vulnerable cells, but the array re-masks
-        defensively to preserve the ``stored & disturbed == 0`` invariant.
-        """
-        state = self.row_state(addr.bank, addr.row)
-        legal = mask & ~state.stored[addr.line]
-        new = legal & ~state.disturbed[addr.line]
-        state.disturbed[addr.line] |= legal
-        return L.popcount(new)
+        """Array-form :meth:`disturb_int`."""
+        return self.disturb_int(addr, L.to_int(mask))
 
     def correct(self, addr: LineAddress, mask: Optional[np.ndarray] = None) -> int:
         """RESET disturbed cells back to their stored value.
@@ -167,18 +200,15 @@ class PCMArray:
         With ``mask=None`` all outstanding flips are corrected.  Returns the
         number of cells corrected (the RESET count of the correction write).
         """
-        state = self.row_state(addr.bank, addr.row)
-        current = state.disturbed[addr.line]
-        target = current if mask is None else (current & mask)
-        cleared = L.popcount(target)
-        state.disturbed[addr.line] = current & ~target
-        return cleared
+        current = self.disturbed_int(addr)
+        target = current if mask is None else current & L.to_int(mask)
+        self._set_disturbed(addr, current ^ target)
+        return target.bit_count()
 
     def check_invariants(self, addr: LineAddress) -> None:
         """Raise if the line violates ``stored & disturbed == 0``."""
-        state = self.row_state(addr.bank, addr.row)
-        overlap = state.stored[addr.line] & state.disturbed[addr.line]
-        if L.popcount(overlap):
+        stored, disturbed = self.line_ints(addr)
+        if stored & disturbed:
             raise DeviceError(f"disturbed crystalline cell at {addr}")
 
     # -- adjacency -----------------------------------------------------------

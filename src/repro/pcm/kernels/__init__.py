@@ -5,7 +5,8 @@ implementations (see :mod:`.base` for the contract):
 
 >>> from repro.pcm.kernels import activate, active
 >>> activate("compiled")        # force a backend for this process
->>> active().popcount_rows(rows)
+>>> active().bit_positions_int(0b1010)
+[1, 3]
 
 ``active()`` defaults to the pure-Python reference backend; the
 execution layer (:mod:`repro.perf.engine`) activates its per-batch

@@ -17,7 +17,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define SD_ABI_VERSION 3
+#define SD_ABI_VERSION 4
 
 /* Loader probe: the Python side checks the ABI before trusting the lib. */
 int sd_abi_version(void) { return SD_ABI_VERSION; }
@@ -74,28 +74,6 @@ void sd_din_encode(const uint8_t *oldb, const uint8_t *rawb,
     }
 }
 
-/* DIN decode: XOR 0xFF into every byte whose flag bit is set. */
-void sd_din_decode(const uint8_t *stored, const uint8_t *flags,
-                   int n_rows, int row_bytes, uint8_t *out) {
-    for (int r = 0; r < n_rows; ++r) {
-        const uint8_t *s = stored + (size_t)r * row_bytes;
-        const uint8_t *fl = flags + (size_t)r * (row_bytes / 8);
-        uint8_t *o = out + (size_t)r * row_bytes;
-        for (int i = 0; i < row_bytes; ++i) {
-            o[i] = (uint8_t)(s[i] ^ (((fl[i >> 3] >> (i & 7)) & 1) ? 0xFF : 0x00));
-        }
-    }
-}
-
-/* Little-endian bit packing of a 0/1 byte vector (np.packbits
- * bitorder="little" over n bits; out must hold (n+7)/8 bytes). */
-void sd_pack_bits(const uint8_t *bits, int n, uint8_t *out) {
-    memset(out, 0, (size_t)((n + 7) / 8));
-    for (int i = 0; i < n; ++i) {
-        if (bits[i]) out[i >> 3] |= (uint8_t)(1u << (i & 7));
-    }
-}
-
 /* Threshold-pack: bit i set iff draws[i] < p (the flip/weak-mask
  * recipe `rng.random(n) < p` fused with the pack). */
 void sd_pack_less_than(const double *draws, int n, double p, uint8_t *out) {
@@ -117,4 +95,94 @@ int sd_bit_positions(const uint8_t *buf, int nbytes, int32_t *out) {
         }
     }
     return k;
+}
+
+/* ---- seeded generation -------------------------------------------------
+ *
+ * Bit-exact numpy.random.default_rng(entropy): SeedSequence with the
+ * default pool of four 32-bit words seeds a PCG64 (128-bit LCG, XSL-RR
+ * output).  `entropy` is the key already coerced to 32-bit words the way
+ * numpy coerces it (see compiled_backend._entropy).  Needs a compiler
+ * with unsigned __int128 (GCC and Clang both have it). */
+
+typedef unsigned __int128 u128;
+
+#define SS_POOL 4
+#define SS_INIT_A 0x43b0d7e5u
+#define SS_MULT_A 0x931e8875u
+#define SS_INIT_B 0x8b51f9ddu
+#define SS_MULT_B 0x58f38dedu
+#define SS_MIX_L 0xca01f9ddu
+#define SS_MIX_R 0x4973f715u
+
+static inline uint32_t ss_hashmix(uint32_t value, uint32_t *hash_const) {
+    value ^= *hash_const;
+    *hash_const *= SS_MULT_A;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+static inline uint32_t ss_mix(uint32_t x, uint32_t y) {
+    uint32_t r = SS_MIX_L * x - SS_MIX_R * y;
+    return r ^ (r >> 16);
+}
+
+typedef struct { u128 state, inc; } pcg64_t;
+
+#define PCG_MULT (((u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
+
+static inline uint64_t pcg64_next(pcg64_t *rng) {
+    rng->state = rng->state * PCG_MULT + rng->inc;
+    const uint64_t x = (uint64_t)(rng->state >> 64) ^ (uint64_t)rng->state;
+    const unsigned rot = (unsigned)(rng->state >> 122);
+    return (x >> rot) | (x << ((64u - rot) & 63u));
+}
+
+static void pcg64_seed(pcg64_t *rng, const uint32_t *entropy, int n) {
+    uint32_t pool[SS_POOL];
+    uint32_t hc = SS_INIT_A;
+    for (int i = 0; i < SS_POOL; ++i)
+        pool[i] = ss_hashmix(i < n ? entropy[i] : 0u, &hc);
+    for (int s = 0; s < SS_POOL; ++s)
+        for (int d = 0; d < SS_POOL; ++d)
+            if (s != d) pool[d] = ss_mix(pool[d], ss_hashmix(pool[s], &hc));
+    for (int s = SS_POOL; s < n; ++s)  /* entropy longer than the pool */
+        for (int d = 0; d < SS_POOL; ++d)
+            pool[d] = ss_mix(pool[d], ss_hashmix(entropy[s], &hc));
+    /* generate_state(4, uint64): eight words cycling over the pool. */
+    uint64_t words[4] = {0, 0, 0, 0};
+    uint32_t hb = SS_INIT_B;
+    for (int i = 0; i < 8; ++i) {
+        uint32_t v = pool[i % SS_POOL] ^ hb;
+        hb *= SS_MULT_B;
+        v *= hb;
+        words[i >> 1] |= (uint64_t)(v ^ (v >> 16)) << (32 * (i & 1));
+    }
+    rng->state = 0;
+    rng->inc = ((((u128)words[2] << 64) | words[3]) << 1) | 1u;
+    pcg64_next(rng);
+    rng->state += ((u128)words[0] << 64) | words[1];
+    pcg64_next(rng);
+}
+
+/* default_rng(entropy).integers(0, 2**64, n, dtype=uint64): full-range
+ * draws are the raw PCG64 outputs. */
+void sd_seeded_words(const uint32_t *entropy, int n_entropy,
+                     uint64_t *out, int n) {
+    pcg64_t rng;
+    pcg64_seed(&rng, entropy, n_entropy);
+    for (int i = 0; i < n; ++i) out[i] = pcg64_next(&rng);
+}
+
+/* default_rng(entropy).random(n) < p, packed little-endian into
+ * (n+7)/8 bytes (random() is the top 53 bits of one output). */
+void sd_seeded_less_than(const uint32_t *entropy, int n_entropy,
+                         double p, int n, uint8_t *out) {
+    pcg64_t rng;
+    pcg64_seed(&rng, entropy, n_entropy);
+    memset(out, 0, (size_t)((n + 7) / 8));
+    for (int i = 0; i < n; ++i) {
+        const double d = (double)(pcg64_next(&rng) >> 11) * (1.0 / 9007199254740992.0);
+        if (d < p) out[i >> 3] |= (uint8_t)(1u << (i & 7));
+    }
 }

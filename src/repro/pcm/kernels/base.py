@@ -1,10 +1,10 @@
 """Kernel-backend interface for the hot bit-kernels.
 
 A :class:`KernelBackend` bundles the inner-loop kernels every write
-executes — disturbance sampling, DIN row coding, popcounts, set-bit
-extraction, mask packing — behind one dispatch surface so the execution
-layer (``core/vnc.py``, ``pcm/stateplane.py``, ``perf/batch.py``) can
-swap implementations per process or per batch.
+executes — disturbance sampling, DIN coding, set-bit extraction, mask
+packing — and the state plane's seeded generators behind one dispatch
+surface, so the execution layer (``core/vnc.py``,
+``pcm/stateplane.py``) can swap implementations per process.
 
 Three interchangeable implementations live in this package:
 
@@ -12,13 +12,15 @@ Three interchangeable implementations live in this package:
     the reference int-domain kernels from :mod:`repro.pcm.line` /
     :mod:`repro.pcm.din` (CPython big-int bit ops + numpy LUT gathers);
 ``numpy``
-    packed-uint64 row kernels — scalar entry points route through the
-    whole-chunk row forms so numpy amortises dispatch over many lines
-    (selected only when forced with ``REPRO_KERNEL_BACKEND=numpy``);
+    packed-uint64 variants of the batched sampler and set-bit
+    extraction (selected only when forced with
+    ``REPRO_KERNEL_BACKEND=numpy``);
 ``compiled``
     a small C shared library (built on demand, loaded via ctypes) for
-    the scatter/LUT/pack loops; RNG draws stay in Python so streams
-    match the reference draw-for-draw.
+    the scatter/LUT/pack loops and the seeded generators.  Draws from
+    a caller's RNG stay in Python so streams match the reference
+    draw-for-draw; the seeded generators reproduce numpy's
+    ``SeedSequence`` -> ``PCG64`` recipe natively.
 
 **Byte-identity is the hard contract.**  Every backend must produce
 bit-for-bit identical masks, stored images, and flag words — and consume
@@ -82,17 +84,7 @@ class KernelBackend:
         """Batched :meth:`sample_mask_int`; one ``rng.random(total)`` draw."""
         raise NotImplementedError
 
-    def sample_masks_rows(
-        self, rows: np.ndarray, probability: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Row-batched sampling over an ``(N, 8)`` uint64 array."""
-        raise NotImplementedError
-
-    # -- counting / positions ----------------------------------------------------
-
-    def popcount_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Per-row popcounts of an ``(N, 8)`` batch (int64 result)."""
-        raise NotImplementedError
+    # -- positions ---------------------------------------------------------------
 
     def bit_positions_int(self, value: int) -> List[int]:
         """Sorted cell indices of the set bits of an int-domain mask."""
@@ -108,30 +100,31 @@ class KernelBackend:
         """Undo :meth:`encode_stored_int`."""
         raise NotImplementedError
 
-    def encode_stored_rows(
-        self, physical: np.ndarray, data: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Row-batched DIN encode over ``(N, 8)`` batches."""
-        raise NotImplementedError
-
-    def decode_rows(self, stored: np.ndarray, flags: np.ndarray) -> np.ndarray:
-        """Row-batched DIN decode."""
-        raise NotImplementedError
-
-    # -- mask packing ------------------------------------------------------------
-
-    def pack_mask(self, bits: np.ndarray) -> int:
-        """Pack a 0/1 uint8 vector (little-endian bit order) into an int mask."""
-        raise NotImplementedError
+    # -- mask packing / seeded generation ----------------------------------------
 
     def mask_from_draws(self, draws: np.ndarray, threshold: float) -> int:
         """Int mask with bit ``i`` set where ``draws[i] < threshold``.
 
-        The ``rng.random(n) < p`` + packbits recipe used by the flip and
-        weak-cell mask generators, fused so compiled backends can do the
-        compare and the pack in one pass.
+        The ``rng.random(n) < p`` + packbits recipe used by the flip-mask
+        generator, fused so compiled backends can do the compare and the
+        pack in one pass.
         """
-        return self.pack_mask((draws < threshold).astype(np.uint8))
+        raise NotImplementedError
+
+    def seeded_words(self, key: Tuple[int, ...], count: int) -> bytes:
+        """``default_rng(key).integers(0, 2**64, count, dtype=uint64)`` as bytes.
+
+        The state plane's pristine-row recipe.  ``key`` is a tuple of
+        non-negative ints, seeded exactly as numpy seeds it.
+        """
+        raise NotImplementedError
+
+    def seeded_mask(self, key: Tuple[int, ...], bits: int, threshold: float) -> int:
+        """``mask_from_draws(default_rng(key).random(bits), threshold)``.
+
+        The state plane's weak-cell-mask recipe.
+        """
+        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KernelBackend {self.name}>"

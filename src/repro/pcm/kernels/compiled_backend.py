@@ -17,26 +17,36 @@ and the engine runs the pure-Python backend instead.
 The ctypes veneer passes ``bytes`` objects and pre-computed buffer
 addresses instead of numpy pointers: ``ndarray.ctypes.data`` costs
 ~1.7us per access — more than the native call itself — so the hot
-scalar kernels reuse cached output buffers.  Kernels where a single
-numpy SIMD call is already optimal (``popcount_rows``, the flag-expand
-XOR of ``decode_int``) stay on the numpy implementations; C is used
-where per-bit Python loops or per-byte LUT walks dominate.
+scalar kernels reuse cached output buffers.  ``decode_int``'s
+flag-expand XOR stays on numpy, which already beats a native round
+trip; C is used where per-bit Python loops, per-byte LUT walks or
+per-key ``default_rng`` construction dominate.
+
+**Seeded generation**: ``seeded_words``/``seeded_mask`` (the state
+plane's pristine rows and weak-cell masks) run numpy's ``SeedSequence``
+-> ``PCG64`` recipe in C, bit for bit, after :func:`_entropy` coerces
+the key to 32-bit words exactly as numpy does.  They read no caller
+stream, so a failure falls back by regenerating the value with the
+numpy reference.
 
 **Crash containment**: RNG draws always happen in Python *before* the
 native call, so when a compiled kernel raises at runtime the backend
 retires itself (one warning), recomputes the result from the
 already-drawn keep flags with the pure-Python scatter — byte-identical,
 stream-identical — and delegates every later call to the Python
-backend.  A compiled-kernel failure can therefore never corrupt a
-result or desynchronise an RNG stream.
+backend (the seeded generators simply regenerate with the reference).
+A compiled-kernel failure can therefore never corrupt a result or
+desynchronise an RNG stream.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import operator
 import os
 import shutil
+import struct
 import subprocess
 import warnings
 from pathlib import Path
@@ -45,7 +55,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ... import envconfig
-from ...config import LINE_BITS, LINE_BYTES, LINE_WORDS
+from ...config import LINE_BITS, LINE_BYTES
 from .. import din as D
 from .. import line as L
 from .base import BackendUnavailable, KernelBackend
@@ -53,7 +63,7 @@ from .python_backend import PythonBackend
 
 #: Expected ``sd_abi_version()`` of a loadable library; a library with
 #: another entry-point set fails the probe and is rebuilt from source.
-_ABI_VERSION = 3
+_ABI_VERSION = 4
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 
@@ -135,26 +145,27 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.sd_apply_keep_rows.restype = i
     lib.sd_din_encode.argtypes = [p, p, p, p, i, i, p, p]
     lib.sd_din_encode.restype = None
-    lib.sd_din_decode.argtypes = [p, p, i, i, p]
-    lib.sd_din_decode.restype = None
-    lib.sd_pack_bits.argtypes = [p, i, p]
-    lib.sd_pack_bits.restype = None
     lib.sd_pack_less_than.argtypes = [p, i, ctypes.c_double, p]
     lib.sd_pack_less_than.restype = None
     lib.sd_bit_positions.argtypes = [p, i, p]
     lib.sd_bit_positions.restype = i
+    lib.sd_seeded_words.argtypes = [p, i, p, i]
+    lib.sd_seeded_words.restype = None
+    lib.sd_seeded_less_than.argtypes = [p, i, ctypes.c_double, i, p]
+    lib.sd_seeded_less_than.restype = None
 
 
 class _COps:
     """bytes-in/bytes-out veneer over the ctypes library.
 
     Single-line calls write into cached buffers whose addresses are
-    computed once; batch calls allocate per invocation (amortised over
-    the rows).
+    computed once; batch calls and pristine rows allocate per
+    invocation.
     """
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
+        self.abi = int(lib.sd_abi_version())
         # Hold the LUTs (and their addresses) so the buffers outlive
         # every native call.
         self._stored_tab, self._invert_tab = D.din_tables()
@@ -180,33 +191,13 @@ class _COps:
         )
         return out.raw
 
-    def din_encode(self, old: bytes, raw: bytes, n_rows: int) -> Tuple[bytes, bytes]:
-        if n_rows == 1:
-            ctypes.memset(self._flag_addr, 0, 8)
-            self._lib.sd_din_encode(
-                old, raw, self._stored_ptr, self._invert_ptr,
-                1, LINE_BYTES, self._line_addr, self._flag_addr,
-            )
-            return self._line_buf.raw, self._flag_buf.raw
-        stored = ctypes.create_string_buffer(n_rows * LINE_BYTES)
-        flags = ctypes.create_string_buffer(n_rows * 8)
+    def din_encode(self, old: bytes, raw: bytes) -> Tuple[bytes, bytes]:
+        ctypes.memset(self._flag_addr, 0, 8)
         self._lib.sd_din_encode(
             old, raw, self._stored_ptr, self._invert_ptr,
-            n_rows, LINE_BYTES, ctypes.addressof(stored), ctypes.addressof(flags),
+            1, LINE_BYTES, self._line_addr, self._flag_addr,
         )
-        return stored.raw, flags.raw
-
-    def din_decode(self, stored: bytes, flags: bytes, n_rows: int) -> bytes:
-        if n_rows == 1:
-            self._lib.sd_din_decode(
-                stored, flags, 1, LINE_BYTES, self._line_addr
-            )
-            return self._line_buf.raw
-        out = ctypes.create_string_buffer(n_rows * LINE_BYTES)
-        self._lib.sd_din_decode(
-            stored, flags, n_rows, LINE_BYTES, ctypes.addressof(out)
-        )
-        return out.raw
+        return self._line_buf.raw, self._flag_buf.raw
 
     def pack_less_than(self, draws: bytes, n: int, threshold: float) -> bytes:
         if n == LINE_BITS:
@@ -216,17 +207,44 @@ class _COps:
         self._lib.sd_pack_less_than(draws, n, threshold, ctypes.addressof(out))
         return out.raw
 
-    def pack_bits(self, bits: bytes, n: int) -> bytes:
-        if n == LINE_BITS:
-            self._lib.sd_pack_bits(bits, n, self._line_addr)
-            return self._line_buf.raw
-        out = ctypes.create_string_buffer((n + 7) // 8)
-        self._lib.sd_pack_bits(bits, n, ctypes.addressof(out))
-        return out.raw
-
     def bit_positions(self, buf: bytes, count: int) -> List[int]:
         self._lib.sd_bit_positions(buf, len(buf), self._pos_addr)
         return self._pos_view[:count].tolist()
+
+    def seeded_words(self, entropy: bytes, count: int) -> bytes:
+        out = ctypes.create_string_buffer(count * 8)
+        self._lib.sd_seeded_words(entropy, len(entropy) // 4, out, count)
+        return out.raw
+
+    def seeded_less_than(self, entropy: bytes, threshold: float, n: int) -> bytes:
+        if n == LINE_BITS:
+            self._lib.sd_seeded_less_than(
+                entropy, len(entropy) // 4, threshold, n, self._line_addr
+            )
+            return self._line_buf.raw
+        out = ctypes.create_string_buffer((n + 7) // 8)
+        self._lib.sd_seeded_less_than(entropy, len(entropy) // 4, threshold, n, out)
+        return out.raw
+
+
+def _entropy(key: Tuple[int, ...]) -> bytes:
+    """``key`` as the little-endian uint32 words numpy's ``SeedSequence``
+    coerces it to: each int split into 32-bit words, low word first, and
+    ``0`` as one zero word.  Negative ints fail the way numpy fails."""
+    try:  # the common case: every int fits one word
+        return struct.pack(f"<{len(key)}I", *key)
+    except struct.error:
+        pass
+    words: List[int] = []
+    for value in map(operator.index, key):
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        if value == 0:
+            words.append(0)
+        while value:
+            words.append(value & 0xFFFFFFFF)
+            value >>= 32
+    return struct.pack(f"<{len(words)}I", *words)
 
 
 def _make_ops() -> _COps:
@@ -258,6 +276,11 @@ class CompiledBackend(KernelBackend):
         self._ops = _make_ops()
         self._py = PythonBackend()
         self._dead = False
+
+    @property
+    def abi(self) -> int:
+        """``sd_abi_version()`` of the loaded native library."""
+        return self._ops.abi
 
     @property
     def dead(self) -> bool:
@@ -343,42 +366,7 @@ class CompiledBackend(KernelBackend):
                 offset += n
         return result
 
-    def sample_masks_rows(
-        self, rows: np.ndarray, probability: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        if self._dead:
-            return self._py.sample_masks_rows(rows, probability, rng)
-        rows = np.asarray(rows)
-        n_rows = len(rows)
-        result = np.zeros((n_rows, LINE_WORDS), L.WORD_DTYPE)
-        if n_rows == 0 or probability <= 0.0:
-            return result
-        if probability >= 1.0:
-            result[:] = rows
-            return result
-        counts = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            return result
-        keep = rng.random(total) < probability
-        try:
-            data = self._ops.apply_keep(
-                np.ascontiguousarray(rows).tobytes(), keep.tobytes(), n_rows
-            )
-        except Exception as exc:
-            self._retire(exc)
-            values = L.unpack_rows(rows)
-            return L.pack_rows(
-                self._apply_keep_fallback(values, [int(c) for c in counts], keep)
-            )
-        return np.frombuffer(data, L.WORD_DTYPE).reshape(n_rows, LINE_WORDS).copy()
-
-    # -- counting / positions ----------------------------------------------------
-
-    def popcount_rows(self, rows: np.ndarray) -> np.ndarray:
-        # numpy's SIMD bitwise_count beats a byte-loop C popcount at every
-        # batch size measured, so this kernel stays on the reference.
-        return self._py.popcount_rows(rows)
+    # -- positions ---------------------------------------------------------------
 
     def bit_positions_int(self, value: int) -> List[int]:
         if self._dead or value == 0:
@@ -400,7 +388,6 @@ class CompiledBackend(KernelBackend):
             stored, flags = self._ops.din_encode(
                 physical.to_bytes(LINE_BYTES, "little"),
                 data.to_bytes(LINE_BYTES, "little"),
-                1,
             )
         except Exception as exc:
             self._retire(exc)
@@ -415,48 +402,7 @@ class CompiledBackend(KernelBackend):
         # than a native call round-trip for a single line.
         return self._py.decode_int(stored, flags)
 
-    def encode_stored_rows(
-        self, physical: np.ndarray, data: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if self._dead:
-            return self._py.encode_stored_rows(physical, data)
-        n = len(physical)
-        try:
-            stored, flags = self._ops.din_encode(
-                np.ascontiguousarray(physical).tobytes(),
-                np.ascontiguousarray(data).tobytes(),
-                n,
-            )
-        except Exception as exc:
-            self._retire(exc)
-            return self._py.encode_stored_rows(physical, data)
-        return (
-            np.frombuffer(stored, L.WORD_DTYPE).reshape(n, LINE_WORDS).copy(),
-            np.frombuffer(flags, np.uint64).copy(),
-        )
-
-    def decode_rows(self, stored: np.ndarray, flags: np.ndarray) -> np.ndarray:
-        if self._dead:
-            return self._py.decode_rows(stored, flags)
-        n = len(stored)
-        try:
-            data = self._ops.din_decode(
-                np.ascontiguousarray(stored).tobytes(),
-                np.asarray(flags).astype(np.uint64).tobytes(),
-                n,
-            )
-        except Exception as exc:
-            self._retire(exc)
-            return self._py.decode_rows(stored, flags)
-        return np.frombuffer(data, L.WORD_DTYPE).reshape(n, LINE_WORDS).copy()
-
-    # -- mask packing ------------------------------------------------------------
-
-    def pack_mask(self, bits: np.ndarray) -> int:
-        # numpy's SIMD packbits beats the native round-trip for one line;
-        # the C bit-packer is still exercised via mask_from_draws, where
-        # fusing the threshold compare into the pack wins.
-        return self._py.pack_mask(bits)
+    # -- mask packing / seeded generation ----------------------------------------
 
     def mask_from_draws(self, draws: np.ndarray, threshold: float) -> int:
         if self._dead:
@@ -469,4 +415,25 @@ class CompiledBackend(KernelBackend):
         except Exception as exc:
             self._retire(exc)
             return self._py.mask_from_draws(draws, threshold)
+        return int.from_bytes(out, "little")
+
+    def seeded_words(self, key: Tuple[int, ...], count: int) -> bytes:
+        if self._dead:
+            return self._py.seeded_words(key, count)
+        entropy = _entropy(key)
+        try:
+            return self._ops.seeded_words(entropy, count)
+        except Exception as exc:
+            self._retire(exc)
+            return self._py.seeded_words(key, count)
+
+    def seeded_mask(self, key: Tuple[int, ...], bits: int, threshold: float) -> int:
+        if self._dead:
+            return self._py.seeded_mask(key, bits, threshold)
+        entropy = _entropy(key)
+        try:
+            out = self._ops.seeded_less_than(entropy, float(threshold), bits)
+        except Exception as exc:
+            self._retire(exc)
+            return self._py.seeded_mask(key, bits, threshold)
         return int.from_bytes(out, "little")

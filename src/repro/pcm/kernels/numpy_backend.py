@@ -1,12 +1,9 @@
 """Numpy packed-uint64 row backend.
 
-Keeps every kernel inside numpy and advances whole chunks of lines per
-call: the batch entry points (``sample_masks_int``,
-``encode_stored_rows``, ``popcount_rows``) work on contiguous ``(N, 8)``
-uint64 buffers, and the scalar int-domain calls that the reference
-implements with per-bit Python loops (``bit_positions_int``, the
-``_apply_keep`` scatter inside ``sample_masks_int``) are replaced with
-``unpackbits``/``nonzero``/``packbits`` passes over the packed rows.
+Replaces the reference's per-bit Python loops with numpy passes: the
+batched sampler (``sample_masks_int``) works on one contiguous ``(N, 8)``
+uint64 buffer, and ``bit_positions_int`` is an ``unpackbits``/``nonzero``
+pass.  The other kernels share the reference implementations.
 
 RNG-stream identity with the reference is preserved by construction:
 draws are ``rng.random(total)`` blocks with ``total`` equal to the
@@ -54,15 +51,7 @@ class NumpyBackend(KernelBackend):
         rows = L.pack_rows(candidates)
         return L.unpack_rows(L.sample_masks_rows(rows, probability, rng))
 
-    def sample_masks_rows(
-        self, rows: np.ndarray, probability: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        return L.sample_masks_rows(rows, probability, rng)
-
-    # -- counting / positions ----------------------------------------------------
-
-    def popcount_rows(self, rows: np.ndarray) -> np.ndarray:
-        return L.popcount_rows(rows)
+    # -- positions ---------------------------------------------------------------
 
     def bit_positions_int(self, value: int) -> List[int]:
         if value == 0:
@@ -81,17 +70,13 @@ class NumpyBackend(KernelBackend):
     def decode_int(self, stored: int, flags: int) -> int:
         return self._encoder.decode_int(stored, flags)
 
-    def encode_stored_rows(
-        self, physical: np.ndarray, data: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self._encoder.encode_stored_rows(physical, data)
+    # -- mask packing / seeded generation ----------------------------------------
 
-    def decode_rows(self, stored: np.ndarray, flags: np.ndarray) -> np.ndarray:
-        return self._encoder.decode_rows(stored, flags)
+    def mask_from_draws(self, draws: np.ndarray, threshold: float) -> int:
+        return L.mask_from_draws(draws, threshold)
 
-    # -- mask packing ------------------------------------------------------------
+    def seeded_words(self, key: Tuple[int, ...], count: int) -> bytes:
+        return L.seeded_words(key, count)
 
-    def pack_mask(self, bits: np.ndarray) -> int:
-        return int.from_bytes(
-            np.packbits(bits, bitorder="little").tobytes(), "little"
-        )
+    def seeded_mask(self, key: Tuple[int, ...], bits: int, threshold: float) -> int:
+        return L.seeded_mask(key, bits, threshold)

@@ -37,15 +37,7 @@ class PythonBackend(KernelBackend):
     ) -> List[int]:
         return L.sample_masks_int(candidates, probability, rng)
 
-    def sample_masks_rows(
-        self, rows: np.ndarray, probability: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        return L.sample_masks_rows(rows, probability, rng)
-
-    # -- counting / positions ----------------------------------------------------
-
-    def popcount_rows(self, rows: np.ndarray) -> np.ndarray:
-        return L.popcount_rows(rows)
+    # -- positions ---------------------------------------------------------------
 
     def bit_positions_int(self, value: int) -> List[int]:
         return L.bit_positions_int(value)
@@ -58,17 +50,13 @@ class PythonBackend(KernelBackend):
     def decode_int(self, stored: int, flags: int) -> int:
         return self._encoder.decode_int(stored, flags)
 
-    def encode_stored_rows(
-        self, physical: np.ndarray, data: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self._encoder.encode_stored_rows(physical, data)
+    # -- mask packing / seeded generation ----------------------------------------
 
-    def decode_rows(self, stored: np.ndarray, flags: np.ndarray) -> np.ndarray:
-        return self._encoder.decode_rows(stored, flags)
+    def mask_from_draws(self, draws: np.ndarray, threshold: float) -> int:
+        return L.mask_from_draws(draws, threshold)
 
-    # -- mask packing ------------------------------------------------------------
+    def seeded_words(self, key: Tuple[int, ...], count: int) -> bytes:
+        return L.seeded_words(key, count)
 
-    def pack_mask(self, bits: np.ndarray) -> int:
-        return int.from_bytes(
-            np.packbits(bits, bitorder="little").tobytes(), "little"
-        )
+    def seeded_mask(self, key: Tuple[int, ...], bits: int, threshold: float) -> int:
+        return L.seeded_mask(key, bits, threshold)

@@ -18,9 +18,10 @@ supported:
   8-element numpy ufuncs (single C call, no dispatch overhead), so the
   write-planning inner loops (:mod:`repro.core.vnc`) work in this domain.
 
-Batched ``(N, 8)`` variants (:func:`popcount_rows`, :func:`sample_masks`)
-let callers process several lines — e.g. a write's two bit-line
-neighbours — in one call.
+Batched variants (:func:`sample_masks_int`, :func:`sample_masks`) let
+callers sample several lines — e.g. a write's two bit-line neighbours —
+with one RNG draw.  :func:`seeded_words` and :func:`seeded_mask` are the
+reference recipes of the state plane's per-key seeded state.
 
 The original ``unpackbits``-based scalar kernels are retained as
 ``_scalar_*`` reference implementations; golden tests pin the fast paths
@@ -29,7 +30,7 @@ bit-for-bit (and RNG-stream-exactly) against them.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -91,11 +92,6 @@ def popcount(mask) -> int:
     if isinstance(mask, int):
         return mask.bit_count()
     return int.from_bytes(mask.tobytes(), "little").bit_count()
-
-
-def popcount_rows(rows: np.ndarray) -> np.ndarray:
-    """Per-row popcounts of an ``(N, 8)`` batch of line masks."""
-    return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
 
 
 def bit_positions(mask) -> List[int]:
@@ -193,16 +189,6 @@ def wordline_neighbours_int(value: int) -> int:
 # -- stuck-at faults -------------------------------------------------------------
 
 
-def apply_stuck_int(physical: int, stuck_mask: int, stuck_values: int) -> int:
-    """Overlay stuck-at cells onto an int-domain physical line image.
-
-    Cells in ``stuck_mask`` read their frozen value from ``stuck_values``
-    (which must be a subset of ``stuck_mask``) regardless of what was
-    programmed; all other cells pass through unchanged.
-    """
-    return (physical & (stuck_mask ^ MASK_ALL)) | (stuck_values & stuck_mask)
-
-
 def stuck_error_mask_int(intended: int, stuck_mask: int, stuck_values: int) -> int:
     """Stuck cells whose frozen value differs from the intended image.
 
@@ -250,42 +236,15 @@ def sample_mask_int(
 def _sample_int_nonempty(
     candidates: int, probability: float, rng: np.random.Generator
 ) -> int:
-    n = candidates.bit_count()
-    keep = rng.random(n) < probability
-    kept = int(keep.sum())
-    if kept == 0:
-        return 0
-    if kept == n:
-        return candidates
-    flags = keep.tolist()
-    out = 0
-    shift = 0
-    i = 0
-    value = candidates
-    while value:
-        word = value & _WORD_MASK
-        if word:
-            picked = 0
-            while word:
-                low = word & -word
-                if flags[i]:
-                    picked |= low
-                i += 1
-                word ^= low
-            if picked:
-                out |= picked << shift
-        value >>= 64
-        shift += 64
-    return out
+    return _apply_keep(candidates, rng.random(candidates.bit_count()) < probability)
 
 
 def pack_rows(values: List[int]) -> np.ndarray:
     """Pack int-domain line masks into one contiguous ``(N, 8)`` array.
 
-    This is the batch layout the cross-cell execution layer works in:
-    row ``r`` is :func:`from_int` of ``values[r]``, stored contiguously so
-    row-batched kernels (:func:`popcount_rows`, :func:`sample_masks_rows`,
-    the DIN LUT coders) touch one buffer instead of N lines.
+    Row ``r`` is :func:`from_int` of ``values[r]``, stored contiguously
+    so row-batched kernels (:func:`sample_masks_rows`, the DIN LUT
+    coders) touch one buffer instead of N lines.
     """
     if not values:
         return np.zeros((0, LINE_WORDS), dtype=WORD_DTYPE)
@@ -411,6 +370,28 @@ def _apply_keep(candidates: int, keep: np.ndarray) -> int:
         value >>= 64
         shift += 64
     return out
+
+
+# -- mask packing / seeded generation --------------------------------------------
+
+
+def mask_from_draws(draws: np.ndarray, threshold: float) -> int:
+    """Int mask with bit ``i`` set where ``draws[i] < threshold``."""
+    return int.from_bytes(
+        np.packbits(draws < threshold, bitorder="little").tobytes(), "little"
+    )
+
+
+def seeded_words(key: Tuple[int, ...], count: int) -> bytes:
+    """``count`` full-range uint64 draws of ``default_rng(key)``, as bytes."""
+    rng = np.random.default_rng(key)
+    return rng.integers(0, 1 << 64, size=count, dtype=WORD_DTYPE).tobytes()
+
+
+def seeded_mask(key: Tuple[int, ...], bits: int, threshold: float) -> int:
+    """Bit ``i`` set where draw ``i`` of ``default_rng(key).random(bits)``
+    is below ``threshold``."""
+    return mask_from_draws(np.random.default_rng(key).random(bits), threshold)
 
 
 # -- scalar reference implementations -------------------------------------------

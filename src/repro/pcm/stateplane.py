@@ -1,22 +1,24 @@
 """Process-wide deterministic Monte Carlo state plane.
 
-Two pools of per-cell state dominate cold-cell setup cost and are pure
-functions of their key — every cell (and every retry of a cell)
-regenerates identical bytes from the same seeded
-:func:`numpy.random.default_rng` recipe:
+Two pools of per-cell state are pure functions of their key — every
+cell (and every retry of a cell) regenerates identical bytes from the
+same seeded :func:`numpy.random.default_rng` recipe:
 
-* **pristine row images** — a row's lazily materialised stored contents,
-  keyed ``(seed, bank, row)`` (see
-  :meth:`repro.pcm.array.PCMArray.row_state`);
+* **pristine row images** — a row's initial stored contents, keyed
+  ``(seed, bank, row)`` and pooled as one immutable 4 KB ``bytes``
+  object (64 lines x 64 little-endian bytes).  Every
+  :class:`~repro.pcm.array.PCMArray` with that key shares the object and
+  never copies it: an array turns a line into an int on first touch;
 * **weak-cell masks** — a line's fixed set of disturbance-prone cells,
   keyed ``(fraction, (bank, row, line))`` (see
   :meth:`repro.core.vnc.VnCExecutor._weak_mask`).
 
-Profiling the reference cold cell shows ~30% of its wall clock spent
-regenerating exactly this state (thousands of ``default_rng(tuple)``
-constructions plus the draws).  Because the recipes are deterministic,
-a *process-level* pool is byte-identity-safe by construction: a pooled
-value and a freshly generated one are the same array/int.  Cells within
+Generation goes through the active kernel backend's ``seeded_words`` /
+``seeded_mask``: the compiled backend runs numpy's ``SeedSequence`` ->
+``PCG64`` recipe natively, bit for bit, and the Python backend calls
+numpy itself (the reference).  Because the recipes are deterministic, a
+*process-level* pool is byte-identity-safe by construction: a pooled
+value and a freshly generated one are the same bytes/int.  Cells within
 a batch, across batches, and across experiments then share the state —
 only the first touch of a key in a process pays generation.
 
@@ -24,7 +26,7 @@ Consumers always go through the plane (:meth:`StatePlane.pristine_row`,
 :meth:`StatePlane.weak_mask`); there is no uncached mode.
 
 Pools are FIFO-capped so a huge sweep cannot grow without bound: row
-images are ~4 KB each (cap 16384 ≈ 64 MB), weak masks are small ints
+images are 4 KB each (cap 16384 ≈ 64 MB), weak masks are small ints
 (cap 262144).  Eviction only costs a future regeneration, never
 correctness.  Pool workers inherit the parent's pools over ``fork`` and
 extend their own copies; nothing is shared back, which is fine — the
@@ -35,9 +37,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-import numpy as np
-
-from ..config import LINES_PER_PAGE, LINE_BITS, LINE_WORDS
+from ..config import LINE_BITS, LINE_WORDS, LINES_PER_PAGE
 from . import kernels
 from . import line as L
 
@@ -45,31 +45,30 @@ from . import line as L
 ROW_POOL_CAP = 16384
 MASK_POOL_CAP = 262144
 
+#: uint64 words in one row image.
+ROW_WORDS = LINES_PER_PAGE * LINE_WORDS
+
 RowKey = Tuple[int, int, int]  # (array seed, bank, row)
 MaskKey = Tuple[float, Tuple[int, int, int]]  # (fraction, (bank, row, line))
 
 
-def _generate_row(seed: int, bank: int, row: int) -> np.ndarray:
-    """The exact recipe :meth:`PCMArray.row_state` used inline."""
-    rng = np.random.default_rng((seed, bank, row))
-    return rng.integers(
-        0, 1 << 64, size=(LINES_PER_PAGE, LINE_WORDS), dtype=L.WORD_DTYPE
-    )
+def _generate_row(seed: int, bank: int, row: int) -> bytes:
+    """A row's pristine image: ``default_rng((seed, bank, row))`` words."""
+    return kernels.active().seeded_words((seed, bank, row), ROW_WORDS)
 
 
 def _generate_weak_mask(fraction: float, key: Tuple[int, int, int]) -> int:
-    """The exact recipe :meth:`VnCExecutor._weak_mask` used inline."""
+    """Cells whose ``default_rng((0x5D9C, *key))`` draw is below ``fraction``."""
     if fraction >= 1.0:
         return L.MASK_ALL
-    rng = np.random.default_rng((0x5D9C, *key))
-    return kernels.active().mask_from_draws(rng.random(LINE_BITS), fraction)
+    return kernels.active().seeded_mask((0x5D9C, *key), LINE_BITS, fraction)
 
 
 class StatePlane:
     """FIFO-capped pools of deterministic per-key Monte Carlo state."""
 
     def __init__(self) -> None:
-        self._rows: Dict[RowKey, np.ndarray] = {}
+        self._rows: Dict[RowKey, bytes] = {}
         self._masks: Dict[MaskKey, int] = {}
         self.row_hits = 0
         self.row_misses = 0
@@ -79,13 +78,10 @@ class StatePlane:
 
     # -- pools -------------------------------------------------------------
 
-    def pristine_row(self, seed: int, bank: int, row: int) -> np.ndarray:
-        """The read-only pristine stored image of one row.
+    def pristine_row(self, seed: int, bank: int, row: int) -> bytes:
+        """The immutable pristine stored image of one row (4 KB).
 
-        Callers that mutate row contents must ``.copy()`` the result
-        (:meth:`PCMArray.row_state` does); the pooled array is marked
-        non-writeable so an aliasing bug fails loudly instead of
-        corrupting every simulation sharing the key.
+        Line ``l`` is bytes ``64 * l`` to ``64 * l + 64``, little-endian.
         """
         key = (seed, bank, row)
         stored = self._rows.get(key)
@@ -94,7 +90,6 @@ class StatePlane:
             return stored
         self.row_misses += 1
         stored = _generate_row(seed, bank, row)
-        stored.flags.writeable = False
         if len(self._rows) >= ROW_POOL_CAP:
             self._rows.pop(next(iter(self._rows)))
             self.evictions += 1

@@ -47,7 +47,7 @@ class TestStatePlane:
         plane = stateplane.StatePlane()
         fresh_row = stateplane._generate_row(7, 1, 3)
         pooled = plane.pristine_row(7, 1, 3)
-        assert np.array_equal(pooled, fresh_row)
+        assert pooled == fresh_row
         assert plane.row_misses == 1
         again = plane.pristine_row(7, 1, 3)
         assert again is pooled and plane.row_hits == 1
@@ -63,11 +63,10 @@ class TestStatePlane:
     def test_pooled_rows_are_read_only(self):
         plane = stateplane.StatePlane()
         pooled = plane.pristine_row(1, 0, 0)
-        with pytest.raises(ValueError):
-            pooled[0, 0] = 1
-        # Consumers copy; the copy is writable and equal.
-        copy = pooled.copy()
-        copy[0, 0] = 1
+        # One immutable 4 KB image: nothing can write through the pool.
+        assert isinstance(pooled, bytes) and len(pooled) == 4096
+        with pytest.raises(TypeError):
+            pooled[0] = 1
 
     def test_fifo_eviction_under_cap(self, monkeypatch):
         monkeypatch.setattr(stateplane, "ROW_POOL_CAP", 2)
@@ -77,25 +76,28 @@ class TestStatePlane:
         assert plane.evictions == 1
         assert len(plane._rows) == 2
         # The evicted key regenerates identical bytes on re-touch.
-        assert np.array_equal(
-            plane.pristine_row(0, 0, 0), stateplane._generate_row(0, 0, 0)
-        )
+        assert plane.pristine_row(0, 0, 0) == stateplane._generate_row(0, 0, 0)
 
     def test_array_rows_copy_from_plane(self):
-        from repro.pcm.array import PCMArray
+        from repro.pcm.array import LineAddress, PCMArray
 
         stateplane.PLANE.reset()
         a = PCMArray(banks=2, rows_per_bank=16, seed=11)
         b = PCMArray(banks=2, rows_per_bank=16, seed=11)
-        row_a = a.row_state(1, 4)
-        row_b = b.row_state(1, 4)
-        assert np.array_equal(row_a.stored, row_b.stored)
+        addr = LineAddress(1, 4, 2)
+        assert np.array_equal(a.stored_line(addr), b.stored_line(addr))
         assert stateplane.PLANE.row_hits == 1
-        # Mutating one array's row must not leak into the other (or the pool).
-        row_a.stored[0, 0] ^= np.uint64(1)
-        assert not np.array_equal(row_a.stored, row_b.stored)
-        assert np.array_equal(
-            b.row_state(1, 4).stored, stateplane.PLANE.pristine_row(11, 1, 4)
+        pristine = stateplane.PLANE.pristine_row(11, 1, 4)[2 * 64:3 * 64]
+        # Mutating one array's line (or a returned view) must not leak
+        # into the other array or the pool.
+        flipped = a.stored_line(addr)
+        flipped[0] ^= np.uint64(1)
+        a.set_line(addr, flipped, flags=0)
+        b.stored_line(addr)[0] ^= np.uint64(1)
+        assert not np.array_equal(a.stored_line(addr), b.stored_line(addr))
+        assert b.stored_line(addr).tobytes() == pristine
+        assert stateplane.PLANE.pristine_row(11, 1, 4) == (
+            stateplane._generate_row(11, 1, 4)
         )
 
 

@@ -115,8 +115,18 @@ class TestPerfProfile:
         assert f"kernel backends available: {'/'.join(available)}" in out
 
     def test_auto_falls_back_without_a_compiler(self, capsys, no_compiler):
-        assert main(self.ARGV) == 0
+        assert main(self.ARGV + ["--kernel-backend", "auto"]) == 0
         out = capsys.readouterr().out
         assert self.rows(out) == ["trace_gen", "simulate", "total"]
         assert "kernels=python)" in out
         assert "compiled" not in out.split("kernel backends available:")[1]
+
+    def test_kernel_backend_defaults_to_the_environment(self, capsys,
+                                                        monkeypatch):
+        """Like ``repro experiment``: no flag means REPRO_KERNEL_BACKEND
+        (``numpy``, which ``auto`` never picks), and the flag wins."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+        assert main(self.ARGV) == 0
+        assert "kernels=numpy)" in capsys.readouterr().out
+        assert main(self.ARGV + ["--kernel-backend", "python"]) == 0
+        assert "kernels=python)" in capsys.readouterr().out

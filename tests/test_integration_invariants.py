@@ -9,7 +9,6 @@ workloads and then audit the entire materialised array.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import schemes
@@ -25,22 +24,18 @@ def audit_system(system: SDPCMSystem) -> dict:
     uncovered_lines = 0
     covered_errors = 0
     physical_errors = 0
-    for (bank, row), state in array._rows.items():
-        for line in range(64):
-            disturbed = state.disturbed[line]
-            n = L.popcount(disturbed)
-            if n == 0:
-                continue
-            physical_errors += n
-            ecp_line = system.ecp.peek((bank, row, line))
-            positions = set(L.bit_positions(disturbed))
-            covered = (
-                {e.position for e in ecp_line.entries} if ecp_line else set()
-            )
-            if positions <= covered:
-                covered_errors += n
-            else:
-                uncovered_lines += 1
+    for addr, _, disturbed in array.disturbed_lines():
+        n = L.popcount(disturbed)
+        physical_errors += n
+        ecp_line = system.ecp.peek(addr)
+        positions = set(L.bit_positions(disturbed))
+        covered = (
+            {e.position for e in ecp_line.entries} if ecp_line else set()
+        )
+        if positions <= covered:
+            covered_errors += n
+        else:
+            uncovered_lines += 1
     return {
         "uncovered_lines": uncovered_lines,
         "covered_errors": covered_errors,
@@ -86,18 +81,13 @@ class TestReliabilityInvariant:
         # must be ECP-covered or belong to a no-use strip.
         from repro.alloc.strips import is_no_use
 
-        array = system.array
-        for (bank, row), state in array._rows.items():
-            for line in range(64):
-                n = L.popcount(state.disturbed[line])
-                if n == 0:
-                    continue
-                ecp_line = system.ecp.peek((bank, row, line))
-                covered = (
-                    {e.position for e in ecp_line.entries} if ecp_line else set()
-                )
-                positions = set(L.bit_positions(state.disturbed[line]))
-                assert is_no_use(row, 2, 3) or positions <= covered
+        for addr, _, disturbed in system.array.disturbed_lines():
+            ecp_line = system.ecp.peek(addr)
+            covered = (
+                {e.position for e in ecp_line.entries} if ecp_line else set()
+            )
+            positions = set(L.bit_positions(disturbed))
+            assert is_no_use(addr.row, 2, 3) or positions <= covered
 
     def test_din_array_is_pristine(self):
         audit = run_and_audit(schemes.din())
@@ -107,6 +97,5 @@ class TestReliabilityInvariant:
         cfg = small_config(schemes.lazyc())
         system = SDPCMSystem(cfg)
         system.run(small_workload("stream", cores=2, length=400))
-        for (bank, row), state in system.array._rows.items():
-            overlap = state.stored & state.disturbed
-            assert int(np.count_nonzero(overlap)) == 0
+        for _, stored, disturbed in system.array.disturbed_lines():
+            assert stored & disturbed == 0

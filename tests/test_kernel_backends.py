@@ -1,13 +1,15 @@
 """The kernel-backend registry and cross-backend byte-identity.
 
 Every registered backend (``python``, ``numpy``, ``compiled``) must
-produce bit-identical masks, stored images, and flag words — and consume
-the same RNG draws in the same order — as the pure-Python reference.
+produce bit-identical masks, stored images, flag words and seeded state
+— and consume the same RNG draws in the same order — as the pure-Python
+reference (numpy's own ``default_rng`` for the seeded generators).
 These tests pin that contract property-based over random masks and edge
 probabilities, plus the registry semantics (lazy memoised construction,
 force-mode errors, graceful degradation) and the compiled backend's
 crash containment: a native kernel that raises mid-run retires itself
-with one warning and finishes byte- and stream-identically in Python.
+with one warning and a kernel-breaker failure, and finishes byte- and
+stream-identically in Python.
 
 Backends unavailable on the host (no C compiler for ``compiled``) skip
 their equivalence cases; the registry/degradation tests simulate such
@@ -50,6 +52,17 @@ probabilities = st.one_of(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+#: Seed words at numpy's coercion edges: one zero word, the largest
+#: one-word value, the first two-word value, and a four-word value.
+key_ints = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**100]),
+    st.integers(min_value=0, max_value=2**70),
+)
+seed_keys = st.lists(key_ints, min_size=1, max_size=6).map(tuple)
+fractions = st.one_of(
+    st.sampled_from([0.0, 1.0, 1e-12, 0.5, 0.001]),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
 
 REFERENCE = PythonBackend()
 
@@ -62,8 +75,17 @@ def backend_or_skip(name: str) -> kernels.KernelBackend:
         pytest.skip(f"{name} backend unavailable here: {exc}")
 
 
-def _rows(values) -> np.ndarray:
-    return L.pack_rows(list(values))
+def numpy_words(key, count: int) -> bytes:
+    """The pristine-row recipe, spelled out with numpy."""
+    rng = np.random.default_rng(key)
+    return rng.integers(0, 1 << 64, size=count, dtype=np.uint64).tobytes()
+
+
+def numpy_mask(key, bits: int, threshold: float) -> int:
+    """The weak-mask recipe, spelled out with numpy."""
+    draws = np.random.default_rng(key).random(bits)
+    packed = np.packbits(draws < threshold, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 # -- registry semantics ------------------------------------------------------
@@ -164,18 +186,6 @@ class TestBackendEquivalence:
         assert got == want
         assert fast_rng.random() == ref_rng.random()
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(mask_ints, max_size=5), probabilities, seeds)
-    def test_sample_masks_rows(self, name, values, p, seed):
-        backend = backend_or_skip(name)
-        rows = _rows(values)
-        fast_rng = np.random.default_rng(seed)
-        ref_rng = np.random.default_rng(seed)
-        got = backend.sample_masks_rows(rows, p, fast_rng)
-        want = REFERENCE.sample_masks_rows(rows, p, ref_rng)
-        assert np.array_equal(got, want)
-        assert fast_rng.random() == ref_rng.random()
-
     def test_edges_draw_nothing(self, name):
         backend = backend_or_skip(name)
         rng = np.random.default_rng(7)
@@ -185,8 +195,6 @@ class TestBackendEquivalence:
         assert backend.sample_mask_int(L.MASK_ALL, 1.0, rng) == L.MASK_ALL
         assert backend.sample_masks_int([], 0.5, rng) == []
         assert backend.sample_masks_int([0, 0], 0.5, rng) == [0, 0]
-        empty = np.zeros((0, LINE_WORDS), dtype=L.WORD_DTYPE)
-        assert backend.sample_masks_rows(empty, 0.5, rng).shape == empty.shape
         assert rng.bit_generator.state["state"]["state"] == before
 
     @settings(max_examples=100, deadline=None)
@@ -197,29 +205,12 @@ class TestBackendEquivalence:
         assert (stored, flags) == REFERENCE.encode_stored_int(physical, data)
         assert backend.decode_int(stored, flags) == data
 
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.tuples(mask_ints, mask_ints), min_size=1, max_size=5))
-    def test_din_row_coders(self, name, pairs):
-        backend = backend_or_skip(name)
-        physical = _rows(p for p, _ in pairs)
-        data = _rows(d for _, d in pairs)
-        stored, flags = backend.encode_stored_rows(physical, data)
-        ref_stored, ref_flags = REFERENCE.encode_stored_rows(physical, data)
-        assert np.array_equal(stored, ref_stored)
-        assert np.array_equal(flags, ref_flags)
-        decoded = backend.decode_rows(stored, flags)
-        assert np.array_equal(decoded, data)
-
     @settings(max_examples=100, deadline=None)
     @given(mask_ints)
     def test_counting_kernels(self, name, mask):
         backend = backend_or_skip(name)
         assert backend.bit_positions_int(mask) == (
             REFERENCE.bit_positions_int(mask)
-        )
-        rows = _rows([mask, 0, L.MASK_ALL])
-        assert np.array_equal(
-            backend.popcount_rows(rows), REFERENCE.popcount_rows(rows)
         )
 
     @settings(max_examples=100, deadline=None)
@@ -231,8 +222,28 @@ class TestBackendEquivalence:
         assert backend.mask_from_draws(draws, threshold) == (
             REFERENCE.mask_from_draws(draws, threshold)
         )
-        bits = (draws < 0.5).astype(np.uint8)
-        assert backend.pack_mask(bits) == REFERENCE.pack_mask(bits)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed_keys, fractions)
+    def test_seeded_generation_matches_numpy(self, name, key, fraction):
+        """The state plane's recipes: numpy's SeedSequence -> PCG64 stream,
+        with numpy's entropy coercion (multi-word and zero-valued ints)."""
+        backend = backend_or_skip(name)
+        assert backend.seeded_words(key, 512) == numpy_words(key, 512)
+        assert backend.seeded_words(key, 3) == numpy_words(key, 3)
+        assert backend.seeded_mask(key, LINE_BITS, fraction) == (
+            numpy_mask(key, LINE_BITS, fraction)
+        )
+        assert backend.seeded_mask(key, 37, fraction) == (
+            numpy_mask(key, 37, fraction)
+        )
+
+    def test_seeded_generation_rejects_negative_keys(self, name):
+        backend = backend_or_skip(name)
+        with pytest.raises(ValueError):
+            backend.seeded_words((1, -2), 4)
+        with pytest.raises(ValueError):
+            backend.seeded_mask((-1,), 8, 0.5)
 
 
 def _digest(result) -> str:
@@ -292,18 +303,17 @@ class _FlakyOps:
     def din_encode(self, *args):
         return self._call("din_encode", *args)
 
-    def din_decode(self, *args):
-        return self._call("din_decode", *args)
-
     def pack_less_than(self, *args):
         return self._call("pack_less_than", *args)
-
-    def pack_bits(self, *args):
-        return self._call("pack_bits", *args)
 
     def bit_positions(self, *args):
         return self._call("bit_positions", *args)
 
+    def seeded_words(self, *args):
+        return self._call("seeded_words", *args)
+
+    def seeded_less_than(self, *args):
+        return self._call("seeded_less_than", *args)
 
 
 def _fresh_compiled():
@@ -356,14 +366,30 @@ class TestCompiledCrashFallback:
             got = backend.sample_masks_int(values, 0.3, fast_rng)
         assert got == REFERENCE.sample_masks_int(values, 0.3, ref_rng)
         assert fast_rng.random() == ref_rng.random()
-        rows = _rows(values)
-        fast_rng = np.random.default_rng(23)
-        ref_rng = np.random.default_rng(23)
-        assert np.array_equal(
-            backend.sample_masks_rows(rows, 0.3, fast_rng),
-            REFERENCE.sample_masks_rows(rows, 0.3, ref_rng),
-        )
-        assert fast_rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("method", ("seeded_words", "seeded_mask"))
+    def test_seeded_crash_falls_back_to_numpy(self, method):
+        """A dying seeded generator: one warning, one breaker failure, and
+        the numpy reference's bytes."""
+        from repro.resilience.breaker import breaker
+
+        backend = _fresh_compiled()
+        backend._ops = _FlakyOps(backend._ops, fuse=0)
+        key = (7, 2**32, 0, 2**100)
+        args = (key, 512) if method == "seeded_words" else (key, LINE_BITS, 0.1)
+        want = (numpy_words if method == "seeded_words" else numpy_mask)(*args)
+        failures = breaker("kernel").snapshot()["consecutive_failures"]
+        with pytest.warns(RuntimeWarning, match="falling back") as caught:
+            assert getattr(backend, method)(*args) == want
+        assert len(caught) == 1
+        assert backend.dead is True
+        snapshot = breaker("kernel").snapshot()
+        assert snapshot["consecutive_failures"] == failures + 1
+        assert "simulated native kernel crash" in snapshot["last_error"]
+        # Retired: later calls ride the reference without re-warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert getattr(backend, method)(*args) == want
 
     def test_midrun_crash_leaves_the_cell_byte_identical(self):
         """The chaos case: native kernels die partway through a cell."""

@@ -59,16 +59,6 @@ class TestCountKernels:
     def test_bit_positions_int_matches_scalar(self, mask):
         assert L.bit_positions_int(L.to_int(mask)) == L._scalar_bit_positions(mask)
 
-    @given(st.lists(masks, max_size=6))
-    def test_popcount_rows_matches_scalar(self, rows):
-        stacked = (
-            np.stack(rows)
-            if rows
-            else np.zeros((0, LINE_WORDS), dtype=L.WORD_DTYPE)
-        )
-        expected = [L._scalar_popcount(row) for row in rows]
-        assert L.popcount_rows(stacked).tolist() == expected
-
 
 class TestSampleMask:
     @settings(max_examples=200)

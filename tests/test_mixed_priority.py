@@ -65,10 +65,5 @@ class TestPerCoreTags:
         # Disturbance may persist only in strips that are no-use under the
         # allocator that owns them; everything else must be clean
         # (baseline corrects immediately).
-        from repro.pcm import line as L
-
-        for (bank, row), state in system.array._rows.items():
-            for line in range(64):
-                if not L.popcount(state.disturbed[line]):
-                    continue
-                assert is_no_use(row, 1, 2)
+        for addr, _, _ in system.array.disturbed_lines():
+            assert is_no_use(addr.row, 1, 2)

@@ -78,6 +78,29 @@ class TestDisturbAndCorrect:
         assert L.popcount(array.disturbed_mask(ADDR)) == len(zeros) - 2
 
 
+class TestIntDomain:
+    def test_disturbed_lines_lists_only_outstanding_flips(self, array):
+        assert list(array.disturbed_lines()) == []
+        array.disturb(ADDR, L.full_line())
+        [(addr, stored, disturbed)] = array.disturbed_lines()
+        assert addr == ADDR and isinstance(addr, LineAddress)
+        assert stored == L.to_int(array.stored_line(ADDR))
+        assert disturbed == L.to_int(array.disturbed_mask(ADDR))
+        assert stored & disturbed == 0 and stored | disturbed == L.MASK_ALL
+        array.correct(ADDR)
+        assert list(array.disturbed_lines()) == []
+
+    def test_numpy_views_are_copies(self, array):
+        view = array.stored_line(ADDR)
+        view[0] ^= np.uint64(1)
+        assert not np.array_equal(view, array.stored_line(ADDR))
+
+    def test_line_address_is_its_own_key(self):
+        assert ADDR == (1, 5, 3) and hash(ADDR) == hash((1, 5, 3))
+        bank, row, line = ADDR
+        assert (bank, row, line) == (ADDR.bank, ADDR.row, ADDR.line)
+
+
 class TestSetLine:
     def test_set_line_clears_disturbance(self, array):
         array.disturb(ADDR, L.full_line())

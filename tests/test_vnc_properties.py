@@ -53,22 +53,17 @@ def do_write(executor, bank, row, line, cancel_progress=None):
 
 def audit(executor, array, ecp) -> None:
     """Every disturbed bit must be covered by ECP unless marked uncovered."""
-    for (bank, row), state in array._rows.items():
-        for line in range(64):
-            disturbed = state.disturbed[line]
-            if not L.popcount(disturbed):
-                continue
-            key = (bank, row, line)
-            positions = set(L.bit_positions(disturbed))
-            ecp_line = ecp.peek(key)
-            covered = (
-                {e.position for e in ecp_line.entries} if ecp_line else set()
-            )
-            pending = executor.uncovered.get(key)
-            pending_positions = (
-                set(L.bit_positions(pending)) if pending is not None else set()
-            )
-            assert positions <= covered | pending_positions
+    for key, _, disturbed in array.disturbed_lines():
+        positions = set(L.bit_positions(disturbed))
+        ecp_line = ecp.peek(key)
+        covered = (
+            {e.position for e in ecp_line.entries} if ecp_line else set()
+        )
+        pending = executor.uncovered.get(key)
+        pending_positions = (
+            set(L.bit_positions(pending)) if pending is not None else set()
+        )
+        assert positions <= covered | pending_positions
 
 
 writes = st.lists(
@@ -102,8 +97,7 @@ class TestInvariantUnderRandomSequences:
         executor, array, ecp = build(SchemeConfig(), seed, 0.115)
         for bank, row, line, _ in script:
             do_write(executor, bank, row, line)
-        for (bank, row), state in array._rows.items():
-            assert int(np.count_nonzero(state.disturbed)) == 0
+        assert list(array.disturbed_lines()) == []
 
     @given(writes, st.integers(0, 50))
     @settings(max_examples=20, deadline=None,
@@ -128,8 +122,8 @@ class TestInvariantUnderRandomSequences:
         )
         for bank, row, line, _ in script:
             do_write(executor, bank, row, line)
-        for (bank, row), state in array._rows.items():
-            assert int(np.count_nonzero(state.stored & state.disturbed)) == 0
+        for _, stored, disturbed in array.disturbed_lines():
+            assert stored & disturbed == 0
 
     @given(writes, st.integers(0, 30))
     @settings(max_examples=10, deadline=None,
