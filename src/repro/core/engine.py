@@ -14,8 +14,10 @@ order (a monotonically increasing sequence number breaks ties).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..alloc.page_table import PageTable
 from ..config import LINES_PER_PAGE, SystemConfig
@@ -23,9 +25,13 @@ from ..errors import SimulationError
 from ..mem.address import AddressMapper
 from ..mem.controller import MemoryController
 from ..mem.request import Request, RequestKind
+from ..pcm.array import LineAddress
 from ..resilience.watchdog import pulse_hook as _pulse_hook
-from ..traces.record import TraceRecord
+from ..traces.record import trace_columns
 from ..traces.workload import Workload
+
+_READ = RequestKind.READ
+_WRITE = RequestKind.WRITE
 
 
 class EventLoop:
@@ -84,13 +90,28 @@ class EventLoop:
         return len(self._heap)
 
 
-@dataclass
+@dataclass(slots=True)
 class CoreState:
-    """Progress of one in-order core through its trace."""
+    """Progress of one in-order core through its trace.
+
+    The trace is held as plain per-reference columns (position ``i`` of
+    each list is reference ``i``), built once by the engine.
+    """
 
     index: int
-    trace: Sequence[TraceRecord]
     page_table: PageTable
+    is_write: List[bool]
+    #: Virtual page and 64 B line within it.
+    page: List[int]
+    line: List[int]
+    #: Non-memory instructions before the reference, and the cycles they
+    #: take (``int(gap * base_cpi)``).
+    gap: List[int]
+    delay: List[int]
+    #: Translations seen so far: page -> (bank, row, nm_tag).
+    frames: Dict[int, Tuple[int, int, Tuple[int, int]]] = field(
+        default_factory=dict
+    )
     position: int = 0
     instructions: int = 0
     finish_time: Optional[int] = None
@@ -129,48 +150,57 @@ class Engine:
         self.controller = controller
         self.mapper = mapper
         self.loop = loop
-        self.cores = [
-            CoreState(index=i, trace=workload.traces[i], page_table=page_tables[i])
-            for i in range(workload.cores)
-        ]
+        base_cpi = config.timing.base_cpi
+        self.cores = []
+        for i, trace in enumerate(workload.traces):
+            is_write, address, gap = trace_columns(trace)
+            self.cores.append(CoreState(
+                index=i,
+                page_table=page_tables[i],
+                is_write=is_write.tolist(),
+                page=(address >> 12).tolist(),
+                line=((address >> 6) % LINES_PER_PAGE).tolist(),
+                gap=gap.tolist(),
+                delay=(gap * base_cpi).astype(np.int64).tolist(),
+            ))
         self._req_seq = 0
 
     # -- core state machine ------------------------------------------------------
 
     def _advance(self, core: CoreState, now: int) -> None:
-        """Consume the next trace record (or finish)."""
-        if core.position >= len(core.trace):
+        """Consume the next trace reference (or finish)."""
+        pos = core.position
+        if pos >= len(core.gap):
             core.finish_time = now
             return
-        record = core.trace[core.position]
-        core.position += 1
-        core.instructions += record.gap + 1
-        issue_at = now + int(record.gap * self.config.timing.base_cpi)
-        self.loop.schedule(issue_at, self._issue, core, record)
+        core.position = pos + 1
+        core.instructions += core.gap[pos] + 1
+        self.loop.schedule(now + core.delay[pos], self._issue, core, pos)
 
-    def _issue(self, core: CoreState, record: TraceRecord, now: int) -> None:
-        entry = core.page_table.translate(record.page)
-        line_in_page = (record.address >> 6) % LINES_PER_PAGE
-        addr = self.mapper.line_address(entry.frame, line_in_page)
+    def _issue(self, core: CoreState, pos: int, now: int) -> None:
+        page = core.page[pos]
+        mapped = core.frames.get(page)
+        if mapped is None:
+            # First touch of the page: translate (demand-faulting a frame)
+            # and range-check the frame once; page tables never remap.
+            entry = core.page_table.translate(page)
+            bank, row = self.mapper.frame_to_bank_row(entry.frame)
+            mapped = core.frames[page] = (bank, row, entry.nm_tag)
+        bank, row, nm_tag = mapped
+        addr = LineAddress(bank, row, core.line[pos])
         self._req_seq += 1
-        request = Request(
-            kind=RequestKind.WRITE if record.is_write else RequestKind.READ,
-            core=core.index,
-            addr=addr,
-            issue_time=now,
-            nm_tag=entry.nm_tag,
-            seq=self._req_seq,
-        )
-        if record.is_write:
+        if core.is_write[pos]:
+            request = Request(_WRITE, core.index, addr, now, nm_tag, self._req_seq)
             if self.controller.try_enqueue_write(request):
                 self.loop.schedule(now + 1, self._advance, core)
             else:
                 stall_from = now
                 def retry(t: int) -> None:
                     core.wq_stall_cycles += t - stall_from
-                    self._issue(core, record, t)
-                self.controller.wait_for_space(addr.bank, retry)
+                    self._issue(core, pos, t)
+                self.controller.wait_for_space(bank, retry)
         else:
+            request = Request(_READ, core.index, addr, now, nm_tag, self._req_seq)
             self.controller.enqueue_read(request, self._read_done, core, now)
 
     def _read_done(self, core: CoreState, issued: int, now: int) -> None:

@@ -234,19 +234,10 @@ class VnCExecutor:
         return mask
 
     def _payload_int(self, entry: WriteEntry, logical_old: int) -> int:
-        """The write's logical data, synthesised once per entry.
-
-        ``entry.payload`` keeps the public array form; the int form is
-        cached alongside so retried writes skip the conversion.
-        """
+        """The write's logical data, synthesised once per entry."""
         cached = entry.payload_int
         if cached is None:
-            if entry.payload is not None:
-                cached = L.to_int(entry.payload)
-            else:
-                cached = logical_old ^ self._flip_mask(entry)
-                entry.payload = L.from_int(cached)
-            entry.payload_int = cached
+            cached = entry.payload_int = logical_old ^ self._flip_mask(entry)
         return cached
 
     def _invulnerable_int(self, key: Key) -> int:

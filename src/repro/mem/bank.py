@@ -13,9 +13,13 @@ from .request import PrereadSlot, Request, RequestKind, WriteEntry
 LineKey = Tuple[int, int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class InFlightOp:
-    """The operation currently occupying a bank."""
+    """The operation currently occupying a bank.
+
+    Slotted; the controller builds one per bank operation positionally, in
+    field order.
+    """
 
     kind: RequestKind
     start: int
@@ -58,9 +62,11 @@ class BankState:
     derived structures the controller's hot paths rely on:
 
     * ``wq_index`` maps (bank, row, line) to the queued entries for that
-      line in queue order, so :meth:`find_write` — called on *every*
-      demand read and every enqueued write's slots — is O(1) instead of
-      a reverse scan of the queue.
+      line in queue order (a key is present only while its list is
+      non-empty), so forwarding probes — ``addr in wq_index`` on *every*
+      demand read and every enqueued write's slots — are O(1) instead of
+      a reverse scan of the queue; :meth:`find_write` returns the
+      youngest entry.
     * ``preread_cursor`` keeps, in queue order, the entries that still
       owe PreRead work, so :meth:`next_preread_target` stops rescanning
       the whole queue on every scheduler kick.  Entries are invalidated

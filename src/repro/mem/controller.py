@@ -33,6 +33,10 @@ from .request import PausedWrite, PrereadSlot, Request, RequestKind, WriteEntry
 #: Cycles to forward read data straight out of the write queue.
 FORWARD_READ_CYCLES = 4
 
+_READ = RequestKind.READ
+_WRITE = RequestKind.WRITE
+_PREREAD = RequestKind.PREREAD
+
 #: Maximum times one write may be paused before it runs to completion —
 #: guards against read-stream starvation of writes (the original proposal
 #: bounds pre-emptions the same way [22]).
@@ -107,6 +111,13 @@ class MemoryController:
         #: Bursty drains run until the queue falls to this low-water mark,
         #: then reads regain the bank (high/low watermark flushing).
         self._drain_low_water = memory.write_queue_entries // 2
+        #: Scheme flags resolved once (the scheme is frozen).  A demand
+        #: read can pre-empt a write only under cancellation or pausing,
+        #: and either policy also schedules writes eagerly.
+        self._preempt = scheme.write_cancellation or scheme.write_pausing
+        self._eager = self._preempt or scheme.eager_writes
+        self._preread = scheme.preread
+        self._read_cycles = timing.read_cycles
 
     # -- request entry points --------------------------------------------------
 
@@ -119,18 +130,22 @@ class MemoryController:
         The optional leading arguments let callers pass a bound method
         plus its context instead of allocating a closure per read.
         """
-        bank = self.banks[request.addr.bank]
-        self.counters.demand_reads += 1
-        if bank.find_write(request.addr) is not None:
+        addr = request.addr
+        bank = self.banks[addr.bank]
+        counters = self.counters
+        counters.demand_reads += 1
+        if addr in bank.wq_index:
             # Read-around-write: newest data is still in the write queue.
-            self.counters.wq_forwarded_reads += 1
-            self.scheduler.schedule(
-                self.scheduler.now + FORWARD_READ_CYCLES, on_done, *done_args
+            counters.wq_forwarded_reads += 1
+            scheduler = self.scheduler
+            scheduler.schedule(
+                scheduler.now + FORWARD_READ_CYCLES, on_done, *done_args
             )
             return
         bank.read_q.append((request, on_done, done_args))
-        self._maybe_cancel_for_read(bank)
-        self._maybe_pause_for_read(bank)
+        if self._preempt:
+            self._maybe_cancel_for_read(bank)
+            self._maybe_pause_for_read(bank)
         self._kick(bank)
 
     def try_enqueue_write(self, request: Request) -> bool:
@@ -176,8 +191,9 @@ class MemoryController:
     def _apply_queue_forwarding(self, bank: BankState, entry: WriteEntry) -> None:
         """Section 4.3: if an adjacent line's newest data is still queued,
         the pre-read is satisfied by forwarding, not by an array read."""
+        queued = bank.wq_index
         for slot in entry.slots:
-            if bank.find_write(slot.addr) is not None:
+            if slot.addr in queued:
                 slot.done = True
                 slot.forwarded = True
                 self.counters.preread_forwards += 1
@@ -190,12 +206,12 @@ class MemoryController:
         if op is None or bank.draining:
             return
         now = self.scheduler.now
-        if op.kind is RequestKind.PREREAD:
+        if op.kind is _PREREAD:
             op.cancelled = True
             self.counters.prereads_cancelled += 1
             bank.current = None
             self._kick(bank)
-        elif op.kind is RequestKind.WRITE:
+        elif op.kind is _WRITE:
             if op.remaining(now) <= self.scheme.wc_threshold * op.latency:
                 return  # nearly done; let it finish
             op.cancelled = True
@@ -216,7 +232,7 @@ class MemoryController:
         if not self.scheme.write_pausing:
             return
         op = bank.current
-        if op is None or bank.draining or op.kind is not RequestKind.WRITE:
+        if op is None or bank.draining or op.kind is not _WRITE:
             return
         now = self.scheduler.now
         remaining = op.remaining(now)
@@ -237,28 +253,25 @@ class MemoryController:
         self._kick(bank)
 
     def _kick(self, bank: BankState) -> None:
-        """Start the next operation on an idle bank."""
-        if bank.busy:
+        """Start the next operation on an idle bank.
+
+        Priority: a draining bank writes (or idles once its queue is
+        empty); otherwise demand reads go first, then eager writes, then
+        PreRead.
+        """
+        if bank.current is not None:
             return
-        now = self.scheduler.now
-        if bank.draining and bank.write_q:
-            self._start_write(bank, now)
-        elif bank.read_q and not bank.draining:
-            self._start_read(bank, now)
-        elif (
-            (
-                self.scheme.write_cancellation
-                or self.scheme.write_pausing
-                or self.scheme.eager_writes
-            )
-            and bank.write_q
-            and not bank.read_q
-        ):
+        if bank.draining:
+            if bank.write_q:
+                self._start_write(bank, self.scheduler.now)
+        elif bank.read_q:
+            self._start_read(bank, self.scheduler.now)
+        elif self._eager and bank.write_q:
             # Eager write scheduling: reads can still pre-empt via
             # cancellation or pausing, so writes need not wait for drains.
-            self._start_write(bank, now)
-        elif self.scheme.preread and not bank.draining:
-            self._start_preread(bank, now)
+            self._start_write(bank, self.scheduler.now)
+        elif self._preread:
+            self._start_preread(bank, self.scheduler.now)
 
     def _start_write(self, bank: BankState, now: int) -> None:
         entry = bank.wq_popleft()
@@ -268,11 +281,7 @@ class MemoryController:
             # outstanding programming cycles remain.
             paused, entry.paused = entry.paused, None
             op = InFlightOp(
-                kind=RequestKind.WRITE,
-                start=now,
-                latency=paused.remaining,
-                entry=entry,
-                commit=paused.commit,
+                _WRITE, now, paused.remaining, False, entry, paused.commit
             )
             bank.current = op
             self.counters.total_write_busy_cycles += paused.remaining
@@ -282,26 +291,19 @@ class MemoryController:
             return
         op_plan = self.executor.execute(entry, now)
         op = InFlightOp(
-            kind=RequestKind.WRITE,
-            start=now,
-            latency=op_plan.latency,
-            entry=entry,
-            commit=op_plan.commit,
-            on_cancel=op_plan.cancel,
+            _WRITE, now, op_plan.latency, False, entry, op_plan.commit,
+            op_plan.cancel,
         )
         bank.current = op
         self.counters.total_write_busy_cycles += op_plan.latency
         self.scheduler.schedule(now + op_plan.latency, self._finish, bank, op)
 
     def _start_read(self, bank: BankState, now: int) -> None:
-        request, on_done, done_args = bank.read_q.popleft()
-        latency = self.timing.read_cycles
+        _, on_done, done_args = bank.read_q.popleft()
+        latency = self._read_cycles
         op = InFlightOp(
-            kind=RequestKind.READ,
-            start=now,
-            latency=latency,
-            on_done=on_done,
-            done_args=done_args,
+            _READ, now, latency, False, None, None, None, -1, on_done,
+            done_args,
         )
         bank.current = op
         self.counters.total_read_busy_cycles += latency
@@ -312,13 +314,9 @@ class MemoryController:
         if target is None:
             return
         entry, slot_index = target
-        latency = self.timing.read_cycles
+        latency = self._read_cycles
         op = InFlightOp(
-            kind=RequestKind.PREREAD,
-            start=now,
-            latency=latency,
-            entry=entry,
-            slot_index=slot_index,
+            _PREREAD, now, latency, False, entry, None, None, slot_index
         )
         bank.current = op
         self.counters.prereads_issued += 1
@@ -331,7 +329,8 @@ class MemoryController:
         if bank.current is not op:
             raise SimulationError("bank completion for a non-current op")
         bank.current = None
-        if op.kind is RequestKind.WRITE:
+        kind = op.kind
+        if kind is _WRITE:
             if op.commit is not None:
                 op.commit()
             low_water = 0 if bank.flush_all else self._drain_low_water
@@ -339,13 +338,13 @@ class MemoryController:
                 bank.draining = False
                 if not bank.write_q:
                     bank.flush_all = False
-        elif op.kind is RequestKind.READ:
+        elif kind is _READ:
             # Reads complete at exactly start + latency == now.
             if op.on_done is not None:
                 op.on_done(*op.done_args, now)
             elif op.commit is not None:
                 op.commit()
-        elif op.kind is RequestKind.PREREAD:
+        elif kind is _PREREAD:
             if op.entry is not None and 0 <= op.slot_index < len(op.entry.slots):
                 slot = op.entry.slots[op.slot_index]
                 if not slot.done:

@@ -20,9 +20,13 @@ class RequestKind(Enum):
     PREREAD = "preread"
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
-    """One demand request (read or write) from a core."""
+    """One demand request (read or write) from a core.
+
+    Slotted and built positionally on the replay hot path (one per trace
+    reference).
+    """
 
     kind: RequestKind
     core: int
@@ -79,11 +83,9 @@ class WriteEntry:
     slots: list[PrereadSlot] = field(default_factory=list)
     #: Number of times this write was cancelled and re-queued [22].
     cancellations: int = 0
-    #: The write's logical payload, synthesised once on first execution so
-    #: a cancelled-and-retried write rewrites the *same* data.
-    payload: Optional[object] = None
-    #: Int-domain cache of ``payload`` (512-bit integer form), kept in sync
-    #: by the executor so the planning hot path avoids re-converting.
+    #: The write's logical payload as a 512-bit integer, synthesised once
+    #: on first execution so a cancelled-and-retried write rewrites the
+    #: *same* data.
     payload_int: Optional[int] = None
     #: Set while the write is paused mid-op (write pausing policy).
     paused: Optional[PausedWrite] = None

@@ -18,11 +18,23 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..config import LINE_BYTES
 from ..errors import TraceError
+
+
+def _problem(address: int, gap: int) -> Optional[str]:
+    """Why a reference is invalid (checks in a fixed order), or None."""
+    if address < 0:
+        return f"negative address {address:#x}"
+    if address % LINE_BYTES:
+        return f"address {address:#x} not 64 B aligned"
+    if gap < 0:
+        return f"negative instruction gap {gap}"
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,12 +46,9 @@ class TraceRecord:
     gap: int
 
     def __post_init__(self) -> None:
-        if self.address < 0:
-            raise TraceError(f"negative address {self.address:#x}")
-        if self.address % LINE_BYTES:
-            raise TraceError(f"address {self.address:#x} not 64 B aligned")
-        if self.gap < 0:
-            raise TraceError(f"negative instruction gap {self.gap}")
+        problem = _problem(self.address, self.gap)
+        if problem is not None:
+            raise TraceError(problem)
 
     @property
     def line_address(self) -> int:
@@ -57,11 +66,12 @@ class TraceArray(Sequence):
 
     Generation produces the three columns in one vectorized pass (see
     :mod:`repro.traces.synthetic`); :class:`TraceRecord` objects are only
-    materialised when an element is accessed, so the engine's sequential
-    replay — and every list-style consumer (indexing, slicing, ``zip``,
-    equality, iteration) — works unchanged while synthesis stays free of
-    per-record Python loops.  Column layout matches the ``.npz`` trace
-    file format (``is_write`` bool, ``address``/``gap`` int64).
+    materialised when an element is accessed, so every list-style
+    consumer (indexing, slicing, ``zip``, equality, iteration) works
+    unchanged while synthesis stays free of per-record Python loops.  The
+    engine reads the columns directly (:func:`trace_columns`).  Column
+    layout matches the ``.npz`` trace file format (``is_write`` bool,
+    ``address``/``gap`` int64).
     """
 
     __slots__ = ("is_write", "address", "gap")
@@ -117,3 +127,27 @@ class TraceArray(Sequence):
 
     def __repr__(self) -> str:
         return f"TraceArray(length={len(self)})"
+
+
+def trace_columns(
+    trace: Sequence[TraceRecord],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(is_write, address, gap)`` numpy columns of any trace, checked.
+
+    A :class:`TraceArray` hands over its own columns; any other sequence
+    of records is gathered once.  One vectorised pass applies
+    :class:`TraceRecord`'s checks to every reference and raises the
+    :class:`TraceError` a record would raise for the first bad one.
+    """
+    if isinstance(trace, TraceArray):
+        is_write, address, gap = trace.is_write, trace.address, trace.gap
+    else:
+        count = len(trace)
+        is_write = np.fromiter((r.is_write for r in trace), bool, count)
+        address = np.fromiter((r.address for r in trace), np.int64, count)
+        gap = np.fromiter((r.gap for r in trace), np.int64, count)
+    bad = (address < 0) | (address % LINE_BYTES != 0) | (gap < 0)
+    if bad.any():
+        first = int(bad.argmax())
+        raise TraceError(_problem(int(address[first]), int(gap[first])))
+    return is_write, address, gap

@@ -100,15 +100,15 @@ class TestWriteCommit:
         decoded = ex.encoder.decode(
             array.stored_line(addr), array.line_flags(addr)
         )
-        assert np.array_equal(decoded, entry.payload)
+        assert np.array_equal(decoded, L.from_int(entry.payload_int))
 
     def test_payload_stable_across_retries(self):
         ex, *_ = make_executor(SchemeConfig(), p_bitline=0.0)
         entry = write_entry(ex)
         ex.execute(entry, 0)  # planned but never committed (cancelled)
-        payload_first = entry.payload.copy()
+        payload_first = entry.payload_int
         run_write(ex, entry)
-        assert np.array_equal(entry.payload, payload_first)
+        assert entry.payload_int == payload_first
 
     def test_epoch_bumped(self):
         ex, *_ = make_executor(SchemeConfig(), p_bitline=0.0)

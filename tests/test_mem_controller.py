@@ -13,7 +13,8 @@ from repro.mem.controller import (
     MemoryController,
     WriteOp,
 )
-from repro.mem.request import PrereadSlot, Request, RequestKind
+from repro.mem.bank import InFlightOp
+from repro.mem.request import PrereadSlot, Request, RequestKind, WriteEntry
 from repro.pcm.array import LineAddress
 from repro.stats.counters import Counters
 
@@ -220,3 +221,65 @@ class TestWriteCancellation:
         ctrl.try_enqueue_write(write(row=10))
         loop.run()
         assert len(ex.commits) == 1  # written eagerly, queue never filled
+
+
+def reference_kick(scheme, busy, draining, write_q, read_q):
+    """The bank-scheduling cascade as first written, branch for branch."""
+    if busy:
+        return None
+    if draining and write_q:
+        return "write"
+    elif read_q and not draining:
+        return "read"
+    elif (
+        (
+            scheme.write_cancellation
+            or scheme.write_pausing
+            or scheme.eager_writes
+        )
+        and write_q
+        and not read_q
+    ):
+        return "write"
+    elif scheme.preread and not draining:
+        return "preread"
+    return None
+
+
+#: Every way a scheme can make writes eager (or not).
+EAGER_FLAGS = (None, "eager_writes", "write_cancellation", "write_pausing")
+
+
+class TestKickTable:
+    """``_kick`` picks the same action as the reference cascade for every
+    combination of bank state and scheme flags."""
+
+    @pytest.mark.parametrize("eager", EAGER_FLAGS)
+    @pytest.mark.parametrize("preread", [False, True])
+    @pytest.mark.parametrize("read_q", [False, True])
+    @pytest.mark.parametrize("write_q", [False, True])
+    @pytest.mark.parametrize("draining", [False, True])
+    @pytest.mark.parametrize("busy", [False, True])
+    def test_action_matches_reference(
+        self, busy, draining, write_q, read_q, preread, eager
+    ):
+        flags = {"preread": preread}
+        if eager is not None:
+            flags[eager] = True
+        scheme = SchemeConfig(**flags)
+        _, ctrl, _, _ = make_controller(scheme)
+        taken = []
+        ctrl._start_write = lambda bank, now: taken.append("write")
+        ctrl._start_read = lambda bank, now: taken.append("read")
+        ctrl._start_preread = lambda bank, now: taken.append("preread")
+        bank = ctrl.banks[0]
+        bank.draining = draining
+        if busy:
+            bank.current = InFlightOp(RequestKind.READ, 0, 400)
+        if write_q:
+            bank.wq_append(WriteEntry(write(row=20)))
+        if read_q:
+            bank.read_q.append((read(), lambda t: None, ()))
+        ctrl._kick(bank)
+        expected = reference_kick(scheme, busy, draining, write_q, read_q)
+        assert taken == ([] if expected is None else [expected])

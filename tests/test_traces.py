@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import LINE_BYTES
+from repro.config import LINE_BYTES, MemoryConfig, SystemConfig
+from repro.core import schemes
+from repro.core.engine import EventLoop
+from repro.core.system import SDPCMSystem
 from repro.errors import TraceError
 from repro.traces.profiles import PROFILES, WORKLOAD_ORDER, memory_intensive, profile
-from repro.traces.record import TraceRecord
+from repro.traces.record import TraceArray, TraceRecord
 from repro.traces.synthetic import SyntheticTraceGenerator, generate_trace
 from repro.traces.workload import (
+    Workload,
     homogeneous_workload,
     mixed_workload,
     paper_workloads,
@@ -164,3 +171,56 @@ class TestWorkload:
         wl = homogeneous_workload("wrf", cores=1, length=50)
         expected = 50 + sum(r.gap for r in wl.traces[0])
         assert wl.total_instructions == expected
+
+
+class TestColumnReplay:
+    """The engine replays every trace from validated numpy columns."""
+
+    @pytest.mark.parametrize(
+        "address, gap, message",
+        [
+            (0x1001, 0, "address 0x1001 not 64 B aligned"),
+            (-64, 0, "negative address -0x40"),
+            (0x1000, -1, "negative instruction gap -1"),
+        ],
+        ids=["misaligned", "negative-address", "negative-gap"],
+    )
+    def test_bad_trace_array_rejected_before_any_event(
+        self, monkeypatch, address, gap, message
+    ):
+        good = generate_trace("bwaves", 40, seed=2)
+        # The bad reference comes last, so a lazy check would only fire
+        # after the good ones had been replayed.
+        bad = TraceArray(
+            np.append(good.is_write, False),
+            np.append(good.address, address),
+            np.append(good.gap, gap),
+        )
+        events_run = []
+        monkeypatch.setattr(EventLoop, "run", lambda loop: events_run.append(loop))
+        workload = Workload("bad", [bad], [profile("bwaves")])
+        with pytest.raises(TraceError) as excinfo:
+            SDPCMSystem(SystemConfig(cores=1)).run(workload)
+        assert str(excinfo.value) == message
+        assert events_run == []
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [schemes.lazyc_preread(), schemes.write_cancellation()],
+        ids=["lazyc-preread", "write-cancellation"],
+    )
+    def test_record_lists_and_trace_arrays_replay_identically(self, scheme):
+        # A 4-entry write queue also drives cores through the full-queue
+        # retry path.
+        config = SystemConfig(
+            cores=2, seed=3, memory=MemoryConfig(write_queue_entries=4)
+        ).with_scheme(scheme)
+        arrays = homogeneous_workload("mcf", cores=2, length=400, seed=3)
+        assert all(isinstance(t, TraceArray) for t in arrays.traces)
+        records = Workload(
+            arrays.name, [list(t) for t in arrays.traces], arrays.profiles
+        )
+        from_arrays = SDPCMSystem(config).run(arrays)
+        from_records = SDPCMSystem(config).run(records)
+        assert from_arrays.counters.wq_full_stalls > 0
+        assert dataclasses.asdict(from_records) == dataclasses.asdict(from_arrays)
