@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, NoReturn, Optional
 
 from .config import SystemConfig
 from .core import schemes
@@ -23,8 +23,34 @@ from .traces.profiles import PROFILES, WORKLOAD_ORDER
 from .traces.workload import homogeneous_workload
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as one stderr line and exit status 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type=`` for integers no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse
+
+
+_COUNT = _int_at_least(1)
+_LENGTH = _int_at_least(0)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="SD-PCM (ASPLOS 2015) reproduction toolkit",
     )
@@ -36,21 +62,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one workload under one scheme")
     sim.add_argument("workload", choices=WORKLOAD_ORDER)
     sim.add_argument("--scheme", default="baseline")
-    sim.add_argument("--length", type=int, default=1000)
-    sim.add_argument("--cores", type=int, default=8)
+    sim.add_argument("--length", type=_LENGTH, default=1000)
+    sim.add_argument("--cores", type=_COUNT, default=8)
     sim.add_argument("--seed", type=int, default=1)
 
     cmp_p = sub.add_parser("compare", help="run the Figure 11 line-up on one workload")
     cmp_p.add_argument("workload", choices=WORKLOAD_ORDER)
-    cmp_p.add_argument("--length", type=int, default=1000)
-    cmp_p.add_argument("--cores", type=int, default=8)
+    cmp_p.add_argument("--length", type=_LENGTH, default=1000)
+    cmp_p.add_argument("--cores", type=_COUNT, default=8)
     cmp_p.add_argument("--seed", type=int, default=1)
 
     exp = sub.add_parser("experiment", help="run paper experiments by name")
     exp.add_argument("names", nargs="+")
     exp.add_argument(
         "--jobs",
-        type=int,
+        type=_COUNT,
         default=None,
         help="worker processes for simulation cells (default REPRO_JOBS "
         "or the CPU count)",
@@ -105,8 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("light", "stress"),
         help="fault intensity; repeatable (default: both)",
     )
-    fsweep.add_argument("--length", type=int, default=None)
-    fsweep.add_argument("--cores", type=int, default=None)
+    fsweep.add_argument("--length", type=_LENGTH, default=None)
+    fsweep.add_argument("--cores", type=_COUNT, default=None)
     fsweep.add_argument("--seed", type=int, default=1)
     fsweep.add_argument(
         "--fault-seed",
@@ -115,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seed of the fault plan's RNG streams (fixed seed => "
         "bit-identical sweep)",
     )
-    fsweep.add_argument("--jobs", type=int, default=None)
+    fsweep.add_argument("--jobs", type=_COUNT, default=None)
 
     perf_p = sub.add_parser("perf", help="performance tooling")
     perf_sub = perf_p.add_subparsers(dest="perf_command", required=True)
@@ -126,8 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     prof.add_argument("workload", choices=WORKLOAD_ORDER)
     prof.add_argument("--scheme", default="LazyC+PreRead")
-    prof.add_argument("--length", type=int, default=2000)
-    prof.add_argument("--cores", type=int, default=4)
+    prof.add_argument("--length", type=_LENGTH, default=2000)
+    prof.add_argument("--cores", type=_COUNT, default=4)
     prof.add_argument("--seed", type=int, default=1)
     prof.add_argument(
         "--kernel-backend",
@@ -138,54 +164,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "host, else python)",
     )
 
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the sweep-service daemon: accept cell jobs over a local "
-        "HTTP/JSON API with a durable journal, admission control, and "
-        "graceful SIGTERM drain",
-    )
-    serve_p.add_argument(
-        "--host", default=None,
-        help="bind address (default 127.0.0.1)",
-    )
-    serve_p.add_argument(
-        "--port", type=int, default=None,
-        help="bind port, 0..65535; 0 picks an ephemeral port (default 7733)",
-    )
-    serve_p.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the shared engine (default REPRO_JOBS "
-        "or the CPU count)",
-    )
-    serve_p.add_argument(
-        "--queue-max", type=int, default=None,
-        help="admission queue bound (>= 1); submissions past it get 429 "
-        "(default 64)",
-    )
-    serve_p.add_argument(
-        "--drain-s", type=float, default=None,
-        help="seconds (>= 0) SIGTERM waits for in-flight jobs before "
-        "exiting (default 30)",
-    )
-    serve_p.add_argument(
-        "--deadline-s", type=float, default=None,
-        help="default per-job queue TTL in seconds; 0 or less disables "
-        "(default no TTL)",
-    )
-    serve_p.add_argument(
-        "--service-dir", default=None,
-        help="directory for the job journal (default <cache dir>/service)",
-    )
-    serve_p.add_argument(
-        "--portfile", default=None,
-        help="write the bound port here once listening (atomic rename; "
-        "pairs with --port 0 for race-free scripted startup)",
-    )
-
     gen = sub.add_parser("gen-trace", help="generate and save a workload trace")
     gen.add_argument("workload", choices=WORKLOAD_ORDER)
     gen.add_argument("path", help="output file (.npz binary or .trace text)")
-    gen.add_argument("--length", type=int, default=10_000)
+    gen.add_argument("--length", type=_LENGTH, default=10_000)
     gen.add_argument("--seed", type=int, default=1)
 
     ana = sub.add_parser("analyze", help="characterise a saved trace")
@@ -292,9 +274,6 @@ def _cmd_experiment(
 
 def _cmd_cache(action: str) -> int:
     from .perf.cache import ResultCache
-    from .perf.engine import STATS
-    from .perf.pool import WARM_POOL
-    from .traces import shm
 
     cache = ResultCache()
     if action == "clear":
@@ -302,7 +281,6 @@ def _cmd_cache(action: str) -> int:
         print(f"removed {removed} cached results from {cache.root}")
         return 0
     info = cache.info()
-    rate = STATS.cache_hit_rate()
     rows = [
         ["directory", info.root],
         ["enabled", info.enabled],
@@ -310,22 +288,6 @@ def _cmd_cache(action: str) -> int:
         ["size (KiB)", info.bytes / 1024.0],
         ["session corrupt evictions", info.corrupt_evictions],
         ["session async write drops", info.write_drops],
-        ["session cache hits", STATS.cache_hits],
-        ["session simulated", STATS.simulated],
-        ["session deduplicated", STATS.deduplicated],
-        ["session cache hit-rate",
-         f"{100.0 * rate:.1f}%" if rate is not None else "n/a"],
-        ["session pool reuses", STATS.pool_reuses],
-        ["session pool recycles", STATS.pool_recycles],
-        ["session pool generation", WARM_POOL.generation],
-        ["session trace-plane segments", shm.PLANE.published],
-        ["session trace-plane reuses", shm.PLANE.hits],
-        ["session prefetched cells", STATS.prefetched],
-        ["session cross-experiment dedups", STATS.cross_exp_dedup],
-        ["session serial batches", STATS.planner_serial_picks],
-        ["session pool batches", STATS.planner_pool_picks],
-        ["session kernel python picks", STATS.kernel_python_picks],
-        ["session kernel compiled picks", STATS.kernel_compiled_picks],
     ]
     print(format_table("result cache", ["metric", "value"], rows))
     return 0
@@ -399,39 +361,6 @@ def _cmd_perf_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_arg_error(args: argparse.Namespace) -> Optional[str]:
-    """The first out-of-range ``repro serve`` flag, as a message."""
-    if args.port is not None and not 0 <= args.port <= 65535:
-        return f"--port must be in 0..65535, got {args.port}"
-    for flag, value, minimum in (("--jobs", args.jobs, 1),
-                                 ("--queue-max", args.queue_max, 1),
-                                 ("--drain-s", args.drain_s, 0)):
-        if value is not None and value < minimum:
-            return f"{flag} must be >= {minimum}, got {value:g}"
-    return None
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    error = _serve_arg_error(args)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    from .service.daemon import ServiceDaemon
-
-    flags = {
-        "host": args.host,
-        "port": args.port,
-        "service_dir": args.service_dir,
-        "queue_max": args.queue_max,
-        "drain_s": args.drain_s,
-        "deadline_s": args.deadline_s,
-        "jobs": args.jobs,
-        "portfile": args.portfile,
-    }
-    daemon = ServiceDaemon(**{k: v for k, v in flags.items() if v is not None})
-    return daemon.serve()
-
-
 def _cmd_gen_trace(args: argparse.Namespace) -> int:
     from .traces import file_io
     from .traces.synthetic import generate_trace
@@ -475,8 +404,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_faults_sweep(args)
     if args.command == "perf":
         return _cmd_perf_profile(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
     if args.command == "gen-trace":
         return _cmd_gen_trace(args)
     if args.command == "analyze":

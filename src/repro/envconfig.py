@@ -8,8 +8,7 @@ invalidation protocol.
 
 Knobs parsed here — the whole ``REPRO_*`` surface.  Tuning constants
 live in their modules (``perf.engine.RETRIES``, ``resilience.breaker.
-THRESHOLD``, ``resilience.pressure.DISK_MIN_MB``, ...) and the sweep
-service takes its settings from ``repro serve`` flags:
+THRESHOLD``, ``resilience.pressure.DISK_MIN_MB``, ...):
 
 ========================  ======================================================
 ``REPRO_JOBS``            worker processes for cold cells (int >= 1; CPU count)

@@ -225,10 +225,10 @@ class ResultCache:
             _count_drop(key, "cache breaker open")
             return
         if self._writer is None or not self._writer.alive():
-            # First store, or the previous writer was stopped by
-            # close_writer() / died with the interpreter's thread
-            # machinery: start a fresh one rather than silently
-            # enqueueing onto a thread that will never drain.
+            # First store, or the previous writer died with the
+            # interpreter's thread machinery: start a fresh one rather
+            # than silently enqueueing onto a thread that will never
+            # drain.
             self._writer = _AsyncWriter(self)
         self._writer.put(key, result)
 
@@ -243,19 +243,6 @@ class ResultCache:
         """
         if self._writer is not None:
             self._writer.flush()
-
-    def close_writer(self) -> None:
-        """Drain the background writer and stop its thread (daemon drain).
-
-        Persistent processes (the sweep service) call this when draining
-        so no writer thread outlives the work it was started for.  The
-        cache stays usable: a later :meth:`store_async` transparently
-        starts a fresh writer.  Like :meth:`flush`, the first internal
-        background-store exception re-raises here.
-        """
-        if self._writer is not None:
-            writer, self._writer = self._writer, None
-            writer.close()
 
     def pause_writes(self) -> None:
         self.writes_paused = True
@@ -335,14 +322,11 @@ class _AsyncWriter:
     """Daemon thread draining (key, result) pairs into synchronous stores.
 
     One writer per :class:`ResultCache`, started lazily on the first
-    :meth:`ResultCache.store_async` (and restarted the same way after a
-    :meth:`ResultCache.close_writer`).  The queue is unbounded — results
-    are a few KB each, and the engine flushes at the end of every batch,
-    so the backlog is bounded by one batch's cold cells.
+    :meth:`ResultCache.store_async` (and restarted the same way if its
+    thread died).  The queue is unbounded — results are a few KB each,
+    and the engine flushes at the end of every batch, so the backlog is
+    bounded by one batch's cold cells.
     """
-
-    #: Queue sentinel that stops the drain thread (see :meth:`close`).
-    _STOP = object()
 
     def __init__(self, cache: ResultCache) -> None:
         self._cache = cache
@@ -366,26 +350,9 @@ class _AsyncWriter:
             error, self._error = self._error, None
             raise error
 
-    def close(self) -> None:
-        """Drain everything queued, then stop and join the thread.
-
-        Safe to call twice; surfaces the first internal store error like
-        :meth:`flush` does.
-        """
-        if self._thread.is_alive():
-            self._queue.put(self._STOP)
-            self._thread.join()
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
-
     def _drain(self) -> None:
         while True:
-            item = self._queue.get()
-            if item is self._STOP:
-                self._queue.task_done()
-                return
-            key, result = item
+            key, result = self._queue.get()
             try:
                 self._cache.store(key, result)
             except CacheWriteError as exc:

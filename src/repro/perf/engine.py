@@ -162,27 +162,6 @@ class EngineStats:
         for field in dataclasses.fields(self):
             setattr(self, field.name, 0)
 
-    def snapshot(self) -> "EngineStats":
-        """An independent copy of the counters as they stand now.
-
-        Long-lived processes (the sweep service) take one before a job
-        and diff with :meth:`since` after, so each job reports its own
-        numbers instead of the process-lifetime accumulation.
-        """
-        return dataclasses.replace(self)
-
-    def since(self, baseline: "EngineStats") -> "EngineStats":
-        """The counter deltas accumulated since ``baseline`` was taken."""
-        return EngineStats(**{
-            field.name: getattr(self, field.name)
-            - getattr(baseline, field.name)
-            for field in dataclasses.fields(self)
-        })
-
-    def as_dict(self) -> Dict[str, int]:
-        """The counters as a plain dict (JSON payloads)."""
-        return dataclasses.asdict(self)
-
     def cache_hit_rate(self) -> Optional[float]:
         """Cache hits as a fraction of resolved cells (None before any)."""
         resolved = self.cache_hits + self.simulated
@@ -257,38 +236,6 @@ class EngineStats:
 
 #: Counters accumulated across every ``run_cells`` call in this process.
 STATS = EngineStats()
-
-
-class ScopedStats:
-    """Holder filled by :func:`scoped_stats` when its block exits."""
-
-    def __init__(self) -> None:
-        #: The :class:`EngineStats` delta for the block (None until exit).
-        self.delta: Optional[EngineStats] = None
-
-
-@contextmanager
-def scoped_stats():
-    """Measure the :data:`STATS` delta across a block.
-
-    ``STATS`` is process-global on purpose (pool workers, breakers, and
-    the profiler all feed it), so a long-lived process running many jobs
-    would otherwise report merged numbers for every job after the first.
-    This scopes a reading without resetting anything::
-
-        with scoped_stats() as scope:
-            runner.run_cells(specs)
-        scope.delta.simulated  # this block's count alone
-
-    Scopes nest and overlap safely — each holds its own baseline copy
-    and never mutates the live counters.
-    """
-    scope = ScopedStats()
-    baseline = STATS.snapshot()
-    try:
-        yield scope
-    finally:
-        scope.delta = STATS.since(baseline)
 
 
 def _resilience_sink(kind: str) -> None:

@@ -16,7 +16,7 @@ this package instead of handling their failures ad hoc:
   disk, /dev/shm headroom, RSS vs soft budget) with graceful policy
   responses.
 - :mod:`~repro.resilience.health` — the machine-readable snapshot behind
-  ``repro health`` (the future daemon's ``/healthz`` payload).
+  ``repro health``.
 
 Supervision changes *when* the engine's fallbacks fire, never *what*
 results are: every degraded path (serial, python kernel, cache-off,

@@ -1,11 +1,10 @@
 """Machine-readable engine health snapshot (``repro health``).
 
-One JSON document answering "is this process fit to serve?": breaker
-states, active pressure degradations, watchdog configuration and stall
-count, the engine's resilience counters, cache condition, trace-plane
-condition, and the recent supervision event log.  This is the payload
-the ROADMAP's sweep-as-a-service daemon will serve from ``/healthz``;
-until then the CLI prints it and exits 0 (``ok``) / 1 (``degraded``).
+One JSON document answering "is this process fit to run cells?":
+breaker states, active pressure degradations, watchdog configuration and
+stall count, the engine's resilience counters, cache condition,
+trace-plane condition, and the recent supervision event log.  The CLI
+prints it and exits 0 (``ok``) / 1 (``degraded``).
 
 ``degraded`` means a supervision policy is *currently* steering work
 onto a fallback path: a breaker is open, or a pressure policy is active.

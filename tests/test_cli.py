@@ -77,20 +77,36 @@ class TestExperiment:
         assert rc == 2
 
 
-class TestServeFlags:
+class TestBadNumbers:
     @pytest.mark.parametrize("argv, message", [
-        (["--port", "70000"], "--port must be in 0..65535, got 70000"),
-        (["--port", "-1"], "--port must be in 0..65535, got -1"),
-        (["--queue-max", "0"], "--queue-max must be >= 1, got 0"),
-        (["--jobs", "0"], "--jobs must be >= 1, got 0"),
-        (["--drain-s", "-1"], "--drain-s must be >= 0, got -1"),
+        (["simulate", "mcf", "--cores", "0"],
+         "repro simulate: error: argument --cores: must be >= 1, got 0"),
+        (["compare", "mcf", "--cores", "0"],
+         "repro compare: error: argument --cores: must be >= 1, got 0"),
+        (["perf", "profile", "mcf", "--cores", "0"],
+         "repro perf profile: error: argument --cores: must be >= 1, got 0"),
+        (["simulate", "mcf", "--length", "-4"],
+         "repro simulate: error: argument --length: must be >= 0, got -4"),
+        (["gen-trace", "mcf", "x.npz", "--length", "-1"],
+         "repro gen-trace: error: argument --length: must be >= 0, got -1"),
+        (["faults", "sweep", "--jobs", "0"],
+         "repro faults sweep: error: argument --jobs: must be >= 1, got 0"),
+        (["experiment", "table1", "--jobs", "0"],
+         "repro experiment: error: argument --jobs: must be >= 1, got 0"),
+        (["simulate", "mcf", "--cores", "x"],
+         "repro simulate: error: argument --cores: invalid int value: 'x'"),
     ])
-    def test_out_of_range_flag_exits_2(self, argv, message, tmp_path, capsys):
-        rc = main(["serve", "--service-dir", str(tmp_path)] + argv)
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.strip() == message
-        assert not (tmp_path / "journal.jsonl").exists()
+    def test_exits_2_with_one_stderr_line(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_serve_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
 
 
 class TestPerfProfile:

@@ -188,38 +188,6 @@ class TestAccessors:
         assert monitor.degradations() == []
         assert not cache.writes_paused
 
-    def test_service_endpoint_knobs(self, monkeypatch, tmp_path):
-        """``repro serve`` defaults live in the daemon, not the env."""
-        from repro.service.daemon import ServiceDaemon
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        daemon = ServiceDaemon()
-        assert daemon.host == "127.0.0.1"
-        assert daemon.port == 7733
-        assert daemon.service_dir == tmp_path / "service"
-        assert ServiceDaemon(service_dir=tmp_path / "svc").service_dir == (
-            tmp_path / "svc"
-        )
-
-    def test_service_admission_knobs(self, tmp_path):
-        from repro.service.admission import AdmissionController
-        from repro.service.daemon import ServiceDaemon
-
-        ctrl = AdmissionController()
-        assert ctrl.queue_max == 64
-        assert ctrl.retry_after_s == 2.0
-        with pytest.raises(ValueError, match="queue_max must be >= 1"):
-            AdmissionController(queue_max=0)
-        assert ServiceDaemon(service_dir=tmp_path).drain_s == 30.0
-
-    def test_service_deadline_zero_means_no_ttl(self, tmp_path):
-        from repro.service.daemon import ServiceDaemon
-
-        for deadline_s, ttl in ((None, None), (0, None), (-3, None),
-                                (45, 45)):
-            daemon = ServiceDaemon(service_dir=tmp_path, deadline_s=deadline_s)
-            assert daemon.default_deadline_s == ttl
-
 
 class TestConsumersDelegate:
     """The old per-module parsers now route through envconfig."""
