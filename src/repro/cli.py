@@ -104,17 +104,11 @@ def _build_parser() -> argparse.ArgumentParser:
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache")
     cache_p.add_argument("action", choices=("stats", "clear"))
 
-    health_p = sub.add_parser(
+    sub.add_parser(
         "health",
-        help="print a machine-readable supervision snapshot (breakers, "
-        "pressure, watchdog, degraded modes); exits non-zero when degraded",
-    )
-    health_p.add_argument(
-        "--trip",
-        choices=("kernel", "cache", "shm"),
-        default=None,
-        help="force the named circuit breaker open before reporting "
-        "(for smoke-testing the degraded exit path)",
+        help="measure resource pressure and print a machine-readable "
+        "supervision snapshot (pressure, failure-ladder counters, degraded "
+        "modes); exits non-zero when degraded",
     )
 
     faults_p = sub.add_parser("faults", help="fault-injection tooling")
@@ -293,14 +287,18 @@ def _cmd_cache(action: str) -> int:
     return 0
 
 
-def _cmd_health(trip: Optional[str] = None) -> int:
+def _cmd_health() -> int:
     import json
 
-    from .resilience import breaker, health
+    from .perf.cache import ResultCache
+    from .resilience import health
+    from .resilience.pressure import PRESSURE
 
-    if trip is not None:
-        breaker.breaker(trip).trip(f"forced open via `repro health --trip {trip}`")
-    snap = health.snapshot()
+    # Measure now: a fresh process has no reading until the engine's
+    # first batch, so without this the snapshot could never be degraded.
+    cache = ResultCache()
+    PRESSURE.check(cache)
+    snap = health.snapshot(cache)
     print(json.dumps(snap, indent=2, sort_keys=True, default=str))
     return 0 if health.healthy(snap) else 1
 
@@ -399,7 +397,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "cache":
         return _cmd_cache(args.action)
     if args.command == "health":
-        return _cmd_health(args.trip)
+        return _cmd_health()
     if args.command == "faults":
         return _cmd_faults_sweep(args)
     if args.command == "perf":

@@ -26,7 +26,6 @@ from ..mem.address import AddressMapper
 from ..mem.controller import MemoryController
 from ..mem.request import Request, RequestKind
 from ..pcm.array import LineAddress
-from ..resilience.watchdog import pulse_hook as _pulse_hook
 from ..traces.record import trace_columns
 from ..traces.workload import Workload
 
@@ -56,34 +55,14 @@ class EventLoop:
         self._seq += 1
 
     def run(self) -> None:
-        pulse = _pulse_hook()
-        if pulse is None:
-            # The common case (parent process, or watchdog off): the
-            # original tight loop, untouched.
-            heap = self._heap
-            pop = heapq.heappop
-            while heap:
-                time, _, fn, args = pop(heap)
-                if time < self.now:
-                    raise SimulationError("time went backwards")
-                self.now = time
-                fn(*args, time)
-            return
-        # Heartbeat-armed pool worker: identical event semantics, plus a
-        # watchdog stamp every few thousand events so a long cell still
-        # proves liveness mid-run.
         heap = self._heap
         pop = heapq.heappop
-        count = 0
         while heap:
             time, _, fn, args = pop(heap)
             if time < self.now:
                 raise SimulationError("time went backwards")
             self.now = time
             fn(*args, time)
-            count += 1
-            if not count & 8191:
-                pulse()
 
     @property
     def pending(self) -> int:

@@ -7,8 +7,8 @@ tests that monkeypatch ``os.environ`` honest without any cache
 invalidation protocol.
 
 Knobs parsed here — the whole ``REPRO_*`` surface.  Tuning constants
-live in their modules (``perf.engine.RETRIES``, ``resilience.breaker.
-THRESHOLD``, ``resilience.pressure.DISK_MIN_MB``, ...):
+live in their modules (``perf.engine.RETRIES``,
+``resilience.pressure.DISK_MIN_MB``, ...):
 
 ========================  ======================================================
 ``REPRO_JOBS``            worker processes for cold cells (int >= 1; CPU count)
@@ -21,7 +21,6 @@ THRESHOLD``, ``resilience.pressure.DISK_MIN_MB``, ...):
 ``REPRO_KERNEL_CC``       C compiler for the compiled kernel backend (PATH
                           search)
 ``REPRO_CELL_TIMEOUT``    per-cell wall-clock budget, seconds (float >= 0; off)
-``REPRO_HEARTBEAT_S``     watchdog heartbeat window, seconds (float >= 0; off)
 ``REPRO_MEM_BUDGET_MB``   soft RSS budget, MiB (int >= 0; off)
 ========================  ======================================================
 """
@@ -150,19 +149,6 @@ def kernel_backend() -> str:
             f"got {raw!r}"
         )
     return value
-
-
-def heartbeat_s() -> Optional[float]:
-    """Watchdog heartbeat window in seconds (``REPRO_HEARTBEAT_S``).
-
-    Pool workers stamp a shared heartbeat array as they make progress;
-    when nothing (completions included) moves for this long, the
-    supervisor reclaims the round early instead of waiting out the full
-    ``REPRO_CELL_TIMEOUT`` deadline.  Unset or ``0`` disables the
-    watchdog (the default — a serial host under memory pressure can
-    legitimately stall longer than any fixed window).
-    """
-    return env_float("REPRO_HEARTBEAT_S", 0.0, minimum=0.0) or None
 
 
 def mem_budget_mb() -> Optional[int]:

@@ -1,68 +1,22 @@
-"""Exception hierarchy and unified failure taxonomy for the SD-PCM repro.
+"""Exception hierarchy for the SD-PCM repro.
 
 All library-raised exceptions derive from :class:`ReproError` so callers can
 catch everything from this package with a single ``except`` clause.
-
-Every :class:`ReproError` subclass additionally carries three class-level
-taxonomy attributes, so each layer (engine ladder, circuit breakers,
-pressure monitor, health snapshot) classifies a failure the same way
-instead of growing its own ad-hoc ``except`` clauses:
-
-``category``
-    Which subsystem failed: ``config`` / ``device`` / ``trace`` /
-    ``faults`` / ``execution`` / ``cache`` / ``shm`` / ``kernel`` /
-    ``resource`` / ``internal``.
-``retryable``
-    Whether retrying the *same* operation can plausibly succeed (a pool
-    worker crash: yes; a config error: no).
-``degraded_mode``
-    The known-good fallback path that sidesteps this failure class
-    entirely (``serial``, ``cache-off``, ``worker-synthesis``,
-    ``python``), or ``None`` when no degraded mode applies.
-
-Classification of *foreign* exceptions (``OSError`` by errno,
-``BrokenProcessPool``, ``MemoryError``) lives in
-:mod:`repro.resilience.taxonomy`; this module stays import-free so it is
-safe everywhere, including pool workers mid-fork.
 """
 
 from __future__ import annotations
-
-from typing import Optional
-
-#: Every legal ``category`` value, in subsystem order.
-CATEGORIES = (
-    "config",
-    "device",
-    "trace",
-    "faults",
-    "execution",
-    "cache",
-    "shm",
-    "kernel",
-    "resource",
-    "internal",
-)
 
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
 
-    category: str = "internal"
-    retryable: bool = False
-    degraded_mode: Optional[str] = None
-
 
 class ConfigError(ReproError):
     """An invalid or inconsistent configuration value was supplied."""
 
-    category = "config"
-
 
 class AllocationError(ReproError):
     """The page allocator could not satisfy a request."""
-
-    category = "device"
 
 
 class ECPExhaustedError(ReproError):
@@ -72,31 +26,21 @@ class ECPExhaustedError(ReproError):
     a correction write); only unrecoverable *hard* errors do.
     """
 
-    category = "device"
-
 
 class DeviceError(ReproError):
     """An out-of-range device coordinate (bank/row/line/bit) was addressed."""
-
-    category = "device"
 
 
 class TraceError(ReproError):
     """A trace record or trace stream is malformed."""
 
-    category = "trace"
-
 
 class SimulationError(ReproError):
     """The simulation engine reached an inconsistent internal state."""
 
-    category = "internal"
-
 
 class FaultInjectionError(ReproError):
     """A fault plan could not be constructed or applied to the device model."""
-
-    category = "faults"
 
 
 class WorkerCrashError(ReproError):
@@ -107,50 +51,19 @@ class WorkerCrashError(ReproError):
     engine's failure-handling ladder and only counted in ``EngineStats``.
     """
 
-    category = "execution"
-    retryable = True
-    degraded_mode = "serial"
-
 
 class CellTimeoutError(ReproError):
     """A cell exceeded the per-cell wall-clock budget (``REPRO_CELL_TIMEOUT``)."""
 
-    category = "execution"
-    retryable = True
-    degraded_mode = "serial"
-
 
 class CacheError(ReproError):
     """The disk result cache failed; results are unaffected, only reuse is."""
-
-    category = "cache"
-    degraded_mode = "cache-off"
 
 
 class CacheWriteError(CacheError):
     """A cache write hit an environmental failure (disk full / permissions).
 
     Retrying the same write cannot succeed until the environment changes,
-    so the degraded mode is dropping writes (``cache-off``), never
-    aborting the sweep that produced the result.
+    so the background writer drops it (counted in ``repro cache stats``)
+    instead of aborting the sweep that produced the result.
     """
-
-    retryable = False
-
-
-class TracePlaneError(ReproError):
-    """The shared-memory trace plane could not publish or attach a segment.
-
-    Workers fall back to synthesizing the trace in-process — byte-identical,
-    just without the zero-copy sharing.
-    """
-
-    category = "shm"
-    degraded_mode = "worker-synthesis"
-
-
-class ResourcePressureError(ReproError):
-    """A resource budget (disk / shm headroom / RSS) was exceeded."""
-
-    category = "resource"
-    degraded_mode = "serial"

@@ -45,12 +45,9 @@ class BackendUnavailable(ReproError, RuntimeError):
     no prebuilt library for the compiled backend) — callers degrade to
     the pure-Python backend rather than failing the run.  Subclasses
     ``RuntimeError`` for backwards compatibility and
-    :class:`~repro.errors.ReproError` so it classifies under the unified
-    taxonomy (kernel failure, degraded mode: pure Python).
+    :class:`~repro.errors.ReproError` so one ``except`` catches every
+    library error.
     """
-
-    category = "kernel"
-    degraded_mode = "python"
 
 
 class KernelBackend:

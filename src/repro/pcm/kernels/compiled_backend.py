@@ -296,12 +296,6 @@ class CompiledBackend(KernelBackend):
                 RuntimeWarning,
                 stacklevel=3,
             )
-            try:
-                from ...resilience.breaker import breaker
-
-                breaker("kernel").record_failure(exc)
-            except Exception:  # supervision must never break the fallback
-                pass
 
     # -- disturbance sampling ----------------------------------------------------
 

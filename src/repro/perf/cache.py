@@ -9,6 +9,7 @@ cannot leave a partially written entry behind.
 
 from __future__ import annotations
 
+import errno
 import logging
 import os
 import pickle
@@ -22,8 +23,6 @@ from typing import Optional
 from .. import envconfig
 from ..core.results import SimulationResult
 from ..errors import CacheWriteError
-from ..resilience import breaker as _breaker
-from ..resilience import taxonomy
 
 _SUFFIX = ".pkl"
 
@@ -35,10 +34,25 @@ _LOG = logging.getLogger("repro.perf")
 _CORRUPT_EVICTIONS = 0
 
 #: Cache writes dropped in this process because the environment refused
-#: them (disk full, permissions — classified ``CacheWriteError``) or
-#: because writes were paused by the cache breaker / pressure monitor.
-#: Session-wide; shown by ``repro cache stats`` and ``repro health``.
+#: them (disk full, permissions — ``CacheWriteError``) or because the
+#: pressure monitor paused writes.  Session-wide; shown by
+#: ``repro cache stats`` and ``repro health``.
 _WRITE_DROPS = 0
+
+#: errnos that mean "the storage environment is broken", not "the code
+#: is broken": retrying the same write is pointless until the operator
+#: frees space or fixes permissions, so the write is dropped, never
+#: allowed to abort the sweep.
+STORAGE_ERRNOS = frozenset(
+    {
+        errno.ENOSPC,  # no space left on device
+        errno.EDQUOT,  # quota exceeded
+        errno.EROFS,   # read-only filesystem
+        errno.EACCES,  # permission denied
+        errno.EPERM,   # operation not permitted
+        errno.EIO,     # low-level I/O error
+    }
+)
 
 #: Exceptions ``load`` treats as a corrupt entry.  Anything else —
 #: notably MemoryError / RecursionError / KeyboardInterrupt — propagates
@@ -68,6 +82,12 @@ class CacheInfo:
     corrupt_evictions: int = 0
     #: Writes this *process* dropped (environmental failure or paused).
     write_drops: int = 0
+
+
+def environmental_oserror(exc: BaseException) -> bool:
+    """True when ``exc`` is an ``OSError`` caused by the environment
+    (disk full, quota, permissions, read-only fs, I/O error)."""
+    return isinstance(exc, OSError) and exc.errno in STORAGE_ERRNOS
 
 
 def corrupt_evictions() -> int:
@@ -146,10 +166,6 @@ class ResultCache:
         """
         if not self.enabled:
             return None
-        if _breaker.breaker("cache").is_open():
-            # The cache is known-broken; don't pay filesystem calls per
-            # cell while the breaker waits out its backoff.
-            return None
         path = self._path(key)
         try:
             with path.open("rb") as fh:
@@ -179,8 +195,8 @@ class ResultCache:
         """Synchronous atomic store.
 
         An *environmental* write failure (disk full, quota, permissions,
-        read-only fs — see :data:`repro.resilience.taxonomy.STORAGE_ERRNOS`)
-        is re-raised as a classified :class:`CacheWriteError`; anything
+        read-only fs — see :data:`STORAGE_ERRNOS`) is re-raised as a
+        :class:`CacheWriteError`; anything
         else (unpicklable payload, programming errors) raises unchanged.
         """
         if not self.enabled:
@@ -198,7 +214,7 @@ class ResultCache:
                     os.unlink(tmp)
                 except OSError:
                     pass
-            if taxonomy.environmental_oserror(exc):
+            if environmental_oserror(exc):
                 raise CacheWriteError(
                     f"cache write for {key} failed: {exc}"
                 ) from exc
@@ -212,17 +228,14 @@ class ResultCache:
         (collecting further pool results, rendering the previous
         experiment's table).  Call :meth:`flush` before relying on the
         entry being on disk; a store that failed re-raises there —
-        except classified :class:`CacheWriteError`\\ s, which degrade to
-        dropping the write (counted in ``repro cache stats``) and feed
-        the ``cache`` circuit breaker instead of aborting the sweep.
+        except :class:`CacheWriteError`\\ s, which degrade to dropping
+        the write (counted in ``repro cache stats``) instead of aborting
+        the sweep.
         """
         if not self.enabled:
             return
         if self.writes_paused:
             _count_drop(key, "writes paused by pressure policy")
-            return
-        if not _breaker.breaker("cache").allow():
-            _count_drop(key, "cache breaker open")
             return
         if self._writer is None or not self._writer.alive():
             # First store, or the previous writer died with the
@@ -358,16 +371,12 @@ class _AsyncWriter:
             except CacheWriteError as exc:
                 # Environmental: the sweep must outlive a full disk.
                 _count_drop(key, str(exc))
-                _breaker.breaker("cache").record_failure(exc)
             except BaseException as exc:
-                if taxonomy.environmental_oserror(exc):
+                if environmental_oserror(exc):
                     # A monkeypatched/raw OSError that skipped store()'s
-                    # classification still degrades, never aborts.
+                    # wrapping still degrades, never aborts.
                     _count_drop(key, repr(exc))
-                    _breaker.breaker("cache").record_failure(exc)
                 elif self._error is None:  # surfaced by the next flush()
                     self._error = exc
-            else:
-                _breaker.breaker("cache").record_success()
             finally:
                 self._queue.task_done()

@@ -64,13 +64,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .. import envconfig, resilience
+from .. import envconfig
 from ..core.results import SimulationResult
 from ..errors import CellTimeoutError, WorkerCrashError
 from ..pcm import kernels
 from ..pcm import stateplane
-from ..resilience import breaker as breaker_mod
-from ..resilience import watchdog
 from ..resilience.pressure import PRESSURE
 from ..traces import shm
 from . import batch as batchexec
@@ -149,14 +147,6 @@ class EngineStats:
     #: gone, but ``perfbench/`` still reads both counters by name.
     kernel_numpy_picks: int = 0
     kernel_fused_picks: int = 0
-    #: Rounds reclaimed by the heartbeat watchdog before the deadline.
-    watchdog_stalls: int = 0
-    #: Circuit-breaker transitions (see ``repro.resilience.breaker``).
-    breaker_opens: int = 0
-    breaker_probes: int = 0
-    breaker_closes: int = 0
-    #: Resource-pressure policy transitions (evict/pause/suspend/serial).
-    pressure_events: int = 0
 
     def reset(self) -> None:
         for field in dataclasses.fields(self):
@@ -215,18 +205,8 @@ class EngineStats:
                 f"; kernels: {self.kernel_python_picks} python / "
                 f"{self.kernel_compiled_picks} compiled picks"
             )
-        if (
-            self.watchdog_stalls
-            or self.breaker_opens
-            or self.pressure_events
-        ):
-            base += (
-                f"; supervision: {self.watchdog_stalls} watchdog stalls, "
-                f"{self.breaker_opens} breaker opens "
-                f"({self.breaker_probes} probes, "
-                f"{self.breaker_closes} closes), "
-                f"{self.pressure_events} pressure events"
-            )
+        if PRESSURE.transitions:
+            base += f"; supervision: {PRESSURE.transitions} pressure events"
         plane = stateplane.PLANE
         if plane.row_hits or plane.mask_hits:
             base += f"; state plane: {plane.summary()}"
@@ -238,27 +218,6 @@ class EngineStats:
 STATS = EngineStats()
 
 
-def _resilience_sink(kind: str) -> None:
-    """Mirror supervision events into the session counters.
-
-    Registered as the :mod:`repro.resilience` counter sink (a callback,
-    so the breaker/pressure modules never import the engine back).
-    """
-    if kind == "breaker_open":
-        STATS.breaker_opens += 1
-    elif kind == "breaker_half_open":
-        STATS.breaker_probes += 1
-    elif kind == "breaker_close":
-        STATS.breaker_closes += 1
-    elif kind == "watchdog_stall":
-        STATS.watchdog_stalls += 1
-    elif kind.startswith("pressure_"):
-        STATS.pressure_events += 1
-
-
-resilience.register_counter_sink(_resilience_sink)
-
-
 class CellRunner:
     """Executes batches of cell specs with caching and parallelism."""
 
@@ -267,8 +226,7 @@ class CellRunner:
                  retries: int = RETRIES,
                  cell_timeout: Optional[float] = None,
                  backoff: float = BACKOFF_S,
-                 kernel_backend: Optional[str] = None,
-                 heartbeat_s: Optional[float] = None):
+                 kernel_backend: Optional[str] = None):
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs if jobs is not None else default_jobs()
@@ -290,14 +248,6 @@ class CellRunner:
                 f"{'/'.join(envconfig.KERNEL_BACKENDS)}, "
                 f"got {self.kernel_backend!r}"
             )
-        if heartbeat_s is not None and heartbeat_s < 0:
-            raise ValueError(
-                f"heartbeat_s must be >= 0, got {heartbeat_s}"
-            )
-        #: Watchdog no-heartbeat window, seconds; ``None``/0 disables.
-        self.heartbeat_s = (
-            heartbeat_s if heartbeat_s is not None else envconfig.heartbeat_s()
-        ) or None
         #: Prefetched cells still cooking in the warm pool, by cache key.
         self._inflight: Dict[str, Future] = {}
         self._inflight_specs: Dict[str, CellSpec] = {}
@@ -365,7 +315,6 @@ class CellRunner:
         if self._runs_serial(len(specs)):
             return 0
         kernel = self._resolve_kernel()
-        hb = self._heartbeat_handle()
         submitted = 0
         seen: set = set()
         pool = None
@@ -388,7 +337,7 @@ class CellRunner:
             with defer_sigint():
                 try:
                     future = pool.submit(
-                        _simulate_with_phases, spec, handle, kernel, hb,
+                        _simulate_with_phases, spec, handle, kernel,
                     )
                 except (BrokenProcessPool, RuntimeError):
                     # The pool died mid-prefetch; unsubmitted cells simply
@@ -446,11 +395,8 @@ class CellRunner:
         kernels.activate(kernel)
         if serial:
             # simulate_cell feeds PROFILER directly in-process.
-            out = batchexec.simulate_batch(specs, notify)
-        else:
-            out = self._simulate_pooled(specs, notify, kernel)
-        self._observe_kernel_health(kernel)
-        return out
+            return batchexec.simulate_batch(specs, notify)
+        return self._simulate_pooled(specs, notify, kernel)
 
     def _runs_serial(self, cells: int) -> bool:
         """Whether a cold batch of ``cells`` cells runs in-process.
@@ -462,31 +408,6 @@ class CellRunner:
         """
         return self.jobs <= 1 or cells <= 1 or PRESSURE.serial_forced
 
-    def _observe_kernel_health(self, kernel: str) -> None:
-        """Feed the ``kernel`` breaker from the in-process backend state.
-
-        A native backend that crashed mid-batch retired itself
-        (``dead=True``, byte-identical python replay — see
-        ``pcm/kernels``); each such batch counts as one breaker failure,
-        so repeated retirements eventually route ``auto`` picks straight
-        to python instead of re-probing a broken toolchain every batch.
-        """
-        kb = breaker_mod.breaker("kernel")
-        if kernel == "python":
-            # A python batch says nothing about the native backends; if
-            # allow() had just granted a half-open probe, release it.
-            kb.abandon_probe()
-            return
-        try:
-            backend = kernels.get_backend(kernel)
-        except Exception as exc:
-            kb.record_failure(exc)
-            return
-        if getattr(backend, "dead", False):
-            kb.record_failure()
-        else:
-            kb.record_success()
-
     def _resolve_kernel(self) -> str:
         """The bit-kernel backend for the next cold batch.
 
@@ -494,29 +415,23 @@ class CellRunner:
         is honoured outright — forcing one that cannot be constructed on
         this host raises :class:`~repro.pcm.kernels.BackendUnavailable`
         rather than silently degrading.  ``auto`` runs ``compiled`` when
-        it builds on this host and the ``kernel`` circuit breaker allows
-        it, and the byte-identical pure-Python reference otherwise (no C
-        compiler, or a native backend that keeps failing until the
-        breaker's half-open probe lets it try again); the pick is
-        recorded in the session counters.
+        it builds on this host and has not retired itself in this process
+        (a native kernel that failed at runtime marks the backend
+        ``dead`` for good), and the byte-identical pure-Python reference
+        otherwise; the pick is recorded in the session counters.
         """
         if self.kernel_backend != "auto":
             kernels.get_backend(self.kernel_backend)  # raise if unavailable
             return self.kernel_backend
-        if (
-            breaker_mod.breaker("kernel").allow()
-            and "compiled" in kernels.available_backends()
-        ):
+        try:
+            compiled = kernels.get_backend("compiled")
+        except kernels.BackendUnavailable:
+            compiled = None
+        if compiled is not None and not compiled.dead:
             STATS.kernel_compiled_picks += 1
             return "compiled"
         STATS.kernel_python_picks += 1
         return "python"
-
-    def _heartbeat_handle(self) -> Optional[str]:
-        """The heartbeat segment name workers arm against (or ``None``)."""
-        if not self.heartbeat_s:
-            return None
-        return watchdog.HEARTBEATS.ensure()
 
     def _simulate_pooled(
         self, specs: List[CellSpec], notify: _OnResult, kernel: str,
@@ -572,7 +487,6 @@ class CellRunner:
         """
         workers = min(self.jobs, len(indices))
         pool = self._get_pool(workers)
-        hb = self._heartbeat_handle()
         futures: Dict[int, Future] = {}
         try:
             for index in indices:
@@ -583,7 +497,6 @@ class CellRunner:
                 with defer_sigint():
                     futures[index] = pool.submit(
                         _simulate_with_phases, specs[index], handle, kernel,
-                        hb,
                     )
         except (BrokenProcessPool, RuntimeError):
             for future in futures.values():
@@ -612,14 +525,6 @@ class CellRunner:
         (unlike the old submission-order ``result(timeout=...)`` walk,
         where N hung cells serially accumulated N budgets and a cell's
         window silently included time spent waiting on earlier futures).
-
-        With ``heartbeat_s`` set, a :class:`~repro.resilience.watchdog.
-        Watchdog` thread supervises the round: workers stamp the shared
-        heartbeat plane as they progress, and when *neither* completions
-        nor heartbeats move for the window, the round is reclaimed early
-        — the pending cells rejoin the retry ladder exactly as a
-        deadline expiry would send them, typically long before the
-        (necessarily generous) deadline fires.
         """
         payloads: Dict[object, tuple] = {}
         failed: List[object] = []
@@ -627,68 +532,33 @@ class CellRunner:
         pending = dict(futures)
         timeout = self.cell_timeout
         deadline = (time.monotonic() + timeout) if timeout else None
-        supervisor: Optional[watchdog.Watchdog] = None
-        if self.heartbeat_s and pending:
-            supervisor = watchdog.Watchdog(
-                watchdog.HEARTBEATS, self.heartbeat_s
-            )
-            supervisor.start()
-        try:
-            while pending:
-                wait_timeout: Optional[float] = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        for key, future in pending.items():
-                            future.cancel()
-                            STATS.cell_timeouts += 1
-                            failed.append(key)
-                            _LOG.warning(
-                                "cell %s exceeded REPRO_CELL_TIMEOUT=%ss: %s",
-                                key, timeout,
-                                CellTimeoutError(str(key)),
-                            )
-                        hung = True
-                        break
-                    wait_timeout = remaining
-                if supervisor is not None:
-                    wait_timeout = (
-                        supervisor.poll_s if wait_timeout is None
-                        else min(wait_timeout, supervisor.poll_s)
-                    )
-                done, _ = _futures_wait(
-                    set(pending.values()), timeout=wait_timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                if not done:
-                    if supervisor is not None and supervisor.stalled():
-                        for key, future in pending.items():
-                            future.cancel()
-                            failed.append(key)
-                        resilience.record_event(
-                            "watchdog_stall",
-                            f"no heartbeat or completion for "
-                            f"{self.heartbeat_s}s; reclaiming "
-                            f"{len(pending)} pending cell(s)",
-                        )
+        while pending:
+            wait_timeout: Optional[float] = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    for key, future in pending.items():
+                        future.cancel()
+                        STATS.cell_timeouts += 1
+                        failed.append(key)
                         _LOG.warning(
-                            "watchdog: no heartbeat for %ss; reclaiming %d "
-                            "pending cell(s) ahead of the deadline",
-                            self.heartbeat_s, len(pending),
+                            "cell %s exceeded REPRO_CELL_TIMEOUT=%ss: %s",
+                            key, timeout,
+                            CellTimeoutError(str(key)),
                         )
-                        hung = True
-                        break
-                    continue  # re-check deadline / watchdog and re-wait
-                self._drain_done(pending, done, payloads, failed)
-                broken = broken or self._round_broken
-                if self._round_progressed:
-                    if supervisor is not None:
-                        supervisor.touch()
-                    if deadline is not None:
-                        deadline = time.monotonic() + timeout
-        finally:
-            if supervisor is not None:
-                supervisor.stop()
+                    hung = True
+                    break
+                wait_timeout = remaining
+            done, _ = _futures_wait(
+                set(pending.values()), timeout=wait_timeout,
+                return_when=FIRST_COMPLETED,
+            )
+            if not done:
+                continue  # re-check the deadline and re-wait
+            self._drain_done(pending, done, payloads, failed)
+            broken = broken or self._round_broken
+            if self._round_progressed and deadline is not None:
+                deadline = time.monotonic() + timeout
         return payloads, failed, hung, broken
 
     def _drain_done(
@@ -749,9 +619,7 @@ def _publish_trace(spec: CellSpec):
     )
 
 
-def _simulate_with_phases(
-    spec: CellSpec, handle=None, kernel=None, hb=None
-) -> tuple:
+def _simulate_with_phases(spec: CellSpec, handle=None, kernel=None) -> tuple:
     """Pool worker: simulate one cell, shipping its phase timings back.
 
     ``handle`` points at the parent-published shared-memory trace; the
@@ -761,12 +629,8 @@ def _simulate_with_phases(
     is reset before each cell and its delta returned with the result.
     ``kernel`` names the parent's bit-kernel backend pick; a worker that
     cannot construct it degrades to the byte-identical pure-Python
-    reference.  ``hb`` names the parent's heartbeat segment: the worker
-    stamps it per cell (and the armed event loop stamps it mid-cell) so
-    the watchdog can tell slow from wedged.
+    reference.
     """
-    if hb is not None:
-        watchdog.arm(hb)
     if handle is not None:
         shm.ensure_attached(handle)
     if kernel is not None:
@@ -774,7 +638,6 @@ def _simulate_with_phases(
     PROFILER.reset()
     result = simulate_cell(spec)
     snapshot: Snapshot = PROFILER.snapshot()
-    watchdog.pulse()
     return result, snapshot
 
 
@@ -824,7 +687,7 @@ def reset() -> None:
     WARM_POOL.shutdown()
     WARM_POOL.reset_counters()
     shm.reset()
-    resilience.reset_all()
+    PRESSURE.reset()
     from .cache import reset_corrupt_evictions, reset_write_drops
 
     reset_corrupt_evictions()
@@ -843,7 +706,6 @@ def teardown(terminate: bool = False) -> None:
         _configured.cancel_prefetch()
     WARM_POOL.shutdown(terminate=terminate)
     shm.PLANE.close()
-    watchdog.HEARTBEATS.close()
 
 
 def get_runner() -> CellRunner:

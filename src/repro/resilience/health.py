@@ -1,15 +1,15 @@
 """Machine-readable engine health snapshot (``repro health``).
 
-One JSON document answering "is this process fit to run cells?":
-breaker states, active pressure degradations, watchdog configuration and
-stall count, the engine's resilience counters, cache condition,
-trace-plane condition, and the recent supervision event log.  The CLI
-prints it and exits 0 (``ok``) / 1 (``degraded``).
+One JSON document answering "is this process fit to run cells?": active
+pressure degradations and the last pressure reading, the engine's
+failure-ladder counters, cache condition, trace-plane condition, and the
+recent pressure transitions.  The CLI prints it and exits 0 (``ok``) /
+1 (``degraded``).
 
-``degraded`` means a supervision policy is *currently* steering work
-onto a fallback path: a breaker is open, or a pressure policy is active.
-Historical trouble that has recovered (closed breakers, past watchdog
-stalls) shows in the counters and events but does not fail the check.
+``degraded`` means a pressure policy is *currently* steering work onto a
+fallback path.  Historical trouble that has recovered (past crashes,
+timeouts, lifted policies) shows in the counters and events but does not
+fail the check.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional
 
-from .. import envconfig
-from . import events
-from .breaker import BREAKER_NAMES, breaker
 from .pressure import PRESSURE
 
 #: How many trailing events the snapshot carries.
@@ -39,34 +36,19 @@ def snapshot(cache=None) -> Dict[str, object]:
         cache = ResultCache()
     info = cache.info()
 
-    breakers = {name: breaker(name).snapshot() for name in BREAKER_NAMES}
-    open_breakers = sorted(
-        name for name, snap in breakers.items() if snap["state"] == "open"
-    )
-    degradations = sorted(
-        PRESSURE.degradations() + [f"breaker:{name}" for name in open_breakers]
-    )
+    degradations = sorted(PRESSURE.degradations())
     return {
         "status": "degraded" if degradations else "ok",
         "time": time.time(),
         "degradations": degradations,
-        "breakers": breakers,
         "pressure": PRESSURE.snapshot(),
-        "watchdog": {
-            "heartbeat_s": envconfig.heartbeat_s(),
-            "stalls": STATS.watchdog_stalls,
-        },
         "engine": {
             "worker_crashes": STATS.worker_crashes,
             "cell_timeouts": STATS.cell_timeouts,
             "retries": STATS.worker_retries,
             "serial_fallbacks": STATS.serial_fallback_cells,
             "pool_recycles": STATS.pool_recycles,
-            "watchdog_stalls": STATS.watchdog_stalls,
-            "breaker_opens": STATS.breaker_opens,
-            "breaker_probes": STATS.breaker_probes,
-            "breaker_closes": STATS.breaker_closes,
-            "pressure_events": STATS.pressure_events,
+            "pressure_events": PRESSURE.transitions,
         },
         "cache": {
             "root": str(info.root),
@@ -83,7 +65,7 @@ def snapshot(cache=None) -> Dict[str, object]:
             "suspended": PLANE.suspended,
             "suppressed": PLANE.suppressed,
         },
-        "events": events()[-EVENT_TAIL:],
+        "events": PRESSURE.events()[-EVENT_TAIL:],
     }
 
 

@@ -17,26 +17,24 @@ RSS ``> REPRO_MEM_BUDGET_MB``  force serial execution of cold batches and
                                skip prefetch (recover below 80% of budget)
 =============================  =========================================
 
-Every transition is recorded as a ``pressure_*`` event (mirrored into
-``EngineStats.pressure_events`` and shown by ``repro health``).  All
+Every transition is recorded as a ``pressure_*`` event in the monitor's
+bounded log and counted in :attr:`PressureMonitor.transitions` (both
+shown by ``repro health``; the count also by the engine summary).  All
 responses are established byte-identical degraded paths — pressure
 changes scheduling and caching, never results.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import shutil
 import sys
 import time
+from collections import deque
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from .. import envconfig
-from . import record_event
-
-_LOG = logging.getLogger("repro.resilience")
 
 MB = 1024 * 1024
 
@@ -57,6 +55,10 @@ RECOVERY_FACTOR = 2.0
 
 #: RSS must drop below this fraction of the budget to recover.
 MEM_RECOVERY_FRACTION = 0.8
+
+#: Transitions the event log keeps, so a flapping host cannot grow it
+#: without bound.
+EVENT_LOG_SIZE = 256
 
 
 def _existing_parent(path: Path) -> Path:
@@ -108,6 +110,17 @@ class PressureMonitor:
         self.shm_suspended = False
         self.evicted_entries = 0
         self.last_reading: Optional[Dict[str, object]] = None
+        #: Policy transitions recorded since the last reset.
+        self.transitions = 0
+        self._events: deque = deque(maxlen=EVENT_LOG_SIZE)
+
+    def _record(self, kind: str, detail: str) -> None:
+        self.transitions += 1
+        self._events.append({"t": time.time(), "kind": kind, "detail": detail})
+
+    def events(self) -> List[Dict[str, object]]:
+        """A copy of the recorded transitions, oldest first."""
+        return list(self._events)
 
     # -- entry points --------------------------------------------------------
 
@@ -152,7 +165,7 @@ class PressureMonitor:
             removed, freed = cache.evict_lru(need)
             if removed:
                 self.evicted_entries += removed
-                record_event(
+                self._record(
                     "pressure_cache_evict",
                     f"disk low ({free_mb:.0f} MiB free): evicted "
                     f"{removed} LRU entries ({freed} bytes)",
@@ -166,7 +179,7 @@ class PressureMonitor:
             if free_mb < min_mb and not cache.writes_paused:
                 cache.pause_writes()
                 self.cache_paused = True
-                record_event(
+                self._record(
                     "pressure_cache_pause",
                     f"{free_mb:.0f} MiB free < DISK_MIN_MB={min_mb}; "
                     "cache writes paused",
@@ -174,7 +187,7 @@ class PressureMonitor:
         elif self.cache_paused and free_mb >= min_mb * RECOVERY_FACTOR:
             cache.resume_writes()
             self.cache_paused = False
-            record_event(
+            self._record(
                 "pressure_cache_resume",
                 f"{free_mb:.0f} MiB free; cache writes resumed",
             )
@@ -196,7 +209,7 @@ class PressureMonitor:
         if free_mb < min_mb and not traceshm.PLANE.suspended:
             traceshm.PLANE.suspend()
             self.shm_suspended = True
-            record_event(
+            self._record(
                 "pressure_shm_suspend",
                 f"/dev/shm {free_mb:.0f} MiB free < SHM_MIN_MB="
                 f"{min_mb}; trace plane suspended (workers synthesize)",
@@ -204,7 +217,7 @@ class PressureMonitor:
         elif self.shm_suspended and free_mb >= min_mb * RECOVERY_FACTOR:
             traceshm.PLANE.resume()
             self.shm_suspended = False
-            record_event(
+            self._record(
                 "pressure_shm_resume",
                 f"/dev/shm {free_mb:.0f} MiB free; trace plane resumed",
             )
@@ -219,14 +232,14 @@ class PressureMonitor:
             return
         if rss > budget and not self.serial_forced:
             self.serial_forced = True
-            record_event(
+            self._record(
                 "pressure_mem_degrade",
                 f"RSS {rss:.0f} MiB > REPRO_MEM_BUDGET_MB={budget}; "
                 "forcing serial execution",
             )
         elif self.serial_forced and rss <= budget * MEM_RECOVERY_FRACTION:
             self.serial_forced = False
-            record_event(
+            self._record(
                 "pressure_mem_recover",
                 f"RSS {rss:.0f} MiB back under budget; "
                 "parallel execution restored",

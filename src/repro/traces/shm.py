@@ -40,7 +40,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..resilience import breaker as _breaker
 from .profiles import profile
 from .record import TraceArray
 from .workload import Workload, homogeneous_workload
@@ -140,8 +139,8 @@ class TracePlane:
         self.published = 0
         #: Cells that reused an already-published segment.
         self.hits = 0
-        #: Publishes skipped because the plane was suspended or the shm
-        #: breaker was open (the workers synthesized in-process instead).
+        #: Publishes skipped because the plane was suspended or segment
+        #: creation failed (the workers synthesized in-process instead).
         self.suppressed = 0
         #: Set by the pressure monitor when /dev/shm headroom runs out.
         self.suspended = False
@@ -161,10 +160,9 @@ class TracePlane:
 
         Returns ``None`` for degenerate empty workloads (zero-byte
         segments are invalid), while the plane is suspended by the
-        pressure monitor, or while the ``shm`` circuit breaker is open —
+        pressure monitor, or when ``SharedMemory`` refuses the segment —
         the worker then synthesizes in-process, which is byte-identical
-        (and instant at length 0).  A failed segment creation feeds the
-        breaker and degrades the same way instead of killing the sweep.
+        (and instant at length 0), instead of the sweep dying.
         """
         if length <= 0 or cores <= 0:
             return None
@@ -176,11 +174,6 @@ class TracePlane:
         if self.suspended:
             self.suppressed += 1
             return None
-        shm_breaker = _breaker.breaker("shm")
-        if not shm_breaker.allow():
-            self.suppressed += 1
-            return None
-
         workload = workload_for(bench, length, cores, seed)
         _, _, total = _column_layout(cores, length)
         name = f"{SHM_PREFIX}_{os.getpid()}_{self._counter}"
@@ -191,7 +184,6 @@ class TracePlane:
                 create=True, size=total, name=name
             )
         except OSError as exc:
-            shm_breaker.record_failure(exc)
             self.suppressed += 1
             _LOG.warning("could not publish trace segment %s (%s); "
                          "workers will synthesize in-process", name, exc)
@@ -232,7 +224,6 @@ class TracePlane:
                 pass  # exported views; dropped with this frame anyway
             self._segments.pop(key, None)
             raise
-        shm_breaker.record_success()
         self.published += 1
         return handle
 

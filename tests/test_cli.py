@@ -120,7 +120,9 @@ class TestPerfProfile:
     def test_prints_coarse_phases_and_backend(self, capsys):
         from repro.pcm import kernels
 
-        assert main(self.ARGV) == 0
+        # Explicit `auto`: a REPRO_KERNEL_BACKEND in the environment
+        # would otherwise pick the backend.
+        assert main(self.ARGV + ["--kernel-backend", "auto"]) == 0
         out = capsys.readouterr().out
         assert self.rows(out) == ["trace_gen", "simulate", "total"]
         assert "cycles=" in out

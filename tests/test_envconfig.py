@@ -134,16 +134,6 @@ class TestAccessors:
         monkeypatch.setenv("REPRO_KERNEL_CC", " /usr/bin/cc ")
         assert envconfig.kernel_cc() == "/usr/bin/cc"
 
-    def test_heartbeat_s(self, monkeypatch):
-        assert envconfig.heartbeat_s() is None
-        monkeypatch.setenv("REPRO_HEARTBEAT_S", "0")
-        assert envconfig.heartbeat_s() is None  # 0 disables
-        monkeypatch.setenv("REPRO_HEARTBEAT_S", "1.5")
-        assert envconfig.heartbeat_s() == 1.5
-        monkeypatch.setenv("REPRO_HEARTBEAT_S", "-1")
-        with pytest.raises(ValueError, match="REPRO_HEARTBEAT_S"):
-            envconfig.heartbeat_s()
-
     def test_mem_budget_mb(self, monkeypatch):
         assert envconfig.mem_budget_mb() is None
         monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "0")
@@ -153,17 +143,6 @@ class TestAccessors:
         monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "-1")
         with pytest.raises(ValueError, match="REPRO_MEM_BUDGET_MB"):
             envconfig.mem_budget_mb()
-
-    def test_breaker_knobs(self, monkeypatch):
-        """Breaker defaults are module constants, read per call."""
-        from repro.resilience import breaker
-
-        b = breaker.CircuitBreaker("test")
-        assert b.threshold == 5
-        assert b.snapshot()["backoff_s"] == 30.0
-        monkeypatch.setattr(breaker, "THRESHOLD", 2)
-        assert b.threshold == 2
-        assert breaker.CircuitBreaker("test", threshold=7).threshold == 7
 
     def test_pressure_floors(self, monkeypatch, tmp_path):
         """The disk and /dev/shm floors are constants; 0 disables one."""
@@ -216,7 +195,6 @@ class TestConsumersDelegate:
             "REPRO_TRACE_LEN": envconfig.trace_length,
             "REPRO_CORES": envconfig.core_count,
             "REPRO_KERNEL_BACKEND": envconfig.kernel_backend,
-            "REPRO_HEARTBEAT_S": envconfig.heartbeat_s,
             "REPRO_MEM_BUDGET_MB": envconfig.mem_budget_mb,
         }
         for name, accessor in cases.items():
@@ -232,7 +210,7 @@ class TestKnobSurface:
     KNOBS = {
         "REPRO_JOBS", "REPRO_TRACE_LEN", "REPRO_CORES", "REPRO_CACHE",
         "REPRO_CACHE_DIR", "REPRO_KERNEL_BACKEND", "REPRO_KERNEL_CC",
-        "REPRO_CELL_TIMEOUT", "REPRO_HEARTBEAT_S", "REPRO_MEM_BUDGET_MB",
+        "REPRO_CELL_TIMEOUT", "REPRO_MEM_BUDGET_MB",
     }
     NAME = re.compile(r"REPRO_[A-Z_]+")
 

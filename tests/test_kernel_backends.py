@@ -8,8 +8,8 @@ These tests pin that contract property-based over random masks and edge
 probabilities, plus the registry semantics (lazy memoised construction,
 force-mode errors, graceful degradation) and the compiled backend's
 crash containment: a native kernel that raises mid-run retires itself
-with one warning and a kernel-breaker failure, and finishes byte- and
-stream-identically in Python.
+with one warning, stays retired for the process, and finishes byte-
+and stream-identically in Python.
 
 Backends unavailable on the host (no C compiler for ``compiled``) skip
 their equivalence cases; the registry/degradation tests simulate such
@@ -369,23 +369,18 @@ class TestCompiledCrashFallback:
 
     @pytest.mark.parametrize("method", ("seeded_words", "seeded_mask"))
     def test_seeded_crash_falls_back_to_numpy(self, method):
-        """A dying seeded generator: one warning, one breaker failure, and
+        """A dying seeded generator: one warning, a retired backend, and
         the numpy reference's bytes."""
-        from repro.resilience.breaker import breaker
-
         backend = _fresh_compiled()
         backend._ops = _FlakyOps(backend._ops, fuse=0)
         key = (7, 2**32, 0, 2**100)
         args = (key, 512) if method == "seeded_words" else (key, LINE_BITS, 0.1)
         want = (numpy_words if method == "seeded_words" else numpy_mask)(*args)
-        failures = breaker("kernel").snapshot()["consecutive_failures"]
         with pytest.warns(RuntimeWarning, match="falling back") as caught:
             assert getattr(backend, method)(*args) == want
         assert len(caught) == 1
+        assert "simulated native kernel crash" in str(caught[0].message)
         assert backend.dead is True
-        snapshot = breaker("kernel").snapshot()
-        assert snapshot["consecutive_failures"] == failures + 1
-        assert "simulated native kernel crash" in snapshot["last_error"]
         # Retired: later calls ride the reference without re-warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")

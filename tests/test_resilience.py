@@ -1,11 +1,11 @@
-"""Chaos tests for the supervision layer (PR 8).
+"""Chaos tests for the supervision layer and the degraded paths.
 
-Exercises each supervisor against an injected failure and pins the one
-contract that matters: supervision changes *when* the engine's fallbacks
-fire, never *what* a sweep returns.  Worker-side failures reuse the
-``test_chaos_engine`` pattern — monkeypatch in the parent, misbehave only
-when ``os.getpid()`` differs from the test process (pool workers are
-fork-started on Linux, so they inherit the patch).
+Exercises each degraded path against an injected failure and pins the
+one contract that matters: supervision changes *when* the engine's
+fallbacks fire, never *what* a sweep returns.  Worker-side failures
+reuse the ``test_chaos_engine`` pattern — monkeypatch in the parent,
+misbehave only when ``os.getpid()`` differs from the test process (pool
+workers are fork-started on Linux, so they inherit the patch).
 """
 
 from __future__ import annotations
@@ -14,35 +14,26 @@ import dataclasses
 import errno
 import json
 import os
-import time
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.cli import main
 from repro.core import schemes
-from repro.errors import (
-    CacheWriteError,
-    ResourcePressureError,
-    TracePlaneError,
-    WorkerCrashError,
-)
+from repro.errors import CacheWriteError
+from repro.pcm import kernels
 from repro.pcm.kernels import BackendUnavailable
 from repro.experiments import common
 from repro.perf import cache as cache_mod
 from repro.perf import engine
 from repro.perf.cache import ResultCache
 from repro.perf.engine import STATS, CellRunner
-from repro.resilience import breaker as breaker_mod
-from repro.resilience import events, health, pressure, taxonomy
-from repro.resilience.breaker import CircuitBreaker, breaker
+from repro.resilience import health, pressure
 from repro.resilience.pressure import PRESSURE
 from repro.traces import shm
 
 pytestmark = pytest.mark.chaos
 
 SMALL = dict(length=80, cores=2)
-MAIN_PID = os.getpid()
 REAL_SIMULATE = engine.simulate_cell
 
 
@@ -55,11 +46,27 @@ def payload(result) -> dict:
     return dataclasses.asdict(result)
 
 
-def hang_in_worker(spec):
-    """Stop heartbeating without dying (the watchdog's target)."""
-    if os.getpid() != MAIN_PID:
-        time.sleep(60)
-    return REAL_SIMULATE(spec)
+def retire_compiled() -> bool:
+    """Retire the in-process compiled backend as a runtime crash would.
+
+    Returns False on a host where it cannot be built (``auto`` already
+    runs python there).
+    """
+    try:
+        backend = kernels.get_backend("compiled")
+    except BackendUnavailable:
+        return False
+    with pytest.warns(RuntimeWarning, match="falling back"):
+        backend._retire(RuntimeError("chaos: native kernel died"))
+    return True
+
+
+def no_segments(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "shm full")
+
+
+def full_disk(self, key, result):
+    raise OSError(errno.ENOSPC, "No space left on device")
 
 
 @pytest.fixture
@@ -71,144 +78,45 @@ def clean_results(tmp_path):
     return specs, [payload(r) for r in runner.run_cells(specs)]
 
 
-class TestTaxonomy:
-    def test_library_errors_carry_their_attributes(self):
-        cases = [
-            (CacheWriteError("x"), ("cache", False, "cache-off")),
-            (TracePlaneError("x"), ("shm", False, "worker-synthesis")),
-            (ResourcePressureError("x"), ("resource", False, "serial")),
-            (WorkerCrashError("x"), ("execution", True, "serial")),
-            (BackendUnavailable("x"), ("kernel", False, "python")),
-        ]
-        for exc, expected in cases:
-            c = taxonomy.classify(exc)
-            assert (c.category, c.retryable, c.degraded_mode) == expected
+@pytest.fixture
+def over_budget(monkeypatch):
+    """RSS reads 150 MiB against a 100 MiB budget; disk/shm checks off."""
+    monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "100")
+    monkeypatch.setattr(pressure, "DISK_MIN_MB", 0)
+    monkeypatch.setattr(pressure, "SHM_MIN_MB", 0)
+    monkeypatch.setattr(pressure, "_rss_mb", lambda: 150.0)
 
+
+class TestTaxonomy:
     def test_backend_unavailable_stays_a_runtime_error(self):
-        # PR 6 callers catch RuntimeError; re-homing onto the taxonomy
-        # must not break them.
+        # Callers catch RuntimeError; the ReproError base must not break
+        # them.
         assert isinstance(BackendUnavailable("x"), RuntimeError)
 
-    def test_foreign_exceptions_map_by_type_and_errno(self):
-        c = taxonomy.classify(OSError(errno.ENOSPC, "no space"))
-        assert (c.category, c.retryable) == ("resource", False)
-        c = taxonomy.classify(BrokenProcessPool("pool died"))
-        assert (c.category, c.retryable, c.degraded_mode) == (
-            "execution", True, "serial")
-        c = taxonomy.classify(TimeoutError())
-        assert c.retryable and c.degraded_mode == "serial"
-        c = taxonomy.classify(MemoryError())
-        assert (c.category, c.degraded_mode) == ("resource", "serial")
-
-    def test_unknown_exceptions_are_internal(self):
-        c = taxonomy.classify(ValueError("a plain bug"))
-        assert (c.category, c.retryable, c.degraded_mode) == (
-            "internal", False, None)
-
     def test_environmental_oserror_is_errno_scoped(self):
-        assert taxonomy.environmental_oserror(OSError(errno.ENOSPC, "full"))
-        assert taxonomy.environmental_oserror(OSError(errno.EACCES, "denied"))
-        assert not taxonomy.environmental_oserror(
-            OSError(errno.ENOENT, "missing"))
-        assert not taxonomy.environmental_oserror(ValueError())
-
-    def test_classification_rejects_unknown_category(self):
-        with pytest.raises(ValueError, match="unknown taxonomy category"):
-            taxonomy.Classification("gremlins", False, None)
+        env = cache_mod.environmental_oserror
+        assert env(OSError(errno.ENOSPC, "full"))
+        assert env(OSError(errno.EACCES, "denied"))
+        assert not env(OSError(errno.ENOENT, "missing"))
+        assert not env(ValueError())
 
 
-class TestCircuitBreaker:
-    def make(self, threshold=2, backoff_s=10.0):
-        clk = [0.0]
-        b = CircuitBreaker("test", threshold=threshold, backoff_s=backoff_s,
-                           clock=lambda: clk[0])
-        return b, clk
-
-    def test_open_half_open_close_cycle(self):
-        b, clk = self.make()
-        assert b.allow() and b.state == "closed"
-        b.record_failure(RuntimeError("one"))
-        assert b.state == "closed"  # under threshold
-        b.record_failure(RuntimeError("two"))
-        assert b.state == "open" and b.is_open()
-        assert not b.allow()
-        clk[0] = 10.0  # backoff elapsed: next caller is the probe
-        assert b.allow() and b.state == "half_open"
-        assert not b.allow()  # probe already in flight
-        b.record_success()
-        assert b.state == "closed" and not b.is_open()
-        assert b.opens == 1 and b.closes == 1
-        assert STATS.breaker_opens == 1
-        assert STATS.breaker_probes == 1
-        assert STATS.breaker_closes == 1
-        kinds = [e["kind"] for e in events()]
-        assert kinds == ["breaker_open", "breaker_half_open", "breaker_close"]
-
-    def test_failed_probe_doubles_backoff_capped(self):
-        b, clk = self.make(backoff_s=10.0)
-        b.record_failure(RuntimeError("x"))
-        b.record_failure(RuntimeError("x"))
-        clk[0] = 10.0
-        assert b.allow()  # probe
-        b.record_failure(RuntimeError("still broken"))  # backoff -> 20s
-        assert b.state == "open"
-        clk[0] = 29.0
-        assert not b.allow()
-        clk[0] = 30.0
-        assert b.allow()
-        for _ in range(6):  # keep failing: factor caps at 8x
-            b.record_failure(RuntimeError("x"))
-            clk[0] += 80.0
-            assert b.allow()
-        assert b.snapshot()["backoff_s"] == 80.0
-
-    def test_abandoned_probe_frees_the_slot(self):
-        b, clk = self.make()
-        b.record_failure(RuntimeError("x"))
-        b.record_failure(RuntimeError("x"))
-        clk[0] = 10.0
-        assert b.allow()
-        assert not b.allow()  # probe held
-        b.abandon_probe()  # probe never exercised the dependency
-        assert b.allow()  # next caller may probe instead
-        assert b.state == "half_open"
-
-    def test_success_resets_failure_streak(self):
-        b, _ = self.make(threshold=2)
-        b.record_failure(RuntimeError("x"))
-        b.record_success()
-        b.record_failure(RuntimeError("x"))
-        assert b.state == "closed"  # streak broken; never reached 2
-
-    def test_trip_forces_open(self):
-        b = breaker("cache")
-        b.trip("forced by test")
-        assert b.is_open()
-        assert breaker("cache") is b  # registry returns the singleton
-
-
-class TestCacheBreaker:
+class TestCacheDegradation:
     def test_disk_full_degrades_to_cache_off_not_abort(
         self, tmp_path, monkeypatch, clean_results
     ):
         specs, expected = clean_results
-        monkeypatch.setattr(breaker_mod, "THRESHOLD", 2)
-
-        def full_disk(self, key, result):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
         monkeypatch.setattr(ResultCache, "store", full_disk)
         runner = CellRunner(jobs=1, cache=ResultCache(tmp_path / "chaos",
                                                       enabled=True))
         results = runner.run_cells(specs)  # flushes internally; must not raise
         assert [payload(r) for r in results] == expected
         assert cache_mod.write_drops() == 2
-        assert breaker("cache").is_open()
-        assert STATS.breaker_opens == 1
 
-        # With the breaker open, further writes are dropped at the door
-        # (no filesystem calls) and loads short-circuit to a miss.
+        # Every later write is attempted and dropped again; nothing was
+        # stored, so a load is a miss.
         runner.cache.store_async("deadbeef", results[0])
+        runner.cache.flush()
         assert cache_mod.write_drops() == 3
         assert runner.cache.load("deadbeef") is None
 
@@ -254,56 +162,11 @@ class TestCacheBreaker:
         assert cache._path("k1").exists()
 
 
-class TestWatchdog:
-    def test_hung_worker_reclaimed_before_deadline(
+class TestShmDegradation:
+    def test_publish_failure_degrades_to_worker_synthesis(
         self, tmp_path, monkeypatch, clean_results
     ):
         specs, expected = clean_results
-        monkeypatch.setattr(engine, "simulate_cell", hang_in_worker)
-        chaos = CellRunner(jobs=2,
-                           cache=ResultCache(tmp_path / "chaos", enabled=True),
-                           retries=0, cell_timeout=30.0, backoff=0.0,
-                           heartbeat_s=0.5)
-        start = time.monotonic()
-        results = chaos.run_cells(specs)
-        elapsed = time.monotonic() - start
-        # The deadline alone would hold the round for 30s; the watchdog
-        # reclaims it after ~0.5s of silence.
-        assert elapsed < 10
-        assert [payload(r) for r in results] == expected
-        assert STATS.watchdog_stalls >= 1
-        assert STATS.serial_fallback_cells == 2
-        assert STATS.cell_timeouts == 0  # reclaimed *before* the deadline
-        assert any(e["kind"] == "watchdog_stall" for e in events())
-
-    def test_slow_but_alive_worker_is_not_reclaimed(self, tmp_path):
-        # A clean pooled run under a tight heartbeat window: workers pulse
-        # per cell (and mid-cell via the armed event loop), so nothing
-        # stalls even though cells take longer than the window.
-        specs = [small_cell("stream"), small_cell("mcf")]
-        runner = CellRunner(jobs=2,
-                            cache=ResultCache(tmp_path / "c", enabled=True),
-                            retries=0, heartbeat_s=1.0)
-        runner.run_cells(specs)
-        assert STATS.watchdog_stalls == 0
-        assert STATS.serial_fallback_cells == 0
-
-    def test_heartbeat_knob_validation(self):
-        with pytest.raises(ValueError, match="heartbeat_s must be >= 0"):
-            CellRunner(jobs=1, heartbeat_s=-1.0)
-        assert CellRunner(jobs=1, heartbeat_s=0).heartbeat_s is None
-
-
-class TestShmBreaker:
-    def test_publish_failure_opens_breaker_and_degrades(
-        self, tmp_path, monkeypatch, clean_results
-    ):
-        specs, expected = clean_results
-        monkeypatch.setattr(breaker_mod, "THRESHOLD", 1)
-
-        def no_segments(*args, **kwargs):
-            raise OSError(errno.ENOSPC, "shm full")
-
         monkeypatch.setattr(shm.shared_memory, "SharedMemory", no_segments)
         runner = CellRunner(jobs=2,
                             cache=ResultCache(tmp_path / "chaos",
@@ -311,44 +174,30 @@ class TestShmBreaker:
                             retries=0, backoff=0.0)
         results = runner.run_cells(specs)
         assert [payload(r) for r in results] == expected
-        assert breaker("shm").is_open()
-        # First publish fed the breaker; the second was suppressed by it.
+        # Each publish failed and was suppressed; nothing was published.
         assert shm.PLANE.suppressed == 2
         assert shm.PLANE.published == 0
         assert STATS.serial_fallback_cells == 0  # workers synthesized fine
 
 
-class TestKernelBreaker:
-    def test_open_breaker_routes_auto_to_python(self):
+class TestKernelRetirement:
+    def test_retired_backend_routes_auto_to_python(self):
+        if not retire_compiled():
+            pytest.skip("compiled backend cannot be built on this host")
         runner = CellRunner(jobs=1, kernel_backend="auto")
-        breaker("kernel").trip("compiled backend keeps dying")
         before = STATS.kernel_python_picks
         assert runner._resolve_kernel() == "python"
         assert STATS.kernel_python_picks == before + 1
+        assert STATS.kernel_compiled_picks == 0
 
-    def test_forced_backend_bypasses_the_breaker(self):
-        breaker("kernel").trip("forced open")
-        runner = CellRunner(jobs=1, kernel_backend="python")
-        assert runner._resolve_kernel() == "python"
-
-    def test_python_batch_abandons_the_half_open_probe(self):
-        clk = [0.0]
-        kb = CircuitBreaker("kernel", threshold=1, backoff_s=10.0,
-                            clock=lambda: clk[0])
-        breaker_mod._BREAKERS["kernel"] = kb
-        kb.record_failure(RuntimeError("backend died"))
-        clk[0] = 10.0
-        runner = CellRunner(jobs=1, kernel_backend="auto")
-        name = runner._resolve_kernel()  # consumes the half-open probe
-        if name == "python":
-            # The engine picked python anyway: the probe proves nothing
-            # about native backends and must be released, not leaked.
-            runner._observe_kernel_health("python")
-            assert kb.state == "half_open"
-            assert kb.allow()  # probe slot is free again
-        else:
-            runner._observe_kernel_health(name)
-            assert kb.state in ("closed", "open")  # probe resolved
+    def test_forced_backend_is_honoured_after_retirement(self):
+        if not retire_compiled():
+            pytest.skip("compiled backend cannot be built on this host")
+        runner = CellRunner(jobs=1, kernel_backend="compiled")
+        # An explicit pick stays deterministic: the retired backend runs
+        # and replays every kernel in pure Python.
+        assert runner._resolve_kernel() == "compiled"
+        assert STATS.kernel_python_picks == STATS.kernel_compiled_picks == 0
 
 
 class TestPressure:
@@ -372,23 +221,17 @@ class TestPressure:
         assert cache.writes_paused  # eviction could not free enough
         assert PRESSURE.evicted_entries == 2
         assert "cache-writes-paused" in PRESSURE.degradations()
-        kinds = [e["kind"] for e in events()]
+        kinds = [e["kind"] for e in PRESSURE.events()]
         assert "pressure_cache_evict" in kinds
         assert "pressure_cache_pause" in kinds
-        assert STATS.pressure_events >= 2
+        assert PRESSURE.transitions == 2
+        assert "2 pressure events" in STATS.summary()
 
         free[0] = 300 * pressure.MB  # 2x the floor: hysteresis satisfied
         PRESSURE.check(cache)
         assert not cache.writes_paused
         assert PRESSURE.degradations() == []
-        assert any(e["kind"] == "pressure_cache_resume" for e in events())
-
-    @pytest.fixture
-    def over_budget(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "100")
-        monkeypatch.setattr(pressure, "DISK_MIN_MB", 0)
-        monkeypatch.setattr(pressure, "SHM_MIN_MB", 0)
-        monkeypatch.setattr(pressure, "_rss_mb", lambda: 150.0)
+        assert PRESSURE.events()[-1]["kind"] == "pressure_cache_resume"
 
     def test_rss_over_budget_forces_serial(
         self, tmp_path, monkeypatch, over_budget
@@ -458,23 +301,22 @@ class TestHealthCli:
         snap = json.loads(capsys.readouterr().out)
         assert snap["status"] == "ok"
         assert snap["degradations"] == []
-        assert set(snap["breakers"]) == {"kernel", "cache", "shm"}
-        assert snap["watchdog"]["stalls"] == 0
+        assert snap["pressure"]["reading"] is not None  # measured now
+        assert snap["engine"]["pressure_events"] == 0
         assert "write_drops" in snap["cache"]
 
-    def test_tripped_breaker_exits_nonzero(self, capsys):
-        assert main(["health", "--trip", "cache"]) == 1
+    def test_over_budget_exits_nonzero(self, capsys, monkeypatch):
+        # Nothing else has run in this process: the command itself must
+        # measure the pressure it reports.
+        monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "1")
+        assert main(["health"]) == 1
         snap = json.loads(capsys.readouterr().out)
         assert snap["status"] == "degraded"
-        assert "breaker:cache" in snap["degradations"]
-        assert snap["breakers"]["cache"]["state"] == "open"
-        assert any(e["kind"] == "breaker_open" for e in snap["events"])
+        assert "serial-forced" in snap["degradations"]
+        assert snap["engine"]["pressure_events"] == 1
+        assert snap["events"][-1]["kind"] == "pressure_mem_degrade"
 
-    def test_snapshot_reflects_pressure_degradations(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "100")
-        monkeypatch.setattr(pressure, "DISK_MIN_MB", 0)
-        monkeypatch.setattr(pressure, "SHM_MIN_MB", 0)
-        monkeypatch.setattr(pressure, "_rss_mb", lambda: 150.0)
+    def test_snapshot_reflects_pressure_degradations(self, over_budget):
         PRESSURE.check()
         snap = health.snapshot()
         assert snap["status"] == "degraded"
@@ -491,38 +333,55 @@ class TestHealthCli:
 
 class TestDegradedByteIdentity:
     def test_fully_degraded_sweep_matches_clean_serial(
-        self, tmp_path, monkeypatch, clean_results
+        self, tmp_path, monkeypatch, clean_results, over_budget
     ):
-        """Every supervisor forcing its degraded path at once: open
-        breakers for all three dependencies plus memory-pressure serial
-        forcing.  The sweep must still return the clean-serial bytes."""
+        """Every degraded path forced at once: a retired compiled
+        backend, cache stores and trace segments failing with ENOSPC,
+        and RSS over budget.  The sweep must return the clean-serial
+        bytes."""
         specs, expected = clean_results
-        # The open kernel breaker only stays open when `auto` routes
-        # around the native backends; a forced REPRO_KERNEL_BACKEND
-        # (CI's compiled-smoke legs) bypasses the breaker, and its clean
-        # native batches would close it mid-sweep.
+        # A forced REPRO_KERNEL_BACKEND (CI's compiled-smoke legs) would
+        # run the retired backend itself; `auto` must route around it.
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        for name in ("kernel", "cache", "shm"):
-            breaker(name).trip("chaos: everything is on fire")
-        monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "100")
-        monkeypatch.setattr(pressure, "DISK_MIN_MB", 0)
-        monkeypatch.setattr(pressure, "SHM_MIN_MB", 0)
-        monkeypatch.setattr(pressure, "_rss_mb", lambda: 150.0)
+        retired = retire_compiled()
+        monkeypatch.setattr(ResultCache, "store", full_disk)
+        monkeypatch.setattr(shm.shared_memory, "SharedMemory", no_segments)
         PRESSURE.check()
+        STATS.reset()  # count the degraded runs only
         runner = CellRunner(jobs=2, cache=ResultCache(tmp_path / "chaos",
-                                                      enabled=True))
+                                                      enabled=True),
+                            retries=0, backoff=0.0)
         results = runner.run_cells(specs)
         assert [payload(r) for r in results] == expected
-        assert not health.healthy()
+        assert STATS.planner_serial_picks == 1  # memory pressure
+        assert STATS.kernel_python_picks == 1
+        assert STATS.kernel_compiled_picks == 0
+        assert cache_mod.write_drops() == 2
         snap = health.snapshot(runner.cache)
-        assert {"breaker:cache", "breaker:kernel", "breaker:shm",
-                "serial-forced"} <= set(snap["degradations"])
+        assert snap["degradations"] == ["serial-forced"]
+        assert not health.healthy(snap)
+        if retired:
+            assert kernels.get_backend("compiled").dead
 
-    def test_faults_sweep_notes_degraded_supervision(self, monkeypatch):
+        # Serial execution never publishes trace segments; lift the
+        # memory pressure (dropped writes keep the cells cold) and the
+        # pooled rerun meets the failing /dev/shm.
+        monkeypatch.setattr(pressure, "_rss_mb", lambda: 50.0)
+        PRESSURE.check()
+        results = runner.run_cells(specs)
+        assert [payload(r) for r in results] == expected
+        assert STATS.planner_pool_picks == 1
+        assert shm.PLANE.suppressed == 2 and shm.PLANE.published == 0
+        assert STATS.kernel_compiled_picks == 0
+        assert cache_mod.write_drops() == 4
+
+    def test_faults_sweep_notes_degraded_supervision(
+        self, monkeypatch, over_budget
+    ):
         monkeypatch.setenv("REPRO_TRACE_LEN", "60")
         monkeypatch.setenv("REPRO_CORES", "2")
         from repro.faults import sweep
 
-        breaker("cache").trip("chaos")
         result = sweep.run_sweep(profile="light")
-        assert any("degraded supervision" in note for note in result.notes)
+        assert any("degraded supervision" in note and "serial-forced" in note
+                   for note in result.notes)

@@ -29,7 +29,6 @@ from repro.perf import engine
 from repro.perf.cache import ResultCache
 from repro.perf.engine import STATS, CellRunner
 from repro.perf.pool import WARM_POOL, WarmPool
-from repro.resilience import watchdog
 from repro.traces import shm
 from repro.traces.workload import homogeneous_workload
 
@@ -268,8 +267,8 @@ class TestWarmPoolChaos:
         assert not runner._inflight
 
     def test_sigint_leaves_no_shm_segments(self, tmp_path):
-        """Interrupt a pooled, pipelined sweep with the watchdog armed;
-        /dev/shm must end clean of trace-plane and heartbeat segments."""
+        """Interrupt a pooled, pipelined sweep; /dev/shm must end clean
+        of trace-plane segments."""
         shm_dir = Path("/dev/shm")
         if not shm_dir.is_dir():
             pytest.skip("no /dev/shm on this platform")
@@ -279,9 +278,6 @@ class TestWarmPoolChaos:
             REPRO_CACHE_DIR=str(tmp_path / "cache"),
             REPRO_TRACE_LEN="2000",
             REPRO_CORES="8",
-            # Arms the watchdog, so the sweep also owns a heartbeat
-            # segment; the window is long enough never to reclaim a cell.
-            REPRO_HEARTBEAT_S="60",
         )
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.experiments.runner",
@@ -289,21 +285,18 @@ class TestWarmPoolChaos:
             env=env, cwd=REPO_ROOT, start_new_session=True,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
-        patterns = (
-            f"{shm.SHM_PREFIX}_{proc.pid}_*",
-            f"{watchdog.HB_PREFIX}_{proc.pid}",
-        )
+        pattern = f"{shm.SHM_PREFIX}_{proc.pid}_*"
 
         def segments():
-            return [p for pattern in patterns for p in shm_dir.glob(pattern)]
+            return list(shm_dir.glob(pattern))
 
         try:
             deadline = time.monotonic() + 60
-            while not all(list(shm_dir.glob(p)) for p in patterns):
+            while not segments():
                 if proc.poll() is not None or time.monotonic() > deadline:
                     out = proc.communicate()[0]
                     pytest.fail(
-                        f"sweep never published {patterns} segments:\n{out}"
+                        f"sweep never published {pattern} segments:\n{out}"
                     )
                 time.sleep(0.05)
             proc.send_signal(signal.SIGINT)
