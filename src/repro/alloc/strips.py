@@ -17,6 +17,7 @@ its bottom neighbour.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import FrozenSet, Tuple
 
 from ..config import PAGES_PER_STRIP, PAGE_BYTES
@@ -28,13 +29,24 @@ STRIPS_PER_BLOCK = BLOCK_BYTES // (PAGE_BYTES * PAGES_PER_STRIP)
 PAGES_PER_BLOCK = BLOCK_BYTES // PAGE_BYTES
 
 
+@lru_cache(maxsize=None)
 def validate_ratio(n: int, m: int) -> None:
+    """Raise :class:`AllocationError` unless ``0 < n <= m``.
+
+    Memoised per ``(n, m)``: a valid ratio is checked once, and a bad
+    one raises on every call (``lru_cache`` keeps no exceptions).
+    """
     if not 0 < n <= m:
         raise AllocationError(f"(n:m) requires 0 < n <= m, got ({n}:{m})")
 
 
+@lru_cache(maxsize=None)
 def no_use_positions(n: int, m: int) -> FrozenSet[int]:
-    """Group-local positions marked no-use: {1 .. m-n} (empty for n == m)."""
+    """Group-local positions marked no-use: {1 .. m-n} (empty for n == m).
+
+    Memoised per ``(n, m)``; the frozenset is immutable, so callers
+    share it.
+    """
     validate_ratio(n, m)
     return frozenset(range(1, 1 + (m - n)))
 

@@ -45,10 +45,7 @@ from ..pcm import kernels
 from ..pcm import line as L
 from ..pcm import stateplane
 from ..pcm.array import LineAddress, PCMArray
-from ..pcm.differential_write import (
-    correction_latency,
-    plan_write_int,
-)
+from ..pcm.differential_write import correction_latency, rounds_latency
 from ..pcm.din import DINEncoder, wordline_vulnerable_mask_int
 
 Key = Tuple[int, int, int]
@@ -70,6 +67,28 @@ NOVEL_ENTRY_BITS = 10
 REPEAT_ENTRY_BITS = 0
 
 
+#: The :class:`~repro.stats.counters.Counters` fields a plan accumulates,
+#: in slot order: ``_Plan.counts[i]`` is the pending increment of field
+#: ``PLAN_COUNTERS[i]``, and ``_commit`` adds the non-zero slots.
+PLAN_COUNTERS = (
+    "data_cell_writes_demand", "ecp_cell_writes_background",
+    "wordline_vulnerable_cells", "wordline_errors", "ecp_cleared_by_write",
+    "uncorrectable_bits", "preread_hits", "preread_stale", "pre_write_reads",
+    "bitline_vulnerable_cells", "bitline_errors", "drift_flips",
+    "verify_reads", "verifications", "ecp_absorbed_errors",
+    "ecp_entries_programmed", "ecp_overflows", "data_cell_writes_correction",
+    "corrections", "cascade_corrections", "cascade_truncations",
+)
+(
+    _DEMAND_WRITES, _BACKGROUND_WRITES, _WL_VULNERABLE, _WL_ERRORS,
+    _ECP_CLEARED, _UNCORRECTABLE, _PREREAD_HITS, _PREREAD_STALE,
+    _PRE_WRITE_READS, _BL_VULNERABLE, _BL_ERRORS, _DRIFT_FLIPS,
+    _VERIFY_READS, _VERIFICATIONS, _ECP_ABSORBED, _ECP_PROGRAMMED,
+    _ECP_OVERFLOWS, _CORRECTION_WRITES, _CORRECTIONS, _CASCADES,
+    _TRUNCATIONS,
+) = range(len(PLAN_COUNTERS))
+
+
 class _Shadow:
     """Copy-on-write planning state for one line (int-domain masks)."""
 
@@ -80,19 +99,13 @@ class _Shadow:
         self.disturbed = disturbed
         self.write_back = write_back
 
-    @property
-    def physical(self) -> int:
-        return self.stored | self.disturbed
-
 
 class _Plan:
     """Everything one composite write op will do."""
 
-    __slots__ = (
-        "latency", "shadows", "written_flags", "written_key", "ecp_clears",
-        "ecp_records", "counts", "adjacent_notes", "wordline_note",
-        "uncovered_resolved", "injections", "demand_cell_writes",
-    )
+    __slots__ = ("latency", "shadows", "written_flags", "ecp_clears",
+                 "ecp_records", "counts", "adjacent_notes",
+                 "uncovered_resolved", "injections", "demand_cell_writes")
 
     def __init__(self) -> None:
         self.latency = 0
@@ -100,15 +113,13 @@ class _Plan:
         self.shadows: Dict[Key, _Shadow] = {}
         #: flags value for the written line.
         self.written_flags = 0
-        self.written_key: Optional[Key] = None
         #: ECP mutations: lines whose WD entries clear, and fresh WD
         #: positions to record per line.
         self.ecp_clears: Set[Key] = set()
         self.ecp_records: Dict[Key, List[int]] = {}
-        #: Deferred counter increments, merged per attribute.
-        self.counts: Dict[str, int] = {}
+        #: Deferred counter increments, one slot per ``PLAN_COUNTERS``.
+        self.counts = [0] * len(PLAN_COUNTERS)
         self.adjacent_notes: List[int] = []
-        self.wordline_note = 0
         #: uncovered-mask resolution: keys whose pending uncovered bits
         #: were detected and handled by this op.
         self.uncovered_resolved: Set[Key] = set()
@@ -116,10 +127,6 @@ class _Plan:
         self.injections: List[Tuple[LineAddress, int]] = []
         #: Demand-write cell changes (wear + partial-cancel accounting).
         self.demand_cell_writes = 0
-
-    def bump(self, attr: str, delta: int = 1) -> None:
-        counts = self.counts
-        counts[attr] = counts.get(attr, 0) + delta
 
 
 class VnCExecutor:
@@ -173,23 +180,46 @@ class VnCExecutor:
         self._weak_masks: Dict[Key, int] = {}
         #: Per-line pools of recurring write flip patterns (data entropy).
         self._flip_pools: Dict[Key, List[int]] = {}
+        #: :meth:`_verify_rows` of used rows, per ``(row, nm_tag)``.
+        self._adjacency: Dict[tuple, Optional[Tuple[int, ...]]] = {}
+
+        # The scheme and configuration, resolved once for the write path.
+        self._verifies = scheme.vnc and not scheme.wd_free_bitlines
+        self._vnc = scheme.vnc
+        self._lazy = scheme.lazy_correction
+        self._wordline_wd = disturbance.enabled
+        self._bitline_wd = disturbance.enabled and not scheme.wd_free_bitlines
+        self._p_wordline = disturbance.p_wordline * disturbance.din_residual_scale
+        self._p_bitline = disturbance.p_bitline_weak
+        self._weak_fraction = disturbance.weak_cell_fraction
+        self._read_cycles = timing.read_cycles
+        self._reset_cycles = timing.reset_cycles
+        #: Ablation (Section 4.2): a naive super dense ECP chip suffers WD
+        #: on its own entry writes, so programming entries needs its own
+        #: verify-and-correct pass.
+        self._ecp_verify_cycles = 0 if scheme.low_density_ecp else (
+            2 * timing.read_cycles + timing.reset_cycles
+        )
+        #: No fault plan and a fresh device: ECP lines need no seeding.
+        self._fault_free = fault_plan is None and not lifetime_fraction > 0.0
 
     # -- WriteExecutor interface ---------------------------------------------
 
     def preread_slots(self, request: Request) -> List[PrereadSlot]:
         """Adjacent lines needing verification for this write (0..2)."""
-        if self.scheme.wd_free_bitlines or not self.scheme.vnc:
+        if not self._verifies:
             return []
-        n, m = request.nm_tag
-        addr = request.addr
-        # For (1:2) both neighbours are no-use and adjacent_usage returns
-        # (False, False) except at the conservative 64 MB block edges.
-        verify_top, verify_bottom = adjacent_usage(addr.row, n, m)
-        slots: List[PrereadSlot] = []
-        if verify_top and addr.row > 0:
-            slots.append(PrereadSlot(addr=LineAddress(addr.bank, addr.row - 1, addr.line)))
-        if verify_bottom and addr.row + 1 < self.array.rows_per_bank:
-            slots.append(PrereadSlot(addr=LineAddress(addr.bank, addr.row + 1, addr.line)))
+        # For (1:2) both neighbours are no-use and no row is verified
+        # except at the conservative 64 MB block edges.
+        bank, row, line = request.addr
+        rows = self._adjacency.get((row, request.nm_tag))
+        if rows is None:
+            rows = self._verify_rows(row, request.nm_tag)
+            if rows is None:
+                adjacent_usage(row, *request.nm_tag)  # raises: no-use strip
+        slots = []
+        for victim_row in rows:
+            slots.append(PrereadSlot(LineAddress(bank, victim_row, line)))
         return slots
 
     def capture_baseline(self, slot: PrereadSlot) -> None:
@@ -206,10 +236,23 @@ class VnCExecutor:
 
     # -- planning ---------------------------------------------------------------
 
-    def _flip_fraction(self, core: int) -> float:
-        if 0 <= core < len(self.flip_fractions):
-            return self.flip_fractions[core]
-        return self.default_flip
+    def _verify_rows(self, row: int,
+                     nm_tag: Tuple[int, int]) -> Optional[Tuple[int, ...]]:
+        """Rows of used neighbour strips a write to ``row`` verifies.
+
+        Top before bottom, within the bank; ``None`` when ``row`` itself
+        is no-use under ``nm_tag``.  Callers look in ``_adjacency``
+        first; this fills it.
+        """
+        n, m = nm_tag
+        if is_no_use(row, n, m):
+            return None
+        verify_top, verify_bottom = adjacent_usage(row, n, m)
+        rows = self._adjacency[row, nm_tag] = tuple(
+            r for r, verify in ((row - 1, verify_top), (row + 1, verify_bottom))
+            if verify and 0 <= r < self.array.rows_per_bank
+        )
+        return rows
 
     #: Per-line pool of recurring flip patterns and the reuse probability.
     #: Real applications rewrite the same fields of the same lines, so the
@@ -226,59 +269,42 @@ class VnCExecutor:
             or self.rng.random() < self.FLIP_REUSE_PROB
         ):
             return pool[int(self.rng.integers(len(pool)))]
-        fraction = self._flip_fraction(entry.request.core)
-        mask = self.kernels.mask_from_draws(
-            self.rng.random(LINE_BITS), fraction
-        )
+        core = entry.request.core
+        fraction = (self.flip_fractions[core] if 0 <= core < len(self.flip_fractions)
+                    else self.default_flip)
+        mask = self.kernels.draw_mask(self.rng, LINE_BITS, fraction)
         pool.append(mask)
         return mask
 
-    def _payload_int(self, entry: WriteEntry, logical_old: int) -> int:
-        """The write's logical data, synthesised once per entry."""
-        cached = entry.payload_int
-        if cached is None:
-            cached = entry.payload_int = logical_old ^ self._flip_mask(entry)
-        return cached
+    def _expose(
+        self, shadows: Dict[Key, _Shadow], vaddr: LineAddress, pulses: int
+    ) -> Tuple[_Shadow, int, int, int]:
+        """A victim's shadow and its cells exposed to RESET ``pulses``.
 
-    def _invulnerable_int(self, key: Key) -> int:
-        """Cells of a line immune to WD: stuck-at (hard-error) cells.
-
-        Covers both ECP-registered hard errors and injected stuck cells
-        the exhausted ECP could not register — a worn-out cell has no
-        phase left to change either way.
+        Returns ``(shadow, vulnerable, weak, stuck)``: the idle amorphous
+        cells under a pulse, less stuck cells (ECP hard errors and
+        injected stuck cells: no phase left to change); their fixed
+        per-line disturbance-prone subset [4, 13, 25] (state plane,
+        memoised per executor); and the stuck mask.
         """
+        shadow = shadows.get(vaddr)
+        if shadow is None:
+            shadow = shadows[vaddr] = _Shadow(*self.array.line_ints(vaddr))
+        vulnerable = pulses & ((shadow.stored | shadow.disturbed) ^ L.MASK_ALL)
         stuck = 0
         if self.fault_plan is not None:
-            stuck = self.fault_plan.stuck_profile(key).mask
-        line = self.ecp.peek(key)
+            stuck = self.fault_plan.stuck_profile(vaddr).mask
+        line = self.ecp.peek(vaddr)
         if line is not None and line.hard_count:
             stuck |= L.to_int(line.hard_mask())
-        return stuck
-
-    def _weak_mask(self, key: Key) -> int:
-        """The line's fixed set of disturbance-prone cells [4, 13, 25].
-
-        Deterministic per line coordinate so repeated disturbance hits the
-        same cells regardless of event ordering.
-        """
-        mask = self._weak_masks.get(key)
-        if mask is None:
-            # Delegated to the process-wide state plane: the mask is a pure
-            # function of (fraction, key), so executors across cells and
-            # batches share one generation.  The per-executor dict stays as
-            # the in-plan fast path (no plane probe per sample).
-            mask = stateplane.PLANE.weak_mask(
-                self.disturbance.weak_cell_fraction, key
+        if stuck:
+            vulnerable &= stuck ^ L.MASK_ALL
+        weak = self._weak_masks.get(vaddr)
+        if weak is None:
+            weak = self._weak_masks[vaddr] = stateplane.PLANE.weak_mask(
+                self._weak_fraction, vaddr
             )
-            self._weak_masks[key] = mask
-        return mask
-
-    def _shadow(self, plan: _Plan, addr: LineAddress) -> _Shadow:
-        shadow = plan.shadows.get(addr)
-        if shadow is None:
-            shadow = _Shadow(*self.array.line_ints(addr))
-            plan.shadows[addr] = shadow
-        return shadow
+        return shadow, vulnerable, vulnerable & weak, stuck
 
     def _ecp_line(self, key: Key):
         """ECP line, seeding age-dependent hard errors on first touch.
@@ -334,205 +360,184 @@ class VnCExecutor:
 
     def _plan(self, entry: WriteEntry) -> _Plan:
         plan = _Plan()
-        scheme = self.scheme
+        counts = plan.counts
+        shadows = plan.shadows
         addr = entry.addr
         backend = self.kernels
+        rng = self.rng
 
         # ---- the data write itself ---------------------------------------
-        shadow = self._shadow(plan, addr)
-        physical_old = shadow.physical
-        logical_old = backend.decode_int(
-            shadow.stored, self.array.line_flags(addr)
-        )
-        new_logical = self._payload_int(entry, logical_old)
-        stored_new, flags = backend.encode_stored_int(
+        stored_old, disturbed_old = self.array.line_ints(addr)
+        physical_old = stored_old | disturbed_old
+        new_logical = entry.payload_int
+        if new_logical is None:
+            # Synthesised once per entry, so a retried write rewrites it.
+            logical_old = backend.decode_int(stored_old, self.array.line_flags(addr))
+            new_logical = entry.payload_int = logical_old ^ self._flip_mask(entry)
+        stored_new, plan.written_flags = backend.encode_stored_int(
             physical_old, new_logical
         )
-        wplan = plan_write_int(physical_old, stored_new, self.timing)
-        plan.latency += wplan.latency_cycles
-        plan.demand_cell_writes = wplan.changed_bits
-        plan.written_key = addr
-        plan.written_flags = flags
-        plan.bump("data_cell_writes_demand", wplan.changed_bits)
-        plan.bump("ecp_cell_writes_background", wplan.changed_bits)
+        # Differential write: only changed cells are pulsed; for them the
+        # old value is the complement of the new one.
+        changed = physical_old ^ stored_new
+        reset_mask = changed & physical_old
+        reset_bits = reset_mask.bit_count()
+        changed_bits = changed.bit_count()
+        plan.latency = rounds_latency(
+            reset_bits, changed_bits - reset_bits, self.timing
+        )
+        plan.demand_cell_writes = changed_bits
+        counts[_DEMAND_WRITES] = changed_bits
+        counts[_BACKGROUND_WRITES] = changed_bits
 
         # ---- word-line disturbance (suppressed by DIN, checked in-write) ---
-        if self.disturbance.enabled:
-            changed = wplan.reset_mask | wplan.set_mask
-            wl_vuln = wordline_vulnerable_mask_int(
-                physical_old, wplan.reset_mask, changed
-            )
-            p_wl = self.disturbance.p_wordline * self.disturbance.din_residual_scale
-            wl_sampled = backend.sample_mask_int(wl_vuln, p_wl, self.rng)
-            wl_errors = wl_sampled.bit_count()
-            plan.bump("wordline_vulnerable_cells", wl_vuln.bit_count())
-            plan.bump("wordline_errors", wl_errors)
-            plan.wordline_note = wl_errors
+        if self._wordline_wd:
+            wl_vuln = wordline_vulnerable_mask_int(physical_old, reset_mask, changed)
+            wl_errors = backend.sample_mask_int(
+                wl_vuln, self._p_wordline, rng
+            ).bit_count()
+            counts[_WL_VULNERABLE] = wl_vuln.bit_count()
+            counts[_WL_ERRORS] = wl_errors
             if wl_errors:
                 # DIN's in-write check rewrites the disturbed cells: one
                 # extra RESET round (both DIN and SD-PCM pay this).
-                plan.latency += self.timing.reset_cycles
-                plan.bump("data_cell_writes_demand", wl_errors)
+                plan.latency += self._reset_cycles
+                counts[_DEMAND_WRITES] += wl_errors
 
         # Shadow commit of the written line: stored image in, flips cleared.
-        shadow.stored = stored_new
-        shadow.disturbed = 0
-        shadow.write_back = True
-        if addr in self.uncovered:
+        shadows[addr] = _Shadow(stored_new, 0, True)
+        uncovered = self.uncovered
+        if addr in uncovered:
             plan.uncovered_resolved.add(addr)
         # A demand write makes the line's buffered WD corrections stale:
         # the rewrite physically repairs every deviating cell ("a normal
         # write operation clears the accumulated WD errors in ECP").
         existing_ecp = self.ecp.peek(addr)
         if existing_ecp is not None and existing_ecp.wd_count:
-            plan.bump("ecp_cleared_by_write", existing_ecp.wd_count)
+            counts[_ECP_CLEARED] = existing_ecp.wd_count
             plan.ecp_clears.add(addr)
 
         # ---- stuck-at faults on the written line ---------------------------
-        if self.fault_plan is not None:
-            stuck = self.fault_plan.stuck_profile(addr)
+        fault_plan = self.fault_plan
+        if fault_plan is not None:
+            stuck = fault_plan.stuck_profile(addr)
             if stuck.mask:
                 # Materialise the line's ECP cover (and the exhaustion
                 # fallback) on first touch, then charge the bits no entry
                 # covers and whose frozen value disagrees with this write.
                 self._ecp_line(addr)
-                uncovered = self._stuck_uncovered.get(addr, 0)
                 wrong = L.stuck_error_mask_int(
                     stored_new, stuck.mask, stuck.values
-                ) & uncovered
+                ) & self._stuck_uncovered.get(addr, 0)
                 if wrong:
-                    plan.bump("uncorrectable_bits", wrong.bit_count())
+                    counts[_UNCORRECTABLE] = wrong.bit_count()
 
-        if scheme.wd_free_bitlines or not self.disturbance.enabled:
+        if not self._bitline_wd:
             return plan  # 8F^2 chip: no bit-line WD, no VnC.
 
         # ---- pre-write reads ------------------------------------------------
+        epochs = self.epochs
         victims: List[LineAddress] = []
         for slot in entry.slots:
             victims.append(slot.addr)
             if slot.forwarded:
-                pass  # satisfied from the write queue, no array access
-            elif slot.done and slot.epoch == self.epochs.get(slot.addr, 0):
-                plan.bump("preread_hits")
-            elif slot.done:
-                plan.bump("preread_stale")
-                plan.latency += self.timing.read_cycles
+                continue  # satisfied from the write queue, no array access
+            if not slot.done:
+                counts[_PRE_WRITE_READS] += 1
+            elif slot.epoch == epochs.get(slot.addr, 0):
+                counts[_PREREAD_HITS] += 1
+                continue
             else:
-                plan.bump("pre_write_reads")
-                plan.latency += self.timing.read_cycles
+                counts[_PREREAD_STALE] += 1
+            plan.latency += self._read_cycles
 
         # ---- bit-line disturbance injection --------------------------------
-        # Vulnerable/weak masks are computed per victim, then both
-        # neighbours are sampled in one batched call (RNG-stream-equivalent
-        # to per-victim sampling; nothing between the draws touches
+        # Vulnerable/weak masks are computed per victim, then every victim
+        # is sampled in one batched call (RNG-stream-equivalent to
+        # per-victim sampling; nothing between the draws touches
         # ``self.rng``).
+        vnc = self._vnc
+        targets = victims if vnc else list(self.array.bitline_neighbours(addr))
+        staged = [self._expose(shadows, vaddr, reset_mask) for vaddr in targets]
+        sampled_masks = backend.sample_masks_int(
+            [weak for _, _, weak, _ in staged], self._p_bitline, rng
+        )
         detected: List[Tuple[LineAddress, int]] = []
-        injection_targets = victims if scheme.vnc else [
-            nb for nb in self.array.bitline_neighbours(addr)
-        ]
-        staged: List[Tuple[LineAddress, _Shadow, int, int, int]] = []
-        for vaddr in injection_targets:
-            vshadow = self._shadow(plan, vaddr)
-            vulnerable = wplan.reset_mask & (vshadow.physical ^ L.MASK_ALL)
-            stuck = self._invulnerable_int(vaddr)
-            if stuck:
-                vulnerable &= stuck ^ L.MASK_ALL
-            weak = vulnerable & self._weak_mask(vaddr)
-            drift = 0
-            if self.fault_plan is not None:
+        for vaddr, (vshadow, vulnerable, _, stuck), sampled in zip(
+            targets, staged, sampled_masks
+        ):
+            errors = sampled.bit_count()
+            counts[_BL_VULNERABLE] += vulnerable.bit_count()
+            counts[_BL_ERRORS] += errors
+            plan.adjacent_notes.append(errors)
+            if fault_plan is not None:
                 # Resistance drift: any idle amorphous (non-stuck) cell can
                 # have drifted since the last verification, not just cells
                 # under this write's RESET pulses.  Sampled from the plan's
                 # own stream, so it never perturbs ``self.rng``.
-                candidates = (vshadow.physical ^ L.MASK_ALL) & (
-                    stuck ^ L.MASK_ALL
-                )
-                drift = self.fault_plan.drift_mask(vaddr, candidates)
-            staged.append((vaddr, vshadow, vulnerable, weak, drift))
-        sampled_masks = backend.sample_masks_int(
-            [weak for _, _, _, weak, _ in staged],
-            self.disturbance.p_bitline_weak,
-            self.rng,
-        )
-        for (vaddr, vshadow, vulnerable, _, drift), sampled in zip(
-            staged, sampled_masks
-        ):
-            errors = sampled.bit_count()
-            plan.bump("bitline_vulnerable_cells", vulnerable.bit_count())
-            plan.bump("bitline_errors", errors)
-            plan.adjacent_notes.append(errors)
-            new_drift = drift & ~sampled
-            if new_drift:
-                plan.bump("drift_flips", new_drift.bit_count())
-                sampled |= new_drift
+                idle = (vshadow.stored | vshadow.disturbed | stuck) ^ L.MASK_ALL
+                new_drift = fault_plan.drift_mask(vaddr, idle) & ~sampled
+                if new_drift:
+                    counts[_DRIFT_FLIPS] += new_drift.bit_count()
+                    sampled |= new_drift
             vshadow.disturbed |= sampled
             vshadow.write_back = True
             plan.injections.append((vaddr, sampled))
-            if scheme.vnc:
-                pending = self.uncovered.get(vaddr)
-                if pending is not None:
-                    sampled |= pending & vshadow.disturbed
-                    plan.uncovered_resolved.add(vaddr)
-                detected.append((vaddr, sampled))
-
-        if not scheme.vnc:
-            # Unprotected super dense PCM: disturbance lands undetected.
-            for vaddr, sampled in plan.injections:
+            if not vnc:
+                # Unprotected super dense PCM: disturbance lands undetected.
                 if sampled:
-                    self.uncovered[vaddr] = self.uncovered.get(vaddr, 0) | sampled
+                    uncovered[vaddr] = uncovered.get(vaddr, 0) | sampled
+                continue
+            pending = uncovered.get(vaddr)
+            if pending is not None:
+                sampled |= pending & vshadow.disturbed
+                plan.uncovered_resolved.add(vaddr)
+            detected.append((vaddr, sampled))
+        if not vnc:
             return plan
 
         # ---- verification ---------------------------------------------------
-        plan.latency += self.timing.read_cycles * len(victims)
-        plan.bump("verify_reads", len(victims))
-        plan.bump("verifications", len(victims))
+        plan.latency += self._read_cycles * len(victims)
+        counts[_VERIFY_READS] += len(victims)
+        counts[_VERIFICATIONS] += len(victims)
 
         # ---- correction / LazyCorrection ------------------------------------
         nm_tag = entry.request.nm_tag
         for vaddr, new_mask in detected:
-            self._handle_errors(plan, vaddr, new_mask, nm_tag, depth=0)
+            if new_mask:
+                self._handle_errors(plan, vaddr, new_mask, nm_tag, 0)
         return plan
 
-    def _handle_errors(
-        self,
-        plan: _Plan,
-        vaddr: LineAddress,
-        new_mask: int,
-        nm_tag: Tuple[int, int],
-        depth: int,
-    ) -> None:
-        """Absorb (LazyC) or correct the new WD errors of one victim line."""
-        if not new_mask:
-            return
-        new_positions = self.kernels.bit_positions_int(new_mask)
-        ecp_line = self._ecp_line(vaddr)
+    def _handle_errors(self, plan: _Plan, vaddr: LineAddress, new_mask: int,
+                       nm_tag: Tuple[int, int], depth: int) -> None:
+        """Absorb (LazyC) or correct the new WD errors (non-empty
+        ``new_mask``) of one victim line."""
+        counts = plan.counts
+        ecp_line = self.ecp.line(vaddr) if self._fault_free else self._ecp_line(vaddr)
         planned_wd = plan.ecp_records.setdefault(vaddr, [])
-        cleared = vaddr in plan.ecp_clears
-        fresh = new_positions if cleared else ecp_line.uncovered(new_positions)
-        if planned_wd:
-            planned = set(planned_wd)
-            fresh = [p for p in fresh if p not in planned]
 
-        if self.scheme.lazy_correction:
-            occupied = len(planned_wd) + (
-                ecp_line.hard_count if cleared else ecp_line.occupied
-            )
-            if occupied + len(fresh) <= ecp_line.capacity:
+        if self._lazy:
+            new_positions = self.kernels.bit_positions_int(new_mask)
+            if vaddr in plan.ecp_clears:
+                fresh = new_positions
+                occupied = ecp_line.hard_count
+            else:
+                fresh = ecp_line.uncovered(new_positions)
+                occupied = ecp_line.occupied
+            if planned_wd:
+                planned = set(planned_wd)
+                fresh = [p for p in fresh if p not in planned]
+            if len(planned_wd) + occupied + len(fresh) <= ecp_line.capacity:
                 planned_wd.extend(fresh)
-                plan.bump("ecp_absorbed_errors", len(new_positions))
-                plan.bump("ecp_entries_programmed", len(fresh))
-                if fresh and not self.scheme.low_density_ecp:
-                    # Ablation (Section 4.2): a naive super dense ECP chip
-                    # suffers WD on its own entry writes, so programming
-                    # entries needs its own verify-and-correct pass.
-                    plan.latency += (
-                        2 * self.timing.read_cycles + self.timing.reset_cycles
-                    )
+                counts[_ECP_ABSORBED] += len(new_positions)
+                if fresh:
+                    counts[_ECP_PROGRAMMED] += len(fresh)
+                    plan.latency += self._ecp_verify_cycles
                 return
-            plan.bump("ecp_overflows")
+            counts[_ECP_OVERFLOWS] += 1
 
         # ---- correction write -------------------------------------------------
-        vshadow = self._shadow(plan, vaddr)
+        vshadow = plan.shadows[vaddr]
         corr_mask = vshadow.disturbed
         corr_bits = corr_mask.bit_count()
         # A correction is a RESET-only write plus one additional
@@ -541,10 +546,9 @@ class VnCExecutor:
         # writes").  The near neighbour's contents are already in the
         # controller's buffers from this very op, so only the far
         # neighbour costs an array read.
-        plan.latency += self.timing.read_cycles
-        plan.latency += correction_latency(corr_bits, self.timing)
-        plan.bump("data_cell_writes_correction", corr_bits)
-        plan.bump("corrections" if depth == 0 else "cascade_corrections")
+        plan.latency += self._read_cycles + correction_latency(corr_bits, self.timing)
+        counts[_CORRECTION_WRITES] += corr_bits
+        counts[_CORRECTIONS if depth == 0 else _CASCADES] += 1
         vshadow.disturbed = 0
         vshadow.write_back = True
         plan.ecp_clears.add(vaddr)
@@ -558,33 +562,25 @@ class VnCExecutor:
         # only matters for stress configurations with p ~ 1, where further
         # injection is suppressed so the op terminates.
         if depth >= MAX_CASCADE_DEPTH:
-            plan.bump("cascade_truncations")
+            counts[_TRUNCATIONS] += 1
             return
-        if is_no_use(vaddr.row, *nm_tag):
+        rows = self._adjacency.get((vaddr.row, nm_tag))
+        if rows is None:
+            rows = self._verify_rows(vaddr.row, nm_tag)
+        if rows is None:
             # The conservative block-edge rule can verify (and correct) a
             # line in a *no-use* strip of the same allocator; it holds no
             # data, so its correction needs no cascade verification.
             return
-        verify_top, verify_bottom = adjacent_usage(vaddr.row, *nm_tag)
-        neighbours: List[LineAddress] = []
-        if verify_top and vaddr.row > 0:
-            neighbours.append(LineAddress(vaddr.bank, vaddr.row - 1, vaddr.line))
-        if verify_bottom and vaddr.row + 1 < self.array.rows_per_bank:
-            neighbours.append(LineAddress(vaddr.bank, vaddr.row + 1, vaddr.line))
-        plan.bump("verify_reads", 1)
-        for waddr in neighbours:
-            wshadow = self._shadow(plan, waddr)
-            vulnerable = corr_mask & (wshadow.physical ^ L.MASK_ALL)
-            stuck = self._invulnerable_int(waddr)
-            if stuck:
-                vulnerable &= stuck ^ L.MASK_ALL
-            weak = vulnerable & self._weak_mask(waddr)
-            sampled = self.kernels.sample_mask_int(
-                weak, self.disturbance.p_bitline_weak, self.rng
-            )
+        counts[_VERIFY_READS] += 1
+        bank, line = vaddr.bank, vaddr.line
+        for row in rows:
+            waddr = LineAddress(bank, row, line)
+            wshadow, _, weak, _ = self._expose(plan.shadows, waddr, corr_mask)
+            sampled = self.kernels.sample_mask_int(weak, self._p_bitline, self.rng)
             if not sampled:
                 continue
-            plan.bump("bitline_errors", sampled.bit_count())
+            counts[_BL_ERRORS] += sampled.bit_count()
             wshadow.disturbed |= sampled
             wshadow.write_back = True
             self._handle_errors(plan, waddr, sampled, nm_tag, depth + 1)
@@ -593,7 +589,7 @@ class VnCExecutor:
 
     def _commit(self, entry: WriteEntry, plan: _Plan) -> None:
         commit_line = self.array.commit_line
-        wkey = plan.written_key
+        wkey = entry.addr
         # Line states.
         for key, shadow in plan.shadows.items():
             if shadow.write_back:
@@ -609,7 +605,7 @@ class VnCExecutor:
         for key, positions in plan.ecp_records.items():
             if not positions:
                 continue
-            line = self._ecp_line(key)
+            line = self.ecp.line(key) if self._fault_free else self._ecp_line(key)
             outcome = line.record_wd_errors((p, 0) for p in positions)
             if not outcome.absorbed:
                 raise SimulationError("planned ECP absorption failed at commit")
@@ -623,15 +619,15 @@ class VnCExecutor:
         for key in plan.uncovered_resolved:
             self.uncovered.pop(key, None)
         # Epoch bump for the written line (PreRead staleness).
-        if wkey is not None:
-            self.epochs[wkey] = self.epochs.get(wkey, 0) + 1
+        self.epochs[wkey] = self.epochs.get(wkey, 0) + 1
         # Counters.
         counters = self.counters
-        for attr, delta in plan.counts.items():
-            setattr(counters, attr, getattr(counters, attr) + delta)
+        for attr, delta in zip(PLAN_COUNTERS, plan.counts):
+            if delta:
+                setattr(counters, attr, getattr(counters, attr) + delta)
         for note in plan.adjacent_notes:
             counters.note_adjacent_errors(note)
-        counters.note_wordline_errors(plan.wordline_note)
+        counters.note_wordline_errors(plan.counts[_WL_ERRORS])
 
     def _cancel(self, entry: WriteEntry, plan: _Plan, progress: float) -> None:
         """Apply the partial effects of an interrupted write [22].

@@ -73,53 +73,6 @@ def plan_write(
     )
 
 
-class WritePlanInt:
-    """Int-domain :class:`WritePlan` for the VnC planning hot path.
-
-    Carries the same fields over 512-bit integer masks; a plain slotted
-    class (not a dataclass) keeps per-write construction cheap.
-    """
-
-    __slots__ = ("reset_mask", "set_mask", "reset_bits", "set_bits",
-                 "latency_cycles")
-
-    def __init__(self, reset_mask: int, set_mask: int, reset_bits: int,
-                 set_bits: int, latency_cycles: int):
-        self.reset_mask = reset_mask
-        self.set_mask = set_mask
-        self.reset_bits = reset_bits
-        self.set_bits = set_bits
-        self.latency_cycles = latency_cycles
-
-    @property
-    def changed_bits(self) -> int:
-        return self.reset_bits + self.set_bits
-
-    @property
-    def is_silent(self) -> bool:
-        return self.changed_bits == 0
-
-
-def plan_write_int(physical: int, new_data: int, timing: TimingConfig) -> WritePlanInt:
-    """Int-domain :func:`plan_write` (identical masks, bits, and latency).
-
-    For changed cells the old value is the complement of the new one, so
-    ``changed & ~new_data == changed & physical`` — no 512-bit NOT needed.
-    """
-    changed = physical ^ new_data
-    reset_mask = changed & physical
-    set_mask = changed & new_data
-    reset_bits = reset_mask.bit_count()
-    set_bits = set_mask.bit_count()
-    return WritePlanInt(
-        reset_mask=reset_mask,
-        set_mask=set_mask,
-        reset_bits=reset_bits,
-        set_bits=set_bits,
-        latency_cycles=rounds_latency(reset_bits, set_bits, timing),
-    )
-
-
 def rounds_latency(reset_bits: int, set_bits: int, timing: TimingConfig) -> int:
     """Programming latency for a given RESET/SET cell mix.
 

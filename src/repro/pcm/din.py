@@ -119,6 +119,12 @@ def _flag_expand_table() -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
+def _flag_xor_ints() -> "tuple[int, ...]":
+    """:func:`_flag_expand_table` as Python ints (the int-domain decoder's)."""
+    return tuple(int(word) for word in _flag_expand_table())
+
+
+@lru_cache(maxsize=1)
 def din_tables() -> "tuple[np.ndarray, np.ndarray]":
     """The encoder's ``(stored, invert)`` LUTs for native kernels.
 
@@ -193,11 +199,17 @@ class DINEncoder:
         """Int-domain :meth:`decode`: XOR the expanded inversion flags.
 
         ``where(invert, ~b, b)`` is exactly ``b ^ (0xFF per inverted
-        byte)``, so decoding is one table expansion plus one XOR.
+        byte)``, so decoding is one XOR with the flags expanded word by
+        word through the 256-entry int form of the flag-expand table.
         """
-        flag_bytes = np.frombuffer(flags.to_bytes(8, "little"), np.uint8)
-        xor_words = _flag_expand_table()[flag_bytes]
-        return stored ^ int.from_bytes(xor_words.tobytes(), "little")
+        if not flags:
+            return stored
+        expand = _flag_xor_ints()
+        xor = 0
+        for word, byte in enumerate(flags.to_bytes(8, "little")):
+            if byte:
+                xor |= expand[byte] << (64 * word)
+        return stored ^ xor
 
     def encode_stored_rows(
         self, physical: np.ndarray, data: np.ndarray

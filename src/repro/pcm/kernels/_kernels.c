@@ -10,14 +10,17 @@
  * Layout conventions (matching the Python int domain):
  *   - a line is 64 little-endian bytes; bit i of the 512-bit integer is
  *     byte i>>3, bit i&7 — ascending byte, ascending bit order;
- *   - "keep" flags index the set bits of a candidate mask in ascending
- *     cell order, exactly the order the scalar low-bit extraction walks.
+ *   - the samplers draw one uniform per candidate bit in ascending cell
+ *     order, exactly the order the scalar low-bit extraction walks;
+ *   - uniforms come from the caller's numpy BitGenerator through its
+ *     bitgen_t next_double pointer, the function Generator.random(n)
+ *     calls n times, so the stream is numpy's draw for draw.
  */
 
 #include <stdint.h>
 #include <string.h>
 
-#define SD_ABI_VERSION 4
+#define SD_ABI_VERSION 5
 
 /* Loader probe: the Python side checks the ABI before trusting the lib. */
 int sd_abi_version(void) { return SD_ABI_VERSION; }
@@ -32,25 +35,26 @@ static inline int ctz8(uint8_t v) {
 #endif
 }
 
-/* Keep the i-th set bit (ascending cell order) of cand iff keep[i],
- * over n_rows contiguous rows sharing one keep stream (the batched
- * samplers' one-big-draw contract).  Returns the number of keep flags
- * consumed.  Mirror of repro.pcm.line._apply_keep. */
-int sd_apply_keep_rows(const uint8_t *cand, int n_rows, int row_bytes,
-                       const uint8_t *keep, uint8_t *out) {
-    int i = 0;
-    const int total = n_rows * row_bytes;
-    for (int b = 0; b < total; ++b) {
+/* A numpy bitgen_t's next_double: one uniform in [0, 1) per call. */
+typedef double (*sd_next_double)(void *state);
+
+/* Keep each set bit of cand (nbytes bytes, ascending cell order) iff a
+ * fresh uniform is below p: one draw per candidate bit, none for the
+ * clear ones.  Over several contiguous rows this is the batched
+ * samplers' one-big-draw contract.  Mirror of repro.pcm.line
+ * sample_masks_int (rng.random(total) < p, scattered in order). */
+void sd_sample_keep(const uint8_t *cand, int nbytes, double p,
+                    sd_next_double next, void *state, uint8_t *out) {
+    for (int b = 0; b < nbytes; ++b) {
         uint8_t c = cand[b];
         uint8_t o = 0;
         while (c) {
             uint8_t low = (uint8_t)(c & (uint8_t)(-c));
-            if (keep[i++]) o |= low;
+            if (next(state) < p) o |= low;
             c = (uint8_t)(c ^ low);
         }
         out[b] = o;
     }
-    return i;
 }
 
 /* DIN per-byte inversion coding: one LUT gather per byte.  Tables are
@@ -74,12 +78,14 @@ void sd_din_encode(const uint8_t *oldb, const uint8_t *rawb,
     }
 }
 
-/* Threshold-pack: bit i set iff draws[i] < p (the flip/weak-mask
- * recipe `rng.random(n) < p` fused with the pack). */
-void sd_pack_less_than(const double *draws, int n, double p, uint8_t *out) {
+/* Bit i set iff draw i of n fresh uniforms is below p, packed into
+ * (n+7)/8 bytes: the flip-mask recipe `rng.random(n) < p` fused with
+ * the pack.  Always draws n uniforms. */
+void sd_draw_less_than(int n, double p, sd_next_double next, void *state,
+                       uint8_t *out) {
     memset(out, 0, (size_t)((n + 7) / 8));
     for (int i = 0; i < n; ++i) {
-        if (draws[i] < p) out[i >> 3] |= (uint8_t)(1u << (i & 7));
+        if (next(state) < p) out[i >> 3] |= (uint8_t)(1u << (i & 7));
     }
 }
 

@@ -17,8 +17,10 @@ Three interchangeable implementations live in this package:
     ``REPRO_KERNEL_BACKEND=numpy``);
 ``compiled``
     a small C shared library (built on demand, loaded via ctypes) for
-    the scatter/LUT/pack loops and the seeded generators.  Draws from
-    a caller's RNG stay in Python so streams match the reference
+    the samplers, the DIN LUT walk, set-bit extraction and the seeded
+    generators.  Its samplers draw from the caller's generator through
+    numpy's ``next_double`` pointer, the same calls
+    ``Generator.random`` makes, so streams match the reference
     draw-for-draw; the seeded generators reproduce numpy's
     ``SeedSequence`` -> ``PCG64`` recipe natively.
 
@@ -99,12 +101,14 @@ class KernelBackend:
 
     # -- mask packing / seeded generation ----------------------------------------
 
-    def mask_from_draws(self, draws: np.ndarray, threshold: float) -> int:
-        """Int mask with bit ``i`` set where ``draws[i] < threshold``.
+    def draw_mask(
+        self, rng: np.random.Generator, bits: int, threshold: float
+    ) -> int:
+        """Int mask with bit ``i`` set where draw ``i`` of
+        ``rng.random(bits)`` is below ``threshold``.
 
-        The ``rng.random(n) < p`` + packbits recipe used by the flip-mask
-        generator, fused so compiled backends can do the compare and the
-        pack in one pass.
+        The flip-mask recipe.  Must consume exactly ``rng.random(bits)``
+        draws, whatever the threshold.
         """
         raise NotImplementedError
 
@@ -117,7 +121,7 @@ class KernelBackend:
         raise NotImplementedError
 
     def seeded_mask(self, key: Tuple[int, ...], bits: int, threshold: float) -> int:
-        """``mask_from_draws(default_rng(key).random(bits), threshold)``.
+        """``draw_mask(default_rng(key), bits, threshold)``.
 
         The state plane's weak-cell-mask recipe.
         """

@@ -17,10 +17,21 @@ and the engine runs the pure-Python backend instead.
 The ctypes veneer passes ``bytes`` objects and pre-computed buffer
 addresses instead of numpy pointers: ``ndarray.ctypes.data`` costs
 ~1.7us per access — more than the native call itself — so the hot
-scalar kernels reuse cached output buffers.  ``decode_int``'s
-flag-expand XOR stays on numpy, which already beats a native round
-trip; C is used where per-bit Python loops, per-byte LUT walks or
-per-key ``default_rng`` construction dominate.
+scalar kernels reuse cached output buffers.  ``decode_int`` (a
+256-entry int-table XOR) and ``bit_positions_int`` on masks of at most
+:data:`_FEW_BITS` set bits stay in Python, which beats a native round
+trip; C is used where per-bit Python loops, per-byte LUT walks, per-draw
+numpy round trips or per-key ``default_rng`` construction dominate.
+
+**Caller-stream draws**: ``sample_mask_int``, ``sample_masks_int`` and
+``draw_mask`` draw their uniforms in C from the caller's generator,
+through its ``bit_generator.ctypes.next_double`` pointer and state
+address.  ``Generator.random(n)`` is exactly ``n`` ``next_double``
+calls, so the C loop consumes the stream draw for draw as the Python
+reference does (one uniform per candidate bit in ascending cell order,
+or ``n`` uniforms for a flip mask).  The caller's generator must not be
+used from another thread during the call; the simulator drives each
+generator from one thread.
 
 **Seeded generation**: ``seeded_words``/``seeded_mask`` (the state
 plane's pristine rows and weak-cell masks) run numpy's ``SeedSequence``
@@ -29,14 +40,16 @@ the key to 32-bit words exactly as numpy does.  They read no caller
 stream, so a failure falls back by regenerating the value with the
 numpy reference.
 
-**Crash containment**: RNG draws always happen in Python *before* the
-native call, so when a compiled kernel raises at runtime the backend
-retires itself (one warning), recomputes the result from the
-already-drawn keep flags with the pure-Python scatter — byte-identical,
-stream-identical — and delegates every later call to the Python
-backend (the seeded generators simply regenerate with the reference).
-A compiled-kernel failure can therefore never corrupt a result or
-desynchronise an RNG stream.
+**Crash containment**: a native sampler that raises does so *before*
+it consumes any draw — every fallible step (byte conversion, resolving
+the stream's pointers, the ctypes call's argument checks) precedes the
+C loop, and the loop itself cannot raise.  The backend then retires
+itself (one warning) and the Python reference computes the result from
+the untouched stream, drawing exactly what the native sampler would
+have drawn — byte-identical, stream-identical.  Every later call
+delegates to the Python backend (the seeded generators simply
+regenerate with the reference).  A compiled-kernel failure can
+therefore never corrupt a result or desynchronise an RNG stream.
 """
 
 from __future__ import annotations
@@ -63,9 +76,14 @@ from .python_backend import PythonBackend
 
 #: Expected ``sd_abi_version()`` of a loadable library; a library with
 #: another entry-point set fails the probe and is rebuilt from source.
-_ABI_VERSION = 4
+_ABI_VERSION = 5
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
+
+#: Masks with at most this many set bits take the pure-Python
+#: ``bit_positions_int``: its low-bit walk is cheaper than a native
+#: round trip for them.
+_FEW_BITS = 6
 
 
 def _find_compiler() -> Optional[str]:
@@ -141,17 +159,18 @@ def _declare(lib: ctypes.CDLL) -> None:
     """Bind argtypes/restypes; pointers travel as ``c_void_p`` (bytes or int)."""
     p = ctypes.c_void_p
     i = ctypes.c_int
-    lib.sd_apply_keep_rows.argtypes = [p, i, i, p, p]
-    lib.sd_apply_keep_rows.restype = i
+    d = ctypes.c_double
+    lib.sd_sample_keep.argtypes = [p, i, d, p, p, p]
+    lib.sd_sample_keep.restype = None
     lib.sd_din_encode.argtypes = [p, p, p, p, i, i, p, p]
     lib.sd_din_encode.restype = None
-    lib.sd_pack_less_than.argtypes = [p, i, ctypes.c_double, p]
-    lib.sd_pack_less_than.restype = None
+    lib.sd_draw_less_than.argtypes = [i, d, p, p, p]
+    lib.sd_draw_less_than.restype = None
     lib.sd_bit_positions.argtypes = [p, i, p]
     lib.sd_bit_positions.restype = i
     lib.sd_seeded_words.argtypes = [p, i, p, i]
     lib.sd_seeded_words.restype = None
-    lib.sd_seeded_less_than.argtypes = [p, i, ctypes.c_double, i, p]
+    lib.sd_seeded_less_than.argtypes = [p, i, d, i, p]
     lib.sd_seeded_less_than.restype = None
 
 
@@ -179,16 +198,18 @@ class _COps:
         self._pos_addr = ctypes.addressof(self._pos_buf)
         self._pos_view = np.frombuffer(self._pos_buf, np.int32)
 
-    def apply_keep(self, cand: bytes, keep: bytes, n_rows: int) -> bytes:
-        if n_rows == 1:
-            self._lib.sd_apply_keep_rows(
-                cand, 1, LINE_BYTES, keep, self._line_addr
+    def sample_keep(
+        self, cand: bytes, probability: float, stream: Tuple[int, int]
+    ) -> bytes:
+        """Keep each set bit of ``cand`` iff a draw from ``stream`` is below
+        ``probability`` (one draw per set bit, rows back to back)."""
+        if len(cand) == LINE_BYTES:
+            self._lib.sd_sample_keep(
+                cand, LINE_BYTES, probability, *stream, self._line_addr
             )
             return self._line_buf.raw
-        out = ctypes.create_string_buffer(n_rows * LINE_BYTES)
-        self._lib.sd_apply_keep_rows(
-            cand, n_rows, LINE_BYTES, keep, ctypes.addressof(out)
-        )
+        out = ctypes.create_string_buffer(len(cand))
+        self._lib.sd_sample_keep(cand, len(cand), probability, *stream, out)
         return out.raw
 
     def din_encode(self, old: bytes, raw: bytes) -> Tuple[bytes, bytes]:
@@ -199,12 +220,16 @@ class _COps:
         )
         return self._line_buf.raw, self._flag_buf.raw
 
-    def pack_less_than(self, draws: bytes, n: int, threshold: float) -> bytes:
+    def draw_less_than(
+        self, n: int, threshold: float, stream: Tuple[int, int]
+    ) -> bytes:
+        """``n`` draws from ``stream``, bit ``i`` set where draw ``i`` is
+        below ``threshold``."""
         if n == LINE_BITS:
-            self._lib.sd_pack_less_than(draws, n, threshold, self._line_addr)
+            self._lib.sd_draw_less_than(n, threshold, *stream, self._line_addr)
             return self._line_buf.raw
         out = ctypes.create_string_buffer((n + 7) // 8)
-        self._lib.sd_pack_less_than(draws, n, threshold, ctypes.addressof(out))
+        self._lib.sd_draw_less_than(n, threshold, *stream, out)
         return out.raw
 
     def bit_positions(self, buf: bytes, count: int) -> List[int]:
@@ -276,6 +301,8 @@ class CompiledBackend(KernelBackend):
         self._ops = _make_ops()
         self._py = PythonBackend()
         self._dead = False
+        self._bitgen = None
+        self._stream_ptrs: Tuple[int, int] = (0, 0)
 
     @property
     def abi(self) -> int:
@@ -297,6 +324,23 @@ class CompiledBackend(KernelBackend):
                 stacklevel=3,
             )
 
+    def _stream(self, rng: np.random.Generator) -> Tuple[int, int]:
+        """``(next_double, state)`` addresses of ``rng``'s bit generator.
+
+        Memoised for the last generator seen (one executor draws from one
+        generator for a whole cell); the reference keeps it alive, so the
+        addresses stay valid.
+        """
+        bitgen = rng.bit_generator
+        if bitgen is not self._bitgen:
+            iface = bitgen.ctypes
+            self._stream_ptrs = (
+                ctypes.cast(iface.next_double, ctypes.c_void_p).value,
+                iface.state_address,
+            )
+            self._bitgen = bitgen
+        return self._stream_ptrs
+
     # -- disturbance sampling ----------------------------------------------------
 
     def sample_mask_int(
@@ -308,14 +352,15 @@ class CompiledBackend(KernelBackend):
             return 0
         if probability >= 1.0:
             return candidates
-        keep = rng.random(candidates.bit_count()) < probability
         try:
-            out = self._ops.apply_keep(
-                candidates.to_bytes(LINE_BYTES, "little"), keep.tobytes(), 1
+            out = self._ops.sample_keep(
+                candidates.to_bytes(LINE_BYTES, "little"),
+                probability,
+                self._stream(rng),
             )
         except Exception as exc:
             self._retire(exc)
-            return L._apply_keep(candidates, keep)
+            return self._py.sample_mask_int(candidates, probability, rng)
         return int.from_bytes(out, "little")
 
     def sample_masks_int(
@@ -323,55 +368,52 @@ class CompiledBackend(KernelBackend):
     ) -> List[int]:
         if self._dead:
             return self._py.sample_masks_int(candidates, probability, rng)
-        if probability <= 0.0:
+        if probability <= 0.0 or not any(candidates):
             return [0] * len(candidates)
         if probability >= 1.0:
             return list(candidates)
-        counts = [value.bit_count() for value in candidates]
-        total = sum(counts)
-        if total == 0:
-            return [0] * len(candidates)
-        keep = rng.random(total) < probability
-        payload = b"".join(
-            value.to_bytes(LINE_BYTES, "little") for value in candidates
-        )
         try:
-            data = self._ops.apply_keep(payload, keep.tobytes(), len(candidates))
+            data = self._ops.sample_keep(
+                b"".join([value.to_bytes(LINE_BYTES, "little")
+                          for value in candidates]),
+                probability,
+                self._stream(rng),
+            )
         except Exception as exc:
             self._retire(exc)
-            return self._apply_keep_fallback(candidates, counts, keep)
+            return self._py.sample_masks_int(candidates, probability, rng)
         return [
-            int.from_bytes(data[r * LINE_BYTES:(r + 1) * LINE_BYTES], "little")
-            for r in range(len(candidates))
+            int.from_bytes(data[r:r + LINE_BYTES], "little")
+            for r in range(0, len(data), LINE_BYTES)
         ]
 
-    @staticmethod
-    def _apply_keep_fallback(
-        candidates: List[int], counts: List[int], keep: np.ndarray
-    ) -> List[int]:
-        """Finish a batch with the Python scatter and the drawn flags."""
-        result: List[int] = []
-        offset = 0
-        for value, n in zip(candidates, counts):
-            if n == 0:
-                result.append(0)
-            else:
-                result.append(L._apply_keep(value, keep[offset:offset + n]))
-                offset += n
-        return result
+    def draw_mask(
+        self, rng: np.random.Generator, bits: int, threshold: float
+    ) -> int:
+        if self._dead:
+            return self._py.draw_mask(rng, bits, threshold)
+        try:
+            out = self._ops.draw_less_than(
+                bits, float(threshold), self._stream(rng)
+            )
+        except Exception as exc:
+            self._retire(exc)
+            return self._py.draw_mask(rng, bits, threshold)
+        return int.from_bytes(out, "little")
 
     # -- positions ---------------------------------------------------------------
 
     def bit_positions_int(self, value: int) -> List[int]:
-        if self._dead or value == 0:
-            return self._py.bit_positions_int(value)
+        count = value.bit_count()
+        if self._dead or count <= _FEW_BITS:
+            return L.bit_positions_int(value)
         try:
             return self._ops.bit_positions(
-                value.to_bytes(LINE_BYTES, "little"), value.bit_count()
+                value.to_bytes(LINE_BYTES, "little"), count
             )
         except Exception as exc:
             self._retire(exc)
-            return self._py.bit_positions_int(value)
+            return L.bit_positions_int(value)
 
     # -- DIN inversion coding ----------------------------------------------------
 
@@ -392,24 +434,10 @@ class CompiledBackend(KernelBackend):
         )
 
     def decode_int(self, stored: int, flags: int) -> int:
-        # The numpy flag-expand LUT + one big-int XOR is already faster
-        # than a native call round-trip for a single line.
+        # The int-table XOR is already faster than a native round trip.
         return self._py.decode_int(stored, flags)
 
-    # -- mask packing / seeded generation ----------------------------------------
-
-    def mask_from_draws(self, draws: np.ndarray, threshold: float) -> int:
-        if self._dead:
-            return self._py.mask_from_draws(draws, threshold)
-        flat = np.ascontiguousarray(draws, np.float64)
-        try:
-            out = self._ops.pack_less_than(
-                flat.tobytes(), len(flat), float(threshold)
-            )
-        except Exception as exc:
-            self._retire(exc)
-            return self._py.mask_from_draws(draws, threshold)
-        return int.from_bytes(out, "little")
+    # -- seeded generation -------------------------------------------------------
 
     def seeded_words(self, key: Tuple[int, ...], count: int) -> bytes:
         if self._dead:

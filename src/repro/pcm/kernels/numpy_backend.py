@@ -72,8 +72,10 @@ class NumpyBackend(KernelBackend):
 
     # -- mask packing / seeded generation ----------------------------------------
 
-    def mask_from_draws(self, draws: np.ndarray, threshold: float) -> int:
-        return L.mask_from_draws(draws, threshold)
+    def draw_mask(
+        self, rng: np.random.Generator, bits: int, threshold: float
+    ) -> int:
+        return L.draw_mask(rng, bits, threshold)
 
     def seeded_words(self, key: Tuple[int, ...], count: int) -> bytes:
         return L.seeded_words(key, count)

@@ -382,6 +382,12 @@ def mask_from_draws(draws: np.ndarray, threshold: float) -> int:
     )
 
 
+def draw_mask(rng: np.random.Generator, bits: int, threshold: float) -> int:
+    """Bit ``i`` set where draw ``i`` of ``rng.random(bits)`` is below
+    ``threshold`` (always ``bits`` draws)."""
+    return mask_from_draws(rng.random(bits), threshold)
+
+
 def seeded_words(key: Tuple[int, ...], count: int) -> bytes:
     """``count`` full-range uint64 draws of ``default_rng(key)``, as bytes."""
     rng = np.random.default_rng(key)
@@ -391,7 +397,7 @@ def seeded_words(key: Tuple[int, ...], count: int) -> bytes:
 def seeded_mask(key: Tuple[int, ...], bits: int, threshold: float) -> int:
     """Bit ``i`` set where draw ``i`` of ``default_rng(key).random(bits)``
     is below ``threshold``."""
-    return mask_from_draws(np.random.default_rng(key).random(bits), threshold)
+    return draw_mask(np.random.default_rng(key), bits, threshold)
 
 
 # -- scalar reference implementations -------------------------------------------

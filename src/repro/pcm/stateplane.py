@@ -11,7 +11,7 @@ same seeded :func:`numpy.random.default_rng` recipe:
   never copies it: an array turns a line into an int on first touch;
 * **weak-cell masks** — a line's fixed set of disturbance-prone cells,
   keyed ``(fraction, (bank, row, line))`` (see
-  :meth:`repro.core.vnc.VnCExecutor._weak_mask`).
+  :meth:`repro.core.vnc.VnCExecutor._expose`).
 
 Generation goes through the active kernel backend's ``seeded_words`` /
 ``seeded_mask``: the compiled backend runs numpy's ``SeedSequence`` ->

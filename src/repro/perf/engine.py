@@ -328,13 +328,15 @@ class CellRunner:
                 continue
             if pool is None:
                 pool = self._get_pool(self.jobs)
-            handle = _publish_trace(spec)
-            # submit() lazily forks workers; a Ctrl-C landing inside the
-            # fork can orphan an unregistered worker, so defer it past
-            # the submit (it is then raised here and unwinds normally,
-            # with the future already in the in-flight table for
+            # Publishing creates a shared-memory segment and submit()
+            # lazily forks workers; a Ctrl-C landing inside either can
+            # leak an unrecorded segment or orphan an unregistered
+            # worker, so defer it past the submit (it is then raised
+            # here and unwinds normally, with the segment on the plane
+            # and the future in the in-flight table for teardown and
             # cancel_prefetch to find).
             with defer_sigint():
+                handle = _publish_trace(spec)
                 try:
                     future = pool.submit(
                         _simulate_with_phases, spec, handle, kernel,
@@ -490,11 +492,12 @@ class CellRunner:
         futures: Dict[int, Future] = {}
         try:
             for index in indices:
-                handle = _publish_trace(specs[index])
-                # Defer Ctrl-C past the lazy worker fork inside submit()
-                # (see prefetch); deferred interrupts are raised at the
-                # end of each iteration and unwind through run_cells.
+                # Defer Ctrl-C past the segment publish and the lazy
+                # worker fork inside submit() (see prefetch); deferred
+                # interrupts are raised at the end of each iteration and
+                # unwind through run_cells.
                 with defer_sigint():
+                    handle = _publish_trace(specs[index])
                     futures[index] = pool.submit(
                         _simulate_with_phases, specs[index], handle, kernel,
                     )

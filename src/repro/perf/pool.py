@@ -32,29 +32,43 @@ _LOG = logging.getLogger("repro.perf")
 
 @contextmanager
 def defer_sigint():
-    """Mask SIGINT for the duration of a fork/submit burst.
+    """Hold SIGINT back for the duration of a publish/fork/submit burst.
 
     A Ctrl-C landing inside ``ProcessPoolExecutor``'s lazy worker spawn
     is hazardous two ways: raised inside an ``os.register_at_fork``
     callback it is *swallowed* ("Exception ignored in ..."), and raised
     between the fork and the ``_processes`` bookkeeping it orphans a
-    worker no teardown can find.  Blocking the signal keeps it pending;
-    it is delivered as a normal ``KeyboardInterrupt`` at unmask time —
-    a safe point.  Submit bursts are sub-second, so the added Ctrl-C
-    latency is imperceptible.  No-op where unsupported.
+    worker no teardown can find.  Raised inside a trace segment's
+    creation it leaks the segment, which exists before the plane has
+    recorded it.  Masking the signal in the main thread is not enough:
+    the kernel hands a process-directed SIGINT to any thread that does
+    not block it (the cache writer, an executor's manager thread), and
+    CPython then raises ``KeyboardInterrupt`` in the main thread
+    regardless of its mask.  So the Python-level handler is swapped for
+    one that only records the interrupt; on exit the previous handler
+    is restored and a recorded interrupt is re-raised through it
+    (``signal.raise_signal``) — under the default handler a normal
+    ``KeyboardInterrupt`` at a safe point.  Bursts are sub-second, so
+    the added Ctrl-C latency is imperceptible.  Outside the main thread,
+    where Python runs no signal handler, this is a no-op.
     """
-    if not hasattr(signal, "pthread_sigmask"):
-        yield
-        return
+    caught = []
     try:
-        previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    except (ValueError, OSError):
+        previous = signal.signal(
+            signal.SIGINT, lambda signum, frame: caught.append(signum)
+        )
+    except ValueError:  # not the main thread
         yield
         return
     try:
         yield
     finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+        signal.signal(
+            signal.SIGINT,
+            signal.default_int_handler if previous is None else previous,
+        )
+        if caught:
+            signal.raise_signal(signal.SIGINT)
 
 
 class WarmPool:

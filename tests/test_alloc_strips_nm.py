@@ -14,6 +14,7 @@ from repro.alloc.strips import (
     no_use_positions,
     usable_fraction,
     used_strips_in_block,
+    validate_ratio,
 )
 from repro.config import PAGES_PER_STRIP
 from repro.errors import AllocationError
@@ -166,3 +167,44 @@ class TestNMAllocManager:
             mgr.allocate_frame(1, 2)
         with pytest.raises(AllocationError):
             mgr.allocate_frame(1, 2)
+
+
+def _reference_no_use(strip: int, n: int, m: int) -> bool:
+    """Section 4.4's marking from first principles: the group-local
+    positions 1 .. m-n of each block-local m-strip group are no-use."""
+    return 1 <= (strip % STRIPS_PER_BLOCK) % m <= m - n
+
+
+class TestMemoisedMarking:
+    """``no_use_positions``/``validate_ratio`` are memoised per (n, m);
+    the marking and the Figure 9 rule must not change with it."""
+
+    @pytest.mark.parametrize("nm", [(1, 1), (2, 3), (1, 2), (1, 4)])
+    def test_every_block_local_strip_unchanged(self, nm):
+        n, m = nm
+        for _ in range(2):  # the second pass runs on warm caches
+            for strip in range(STRIPS_PER_BLOCK + 2):
+                no_use = _reference_no_use(strip, n, m)
+                assert is_no_use(strip, n, m) == no_use
+                if no_use:
+                    with pytest.raises(AllocationError):
+                        adjacent_usage(strip, n, m)
+                    continue
+                local = strip % STRIPS_PER_BLOCK
+                want = (
+                    local == 0 or not _reference_no_use(strip - 1, n, m),
+                    local == STRIPS_PER_BLOCK - 1
+                    or not _reference_no_use(strip + 1, n, m),
+                )
+                assert adjacent_usage(strip, n, m) == want
+        assert no_use_positions(n, m) is no_use_positions(n, m)
+
+    @pytest.mark.parametrize("nm", [(3, 2), (0, 2), (0, 0), (-1, 4)])
+    def test_bad_ratios_raise_on_every_call(self, nm):
+        for _ in range(2):
+            with pytest.raises(AllocationError):
+                validate_ratio(*nm)
+            with pytest.raises(AllocationError):
+                no_use_positions(*nm)
+            with pytest.raises(AllocationError):
+                is_no_use(5, *nm)

@@ -10,8 +10,10 @@ from repro.config import (
     SchemeConfig,
     TimingConfig,
 )
+from repro.alloc.strips import adjacent_usage, is_no_use
 from repro.core.vnc import VnCExecutor
 from repro.ecp.chip import ECPChip
+from repro.errors import AllocationError
 from repro.mem.request import Request, RequestKind, WriteEntry
 from repro.pcm import line as L
 from repro.pcm.array import LineAddress, PCMArray
@@ -89,6 +91,27 @@ class TestSlots:
         ex, *_ = make_executor(SchemeConfig(nm_ratio=(2, 3)))
         entry = write_entry(ex, row=3, nm=(2, 3))  # local 3 % 3 == 0: top used
         assert [s.addr.row for s in entry.slots] == [2]
+
+
+    def test_slots_follow_each_writes_own_ratio(self):
+        """One executor serving pages of several allocators: the cached
+        adjacency is keyed by (row, nm_tag), so interleaved ratios on
+        the same rows each get their own Figure 9 answer."""
+        rows = 2048
+        ex, *_ = make_executor(SchemeConfig(), rows=rows)
+        tags = [(1, 1), (2, 3), (1, 2), (1, 4)]
+        for _ in range(2):  # cold, then cached
+            for row in list(range(0, 13)) + [1022, 1023, 1024, 1025, rows - 1]:
+                for nm in tags:
+                    if is_no_use(row, *nm):
+                        with pytest.raises(AllocationError):
+                            write_entry(ex, row=row, nm=nm)
+                        continue
+                    top, bottom = adjacent_usage(row, *nm)
+                    want = [r for r, verify in ((row - 1, top), (row + 1, bottom))
+                            if verify and 0 <= r < rows]
+                    entry = write_entry(ex, row=row, nm=nm)
+                    assert [s.addr.row for s in entry.slots] == want, (row, nm)
 
 
 class TestWriteCommit:

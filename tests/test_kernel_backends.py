@@ -7,9 +7,9 @@ reference (numpy's own ``default_rng`` for the seeded generators).
 These tests pin that contract property-based over random masks and edge
 probabilities, plus the registry semantics (lazy memoised construction,
 force-mode errors, graceful degradation) and the compiled backend's
-crash containment: a native kernel that raises mid-run retires itself
-with one warning, stays retired for the process, and finishes byte-
-and stream-identically in Python.
+crash containment: a native kernel that raises mid-run does so before
+it draws, retires itself with one warning, stays retired for the
+process, and finishes byte- and stream-identically in Python.
 
 Backends unavailable on the host (no C compiler for ``compiled``) skip
 their equivalence cases; the registry/degradation tests simulate such
@@ -30,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 from repro import envconfig
 from repro.config import LINE_BITS, LINE_WORDS, SystemConfig
 from repro.core import schemes
+from repro.pcm import din as D
 from repro.pcm import kernels
 from repro.pcm import line as L
 from repro.pcm.kernels.base import BackendUnavailable
@@ -65,6 +66,18 @@ fractions = st.one_of(
 )
 
 REFERENCE = PythonBackend()
+
+#: Sampler edge cases: empty, one bit (lowest, highest), the full line.
+EDGE_MASKS = [0, 1, 1 << (LINE_BITS - 1), L.MASK_ALL]
+#: Batches with zero rows, all-empty rows and empty rows between others.
+EDGE_BATCHES = [
+    [],
+    [0],
+    [0, 0, 0],
+    [0, L.MASK_ALL, 0],
+    [1 << 200, 0, L.MASK_ALL, 0, 1],
+]
+STREAM_PROBABILITIES = (0.0, 1e-3, 0.5, 1.0)
 
 
 def backend_or_skip(name: str) -> kernels.KernelBackend:
@@ -214,14 +227,68 @@ class TestBackendEquivalence:
         )
 
     @settings(max_examples=100, deadline=None)
-    @given(seeds, probabilities)
-    def test_mask_packing(self, name, seed, threshold):
+    @given(seeds, probabilities, st.sampled_from([LINE_BITS, 37, 0]))
+    def test_mask_packing(self, name, seed, threshold, bits):
+        """The flip-mask draw: ``rng.random(bits) < threshold``, packed,
+        always ``bits`` draws."""
         backend = backend_or_skip(name)
         rng = np.random.default_rng(seed)
-        draws = rng.random(LINE_BITS)
-        assert backend.mask_from_draws(draws, threshold) == (
-            REFERENCE.mask_from_draws(draws, threshold)
+        ref = np.random.default_rng(seed)
+        want = int.from_bytes(
+            np.packbits(ref.random(bits) < threshold, bitorder="little").tobytes(),
+            "little",
         )
+        assert backend.draw_mask(rng, bits, threshold) == want
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("p", STREAM_PROBABILITIES)
+    def test_samplers_keep_the_stream(self, name, p):
+        """Edge masks and batches with empty rows: equal ints, and the
+        caller's generator in exactly the reference's state afterwards."""
+        backend = backend_or_skip(name)
+        for seed, mask in enumerate(EDGE_MASKS):
+            rng = np.random.default_rng(seed)
+            ref = np.random.default_rng(seed)
+            assert backend.sample_mask_int(mask, p, rng) == (
+                REFERENCE.sample_mask_int(mask, p, ref)
+            )
+            assert rng.bit_generator.state == ref.bit_generator.state
+        for seed, batch in enumerate(EDGE_BATCHES):
+            rng = np.random.default_rng(100 + seed)
+            ref = np.random.default_rng(100 + seed)
+            assert backend.sample_masks_int(batch, p, rng) == (
+                REFERENCE.sample_masks_int(batch, p, ref)
+            )
+            assert rng.bit_generator.state == ref.bit_generator.state
+        rng = np.random.default_rng(7)
+        ref = np.random.default_rng(7)
+        want = int.from_bytes(
+            np.packbits(ref.random(LINE_BITS) < p, bitorder="little").tobytes(),
+            "little",
+        )
+        assert backend.draw_mask(rng, LINE_BITS, p) == want
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(mask_ints, st.integers(min_value=0, max_value=(1 << 64) - 1))
+    def test_decode_matches_numpy_flag_expansion(self, name, stored, flags):
+        """The int-table decode equals numpy's flag-expand XOR."""
+        backend = backend_or_skip(name)
+        flag_bytes = np.frombuffer(flags.to_bytes(8, "little"), np.uint8)
+        xor = int.from_bytes(
+            D._flag_expand_table()[flag_bytes].tobytes(), "little"
+        )
+        assert backend.decode_int(stored, flags) == stored ^ xor
+
+    @pytest.mark.parametrize("mask", EDGE_MASKS + [
+        (1 << 6) - 1, (1 << 7) - 1, 0b1010101 << 300,
+        sum(1 << b for b in range(0, LINE_BITS, 7)),
+    ])
+    def test_bit_positions_sparse_and_dense(self, name, mask):
+        """Both sides of the compiled backend's few-bits Python path."""
+        backend = backend_or_skip(name)
+        want = [i for i in range(LINE_BITS) if mask >> i & 1]
+        assert backend.bit_positions_int(mask) == want
 
     @settings(max_examples=150, deadline=None)
     @given(seed_keys, fractions)
@@ -297,14 +364,14 @@ class _FlakyOps:
         self._fuse -= 1
         return getattr(self._real, method)(*args)
 
-    def apply_keep(self, *args):
-        return self._call("apply_keep", *args)
+    def sample_keep(self, *args):
+        return self._call("sample_keep", *args)
 
     def din_encode(self, *args):
         return self._call("din_encode", *args)
 
-    def pack_less_than(self, *args):
-        return self._call("pack_less_than", *args)
+    def draw_less_than(self, *args):
+        return self._call("draw_less_than", *args)
 
     def bit_positions(self, *args):
         return self._call("bit_positions", *args)
@@ -332,13 +399,15 @@ class TestCompiledCrashFallback:
         mask = (1 << 511) | (1 << 77) | 0xF0F0
         fast_rng = np.random.default_rng(3)
         ref_rng = np.random.default_rng(3)
-        with pytest.warns(RuntimeWarning, match="falling back"):
+        with pytest.warns(RuntimeWarning, match="falling back") as caught:
             got = backend.sample_mask_int(mask, 0.4, fast_rng)
-        # The already-drawn keep flags are replayed by the Python
-        # scatter: same bytes, same stream position.
+        # The native sampler failed before drawing, so the Python
+        # reference draws the untouched stream: same bytes, same stream
+        # position.
         assert got == REFERENCE.sample_mask_int(mask, 0.4, ref_rng)
         assert fast_rng.random() == ref_rng.random()
         assert backend.dead is True
+        assert len(caught) == 1
 
     def test_retired_backend_delegates_silently(self):
         backend = _fresh_compiled()
@@ -356,16 +425,30 @@ class TestCompiledCrashFallback:
                 REFERENCE.sample_masks_int([7, 0, 1 << 300], 0.6, ref)
             )
 
-    def test_batched_crash_replays_drawn_flags(self):
+    def test_batched_crash_falls_back_before_drawing(self):
         backend = _fresh_compiled()
         backend._ops = _FlakyOps(backend._ops, fuse=0)
         values = [(1 << 200) - 1, 0, 0xDEADBEEF << 64]
         fast_rng = np.random.default_rng(17)
         ref_rng = np.random.default_rng(17)
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match="falling back") as caught:
             got = backend.sample_masks_int(values, 0.3, fast_rng)
         assert got == REFERENCE.sample_masks_int(values, 0.3, ref_rng)
         assert fast_rng.random() == ref_rng.random()
+        assert backend.dead is True
+        assert len(caught) == 1
+
+    def test_flip_mask_crash_falls_back_before_drawing(self):
+        backend = _fresh_compiled()
+        backend._ops = _FlakyOps(backend._ops, fuse=0)
+        fast_rng = np.random.default_rng(23)
+        ref_rng = np.random.default_rng(23)
+        with pytest.warns(RuntimeWarning, match="falling back") as caught:
+            got = backend.draw_mask(fast_rng, LINE_BITS, 0.14)
+        assert got == REFERENCE.draw_mask(ref_rng, LINE_BITS, 0.14)
+        assert fast_rng.random() == ref_rng.random()
+        assert backend.dead is True
+        assert len(caught) == 1
 
     @pytest.mark.parametrize("method", ("seeded_words", "seeded_mask"))
     def test_seeded_crash_falls_back_to_numpy(self, method):

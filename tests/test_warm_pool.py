@@ -16,6 +16,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -28,7 +29,7 @@ from repro.experiments import common
 from repro.perf import engine
 from repro.perf.cache import ResultCache
 from repro.perf.engine import STATS, CellRunner
-from repro.perf.pool import WARM_POOL, WarmPool
+from repro.perf.pool import WARM_POOL, WarmPool, defer_sigint
 from repro.traces import shm
 from repro.traces.workload import homogeneous_workload
 
@@ -114,6 +115,27 @@ class TestWarmPoolUnit:
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             WarmPool().get(0)
+
+    def test_defer_sigint_holds_an_interrupt_while_other_threads_run(self):
+        """A process-directed SIGINT reaches Python through any thread
+        that does not block it, so the deferral must hold it back even
+        with another thread alive, and raise it once the burst is done."""
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, daemon=True)
+        other.start()
+        finished_burst = False
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                with defer_sigint():
+                    os.kill(os.getpid(), signal.SIGINT)
+                    for _ in range(10):
+                        time.sleep(0.02)  # GIL hand-offs: handler may run
+                    finished_burst = True
+        finally:
+            stop.set()
+            other.join(timeout=5)
+        assert finished_burst
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
     def test_warm_pool_is_shared_across_runners(self, tmp_path):
         cache = ResultCache(tmp_path / "cache", enabled=False)
