@@ -1,10 +1,8 @@
-"""OS allocation substrate: buddy system, (n:m)-Alloc, page table, DMA."""
+"""OS allocation substrate: buddy system, (n:m)-Alloc, page table."""
 
 from .buddy import BuddyAllocator
-from .dma import DMAController, DMARegion
 from .nm_alloc import BLOCK_ORDER, NMAllocManager
 from .page_table import MAX_ALLOCATORS, TAG_BITS, PageTable, PageTableEntry, TLB
-from .startgap import StartGap, simulate_levelling
 from .strips import (
     PAGES_PER_BLOCK,
     STRIPS_PER_BLOCK,
@@ -16,12 +14,8 @@ from .strips import (
 
 __all__ = [
     "BuddyAllocator",
-    "DMAController",
-    "DMARegion",
     "NMAllocManager",
     "BLOCK_ORDER",
-    "StartGap",
-    "simulate_levelling",
     "PageTable",
     "PageTableEntry",
     "TLB",

@@ -70,10 +70,9 @@ class PageTable:
 class TLB:
     """A small LRU TLB caching tagged translations.
 
-    Used by the hierarchy example and the overhead analysis; the timing
-    engine reads the page table directly (TLB reach is irrelevant to the
-    memory-side effects the paper evaluates, and its tag plumbing is what
-    Figure 9 adds — modelled here).
+    The timing engine reads the page table directly (TLB reach is
+    irrelevant to the memory-side effects the paper evaluates, and its tag
+    plumbing is what Figure 9 adds — modelled here).
     """
 
     def __init__(self, entries: int = 64):

@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one workload under one scheme")
     sim.add_argument("workload", choices=WORKLOAD_ORDER)
-    sim.add_argument("--scheme", default="baseline")
+    sim.add_argument("--scheme", choices=schemes.SCHEMES, default="baseline")
     sim.add_argument("--length", type=_LENGTH, default=1000)
     sim.add_argument("--cores", type=_COUNT, default=8)
     sim.add_argument("--seed", type=int, default=1)
@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(trace_gen, simulate) and kernel backend",
     )
     prof.add_argument("workload", choices=WORKLOAD_ORDER)
-    prof.add_argument("--scheme", default="LazyC+PreRead")
+    prof.add_argument("--scheme", choices=schemes.SCHEMES, default="LazyC+PreRead")
     prof.add_argument("--length", type=_LENGTH, default=2000)
     prof.add_argument("--cores", type=_COUNT, default=4)
     prof.add_argument("--seed", type=int, default=1)
@@ -185,11 +185,7 @@ def _cmd_list_workloads() -> int:
 
 
 def _cmd_list_schemes() -> int:
-    names = sorted(
-        set(schemes.FIGURE11_SCHEMES)
-        | {"PreRead", "VnC", "WC", "WC+LazyC", "WP", "WP+LazyC", "LazyC-denseECP"}
-    )
-    for name in names:
+    for name in sorted(schemes.SCHEMES):
         print(name)
     return 0
 
@@ -370,10 +366,15 @@ def _cmd_gen_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(path: str) -> int:
+    from .errors import TraceError
     from .traces import file_io
     from .traces.analysis import analyse
 
-    records = file_io.load(path)
+    try:
+        records = file_io.load(path)
+    except (OSError, TraceError) as exc:
+        print(f"repro analyze: error: {exc}", file=sys.stderr)
+        return 2
     profile = analyse(records)
     print(format_table(f"trace profile: {path}", ["metric", "value"],
                        profile.summary_rows()))

@@ -120,22 +120,25 @@ FIGURE11_SCHEMES: Dict[str, Callable[[], SchemeConfig]] = {
 }
 
 
+#: Every named scheme: what ``by_name`` resolves and the CLI offers.
+SCHEMES: Dict[str, Callable[[], SchemeConfig]] = {
+    **FIGURE11_SCHEMES,
+    "PreRead": preread,
+    "VnC": baseline,
+    "WC": write_cancellation,
+    "WC+LazyC": wc_lazyc,
+    "WP": write_pausing,
+    "WP+LazyC": wp_lazyc,
+    "eager": eager,
+    "LazyC-denseECP": lazyc_dense_ecp,
+}
+
+
 def by_name(name: str) -> SchemeConfig:
     """Look up any named scheme used in the experiments."""
-    registry: Dict[str, Callable[[], SchemeConfig]] = {
-        **FIGURE11_SCHEMES,
-        "PreRead": preread,
-        "VnC": baseline,
-        "WC": write_cancellation,
-        "WC+LazyC": wc_lazyc,
-        "WP": write_pausing,
-        "WP+LazyC": wp_lazyc,
-        "eager": eager,
-        "LazyC-denseECP": lazyc_dense_ecp,
-    }
-    factory = registry.get(name)
+    factory = SCHEMES.get(name)
     if factory is None:
-        raise ConfigError(f"unknown scheme {name!r}; known: {sorted(registry)}")
+        raise ConfigError(f"unknown scheme {name!r}; known: {sorted(SCHEMES)}")
     return factory()
 
 

@@ -1,4 +1,4 @@
-"""Memory-system substrate: addressing, banks, queues, controller, caches."""
+"""Memory-system substrate: addressing, banks, queues, controller."""
 
 from .address import AddressMapper
 from .bank import BankState, InFlightOp

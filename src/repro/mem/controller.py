@@ -199,7 +199,17 @@ class MemoryController:
                 self.counters.preread_forwards += 1
 
     def _maybe_cancel_for_read(self, bank: BankState) -> None:
-        """Write-cancellation policy [22] on demand-read arrival."""
+        """Write-cancellation policy [22] on demand-read arrival.
+
+        A read cancels an in-flight write whose remaining work exceeds
+        ``wc_threshold`` of its latency; a nearly-done write finishes.
+        Cancelled prereads are free; a cancelled write re-enters the queue
+        head and replays later.  The paper's "repeated write operations
+        tend to introduce more WD errors on adjacent lines" follows: the
+        pulses the cancelled attempt fired keep their disturbance
+        (``VnCExecutor._cancel`` applies it in proportion to progress), and
+        the retry disturbs again.
+        """
         if not self.scheme.write_cancellation:
             return
         op = bank.current

@@ -1,13 +1,10 @@
-"""Tests for the tagged page table, TLB, and WD-aware DMA (Section 4.4)."""
+"""Tests for the tagged page table and TLB (Section 4.4)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.alloc.dma import DMAController, DMARegion
 from repro.alloc.page_table import MAX_ALLOCATORS, TAG_BITS, PageTable, TLB
-from repro.alloc.strips import is_no_use
-from repro.config import PAGES_PER_STRIP
 from repro.errors import AllocationError
 
 
@@ -76,37 +73,3 @@ class TestTLB:
     def test_capacity_validation(self):
         with pytest.raises(AllocationError):
             TLB(entries=0)
-
-
-class TestDMA:
-    def test_1_1_contiguous(self):
-        region = DMARegion(base_frame=0, pages=40, nm_tag=(1, 1))
-        frames = DMAController().frames(region)
-        assert frames == list(range(40))
-
-    def test_1_2_skips_odd_strips(self):
-        region = DMARegion(base_frame=0, pages=40, nm_tag=(1, 2))
-        frames = DMAController().frames(region)
-        assert len(frames) == 40
-        for f in frames:
-            assert not is_no_use(f // PAGES_PER_STRIP, 1, 2)
-        # First 16 frames are strip 0, next 16 skip to strip 2.
-        assert frames[16] == 2 * PAGES_PER_STRIP
-
-    def test_transfer_reports_skips(self):
-        region = DMARegion(base_frame=0, pages=33, nm_tag=(1, 2))
-        touched, skipped = DMAController().transfer(region)
-        assert touched == 33
-        assert skipped == 2  # strips 1 and 3 skipped within the span
-
-    def test_unsupported_ratio(self):
-        with pytest.raises(AllocationError):
-            DMARegion(base_frame=0, pages=4, nm_tag=(2, 3))
-
-    def test_start_in_no_use_strip_rejected(self):
-        with pytest.raises(AllocationError):
-            DMARegion(base_frame=PAGES_PER_STRIP, pages=4, nm_tag=(1, 2))
-
-    def test_empty_region_rejected(self):
-        with pytest.raises(AllocationError):
-            DMARegion(base_frame=0, pages=0, nm_tag=(1, 1))

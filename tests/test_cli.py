@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.cli import main
+from repro.core import schemes
+
+
+def bad_scheme_error(value):
+    """argparse's own wording for a ``--scheme`` value outside the registry
+    (the choice-list quoting differs between Python versions)."""
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument("--scheme", choices=schemes.SCHEMES)
+    with pytest.raises(argparse.ArgumentError) as error:
+        probe.parse_args(["--scheme", value])
+    return str(error.value)
 
 
 class TestListCommands:
@@ -17,6 +30,8 @@ class TestListCommands:
         assert main(["list-schemes"]) == 0
         out = capsys.readouterr().out
         assert "DIN" in out and "LazyC+PreRead" in out and "WP+LazyC" in out
+        assert out.split() == sorted(schemes.SCHEMES)
+        assert "eager" in out.split()
 
 
 class TestSimulate:
@@ -34,11 +49,10 @@ class TestSimulate:
             main(["simulate", "not-a-workload"])
 
     def test_unknown_scheme_errors(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
+        with pytest.raises(SystemExit) as exit_info:
             main(["simulate", "wrf", "--scheme", "bogus", "--length", "10",
                   "--cores", "1"])
+        assert exit_info.value.code == 2
 
 
 class TestCompare:
@@ -57,6 +71,23 @@ class TestTraceCommands:
         assert main(["analyze", str(out)]) == 0
         text = capsys.readouterr().out
         assert "RPKI" in text and "footprint" in text
+
+    def test_analyze_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.trace"
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro analyze: error: ")
+        assert str(path) in err and err.count("\n") == 1
+
+    def test_analyze_malformed_text_trace(self, tmp_path, capsys):
+        path = tmp_path / "bad.trace"
+        path.write_text("R 0x40 3\nX not-a-record\n")
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"repro analyze: error: {path}:2: malformed record "
+            "'X not-a-record'\n"
+        )
 
     def test_gen_text_format(self, tmp_path, capsys):
         out = tmp_path / "t.trace"
@@ -95,6 +126,10 @@ class TestBadNumbers:
          "repro experiment: error: argument --jobs: must be >= 1, got 0"),
         (["simulate", "mcf", "--cores", "x"],
          "repro simulate: error: argument --cores: invalid int value: 'x'"),
+        (["simulate", "mcf", "--scheme", "nope"],
+         f"repro simulate: error: {bad_scheme_error('nope')}"),
+        (["perf", "profile", "mcf", "--scheme", "nope"],
+         f"repro perf profile: error: {bad_scheme_error('nope')}"),
     ])
     def test_exits_2_with_one_stderr_line(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -1,4 +1,4 @@
-"""Tests for scheme factories and the LazyC / PreRead / WC policy helpers."""
+"""Tests for scheme factories and the PreRead helpers."""
 
 from __future__ import annotations
 
@@ -6,9 +6,7 @@ import pytest
 
 from repro.config import SchemeConfig
 from repro.core import schemes
-from repro.core.lazy_correction import decide, expected_corrections_per_write
 from repro.core.preread import PrereadHardwareCost, preread_coverage
-from repro.core.write_cancellation import CancellationPolicy, expected_extra_errors
 from repro.errors import ConfigError
 from repro.stats.counters import Counters
 
@@ -55,35 +53,6 @@ class TestSchemeFactories:
         assert set(sweep) == {"(1:2)", "(2:3)", "(3:4)", "(7:8)"}
 
 
-class TestLazyPolicy:
-    def test_skip_condition(self):
-        assert decide(occupied=4, new_errors=2, capacity=6).absorb
-        assert not decide(occupied=5, new_errors=2, capacity=6).absorb
-        assert decide(occupied=0, new_errors=0, capacity=0).absorb
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            decide(-1, 0, 6)
-
-    def test_expected_corrections_shape(self):
-        """The analytic Figure 12 estimate must fall steeply with capacity."""
-        import math
-
-        curve = [
-            expected_corrections_per_write(2.0, n, rewrite_interval=2.0)
-            for n in (0, 2, 4, 6, 8)
-        ]
-        assert curve[0] == pytest.approx(2 * (1 - math.exp(-2.0)), abs=1e-9)
-        assert all(a >= b for a, b in zip(curve, curve[1:]))
-        assert curve[0] > 1.0
-        assert curve[3] < 0.3
-
-    def test_hard_errors_shift_curve(self):
-        healthy = expected_corrections_per_write(2.0, 6, 2.0, hard_errors=0)
-        aged = expected_corrections_per_write(2.0, 6, 2.0, hard_errors=2)
-        assert aged >= healthy
-
-
 class TestPrereadHelpers:
     def test_hardware_cost_matches_paper(self):
         cost = PrereadHardwareCost(queue_entries=32)
@@ -98,24 +67,3 @@ class TestPrereadHelpers:
         c.pre_write_reads = 2
         assert preread_coverage(c) == pytest.approx(0.8)
         assert preread_coverage(Counters()) == 0.0
-
-
-class TestCancellationPolicy:
-    def test_threshold_rule(self):
-        policy = CancellationPolicy(threshold=0.25)
-        assert policy.may_cancel(elapsed=0, latency=800)
-        assert policy.may_cancel(elapsed=500, latency=800)
-        assert not policy.may_cancel(elapsed=700, latency=800)
-        assert not policy.may_cancel(elapsed=0, latency=0)
-
-    def test_wasted_cycles(self):
-        policy = CancellationPolicy()
-        assert policy.wasted_cycles(300, 800) == 300
-        assert policy.wasted_cycles(900, 800) == 800
-
-    def test_extra_errors_model(self):
-        base = expected_extra_errors(2.0, cancellations=0.0)
-        heavy = expected_extra_errors(2.0, cancellations=1.0)
-        assert base == 2.0 and heavy == 3.0
-        with pytest.raises(ConfigError):
-            expected_extra_errors(-1.0, 0.0)

@@ -64,6 +64,8 @@ class TestECPLineWD:
         line.record_wd_errors([(i, 0) for i in range(5)])
         assert not line.would_overflow(1)
         assert line.would_overflow(2)
+        # ECP-0 still absorbs an offer of no new errors (0 + 0 <= 0).
+        assert not ECPLine(capacity=0).would_overflow(0)
 
 
 class TestECPLineHard:

@@ -1,4 +1,4 @@
-"""Tests for the energy model, Start-Gap wear levelling, and Flip-N-Write."""
+"""Tests for the energy model and Flip-N-Write."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.alloc.startgap import StartGap, simulate_levelling, wear_spread
 from repro.config import LINE_BITS
 from repro.errors import ConfigError
 from repro.pcm import line as L
@@ -54,59 +53,6 @@ class TestEnergyModel:
         assert report.per_access_pj(4) == pytest.approx(1024.0)
         with pytest.raises(ConfigError):
             report.per_access_pj(0)
-
-
-class TestStartGap:
-    def test_initial_mapping_identity(self):
-        region = StartGap(lines=8)
-        assert region.mapping_snapshot() == list(range(8))
-
-    def test_mapping_is_bijective_always(self):
-        region = StartGap(lines=8, gap_write_interval=1)
-        for step in range(100):
-            snapshot = region.mapping_snapshot()
-            assert len(set(snapshot)) == 8
-            assert all(0 <= s < 9 for s in snapshot)
-            region.note_write(step % 8)
-
-    def test_gap_moves_every_interval(self):
-        region = StartGap(lines=8, gap_write_interval=3)
-        moves = sum(region.note_write(0) for _ in range(9))
-        assert moves == 3
-        assert region.total_moves == 3
-
-    def test_full_lap_increments_start(self):
-        region = StartGap(lines=4, gap_write_interval=1)
-        for _ in range(5):  # gap walks 4 -> 3 -> 2 -> 1 -> 0 -> wraps
-            region.note_write(0)
-        assert region.start == 1
-
-    def test_rotation_shifts_mapping(self):
-        region = StartGap(lines=4, gap_write_interval=1)
-        before = region.mapping_snapshot()
-        for _ in range(10):
-            region.note_write(0)
-        assert region.mapping_snapshot() != before
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            StartGap(lines=0)
-        with pytest.raises(ConfigError):
-            StartGap(lines=4).device_of(4)
-
-    def test_levelling_spreads_hot_line(self):
-        """A single hot logical line must spread across device slots."""
-        writes = [0] * 2000
-        spread = simulate_levelling(lines=16, write_sequence=writes,
-                                    gap_write_interval=10)
-        hot_slots = [s for s, c in spread.items() if c > 0]
-        assert len(hot_slots) >= 8  # rotation moved the hot line around
-        assert max(spread.values()) < 2000  # no slot absorbed everything
-
-    def test_wear_spread_projection(self):
-        region = StartGap(lines=4)
-        projected = wear_spread(region, {0: 10, 1: 5})
-        assert projected == {0: 10, 1: 5}
 
 
 class TestFlipNWrite:

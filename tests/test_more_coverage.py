@@ -1,17 +1,15 @@
-"""Additional coverage: figure-5 configs, cache associativity, DMA spans,
-multi-block (n:m) refills, wear-model shape."""
+"""Additional coverage: figure-5 configs, multi-block (n:m) refills,
+wear-model shape."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.alloc.dma import DMAController, DMARegion
 from repro.alloc.nm_alloc import NMAllocManager
-from repro.alloc.strips import PAGES_PER_BLOCK, is_no_use
-from repro.config import LINE_BITS, PAGES_PER_STRIP
+from repro.alloc.strips import PAGES_PER_BLOCK
+from repro.config import LINE_BITS
 from repro.ecp.wear import WearModel
 from repro.experiments.figure5 import unprotected, verification_only
-from repro.mem.cache import Cache
 
 
 class TestFigure5Configs:
@@ -24,43 +22,6 @@ class TestFigure5Configs:
         scheme = verification_only()
         assert scheme.lazy_correction
         assert scheme.ecp_entries == LINE_BITS  # one entry per cell
-
-
-class TestCacheAssociativity:
-    def test_ways_fill_before_eviction(self):
-        # 4 ways x 1 set.
-        c = Cache("t", size_bytes=4 * 64, ways=4)
-        for i in range(4):
-            c.access(i * 64 * 1, False)  # set 0 only (sets == 1)
-        assert c.stats.misses == 4
-        for i in range(4):
-            hit, _ = c.access(i * 64, False)
-            assert hit
-
-    def test_lru_order_respected(self):
-        c = Cache("t", size_bytes=2 * 64, ways=2)  # 1 set, 2 ways
-        c.access(0, False)      # A
-        c.access(64, False)     # B
-        c.access(0, False)      # touch A -> B is LRU
-        c.access(128, False)    # evicts B
-        assert c.contains(0)
-        assert not c.contains(64)
-
-
-class TestDMASpans:
-    def test_long_transfer_skips_every_other_strip(self):
-        pages = 5 * PAGES_PER_STRIP  # needs 5 used strips
-        region = DMARegion(base_frame=0, pages=pages, nm_tag=(1, 2))
-        frames = DMAController().frames(region)
-        strips = sorted({f // PAGES_PER_STRIP for f in frames})
-        assert strips == [0, 2, 4, 6, 8]
-        assert not any(is_no_use(s, 1, 2) for s in strips)
-
-    def test_frames_are_monotone(self):
-        region = DMARegion(base_frame=0, pages=100, nm_tag=(1, 2))
-        frames = DMAController().frames(region)
-        assert frames == sorted(frames)
-        assert len(set(frames)) == 100
 
 
 class TestMultiBlockRefill:

@@ -1,12 +1,10 @@
-"""Tests for cell semantics and the named op timings."""
+"""Tests for cell semantics."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.config import TimingConfig
 from repro.pcm.cell import CellState, Pulse, disturbed_value, pulse_for
-from repro.pcm.timing import OpTimings
 
 
 class TestCellSemantics:
@@ -29,17 +27,3 @@ class TestCellSemantics:
     def test_disturbed_cell_reads_one(self):
         """Partial crystallisation collapses resistance: reads as 1."""
         assert disturbed_value() == 1
-
-
-class TestOpTimings:
-    def test_named_latencies(self):
-        ops = OpTimings(TimingConfig())
-        assert ops.array_read == 400
-        assert ops.verify_pair == 800
-        assert ops.min_write == 400
-        assert ops.max_single_round_write == 800
-
-    def test_ns_conversion(self):
-        ops = OpTimings(TimingConfig())
-        assert ops.ns(400) == pytest.approx(100.0)   # 100 ns read at 4 GHz
-        assert ops.ns(800) == pytest.approx(200.0)
