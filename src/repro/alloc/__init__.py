@@ -2,7 +2,7 @@
 
 from .buddy import BuddyAllocator
 from .nm_alloc import BLOCK_ORDER, NMAllocManager
-from .page_table import MAX_ALLOCATORS, TAG_BITS, PageTable, PageTableEntry, TLB
+from .page_table import MAX_ALLOCATORS, TAG_BITS, PageTable, PageTableEntry
 from .strips import (
     PAGES_PER_BLOCK,
     STRIPS_PER_BLOCK,
@@ -18,7 +18,6 @@ __all__ = [
     "BLOCK_ORDER",
     "PageTable",
     "PageTableEntry",
-    "TLB",
     "TAG_BITS",
     "MAX_ALLOCATORS",
     "adjacent_usage",

@@ -1,14 +1,14 @@
-"""Page table and TLB with the (n:m) allocator tag (Section 4.4, Figure 9).
+"""Page table with the (n:m) allocator tag (Section 4.4, Figure 9).
 
 The OS records, per page, which (n:m) allocator produced its frame; the tag
 travels page table -> TLB -> memory controller, which uses it to decide
-which adjacent lines of a written line need verification.  The paper sizes
-the tag at 4 bits (16 allocators, Section 6.2).
+which adjacent lines of a written line need verification.  The engine reads
+the page table directly: the TLB only carries the tag and is not modelled.
+The paper sizes the tag at 4 bits (16 allocators, Section 6.2).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -66,37 +66,3 @@ class PageTable:
     def mapped_pages(self) -> int:
         return len(self._entries)
 
-
-class TLB:
-    """A small LRU TLB caching tagged translations.
-
-    The timing engine reads the page table directly (TLB reach is
-    irrelevant to the memory-side effects the paper evaluates, and its tag
-    plumbing is what Figure 9 adds — modelled here).
-    """
-
-    def __init__(self, entries: int = 64):
-        if entries <= 0:
-            raise AllocationError("TLB needs at least one entry")
-        self.capacity = entries
-        self._entries: "OrderedDict[int, PageTableEntry]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def translate(self, vpage: int, page_table: PageTable) -> PageTableEntry:
-        cached = self._entries.get(vpage)
-        if cached is not None:
-            self.hits += 1
-            self._entries.move_to_end(vpage)
-            return cached
-        self.misses += 1
-        entry = page_table.translate(vpage)
-        self._entries[vpage] = entry
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        return entry
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

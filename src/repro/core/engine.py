@@ -29,8 +29,8 @@ from ..pcm.array import LineAddress
 from ..traces.record import trace_columns
 from ..traces.workload import Workload
 
-_READ = RequestKind.READ
 _WRITE = RequestKind.WRITE
+_heappush = heapq.heappush
 
 
 class EventLoop:
@@ -41,21 +41,27 @@ class EventLoop:
     allocating a closure per event — the dominant allocation in the replay
     loop — while single-argument callbacks (``fn(time)``) keep working
     unchanged with empty ``args``.
+
+    Hot paths skip :meth:`schedule` and push ``(time, loop.seq, fn,
+    args)`` onto ``heap`` themselves, bumping ``seq``; they must pass a
+    ``time`` no earlier than ``now`` (``schedule`` clamps, they do not).
     """
 
     def __init__(self) -> None:
-        self._heap: List[tuple] = []
-        self._seq = 0
+        self.heap: List[tuple] = []
+        #: Sequence number of the next event (breaks equal-time ties).
+        self.seq = 0
         self.now = 0
 
     def schedule(self, time: int, fn: Callable[..., None], *args) -> None:
         if time < self.now:
             time = self.now
-        heapq.heappush(self._heap, (time, self._seq, fn, args))
-        self._seq += 1
+        seq = self.seq
+        self.seq = seq + 1
+        _heappush(self.heap, (time, seq, fn, args))
 
     def run(self) -> None:
-        heap = self._heap
+        heap = self.heap
         pop = heapq.heappop
         while heap:
             time, _, fn, args = pop(heap)
@@ -66,7 +72,7 @@ class EventLoop:
 
     @property
     def pending(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
 
 @dataclass(slots=True)
@@ -142,7 +148,6 @@ class Engine:
                 gap=gap.tolist(),
                 delay=(gap * base_cpi).astype(np.int64).tolist(),
             ))
-        self._req_seq = 0
 
     # -- core state machine ------------------------------------------------------
 
@@ -154,7 +159,10 @@ class Engine:
             return
         core.position = pos + 1
         core.instructions += core.gap[pos] + 1
-        self.loop.schedule(now + core.delay[pos], self._issue, core, pos)
+        loop = self.loop
+        seq = loop.seq
+        loop.seq = seq + 1
+        _heappush(loop.heap, (now + core.delay[pos], seq, self._issue, (core, pos)))
 
     def _issue(self, core: CoreState, pos: int, now: int) -> None:
         page = core.page[pos]
@@ -167,11 +175,13 @@ class Engine:
             mapped = core.frames[page] = (bank, row, entry.nm_tag)
         bank, row, nm_tag = mapped
         addr = LineAddress(bank, row, core.line[pos])
-        self._req_seq += 1
         if core.is_write[pos]:
-            request = Request(_WRITE, core.index, addr, now, nm_tag, self._req_seq)
+            request = Request(_WRITE, core.index, addr, now, nm_tag)
             if self.controller.try_enqueue_write(request):
-                self.loop.schedule(now + 1, self._advance, core)
+                loop = self.loop
+                seq = loop.seq
+                loop.seq = seq + 1
+                _heappush(loop.heap, (now + 1, seq, self._advance, (core,)))
             else:
                 stall_from = now
                 def retry(t: int) -> None:
@@ -179,12 +189,22 @@ class Engine:
                     self._issue(core, pos, t)
                 self.controller.wait_for_space(bank, retry)
         else:
-            request = Request(_READ, core.index, addr, now, nm_tag, self._req_seq)
-            self.controller.enqueue_read(request, self._read_done, core, now)
+            self.controller.enqueue_read(addr, self._read_done, core, now)
 
     def _read_done(self, core: CoreState, issued: int, now: int) -> None:
+        """A read returned: charge the stall and advance (``_advance``
+        inlined, as every read ends here)."""
         core.read_stall_cycles += now - issued
-        self._advance(core, now)
+        pos = core.position
+        if pos >= len(core.gap):
+            core.finish_time = now
+            return
+        core.position = pos + 1
+        core.instructions += core.gap[pos] + 1
+        loop = self.loop
+        seq = loop.seq
+        loop.seq = seq + 1
+        _heappush(loop.heap, (now + core.delay[pos], seq, self._issue, (core, pos)))
 
     # -- top level ------------------------------------------------------------------
 

@@ -18,6 +18,7 @@ reproducible from (config, workload) alone.
 
 from __future__ import annotations
 
+import gc
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -122,7 +123,18 @@ class SDPCMSystem:
             page_tables=page_tables,
             loop=self.loop,
         )
-        engine.run()
+        # Reference counting frees what the replay allocates: a cell leaves
+        # next to no cyclic garbage at any trace length
+        # (tests/test_replay_gc.py).  The cyclic collector would only
+        # rescan the process's long-lived pools, so it pauses here; the
+        # caller's setting is restored.
+        gc_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            engine.run()
+        finally:
+            if gc_enabled:
+                gc.enable()
         self.counters.fault_dead_ecp_entries = self.ecp.dead_entries_total
         return SimulationResult(
             workload=workload.name,

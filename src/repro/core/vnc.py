@@ -113,10 +113,10 @@ class _Plan:
         self.shadows: Dict[Key, _Shadow] = {}
         #: flags value for the written line.
         self.written_flags = 0
-        #: ECP mutations: lines whose WD entries clear, and fresh WD
-        #: positions to record per line.
+        #: ECP mutations: lines whose WD entries clear, and the mask of
+        #: fresh WD cells to record per line.
         self.ecp_clears: Set[Key] = set()
-        self.ecp_records: Dict[Key, List[int]] = {}
+        self.ecp_records: Dict[Key, int] = {}
         #: Deferred counter increments, one slot per ``PLAN_COUNTERS``.
         self.counts = [0] * len(PLAN_COUNTERS)
         self.adjacent_notes: List[int] = []
@@ -165,8 +165,8 @@ class VnCExecutor:
         #: Disturbed-but-undetected bits left by cancelled partial writes
         #: (int-domain masks).
         self.uncovered: Dict[Key, int] = {}
-        #: Positions ever buffered per line (ECP differential-write wear).
-        self._ecp_seen: Dict[Key, Set[int]] = {}
+        #: Mask of cells ever buffered per line (ECP differential-write wear).
+        self._ecp_seen: Dict[Key, int] = {}
         self.lifetime_fraction = lifetime_fraction
         self._wear_model = wear_model or WearModel()
         self._hard_seeded: Set[Key] = set()
@@ -295,8 +295,8 @@ class VnCExecutor:
         if self.fault_plan is not None:
             stuck = self.fault_plan.stuck_profile(vaddr).mask
         line = self.ecp.peek(vaddr)
-        if line is not None and line.hard_count:
-            stuck |= L.to_int(line.hard_mask())
+        if line is not None:
+            stuck |= line.hard
         if stuck:
             vulnerable &= stuck ^ L.MASK_ALL
         weak = self._weak_masks.get(vaddr)
@@ -514,24 +514,23 @@ class VnCExecutor:
         ``new_mask``) of one victim line."""
         counts = plan.counts
         ecp_line = self.ecp.line(vaddr) if self._fault_free else self._ecp_line(vaddr)
-        planned_wd = plan.ecp_records.setdefault(vaddr, [])
 
         if self._lazy:
-            new_positions = self.kernels.bit_positions_int(new_mask)
+            planned = plan.ecp_records.get(vaddr, 0)
             if vaddr in plan.ecp_clears:
-                fresh = new_positions
+                # The line's WD entries go at commit; only its hard entries
+                # stay (``record_wd`` skips their cells at commit).
+                fresh = new_mask & ~planned
                 occupied = ecp_line.hard_count
             else:
-                fresh = ecp_line.uncovered(new_positions)
+                fresh = new_mask & ~(ecp_line.wd | ecp_line.hard | planned)
                 occupied = ecp_line.occupied
-            if planned_wd:
-                planned = set(planned_wd)
-                fresh = [p for p in fresh if p not in planned]
-            if len(planned_wd) + occupied + len(fresh) <= ecp_line.capacity:
-                planned_wd.extend(fresh)
-                counts[_ECP_ABSORBED] += len(new_positions)
+            programmed = fresh.bit_count()
+            if planned.bit_count() + occupied + programmed <= ecp_line.capacity:
+                counts[_ECP_ABSORBED] += new_mask.bit_count()
                 if fresh:
-                    counts[_ECP_PROGRAMMED] += len(fresh)
+                    plan.ecp_records[vaddr] = planned | fresh
+                    counts[_ECP_PROGRAMMED] += programmed
                     plan.latency += self._ecp_verify_cycles
                 return
             counts[_ECP_OVERFLOWS] += 1
@@ -552,7 +551,7 @@ class VnCExecutor:
         vshadow.disturbed = 0
         vshadow.write_back = True
         plan.ecp_clears.add(vaddr)
-        plan.ecp_records[vaddr] = []
+        plan.ecp_records.pop(vaddr, None)
         if vaddr in self.uncovered:
             plan.uncovered_resolved.add(vaddr)
 
@@ -602,19 +601,17 @@ class VnCExecutor:
             line = self.ecp.peek(key)
             if line is not None:
                 line.clear_wd()
-        for key, positions in plan.ecp_records.items():
-            if not positions:
-                continue
+        ecp_seen = self._ecp_seen
+        for key, mask in plan.ecp_records.items():
             line = self.ecp.line(key) if self._fault_free else self._ecp_line(key)
-            outcome = line.record_wd_errors((p, 0) for p in positions)
-            if not outcome.absorbed:
+            if not line.record_wd(mask):
                 raise SimulationError("planned ECP absorption failed at commit")
-            seen = self._ecp_seen.setdefault(key, set())
-            wear = 0
-            for p in positions:
-                wear += REPEAT_ENTRY_BITS if p in seen else NOVEL_ENTRY_BITS
-                seen.add(p)
-            self.counters.ecp_cell_writes_wd += wear
+            seen = ecp_seen.get(key, 0)
+            ecp_seen[key] = seen | mask
+            self.counters.ecp_cell_writes_wd += (
+                (mask & ~seen).bit_count() * NOVEL_ENTRY_BITS
+                + (mask & seen).bit_count() * REPEAT_ENTRY_BITS
+            )
         # Uncovered bookkeeping.
         for key in plan.uncovered_resolved:
             self.uncovered.pop(key, None)

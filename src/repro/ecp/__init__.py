@@ -3,7 +3,7 @@ and the endurance model used by the lifetime experiments."""
 
 from .chip import ECPChip, ECPChipGeometry
 from .entry import ENTRY_BITS, POINTER_BITS, ECPEntry, EntryKind
-from .line_ecp import ECPLine, RecordOutcome
+from .line_ecp import ECPLine
 from .wear import WearModel, relative_lifetime
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "ENTRY_BITS",
     "POINTER_BITS",
     "ECPLine",
-    "RecordOutcome",
     "WearModel",
     "relative_lifetime",
 ]

@@ -7,8 +7,9 @@ re-introduce cascading verification.  SD-PCM therefore keeps the ECP chip at
 is twice the area of a data chip's for the same bit count.
 
 This module tracks the chip-level properties the experiments need: WD
-freedom, the array-area premium, per-row wear (for the Figure 18 lifetime
-study), and lazy ECP-line allocation for every data line it protects.
+freedom, the array-area premium, and lazy ECP-line allocation for every
+data line it protects.  The chip's wear for the Figure 18 lifetime study
+is counted by the write path (``Counters.ecp_cell_writes_wd``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Dict, Tuple
 
 from ..errors import DeviceError
 from ..pcm.geometry import DIN_ENHANCED, SUPER_DENSE
-from .entry import ENTRY_BITS
 from .line_ecp import ECPLine
 
 LineKey = Tuple[int, int, int]  # (bank, row, line)
@@ -43,12 +43,12 @@ class ECPChipGeometry:
 
 
 class ECPChip:
-    """Lazy per-line ECP store with wear accounting.
+    """Lazy per-line ECP store.
 
     ``entries_per_line`` is the ECP-N level (6 by default).  The chip hands
-    out one :class:`ECPLine` per protected data line on first touch and
-    accumulates the cell-write counts LazyCorrection causes (each buffered
-    WD error programs a 10-bit entry, Section 6.7).
+    out one :class:`ECPLine` per protected data line on first touch.  The
+    cell writes that programming entries costs (Section 6.7) are counted
+    by the write path, in ``Counters.ecp_cell_writes_wd``.
     """
 
     def __init__(self, entries_per_line: int = 6, fault_plan=None):
@@ -64,12 +64,6 @@ class ECPChip:
         self._lines: Dict[LineKey, ECPLine] = {}
         #: Entries lost to injected entry wear-out across all touched lines.
         self.dead_entries_total = 0
-        #: Total cell writes performed on the ECP chip by entry programming.
-        self.entry_cell_writes = 0
-        #: Cell writes the ECP region would see anyway from demand writes
-        #: (rewriting a line rewrites its ECP metadata region); tracked by
-        #: the engine for the Figure 18 baseline.
-        self.background_cell_writes = 0
 
     def line(self, key: LineKey) -> ECPLine:
         """The ECP state of one protected data line (materialised lazily)."""
@@ -91,15 +85,3 @@ class ECPChip:
     @property
     def touched_lines(self) -> int:
         return len(self._lines)
-
-    def charge_entry_writes(self, entries: int) -> None:
-        """Account cell wear for programming ``entries`` WD entries."""
-        if entries < 0:
-            raise DeviceError("entries must be >= 0")
-        self.entry_cell_writes += entries * ENTRY_BITS
-
-    def charge_background_write(self, cell_writes: int) -> None:
-        """Account ordinary (non-LazyC) ECP-region wear."""
-        if cell_writes < 0:
-            raise DeviceError("cell_writes must be >= 0")
-        self.background_cell_writes += cell_writes

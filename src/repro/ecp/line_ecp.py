@@ -10,38 +10,34 @@ Overflow semantics (Section 4.2): with X entries occupied before a write and
 Y new WD errors detected by verification, correction is skipped iff
 X + Y <= N; otherwise the caller performs a correction write, after which
 all WD entries (old and new) are cleared — only hard entries persist.
+
+State is three 512-bit int masks (bit ``i`` = cell ``i``): the WD entries
+(a WD error is a cell RESET by disturbance, so its correct value is always
+0), the hard errors, and the hard errors' stored values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
 from ..errors import ECPExhaustedError
 from ..pcm import line as L
-from .entry import ENTRY_BITS, ECPEntry, EntryKind
+from .entry import ECPEntry, EntryKind
 
 
-@dataclass
-class RecordOutcome:
-    """Result of offering new WD errors to an ECP line."""
-
-    #: True when everything fit and correction can be skipped.
-    absorbed: bool
-    #: Entries newly programmed (each costs ENTRY_BITS cell-writes on the
-    #: ECP chip, for lifetime accounting).
-    entries_written: int
-
-
-@dataclass
+@dataclass(slots=True)
 class ECPLine:
     """ECP state of one line: up to ``capacity`` entries."""
 
     capacity: int
-    _hard: Dict[int, int] = field(default_factory=dict)   # position -> value
-    _wd: Dict[int, int] = field(default_factory=dict)     # position -> value
+    #: Cells held by hard-error entries, and the values those entries hold.
+    hard: int = 0
+    hard_values: int = 0
+    #: Cells held by WD entries (correct value 0).
+    wd: int = 0
 
     def __post_init__(self) -> None:
         if self.capacity < 0:
@@ -51,15 +47,15 @@ class ECPLine:
 
     @property
     def hard_count(self) -> int:
-        return len(self._hard)
+        return self.hard.bit_count()
 
     @property
     def wd_count(self) -> int:
-        return len(self._wd)
+        return self.wd.bit_count()
 
     @property
     def occupied(self) -> int:
-        return self.hard_count + self.wd_count
+        return self.hard.bit_count() + self.wd.bit_count()
 
     @property
     def free(self) -> int:
@@ -68,14 +64,10 @@ class ECPLine:
     @property
     def entries(self) -> List[ECPEntry]:
         """All programmed entries, hard first (their allocation priority)."""
-        out = [ECPEntry(p, v, EntryKind.HARD) for p, v in sorted(self._hard.items())]
-        out += [ECPEntry(p, v, EntryKind.WD) for p, v in sorted(self._wd.items())]
+        out = [ECPEntry(p, (self.hard_values >> p) & 1, EntryKind.HARD)
+               for p in L.bit_positions_int(self.hard)]
+        out += [ECPEntry(p, 0, EntryKind.WD) for p in L.bit_positions_int(self.wd)]
         return out
-
-    def uncovered(self, positions: List[int]) -> List[int]:
-        """The ``positions`` no entry holds yet, in their given order."""
-        hard, wd = self._hard, self._wd
-        return [p for p in positions if p not in hard and p not in wd]
 
     # -- hard errors ---------------------------------------------------------
 
@@ -83,13 +75,15 @@ class ECPLine:
         """Register a permanent cell failure.
 
         Hard errors have allocation priority: if the line is full of WD
-        entries, one WD entry is evicted (the caller must correct that cell
-        in the array).  Raises :class:`ECPExhaustedError` when hard errors
-        alone exceed capacity — the line is then unrepairable by ECP.
+        entries, the highest WD position is evicted (the caller must
+        correct that cell in the array).  Raises :class:`ECPExhaustedError`
+        when hard errors alone exceed capacity — the line is then
+        unrepairable by ECP.
 
         Returns the evicted WD position, or -1 if nothing was evicted.
         """
-        if position in self._hard:
+        bit = 1 << position
+        if self.hard & bit:
             return -1
         if self.hard_count >= self.capacity:
             raise ECPExhaustedError(
@@ -97,9 +91,12 @@ class ECPLine:
             )
         evicted = -1
         if self.free == 0:
-            evicted, _ = self._wd.popitem()
-        self._wd.pop(position, None)
-        self._hard[position] = value
+            evicted = self.wd.bit_length() - 1
+            self.wd ^= 1 << evicted
+        self.wd &= ~bit
+        self.hard |= bit
+        if value:
+            self.hard_values |= bit
         return evicted
 
     # -- WD buffering (LazyCorrection) ----------------------------------------
@@ -108,19 +105,20 @@ class ECPLine:
         """Section 4.2's X + Y > N test."""
         return self.occupied + new_errors > self.capacity
 
-    def record_wd_errors(self, errors: Iterable[Tuple[int, int]]) -> RecordOutcome:
-        """Buffer new WD errors ``(position, correct_value)`` if they fit.
+    def record_wd(self, errors: int) -> bool:
+        """Buffer the WD errors of mask ``errors`` if they fit.
 
         Either *all* offered errors are absorbed or none are (on overflow
         the hardware performs one correction write covering everything, so
         partially programming entries would be wasted ECP-chip wear).
+        Cells an entry already holds cost nothing.  Returns whether the
+        errors were absorbed.
         """
-        fresh = [(p, v) for p, v in errors if p not in self._wd and p not in self._hard]
-        if self.would_overflow(len(fresh)):
-            return RecordOutcome(absorbed=False, entries_written=0)
-        for position, value in fresh:
-            self._wd[position] = value
-        return RecordOutcome(absorbed=True, entries_written=len(fresh))
+        fresh = errors & ~(self.wd | self.hard)
+        if self.would_overflow(fresh.bit_count()):
+            return False
+        self.wd |= fresh
+        return True
 
     def clear_wd(self) -> int:
         """Drop all buffered WD entries; returns how many were dropped.
@@ -128,38 +126,19 @@ class ECPLine:
         Called after a demand write rewrites the line, or after a correction
         write physically repairs the buffered cells.
         """
-        count = len(self._wd)
-        self._wd.clear()
+        count = self.wd.bit_count()
+        self.wd = 0
         return count
 
     # -- read-path correction --------------------------------------------------
 
     def corrected_read(self, physical: np.ndarray) -> np.ndarray:
         """Apply all entries to a raw array read of the line."""
-        if not self._hard and not self._wd:
+        covered = self.hard | self.wd
+        if not covered:
             return physical
-        data = physical.copy()
-        for position, value in self._hard.items():
-            L.set_bit(data, position, value)
-        for position, value in self._wd.items():
-            L.set_bit(data, position, value)
-        return data
+        return L.from_int(L.to_int(physical) & ~covered | self.hard_values)
 
     def covered_mask(self) -> np.ndarray:
         """Line mask of cells currently overridden by any entry."""
-        return L.mask_from_positions(list(self._hard) + list(self._wd))
-
-    def hard_mask(self) -> np.ndarray:
-        """Line mask of permanently failed (stuck-at) cells.
-
-        Stuck cells cannot change phase, so they are immune to write
-        disturbance and must be excluded from vulnerability.
-        """
-        return L.mask_from_positions(list(self._hard))
-
-    # -- accounting -------------------------------------------------------------
-
-    @staticmethod
-    def entry_write_bits(entries: int) -> int:
-        """ECP-chip cell writes needed to program ``entries`` entries."""
-        return entries * ENTRY_BITS
+        return L.from_int(self.hard | self.wd)

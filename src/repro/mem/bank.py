@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from .request import PrereadSlot, Request, RequestKind, WriteEntry
+from .request import PrereadSlot, RequestKind, WriteEntry
 
 #: (bank, row, line) — the unit the write-queue line index is keyed by
 #: (a :class:`~repro.pcm.array.LineAddress` is one).
@@ -17,8 +17,9 @@ LineKey = Tuple[int, int, int]
 class InFlightOp:
     """The operation currently occupying a bank.
 
-    Slotted; the controller builds one per bank operation positionally, in
-    field order.
+    Slotted; the controller builds one per write or pre-read positionally,
+    in field order, and keeps one READ op per bank that every demand read
+    reuses.
     """
 
     kind: RequestKind
@@ -34,11 +35,6 @@ class InFlightOp:
     on_cancel: Optional[Callable[[float], None]] = None
     #: Slot index being filled (PREREAD ops).
     slot_index: int = -1
-    #: Read completion callback and its leading arguments (READ ops);
-    #: invoked as ``on_done(*done_args, finish_time)`` so the controller
-    #: needs no closure per read.
-    on_done: Optional[Callable[..., None]] = None
-    done_args: tuple = ()
 
     @property
     def end(self) -> int:
@@ -79,8 +75,8 @@ class BankState:
 
     index: int
     wq_capacity: int
-    #: Pending demand reads: (request, on_done, leading args for on_done).
-    read_q: Deque[Tuple[Request, Callable[..., None], tuple]] = field(
+    #: Pending demand reads: (on_done, leading args for on_done).
+    read_q: Deque[Tuple[Callable[..., None], tuple]] = field(
         default_factory=deque
     )
     write_q: Deque[WriteEntry] = field(default_factory=deque)

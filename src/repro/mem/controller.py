@@ -22,10 +22,12 @@ implementation — see :mod:`repro.core.vnc`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Protocol
+from heapq import heappush
+from typing import Callable, List, Protocol
 
 from ..config import MemoryConfig, SchemeConfig, TimingConfig
 from ..errors import SimulationError
+from ..pcm.array import LineAddress
 from ..stats.counters import Counters
 from .bank import BankState, InFlightOp
 from .request import PausedWrite, PrereadSlot, Request, RequestKind, WriteEntry
@@ -44,10 +46,15 @@ MAX_PAUSES_PER_WRITE = 4
 
 
 class Scheduler(Protocol):
-    """The event loop interface the controller schedules completions on."""
+    """The event loop interface the controller schedules completions on.
 
-    @property
-    def now(self) -> int: ...
+    Read events skip ``schedule``: they push ``(time, seq, fn, args)``
+    onto ``heap`` and bump ``seq`` (see :class:`repro.core.engine.EventLoop`).
+    """
+
+    now: int
+    heap: list
+    seq: int
 
     def schedule(
         self, time: int, fn: Callable[..., None], *args
@@ -118,31 +125,39 @@ class MemoryController:
         self._eager = self._preempt or scheme.eager_writes
         self._preread = scheme.preread
         self._read_cycles = timing.read_cycles
+        #: Per bank, the one READ op every demand read holds the bank with
+        #: (nothing pre-empts a read, so it needs no ``start``).
+        self._read_ops = [
+            InFlightOp(_READ, 0, timing.read_cycles) for _ in self.banks
+        ]
 
     # -- request entry points --------------------------------------------------
 
     def enqueue_read(
-        self, request: Request, on_done: Callable[..., None], *done_args
+        self, addr: LineAddress, on_done: Callable[..., None], *done_args
     ) -> None:
-        """Accept a demand read; completes via ``on_done(*done_args,
-        finish_time)``.
+        """Accept a demand read of ``addr``; completes via
+        ``on_done(*done_args, finish_time)``.
 
-        The optional leading arguments let callers pass a bound method
-        plus its context instead of allocating a closure per read.
+        A read carries no request object: the leading arguments let
+        callers pass a bound method plus its context, and the read queue
+        holds ``(on_done, done_args)`` until the bank serves it.
         """
-        addr = request.addr
         bank = self.banks[addr.bank]
         counters = self.counters
         counters.demand_reads += 1
         if addr in bank.wq_index:
             # Read-around-write: newest data is still in the write queue.
             counters.wq_forwarded_reads += 1
-            scheduler = self.scheduler
-            scheduler.schedule(
-                scheduler.now + FORWARD_READ_CYCLES, on_done, *done_args
+            loop = self.scheduler
+            seq = loop.seq
+            loop.seq = seq + 1
+            heappush(
+                loop.heap,
+                (loop.now + FORWARD_READ_CYCLES, seq, on_done, done_args),
             )
             return
-        bank.read_q.append((request, on_done, done_args))
+        bank.read_q.append((on_done, done_args))
         if self._preempt:
             self._maybe_cancel_for_read(bank)
             self._maybe_pause_for_read(bank)
@@ -309,15 +324,21 @@ class MemoryController:
         self.scheduler.schedule(now + op_plan.latency, self._finish, bank, op)
 
     def _start_read(self, bank: BankState, now: int) -> None:
-        _, on_done, done_args = bank.read_q.popleft()
+        bank.current = self._read_ops[bank.index]
         latency = self._read_cycles
-        op = InFlightOp(
-            _READ, now, latency, False, None, None, None, -1, on_done,
-            done_args,
-        )
-        bank.current = op
         self.counters.total_read_busy_cycles += latency
-        self.scheduler.schedule(now + latency, self._finish, bank, op)
+        loop = self.scheduler
+        seq = loop.seq
+        loop.seq = seq + 1
+        heappush(loop.heap, (
+            now + latency, seq, self._finish_read, (bank, bank.read_q.popleft())
+        ))
+
+    def _finish_read(self, bank: BankState, read: tuple, now: int) -> None:
+        bank.current = None
+        on_done, done_args = read
+        on_done(*done_args, now)
+        self._kick(bank)
 
     def _start_preread(self, bank: BankState, now: int) -> None:
         target = bank.next_preread_target()
@@ -348,12 +369,6 @@ class MemoryController:
                 bank.draining = False
                 if not bank.write_q:
                     bank.flush_all = False
-        elif kind is _READ:
-            # Reads complete at exactly start + latency == now.
-            if op.on_done is not None:
-                op.on_done(*op.done_args, now)
-            elif op.commit is not None:
-                op.commit()
         elif kind is _PREREAD:
             if op.entry is not None and 0 <= op.slot_index < len(op.entry.slots):
                 slot = op.entry.slots[op.slot_index]

@@ -22,10 +22,11 @@ class RequestKind(Enum):
 
 @dataclass(slots=True)
 class Request:
-    """One demand request (read or write) from a core.
+    """One demand write from a core.
 
     Slotted and built positionally on the replay hot path (one per trace
-    reference).
+    write).  Demand reads carry no request object (see
+    :meth:`~repro.mem.controller.MemoryController.enqueue_read`).
     """
 
     kind: RequestKind
@@ -36,8 +37,6 @@ class Request:
     #: Figure 9); the controller uses it to decide which adjacent lines
     #: need verification.
     nm_tag: tuple[int, int] = (1, 1)
-    #: Per-request id for deterministic tie-breaking in event ordering.
-    seq: int = 0
 
 
 @dataclass

@@ -10,7 +10,7 @@ same seeded :func:`numpy.random.default_rng` recipe:
   :class:`~repro.pcm.array.PCMArray` with that key shares the object and
   never copies it: an array turns a line into an int on first touch;
 * **weak-cell masks** — a line's fixed set of disturbance-prone cells,
-  keyed ``(fraction, (bank, row, line))`` (see
+  keyed ``(fraction, bank, row, line)`` (see
   :meth:`repro.core.vnc.VnCExecutor._expose`).
 
 Generation goes through the active kernel backend's ``seeded_words`` /
@@ -49,7 +49,10 @@ MASK_POOL_CAP = 262144
 ROW_WORDS = LINES_PER_PAGE * LINE_WORDS
 
 RowKey = Tuple[int, int, int]  # (array seed, bank, row)
-MaskKey = Tuple[float, Tuple[int, int, int]]  # (fraction, (bank, row, line))
+#: (fraction, bank, row, line): a flat tuple of atoms, which the cyclic
+#: collector stops tracking after one pass (a ``LineAddress`` inside a
+#: key, as a tuple subclass, would keep every pooled key tracked).
+MaskKey = Tuple[float, int, int, int]
 
 
 def _generate_row(seed: int, bank: int, row: int) -> bytes:
@@ -98,7 +101,7 @@ class StatePlane:
 
     def weak_mask(self, fraction: float, key: Tuple[int, int, int]) -> int:
         """The fixed weak-cell mask of one line coordinate (int domain)."""
-        pool_key = (fraction, key)
+        pool_key = (fraction, *key)
         mask = self._masks.get(pool_key)
         if mask is not None:
             self.mask_hits += 1

@@ -1,10 +1,10 @@
-"""Tests for the tagged page table and TLB (Section 4.4)."""
+"""Tests for the tagged page table (Section 4.4)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.alloc.page_table import MAX_ALLOCATORS, TAG_BITS, PageTable, TLB
+from repro.alloc.page_table import MAX_ALLOCATORS, TAG_BITS, PageTable
 from repro.errors import AllocationError
 
 
@@ -51,25 +51,3 @@ class TestPageTable:
     def test_tag_fits_pte_field(self):
         assert MAX_ALLOCATORS == 1 << TAG_BITS == 16
 
-
-class TestTLB:
-    def test_hit_after_miss(self):
-        pt = PageTable((1, 1), counter_source())
-        tlb = TLB(entries=4)
-        tlb.translate(1, pt)
-        tlb.translate(1, pt)
-        assert tlb.hits == 1 and tlb.misses == 1
-        assert tlb.hit_rate == 0.5
-
-    def test_lru_eviction(self):
-        pt = PageTable((1, 1), counter_source())
-        tlb = TLB(entries=2)
-        tlb.translate(1, pt)
-        tlb.translate(2, pt)
-        tlb.translate(3, pt)   # evicts 1
-        tlb.translate(1, pt)   # miss again
-        assert tlb.misses == 4
-
-    def test_capacity_validation(self):
-        with pytest.raises(AllocationError):
-            TLB(entries=0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.config import LINE_BITS
 from repro.ecp.chip import ECPChip
@@ -32,36 +32,39 @@ class TestEntry:
         assert ENTRY_BITS == 10  # 9-bit pointer + 1-bit value
 
 
+def bits(*positions: int) -> int:
+    """The int-domain line mask with ``positions`` set."""
+    return sum(1 << p for p in set(positions))
+
+
 class TestECPLineWD:
     def test_absorb_within_capacity(self):
         line = ECPLine(capacity=6)
-        outcome = line.record_wd_errors([(1, 0), (2, 0)])
-        assert outcome.absorbed and outcome.entries_written == 2
+        assert line.record_wd(bits(1, 2))
+        assert line.wd == bits(1, 2)
         assert line.wd_count == 2 and line.free == 4
 
     def test_overflow_is_all_or_nothing(self):
         line = ECPLine(capacity=3)
-        assert line.record_wd_errors([(1, 0), (2, 0)]).absorbed
-        outcome = line.record_wd_errors([(3, 0), (4, 0)])
-        assert not outcome.absorbed
-        assert outcome.entries_written == 0
-        assert line.wd_count == 2  # nothing partially programmed
+        assert line.record_wd(bits(1, 2))
+        assert not line.record_wd(bits(3, 4))
+        assert line.wd == bits(1, 2)  # nothing partially programmed
 
     def test_duplicate_positions_free(self):
         line = ECPLine(capacity=2)
-        line.record_wd_errors([(5, 0)])
-        outcome = line.record_wd_errors([(5, 0), (6, 0)])
-        assert outcome.absorbed and outcome.entries_written == 1
+        line.record_wd(bits(5))
+        assert line.record_wd(bits(5, 6))  # only cell 6 takes an entry
+        assert line.free == 0
 
     def test_clear_wd(self):
         line = ECPLine(capacity=6)
-        line.record_wd_errors([(1, 0), (2, 0), (3, 0)])
+        line.record_wd(bits(1, 2, 3))
         assert line.clear_wd() == 3
         assert line.wd_count == 0
 
     def test_would_overflow(self):
         line = ECPLine(capacity=6)
-        line.record_wd_errors([(i, 0) for i in range(5)])
+        line.record_wd(bits(*range(5)))
         assert not line.would_overflow(1)
         assert line.would_overflow(2)
         # ECP-0 still absorbs an offer of no new errors (0 + 0 <= 0).
@@ -71,7 +74,7 @@ class TestECPLineWD:
 class TestECPLineHard:
     def test_hard_priority_evicts_wd(self):
         line = ECPLine(capacity=2)
-        line.record_wd_errors([(1, 0), (2, 0)])
+        line.record_wd(bits(1, 2))
         evicted = line.add_hard_error(9, 1)
         assert evicted in (1, 2)
         assert line.hard_count == 1 and line.wd_count == 1
@@ -85,7 +88,7 @@ class TestECPLineHard:
     def test_hard_survives_clear(self):
         line = ECPLine(capacity=6)
         line.add_hard_error(7, 1)
-        line.record_wd_errors([(1, 0)])
+        line.record_wd(bits(1))
         line.clear_wd()
         assert line.hard_count == 1
         assert line.entries[0].kind is EntryKind.HARD
@@ -100,7 +103,7 @@ class TestECPLineHard:
 class TestCorrectedRead:
     def test_entries_override_cells(self):
         line = ECPLine(capacity=6)
-        line.record_wd_errors([(0, 0)])   # cell 0 disturbed, correct value 0
+        line.record_wd(bits(0))            # cell 0 disturbed, correct value 0
         line.add_hard_error(1, 1)          # cell 1 stuck, correct value 1
         physical = L.mask_from_positions([0])  # cell 0 reads 1 (disturbed)
         corrected = line.corrected_read(physical)
@@ -114,7 +117,7 @@ class TestCorrectedRead:
 
     def test_covered_mask(self):
         line = ECPLine(capacity=6)
-        line.record_wd_errors([(10, 0), (20, 0)])
+        line.record_wd(bits(10, 20))
         line.add_hard_error(30, 1)
         assert L.bit_positions(line.covered_mask()) == [10, 20, 30]
 
@@ -122,17 +125,97 @@ class TestCorrectedRead:
     def test_read_path_restores_stored_values(self, positions):
         """Property: disturbed cells covered by ECP always read correctly."""
         line = ECPLine(capacity=6)
-        line.record_wd_errors([(p, 0) for p in positions])
+        line.record_wd(bits(*positions))
         physical = L.mask_from_positions(positions)  # all flipped to 1
         corrected = line.corrected_read(physical)
         assert L.popcount(corrected) == 0
+
+
+class PositionsModel:
+    """The dict-of-positions ECP line the mask-based one replaced."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.hard: dict = {}  # position -> stored value
+        self.wd: dict = {}    # position -> correct value (always 0)
+
+    def occupied(self) -> int:
+        return len(self.hard) + len(self.wd)
+
+    def record(self, positions) -> bool:
+        fresh = [p for p in positions if p not in self.hard and p not in self.wd]
+        if self.occupied() + len(fresh) > self.capacity:
+            return False
+        for p in fresh:
+            self.wd[p] = 0
+        return True
+
+    def clear(self) -> int:
+        count = len(self.wd)
+        self.wd.clear()
+        return count
+
+    def add_hard(self, position: int, value: int) -> int:
+        if position in self.hard:
+            return -1
+        if len(self.hard) >= self.capacity:
+            raise ECPExhaustedError("full")
+        evicted = -1
+        if self.occupied() == self.capacity:
+            evicted = max(self.wd)
+            del self.wd[evicted]
+        self.wd.pop(position, None)
+        self.hard[position] = value
+        return evicted
+
+
+_positions = st.lists(st.integers(0, 40), unique=True, max_size=5)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), _positions),
+        st.tuples(st.just("clear"), st.none()),
+        st.tuples(st.just("hard"), st.tuples(st.integers(0, 40), st.integers(0, 1))),
+    ),
+    max_size=30,
+)
+
+
+class TestMaskLineMatchesPositionsModel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6), _ops)
+    def test_random_sequences_agree(self, capacity, ops):
+        line, model = ECPLine(capacity), PositionsModel(capacity)
+        for op, arg in ops:
+            if op == "record":
+                assert line.record_wd(bits(*arg)) == model.record(arg)
+            elif op == "clear":
+                assert line.clear_wd() == model.clear()
+            else:
+                position, value = arg
+                try:
+                    expected = model.add_hard(position, value)
+                except ECPExhaustedError:
+                    with pytest.raises(ECPExhaustedError):
+                        line.add_hard_error(position, value)
+                else:
+                    assert line.add_hard_error(position, value) == expected
+            assert line.occupied == model.occupied()
+            assert line.hard_count == len(model.hard)
+            assert line.wd_count == len(model.wd)
+            assert L.bit_positions(line.covered_mask()) == sorted(
+                set(model.hard) | set(model.wd)
+            )
+            assert [(e.position, e.value, e.kind) for e in line.entries] == (
+                [(p, v, EntryKind.HARD) for p, v in sorted(model.hard.items())]
+                + [(p, 0, EntryKind.WD) for p in sorted(model.wd)]
+            )
 
 
 class TestChipAndWear:
     def test_chip_lazy_lines(self):
         chip = ECPChip(entries_per_line=6)
         assert chip.touched_lines == 0
-        chip.line((0, 1, 2)).record_wd_errors([(1, 0)])
+        chip.line((0, 1, 2)).record_wd(bits(1))
         assert chip.touched_lines == 1
         assert chip.peek((0, 1, 2)) is not None
         assert chip.peek((9, 9, 9)) is None
@@ -141,11 +224,6 @@ class TestChipAndWear:
         chip = ECPChip()
         assert chip.geometry.wd_free
         assert chip.geometry.area_premium_vs_data_chip == 2.0
-
-    def test_wear_charging(self):
-        chip = ECPChip()
-        chip.charge_entry_writes(3)
-        assert chip.entry_cell_writes == 30
 
     def test_wear_model_monotone(self):
         model = WearModel()

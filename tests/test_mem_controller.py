@@ -62,8 +62,8 @@ def make_controller(scheme=None, wq=4, executor=None):
     return loop, ctrl, executor, counters
 
 
-def read(bank=0, row=10, line=0, core=0):
-    return Request(RequestKind.READ, core, LineAddress(bank, row, line), 0)
+def read(bank=0, row=10, line=0):
+    return LineAddress(bank, row, line)
 
 
 def write(bank=0, row=10, line=0, core=0):
@@ -279,7 +279,7 @@ class TestKickTable:
         if write_q:
             bank.wq_append(WriteEntry(write(row=20)))
         if read_q:
-            bank.read_q.append((read(), lambda t: None, ()))
+            bank.read_q.append((lambda t: None, ()))
         ctrl._kick(bank)
         expected = reference_kick(scheme, busy, draining, write_q, read_q)
         assert taken == ([] if expected is None else [expected])

@@ -87,7 +87,7 @@ def make_controller(scheme=None, wq=8):
 
 
 def read(row=10, line=0):
-    return Request(RequestKind.READ, 0, LineAddress(0, row, line), 0)
+    return LineAddress(0, row, line)
 
 
 def write(row=10, line=0):
