@@ -115,20 +115,30 @@ def _best_of(n, fn):
             gc.enable()
 
 
+def _as_int(words: np.ndarray) -> int:
+    """The simulator's 512-bit int form of an ``(8,)`` uint64 line."""
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def _random_words(rng: np.random.Generator) -> np.ndarray:
+    return rng.integers(0, 1 << 64, size=LINE_WORDS, dtype=np.uint64)
+
+
 def _bench_kernels() -> dict:
     rng = np.random.default_rng(42)
-    masks = [L.random_line(rng) & L.random_line(rng) for _ in range(200)]
-    ints = [L.to_int(m) for m in masks]
+    masks = [_random_words(rng) & _random_words(rng) for _ in range(200)]
+    ints = [_as_int(m) for m in masks]
     # Sampling operates on vulnerability masks, which are sparse (a write
     # flips a handful of a neighbour's cells); benchmark that shape.
-    sparse = [
-        L.mask_from_positions(rng.choice(512, size=12, replace=False))
-        for _ in range(200)
-    ]
-    sparse_ints = [L.to_int(m) for m in sparse]
+    sparse = []
+    for _ in range(200):
+        cells = np.zeros(512, dtype=np.uint8)
+        cells[rng.choice(512, size=12, replace=False)] = 1
+        sparse.append(np.packbits(cells, bitorder="little").view(np.uint64))
+    sparse_ints = [_as_int(m) for m in sparse]
 
     scalar_pop = _best_of(5, lambda: [L._scalar_popcount(m) for m in masks])
-    fast_pop = _best_of(5, lambda: [L.popcount(v) for v in ints])
+    fast_pop = _best_of(5, lambda: [v.bit_count() for v in ints])
 
     def scalar_sample():
         r = np.random.default_rng(7)
@@ -155,9 +165,9 @@ def _bench_row_kernels() -> dict:
     """Row-batched mask sampling and DIN coding vs their per-line forms."""
     rng = np.random.default_rng(99)
     rows = rng.integers(
-        0, 1 << 64, size=(LINES_PER_PAGE, LINE_WORDS), dtype=L.WORD_DTYPE
+        0, 1 << 64, size=(LINES_PER_PAGE, LINE_WORDS), dtype=np.uint64
     )
-    row_ints = [L.to_int(row) for row in rows]
+    row_ints = [_as_int(row) for row in rows]
     data = rng.integers(0, 256, size=(LINES_PER_PAGE, 64), dtype=np.uint8)
     data_ints = [int.from_bytes(d.tobytes(), "little") for d in data]
     coder = D.DINEncoder()
@@ -171,8 +181,8 @@ def _bench_row_kernels() -> dict:
         return L.sample_masks_rows(rows, 0.05, r)
 
     # Equivalence first (the CI divergence gate for the row kernels).
-    assert [L.to_int(m) for m in batched_rows_sample()] == [
-        L.to_int(m) for m in scalar_rows_sample()
+    assert [_as_int(m) for m in batched_rows_sample()] == [
+        _as_int(m) for m in scalar_rows_sample()
     ]
     scalar_s = _best_of(15, scalar_rows_sample)
     rows_s = _best_of(15, batched_rows_sample)
@@ -188,7 +198,7 @@ def _bench_row_kernels() -> dict:
 
     stored_rows, flag_rows = rows_din()
     reference = perline_din()
-    assert [L.to_int(s) for s in stored_rows] == [s for s, _ in reference]
+    assert [_as_int(s) for s in stored_rows] == [s for s, _ in reference]
     assert [int(f) for f in flag_rows] == [f for _, f in reference]
     perline_s = _best_of(15, perline_din)
     din_rows_s = _best_of(15, rows_din)

@@ -47,9 +47,6 @@ class BuddyAllocator:
         self._check_order(order)
         return len(self._free[order])
 
-    def is_allocated(self, base: int) -> bool:
-        return base in self._allocated
-
     # -- allocate / free ------------------------------------------------------------
 
     def allocate(self, order: int) -> int:

@@ -33,7 +33,6 @@ PAGES_PER_STRIP = 16
 class TimingConfig:
     """PCM and CPU timing parameters (Table 2), in CPU cycles."""
 
-    cpu_ghz: float = 4.0
     #: Average cycles per non-memory instruction.  The in-order core itself
     #: is CPI = 1, but the paper's simulator charges the L1/L2/DRAM-L3 hit
     #: latencies of the (filtered-out) cache-hitting accesses between two

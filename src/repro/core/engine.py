@@ -228,7 +228,3 @@ class Engine:
     @property
     def total_cycles(self) -> int:
         return max(c.finish_time or 0 for c in self.cores)
-
-    @property
-    def mean_cpi(self) -> float:
-        return sum(c.cpi for c in self.cores) / len(self.cores)

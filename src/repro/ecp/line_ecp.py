@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from ..errors import ECPExhaustedError
 from ..pcm import line as L
 from .entry import ECPEntry, EntryKind
@@ -129,16 +127,3 @@ class ECPLine:
         count = self.wd.bit_count()
         self.wd = 0
         return count
-
-    # -- read-path correction --------------------------------------------------
-
-    def corrected_read(self, physical: np.ndarray) -> np.ndarray:
-        """Apply all entries to a raw array read of the line."""
-        covered = self.hard | self.wd
-        if not covered:
-            return physical
-        return L.from_int(L.to_int(physical) & ~covered | self.hard_values)
-
-    def covered_mask(self) -> np.ndarray:
-        """Line mask of cells currently overridden by any entry."""
-        return L.from_int(self.hard | self.wd)

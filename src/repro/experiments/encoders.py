@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..config import LINE_BITS
+from ..config import LINE_BITS, LINE_WORDS
 from ..pcm import line as L
 from ..pcm.din import DINEncoder
 from ..pcm.flip_n_write import FlipNWriteEncoder
@@ -30,11 +30,12 @@ DEFAULT_WORKLOADS = ("gemsFDTD", "lbm", "mcf", "stream")
 def _write_stream(bench_name: str, writes: int, rng: np.random.Generator):
     """Synth the same (physical, data) write pairs the simulator would see."""
     bench = profile(bench_name)
-    physical = L.random_line(rng)
+    physical = int.from_bytes(
+        rng.integers(0, 1 << 64, size=LINE_WORDS, dtype=np.uint64).tobytes(),
+        "little",
+    )
     for _ in range(writes):
-        flips = rng.random(LINE_BITS) < bench.flip_fraction
-        mask = np.packbits(flips, bitorder="little").view(L.WORD_DTYPE).copy()
-        data = physical ^ mask
+        data = physical ^ L.draw_mask(rng, LINE_BITS, bench.flip_fraction)
         yield physical, data
         physical = data
 
@@ -66,17 +67,14 @@ def run_experiment(
         count = 0
         for physical, data in _write_stream(bench, writes, rng):
             f = fnw.encode(physical, data)
-            d = din.encode(physical, data)
-            d_cells = int(
-                L.popcount((physical ^ d.stored).astype(L.WORD_DTYPE))
-            )
+            stored, _ = din.encode_stored_int(physical, data)
             sums += (
                 f.cells_written_raw,
                 f.cells_written_encoded,
-                d_cells,
-                d.vulnerable_raw,
+                (physical ^ stored).bit_count(),
+                din.vulnerable_pairs(physical, data),
                 f.vulnerable_encoded,
-                d.vulnerable_encoded,
+                din.vulnerable_pairs(physical, stored),
             )
             count += 1
         sums /= max(count, 1)

@@ -1,18 +1,26 @@
 """PCM device substrate: cells, arrays, thermal/disturbance models, encoding.
 
+Every line — stored image, WD error mask, sampling mask — is one 512-bit
+Python int (bit ``i`` = cell ``i``; :mod:`repro.pcm.line` has the layout
+and the bit kernels).  The ``(N, 8)`` uint64 row batches in
+:mod:`repro.pcm.line` and :mod:`repro.pcm.din` serve only the numpy
+kernel backend, and the ``_scalar_*`` array kernels only the equivalence
+tests.
+
 Public surface:
 
 * :mod:`repro.pcm.thermal` / :mod:`repro.pcm.disturbance` /
   :mod:`repro.pcm.scaling` — the device-physics models behind Table 1.
 * :mod:`repro.pcm.geometry` — Figure 1 / Section 6.1 density arithmetic.
 * :mod:`repro.pcm.array` — bit-accurate cell-array storage.
-* :mod:`repro.pcm.din` — word-line disturbance-aware encoding.
-* :mod:`repro.pcm.differential_write` — differential-write planning [35].
+* :mod:`repro.pcm.din` / :mod:`repro.pcm.flip_n_write` — word-line
+  disturbance-aware encoding and its wear-oriented baseline [7].
+* :mod:`repro.pcm.differential_write` — programming-round latency [35].
 """
 
 from .cell import CellState, Pulse, pulse_for
-from .differential_write import WritePlan, correction_latency, plan_write
-from .din import DINEncoder, EncodedWrite
+from .differential_write import correction_latency
+from .din import DINEncoder
 from .flip_n_write import FlipNWriteEncoder, FNWResult
 from .disturbance import DisturbanceModel, default_disturbance_model, table1_rates
 from .geometry import (
@@ -30,11 +38,8 @@ __all__ = [
     "CellState",
     "Pulse",
     "pulse_for",
-    "WritePlan",
-    "plan_write",
     "correction_latency",
     "DINEncoder",
-    "EncodedWrite",
     "FlipNWriteEncoder",
     "FNWResult",
     "DisturbanceModel",

@@ -8,9 +8,9 @@ pristine image the state plane pools for it (one shared, immutable 4 KB
 ``bytes`` object per ``(seed, bank, row)``), so simulations are
 reproducible without allocating the full 8 GB.
 
-Line state lives in the **int domain** (a 512-bit Python int per line, bit
-``i`` = cell ``i``; see :mod:`repro.pcm.line`).  A line becomes an int the
-first time anything touches it, and per touched line the array tracks:
+A line is a 512-bit Python int (bit ``i`` = cell ``i``; see
+:mod:`repro.pcm.line`), sliced from the pristine row the first time
+anything touches it.  Per touched line the array tracks:
 
 * ``stored``   — the *correct* stored-domain image (post-DIN encoding),
 * ``flags``    — the line's DIN per-byte inversion flags (WD-free metadata),
@@ -21,10 +21,8 @@ The physical contents of a line are ``stored | disturbed`` — disturbance
 only ever flips amorphous ``0`` cells to ``1`` (partial crystallisation), so
 ``stored & disturbed == 0`` is a core invariant, checked in debug helpers.
 
-:mod:`repro.core.vnc` reads and writes the ints directly
-(:meth:`PCMArray.line_ints`, :meth:`PCMArray.commit_line`); the numpy line
-API (``stored_line``, ``disturbed_mask``, ``physical_line``, ``set_line``,
-``disturb``, ``correct``) converts to and from ``(8,)`` uint64 arrays.
+:mod:`repro.core.vnc` reads and writes the ints through
+:meth:`PCMArray.line_ints` and :meth:`PCMArray.commit_line`.
 
 uTrench adjacency (Section 2.2): the bit-line neighbours of line ``l`` of
 row ``r`` are line ``l`` of rows ``r - 1`` and ``r + 1`` in the same bank.
@@ -34,11 +32,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from ..config import LINE_BYTES, LINES_PER_PAGE
 from ..errors import DeviceError
-from . import line as L
 from . import stateplane
 
 
@@ -162,48 +157,8 @@ class PCMArray:
         for key, disturbed in self._disturbed.items():
             yield LineAddress(*key), self._stored[key], disturbed
 
-    # -- numpy line API --------------------------------------------------------
-
-    def stored_line(self, addr: LineAddress) -> np.ndarray:
-        """The correct stored-domain image of a line (a copy)."""
-        return L.from_int(self.stored_int(addr))
-
-    def disturbed_mask(self, addr: LineAddress) -> np.ndarray:
-        """Outstanding WD flips of a line (a copy)."""
-        return L.from_int(self.disturbed_int(addr))
-
-    def physical_line(self, addr: LineAddress) -> np.ndarray:
-        """What a raw array read returns: stored image plus WD flips."""
-        stored, disturbed = self.line_ints(addr)
-        return L.from_int(stored | disturbed)
-
     def line_flags(self, addr: LineAddress) -> int:
         return self._flags.get(addr, 0)
-
-    def set_line(self, addr: LineAddress, stored: np.ndarray, flags: int) -> None:
-        """Commit a write: install the stored image and clear WD flips.
-
-        Differential write pulses every cell whose physical value differs
-        from the new image, so after a demand write the line's physical and
-        stored contents coincide.
-        """
-        self.stored_int(addr)
-        self.commit_line(addr, L.to_int(stored), 0, int(flags))
-
-    def disturb(self, addr: LineAddress, mask: np.ndarray) -> int:
-        """Array-form :meth:`disturb_int`."""
-        return self.disturb_int(addr, L.to_int(mask))
-
-    def correct(self, addr: LineAddress, mask: Optional[np.ndarray] = None) -> int:
-        """RESET disturbed cells back to their stored value.
-
-        With ``mask=None`` all outstanding flips are corrected.  Returns the
-        number of cells corrected (the RESET count of the correction write).
-        """
-        current = self.disturbed_int(addr)
-        target = current if mask is None else current & L.to_int(mask)
-        self._set_disturbed(addr, current ^ target)
-        return target.bit_count()
 
     def check_invariants(self, addr: LineAddress) -> None:
         """Raise if the line violates ``stored & disturbed == 0``."""

@@ -78,11 +78,6 @@ class CellFault(IntEnum):
     STUCK_CRYSTALLINE = 1
 
     @property
-    def stuck_bit(self) -> int:
-        """The bit a reader always observes from this failed cell."""
-        return int(self)
-
-    @property
     def state(self) -> CellState:
         """The phase the cell is frozen in."""
         return CellState(int(self))

@@ -13,14 +13,15 @@ scale (``DisturbanceConfig.din_residual_scale``, standing in for DIN's
 stronger codes) reproduces the paper's Figure 4(a) residual of ~0.4
 word-line errors per line write.
 
-Encoding is a bijection: ``decode(encode(data)) == data``.  Flag bits are
+Lines are 512-bit ints (see :mod:`repro.pcm.line`); byte ``i`` of a line
+is bits ``8 * i .. 8 * i + 7``.  Encoding is a bijection:
+``decode_int(*encode_stored_int(physical, data)) == data``.  Flag bits are
 stored in the line's metadata region, which (like DIN's code bits) is
 engineered WD-free, so flags are never disturbed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +29,10 @@ import numpy as np
 from ..config import LINE_BYTES
 from . import line as L
 
-_BYTE = np.uint8(0xFF)
+#: Bit 7 / bit 0 of every byte of a line, cleared: per-byte shifts that
+#: keep word-line adjacency inside one byte's encoder.
+_NO_BYTE_MSBS = L.MASK_ALL ^ int.from_bytes(b"\x80" * LINE_BYTES, "little")
+_NO_BYTE_LSBS = L.MASK_ALL ^ int.from_bytes(b"\x01" * LINE_BYTES, "little")
 
 
 @lru_cache(maxsize=1)
@@ -124,6 +128,24 @@ def _flag_xor_ints() -> "tuple[int, ...]":
     return tuple(int(word) for word in _flag_expand_table())
 
 
+def invert_flagged_bytes(value: int, flags: int) -> int:
+    """``value`` with byte ``i`` inverted wherever bit ``i`` of ``flags`` is set.
+
+    ``where(invert, ~b, b)`` is exactly ``b ^ (0xFF per inverted byte)``,
+    so this is one XOR with the flags expanded word by word through the
+    256-entry int form of the flag-expand table.  Both per-byte inversion
+    codes (DIN and Flip-N-Write) decode with it.
+    """
+    if not flags:
+        return value
+    expand = _flag_xor_ints()
+    xor = 0
+    for word, byte in enumerate(flags.to_bytes(8, "little")):
+        if byte:
+            xor |= expand[byte] << (64 * word)
+    return value ^ xor
+
+
 @lru_cache(maxsize=1)
 def din_tables() -> "tuple[np.ndarray, np.ndarray]":
     """The encoder's ``(stored, invert)`` LUTs for native kernels.
@@ -139,48 +161,16 @@ def din_tables() -> "tuple[np.ndarray, np.ndarray]":
     )
 
 
-@dataclass(frozen=True)
-class EncodedWrite:
-    """Result of encoding one line write."""
-
-    #: Stored-domain bytes to write (after per-byte inversion).
-    stored: np.ndarray
-    #: One flag bit per byte; bit ``i`` set means byte ``i`` is inverted.
-    flags: int
-    #: Vulnerable pairs with and without encoding (for effectiveness stats).
-    vulnerable_encoded: int
-    vulnerable_raw: int
-
-
 class DINEncoder:
     """Per-byte inversion encoder minimising word-line-vulnerable patterns."""
 
-    def encode(self, physical: np.ndarray, data: np.ndarray) -> EncodedWrite:
+    def encode_stored_int(self, physical: int, data: int) -> "tuple[int, int]":
         """Choose per-byte inversions for writing ``data`` over ``physical``.
 
-        ``physical`` and ``data`` are line arrays (8 x uint64).  Returns the
-        stored-domain image and the flag word.  The choice is greedy and
-        per-byte: adjacency across byte boundaries is not re-evaluated,
-        matching the hardware's parallel per-byte encoders.
-        """
-        vuln = _vulnerability_table()
-        old = physical.view(np.uint8)
-        raw = data.view(np.uint8)
-        invert = _invert_table()[old, raw]
-        stored_bytes = _stored_table()[old, raw]
-        flags = int(np.packbits(invert, bitorder="little").view(np.uint64)[0])
-        return EncodedWrite(
-            stored=stored_bytes.view(L.WORD_DTYPE).copy(),
-            flags=flags,
-            vulnerable_encoded=int(vuln[old, stored_bytes].sum()),
-            vulnerable_raw=int(vuln[old, raw].sum()),
-        )
-
-    def encode_stored_int(self, physical: int, data: int) -> "tuple[int, int]":
-        """Hot-path :meth:`encode` over int-domain lines.
-
-        Returns ``(stored, flags)`` without computing the vulnerability
-        statistics (the VnC write path never reads them).
+        Returns the stored-domain image and the flag word (bit ``i`` set
+        means byte ``i`` is inverted).  The choice is greedy and per-byte:
+        adjacency across byte boundaries is not re-evaluated, matching the
+        hardware's parallel per-byte encoders.
         """
         old = np.frombuffer(physical.to_bytes(LINE_BYTES, "little"), np.uint8)
         raw = np.frombuffer(data.to_bytes(LINE_BYTES, "little"), np.uint8)
@@ -191,25 +181,9 @@ class DINEncoder:
             int.from_bytes(flags_bytes.tobytes(), "little"),
         )
 
-    def decode(self, stored: np.ndarray, flags: int) -> np.ndarray:
-        """Invert the encoding: recover logical data from stored bytes."""
-        return L.from_int(self.decode_int(L.to_int(stored), flags))
-
     def decode_int(self, stored: int, flags: int) -> int:
-        """Int-domain :meth:`decode`: XOR the expanded inversion flags.
-
-        ``where(invert, ~b, b)`` is exactly ``b ^ (0xFF per inverted
-        byte)``, so decoding is one XOR with the flags expanded word by
-        word through the 256-entry int form of the flag-expand table.
-        """
-        if not flags:
-            return stored
-        expand = _flag_xor_ints()
-        xor = 0
-        for word, byte in enumerate(flags.to_bytes(8, "little")):
-            if byte:
-                xor |= expand[byte] << (64 * word)
-        return stored ^ xor
+        """Invert the encoding: recover logical data from stored bytes."""
+        return invert_flagged_bytes(stored, flags)
 
     def encode_stored_rows(
         self, physical: np.ndarray, data: np.ndarray
@@ -236,27 +210,30 @@ class DINEncoder:
         flag_bytes = flags.astype(np.uint64).view(np.uint8).reshape(n, 8)
         return stored ^ _flag_expand_table()[flag_bytes]
 
-    def vulnerable_pairs(self, physical: np.ndarray, stored: np.ndarray) -> int:
-        """Count word-line-vulnerable pairs a stored image would create."""
-        table = _vulnerability_table()
-        return int(table[physical.view(np.uint8), stored.view(np.uint8)].sum())
+    @staticmethod
+    def vulnerable_pairs(physical: int, stored: int) -> int:
+        """Word-line-vulnerable cells a stored image creates over ``physical``.
+
+        A cell counts when it is idle in the write, stores 0 (amorphous)
+        and sits next to a cell being RESET within the same byte — the
+        per-byte criterion of :func:`_vulnerability_table`, summed over
+        the line.
+        """
+        reset = physical & ~stored
+        neighbours = (
+            ((reset & _NO_BYTE_MSBS) << 1) | ((reset & _NO_BYTE_LSBS) >> 1)
+        )
+        # Idle and amorphous: the cell stores 0 before and after the write.
+        return (neighbours & ~(physical | stored)).bit_count()
 
 
-def wordline_vulnerable_mask(
-    physical: np.ndarray, reset_mask: np.ndarray, changed_mask: np.ndarray
-) -> np.ndarray:
+def wordline_vulnerable_mask_int(physical: int, reset: int, changed: int) -> int:
     """Mask of idle cells vulnerable to word-line WD during a write.
 
     A cell is vulnerable when (i) it is horizontally adjacent (within its
     64-bit chip segment) to a cell being RESET, (ii) it is idle in this
     write, and (iii) it currently stores 0 (amorphous).
     """
-    idle = (~changed_mask).astype(L.WORD_DTYPE)
-    return (L.wordline_neighbours(reset_mask) & idle & ~physical).astype(L.WORD_DTYPE)
-
-
-def wordline_vulnerable_mask_int(physical: int, reset: int, changed: int) -> int:
-    """Int-domain :func:`wordline_vulnerable_mask`."""
     return (
         L.wordline_neighbours_int(reset)
         & (changed ^ L.MASK_ALL)

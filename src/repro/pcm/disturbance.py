@@ -64,11 +64,6 @@ class DisturbanceModel:
         """Calibrated activation energy, eV."""
         return _solve_arrhenius()[0]
 
-    @property
-    def attempt_rate_per_s(self) -> float:
-        """Calibrated attempt frequency k0, 1/s."""
-        return _solve_arrhenius()[1]
-
     def error_rate(self, temperature_c: float) -> float:
         """Probability an idle amorphous cell is disturbed at ``temperature_c``.
 

@@ -15,15 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import LINE_BYTES
-from . import line as L
-from .din import _changed_table, _vulnerability_table
+from .din import DINEncoder, _changed_table, invert_flagged_bytes
 
 
 @dataclass(frozen=True)
 class FNWResult:
     """Outcome of Flip-N-Write encoding one line write."""
 
-    stored: np.ndarray
+    stored: int
     flags: int
     cells_written_raw: int
     cells_written_encoded: int
@@ -35,41 +34,29 @@ class FlipNWriteEncoder:
 
     The flag bit itself is one extra cell per byte; following [7] the
     criterion counts it (invert only when it saves at least two data
-    cells, i.e. the saving exceeds the flag cost).
+    cells, i.e. the saving exceeds the flag cost).  Lines are 512-bit
+    ints, as everywhere in :mod:`repro.pcm`.
     """
 
-    def encode(self, physical: np.ndarray, data: np.ndarray) -> FNWResult:
+    def encode(self, physical: int, data: int) -> FNWResult:
         changed = _changed_table()
-        vuln = _vulnerability_table()
-        old = physical.view(np.uint8)
-        raw = data.view(np.uint8)
-        inverted = (~raw).astype(np.uint8)
-        cost_raw = changed[old, raw].astype(np.int32)
+        old = np.frombuffer(physical.to_bytes(LINE_BYTES, "little"), np.uint8)
+        raw = np.frombuffer(data.to_bytes(LINE_BYTES, "little"), np.uint8)
         # +1: programming the flag cell itself.
-        cost_inv = changed[old, inverted].astype(np.int32) + 1
-        invert = cost_inv < cost_raw
-        stored = np.where(invert, inverted, raw).astype(np.uint8)
-        flags = int(
-            np.packbits(invert.astype(np.uint8), bitorder="little")
-            .view(np.uint64)[0]
+        invert = changed[old, ~raw] + 1 < changed[old, raw]
+        flags = int.from_bytes(
+            np.packbits(invert, bitorder="little").tobytes(), "little"
         )
+        stored = invert_flagged_bytes(data, flags)
         return FNWResult(
-            stored=stored.view(L.WORD_DTYPE).copy(),
+            stored=stored,
             flags=flags,
-            cells_written_raw=int(cost_raw.sum()),
-            cells_written_encoded=int(np.minimum(cost_raw, cost_inv).sum()),
-            vulnerable_encoded=int(vuln[old, stored].sum()),
+            cells_written_raw=(physical ^ data).bit_count(),
+            cells_written_encoded=(
+                (physical ^ stored).bit_count() + flags.bit_count()
+            ),
+            vulnerable_encoded=DINEncoder.vulnerable_pairs(physical, stored),
         )
 
-    def decode(self, stored: np.ndarray, flags: int) -> np.ndarray:
-        stored_bytes = stored.view(np.uint8)
-        invert = np.unpackbits(
-            np.array([flags], dtype=np.uint64).view(np.uint8), bitorder="little"
-        )[:LINE_BYTES].astype(bool)
-        out = np.where(invert, (~stored_bytes).astype(np.uint8), stored_bytes)
-        return out.astype(np.uint8).view(L.WORD_DTYPE).copy()
-
-    def max_flip_bound_holds(self, physical: np.ndarray, data: np.ndarray) -> bool:
-        """[7]'s guarantee: at most half the cells (plus flags) flip."""
-        result = self.encode(physical, data)
-        return result.cells_written_encoded <= L.LINE_BITS // 2 + LINE_BYTES
+    def decode(self, stored: int, flags: int) -> int:
+        return invert_flagged_bytes(stored, flags)

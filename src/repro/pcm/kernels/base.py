@@ -4,7 +4,9 @@ A :class:`KernelBackend` bundles the inner-loop kernels every write
 executes — disturbance sampling, DIN coding, set-bit extraction, mask
 packing — and the state plane's seeded generators behind one dispatch
 surface, so the execution layer (``core/vnc.py``,
-``pcm/stateplane.py``) can swap implementations per process.
+``pcm/stateplane.py``) can swap implementations per process.  Every
+kernel takes and returns lines in the simulator's one per-line form, a
+512-bit Python int (see :mod:`repro.pcm.line`).
 
 Three interchangeable implementations live in this package:
 
@@ -13,7 +15,8 @@ Three interchangeable implementations live in this package:
     :mod:`repro.pcm.din` (CPython big-int bit ops + numpy LUT gathers);
 ``numpy``
     packed-uint64 variants of the batched sampler and set-bit
-    extraction (selected only when forced with
+    extraction, which pack the ints into ``(N, 8)`` row batches
+    internally (selected only when forced with
     ``REPRO_KERNEL_BACKEND=numpy``);
 ``compiled``
     a small C shared library (built on demand, loaded via ctypes) for
@@ -26,9 +29,11 @@ Three interchangeable implementations live in this package:
 
 **Byte-identity is the hard contract.**  Every backend must produce
 bit-for-bit identical masks, stored images, and flag words — and consume
-the *same RNG draws in the same order* — as the retained scalar
-references.  The property-based suite in ``tests/test_kernel_backends.py``
-pins this for all registered backends.
+the *same RNG draws in the same order* — as the ``python`` backend's
+int kernels, which ``tests/test_kernel_equivalence.py`` pins to the
+``_scalar_*`` array references in :mod:`repro.pcm.line`.  The
+property-based suite in ``tests/test_kernel_backends.py`` pins this for
+all registered backends.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ class KernelBackend:
     ) -> int:
         """Keep each set bit of an int-domain mask with ``probability``.
 
-        Must consume exactly ``rng.random(popcount(candidates))`` draws
+        Must consume exactly ``rng.random(candidates.bit_count())`` draws
         (none at the 0/1-probability or empty edges).
         """
         raise NotImplementedError

@@ -1,104 +1,50 @@
-"""64-byte PCM line representation and bit-mask utilities.
+"""64-byte PCM line representation and bit-mask kernels.
 
-A memory line is 64 bytes = 512 SLC cells, held as eight ``numpy.uint64``
-words.  Word ``w`` bit ``b`` (LSB = 0) is cell index ``w * 64 + b``.  Each
-64-bit word maps to the 8-byte segment one data chip contributes to the line
-(Figure 6: a row is split into 8 data segments across 8 chips), so word-line
-adjacency exists *within* a word but not across word boundaries — cells of
-different words sit in different chips.
+A memory line is 64 bytes = 512 SLC cells, held as **one 512-bit Python
+int**: bit ``i`` of the int is cell ``i``.  Bits ``64 * w .. 64 * w + 63``
+are the 8-byte segment data chip ``w`` contributes to the line (Figure 6:
+a row is split into 8 data segments across 8 chips), so word-line
+adjacency exists *within* a 64-bit word but not across word boundaries —
+cells of different words sit in different chips.  Every line image,
+error mask and sampling mask in the simulator has this form; CPython
+big-int bitwise ops do a whole line in one C call.
 
-These helpers are the hot path of the simulator.  Two representations are
-supported:
+Two other shapes appear here and nowhere else:
 
-* the canonical **array form** — ``(8,)`` ``uint64`` arrays, used for
-  storage (:class:`~repro.pcm.array.PCMArray` rows) and all public APIs;
-* the **int form** — one 512-bit Python integer per line (bit ``i`` of the
-  integer is cell ``i``, identical to ``int.from_bytes(arr.tobytes(),
-  "little")``).  CPython big-integer bitwise ops run 3-10x faster than
-  8-element numpy ufuncs (single C call, no dispatch overhead), so the
-  write-planning inner loops (:mod:`repro.core.vnc`) work in this domain.
+* ``(N, 8)`` ``uint64`` **row batches** (:func:`pack_rows`,
+  :func:`unpack_rows`, :func:`sample_masks_rows`), the batched form only
+  the numpy kernel backend uses;
+* the ``_scalar_*`` **references**, the original ``unpackbits`` kernels
+  over ``(8,)`` ``uint64`` arrays.  Equivalence tests pin the int
+  kernels against them bit-for-bit and RNG-draw-for-draw.
 
-Batched variants (:func:`sample_masks_int`, :func:`sample_masks`) let
-callers sample several lines — e.g. a write's two bit-line neighbours —
-with one RNG draw.  :func:`seeded_words` and :func:`seeded_mask` are the
-reference recipes of the state plane's per-key seeded state.
-
-The original ``unpackbits``-based scalar kernels are retained as
-``_scalar_*`` reference implementations; golden tests pin the fast paths
-bit-for-bit (and RNG-stream-exactly) against them.
+:func:`sample_masks_int` samples several lines — e.g. a write's two
+bit-line neighbours — with one RNG draw.  :func:`seeded_words` and
+:func:`seeded_mask` are the reference recipes of the state plane's
+per-key seeded state.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..config import LINE_BITS, LINE_WORDS
 
-#: dtype used for all line masks and data.
+#: dtype of the ``(N, 8)`` row batches and the scalar references.
 WORD_DTYPE = np.uint64
-
-_U64_ONE = np.uint64(1)
-_U64_MSB = np.uint64(1) << np.uint64(63)
 
 #: All 512 bits set — AND with this after an int-domain ``~``/``^``.
 MASK_ALL = (1 << LINE_BITS) - 1
-#: Bit 63 of every word (per-word MSBs) in the int domain.
+#: Bit 63 of every word (per-word MSBs).
 _WORD_MSBS = sum(1 << (64 * w + 63) for w in range(LINE_WORDS))
-#: Bit 0 of every word (per-word LSBs) in the int domain.
+#: Bit 0 of every word (per-word LSBs).
 _WORD_LSBS = sum(1 << (64 * w) for w in range(LINE_WORDS))
 _NO_MSBS = MASK_ALL ^ _WORD_MSBS
 _NO_LSBS = MASK_ALL ^ _WORD_LSBS
 
 _WORD_MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def zero_line() -> np.ndarray:
-    """A fresh all-zero line mask/data array."""
-    return np.zeros(LINE_WORDS, dtype=WORD_DTYPE)
-
-
-def full_line() -> np.ndarray:
-    """A line mask with every bit set."""
-    return np.full(LINE_WORDS, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=WORD_DTYPE)
-
-
-def random_line(rng: np.random.Generator) -> np.ndarray:
-    """A line with uniformly random contents (used for untouched rows)."""
-    return rng.integers(0, 1 << 64, size=LINE_WORDS, dtype=WORD_DTYPE)
-
-
-# -- array <-> int bridges -------------------------------------------------------
-
-
-def to_int(mask: np.ndarray) -> int:
-    """The 512-bit integer form of a line mask (bit ``i`` = cell ``i``)."""
-    return int.from_bytes(mask.tobytes(), "little")
-
-
-def from_int(value: int) -> np.ndarray:
-    """The ``(8,)`` ``uint64`` array form of an int-domain line mask."""
-    return np.frombuffer(
-        value.to_bytes(LINE_BITS // 8, "little"), dtype=WORD_DTYPE
-    ).copy()
-
-
-# -- popcount / positions --------------------------------------------------------
-
-
-def popcount(mask) -> int:
-    """Number of set bits across the whole line mask (array or int form)."""
-    if isinstance(mask, int):
-        return mask.bit_count()
-    return int.from_bytes(mask.tobytes(), "little").bit_count()
-
-
-def bit_positions(mask) -> List[int]:
-    """Sorted cell indices of the set bits in a line mask (array or int)."""
-    if isinstance(mask, int):
-        return bit_positions_int(mask)
-    return bit_positions_int(int.from_bytes(mask.tobytes(), "little"))
 
 
 def bit_positions_int(value: int) -> List[int]:
@@ -120,69 +66,17 @@ def bit_positions_int(value: int) -> List[int]:
     return out
 
 
-def mask_from_positions(positions: Iterable[int]) -> np.ndarray:
-    """Build a line mask with the given cell indices set."""
-    mask = zero_line()
-    for pos in positions:
-        if not 0 <= pos < LINE_BITS:
-            raise ValueError(f"bit position {pos} out of range 0..{LINE_BITS - 1}")
-        mask[pos >> 6] |= _U64_ONE << np.uint64(pos & 63)
-    return mask
-
-
-def get_bit(data: np.ndarray, pos: int) -> int:
-    """Read one cell of a line."""
-    return int((data[pos >> 6] >> np.uint64(pos & 63)) & _U64_ONE)
-
-
-def set_bit(data: np.ndarray, pos: int, value: int) -> None:
-    """Write one cell of a line in place."""
-    bit = _U64_ONE << np.uint64(pos & 63)
-    if value:
-        data[pos >> 6] |= bit
-    else:
-        data[pos >> 6] &= ~bit
-
-
-# -- shifts / adjacency ----------------------------------------------------------
-
-
-def shift_left(mask: np.ndarray) -> np.ndarray:
-    """Shift every word's bits up by one (toward MSB), per-word.
-
-    Word-line neighbours only exist within a word (one chip segment), so the
-    shift does **not** carry across word boundaries.  ``shift_left(m)`` has a
-    bit set where the cell one position *above* a set bit of ``m`` lives.
-    """
-    return (mask << _U64_ONE).astype(WORD_DTYPE)
-
-
-def shift_right(mask: np.ndarray) -> np.ndarray:
-    """Per-word one-bit shift toward LSB (see :func:`shift_left`)."""
-    return (mask >> _U64_ONE).astype(WORD_DTYPE)
-
-
-def wordline_neighbours(mask: np.ndarray) -> np.ndarray:
-    """Mask of all cells horizontally adjacent to any set cell.
-
-    The input cells themselves are *not* removed; callers typically AND the
-    result with an idle/vulnerable mask that already excludes them.
-    """
-    return shift_left(mask) | shift_right(mask)
-
-
-def shift_left_int(value: int) -> int:
-    """Int-domain :func:`shift_left`: per-word, no cross-word carry."""
-    return (value & _NO_MSBS) << 1
-
-
-def shift_right_int(value: int) -> int:
-    """Int-domain :func:`shift_right`."""
-    return (value & _NO_LSBS) >> 1
+# -- adjacency -------------------------------------------------------------------
 
 
 def wordline_neighbours_int(value: int) -> int:
-    """Int-domain :func:`wordline_neighbours`."""
+    """Mask of all cells horizontally adjacent to any set cell.
+
+    Each 64-bit word shifts by one cell both ways with no carry across
+    word boundaries: word-line neighbours exist only within one chip's
+    segment.  The input cells themselves are *not* removed; callers AND
+    the result with an idle/vulnerable mask that already excludes them.
+    """
     return ((value & _NO_MSBS) << 1) | ((value & _NO_LSBS) >> 1)
 
 
@@ -201,50 +95,31 @@ def stuck_error_mask_int(intended: int, stuck_mask: int, stuck_values: int) -> i
 # -- disturbance sampling --------------------------------------------------------
 
 
-def sample_mask(
-    candidates: np.ndarray, probability: float, rng: np.random.Generator
-) -> np.ndarray:
+def sample_mask_int(
+    candidates: int, probability: float, rng: np.random.Generator
+) -> int:
     """Independently keep each set bit of ``candidates`` with ``probability``.
 
     This is the disturbance sampling kernel: each vulnerable cell is
     disturbed independently with the per-cell WD probability.  Consumes
-    exactly ``rng.random(popcount(candidates))`` draws (and none at the
+    exactly ``rng.random(candidates.bit_count())`` draws (and none at the
     0/1-probability or empty-candidate edges), matching the scalar
     reference implementation draw-for-draw.
     """
-    if probability <= 0.0:
-        return zero_line()
-    value = int.from_bytes(candidates.tobytes(), "little")
-    if value == 0:
-        return zero_line()
-    if probability >= 1.0:
-        return candidates.copy()
-    return from_int(_sample_int_nonempty(value, probability, rng))
-
-
-def sample_mask_int(
-    candidates: int, probability: float, rng: np.random.Generator
-) -> int:
-    """Int-domain :func:`sample_mask` (identical RNG consumption)."""
     if probability <= 0.0 or candidates == 0:
         return 0
     if probability >= 1.0:
         return candidates
-    return _sample_int_nonempty(candidates, probability, rng)
-
-
-def _sample_int_nonempty(
-    candidates: int, probability: float, rng: np.random.Generator
-) -> int:
-    return _apply_keep(candidates, rng.random(candidates.bit_count()) < probability)
+    keep = rng.random(candidates.bit_count()) < probability
+    return _apply_keep(candidates, keep)
 
 
 def pack_rows(values: List[int]) -> np.ndarray:
     """Pack int-domain line masks into one contiguous ``(N, 8)`` array.
 
-    Row ``r`` is :func:`from_int` of ``values[r]``, stored contiguously
-    so row-batched kernels (:func:`sample_masks_rows`, the DIN LUT
-    coders) touch one buffer instead of N lines.
+    Row ``r`` holds the little-endian bytes of ``values[r]``, stored
+    contiguously so row-batched kernels (:func:`sample_masks_rows`, the
+    DIN LUT coders) touch one buffer instead of N lines.
     """
     if not values:
         return np.zeros((0, LINE_WORDS), dtype=WORD_DTYPE)
@@ -264,20 +139,6 @@ def unpack_rows(rows: np.ndarray) -> List[int]:
     ]
 
 
-def sample_masks(
-    candidates: np.ndarray, probability: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Batched :func:`sample_mask` over an ``(N, 8)`` array of line masks.
-
-    RNG-stream-equivalent to calling :func:`sample_mask` on each row in
-    order: ``Generator.random(n)`` consumes exactly ``n`` uniforms, so one
-    ``random(n_1 + ... + n_N)`` draw splits into the per-row draws the
-    sequential calls would have made.  Delegates to the fully vectorized
-    :func:`sample_masks_rows` (same stream contract).
-    """
-    return sample_masks_rows(np.asarray(candidates), probability, rng)
-
-
 def sample_masks_rows(
     rows: np.ndarray, probability: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -286,9 +147,9 @@ def sample_masks_rows(
     Unlike the per-row ``_apply_keep`` walk, every step here is one numpy
     call over the whole batch: unpack all N×512 cells, draw one
     ``rng.random(total)`` block, scatter the kept bits, repack.  The draw
-    order is identical to sequential :func:`sample_mask` calls — set bits
-    are enumerated row-major in ascending cell order, exactly the order
-    the scalar kernel's low-bit extraction visits them — so the RNG
+    order is identical to sequential :func:`sample_mask_int` calls — set
+    bits are enumerated row-major in ascending cell order, exactly the
+    order the scalar kernel's low-bit extraction visits them — so the RNG
     stream (count *and* assignment) matches draw-for-draw.
     """
     n_rows = len(rows)
@@ -320,8 +181,10 @@ def sample_masks_int(
 ) -> List[int]:
     """Batched :func:`sample_mask_int` over a list of int-domain masks.
 
-    One ``rng.random(total)`` draw covers every mask; RNG-stream-equivalent
-    to sequential :func:`sample_mask_int` calls (see :func:`sample_masks`).
+    One ``rng.random(total)`` draw covers every mask.  ``Generator.random(n)``
+    consumes exactly ``n`` uniforms, so one ``random(n_1 + ... + n_N)``
+    draw splits into the per-mask draws sequential :func:`sample_mask_int`
+    calls would have made: the two are RNG-stream-equivalent.
     """
     if probability <= 0.0:
         return [0] * len(candidates)
@@ -402,9 +265,9 @@ def seeded_mask(key: Tuple[int, ...], bits: int, threshold: float) -> int:
 
 # -- scalar reference implementations -------------------------------------------
 #
-# The original unpackbits-based kernels, kept verbatim as the behavioural
-# reference: equivalence tests assert the fast paths above match these
-# bit-for-bit under identical RNG seeds.
+# The original unpackbits-based kernels over (8,) uint64 arrays, kept as
+# the behavioural reference: equivalence tests assert the int kernels above
+# match these bit-for-bit under identical RNG seeds.
 
 
 def _scalar_popcount(mask: np.ndarray) -> int:
@@ -423,16 +286,16 @@ def _scalar_sample_mask(
 ) -> np.ndarray:
     """Reference disturbance sampler (unpack -> sample -> repack)."""
     if probability <= 0.0:
-        return zero_line()
+        return np.zeros(LINE_WORDS, dtype=WORD_DTYPE)
     bits = np.unpackbits(candidates.view(np.uint8), bitorder="little")
     n = int(bits.sum())
     if n == 0:
-        return zero_line()
+        return np.zeros(LINE_WORDS, dtype=WORD_DTYPE)
     if probability >= 1.0:
         return candidates.copy()
     keep = rng.random(n) < probability
     if not keep.any():
-        return zero_line()
+        return np.zeros(LINE_WORDS, dtype=WORD_DTYPE)
     idx = np.nonzero(bits)[0][keep]
     out = np.zeros(LINE_BITS, dtype=np.uint8)
     out[idx] = 1

@@ -120,10 +120,10 @@ class TestWriteCommit:
         entry = write_entry(ex)
         run_write(ex, entry)
         addr = entry.addr
-        decoded = ex.encoder.decode(
-            array.stored_line(addr), array.line_flags(addr)
+        decoded = ex.encoder.decode_int(
+            array.stored_int(addr), array.line_flags(addr)
         )
-        assert np.array_equal(decoded, L.from_int(entry.payload_int))
+        assert decoded == entry.payload_int
 
     def test_payload_stable_across_retries(self):
         ex, *_ = make_executor(SchemeConfig(), p_bitline=0.0)
@@ -155,7 +155,7 @@ class TestBaselineCorrection:
         entry = write_entry(ex)
         run_write(ex, entry)
         for slot in entry.slots:
-            assert L.popcount(array.disturbed_mask(slot.addr)) == 0
+            assert array.disturbed_int(slot.addr).bit_count() == 0
         assert counters.corrections >= 1
         assert counters.bitline_errors > 0
 
@@ -187,7 +187,7 @@ class TestLazyCorrection:
         for slot in entry.slots:
             vkey = (slot.addr.bank, slot.addr.row, slot.addr.line)
             line = ecp.peek(vkey)
-            disturbed = L.popcount(array.disturbed_mask(slot.addr))
+            disturbed = array.disturbed_int(slot.addr).bit_count()
             assert (line.wd_count if line else 0) == disturbed
 
     def test_victim_reads_correctly_via_ecp(self):
@@ -199,8 +199,12 @@ class TestLazyCorrection:
             line = ecp.peek(vkey)
             if line is None:
                 continue
-            corrected = line.corrected_read(array.physical_line(slot.addr))
-            assert np.array_equal(corrected, array.stored_line(slot.addr))
+            stored, disturbed = array.line_ints(slot.addr)
+            # ECP overrides covered cells: WD entries read 0, hard entries
+            # read their recorded value.
+            covered = line.hard | line.wd
+            corrected = (stored | disturbed) & ~covered | line.hard_values
+            assert corrected == stored
 
     def test_overflow_triggers_correction(self):
         ex, array, ecp, counters = make_executor(self.scheme(1))
@@ -211,12 +215,13 @@ class TestLazyCorrection:
         assert counters.corrections >= 1
         for slot in entry.slots:
             # Anything left disturbed must fit in (and be covered by) ECP-1.
-            remaining = L.popcount(array.disturbed_mask(slot.addr))
+            remaining = array.disturbed_int(slot.addr).bit_count()
             assert remaining <= 1
             if remaining:
                 vkey = (slot.addr.bank, slot.addr.row, slot.addr.line)
                 covered = {e.position for e in ecp.line(vkey).entries}
-                assert set(L.bit_positions(array.disturbed_mask(slot.addr))) <= covered
+                disturbed = array.disturbed_int(slot.addr)
+                assert set(L.bit_positions_int(disturbed)) <= covered
 
     def test_demand_write_clears_own_wd_entries(self):
         ex, array, ecp, counters = make_executor(self.scheme(512))
@@ -230,8 +235,8 @@ class TestLazyCorrection:
         # Now write the victim itself: its WD entries must clear.
         run_write(ex, write_entry(ex, row=victim.row, line=victim.line,
                                   bank=victim.bank))
-        assert ecp.peek(vkey).wd_count == L.popcount(
-            array.disturbed_mask(victim)
+        assert ecp.peek(vkey).wd_count == (
+            array.disturbed_int(victim).bit_count()
         ) == 0
         assert counters.ecp_cleared_by_write > 0
 
@@ -257,7 +262,7 @@ class TestCancel:
         run_write(ex, entry)
         assert not ex.uncovered
         for slot in entry.slots:
-            assert L.popcount(array.disturbed_mask(slot.addr)) == 0
+            assert array.disturbed_int(slot.addr).bit_count() == 0
 
     def test_cancel_zero_progress_is_noop(self):
         ex, _, _, counters = make_executor(SchemeConfig())

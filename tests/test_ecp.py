@@ -100,35 +100,35 @@ class TestECPLineHard:
         assert line.hard_count == 1
 
 
+def ecp_read(line: ECPLine, physical: int) -> int:
+    """A raw read of the line with every entry applied: WD entries read
+    0, hard entries read their recorded value."""
+    return physical & ~(line.hard | line.wd) | line.hard_values
+
+
 class TestCorrectedRead:
     def test_entries_override_cells(self):
         line = ECPLine(capacity=6)
         line.record_wd(bits(0))            # cell 0 disturbed, correct value 0
         line.add_hard_error(1, 1)          # cell 1 stuck, correct value 1
-        physical = L.mask_from_positions([0])  # cell 0 reads 1 (disturbed)
-        corrected = line.corrected_read(physical)
-        assert L.get_bit(corrected, 0) == 0
-        assert L.get_bit(corrected, 1) == 1
-
-    def test_no_entries_returns_same_object(self):
-        line = ECPLine(capacity=6)
-        physical = L.mask_from_positions([3])
-        assert line.corrected_read(physical) is physical
+        corrected = ecp_read(line, bits(0))  # cell 0 reads 1 (disturbed)
+        assert corrected & bits(0) == 0
+        assert corrected & bits(1) == bits(1)
 
     def test_covered_mask(self):
         line = ECPLine(capacity=6)
         line.record_wd(bits(10, 20))
         line.add_hard_error(30, 1)
-        assert L.bit_positions(line.covered_mask()) == [10, 20, 30]
+        assert L.bit_positions_int(line.hard | line.wd) == [10, 20, 30]
+        assert line.hard_values == bits(30)
 
     @given(st.lists(st.integers(0, LINE_BITS - 1), unique=True, max_size=6))
     def test_read_path_restores_stored_values(self, positions):
         """Property: disturbed cells covered by ECP always read correctly."""
         line = ECPLine(capacity=6)
         line.record_wd(bits(*positions))
-        physical = L.mask_from_positions(positions)  # all flipped to 1
-        corrected = line.corrected_read(physical)
-        assert L.popcount(corrected) == 0
+        # All flipped to 1.
+        assert ecp_read(line, bits(*positions)) == 0
 
 
 class PositionsModel:
@@ -202,7 +202,7 @@ class TestMaskLineMatchesPositionsModel:
             assert line.occupied == model.occupied()
             assert line.hard_count == len(model.hard)
             assert line.wd_count == len(model.wd)
-            assert L.bit_positions(line.covered_mask()) == sorted(
+            assert L.bit_positions_int(line.hard | line.wd) == sorted(
                 set(model.hard) | set(model.wd)
             )
             assert [(e.position, e.value, e.kind) for e in line.entries] == (

@@ -25,10 +25,10 @@ def audit_system(system: SDPCMSystem) -> dict:
     covered_errors = 0
     physical_errors = 0
     for addr, _, disturbed in array.disturbed_lines():
-        n = L.popcount(disturbed)
+        n = disturbed.bit_count()
         physical_errors += n
         ecp_line = system.ecp.peek(addr)
-        positions = set(L.bit_positions(disturbed))
+        positions = set(L.bit_positions_int(disturbed))
         covered = (
             {e.position for e in ecp_line.entries} if ecp_line else set()
         )
@@ -86,7 +86,7 @@ class TestReliabilityInvariant:
             covered = (
                 {e.position for e in ecp_line.entries} if ecp_line else set()
             )
-            positions = set(L.bit_positions(disturbed))
+            positions = set(L.bit_positions_int(disturbed))
             assert is_no_use(addr.row, 2, 3) or positions <= covered
 
     def test_din_array_is_pristine(self):

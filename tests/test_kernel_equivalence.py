@@ -2,9 +2,10 @@
 
 The int-domain and batched kernels in :mod:`repro.pcm.line` claim to be
 bit-for-bit and RNG-draw-for-draw identical to the original
-``unpackbits``-based implementations (kept as ``_scalar_*``).  These
-tests check that claim on random masks, edge probabilities, and empty
-candidate sets under fixed seeds.
+``unpackbits``-based implementations (kept as ``_scalar_*``, over
+``(8,)`` uint64 arrays).  These tests check that claim on random masks,
+edge probabilities, and empty candidate sets under fixed seeds; the
+``arr`` bridge hands each int mask to the references.
 """
 
 from __future__ import annotations
@@ -21,16 +22,13 @@ from repro.core import schemes
 from repro.pcm import line as L
 from repro.pcm.din import DINEncoder
 
-# Random 512-bit masks as (8,) uint64 arrays; bias toward sparse masks
-# (the common case: a handful of disturbed cells) plus dense extremes.
-words = st.integers(min_value=0, max_value=(1 << 64) - 1)
+# Random 512-bit masks; bias toward sparse masks (the common case: a
+# handful of disturbed cells) plus dense extremes.
 masks = st.one_of(
     st.lists(
         st.integers(0, LINE_BITS - 1), unique=True, max_size=24
-    ).map(L.mask_from_positions),
-    st.lists(words, min_size=LINE_WORDS, max_size=LINE_WORDS).map(
-        lambda ws: np.array(ws, dtype=L.WORD_DTYPE)
-    ),
+    ).map(lambda cells: sum(1 << p for p in cells)),
+    st.integers(min_value=0, max_value=L.MASK_ALL),
 )
 probabilities = st.one_of(
     st.just(0.0),
@@ -42,61 +40,53 @@ probabilities = st.one_of(
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def arr(value: int) -> np.ndarray:
+    """The ``(8,)`` uint64 array the ``_scalar_*`` references take."""
+    return np.frombuffer(value.to_bytes(LINE_BITS // 8, "little"), L.WORD_DTYPE)
+
+
+def to_int(mask: np.ndarray) -> int:
+    return int.from_bytes(mask.tobytes(), "little")
+
+
 class TestCountKernels:
     @given(masks)
-    def test_popcount_matches_scalar(self, mask):
-        assert L.popcount(mask) == L._scalar_popcount(mask)
-
-    @given(masks)
     def test_popcount_int_matches_scalar(self, mask):
-        assert L.popcount(L.to_int(mask)) == L._scalar_popcount(mask)
-
-    @given(masks)
-    def test_bit_positions_matches_scalar(self, mask):
-        assert L.bit_positions(mask) == L._scalar_bit_positions(mask)
+        assert mask.bit_count() == L._scalar_popcount(arr(mask))
 
     @given(masks)
     def test_bit_positions_int_matches_scalar(self, mask):
-        assert L.bit_positions_int(L.to_int(mask)) == L._scalar_bit_positions(mask)
+        assert L.bit_positions_int(mask) == L._scalar_bit_positions(arr(mask))
 
 
 class TestSampleMask:
     @settings(max_examples=200)
     @given(masks, probabilities, seeds)
-    def test_sample_mask_matches_scalar(self, mask, p, seed):
-        fast = L.sample_mask(mask, p, np.random.default_rng(seed))
-        ref = L._scalar_sample_mask(mask, p, np.random.default_rng(seed))
-        assert np.array_equal(fast, ref)
-
-    @settings(max_examples=200)
-    @given(masks, probabilities, seeds)
     def test_sample_mask_int_matches_scalar(self, mask, p, seed):
-        fast = L.sample_mask_int(L.to_int(mask), p, np.random.default_rng(seed))
-        ref = L._scalar_sample_mask(mask, p, np.random.default_rng(seed))
-        assert fast == L.to_int(ref)
+        fast = L.sample_mask_int(mask, p, np.random.default_rng(seed))
+        ref = L._scalar_sample_mask(arr(mask), p, np.random.default_rng(seed))
+        assert fast == to_int(ref)
 
     @given(masks, probabilities, seeds)
     def test_rng_stream_position_matches_scalar(self, mask, p, seed):
         """Both paths must consume the exact same number of draws."""
         fast_rng = np.random.default_rng(seed)
         ref_rng = np.random.default_rng(seed)
-        L.sample_mask(mask, p, fast_rng)
-        L._scalar_sample_mask(mask, p, ref_rng)
+        L.sample_mask_int(mask, p, fast_rng)
+        L._scalar_sample_mask(arr(mask), p, ref_rng)
         assert fast_rng.random() == ref_rng.random()
 
     def test_empty_candidates_draw_nothing(self):
         rng = np.random.default_rng(7)
         before = rng.bit_generator.state["state"]["state"]
-        assert L.popcount(L.sample_mask(L.zero_line(), 0.5, rng)) == 0
         assert L.sample_mask_int(0, 0.5, rng) == 0
         assert rng.bit_generator.state["state"]["state"] == before
 
     def test_edge_probabilities_draw_nothing(self):
-        mask = L.full_line()
         rng = np.random.default_rng(11)
         before = rng.bit_generator.state["state"]["state"]
-        assert L.popcount(L.sample_mask(mask, 0.0, rng)) == 0
-        assert np.array_equal(L.sample_mask(mask, 1.0, rng), mask)
+        assert L.sample_mask_int(L.MASK_ALL, 0.0, rng) == 0
+        assert L.sample_mask_int(L.MASK_ALL, 1.0, rng) == L.MASK_ALL
         assert rng.bit_generator.state["state"]["state"] == before
 
 
@@ -105,48 +95,26 @@ class TestBatchedSamplers:
 
     @settings(max_examples=150)
     @given(st.lists(masks, max_size=5), probabilities, seeds)
-    def test_sample_masks_matches_sequential_scalar(self, rows, p, seed):
-        stacked = (
-            np.stack(rows)
-            if rows
-            else np.zeros((0, LINE_WORDS), dtype=L.WORD_DTYPE)
-        )
-        batched = L.sample_masks(stacked, p, np.random.default_rng(seed))
-        seq_rng = np.random.default_rng(seed)
-        for r, row in enumerate(rows):
-            expected = L._scalar_sample_mask(row, p, seq_rng)
-            assert np.array_equal(batched[r], expected)
-
-    @settings(max_examples=150)
-    @given(st.lists(masks, max_size=5), probabilities, seeds)
     def test_sample_masks_int_matches_sequential_scalar(self, rows, p, seed):
-        values = [L.to_int(row) for row in rows]
-        batched = L.sample_masks_int(values, p, np.random.default_rng(seed))
+        batched = L.sample_masks_int(rows, p, np.random.default_rng(seed))
         seq_rng = np.random.default_rng(seed)
         for r, row in enumerate(rows):
-            expected = L._scalar_sample_mask(row, p, seq_rng)
-            assert batched[r] == L.to_int(expected)
+            expected = L._scalar_sample_mask(arr(row), p, seq_rng)
+            assert batched[r] == to_int(expected)
 
     @given(st.lists(masks, max_size=5), seeds)
     def test_batched_stream_position_matches_sequential(self, rows, seed):
-        stacked = (
-            np.stack(rows)
-            if rows
-            else np.zeros((0, LINE_WORDS), dtype=L.WORD_DTYPE)
-        )
         batched_rng = np.random.default_rng(seed)
         seq_rng = np.random.default_rng(seed)
-        L.sample_masks(stacked, 0.5, batched_rng)
+        L.sample_masks_int(rows, 0.5, batched_rng)
         for row in rows:
-            L._scalar_sample_mask(row, 0.5, seq_rng)
+            L._scalar_sample_mask(arr(row), 0.5, seq_rng)
         assert batched_rng.random() == seq_rng.random()
 
     def test_empty_batch(self):
-        empty = np.zeros((0, LINE_WORDS), dtype=L.WORD_DTYPE)
-        assert L.sample_masks(empty, 0.5, np.random.default_rng(0)).shape == (
-            0,
-            LINE_WORDS,
-        )
+        empty = L.pack_rows([])
+        sampled = L.sample_masks_rows(empty, 0.5, np.random.default_rng(0))
+        assert sampled.shape == (0, LINE_WORDS)
         assert L.sample_masks_int([], 0.5, np.random.default_rng(0)) == []
 
 
@@ -155,12 +123,11 @@ class TestRowKernels:
 
     @given(st.lists(masks, max_size=6))
     def test_pack_unpack_round_trip(self, rows):
-        values = [L.to_int(row) for row in rows]
-        packed = L.pack_rows(values)
+        packed = L.pack_rows(rows)
         assert packed.shape == (len(rows), LINE_WORDS)
-        assert L.unpack_rows(packed) == values
+        assert L.unpack_rows(packed) == rows
         for r, row in enumerate(rows):
-            assert np.array_equal(packed[r], row)
+            assert np.array_equal(packed[r], arr(row))
 
     def test_pack_empty(self):
         assert L.pack_rows([]).shape == (0, LINE_WORDS)
@@ -169,49 +136,39 @@ class TestRowKernels:
     @settings(max_examples=150)
     @given(st.lists(masks, max_size=5), probabilities, seeds)
     def test_sample_masks_rows_matches_sequential_scalar(self, rows, p, seed):
-        stacked = (
-            np.stack(rows)
-            if rows
-            else np.zeros((0, LINE_WORDS), dtype=L.WORD_DTYPE)
-        )
+        stacked = L.pack_rows(rows)
         batched = L.sample_masks_rows(stacked, p, np.random.default_rng(seed))
         seq_rng = np.random.default_rng(seed)
         for r, row in enumerate(rows):
-            expected = L._scalar_sample_mask(row, p, seq_rng)
+            expected = L._scalar_sample_mask(arr(row), p, seq_rng)
             assert np.array_equal(batched[r], expected)
 
     @given(st.lists(masks, max_size=5), seeds)
     def test_sample_masks_rows_stream_position(self, rows, seed):
-        stacked = (
-            np.stack(rows)
-            if rows
-            else np.zeros((0, LINE_WORDS), dtype=L.WORD_DTYPE)
-        )
+        stacked = L.pack_rows(rows)
         batched_rng = np.random.default_rng(seed)
         seq_rng = np.random.default_rng(seed)
         L.sample_masks_rows(stacked, 0.5, batched_rng)
         for row in rows:
-            L._scalar_sample_mask(row, 0.5, seq_rng)
+            L._scalar_sample_mask(arr(row), 0.5, seq_rng)
         assert batched_rng.random() == seq_rng.random()
 
     @settings(max_examples=100)
     @given(st.lists(st.tuples(masks, masks), min_size=1, max_size=5))
     def test_din_rows_match_int_coders(self, pairs):
         encoder = DINEncoder()
-        physical = np.stack([p for p, _ in pairs])
-        data = np.stack([d for _, d in pairs])
+        physical = L.pack_rows([p for p, _ in pairs])
+        data = L.pack_rows([d for _, d in pairs])
         stored, flags = encoder.encode_stored_rows(physical, data)
         assert stored.shape == physical.shape and flags.shape == (len(pairs),)
-        decoded = encoder.decode_rows(stored, flags)
+        decoded = L.unpack_rows(encoder.decode_rows(stored, flags))
         for r, (phys, raw) in enumerate(pairs):
-            s_int, f_int = encoder.encode_stored_int(
-                L.to_int(phys), L.to_int(raw)
-            )
-            assert L.to_int(stored[r]) == s_int
+            s_int, f_int = encoder.encode_stored_int(phys, raw)
+            assert to_int(stored[r]) == s_int
             assert int(flags[r]) == f_int
-            assert L.to_int(decoded[r]) == encoder.decode_int(s_int, f_int)
+            assert decoded[r] == encoder.decode_int(s_int, f_int)
             # The coding is a bijection row-wise too.
-            assert L.to_int(decoded[r]) == L.to_int(raw)
+            assert decoded[r] == raw
 
 
 # -- simulate_batch vs per-cell simulate_cell --------------------------------
@@ -316,16 +273,13 @@ class TestSimulateBatchEquivalence:
         assert cold == warm
 
 
-class TestIntRoundTrip:
+class TestAdjacency:
     @given(masks)
-    def test_to_from_int(self, mask):
-        assert np.array_equal(L.from_int(L.to_int(mask)), mask)
-
-    @given(masks)
-    def test_shift_kernels_match_array_forms(self, mask):
-        value = L.to_int(mask)
-        assert L.shift_left_int(value) == L.to_int(L.shift_left(mask))
-        assert L.shift_right_int(value) == L.to_int(L.shift_right(mask))
-        assert L.wordline_neighbours_int(value) == L.to_int(
-            L.wordline_neighbours(mask)
-        )
+    def test_wordline_neighbours_match_per_cell(self, mask):
+        """Neighbours are the cells one step away inside the same word."""
+        expected = 0
+        for cell in L.bit_positions_int(mask):
+            for other in (cell - 1, cell + 1):
+                if 0 <= other < LINE_BITS and other // 64 == cell // 64:
+                    expected |= 1 << other
+        assert L.wordline_neighbours_int(mask) == expected

@@ -3,7 +3,6 @@ consistency, report formatting width."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -106,19 +105,3 @@ class TestAddressStripConsistency:
             mapper = AddressMapper(banks=16, rows_per_bank=2048)
             for f in frames:
                 assert mapper.strip_of_frame(f) == strip
-
-
-class TestNumpyViewSafety:
-    def test_encoded_stored_is_owned(self):
-        """Encoder outputs must not alias caller buffers (commit writes
-        them into long-lived array state)."""
-        from repro.pcm.din import DINEncoder
-        from repro.pcm import line as L
-
-        rng = np.random.default_rng(0)
-        physical, data = L.random_line(rng), L.random_line(rng)
-        enc = DINEncoder().encode(physical, data)
-        before = enc.stored.copy()
-        data[:] = 0
-        physical[:] = 0
-        assert np.array_equal(enc.stored, before)

@@ -1,55 +1,13 @@
-"""Tests for differential-write planning and programming-round latency."""
+"""Tests for differential-write programming-round latency."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.config import TimingConfig
-from repro.pcm import line as L
-from repro.pcm.differential_write import (
-    correction_latency,
-    plan_write,
-    rounds_latency,
-)
+from repro.pcm.differential_write import correction_latency, rounds_latency
 
 T = TimingConfig()
-
-
-class TestPlan:
-    def test_silent_write(self):
-        data = L.mask_from_positions([1, 2, 3])
-        plan = plan_write(data, data.copy(), T)
-        assert plan.is_silent
-        assert plan.latency_cycles == T.reset_cycles
-
-    def test_reset_and_set_partition(self):
-        old = L.mask_from_positions([0, 1])     # cells 0,1 store 1
-        new = L.mask_from_positions([1, 2])     # keep 1, clear 0, set 2
-        plan = plan_write(old, new, T)
-        assert L.bit_positions(plan.reset_mask) == [0]
-        assert L.bit_positions(plan.set_mask) == [2]
-        assert plan.reset_bits == 1 and plan.set_bits == 1
-
-    def test_disturbed_cell_repulsed_by_rewrite(self):
-        """A disturbed cell (physical 1, target 0) is RESET by the write."""
-        physical = L.mask_from_positions([7])   # disturbed: reads 1
-        new = L.zero_line()                      # logical value is 0
-        plan = plan_write(physical, new, T)
-        assert L.bit_positions(plan.reset_mask) == [7]
-
-    @given(st.integers(0, 5000))
-    @settings(max_examples=30)
-    def test_masks_disjoint_and_complete(self, seed):
-        rng = np.random.default_rng(seed)
-        old, new = L.random_line(rng), L.random_line(rng)
-        plan = plan_write(old, new, T)
-        assert L.popcount(plan.reset_mask & plan.set_mask) == 0
-        assert L.popcount(plan.reset_mask | plan.set_mask) == L.popcount(old ^ new)
-        # Applying the plan yields the new image.
-        applied = (old & ~plan.reset_mask) | plan.set_mask
-        assert np.array_equal(applied, new)
 
 
 class TestRounds:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.config import LINE_BITS, LINE_WORDS
+from repro.config import LINE_BITS
 from repro.pcm import line as L
 
 positions = st.lists(
@@ -14,73 +13,51 @@ positions = st.lists(
 )
 
 
+def bits(*cells: int) -> int:
+    """The line mask with ``cells`` set."""
+    return sum(1 << p for p in set(cells))
+
+
 class TestBasics:
-    def test_zero_line(self):
-        assert L.popcount(L.zero_line()) == 0
-
-    def test_full_line(self):
-        assert L.popcount(L.full_line()) == LINE_BITS
-
-    def test_random_line_shape(self, rng):
-        line = L.random_line(rng)
-        assert line.shape == (LINE_WORDS,)
-        assert line.dtype == L.WORD_DTYPE
-
     @given(positions)
     def test_positions_roundtrip(self, pos):
-        mask = L.mask_from_positions(pos)
-        assert L.bit_positions(mask) == sorted(pos)
-        assert L.popcount(mask) == len(pos)
+        mask = bits(*pos)
+        assert L.bit_positions_int(mask) == sorted(pos)
+        assert mask.bit_count() == len(pos)
 
-    def test_out_of_range_position_rejected(self):
-        with pytest.raises(ValueError):
-            L.mask_from_positions([LINE_BITS])
-
-    @given(positions, st.integers(0, LINE_BITS - 1))
-    def test_get_set_bit(self, pos, probe):
-        mask = L.mask_from_positions(pos)
-        assert L.get_bit(mask, probe) == (1 if probe in pos else 0)
-        L.set_bit(mask, probe, 1)
-        assert L.get_bit(mask, probe) == 1
-        L.set_bit(mask, probe, 0)
-        assert L.get_bit(mask, probe) == 0
+    def test_full_line(self):
+        assert L.MASK_ALL.bit_count() == LINE_BITS
+        assert L.bit_positions_int(L.MASK_ALL) == list(range(LINE_BITS))
 
 
 class TestShifts:
     def test_shift_does_not_cross_word_boundary(self):
         """Word-line adjacency exists only within a chip's 64-bit segment."""
-        mask = L.mask_from_positions([63])
-        assert L.bit_positions(L.shift_left(mask)) == []
-        assert L.bit_positions(L.shift_right(mask)) == [62]
-        mask = L.mask_from_positions([64])
-        assert L.bit_positions(L.shift_right(mask)) == []
-        assert L.bit_positions(L.shift_left(mask)) == [65]
+        assert L.bit_positions_int(L.wordline_neighbours_int(bits(63))) == [62]
+        assert L.bit_positions_int(L.wordline_neighbours_int(bits(64))) == [65]
 
     def test_wordline_neighbours_interior(self):
-        mask = L.mask_from_positions([10])
-        assert L.bit_positions(L.wordline_neighbours(mask)) == [9, 11]
+        assert L.bit_positions_int(L.wordline_neighbours_int(bits(10))) == [9, 11]
 
     @given(positions)
     def test_neighbour_count_bounded(self, pos):
-        mask = L.mask_from_positions(pos)
-        neighbours = L.wordline_neighbours(mask)
-        assert L.popcount(neighbours) <= 2 * len(pos)
+        neighbours = L.wordline_neighbours_int(bits(*pos))
+        assert neighbours.bit_count() <= 2 * len(pos)
+        assert neighbours & ~L.MASK_ALL == 0
 
 
 class TestSampling:
     def test_probability_zero_empty(self, rng):
-        out = L.sample_mask(L.full_line(), 0.0, rng)
-        assert L.popcount(out) == 0
+        assert L.sample_mask_int(L.MASK_ALL, 0.0, rng) == 0
 
     def test_probability_one_identity(self, rng):
-        mask = L.mask_from_positions([1, 5, 100, 511])
-        out = L.sample_mask(mask, 1.0, rng)
-        assert L.bit_positions(out) == [1, 5, 100, 511]
+        mask = bits(1, 5, 100, 511)
+        assert L.sample_mask_int(mask, 1.0, rng) == mask
 
     def test_subset_of_candidates(self, rng):
-        mask = L.mask_from_positions(list(range(0, 512, 3)))
-        out = L.sample_mask(mask, 0.5, rng)
-        assert L.popcount(out & ~mask) == 0
+        mask = bits(*range(0, 512, 3))
+        out = L.sample_mask_int(mask, 0.5, rng)
+        assert out & ~mask == 0
 
     def test_empirical_rate(self, rng):
         """Sampling the full line many times approximates the probability."""
@@ -88,9 +65,9 @@ class TestSampling:
         total = 0
         trials = 200
         for _ in range(trials):
-            total += L.popcount(L.sample_mask(L.full_line(), p, rng))
+            total += L.sample_mask_int(L.MASK_ALL, p, rng).bit_count()
         mean = total / (trials * LINE_BITS)
         assert mean == pytest.approx(p, rel=0.15)
 
     def test_empty_candidates(self, rng):
-        assert L.popcount(L.sample_mask(L.zero_line(), 0.9, rng)) == 0
+        assert L.sample_mask_int(0, 0.9, rng) == 0

@@ -54,14 +54,14 @@ def do_write(executor, bank, row, line, cancel_progress=None):
 def audit(executor, array, ecp) -> None:
     """Every disturbed bit must be covered by ECP unless marked uncovered."""
     for key, _, disturbed in array.disturbed_lines():
-        positions = set(L.bit_positions(disturbed))
+        positions = set(L.bit_positions_int(disturbed))
         ecp_line = ecp.peek(key)
         covered = (
             {e.position for e in ecp_line.entries} if ecp_line else set()
         )
         pending = executor.uncovered.get(key)
         pending_positions = (
-            set(L.bit_positions(pending)) if pending is not None else set()
+            set(L.bit_positions_int(pending)) if pending is not None else set()
         )
         assert positions <= covered | pending_positions
 
