@@ -73,7 +73,8 @@ MIN_CELL_SPEEDUP = 3.0
 #: The aspirational cold-cell wall time for the reference cell: 0.20s
 #: on the 1-CPU bench host.  A
 #: multi-core dev box with the compiled backend gets there; the 1-CPU CI
-#: runner honestly does not (ctypes per-call overhead is the floor), so
+#: runner honestly does not (the event loop and controller, not the
+#: native kernels, set the floor there), so
 #: the target is *recorded* (with a ``cold_cell_target_met`` flag)
 #: rather than asserted — the enforced gates are the same-run speedup
 #: ratios, which transfer across hosts.

@@ -152,8 +152,8 @@ def din_tables() -> "tuple[np.ndarray, np.ndarray]":
 
     C-contiguous ``(256, 256)`` uint8 arrays indexed ``[old, raw]`` —
     the exact tables :meth:`DINEncoder.encode_stored_int` gathers from,
-    cached so every backend shares one
-    pair of buffers whose addresses stay valid for the process lifetime.
+    which the compiled backend installs into its extension module once
+    at load.
     """
     return (
         np.ascontiguousarray(_stored_table()),

@@ -19,13 +19,14 @@ Three interchangeable implementations live in this package:
     internally (selected only when forced with
     ``REPRO_KERNEL_BACKEND=numpy``);
 ``compiled``
-    a small C shared library (built on demand, loaded via ctypes) for
-    the samplers, the DIN LUT walk, set-bit extraction and the seeded
-    generators.  Its samplers draw from the caller's generator through
-    numpy's ``next_double`` pointer, the same calls
-    ``Generator.random`` makes, so streams match the reference
-    draw-for-draw; the seeded generators reproduce numpy's
-    ``SeedSequence`` -> ``PCG64`` recipe natively.
+    a small CPython extension module (built on demand against the
+    interpreter's ``Python.h``) for the samplers, the DIN LUT walk,
+    set-bit extraction and the seeded generators; lines cross into it
+    as the same Python ints.  Its samplers draw from the caller's
+    generator through the bit generator's capsule and numpy's
+    ``next_double``, the same calls ``Generator.random`` makes, so
+    streams match the reference draw-for-draw; the seeded generators
+    reproduce numpy's ``SeedSequence`` -> ``PCG64`` recipe natively.
 
 **Byte-identity is the hard contract.**  Every backend must produce
 bit-for-bit identical masks, stored images, and flag words — and consume
@@ -48,10 +49,10 @@ from ...errors import ReproError
 class BackendUnavailable(ReproError, RuntimeError):
     """Raised when a kernel backend cannot be constructed on this host.
 
-    The registry treats this as "not installed" (e.g. no C compiler and
-    no prebuilt library for the compiled backend) — callers degrade to
-    the pure-Python backend rather than failing the run.  Subclasses
-    ``RuntimeError`` for backwards compatibility and
+    The registry treats this as "not installed" (e.g. no C compiler or
+    no ``Python.h``, and no prebuilt module, for the compiled backend) —
+    callers degrade to the pure-Python backend rather than failing the
+    run.  Subclasses ``RuntimeError`` for backwards compatibility and
     :class:`~repro.errors.ReproError` so one ``except`` catches every
     library error.
     """

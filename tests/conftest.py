@@ -22,10 +22,11 @@ from repro.traces.workload import Workload, homogeneous_workload
 
 @pytest.fixture(scope="session")
 def _kernel_build(tmp_path_factory):
-    """The compiled kernel library, built once for the whole session.
+    """The compiled kernel module, built once for the whole session.
 
     Returns the build directory, or ``None`` when nothing was built (no
-    C compiler, or a prebuilt library next to the package).
+    C compiler or Python headers, or a prebuilt module next to the
+    package).
     """
     root = tmp_path_factory.mktemp("kernel-build")
     with pytest.MonkeyPatch.context() as mp:

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import shutil
+import subprocess
 import warnings
 
 import numpy as np
@@ -33,6 +35,7 @@ from repro.core import schemes
 from repro.pcm import din as D
 from repro.pcm import kernels
 from repro.pcm import line as L
+from repro.pcm.kernels import compiled_backend
 from repro.pcm.kernels.base import BackendUnavailable
 from repro.pcm.kernels.python_backend import PythonBackend
 
@@ -241,6 +244,23 @@ class TestBackendEquivalence:
         assert backend.draw_mask(rng, bits, threshold) == want
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("p", (1e-3, 0.115, 0.5))
+    def test_sample_masks_int_over_twenty_lines(self, name, p):
+        """A batch of 20 lines (longer than any single buffer a native
+        batch could assume): equal ints, equal stream state afterwards."""
+        backend = backend_or_skip(name)
+        values = [
+            int.from_bytes(np.random.default_rng(row).bytes(64), "little")
+            if row % 3 else 0
+            for row in range(20)
+        ]
+        rng = np.random.default_rng(20)
+        ref = np.random.default_rng(20)
+        assert backend.sample_masks_int(values, p, rng) == (
+            REFERENCE.sample_masks_int(values, p, ref)
+        )
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     @pytest.mark.parametrize("p", STREAM_PROBABILITIES)
     def test_samplers_keep_the_stream(self, name, p):
         """Edge masks and batches with empty rows: equal ints, and the
@@ -285,7 +305,7 @@ class TestBackendEquivalence:
         sum(1 << b for b in range(0, LINE_BITS, 7)),
     ])
     def test_bit_positions_sparse_and_dense(self, name, mask):
-        """Both sides of the compiled backend's few-bits Python path."""
+        """Empty, sparse and dense masks, up to all 512 cells."""
         backend = backend_or_skip(name)
         want = [i for i in range(LINE_BITS) if mask >> i & 1]
         assert backend.bit_positions_int(mask) == want
@@ -469,6 +489,25 @@ class TestCompiledCrashFallback:
             warnings.simplefilter("error")
             assert getattr(backend, method)(*args) == want
 
+    @pytest.mark.parametrize("mask", (-(1 << 300), (1 << 512) | 0xF0F0))
+    def test_out_of_range_mask_raises_before_drawing(self, mask):
+        """A mask outside [0, 2**512) fails the native int conversion:
+        the call raises without drawing, the backend retires, and the
+        reference's result comes back from the untouched stream."""
+        backend = _fresh_compiled()
+        rng = np.random.default_rng(31)
+        before = rng.bit_generator.state
+        with pytest.raises((OverflowError, ValueError)):
+            backend._ops.sample_keep(mask, 0.4, rng.bit_generator.capsule)
+        assert rng.bit_generator.state == before
+        ref_rng = np.random.default_rng(31)
+        with pytest.warns(RuntimeWarning, match="falling back") as caught:
+            got = backend.sample_mask_int(mask, 0.4, rng)
+        assert got == REFERENCE.sample_mask_int(mask, 0.4, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert backend.dead is True
+        assert len(caught) == 1
+
     def test_midrun_crash_leaves_the_cell_byte_identical(self):
         """The chaos case: native kernels die partway through a cell."""
         from repro.pcm import stateplane
@@ -488,3 +527,52 @@ class TestCompiledCrashFallback:
             stateplane.PLANE.reset()
         assert backend.dead is True
         assert chaos == reference
+
+
+# -- compiled-backend build and load -----------------------------------------
+
+
+class TestCompiledBuild:
+    def test_stray_ctypes_library_is_skipped(self, tmp_path, monkeypatch):
+        """A ctypes-era ``_kernels.so`` beside the package (a plain shared
+        library with no module init) is skipped, and the cached build
+        loads instead; a current module there is taken."""
+        cc = compiled_backend._find_compiler()
+        source = tmp_path / "ctypes_era.c"
+        source.write_text("int sd_abi_version(void) { return 5; }\n")
+        stray = tmp_path / "_kernels.so"
+        built = cc is not None and subprocess.run(
+            [cc, "-shared", "-fPIC", "-o", str(stray), str(source)],
+            capture_output=True,
+        ).returncode == 0
+        if not built:
+            pytest.skip("no working C compiler here")
+        monkeypatch.setattr(compiled_backend, "_PACKAGE_DIR", tmp_path)
+        reasons = []
+        assert compiled_backend._prebuilt_library(reasons) is None
+        assert len(reasons) == 1 and "_kernels.so" in reasons[0]
+        backend = _fresh_compiled()
+        assert backend.abi == compiled_backend._ABI_VERSION == 6
+        assert backend.encode_stored_int(3, 5) == REFERENCE.encode_stored_int(3, 5)
+        assert not backend.dead
+        # A current module under the interpreter's own suffix is accepted.
+        current = tmp_path / f"_kernels{compiled_backend.EXTENSION_SUFFIXES[0]}"
+        shutil.copy(compiled_backend._build_library(), current)
+        module = compiled_backend._prebuilt_library([])
+        assert module is not None and module.__file__ == str(current)
+        assert module.ABI == 6
+
+    def test_missing_python_headers_fail_cleanly(self, tmp_path, monkeypatch):
+        """No ``Python.h``: BackendUnavailable naming it, no compiler run,
+        and ``compiled`` missing from the available backends."""
+        def no_compile():
+            raise AssertionError("the compiler was sought without Python.h")
+
+        monkeypatch.setattr(compiled_backend, "_PACKAGE_DIR", tmp_path)
+        monkeypatch.setattr(compiled_backend, "_python_include", lambda: tmp_path)
+        monkeypatch.setattr(compiled_backend, "_find_compiler", no_compile)
+        shutil.rmtree(envconfig.cache_dir() / "kernels", ignore_errors=True)
+        kernels.reset()
+        with pytest.raises(BackendUnavailable, match="Python.h"):
+            kernels.get_backend("compiled")
+        assert "compiled" not in kernels.available_backends()
