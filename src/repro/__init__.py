@@ -14,7 +14,7 @@ from .config import (
 )
 from .core import SDPCMSystem, SimulationResult, schemes, simulate
 from .errors import ReproError
-from .traces.workload import Workload, homogeneous_workload, mixed_workload
+from .traces.workload import Workload, homogeneous_workload
 
 __version__ = "1.0.0"
 
@@ -31,6 +31,5 @@ __all__ = [
     "schemes",
     "Workload",
     "homogeneous_workload",
-    "mixed_workload",
     "ReproError",
 ]

@@ -35,18 +35,6 @@ class BuddyAllocator:
         for base in range(0, total_frames, top):
             self._free[max_order].add(base)
 
-    # -- queries -----------------------------------------------------------------
-
-    def free_frames(self) -> int:
-        return sum(len(blocks) << order for order, blocks in enumerate(self._free))
-
-    def allocated_frames(self) -> int:
-        return sum(1 << order for order in self._allocated.values())
-
-    def free_blocks(self, order: int) -> int:
-        self._check_order(order)
-        return len(self._free[order])
-
     # -- allocate / free ------------------------------------------------------------
 
     def allocate(self, order: int) -> int:

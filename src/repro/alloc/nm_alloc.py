@@ -4,21 +4,17 @@ Each (n:m) ratio owns a free-block-list array ``Free-(n:m)``.  When it runs
 dry, a whole 64 MB block (order-14, 16384 frames) is pulled from the
 baseline ``Free-(1:1)`` buddy allocator; the block's no-use strips (see
 :mod:`repro.alloc.strips`) are marked and never handed out, and the used
-strips are linked into the per-ratio free structure.  Freeing returns used
-strips; when an entire 64 MB block becomes free again it is handed back to
-Free-(1:1), reclaiming the no-use strips ("an (n:m) allocator can return
-its 64 MB blocks to (1:1)-Alloc ... to reduce fragmentation").
-
-Allocation granularity follows the paper: requests of 16 pages (a strip) or
-more are rounded so no-use strips become internal fragments; sub-strip
-requests carve a used strip.
+strips are linked into the per-ratio free structure.  Page frames are
+carved one at a time from a used strip.  A simulated process never frees
+a page, so the paper's free path (returning a whole 64 MB block to
+Free-(1:1)) is not modelled.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Set, Tuple
+from typing import Deque, Dict, Tuple
 
 from ..config import PAGES_PER_STRIP
 from ..errors import AllocationError
@@ -43,9 +39,6 @@ class _RatioState:
     free_strips: Deque[int] = field(default_factory=deque)  # global strip ids
     #: Partially carved strip: (strip id, next page offset within strip).
     partial: Tuple[int, int] | None = None
-    #: 64 MB block bases owned by this ratio, with their free-strip counts.
-    blocks: Dict[int, int] = field(default_factory=dict)
-    allocated_frames: Set[int] = field(default_factory=set)
 
 
 class NMAllocManager:
@@ -74,53 +67,15 @@ class NMAllocManager:
             frame = strip * PAGES_PER_STRIP + offset
             offset += 1
             state.partial = None if offset == PAGES_PER_STRIP else (strip, offset)
-            state.allocated_frames.add(frame)
             return frame
         strip = self._take_strip(state, n, m)
         state.partial = (strip, 1)
-        frame = strip * PAGES_PER_STRIP
-        state.allocated_frames.add(frame)
-        return frame
-
-    def allocate_strip(self, n: int, m: int) -> int:
-        """Allocate a whole used strip (16 frames); returns its base frame."""
-        validate_ratio(n, m)
-        if n == m:
-            return self.backing.allocate(4)  # 2^4 = 16 frames
-        state = self._state(n, m)
-        strip = self._take_strip(state, n, m)
-        base = strip * PAGES_PER_STRIP
-        state.allocated_frames.update(range(base, base + PAGES_PER_STRIP))
-        return base
-
-    def free_frame(self, frame: int, n: int = 1, m: int = 1) -> None:
-        """Return one frame.  (n:m != 1:1) frames return to their ratio's
-        strip pool only at whole-strip granularity; partial strips are
-        retained (internal fragmentation, as in the paper)."""
-        validate_ratio(n, m)
-        if n == m:
-            self.backing.free(frame, 0)
-            return
-        state = self._state(n, m)
-        if frame not in state.allocated_frames:
-            raise AllocationError(f"frame {frame} not allocated by ({n}:{m})")
-        state.allocated_frames.remove(frame)
-        strip = frame // PAGES_PER_STRIP
-        strip_frames = range(
-            strip * PAGES_PER_STRIP, (strip + 1) * PAGES_PER_STRIP
-        )
-        if not any(f in state.allocated_frames for f in strip_frames):
-            carving = state.partial is not None and state.partial[0] == strip
-            if not carving:
-                self._return_strip(state, strip, n, m)
+        return strip * PAGES_PER_STRIP
 
     def usable_fraction(self, n: int, m: int) -> float:
         """Capacity fraction usable under (n:m) (1.0 for (1:1))."""
         validate_ratio(n, m)
         return 1.0 if n == m else usable_fraction(n, m)
-
-    def owned_blocks(self, n: int, m: int) -> int:
-        return len(self._state(n, m).blocks) if (n, m) in self._ratios else 0
 
     # -- internals -------------------------------------------------------------
 
@@ -135,10 +90,7 @@ class NMAllocManager:
     def _take_strip(self, state: _RatioState, n: int, m: int) -> int:
         if not state.free_strips:
             self._refill(state, n, m)
-        strip = state.free_strips.popleft()
-        block = (strip * PAGES_PER_STRIP) // PAGES_PER_BLOCK * PAGES_PER_BLOCK
-        state.blocks[block] -= 1
-        return strip
+        return state.free_strips.popleft()
 
     def _refill(self, state: _RatioState, n: int, m: int) -> None:
         """Pull one 64 MB block from Free-(1:1) and link its used strips."""
@@ -150,20 +102,4 @@ class NMAllocManager:
             if not is_no_use(first_strip + s, n, m)
         ]
         state.free_strips.extend(used)
-        state.blocks[base] = len(used)
 
-    def _return_strip(self, state: _RatioState, strip: int, n: int, m: int) -> None:
-        state.free_strips.append(strip)
-        block = (strip * PAGES_PER_STRIP) // PAGES_PER_BLOCK * PAGES_PER_BLOCK
-        state.blocks[block] += 1
-        used_per_block = len(
-            [s for s in range(STRIPS_PER_BLOCK) if not is_no_use(s, n, m)]
-        )
-        if state.blocks[block] == used_per_block:
-            # Whole 64 MB block free again: reclaim no-use strips via (1:1).
-            state.free_strips = deque(
-                s for s in state.free_strips
-                if not block <= s * PAGES_PER_STRIP < block + PAGES_PER_BLOCK
-            )
-            del state.blocks[block]
-            self.backing.free(block, BLOCK_ORDER)

@@ -10,7 +10,7 @@ The paper sizes the tag at 4 bits (16 allocators, Section 6.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..errors import AllocationError
 
@@ -57,12 +57,4 @@ class PageTable:
             entry = PageTableEntry(frame=frame, nm_tag=self.nm_tag)
             self._entries[vpage] = entry
         return entry
-
-    def lookup(self, vpage: int) -> Optional[PageTableEntry]:
-        """Translate without faulting; None when unmapped."""
-        return self._entries.get(vpage)
-
-    @property
-    def mapped_pages(self) -> int:
-        return len(self._entries)
 

@@ -15,6 +15,7 @@ import argparse
 import sys
 from typing import Callable, List, NoReturn, Optional
 
+from . import envconfig
 from .config import SystemConfig
 from .core import schemes
 from .core.system import simulate
@@ -49,6 +50,47 @@ _COUNT = _int_at_least(1)
 _LENGTH = _int_at_least(0)
 
 
+def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    """The experiment sweep's arguments, shared by ``repro experiment``
+    and ``python -m repro.experiments.runner``."""
+    parser.add_argument(
+        "names", nargs="*", metavar="name",
+        help="experiments to run (default: all of them)",
+    )
+    parser.add_argument(
+        "--jobs",
+        type=_COUNT,
+        default=None,
+        help="worker processes for simulation cells (default REPRO_JOBS "
+        "or the CPU count)",
+    )
+    parser.add_argument(
+        "--json",
+        metavar="DIR",
+        default=None,
+        help="also write each result to DIR/<name>.json",
+    )
+    parser.add_argument(
+        "--resume",
+        action="store_true",
+        help="skip experiments the checkpoint manifest records as "
+        "completed under the current parameters",
+    )
+    parser.add_argument(
+        "--no-pipeline",
+        action="store_true",
+        help="disable cross-experiment pipelining (global spec prefetch "
+        "into the warm pool)",
+    )
+    parser.add_argument(
+        "--kernel-backend",
+        choices=envconfig.KERNEL_BACKENDS,
+        default=None,
+        help="bit-kernel backend (default REPRO_KERNEL_BACKEND or auto: "
+        "compiled when it builds on this host, else python)",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="repro",
@@ -73,33 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--seed", type=int, default=1)
 
     exp = sub.add_parser("experiment", help="run paper experiments by name")
-    exp.add_argument("names", nargs="+")
-    exp.add_argument(
-        "--jobs",
-        type=_COUNT,
-        default=None,
-        help="worker processes for simulation cells (default REPRO_JOBS "
-        "or the CPU count)",
-    )
-    exp.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip experiments the checkpoint manifest records as "
-        "completed under the current parameters",
-    )
-    exp.add_argument(
-        "--no-pipeline",
-        action="store_true",
-        help="disable cross-experiment pipelining (global spec prefetch "
-        "into the warm pool)",
-    )
-    exp.add_argument(
-        "--kernel-backend",
-        choices=("auto", "python", "numpy", "compiled"),
-        default=None,
-        help="bit-kernel backend (default REPRO_KERNEL_BACKEND or auto: "
-        "compiled when it builds on this host, else python)",
-    )
+    add_sweep_arguments(exp)
 
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache")
     cache_p.add_argument("action", choices=("stats", "clear"))
@@ -151,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--seed", type=int, default=1)
     prof.add_argument(
         "--kernel-backend",
-        choices=("auto", "python", "numpy", "compiled"),
+        choices=envconfig.KERNEL_BACKENDS,
         default=None,
         help="bit-kernel backend to profile under (default "
         "REPRO_KERNEL_BACKEND or auto: compiled when it builds on this "
@@ -246,20 +262,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(
-    names: List[str], jobs: Optional[int] = None, resume: bool = False,
-    no_pipeline: bool = False, kernel_backend: Optional[str] = None,
-) -> int:
+def _cmd_experiment(args: argparse.Namespace) -> int:
     from .experiments import runner
 
-    argv = ["--jobs", str(jobs)] if jobs is not None else []
-    if kernel_backend is not None:
-        argv += ["--kernel-backend", kernel_backend]
-    if resume:
-        argv = ["--resume"] + argv
-    if no_pipeline:
-        argv = ["--no-pipeline"] + argv
-    return runner.main(argv + names)
+    return runner.sweep(args, "repro experiment")
 
 
 def _cmd_cache(action: str) -> int:
@@ -392,9 +398,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "compare":
         return _cmd_compare(args)
     if args.command == "experiment":
-        return _cmd_experiment(args.names, jobs=args.jobs, resume=args.resume,
-                               no_pipeline=args.no_pipeline,
-                               kernel_backend=args.kernel_backend)
+        return _cmd_experiment(args)
     if args.command == "cache":
         return _cmd_cache(args.action)
     if args.command == "health":

@@ -64,7 +64,6 @@ class MemoryConfig:
     ranks: int = 2
     banks_per_rank: int = 8
     write_queue_entries: int = 32
-    read_queue_entries: int = 64
     #: Total memory capacity in bytes (8 GB in the paper; scaled working sets
     #: mean the simulator only materialises touched rows).
     capacity_bytes: int = 8 << 30
@@ -242,15 +241,6 @@ class SchemeConfig:
                 "read-priority policies; enable at most one"
             )
 
-    @property
-    def needs_vnc(self) -> bool:
-        """Whether any verification work can ever be required."""
-        if self.wd_free_bitlines or not self.vnc:
-            return False
-        n, m = self.nm_ratio
-        # (1:2) isolates every used strip: no adjacent strip ever holds data.
-        return not (n == 1 and m == 2)
-
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -271,11 +261,3 @@ class SystemConfig:
     def with_scheme(self, scheme: SchemeConfig) -> "SystemConfig":
         """Return a copy of this configuration with a different scheme."""
         return replace(self, scheme=scheme)
-
-    def with_seed(self, seed: int) -> "SystemConfig":
-        """Return a copy of this configuration with a different RNG seed."""
-        return replace(self, seed=seed)
-
-    def with_faults(self, faults: FaultConfig) -> "SystemConfig":
-        """Return a copy of this configuration with a fault-injection plan."""
-        return replace(self, faults=faults)

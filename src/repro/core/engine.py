@@ -24,12 +24,11 @@ from ..config import LINES_PER_PAGE, SystemConfig
 from ..errors import SimulationError
 from ..mem.address import AddressMapper
 from ..mem.controller import MemoryController
-from ..mem.request import Request, RequestKind
+from ..mem.request import Request
 from ..pcm.array import LineAddress
 from ..traces.record import trace_columns
 from ..traces.workload import Workload
 
-_WRITE = RequestKind.WRITE
 _heappush = heapq.heappush
 
 
@@ -176,7 +175,7 @@ class Engine:
         bank, row, nm_tag = mapped
         addr = LineAddress(bank, row, core.line[pos])
         if core.is_write[pos]:
-            request = Request(_WRITE, core.index, addr, now, nm_tag)
+            request = Request(core.index, addr, nm_tag)
             if self.controller.try_enqueue_write(request):
                 loop = self.loop
                 seq = loop.seq

@@ -5,7 +5,7 @@ The mechanism is implemented across :class:`~repro.mem.controller.MemoryControll
 buffers live in :class:`~repro.mem.request.WriteEntry`) and
 :class:`~repro.core.vnc.VnCExecutor` (skipping the pre-write reads whose
 slots were filled).  This module provides the hardware-overhead arithmetic
-of Section 6.2 and a coverage metric used by the queue-size experiment.
+of Section 6.2.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from ..config import LINE_BYTES
 from ..errors import ConfigError
-from ..stats.counters import Counters
 
 
 @dataclass(frozen=True)
@@ -42,15 +41,3 @@ class PrereadHardwareCost:
     def original_buffer_bytes(self) -> int:
         """The pre-existing write buffer (32 x 64 B = 2 KB)."""
         return self.queue_entries * LINE_BYTES
-
-
-def preread_coverage(counters: Counters) -> float:
-    """Fraction of needed pre-write reads PreRead hid from the write path.
-
-    Coverage counts slots satisfied early (idle-bank pre-reads that stayed
-    fresh, plus write-queue forwards) against all adjacent-line reads the
-    writes needed.
-    """
-    hidden = counters.preread_hits + counters.preread_forwards
-    needed = hidden + counters.pre_write_reads + counters.preread_stale
-    return hidden / needed if needed else 0.0

@@ -6,7 +6,7 @@ the labels used in the paper's figures.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 from ..config import SchemeConfig
 from ..errors import ConfigError
@@ -140,9 +140,3 @@ def by_name(name: str) -> SchemeConfig:
     if factory is None:
         raise ConfigError(f"unknown scheme {name!r}; known: {sorted(SCHEMES)}")
     return factory()
-
-
-def nm_ratio_schemes() -> Dict[str, SchemeConfig]:
-    """The Figure 16 ratio sweep (on top of basic VnC)."""
-    ratios: Tuple[Tuple[int, int], ...] = ((1, 2), (2, 3), (3, 4), (7, 8))
-    return {f"({n}:{m})": nm_alloc(n, m) for n, m in ratios}

@@ -46,7 +46,7 @@ from ..pcm import line as L
 from ..pcm import stateplane
 from ..pcm.array import LineAddress, PCMArray
 from ..pcm.differential_write import correction_latency, rounds_latency
-from ..pcm.din import DINEncoder, wordline_vulnerable_mask_int
+from ..pcm.din import wordline_vulnerable_mask_int
 
 Key = Tuple[int, int, int]
 
@@ -153,7 +153,6 @@ class VnCExecutor:
         self.disturbance = disturbance
         self.counters = counters
         self.rng = rng
-        self.encoder = DINEncoder()
         #: The process-wide active bit-kernel backend, captured at
         #: construction (the engine activates its pick before any
         #: executor is built; every backend is byte-identical).

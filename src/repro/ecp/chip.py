@@ -60,7 +60,6 @@ class ECPChip:
             raise DeviceError("entries_per_line must be >= 0")
         self.entries_per_line = entries_per_line
         self.fault_plan = fault_plan
-        self.geometry = ECPChipGeometry()
         self._lines: Dict[LineKey, ECPLine] = {}
         #: Entries lost to injected entry wear-out across all touched lines.
         self.dead_entries_total = 0
@@ -81,7 +80,3 @@ class ECPChip:
     def peek(self, key: LineKey) -> ECPLine | None:
         """The ECP state if it was ever touched, else ``None``."""
         return self._lines.get(key)
-
-    @property
-    def touched_lines(self) -> int:
-        return len(self._lines)

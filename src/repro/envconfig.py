@@ -12,8 +12,8 @@ live in their modules (``perf.engine.RETRIES``,
 
 ========================  ======================================================
 ``REPRO_JOBS``            worker processes for cold cells (int >= 1; CPU count)
-``REPRO_TRACE_LEN``       per-core trace length (int; 1200)
-``REPRO_CORES``           simulated core count (int; 8)
+``REPRO_TRACE_LEN``       per-core trace length (int >= 0; 1200)
+``REPRO_CORES``           simulated core count (int >= 1; 8)
 ``REPRO_CACHE``           ``0`` disables the disk result cache (on)
 ``REPRO_CACHE_DIR``       result-cache directory (``~/.cache/repro``)
 ``REPRO_KERNEL_BACKEND``  bit-kernel backend: ``auto``/``python``/``numpy``/
@@ -103,12 +103,12 @@ def cell_timeout() -> Optional[float]:
 
 def trace_length(default: int = 1200) -> int:
     """Per-core trace length, overridable via ``REPRO_TRACE_LEN``."""
-    return env_int("REPRO_TRACE_LEN", default)
+    return env_int("REPRO_TRACE_LEN", default, minimum=0)
 
 
 def core_count(default: int = 8) -> int:
     """Core count, overridable via ``REPRO_CORES``."""
-    return env_int("REPRO_CORES", default)
+    return env_int("REPRO_CORES", default, minimum=1)
 
 
 def cache_enabled() -> bool:

@@ -71,8 +71,8 @@ def cell(
     faults: Optional[FaultConfig] = None,
 ) -> CellSpec:
     """Describe one (workload, scheme) cell with the standard configuration."""
-    length = length or trace_length()
-    cores = cores or core_count()
+    length = trace_length() if length is None else length
+    cores = core_count() if cores is None else cores
     memory = MemoryConfig() if write_queue_entries is None else MemoryConfig(
         write_queue_entries=write_queue_entries
     )

@@ -44,7 +44,7 @@ def run_experiment(
     length: Optional[int] = None,
     workloads: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
-    writes = (length or trace_length())
+    writes = trace_length() if length is None else length
     result = ExperimentResult(
         title="Extension: encoder trade-off (per line write)",
         headers=[

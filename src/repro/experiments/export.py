@@ -13,7 +13,6 @@ import json
 from pathlib import Path
 from typing import Union
 
-from ..errors import ReproError
 from .common import ExperimentResult
 
 PathLike = Union[str, Path]
@@ -40,22 +39,3 @@ def write_json(result: ExperimentResult, path: PathLike) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(to_json(result) + "\n")
     return path
-
-
-def read_json(path: PathLike) -> ExperimentResult:
-    """Load a previously exported result."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ReproError(f"cannot read experiment JSON {path}: {exc}") from exc
-    for field in ("title", "headers", "rows", "metrics", "notes"):
-        if field not in payload:
-            raise ReproError(f"{path}: missing field {field!r}")
-    return ExperimentResult(
-        title=payload["title"],
-        headers=list(payload["headers"]),
-        rows=[list(r) for r in payload["rows"]],
-        metrics=dict(payload["metrics"]),
-        notes=list(payload["notes"]),
-    )

@@ -39,6 +39,7 @@ the first unfinished experiment at almost no cost.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import signal
@@ -48,7 +49,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List
 
-from .. import envconfig
+from ..cli import _Parser, add_sweep_arguments
 
 from . import (
     ablation,
@@ -220,62 +221,46 @@ def collect_sweep_specs(names: List[str]) -> List[object]:
 
 
 def main(argv: list[str]) -> int:
-    json_dir = None
-    jobs = None
-    kernel_backend = None
-    resume = False
-    pipeline = True
-    names: list[str] = []
-    argv = list(argv)
-    while argv:
-        arg = argv.pop(0)
-        if arg == "--resume":
-            resume = True
-        elif arg == "--no-pipeline":
-            pipeline = False
-        elif arg in ("--json", "--jobs", "--kernel-backend"):
-            if not argv:
-                print(f"{arg} requires a value")
-                return 2
-            value = argv.pop(0)
-            if arg == "--json":
-                json_dir = value
-            elif arg == "--kernel-backend":
-                if value not in envconfig.KERNEL_BACKENDS:
-                    print(
-                        f"--kernel-backend must be one of "
-                        f"{'/'.join(envconfig.KERNEL_BACKENDS)}, "
-                        f"got {value!r}"
-                    )
-                    return 2
-                kernel_backend = value
-            else:
-                try:
-                    parsed = int(value)
-                except ValueError:
-                    print(f"{arg} requires an integer, got {value!r}")
-                    return 2
-                if parsed < 1:
-                    print(f"{arg} must be >= 1, got {parsed}")
-                    return 2
-                jobs = parsed
-        else:
-            names.append(arg)
-    requested = names or list(EXPERIMENTS)
+    """Parse the sweep flags and run the sweep; returns the exit status.
+
+    A bad flag or value prints one ``error:`` line to stderr and
+    returns 2.
+    """
+    parser = _Parser(
+        prog="python -m repro.experiments.runner",
+        description="run paper experiments and print their tables",
+    )
+    add_sweep_arguments(parser)
+    try:
+        args = parser.parse_intermixed_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    return sweep(args, parser.prog)
+
+
+def sweep(args: argparse.Namespace, prog: str) -> int:
+    """Run the experiments ``args`` names (all when none is named)."""
+    requested = args.names or list(EXPERIMENTS)
     unknown = [name for name in requested if name not in EXPERIMENTS]
     if unknown:
-        print(f"unknown experiments: {unknown}; known: {sorted(EXPERIMENTS)}")
+        print(
+            f"{prog}: error: unknown experiments: {unknown}; "
+            f"known: {sorted(EXPERIMENTS)}",
+            file=sys.stderr,
+        )
         return 2
     # One persistent runner for the whole sweep: the in-flight prefetch
     # table and the warm pool live on it across experiments.
-    runner = engine.configure(jobs=jobs, kernel_backend=kernel_backend)
-    manifest = load_manifest() if resume else {}
-    if not resume:
+    runner = engine.configure(
+        jobs=args.jobs, kernel_backend=args.kernel_backend
+    )
+    manifest = load_manifest() if args.resume else {}
+    if not args.resume:
         # A fresh sweep starts a fresh checkpoint ledger.
         save_manifest({})
     pending = [
         name for name in requested
-        if not (resume and is_completed(name, manifest))
+        if not (args.resume and is_completed(name, manifest))
     ]
     completed = 0
     # The planning pass and prefetch live inside the interrupt guard:
@@ -283,7 +268,7 @@ def main(argv: list[str]) -> int:
     # pool's workers (otherwise they orphan, holding stdout open) and
     # unlink the trace segments already published.
     try:
-        if pipeline and runner.jobs > 1 and len(pending) > 1:
+        if not args.no_pipeline and runner.jobs > 1 and len(pending) > 1:
             specs = collect_sweep_specs(pending)
             submitted = runner.prefetch(specs)
             if submitted:
@@ -292,7 +277,7 @@ def main(argv: list[str]) -> int:
                     f"{len(pending)} experiments into the warm pool]\n"
                 )
         for name in requested:
-            if resume and is_completed(name, manifest):
+            if args.resume and is_completed(name, manifest):
                 print(f"  [{name} already completed; skipped (--resume)]\n")
                 completed += 1
                 continue
@@ -300,10 +285,10 @@ def main(argv: list[str]) -> int:
             result = EXPERIMENTS[name]()
             print(result.render())
             print(f"  [{name} finished in {time.time() - start:.1f}s]\n")
-            if json_dir is not None:
+            if args.json is not None:
                 from . import export
 
-                path = export.write_json(result, f"{json_dir}/{name}.json")
+                path = export.write_json(result, f"{args.json}/{name}.json")
                 print(f"  [wrote {path}]")
             mark_completed(name)
             completed += 1

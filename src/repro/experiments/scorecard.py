@@ -29,26 +29,25 @@ class Check:
     paper: float
     measured: float
     kind: str  # EXACT | MATCH | SHAPE | DIVERGE
-    tolerance: float  # relative, for EXACT/MATCH
     holds: bool
 
 
 def _exact(claim: str, paper: float, measured: float, tol: float = 1e-4) -> Check:
     holds = abs(measured - paper) <= tol * max(abs(paper), 1e-12)
-    return Check(claim, paper, measured, "EXACT", tol, holds)
+    return Check(claim, paper, measured, "EXACT", holds)
 
 
 def _match(claim: str, paper: float, measured: float, tol: float) -> Check:
     holds = abs(measured - paper) <= tol * max(abs(paper), 1e-12)
-    return Check(claim, paper, measured, "MATCH", tol, holds)
+    return Check(claim, paper, measured, "MATCH", holds)
 
 
 def _shape(claim: str, holds: bool, paper: float = 1.0, measured: float = 0.0) -> Check:
-    return Check(claim, paper, measured, "SHAPE", 0.0, holds)
+    return Check(claim, paper, measured, "SHAPE", holds)
 
 
 def _diverge(claim: str, paper: float, measured: float, conclusion_holds: bool) -> Check:
-    return Check(claim, paper, measured, "DIVERGE", 0.0, conclusion_holds)
+    return Check(claim, paper, measured, "DIVERGE", conclusion_holds)
 
 
 def run_experiment(

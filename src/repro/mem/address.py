@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import LINES_PER_PAGE, LINE_BYTES, PAGES_PER_STRIP, PAGE_BYTES
+from ..config import PAGES_PER_STRIP, PAGE_BYTES
 from ..errors import DeviceError
-from ..pcm.array import LineAddress
 
 
 @dataclass(frozen=True)
@@ -49,33 +48,3 @@ class AddressMapper:
             raise DeviceError(f"frame {frame} out of range")
         return frame % self.banks, frame // self.banks
 
-    def bank_row_to_frame(self, bank: int, row: int) -> int:
-        if not 0 <= bank < self.banks or not 0 <= row < self.rows_per_bank:
-            raise DeviceError(f"({bank}, {row}) out of range")
-        return row * self.banks + bank
-
-    def strip_of_frame(self, frame: int) -> int:
-        """The strip (= device row) index of a frame."""
-        return frame // self.banks
-
-    def line_address(self, frame: int, line_in_page: int) -> LineAddress:
-        """Device coordinate of one 64 B line of a frame."""
-        if not 0 <= line_in_page < LINES_PER_PAGE:
-            raise DeviceError(f"line {line_in_page} out of range")
-        bank, row = self.frame_to_bank_row(frame)
-        return LineAddress(bank, row, line_in_page)
-
-    def physical_to_line_address(self, physical_byte_addr: int) -> LineAddress:
-        """Device coordinate of the line containing a physical byte address."""
-        frame = physical_byte_addr // PAGE_BYTES
-        line = (physical_byte_addr % PAGE_BYTES) // LINE_BYTES
-        return self.line_address(frame, line)
-
-    def adjacent_frames(self, frame: int) -> list[int]:
-        """The (at most two) bit-line-adjacent frames, 16 apart (Figure 6)."""
-        out = []
-        if frame - self.banks >= 0:
-            out.append(frame - self.banks)
-        if frame + self.banks < self.total_frames:
-            out.append(frame + self.banks)
-        return out

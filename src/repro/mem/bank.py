@@ -61,8 +61,7 @@ class BankState:
       line in queue order (a key is present only while its list is
       non-empty), so forwarding probes — ``addr in wq_index`` on *every*
       demand read and every enqueued write's slots — are O(1) instead of
-      a reverse scan of the queue; :meth:`find_write` returns the
-      youngest entry.
+      a reverse scan of the queue.
     * ``preread_cursor`` keeps, in queue order, the entries that still
       owe PreRead work, so :meth:`next_preread_target` stops rescanning
       the whole queue on every scheduler kick.  Entries are invalidated
@@ -141,12 +140,6 @@ class BankState:
             self.preread_cursor.appendleft(entry)
         else:
             self.preread_cursor.append(entry)
-
-    def find_write(self, line_key: LineKey) -> Optional[WriteEntry]:
-        """Youngest queued write to a given line (for read forwarding and
-        PreRead same-queue forwarding, Section 4.3)."""
-        entries = self.wq_index.get(line_key)
-        return entries[-1] if entries else None
 
     def next_preread_target(self) -> Optional[Tuple[WriteEntry, int]]:
         """The first queued entry (in queue order) still owing a pre-read,

@@ -29,10 +29,8 @@ class Request:
     :meth:`~repro.mem.controller.MemoryController.enqueue_read`).
     """
 
-    kind: RequestKind
     core: int
     addr: LineAddress
-    issue_time: int
     #: Allocation tag of the page this line belongs to ((n:m)-Alloc,
     #: Figure 9); the controller uses it to decide which adjacent lines
     #: need verification.
@@ -106,6 +104,3 @@ class WriteEntry:
             if not slot.done:
                 return slot
         return None
-
-    def prereads_complete(self) -> bool:
-        return all(slot.done for slot in self.slots)

@@ -18,7 +18,7 @@ Public surface:
 * :mod:`repro.pcm.differential_write` — programming-round latency [35].
 """
 
-from .cell import CellState, Pulse, pulse_for
+from .cell import CellState
 from .differential_write import correction_latency
 from .din import DINEncoder
 from .flip_n_write import FlipNWriteEncoder, FNWResult
@@ -36,8 +36,6 @@ from .thermal import Medium, ThermalModel, default_thermal_model
 
 __all__ = [
     "CellState",
-    "Pulse",
-    "pulse_for",
     "correction_latency",
     "DINEncoder",
     "FlipNWriteEncoder",

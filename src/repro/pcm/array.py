@@ -45,14 +45,6 @@ class LineAddress(NamedTuple):
     row: int
     line: int
 
-    def neighbour(self, direction: int) -> Optional["LineAddress"]:
-        """The bit-line-adjacent line above (-1) or below (+1), or ``None``
-        at the edge of the bank."""
-        row = self.row + direction
-        if row < 0:
-            return None
-        return LineAddress(self.bank, row, self.line)
-
 
 Coord = Tuple[int, int, int]  # (bank, row, line); a LineAddress is one
 
@@ -99,13 +91,6 @@ class PCMArray:
         stored = int.from_bytes(image[start:start + LINE_BYTES], "little")
         self._stored[key] = stored
         return stored
-
-    def is_materialised(self, bank: int, row: int) -> bool:
-        return (bank, row) in self._pristine
-
-    @property
-    def materialised_rows(self) -> int:
-        return len(self._pristine)
 
     # -- int-domain line state -----------------------------------------------
 

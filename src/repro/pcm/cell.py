@@ -38,31 +38,6 @@ class CellState(IntEnum):
         return self is CellState.AMORPHOUS
 
 
-class Pulse(IntEnum):
-    """Programming pulse types."""
-
-    #: Melt + fast quench -> amorphous (writes bit 0). Disturbs neighbours.
-    RESET = 0
-    #: Long anneal above crystallisation -> crystalline (writes bit 1).
-    SET = 1
-
-
-def pulse_for(bit: int) -> Pulse:
-    """The pulse required to program ``bit`` into a cell."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    return Pulse.SET if bit else Pulse.RESET
-
-
-def disturbed_value() -> int:
-    """The value a disturbed cell collapses to.
-
-    Disturbance partially crystallises the amorphous volume, greatly
-    reducing resistance, i.e. the cell reads as ``1``.
-    """
-    return CellState.CRYSTALLINE.bit
-
-
 class CellFault(IntEnum):
     """Permanent wear-out failure modes of one SLC cell.
 

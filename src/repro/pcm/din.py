@@ -204,12 +204,6 @@ class DINEncoder:
         ).view(np.uint64).reshape(n)
         return stored, flags
 
-    def decode_rows(self, stored: np.ndarray, flags: np.ndarray) -> np.ndarray:
-        """Row-batched :meth:`decode_int`: one flag expansion + XOR per batch."""
-        n = len(stored)
-        flag_bytes = flags.astype(np.uint64).view(np.uint8).reshape(n, 8)
-        return stored ^ _flag_expand_table()[flag_bytes]
-
     @staticmethod
     def vulnerable_pairs(physical: int, stored: int) -> int:
         """Word-line-vulnerable cells a stored image creates over ``physical``.

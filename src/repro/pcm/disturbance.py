@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from ..errors import ConfigError
 from . import constants as C
-from .thermal import Medium, ThermalModel, default_thermal_model
+from .thermal import Medium, default_thermal_model
 
 
 @lru_cache(maxsize=1)
@@ -59,11 +59,6 @@ class DisturbanceModel:
         if self.pulse_s <= 0:
             raise ConfigError("pulse duration must be positive")
 
-    @property
-    def activation_energy_ev(self) -> float:
-        """Calibrated activation energy, eV."""
-        return _solve_arrhenius()[0]
-
     def error_rate(self, temperature_c: float) -> float:
         """Probability an idle amorphous cell is disturbed at ``temperature_c``.
 
@@ -78,22 +73,6 @@ class DisturbanceModel:
         t_k = temperature_c + C.KELVIN_OFFSET
         hazard = self.pulse_s * k0 * math.exp(-ea / (C.BOLTZMANN_EV * t_k))
         return 1.0 - math.exp(-hazard)
-
-    def error_rate_at(
-        self,
-        pitch_nm: float,
-        medium: Medium,
-        feature_nm: float = C.NODE_NM,
-        thermal: ThermalModel | None = None,
-    ) -> float:
-        """Disturbance probability for a neighbour at ``pitch_nm``.
-
-        Combines the thermal model (temperature at the neighbour) with this
-        crystallisation model.
-        """
-        thermal = thermal or default_thermal_model()
-        temp = thermal.neighbour_temperature(pitch_nm, medium, feature_nm)
-        return self.error_rate(temp)
 
 
 @lru_cache(maxsize=1)

@@ -47,10 +47,6 @@ class CellGeometry:
         """Cell footprint in units of F^2."""
         return self.wordline_pitch_f * self.bitline_pitch_f
 
-    def cells_per_area(self, area_f2: float) -> float:
-        """How many cells fit in ``area_f2`` of cell-array silicon."""
-        return area_f2 / self.cell_area_f2
-
     def density_vs(self, other: "CellGeometry") -> float:
         """Density of this layout relative to ``other`` (>1 = denser)."""
         return other.cell_area_f2 / self.cell_area_f2

@@ -125,15 +125,6 @@ class ThermalModel:
         temp = self.reset_peak_c * math.exp(-(pitch_nm - feature_nm) / lam)
         return max(temp, self.ambient_c)
 
-    def temperature_rise(
-        self,
-        pitch_nm: float,
-        medium: Medium,
-        feature_nm: float = C.NODE_NM,
-    ) -> float:
-        """Temperature elevation above ambient, Celsius."""
-        return self.neighbour_temperature(pitch_nm, medium, feature_nm) - self.ambient_c
-
     def is_wd_free(
         self,
         pitch_nm: float,

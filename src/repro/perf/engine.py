@@ -688,7 +688,6 @@ def reset() -> None:
     kernels.reset()
     stateplane.PLANE.reset()
     WARM_POOL.shutdown()
-    WARM_POOL.reset_counters()
     shm.reset()
     PRESSURE.reset()
     from .cache import reset_corrupt_evictions, reset_write_drops

@@ -79,32 +79,22 @@ class WarmPool:
         self._workers = 0
         #: Monotonic generation counter; bumps on every fresh fork.
         self.generation = 0
-        #: Times an already-warm executor satisfied a :meth:`get`.
-        self.reuses = 0
-        #: Generations retired by a failure (crash / timeout / broken pool).
-        self.recycles = 0
 
     @property
     def alive(self) -> bool:
         return self._pool is not None
 
-    @property
-    def workers(self) -> int:
-        """Worker capacity of the current generation (0 when cold)."""
-        return self._workers if self._pool is not None else 0
-
     def get(self, workers: int) -> Tuple[ProcessPoolExecutor, bool]:
         """The warm executor (reused flag True) or a freshly forked one.
 
         A request for more workers than the current generation holds
-        re-forks at the larger size (not counted as a recycle — nothing
-        failed); a request for fewer simply reuses the warm pool, which
-        costs nothing because idle workers sleep on the call queue.
+        re-forks at the larger size; a request for fewer simply reuses the
+        warm pool, which costs nothing because idle workers sleep on the
+        call queue.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if self._pool is not None and self._workers >= workers:
-            self.reuses += 1
             return self._pool, True
         if self._pool is not None:
             _LOG.debug(
@@ -125,7 +115,6 @@ class WarmPool:
         """
         if self._pool is None:
             return
-        self.recycles += 1
         _LOG.debug(
             "retiring warm-pool generation %d (terminate=%s)",
             self.generation, terminate,
@@ -133,12 +122,8 @@ class WarmPool:
         self._teardown(terminate=terminate)
 
     def shutdown(self, terminate: bool = False) -> None:
-        """Deterministic teardown (atexit / tests); not counted as a recycle."""
+        """Deterministic teardown (atexit / tests)."""
         self._teardown(terminate=terminate)
-
-    def reset_counters(self) -> None:
-        self.reuses = 0
-        self.recycles = 0
 
     def _teardown(self, terminate: bool) -> None:
         pool, self._pool, self._workers = self._pool, None, 0

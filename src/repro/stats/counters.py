@@ -116,13 +116,6 @@ class Counters:
         return self.corrections / self.demand_writes
 
     @property
-    def all_corrections_per_write(self) -> float:
-        """Corrections per write including cascades."""
-        if self.demand_writes == 0:
-            return 0.0
-        return (self.corrections + self.cascade_corrections) / self.demand_writes
-
-    @property
     def avg_errors_per_adjacent_line(self) -> float:
         """Figure 4(b)'s average: WD errors per adjacent line per write."""
         samples = sum(self.errors_per_adjacent_line_hist.values())

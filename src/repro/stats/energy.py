@@ -82,11 +82,6 @@ class EnergyReport:
         total = self.total_pj
         return self.wd_overhead_pj / total if total else 0.0
 
-    def per_access_pj(self, accesses: int) -> float:
-        if accesses <= 0:
-            raise ConfigError("accesses must be positive")
-        return self.total_pj / accesses
-
 
 def energy_report(counters: Counters, model: EnergyModel | None = None) -> EnergyReport:
     """Compute the energy breakdown from run counters.

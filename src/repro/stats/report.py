@@ -41,11 +41,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(title: str, points: Sequence[tuple], x_label: str, y_label: str) -> str:
-    """Render an x/y series (one figure curve) as a two-column table."""
-    return format_table(title, [x_label, y_label], points)
-
-
 def format_bars(
     title: str,
     values: Sequence[tuple],

@@ -5,7 +5,7 @@ from .analysis import TraceProfile, analyse
 from .profiles import PROFILES, WORKLOAD_ORDER, BenchmarkProfile, profile
 from .record import TraceArray, TraceRecord
 from .synthetic import SyntheticTraceGenerator, generate_trace
-from .workload import Workload, homogeneous_workload, mixed_workload, paper_workloads
+from .workload import Workload, homogeneous_workload
 
 __all__ = [
     "file_io",
@@ -21,6 +21,4 @@ __all__ = [
     "generate_trace",
     "Workload",
     "homogeneous_workload",
-    "mixed_workload",
-    "paper_workloads",
 ]

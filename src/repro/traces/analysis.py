@@ -110,18 +110,3 @@ def _normalised_entropy(counts: List[int], bins: int) -> float:
             entropy -= p * math.log(p)
     return entropy / math.log(bins)
 
-
-def check_against_profile(
-    records: Sequence[TraceRecord],
-    rpki: float,
-    wpki: float,
-    rel_tolerance: float = 0.15,
-) -> bool:
-    """Whether a trace exhibits the requested Table 3 rates."""
-    measured = analyse(records)
-    def close(a: float, b: float) -> bool:
-        if b == 0:
-            return a < 0.05
-        return abs(a - b) <= rel_tolerance * b
-
-    return close(measured.rpki, rpki) and close(measured.wpki, wpki)

@@ -115,7 +115,3 @@ def profile(name: str) -> BenchmarkProfile:
             f"unknown benchmark {name!r}; known: {sorted(PROFILES)}"
         ) from None
 
-
-def memory_intensive() -> List[str]:
-    """Benchmarks the paper singles out as memory/write intensive."""
-    return [n for n in WORKLOAD_ORDER if PROFILES[n].wpki >= 3.0]

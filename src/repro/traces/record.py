@@ -51,11 +51,6 @@ class TraceRecord:
             raise TraceError(problem)
 
     @property
-    def line_address(self) -> int:
-        """The 64 B line index of this reference."""
-        return self.address // LINE_BYTES
-
-    @property
     def page(self) -> int:
         """The 4 KB virtual page number of this reference."""
         return self.address >> 12

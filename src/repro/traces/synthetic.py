@@ -20,14 +20,14 @@ Generation is deterministic per (profile, seed, core index).
 from __future__ import annotations
 
 import zlib
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..config import LINES_PER_PAGE, PAGE_BYTES
 from ..errors import TraceError
 from .profiles import BenchmarkProfile, profile
-from .record import TraceArray, TraceRecord
+from .record import TraceArray
 
 
 def _zipf_page_sampler(
@@ -126,10 +126,6 @@ class SyntheticTraceGenerator:
             PAGE_BYTES // LINES_PER_PAGE
         )
         return TraceArray(is_write, addresses, gaps)
-
-    def stream(self, length: int) -> Iterator[TraceRecord]:
-        """Iterate records without materialising TraceRecord objects eagerly."""
-        return iter(self.generate(length))
 
 
 def generate_trace(

@@ -9,10 +9,10 @@ distinct RNG streams and disjoint virtual page ranges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..errors import TraceError
-from .profiles import WORKLOAD_ORDER, BenchmarkProfile, profile
+from .profiles import BenchmarkProfile, profile
 from .record import TraceRecord
 from .synthetic import SyntheticTraceGenerator
 
@@ -41,10 +41,6 @@ class Workload:
         return len(self.traces)
 
     @property
-    def total_references(self) -> int:
-        return sum(len(t) for t in self.traces)
-
-    @property
     def total_instructions(self) -> int:
         total = 0
         for t in self.traces:
@@ -67,32 +63,3 @@ def homogeneous_workload(
     ]
     return Workload(benchmark, traces, [bench] * cores)
 
-
-def mixed_workload(
-    benchmarks: Sequence[str], length: int = 20_000, seed: int = 0, name: str = "mix"
-) -> Workload:
-    """A heterogeneous mix: core ``i`` runs ``benchmarks[i]``."""
-    if not benchmarks:
-        raise TraceError("need at least one benchmark")
-    traces, profs = [], []
-    next_base = 0
-    for core, bench_name in enumerate(benchmarks):
-        bench = profile(bench_name)
-        traces.append(
-            SyntheticTraceGenerator(
-                bench, seed=seed, core=core, base_page=next_base
-            ).generate(length)
-        )
-        profs.append(bench)
-        next_base += bench.working_set_pages
-    return Workload(name, traces, profs)
-
-
-def paper_workloads(
-    cores: int = 8, length: int = 20_000, seed: int = 0
-) -> Dict[str, Workload]:
-    """All Table 3 workloads in the paper's plotting order."""
-    return {
-        name: homogeneous_workload(name, cores=cores, length=length, seed=seed)
-        for name in WORKLOAD_ORDER
-    }

@@ -13,28 +13,37 @@ def make(frames=1 << 6, order=4):
     return BuddyAllocator(frames, max_order=order)
 
 
+def drain(b: BuddyAllocator, order: int) -> list:
+    """Allocate order-``order`` blocks until the allocator runs dry."""
+    bases = []
+    while True:
+        try:
+            bases.append(b.allocate(order))
+        except AllocationError:
+            return bases
+
+
 class TestBasics:
     def test_initial_free(self):
         b = make()
-        assert b.free_frames() == 64
-        assert b.allocated_frames() == 0
-        assert b.free_blocks(4) == 4
+        # Seeded as four free max-order blocks tiling all 64 frames.
+        assert drain(b, 4) == [0, 16, 32, 48]
+        b.check_invariants()
 
     def test_allocate_splits(self):
         b = make()
         base = b.allocate(0)
         assert base == 0
-        # One order-4 block split: free lists hold 1+1+1+1 sub-blocks.
-        assert b.free_frames() == 63
-        assert b.free_blocks(0) == 1
-        assert b.free_blocks(1) == 1
+        # One order-4 block split: the buddies of sizes 1, 2, 4 and 8 are
+        # free, and the other three order-4 blocks stay whole.
+        assert [b.allocate(k) for k in (0, 1, 2, 3)] == [1, 2, 4, 8]
+        assert drain(b, 4) == [16, 32, 48]
 
     def test_free_coalesces(self):
         b = make()
         base = b.allocate(0)
         b.free(base, 0)
-        assert b.free_blocks(4) == 4
-        assert b.free_frames() == 64
+        assert drain(b, 4) == [0, 16, 32, 48]
 
     def test_alignment(self):
         b = make()
@@ -95,7 +104,6 @@ class TestProperties:
                 base, o = live.pop(idx)
                 b.free(base, o)
         b.check_invariants()
-        assert b.free_frames() + b.allocated_frames() == 128
 
     @given(alloc_free_script())
     @settings(max_examples=50, deadline=None)
@@ -120,7 +128,7 @@ class TestProperties:
     def test_full_churn_restores_max_blocks(self):
         b = BuddyAllocator(1 << 7, max_order=5)
         bases = [b.allocate(0) for _ in range(128)]
-        assert b.free_frames() == 0
+        assert drain(b, 0) == []
         for base in bases:
             b.free(base, 0)
-        assert b.free_blocks(5) == 4
+        assert drain(b, 5) == [0, 32, 64, 96]

@@ -25,7 +25,6 @@ class TestPageTable:
         entry = pt.translate(100)
         assert entry.frame == 0
         assert pt.faults == 1
-        assert pt.mapped_pages == 1
 
     def test_translation_stable(self):
         pt = PageTable((1, 1), counter_source())
@@ -37,12 +36,6 @@ class TestPageTable:
     def test_tag_propagates(self):
         pt = PageTable((2, 3), counter_source())
         assert pt.translate(0).nm_tag == (2, 3)
-
-    def test_lookup_without_fault(self):
-        pt = PageTable((1, 1), counter_source())
-        assert pt.lookup(9) is None
-        pt.translate(9)
-        assert pt.lookup(9) is not None
 
     def test_bad_tag(self):
         with pytest.raises(AllocationError):

@@ -132,10 +132,14 @@ class TestNMAllocManager:
             assert not is_no_use(f // PAGES_PER_STRIP, 2, 3)
 
     def test_strip_allocation(self):
+        """Frames are carved in order from one used strip at a time."""
         mgr = self.make()
-        base = mgr.allocate_strip(1, 2)
+        frames = [mgr.allocate_frame(1, 2) for _ in range(2 * PAGES_PER_STRIP)]
+        base = frames[0]
         assert base % PAGES_PER_STRIP == 0
         assert not is_no_use(base // PAGES_PER_STRIP, 1, 2)
+        assert frames[:PAGES_PER_STRIP] == list(range(base, base + PAGES_PER_STRIP))
+        assert frames[PAGES_PER_STRIP] % PAGES_PER_STRIP == 0
 
     def test_mixed_allocators_disjoint(self):
         mgr = self.make()
@@ -143,21 +147,6 @@ class TestNMAllocManager:
         b = {mgr.allocate_frame(2, 3) for _ in range(100)}
         c = {mgr.allocate_frame(1, 1) for _ in range(100)}
         assert not (a & b) and not (a & c) and not (b & c)
-
-    def test_free_and_block_reclaim(self):
-        mgr = self.make()
-        frames = [mgr.allocate_frame(1, 2) for _ in range(PAGES_PER_STRIP)]
-        assert mgr.owned_blocks(1, 2) == 1
-        for f in frames:
-            mgr.free_frame(f, 1, 2)
-        # The strip returned but the 64 MB block is only reclaimed when all
-        # its used strips are free; one partial strip keeps it owned.
-        assert mgr.owned_blocks(1, 2) in (0, 1)
-
-    def test_free_foreign_frame_rejected(self):
-        mgr = self.make()
-        with pytest.raises(AllocationError):
-            mgr.free_frame(12345, 1, 2)
 
     def test_exhaustion(self):
         mgr = NMAllocManager(total_frames=PAGES_PER_BLOCK)

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.core import schemes
+from repro.experiments import runner
 
 
 def bad_scheme_error(value):
@@ -136,6 +142,39 @@ class TestBadNumbers:
             main(argv)
         assert exit_info.value.code == 2
         assert capsys.readouterr().err == message + "\n"
+
+    def test_runner_module_exits_2_with_one_stderr_line(self):
+        """``python -m repro.experiments.runner`` shares the flag parser."""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.runner", "--jobs", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "python -m repro.experiments.runner: error: argument --jobs: "
+            "must be >= 1, got 0\n"
+        )
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+        (["--kernel-backend", "nope"], "argument --kernel-backend: invalid "
+         "choice: 'nope'"),
+        (["figure99"], "unknown experiments: ['figure99']"),
+    ])
+    def test_runner_main_returns_2_with_one_stderr_line(
+        self, argv, message, capsys
+    ):
+        assert runner.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(
+            f"python -m repro.experiments.runner: error: {message}")
+        assert err.count("\n") == 1
 
     def test_serve_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -6,9 +6,11 @@ import pytest
 
 from repro.core import schemes
 from repro.core.system import SDPCMSystem
+from repro.errors import ConfigError
 from repro.experiments.common import (
     ExperimentResult,
     add_gmean_row,
+    cell,
     core_count,
     paper_workload_names,
     trace_length,
@@ -30,6 +32,17 @@ class TestEnvKnobs:
     def test_core_count_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CORES", "2")
         assert core_count() == 2
+
+    def test_explicit_zero_length_is_honoured(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_LEN", "300")
+        assert cell("mcf", schemes.baseline(), length=0).length == 0
+        assert cell("mcf", schemes.baseline()).length == 300
+
+    def test_explicit_zero_cores_is_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CORES", "2")
+        assert cell("mcf", schemes.baseline()).config.cores == 2
+        with pytest.raises(ConfigError, match="cores must be positive"):
+            cell("mcf", schemes.baseline(), cores=0)
 
 
 class TestWorkloadCache:

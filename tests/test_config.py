@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.alloc.strips import adjacent_usage
 from repro.config import (
     LINE_BITS,
     LINE_BYTES,
@@ -82,11 +83,15 @@ class TestDisturbance:
 
 class TestScheme:
     def test_needs_vnc_matrix(self):
-        assert SchemeConfig().needs_vnc
-        assert not SchemeConfig(wd_free_bitlines=True, vnc=False).needs_vnc
-        assert not SchemeConfig(vnc=False).needs_vnc
-        assert not SchemeConfig(nm_ratio=(1, 2)).needs_vnc
-        assert SchemeConfig(nm_ratio=(2, 3)).needs_vnc
+        """Verification needs ``vnc`` plus a used neighbour under the
+        Figure 9 rule (strip 2 is used and inside its block)."""
+        assert SchemeConfig().vnc
+        assert adjacent_usage(2, *SchemeConfig().nm_ratio) == (True, True)
+        assert not SchemeConfig(wd_free_bitlines=True, vnc=False).vnc
+        assert not SchemeConfig(vnc=False).vnc
+        assert adjacent_usage(2, *SchemeConfig(nm_ratio=(1, 2)).nm_ratio) == (
+            False, False)
+        assert any(adjacent_usage(2, *SchemeConfig(nm_ratio=(2, 3)).nm_ratio))
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -104,9 +109,6 @@ class TestSystem:
         assert not base.scheme.lazy_correction
         assert other.scheme.lazy_correction
         assert other.memory == base.memory
-
-    def test_with_seed(self):
-        assert SystemConfig().with_seed(42).seed == 42
 
     def test_core_validation(self):
         with pytest.raises(ConfigError):

@@ -88,7 +88,7 @@ class TestSystemRuns:
         res = simulate(small_config(), wl)
         c = res.counters
         expected_writes = sum(1 for t in wl.traces for r in t if r.is_write)
-        expected_reads = wl.total_references - expected_writes
+        expected_reads = sum(len(t) for t in wl.traces) - expected_writes
         assert c.demand_writes == expected_writes
         assert c.demand_reads == expected_reads
 

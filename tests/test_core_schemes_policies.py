@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.alloc.strips import adjacent_usage
 from repro.config import SchemeConfig
 from repro.core import schemes
-from repro.core.preread import PrereadHardwareCost, preread_coverage
+from repro.core.preread import PrereadHardwareCost
 from repro.errors import ConfigError
-from repro.stats.counters import Counters
+from repro.experiments.figure16 import RATIOS
 
 
 class TestSchemeFactories:
@@ -25,16 +26,23 @@ class TestSchemeFactories:
 
     def test_din_has_no_vnc(self):
         s = schemes.din()
-        assert s.wd_free_bitlines and not s.vnc and not s.needs_vnc
+        assert s.wd_free_bitlines and not s.vnc
+
+    # Which neighbours a write verifies is the Figure 9 rule in
+    # ``adjacent_usage``, applied to the scheme's (n:m) ratio.  Strip 2
+    # is used and inside its 64 MB block under every ratio below.
 
     def test_baseline_needs_vnc(self):
-        assert schemes.baseline().needs_vnc
+        s = schemes.baseline()
+        assert s.vnc and adjacent_usage(2, *s.nm_ratio) == (True, True)
 
     def test_1_2_needs_no_vnc(self):
-        assert not schemes.nm_alloc(1, 2).needs_vnc
+        s = schemes.nm_alloc(1, 2)
+        assert adjacent_usage(2, *s.nm_ratio) == (False, False)
 
     def test_2_3_needs_vnc(self):
-        assert schemes.nm_alloc(2, 3).needs_vnc
+        s = schemes.nm_alloc(2, 3)
+        assert s.vnc and any(adjacent_usage(2, *s.nm_ratio))
 
     def test_by_name_roundtrip(self):
         for name in list(schemes.FIGURE11_SCHEMES) + ["WC", "WC+LazyC", "PreRead"]:
@@ -49,8 +57,9 @@ class TestSchemeFactories:
             SchemeConfig(wd_free_bitlines=True, vnc=True)
 
     def test_ratio_sweep(self):
-        sweep = schemes.nm_ratio_schemes()
-        assert set(sweep) == {"(1:2)", "(2:3)", "(3:4)", "(7:8)"}
+        assert RATIOS == ((1, 2), (2, 3), (3, 4), (7, 8))
+        for n, m in RATIOS:
+            assert schemes.nm_alloc(n, m).nm_ratio == (n, m)
 
 
 class TestPrereadHelpers:
@@ -59,11 +68,3 @@ class TestPrereadHelpers:
         assert cost.total_bytes == pytest.approx(4096, abs=16)
         assert cost.original_buffer_bytes == 2048
         assert cost.buffer_bits_per_entry == 2 * (512 + 1)
-
-    def test_coverage(self):
-        c = Counters()
-        c.preread_hits = 6
-        c.preread_forwards = 2
-        c.pre_write_reads = 2
-        assert preread_coverage(c) == pytest.approx(0.8)
-        assert preread_coverage(Counters()) == 0.0

@@ -14,7 +14,7 @@ from repro.alloc.strips import adjacent_usage, is_no_use
 from repro.core.vnc import VnCExecutor
 from repro.ecp.chip import ECPChip
 from repro.errors import AllocationError
-from repro.mem.request import Request, RequestKind, WriteEntry
+from repro.mem.request import Request, WriteEntry
 from repro.pcm import line as L
 from repro.pcm.array import LineAddress, PCMArray
 from repro.stats.counters import Counters
@@ -50,9 +50,7 @@ def make_executor(
 
 
 def write_entry(executor, bank=2, row=10, line=3, core=0, nm=(1, 1)):
-    request = Request(
-        RequestKind.WRITE, core, LineAddress(bank, row, line), 0, nm_tag=nm
-    )
+    request = Request(core, LineAddress(bank, row, line), nm_tag=nm)
     return WriteEntry(request, slots=executor.preread_slots(request))
 
 
@@ -120,7 +118,7 @@ class TestWriteCommit:
         entry = write_entry(ex)
         run_write(ex, entry)
         addr = entry.addr
-        decoded = ex.encoder.decode_int(
+        decoded = ex.kernels.decode_int(
             array.stored_int(addr), array.line_flags(addr)
         )
         assert decoded == entry.payload_int

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import LINE_BITS
-from repro.ecp.chip import ECPChip
+from repro.ecp.chip import ECPChip, ECPChipGeometry
 from repro.ecp.entry import ENTRY_BITS, ECPEntry, EntryKind
 from repro.ecp.line_ecp import ECPLine
 from repro.ecp.wear import WearModel, relative_lifetime
@@ -214,16 +214,15 @@ class TestMaskLineMatchesPositionsModel:
 class TestChipAndWear:
     def test_chip_lazy_lines(self):
         chip = ECPChip(entries_per_line=6)
-        assert chip.touched_lines == 0
+        assert chip.peek((0, 1, 2)) is None
         chip.line((0, 1, 2)).record_wd(bits(1))
-        assert chip.touched_lines == 1
         assert chip.peek((0, 1, 2)) is not None
         assert chip.peek((9, 9, 9)) is None
 
     def test_chip_geometry_wd_free(self):
-        chip = ECPChip()
-        assert chip.geometry.wd_free
-        assert chip.geometry.area_premium_vs_data_chip == 2.0
+        geometry = ECPChipGeometry()
+        assert geometry.wd_free
+        assert geometry.area_premium_vs_data_chip == 2.0
 
     def test_wear_model_monotone(self):
         model = WearModel()

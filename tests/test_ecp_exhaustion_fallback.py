@@ -9,7 +9,7 @@ import pytest
 from repro.config import DisturbanceConfig, SchemeConfig, TimingConfig
 from repro.core.vnc import VnCExecutor
 from repro.ecp.chip import ECPChip
-from repro.mem.request import Request, RequestKind, WriteEntry
+from repro.mem.request import Request, WriteEntry
 from repro.pcm.array import LineAddress, PCMArray
 from repro.stats.counters import Counters
 
@@ -38,7 +38,7 @@ def build_with_full_hard_ecp(capacity=6):
 
 
 def write(executor, row=10):
-    request = Request(RequestKind.WRITE, 0, LineAddress(2, row, 3), 0)
+    request = Request(0, LineAddress(2, row, 3))
     entry = WriteEntry(request, slots=executor.preread_slots(request))
     op = executor.execute(entry, 0)
     op.commit()

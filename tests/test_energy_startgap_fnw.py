@@ -49,9 +49,9 @@ class TestEnergyModel:
         c = Counters()
         c.demand_reads = 4
         report = energy_report(c)
-        assert report.per_access_pj(4) == pytest.approx(1024.0)
-        with pytest.raises(ConfigError):
-            report.per_access_pj(0)
+        # One 512-bit line read at 2 pJ/bit per access.
+        assert report.demand_read_pj == pytest.approx(4 * 1024.0)
+        assert report.total_pj == pytest.approx(4 * EnergyModel().line_read_pj)
 
 
 lines = st.integers(min_value=0, max_value=L.MASK_ALL)

@@ -70,7 +70,7 @@ class TestNoDeadlocks:
         expected_writes = sum(1 for t in workload.traces for r in t if r.is_write)
         assert result.counters.demand_writes == expected_writes
         assert result.counters.demand_reads == (
-            workload.total_references - expected_writes
+            sum(len(t) for t in workload.traces) - expected_writes
         )
         assert result.cycles >= 0
         assert all(cpi >= 0 for cpi in result.per_core_cpi)

@@ -189,17 +189,19 @@ class TestConsumersDelegate:
 
     def test_message_style_is_uniform(self, monkeypatch):
         """Every knob's error names the variable with 'must be'."""
-        cases = {
-            "REPRO_JOBS": envconfig.jobs,
-            "REPRO_CELL_TIMEOUT": envconfig.cell_timeout,
-            "REPRO_TRACE_LEN": envconfig.trace_length,
-            "REPRO_CORES": envconfig.core_count,
-            "REPRO_KERNEL_BACKEND": envconfig.kernel_backend,
-            "REPRO_MEM_BUDGET_MB": envconfig.mem_budget_mb,
-        }
-        for name, accessor in cases.items():
-            monkeypatch.setenv(name, "garbage")
-            with pytest.raises(ValueError, match=f"{name} must be"):
+        cases = [
+            ("REPRO_JOBS", envconfig.jobs, "garbage", ""),
+            ("REPRO_CELL_TIMEOUT", envconfig.cell_timeout, "garbage", ""),
+            ("REPRO_TRACE_LEN", envconfig.trace_length, "garbage", ""),
+            ("REPRO_TRACE_LEN", envconfig.trace_length, "-5", " >= 0, got -5"),
+            ("REPRO_CORES", envconfig.core_count, "garbage", ""),
+            ("REPRO_CORES", envconfig.core_count, "0", " >= 1, got 0"),
+            ("REPRO_KERNEL_BACKEND", envconfig.kernel_backend, "garbage", ""),
+            ("REPRO_MEM_BUDGET_MB", envconfig.mem_budget_mb, "garbage", ""),
+        ]
+        for name, accessor, value, detail in cases:
+            monkeypatch.setenv(name, value)
+            with pytest.raises(ValueError, match=f"^{name} must be{detail}"):
                 accessor()
             monkeypatch.delenv(name)
 

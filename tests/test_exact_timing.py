@@ -135,7 +135,7 @@ class TestVnCTiming:
 
         from repro.core.vnc import VnCExecutor
         from repro.ecp.chip import ECPChip
-        from repro.mem.request import Request, RequestKind, WriteEntry
+        from repro.mem.request import Request, WriteEntry
         from repro.pcm.array import LineAddress, PCMArray
 
         array = PCMArray(banks=16, rows_per_bank=8, seed=0)
@@ -151,7 +151,7 @@ class TestVnCTiming:
             rng=np.random.default_rng(0),
             flip_fractions=[0.12],
         )
-        request = Request(RequestKind.WRITE, 0, LineAddress(0, 4, 0), 0)
+        request = Request(0, LineAddress(0, 4, 0))
         entry = WriteEntry(request, slots=executor.preread_slots(request))
         op = executor.execute(entry, 0)
         # <=128 changed cells with some SETs: exactly one SET round.

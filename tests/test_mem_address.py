@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.config import LINE_BYTES, PAGES_PER_STRIP, PAGE_BYTES
+from repro.config import LINE_BYTES, LINES_PER_PAGE, PAGES_PER_STRIP, PAGE_BYTES
 from repro.errors import DeviceError
 from repro.mem.address import AddressMapper
-from repro.pcm.array import LineAddress
+from repro.pcm.array import LineAddress, PCMArray
+from repro.traces.record import TraceRecord
 
 
 @pytest.fixture
@@ -23,13 +24,15 @@ class TestFrameMapping:
         assert banks == list(range(16))
 
     def test_adjacent_frames_16_apart(self, mapper):
-        assert mapper.adjacent_frames(100) == [84, 116]
-        assert mapper.adjacent_frames(5) == [21]  # top edge
+        bank, row = mapper.frame_to_bank_row(100)
+        assert mapper.frame_to_bank_row(84) == (bank, row - 1)
+        assert mapper.frame_to_bank_row(116) == (bank, row + 1)
+        assert mapper.frame_to_bank_row(5) == (5, 0)  # top edge: no row above
 
     def test_adjacency_is_row_adjacency(self, mapper):
         f = 100
         bank, row = mapper.frame_to_bank_row(f)
-        for nf in mapper.adjacent_frames(f):
+        for nf in (f - PAGES_PER_STRIP, f + PAGES_PER_STRIP):
             nbank, nrow = mapper.frame_to_bank_row(nf)
             assert nbank == bank
             assert abs(nrow - row) == 1
@@ -38,13 +41,12 @@ class TestFrameMapping:
     def test_roundtrip(self, frame):
         mapper = AddressMapper(banks=16, rows_per_bank=1024)
         bank, row = mapper.frame_to_bank_row(frame)
-        assert mapper.bank_row_to_frame(bank, row) == frame
+        assert row * mapper.banks + bank == frame
 
     def test_strip_is_row(self, mapper):
         for frame in (0, 15, 16, 31, 160):
-            strip = mapper.strip_of_frame(frame)
             _, row = mapper.frame_to_bank_row(frame)
-            assert strip == row
+            assert frame // PAGES_PER_STRIP == row
 
     def test_out_of_range(self, mapper):
         with pytest.raises(DeviceError):
@@ -53,16 +55,22 @@ class TestFrameMapping:
 
 class TestLineMapping:
     def test_line_address(self, mapper):
-        addr = mapper.line_address(17, 5)
+        addr = LineAddress(*mapper.frame_to_bank_row(17), 5)
         assert addr == LineAddress(bank=1, row=1, line=5)
 
     def test_physical_byte_address(self, mapper):
+        """A byte address splits into its page and its line in the page,
+        as the engine's replay columns split it."""
         byte_addr = 17 * PAGE_BYTES + 5 * LINE_BYTES
-        assert mapper.physical_to_line_address(byte_addr) == LineAddress(1, 1, 5)
+        record = TraceRecord(False, byte_addr, 0)
+        line = (record.address // LINE_BYTES) % LINES_PER_PAGE
+        assert LineAddress(*mapper.frame_to_bank_row(record.page), line) == (
+            LineAddress(1, 1, 5))
 
     def test_bad_line_rejected(self, mapper):
+        array = PCMArray(mapper.banks, mapper.rows_per_bank)
         with pytest.raises(DeviceError):
-            mapper.line_address(0, 64)
+            array.stored_int(LineAddress(0, 0, LINES_PER_PAGE))
 
     def test_non_16_bank_layout_rejected(self):
         with pytest.raises(DeviceError):

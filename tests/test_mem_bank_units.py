@@ -16,7 +16,7 @@ from repro.pcm.array import LineAddress
 
 
 def entry(row=5, line=0):
-    req = Request(RequestKind.WRITE, 0, LineAddress(0, row, line), 0)
+    req = Request(0, LineAddress(0, row, line))
     return WriteEntry(req)
 
 
@@ -45,17 +45,19 @@ class TestBankState:
         assert bank.wq_full
 
     def test_find_write_returns_youngest(self):
+        """The line index lists a line's queued writes oldest first."""
         bank = BankState(index=0, wq_capacity=8)
         first, second = entry(5), entry(5)
         for e in (first, entry(6), second):
             bank.wq_append(e)
-        found = bank.find_write((0, 5, 0))
-        assert found is second
+        assert bank.wq_index[(0, 5, 0)] == [first, second]
 
     def test_find_write_misses(self):
+        """The controller's forwarding probe misses an unqueued line."""
         bank = BankState(index=0, wq_capacity=8)
         bank.wq_append(entry(5))
-        assert bank.find_write((0, 9, 0)) is None
+        assert (0, 9, 0) not in bank.wq_index
+        assert (0, 5, 0) in bank.wq_index
 
     def test_busy_reflects_current(self):
         bank = BankState(index=0, wq_capacity=8)
@@ -75,7 +77,6 @@ class TestWriteEntry:
         assert e.pending_preread() is b
         b.done = True
         assert e.pending_preread() is None
-        assert e.prereads_complete()
 
     def test_paused_state_holds_commit(self):
         called = []

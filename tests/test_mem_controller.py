@@ -67,7 +67,7 @@ def read(bank=0, row=10, line=0):
 
 
 def write(bank=0, row=10, line=0, core=0):
-    return Request(RequestKind.WRITE, core, LineAddress(bank, row, line), 0)
+    return Request(core, LineAddress(bank, row, line))
 
 
 class TestReads:

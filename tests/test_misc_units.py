@@ -84,16 +84,16 @@ class TestAddressStripConsistency:
         mapper must agree with the strips module's frame arithmetic."""
         mapper = AddressMapper(banks=16, rows_per_bank=2048)
         _, row = mapper.frame_to_bank_row(frame)
-        assert mapper.strip_of_frame(frame) == row
         assert frame // PAGES_PER_STRIP == row
 
     @given(st.integers(0, 16 * 2048 - 1))
     @settings(max_examples=60)
     def test_adjacent_frames_are_adjacent_strips(self, frame):
         mapper = AddressMapper(banks=16, rows_per_bank=2048)
-        strip = mapper.strip_of_frame(frame)
-        for nf in mapper.adjacent_frames(frame):
-            assert abs(mapper.strip_of_frame(nf) - strip) == 1
+        _, strip = mapper.frame_to_bank_row(frame)
+        for nf in (frame - PAGES_PER_STRIP, frame + PAGES_PER_STRIP):
+            if 0 <= nf < mapper.total_frames:
+                assert abs(mapper.frame_to_bank_row(nf)[1] - strip) == 1
 
     def test_no_use_strips_never_handed_out_consistency(self):
         """(2:3) marks exactly one strip in three; its frames are exactly
@@ -104,4 +104,4 @@ class TestAddressStripConsistency:
             assert is_no_use(strip, 2, 3) == expected
             mapper = AddressMapper(banks=16, rows_per_bank=2048)
             for f in frames:
-                assert mapper.strip_of_frame(f) == strip
+                assert mapper.frame_to_bank_row(f)[1] == strip

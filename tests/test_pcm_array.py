@@ -19,11 +19,9 @@ ADDR = LineAddress(bank=1, row=5, line=3)
 
 class TestMaterialisation:
     def test_lazy(self, array):
-        assert array.materialised_rows == 0
+        assert array._pristine == {}
         array.stored_int(ADDR)
-        assert array.materialised_rows == 1
-        assert array.is_materialised(1, 5)
-        assert not array.is_materialised(0, 0)
+        assert list(array._pristine) == [(1, 5)]
 
     def test_deterministic_contents(self):
         a = PCMArray(4, 16, seed=9)
@@ -117,7 +115,3 @@ class TestAdjacency:
     def test_bottom_edge(self, array):
         nbs = list(array.bitline_neighbours(LineAddress(0, 15, 7)))
         assert nbs == [LineAddress(0, 14, 7)]
-
-    def test_line_address_neighbour_helper(self):
-        assert ADDR.neighbour(-1) == LineAddress(1, 4, 3)
-        assert LineAddress(0, 0, 0).neighbour(-1) is None

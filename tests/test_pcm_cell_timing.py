@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.pcm.cell import CellState, Pulse, disturbed_value, pulse_for
+from repro.config import TimingConfig
+from repro.pcm import line as L
+from repro.pcm.array import PCMArray
+from repro.pcm.cell import CellState
+from repro.pcm.differential_write import rounds_latency
 
 
 class TestCellSemantics:
@@ -19,11 +21,17 @@ class TestCellSemantics:
         assert not CellState.CRYSTALLINE.vulnerable
 
     def test_pulse_selection(self):
-        assert pulse_for(0) is Pulse.RESET
-        assert pulse_for(1) is Pulse.SET
-        with pytest.raises(ValueError):
-            pulse_for(2)
+        """A 0 is programmed by a RESET pulse, a 1 by a SET pulse: a
+        differential write prices each at its pulse's latency."""
+        timing = TimingConfig()
+        assert rounds_latency(1, 0, timing) == timing.reset_cycles
+        assert rounds_latency(0, 1, timing) == timing.set_cycles
 
     def test_disturbed_cell_reads_one(self):
         """Partial crystallisation collapses resistance: reads as 1."""
-        assert disturbed_value() == 1
+        array = PCMArray(banks=1, rows_per_bank=4, seed=0)
+        key = (0, 1, 0)
+        stored = array.stored_int(key)
+        amorphous = ~stored & L.MASK_ALL
+        assert array.disturb_int(key, L.MASK_ALL) == amorphous.bit_count()
+        assert stored | array.disturbed_int(key) == L.MASK_ALL

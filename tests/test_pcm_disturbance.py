@@ -13,7 +13,7 @@ from repro.pcm.disturbance import (
     default_disturbance_model,
     table1_rates,
 )
-from repro.pcm.thermal import Medium
+from repro.pcm.thermal import Medium, default_thermal_model
 
 
 @pytest.fixture
@@ -53,14 +53,21 @@ class TestModelShape:
         rate = default_disturbance_model().error_rate(temp)
         assert 0.0 <= rate < 1.0
 
-    def test_activation_energy_physical(self, model):
+    def test_activation_energy_physical(self):
         """Calibrated Ea should be a plausible sub-eV activation energy."""
-        assert 0.1 < model.activation_energy_ev < 2.0
+        ea, _ = _solve_arrhenius()
+        assert 0.1 < ea < 2.0
 
     def test_error_rate_at_combines_models(self, model):
-        rate = model.error_rate_at(40.0, Medium.GST, 20.0)
-        assert rate == pytest.approx(0.115, abs=1e-9)
-        assert model.error_rate_at(80.0, Medium.GST, 20.0) == 0.0
+        """The thermal model's neighbour temperature drives this model."""
+        thermal = default_thermal_model()
+
+        def rate_at(pitch_nm: float) -> float:
+            temp = thermal.neighbour_temperature(pitch_nm, Medium.GST, 20.0)
+            return model.error_rate(temp)
+
+        assert rate_at(40.0) == pytest.approx(0.115, abs=1e-9)
+        assert rate_at(80.0) == 0.0
 
     def test_invalid_pulse_rejected(self):
         with pytest.raises(ConfigError):

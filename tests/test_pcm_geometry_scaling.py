@@ -32,9 +32,7 @@ class TestCellSizes:
 
     def test_prototype_capacity_fraction(self):
         """The prototype achieves only 33% of the ideal array capacity."""
-        assert PROTOTYPE.cells_per_area(12.0) / SUPER_DENSE.cells_per_area(
-            12.0
-        ) == pytest.approx(1 / 3)
+        assert PROTOTYPE.density_vs(SUPER_DENSE) == pytest.approx(1 / 3)
 
     def test_overlapping_pitch_rejected(self):
         with pytest.raises(ConfigError):

@@ -98,5 +98,5 @@ class TestValidation:
             ThermalModel(anchor_wordline_c=700.0)
 
     def test_temperature_rise_relative_to_ambient(self, model):
-        rise = model.temperature_rise(40.0, Medium.GST, 20.0)
+        rise = model.neighbour_temperature(40.0, Medium.GST, 20.0) - model.ambient_c
         assert rise == pytest.approx(320.0 - C.AMBIENT_C)

@@ -8,7 +8,7 @@ import pytest
 from repro.config import DisturbanceConfig, SchemeConfig, TimingConfig
 from repro.core.vnc import VnCExecutor
 from repro.ecp.chip import ECPChip
-from repro.mem.request import PrereadSlot, Request, RequestKind, WriteEntry
+from repro.mem.request import PrereadSlot, Request, WriteEntry
 from repro.pcm.array import LineAddress, PCMArray
 from repro.stats.counters import Counters
 
@@ -30,7 +30,7 @@ def build(scheme=None):
 
 
 def entry_for(executor, row=10):
-    request = Request(RequestKind.WRITE, 0, LineAddress(1, row, 2), 0)
+    request = Request(0, LineAddress(1, row, 2))
     return WriteEntry(request, slots=executor.preread_slots(request))
 
 

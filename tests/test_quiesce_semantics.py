@@ -32,7 +32,7 @@ class TestQuiesce:
         system.run(write_only_workload(5))
         # All five lines of page 0 were physically written (row materialised
         # and the payloads committed).
-        assert system.array.is_materialised(0, 0)
+        assert (0, 0) in system.array._pristine
 
     def test_flush_effects_counted(self):
         cfg = SystemConfig(

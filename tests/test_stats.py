@@ -6,7 +6,7 @@ import pytest
 
 from repro.stats.counters import Counters
 from repro.stats.lifetime import lifetime_report
-from repro.stats.report import format_series, format_table
+from repro.stats.report import format_table
 
 
 class TestCounters:
@@ -15,8 +15,7 @@ class TestCounters:
         c.demand_writes = 10
         c.corrections = 18
         c.cascade_corrections = 4
-        assert c.corrections_per_write == pytest.approx(1.8)
-        assert c.all_corrections_per_write == pytest.approx(2.2)
+        assert c.corrections_per_write == pytest.approx(1.8)  # no cascades
         assert Counters().corrections_per_write == 0.0
 
     def test_adjacent_error_histogram(self):
@@ -75,7 +74,8 @@ class TestReport:
         assert len(lines) == 5
 
     def test_format_series(self):
-        text = format_series("S", [(1, 2.0)], "x", "y")
+        """An x/y figure curve renders as a two-column table."""
+        text = format_table("S", ["x", "y"], [(1, 2.0)])
         assert "x" in text and "2.000" in text
 
     def test_column_alignment(self):

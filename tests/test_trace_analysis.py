@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TraceError
-from repro.traces.analysis import analyse, check_against_profile
+from repro.traces.analysis import analyse
 from repro.traces.profiles import WORKLOAD_ORDER, profile
 from repro.traces.record import TraceRecord
 from repro.traces.synthetic import generate_trace
@@ -55,7 +55,15 @@ class TestGeneratorFidelity:
     def test_rates_match_table3(self, bench):
         records = generate_trace(bench, 6000, seed=3)
         spec = profile(bench)
-        assert check_against_profile(records, spec.rpki, spec.wpki)
+        measured = analyse(records)
+
+        def close(got: float, want: float) -> bool:
+            if want == 0:
+                return got < 0.05
+            return abs(got - want) <= 0.15 * want
+
+        assert close(measured.rpki, spec.rpki), measured.rpki
+        assert close(measured.wpki, spec.wpki), measured.wpki
 
     def test_streaming_benchmark_measures_sequential(self):
         records = generate_trace("stream", 3000, seed=1)

@@ -13,15 +13,11 @@ from repro.core import schemes
 from repro.core.engine import EventLoop
 from repro.core.system import SDPCMSystem
 from repro.errors import TraceError
-from repro.traces.profiles import PROFILES, WORKLOAD_ORDER, memory_intensive, profile
+from repro.experiments.common import paper_workload_names
+from repro.traces.profiles import PROFILES, WORKLOAD_ORDER, profile
 from repro.traces.record import TraceArray, TraceRecord
 from repro.traces.synthetic import SyntheticTraceGenerator, generate_trace
-from repro.traces.workload import (
-    Workload,
-    homogeneous_workload,
-    mixed_workload,
-    paper_workloads,
-)
+from repro.traces.workload import Workload, homogeneous_workload
 
 TABLE3 = {
     "bwaves": (17.45, 0.47),
@@ -50,9 +46,9 @@ class TestProfiles:
             profile("nope")
 
     def test_memory_intensive_includes_mcf(self):
-        names = memory_intensive()
-        assert "mcf" in names and "gemsFDTD" in names
-        assert "wrf" not in names
+        """Table 3's write-intensive programs (WPKI >= 3)."""
+        assert profile("mcf").wpki >= 3.0 and profile("gemsFDTD").wpki >= 3.0
+        assert profile("wrf").wpki < 3.0
 
     def test_gemsfdtd_flips_fewest_bits(self):
         """Section 6.4: gemsFDTD changes fewer bits per write."""
@@ -70,7 +66,7 @@ class TestProfiles:
 class TestRecord:
     def test_valid(self):
         r = TraceRecord(True, 0x1000, 5)
-        assert r.page == 1 and r.line_address == 64
+        assert r.page == 1 and r.is_write and r.gap == 5
 
     def test_misaligned_rejected(self):
         with pytest.raises(TraceError):
@@ -140,7 +136,6 @@ class TestWorkload:
         wl = homogeneous_workload("lbm", cores=4, length=100)
         assert wl.cores == 4
         assert all(len(t) == 100 for t in wl.traces)
-        assert wl.total_references == 400
         assert wl.flip_fractions == [profile("lbm").flip_fraction] * 4
 
     def test_cores_have_distinct_traces(self):
@@ -154,18 +149,23 @@ class TestWorkload:
         assert not (pages0 & pages1)
 
     def test_mixed_workload(self):
-        wl = mixed_workload(["mcf", "wrf"], length=50)
+        profs = [profile("mcf"), profile("wrf")]
+        traces = [generate_trace(p.name, 50, seed=0) for p in profs]
+        wl = Workload("mix", traces, profs)
         assert wl.cores == 2
         assert wl.profiles[0].name == "mcf"
+        assert wl.flip_fractions == [p.flip_fraction for p in profs]
         assert wl.flip_fractions[0] != wl.flip_fractions[1]
 
     def test_paper_workloads_complete(self):
-        wls = paper_workloads(cores=1, length=10)
-        assert list(wls) == WORKLOAD_ORDER
+        names = paper_workload_names()
+        assert names == WORKLOAD_ORDER
+        for name in names:
+            assert homogeneous_workload(name, cores=1, length=10).name == name
 
     def test_empty_mix_rejected(self):
         with pytest.raises(TraceError):
-            mixed_workload([], length=10)
+            Workload("mix", [], [])
 
     def test_total_instructions(self):
         wl = homogeneous_workload("wrf", cores=1, length=50)

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.config import DisturbanceConfig, SchemeConfig, TimingConfig
 from repro.core.vnc import VnCExecutor
 from repro.ecp.chip import ECPChip
-from repro.mem.request import Request, RequestKind, WriteEntry
+from repro.mem.request import Request, WriteEntry
 from repro.pcm import line as L
 from repro.pcm.array import LineAddress, PCMArray
 from repro.stats.counters import Counters
@@ -40,9 +40,7 @@ def build(scheme: SchemeConfig, seed: int, p_bitline: float):
 
 
 def do_write(executor, bank, row, line, cancel_progress=None):
-    request = Request(
-        RequestKind.WRITE, 0, LineAddress(bank, row, line), 0, nm_tag=(1, 1)
-    )
+    request = Request(0, LineAddress(bank, row, line), nm_tag=(1, 1))
     entry = WriteEntry(request, slots=executor.preread_slots(request))
     op = executor.execute(entry, 0)
     if cancel_progress is not None:
@@ -136,9 +134,7 @@ class TestInvariantUnderRandomSequences:
         upper = 4 * timing.set_cycles + timing.reset_cycles + 4 * timing.read_cycles
         upper += 40 * (timing.read_cycles + 4 * timing.reset_cycles)
         for bank, row, line, _ in script:
-            request = Request(
-                RequestKind.WRITE, 0, LineAddress(bank, row, line), 0
-            )
+            request = Request(0, LineAddress(bank, row, line))
             entry = WriteEntry(request, slots=executor.preread_slots(request))
             op = executor.execute(entry, 0)
             assert timing.reset_cycles <= op.latency <= upper

@@ -69,10 +69,10 @@ class TestWarmPoolUnit:
         pool = WarmPool()
         try:
             executor, reused = pool.get(2)
-            assert not reused and pool.generation == 1 and pool.workers == 2
+            assert not reused and pool.generation == 1
             again, reused = pool.get(2)
             assert reused and again is executor
-            assert pool.reuses == 1 and pool.generation == 1
+            assert pool.generation == 1
         finally:
             pool.shutdown()
 
@@ -91,7 +91,7 @@ class TestWarmPoolUnit:
             first, _ = pool.get(1)
             bigger, reused = pool.get(2)
             assert not reused and bigger is not first
-            assert pool.generation == 2 and pool.recycles == 0
+            assert pool.generation == 2 and pool.alive
         finally:
             pool.shutdown()
 
@@ -100,7 +100,7 @@ class TestWarmPoolUnit:
         try:
             pool.get(1)
             pool.retire()
-            assert not pool.alive and pool.recycles == 1
+            assert not pool.alive and pool.generation == 1
             pool.get(1)
             assert pool.generation == 2
         finally:
@@ -110,7 +110,7 @@ class TestWarmPoolUnit:
         pool = WarmPool()
         pool.retire()
         pool.shutdown()
-        assert pool.recycles == 0 and not pool.alive
+        assert pool.generation == 0 and not pool.alive
 
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError, match="workers must be >= 1"):

@@ -15,7 +15,7 @@ from repro.config import MemoryConfig, SchemeConfig, TimingConfig
 from repro.core.engine import EventLoop
 from repro.mem.bank import BankState
 from repro.mem.controller import MemoryController, WriteOp
-from repro.mem.request import PrereadSlot, Request, RequestKind, WriteEntry
+from repro.mem.request import PrereadSlot, Request, WriteEntry
 from repro.pcm.array import LineAddress
 from repro.stats.counters import Counters
 
@@ -36,7 +36,7 @@ def assert_consistent(bank: BankState) -> None:
 
 
 def entry(row=5, line=0, slots=()):
-    req = Request(RequestKind.WRITE, 0, LineAddress(0, row, line), 0)
+    req = Request(0, LineAddress(0, row, line))
     return WriteEntry(req, slots=list(slots))
 
 
@@ -91,7 +91,7 @@ def read(row=10, line=0):
 
 
 def write(row=10, line=0):
-    return Request(RequestKind.WRITE, 0, LineAddress(0, row, line), 0)
+    return Request(0, LineAddress(0, row, line))
 
 
 class TestBankQueueMethods:
@@ -101,15 +101,14 @@ class TestBankQueueMethods:
         for e in (a, b, c):
             bank.wq_append(e)
         assert_consistent(bank)
-        assert bank.find_write((0, 1, 0)) is c  # youngest duplicate wins
+        assert bank.wq_index[(0, 1, 0)] == [a, c]  # queue order
         assert bank.wq_popleft() is a
         assert_consistent(bank)
-        assert bank.find_write((0, 1, 0)) is c
+        assert bank.wq_index[(0, 1, 0)] == [c]
         assert bank.wq_popleft() is b
         assert bank.wq_popleft() is c
         assert_consistent(bank)
         assert bank.wq_index == {}
-        assert bank.find_write((0, 1, 0)) is None
 
     def test_appendleft_becomes_oldest(self):
         bank = BankState(index=0, wq_capacity=8)
@@ -118,10 +117,10 @@ class TestBankQueueMethods:
         bank.wq_appendleft(new)
         assert_consistent(bank)
         # new sits at the queue front (oldest position): popped first, and
-        # find_write still reports the *youngest* same-line entry.
-        assert bank.find_write((0, 3, 0)) is old
+        # the line's index lists it first.
+        assert bank.wq_index[(0, 3, 0)] == [new, old]
         assert bank.wq_popleft() is new
-        assert bank.find_write((0, 3, 0)) is old
+        assert bank.wq_index[(0, 3, 0)] == [old]
         assert_consistent(bank)
 
     def test_cursor_targets_first_pending_slot(self):
@@ -207,7 +206,7 @@ class TestControllerKeepsIndexConsistent:
         ctrl.enqueue_read(read(row=3), done.append)
         assert counters.writes_cancelled == 1
         assert_consistent(bank)
-        assert bank.find_write((0, 10, 0)) is not None
+        assert (0, 10, 0) in bank.wq_index
         loop.run()
         assert_consistent(bank)
         assert bank.wq_index == {}
