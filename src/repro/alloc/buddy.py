@@ -1,9 +1,11 @@
 """A classic binary buddy page allocator (the §4.4 baseline).
 
-Maintains free lists of 2^k-page blocks ("the 2^3-page-sized block list"),
-splits larger blocks on demand, and coalesces freed blocks with their
-buddies.  This is the Free-(1:1) backing store; :mod:`repro.alloc.nm_alloc`
-layers the per-(n:m) free-block-list arrays on top of it.
+Maintains free lists of 2^k-page blocks ("the 2^3-page-sized block list")
+and splits larger blocks on demand.  A simulated process never frees a
+page, so blocks are never returned and never coalesce (the free path is
+listed as not modelled in ``docs/PAPER_MAP.md``).  This is the
+Free-(1:1) backing store; :mod:`repro.alloc.nm_alloc` layers the
+per-(n:m) free-block-list arrays on top of it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class BuddyAllocator:
         for base in range(0, total_frames, top):
             self._free[max_order].add(base)
 
-    # -- allocate / free ------------------------------------------------------------
+    # -- allocate -----------------------------------------------------------------
 
     def allocate(self, order: int) -> int:
         """Allocate a 2^order-page block; returns its base frame.
@@ -56,23 +58,6 @@ class BuddyAllocator:
             self._free[source].add(base + (1 << source))
         self._allocated[base] = order
         return base
-
-    def free(self, base: int, order: int) -> None:
-        """Free a previously allocated block, coalescing with buddies."""
-        self._check_order(order)
-        if self._allocated.get(base) != order:
-            raise AllocationError(
-                f"block {base} (order {order}) is not currently allocated"
-            )
-        del self._allocated[base]
-        while order < self.max_order:
-            buddy = base ^ (1 << order)
-            if buddy not in self._free[order]:
-                break
-            self._free[order].remove(buddy)
-            base = min(base, buddy)
-            order += 1
-        self._free[order].add(base)
 
     # -- helpers ------------------------------------------------------------------
 

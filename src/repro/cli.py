@@ -19,6 +19,7 @@ from . import envconfig
 from .config import SystemConfig
 from .core import schemes
 from .core.system import simulate
+from .errors import EnvError
 from .stats.report import format_bars, format_table
 from .traces.profiles import PROFILES, WORKLOAD_ORDER
 from .traces.workload import homogeneous_workload
@@ -119,13 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache")
     cache_p.add_argument("action", choices=("stats", "clear"))
-
-    sub.add_parser(
-        "health",
-        help="measure resource pressure and print a machine-readable "
-        "supervision snapshot (pressure, failure-ladder counters, degraded "
-        "modes); exits non-zero when degraded",
-    )
 
     faults_p = sub.add_parser("faults", help="fault-injection tooling")
     faults_sub = faults_p.add_subparsers(dest="faults_command", required=True)
@@ -282,27 +276,9 @@ def _cmd_cache(action: str) -> int:
         ["enabled", info.enabled],
         ["entries", info.entries],
         ["size (KiB)", info.bytes / 1024.0],
-        ["session corrupt evictions", info.corrupt_evictions],
-        ["session async write drops", info.write_drops],
     ]
     print(format_table("result cache", ["metric", "value"], rows))
     return 0
-
-
-def _cmd_health() -> int:
-    import json
-
-    from .perf.cache import ResultCache
-    from .resilience import health
-    from .resilience.pressure import PRESSURE
-
-    # Measure now: a fresh process has no reading until the engine's
-    # first batch, so without this the snapshot could never be degraded.
-    cache = ResultCache()
-    PRESSURE.check(cache)
-    snap = health.snapshot(cache)
-    print(json.dumps(snap, indent=2, sort_keys=True, default=str))
-    return 0 if health.healthy(snap) else 1
 
 
 def _cmd_faults_sweep(args: argparse.Namespace) -> int:
@@ -389,6 +365,15 @@ def _cmd_analyze(path: str) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except EnvError as exc:
+        # A bad REPRO_* value is reported like a bad flag.
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list-workloads":
         return _cmd_list_workloads()
     if args.command == "list-schemes":
@@ -401,8 +386,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_experiment(args)
     if args.command == "cache":
         return _cmd_cache(args.action)
-    if args.command == "health":
-        return _cmd_health()
     if args.command == "faults":
         return _cmd_faults_sweep(args)
     if args.command == "perf":

@@ -210,8 +210,6 @@ class SchemeConfig:
     nm_ratio: Tuple[int, int] = (1, 1)
     #: Write cancellation of in-flight write ops by demand reads [22].
     write_cancellation: bool = False
-    #: Fraction of remaining work below which a write cannot be cancelled.
-    wc_threshold: float = 0.25
     #: Write pausing [22]: an in-flight write pauses at a programming-round
     #: boundary to let a demand read through, then resumes with no lost
     #: work (unlike cancellation, nothing is re-pulsed).
@@ -231,8 +229,6 @@ class SchemeConfig:
             raise ConfigError(f"(n:m) requires 0 < n <= m, got ({n}:{m})")
         if self.ecp_entries < 0:
             raise ConfigError("ecp_entries must be >= 0")
-        if not 0.0 <= self.wc_threshold <= 1.0:
-            raise ConfigError("wc_threshold must be in [0, 1]")
         if self.wd_free_bitlines and self.vnc:
             raise ConfigError("a WD-free (8F^2) chip does not perform VnC")
         if self.write_pausing and self.write_cancellation:

@@ -7,8 +7,8 @@ tests that monkeypatch ``os.environ`` honest without any cache
 invalidation protocol.
 
 Knobs parsed here — the whole ``REPRO_*`` surface.  Tuning constants
-live in their modules (``perf.engine.RETRIES``,
-``resilience.pressure.DISK_MIN_MB``, ...):
+live in their modules (``perf.engine.RETRIES``, ``perf.engine.BACKOFF_S``,
+...):
 
 ========================  ======================================================
 ``REPRO_JOBS``            worker processes for cold cells (int >= 1; CPU count)
@@ -20,16 +20,20 @@ live in their modules (``perf.engine.RETRIES``,
                           ``compiled`` (auto)
 ``REPRO_KERNEL_CC``       C compiler for the compiled kernel backend (PATH
                           search)
-``REPRO_CELL_TIMEOUT``    per-cell wall-clock budget, seconds (float >= 0; off)
-``REPRO_MEM_BUDGET_MB``   soft RSS budget, MiB (int >= 0; off)
+``REPRO_CELL_TIMEOUT``    per-cell wall-clock budget, seconds (finite float,
+                          0 to ``threading.TIMEOUT_MAX``; off)
 ========================  ======================================================
 """
 
 from __future__ import annotations
 
+import math
 import os
+import threading
 from pathlib import Path
 from typing import Optional
+
+from .errors import EnvError
 
 
 def env_int(
@@ -39,8 +43,8 @@ def env_int(
 ) -> int:
     """``name`` as an int, or ``default`` when unset.
 
-    Raises :class:`ValueError` (always naming the variable) on garbage
-    or on values below ``minimum``.
+    Raises :class:`~repro.errors.EnvError`, a ``ValueError`` always
+    naming the variable, on garbage or on values below ``minimum``.
     """
     raw = os.environ.get(name)
     if raw is None:
@@ -48,9 +52,9 @@ def env_int(
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+        raise EnvError(f"{name} must be an integer, got {raw!r}") from None
     if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise EnvError(f"{name} must be >= {minimum}, got {value}")
     return value
 
 
@@ -58,19 +62,25 @@ def env_float(
     name: str,
     default: float,
     minimum: Optional[float] = None,
+    maximum: Optional[float] = None,
 ) -> float:
-    """``name`` as a float, or ``default`` when unset (same error style)."""
+    """``name`` as a finite float, or ``default`` when unset (same error
+    style; ``inf`` and ``nan`` are rejected)."""
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
         value = float(raw)
     except ValueError:
-        raise ValueError(
+        raise EnvError(
             f"{name} must be a number of seconds, got {raw!r}"
         ) from None
+    if not math.isfinite(value):
+        raise EnvError(f"{name} must be a finite number, got {raw!r}")
     if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum:g}, got {value:g}")
+        raise EnvError(f"{name} must be >= {minimum:g}, got {value:g}")
+    if maximum is not None and value > maximum:
+        raise EnvError(f"{name} must be <= {maximum:g}, got {value:g}")
     return value
 
 
@@ -97,8 +107,12 @@ def cell_timeout() -> Optional[float]:
 
     Unset or ``0`` disables the timeout (the default: a cold cell's run
     time scales with ``REPRO_TRACE_LEN``, so no universal bound exists).
+    The engine waits on pool futures for up to this long, so the value
+    must be one a wait can take (``threading.TIMEOUT_MAX``).
     """
-    return env_float("REPRO_CELL_TIMEOUT", 0.0, minimum=0.0) or None
+    return env_float(
+        "REPRO_CELL_TIMEOUT", 0.0, minimum=0.0, maximum=threading.TIMEOUT_MAX
+    ) or None
 
 
 def trace_length(default: int = 1200) -> int:
@@ -144,21 +158,11 @@ def kernel_backend() -> str:
         return "auto"
     value = raw.strip().lower()
     if value not in KERNEL_BACKENDS:
-        raise ValueError(
+        raise EnvError(
             f"REPRO_KERNEL_BACKEND must be one of {'/'.join(KERNEL_BACKENDS)}, "
             f"got {raw!r}"
         )
     return value
-
-
-def mem_budget_mb() -> Optional[int]:
-    """Soft RSS budget in MiB (``REPRO_MEM_BUDGET_MB``).
-
-    When the process RSS exceeds the budget, the pressure monitor forces
-    serial execution until RSS drops back under 80% of it.  Unset or
-    ``0`` disables the check.
-    """
-    return env_int("REPRO_MEM_BUDGET_MB", 0, minimum=0) or None
 
 
 def kernel_cc() -> Optional[str]:

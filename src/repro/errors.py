@@ -15,6 +15,14 @@ class ConfigError(ReproError):
     """An invalid or inconsistent configuration value was supplied."""
 
 
+class EnvError(ConfigError, ValueError):
+    """A ``REPRO_*`` environment variable holds a value it cannot take.
+
+    The ``repro`` and runner entry points report it as one stderr line
+    and exit status 2, as they do a bad flag.
+    """
+
+
 class AllocationError(ReproError):
     """The page allocator could not satisfy a request."""
 
@@ -64,6 +72,6 @@ class CacheWriteError(CacheError):
     """A cache write hit an environmental failure (disk full / permissions).
 
     Retrying the same write cannot succeed until the environment changes,
-    so the background writer drops it (counted in ``repro cache stats``)
+    so the background writer drops it (counted in the engine summary)
     instead of aborting the sweep that produced the result.
     """

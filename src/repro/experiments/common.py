@@ -26,7 +26,6 @@ from ..config import (
     MemoryConfig,
     SchemeConfig,
     SystemConfig,
-    TimingConfig,
 )
 from ..core.results import SimulationResult, geometric_mean
 from ..perf import engine
@@ -67,7 +66,6 @@ def cell(
     write_queue_entries: Optional[int] = None,
     lifetime_fraction: float = 0.0,
     disturbance: Optional[DisturbanceConfig] = None,
-    timing: Optional[TimingConfig] = None,
     faults: Optional[FaultConfig] = None,
 ) -> CellSpec:
     """Describe one (workload, scheme) cell with the standard configuration."""
@@ -78,7 +76,6 @@ def cell(
     )
     config = SystemConfig(
         cores=cores,
-        timing=timing if timing is not None else TimingConfig(),
         memory=memory,
         disturbance=disturbance if disturbance is not None else DisturbanceConfig(),
         scheme=scheme,

@@ -50,6 +50,7 @@ from pathlib import Path
 from typing import Callable, Dict, List
 
 from ..cli import _Parser, add_sweep_arguments
+from ..errors import EnvError
 
 from . import (
     ablation,
@@ -223,8 +224,8 @@ def collect_sweep_specs(names: List[str]) -> List[object]:
 def main(argv: list[str]) -> int:
     """Parse the sweep flags and run the sweep; returns the exit status.
 
-    A bad flag or value prints one ``error:`` line to stderr and
-    returns 2.
+    A bad flag or value, or a bad ``REPRO_*`` value, prints one
+    ``error:`` line to stderr and returns 2.
     """
     parser = _Parser(
         prog="python -m repro.experiments.runner",
@@ -235,7 +236,11 @@ def main(argv: list[str]) -> int:
         args = parser.parse_intermixed_args(argv)
     except SystemExit as exc:
         return exc.code
-    return sweep(args, parser.prog)
+    try:
+        return sweep(args, parser.prog)
+    except EnvError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def sweep(args: argparse.Namespace, prog: str) -> int:

@@ -124,15 +124,6 @@ def run_sweep(
         "the written data, per demand write; DIN rows isolate wear-out "
         "(no bit-line WD, no verification)"
     )
-    from ..resilience import health
-
-    snap = health.snapshot()
-    if not health.healthy(snap):
-        modes = ", ".join(snap["degradations"]) or "see `repro health`"
-        result.notes.append(
-            f"sweep ran under degraded supervision modes ({modes}); results "
-            "are byte-identical regardless — run `repro health` for details"
-        )
     return result
 
 

@@ -44,6 +44,10 @@ _PREREAD = RequestKind.PREREAD
 #: bounds pre-emptions the same way [22]).
 MAX_PAUSES_PER_WRITE = 4
 
+#: Write cancellation [22]: a write whose remaining work is at most this
+#: fraction of its latency is nearly done and is not cancelled.
+WC_THRESHOLD = 0.25
+
 
 class Scheduler(Protocol):
     """The event loop interface the controller schedules completions on.
@@ -217,7 +221,7 @@ class MemoryController:
         """Write-cancellation policy [22] on demand-read arrival.
 
         A read cancels an in-flight write whose remaining work exceeds
-        ``wc_threshold`` of its latency; a nearly-done write finishes.
+        :data:`WC_THRESHOLD` of its latency; a nearly-done write finishes.
         Cancelled prereads are free; a cancelled write re-enters the queue
         head and replays later.  The paper's "repeated write operations
         tend to introduce more WD errors on adjacent lines" follows: the
@@ -237,7 +241,7 @@ class MemoryController:
             bank.current = None
             self._kick(bank)
         elif op.kind is _WRITE:
-            if op.remaining(now) <= self.scheme.wc_threshold * op.latency:
+            if op.remaining(now) <= WC_THRESHOLD * op.latency:
                 return  # nearly done; let it finish
             op.cancelled = True
             self.counters.writes_cancelled += 1

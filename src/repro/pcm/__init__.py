@@ -18,7 +18,6 @@ Public surface:
 * :mod:`repro.pcm.differential_write` — programming-round latency [35].
 """
 
-from .cell import CellState
 from .differential_write import correction_latency
 from .din import DINEncoder
 from .flip_n_write import FlipNWriteEncoder, FNWResult
@@ -35,7 +34,6 @@ from .array import LineAddress, PCMArray
 from .thermal import Medium, ThermalModel, default_thermal_model
 
 __all__ = [
-    "CellState",
     "correction_latency",
     "DINEncoder",
     "FlipNWriteEncoder",

@@ -16,28 +16,6 @@ from __future__ import annotations
 from enum import IntEnum
 
 
-class CellState(IntEnum):
-    """Logical state of an SLC PCM cell (the stored bit)."""
-
-    #: Fully amorphous, high resistance.
-    AMORPHOUS = 0
-    #: Fully crystalline, low resistance.
-    CRYSTALLINE = 1
-
-    @property
-    def bit(self) -> int:
-        return int(self)
-
-    @property
-    def vulnerable(self) -> bool:
-        """Whether an idle cell in this state can be disturbed.
-
-        A disturbed amorphous cell partially crystallises and its stored
-        ``0`` flips to ``1``; a crystalline cell cannot be disturbed.
-        """
-        return self is CellState.AMORPHOUS
-
-
 class CellFault(IntEnum):
     """Permanent wear-out failure modes of one SLC cell.
 
@@ -52,7 +30,3 @@ class CellFault(IntEnum):
     #: Frozen crystalline: always reads the low-resistance bit ``1``.
     STUCK_CRYSTALLINE = 1
 
-    @property
-    def state(self) -> CellState:
-        """The phase the cell is frozen in."""
-        return CellState(int(self))

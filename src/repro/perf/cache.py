@@ -30,13 +30,12 @@ _LOG = logging.getLogger("repro.perf")
 
 #: Corrupt entries evicted by ``load`` in this process (truncated pickles,
 #: wrong-type payloads, unreadable files).  Session-wide, like
-#: :data:`repro.perf.engine.STATS`.
+#: :data:`repro.perf.engine.STATS`, whose summary shows it.
 _CORRUPT_EVICTIONS = 0
 
 #: Cache writes dropped in this process because the environment refused
-#: them (disk full, permissions — ``CacheWriteError``) or because the
-#: pressure monitor paused writes.  Session-wide; shown by
-#: ``repro cache stats`` and ``repro health``.
+#: them (disk full, permissions — ``CacheWriteError``).  Session-wide;
+#: shown by the engine summary.
 _WRITE_DROPS = 0
 
 #: errnos that mean "the storage environment is broken", not "the code
@@ -78,10 +77,6 @@ class CacheInfo:
     enabled: bool
     entries: int
     bytes: int
-    #: Corrupt entries this *process* has evicted (not an on-disk count).
-    corrupt_evictions: int = 0
-    #: Writes this *process* dropped (environmental failure or paused).
-    write_drops: int = 0
 
 
 def environmental_oserror(exc: BaseException) -> bool:
@@ -138,10 +133,6 @@ class ResultCache:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.enabled = cache_enabled() if enabled is None else enabled
         self._writer: Optional[_AsyncWriter] = None
-        #: Set by the pressure monitor when disk headroom runs out; a
-        #: paused cache drops (and counts) writes instead of attempting
-        #: them.  Reads are unaffected.
-        self.writes_paused = False
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}{_SUFFIX}"
@@ -229,13 +220,10 @@ class ResultCache:
         experiment's table).  Call :meth:`flush` before relying on the
         entry being on disk; a store that failed re-raises there —
         except :class:`CacheWriteError`\\ s, which degrade to dropping
-        the write (counted in ``repro cache stats``) instead of aborting
+        the write (counted in the engine summary) instead of aborting
         the sweep.
         """
         if not self.enabled:
-            return
-        if self.writes_paused:
-            _count_drop(key, "writes paused by pressure policy")
             return
         if self._writer is None or not self._writer.alive():
             # First store, or the previous writer died with the
@@ -257,44 +245,6 @@ class ResultCache:
         if self._writer is not None:
             self._writer.flush()
 
-    def pause_writes(self) -> None:
-        self.writes_paused = True
-
-    def resume_writes(self) -> None:
-        self.writes_paused = False
-
-    def evict_lru(self, bytes_needed: int) -> "tuple[int, int]":
-        """Evict least-recently-modified entries until ``bytes_needed``
-        bytes are freed (or the cache is empty).
-
-        Returns ``(entries_removed, bytes_freed)``.  Used by the
-        pressure monitor when free disk under the cache dir drops below
-        ``DISK_MIN_MB`` — losing old entries costs re-simulation
-        later, never correctness.
-        """
-        removed = 0
-        freed = 0
-        if bytes_needed <= 0 or not self.root.is_dir():
-            return removed, freed
-        entries = []
-        for path in self.root.glob(f"*{_SUFFIX}"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-        entries.sort()
-        for _, size, path in entries:
-            if freed >= bytes_needed:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
-            freed += size
-        return removed, freed
-
     def info(self) -> CacheInfo:
         entries = 0
         size = 0
@@ -310,8 +260,6 @@ class ResultCache:
             enabled=self.enabled,
             entries=entries,
             bytes=size,
-            corrupt_evictions=_CORRUPT_EVICTIONS,
-            write_drops=_WRITE_DROPS,
         )
 
     def clear(self) -> int:

@@ -23,10 +23,9 @@ is synthesized once in the parent and shared with workers zero-copy via
 the :mod:`repro.traces.shm` trace plane.
 
 A cold batch runs in-process (:func:`repro.perf.batch.simulate_batch`)
-when ``jobs`` is 1, when it holds one cell, or while the pressure
-monitor forces serial execution; otherwise it runs on the warm pool,
-one future per cell.  Both modes are byte-identical: every cell is an
-independent simulation seeded from its own spec.
+when ``jobs`` is 1 or when it holds one cell; otherwise it runs on the
+warm pool, one future per cell.  Both modes are byte-identical: every
+cell is an independent simulation seeded from its own spec.
 
 Pooled execution is crash-proof: a worker that raises, dies (broken
 pool), or exceeds the per-cell wall-clock budget (``REPRO_CELL_TIMEOUT``
@@ -69,10 +68,15 @@ from ..core.results import SimulationResult
 from ..errors import CellTimeoutError, WorkerCrashError
 from ..pcm import kernels
 from ..pcm import stateplane
-from ..resilience.pressure import PRESSURE
 from ..traces import shm
 from . import batch as batchexec
-from .cache import ResultCache
+from .cache import (
+    ResultCache,
+    corrupt_evictions,
+    reset_corrupt_evictions,
+    reset_write_drops,
+    write_drops,
+)
 from .cellspec import CellSpec, cache_key, simulate_cell
 from .pool import WARM_POOL, defer_sigint
 from .profiler import PROFILER, Snapshot
@@ -184,11 +188,19 @@ class EngineStats:
                 f"; pool: {self.pool_reuses} reuses, "
                 f"{self.pool_recycles} recycles"
             )
-        if shm.PLANE.published or shm.PLANE.hits:
+        drops, evictions = write_drops(), corrupt_evictions()
+        if drops or evictions:
             base += (
-                f"; trace plane: {shm.PLANE.published} segments, "
-                f"{shm.PLANE.hits} reuses"
+                f"; cache: {drops} write drops, {evictions} corrupt evictions"
             )
+        trace = shm.PLANE
+        if trace.published or trace.hits or trace.suppressed:
+            base += (
+                f"; trace plane: {trace.published} segments, "
+                f"{trace.hits} reuses"
+            )
+            if trace.suppressed:
+                base += f", {trace.suppressed} suppressed"
         if self.prefetched or self.cross_exp_dedup:
             base += (
                 f"; pipeline: {self.prefetched} prefetched, "
@@ -205,8 +217,6 @@ class EngineStats:
                 f"; kernels: {self.kernel_python_picks} python / "
                 f"{self.kernel_compiled_picks} compiled picks"
             )
-        if PRESSURE.transitions:
-            base += f"; supervision: {PRESSURE.transitions} pressure events"
         plane = stateplane.PLANE
         if plane.row_hits or plane.mask_hits:
             base += f"; state plane: {plane.summary()}"
@@ -256,9 +266,6 @@ class CellRunner:
 
     def run_cells(self, specs: Sequence[CellSpec]) -> List[SimulationResult]:
         """Simulate (or recall) every cell, in submission order."""
-        # Periodic resource-pressure check (rate-limited): applies/lifts
-        # degradation policies before this batch picks its mode.
-        PRESSURE.maybe_check(self.cache)
         keys = [cache_key(spec) for spec in specs]
         unique: Dict[str, CellSpec] = {}
         for key, spec in zip(keys, specs):
@@ -311,7 +318,6 @@ class CellRunner:
         :meth:`_runs_serial`) this is a no-op: there is no pool to
         overlap with.
         """
-        PRESSURE.maybe_check(self.cache)
         if self._runs_serial(len(specs)):
             return 0
         kernel = self._resolve_kernel()
@@ -403,12 +409,10 @@ class CellRunner:
     def _runs_serial(self, cells: int) -> bool:
         """Whether a cold batch of ``cells`` cells runs in-process.
 
-        It does when there is nothing to overlap (one worker or one
-        cell) and while the pressure monitor forces serial execution
-        (RSS over ``REPRO_MEM_BUDGET_MB``): forked workers would only
-        multiply the footprint.  Every other batch goes to the warm pool.
+        It does when there is nothing to overlap: one worker or one
+        cell.  Every other batch goes to the warm pool.
         """
-        return self.jobs <= 1 or cells <= 1 or PRESSURE.serial_forced
+        return self.jobs <= 1 or cells <= 1
 
     def _resolve_kernel(self) -> str:
         """The bit-kernel backend for the next cold batch.
@@ -689,9 +693,6 @@ def reset() -> None:
     stateplane.PLANE.reset()
     WARM_POOL.shutdown()
     shm.reset()
-    PRESSURE.reset()
-    from .cache import reset_corrupt_evictions, reset_write_drops
-
     reset_corrupt_evictions()
     reset_write_drops()
 

@@ -139,19 +139,10 @@ class TracePlane:
         self.published = 0
         #: Cells that reused an already-published segment.
         self.hits = 0
-        #: Publishes skipped because the plane was suspended or segment
-        #: creation failed (the workers synthesized in-process instead).
+        #: Publishes skipped because segment creation failed (the
+        #: workers synthesized in-process instead).
         self.suppressed = 0
-        #: Set by the pressure monitor when /dev/shm headroom runs out.
-        self.suspended = False
         self._atexit_registered = False
-
-    def suspend(self) -> None:
-        """Stop publishing new segments (existing ones stay mapped)."""
-        self.suspended = True
-
-    def resume(self) -> None:
-        self.suspended = False
 
     def handle_for(
         self, bench: str, length: int, cores: int, seed: int
@@ -159,9 +150,8 @@ class TracePlane:
         """Publish (or reuse) the segment for one workload.
 
         Returns ``None`` for degenerate empty workloads (zero-byte
-        segments are invalid), while the plane is suspended by the
-        pressure monitor, or when ``SharedMemory`` refuses the segment —
-        the worker then synthesizes in-process, which is byte-identical
+        segments are invalid) or when ``SharedMemory`` refuses the
+        segment — the worker then synthesizes in-process, which is byte-identical
         (and instant at length 0), instead of the sweep dying.
         """
         if length <= 0 or cores <= 0:
@@ -171,9 +161,6 @@ class TracePlane:
         if entry is not None:
             self.hits += 1
             return entry[1]
-        if self.suspended:
-            self.suppressed += 1
-            return None
         workload = workload_for(bench, length, cores, seed)
         _, _, total = _column_layout(cores, length)
         name = f"{SHM_PREFIX}_{os.getpid()}_{self._counter}"
@@ -250,7 +237,6 @@ class TracePlane:
         self.published = 0
         self.hits = 0
         self.suppressed = 0
-        self.suspended = False
 
 
 #: The process-wide plane the engine publishes through.

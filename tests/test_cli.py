@@ -182,6 +182,72 @@ class TestBadNumbers:
         assert exit_info.value.code == 2
         assert "invalid choice: 'serve'" in capsys.readouterr().err
 
+    def test_health_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["health"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'health'" in capsys.readouterr().err
+
+
+class TestBadEnvValues:
+    """A bad ``REPRO_*`` value is one stderr line and status 2, like a
+    bad flag."""
+
+    CASES = [
+        ("REPRO_JOBS", "0", "REPRO_JOBS must be >= 1, got 0"),
+        ("REPRO_CELL_TIMEOUT", "-1", "REPRO_CELL_TIMEOUT must be >= 0, got -1"),
+        ("REPRO_CELL_TIMEOUT", "inf",
+         "REPRO_CELL_TIMEOUT must be a finite number, got 'inf'"),
+        ("REPRO_TRACE_LEN", "-5", "REPRO_TRACE_LEN must be >= 0, got -5"),
+        ("REPRO_KERNEL_BACKEND", "bogus", "REPRO_KERNEL_BACKEND must be one "
+         "of auto/python/numpy/compiled, got 'bogus'"),
+    ]
+
+    def test_runner_module_exits_2_with_one_stderr_line(self):
+        env = dict(os.environ, REPRO_JOBS="0")
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.runner", "table1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "python -m repro.experiments.runner: error: "
+            "REPRO_JOBS must be >= 1, got 0\n"
+        )
+
+    @pytest.mark.parametrize("name, value, message", CASES)
+    def test_runner_main_returns_2(self, name, value, message, monkeypatch,
+                                   capsys):
+        monkeypatch.setenv(name, value)
+        assert runner.main(["figure12"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"python -m repro.experiments.runner: error: {message}\n"
+
+    @pytest.mark.parametrize("name, value, message", CASES)
+    def test_repro_experiment_returns_2(self, name, value, message,
+                                        monkeypatch, capsys):
+        monkeypatch.setenv(name, value)
+        assert main(["experiment", "figure12"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"repro experiment: error: {message}\n"
+
+    def test_value_error_inside_a_cell_still_raises(self, monkeypatch):
+        from repro.perf import batch
+
+        def broken(spec):
+            raise ValueError("a bug inside a cell")
+
+        monkeypatch.setenv("REPRO_TRACE_LEN", "60")
+        monkeypatch.setattr(batch, "simulate_cell", broken)
+        with pytest.raises(ValueError, match="a bug inside a cell"):
+            runner.main(["figure12", "--jobs", "1"])
+
 
 class TestPerfProfile:
     ARGV = ["perf", "profile", "mcf", "--length", "200", "--cores", "2"]

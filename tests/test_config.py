@@ -98,8 +98,6 @@ class TestScheme:
             SchemeConfig(nm_ratio=(3, 2))
         with pytest.raises(ConfigError):
             SchemeConfig(ecp_entries=-1)
-        with pytest.raises(ConfigError):
-            SchemeConfig(wc_threshold=2.0)
 
 
 class TestSystem:

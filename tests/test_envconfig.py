@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import os
 import re
+import threading
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -134,39 +134,6 @@ class TestAccessors:
         monkeypatch.setenv("REPRO_KERNEL_CC", " /usr/bin/cc ")
         assert envconfig.kernel_cc() == "/usr/bin/cc"
 
-    def test_mem_budget_mb(self, monkeypatch):
-        assert envconfig.mem_budget_mb() is None
-        monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "0")
-        assert envconfig.mem_budget_mb() is None  # 0 disables
-        monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "512")
-        assert envconfig.mem_budget_mb() == 512
-        monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "-1")
-        with pytest.raises(ValueError, match="REPRO_MEM_BUDGET_MB"):
-            envconfig.mem_budget_mb()
-
-    def test_pressure_floors(self, monkeypatch, tmp_path):
-        """The disk and /dev/shm floors are constants; 0 disables one."""
-        from repro.perf.cache import ResultCache
-        from repro.resilience import pressure
-
-        assert pressure.DISK_MIN_MB == 64
-        assert pressure.SHM_MIN_MB == 16
-        free = [100 * pressure.MB]
-        monkeypatch.setattr(pressure.shutil, "disk_usage",
-                            lambda path: SimpleNamespace(free=free[0]))
-        cache = ResultCache(tmp_path, enabled=True)
-        monitor = pressure.PressureMonitor()
-        reading = monitor.check(cache)
-        assert reading["cache_disk_min_mb"] == 64
-        assert reading["shm_min_mb"] == 16
-        monkeypatch.setattr(pressure, "DISK_MIN_MB", 0)
-        monkeypatch.setattr(pressure, "SHM_MIN_MB", 0)
-        free[0] = 1 * pressure.MB  # under both default floors
-        reading = monitor.check(cache)
-        assert reading["cache_disk_min_mb"] == 0
-        assert monitor.degradations() == []
-        assert not cache.writes_paused
-
 
 class TestConsumersDelegate:
     """The old per-module parsers now route through envconfig."""
@@ -197,7 +164,12 @@ class TestConsumersDelegate:
             ("REPRO_CORES", envconfig.core_count, "garbage", ""),
             ("REPRO_CORES", envconfig.core_count, "0", " >= 1, got 0"),
             ("REPRO_KERNEL_BACKEND", envconfig.kernel_backend, "garbage", ""),
-            ("REPRO_MEM_BUDGET_MB", envconfig.mem_budget_mb, "garbage", ""),
+            ("REPRO_CELL_TIMEOUT", envconfig.cell_timeout, "inf",
+             " a finite number, got 'inf'"),
+            ("REPRO_CELL_TIMEOUT", envconfig.cell_timeout, "nan",
+             " a finite number, got 'nan'"),
+            ("REPRO_CELL_TIMEOUT", envconfig.cell_timeout, "1e12",
+             re.escape(f" <= {threading.TIMEOUT_MAX:g}, got 1e+12")),
         ]
         for name, accessor, value, detail in cases:
             monkeypatch.setenv(name, value)
@@ -212,7 +184,7 @@ class TestKnobSurface:
     KNOBS = {
         "REPRO_JOBS", "REPRO_TRACE_LEN", "REPRO_CORES", "REPRO_CACHE",
         "REPRO_CACHE_DIR", "REPRO_KERNEL_BACKEND", "REPRO_KERNEL_CC",
-        "REPRO_CELL_TIMEOUT", "REPRO_MEM_BUDGET_MB",
+        "REPRO_CELL_TIMEOUT",
     }
     NAME = re.compile(r"REPRO_[A-Z_]+")
 

@@ -205,7 +205,7 @@ class TestWriteCancellation:
         assert len(ex.commits) == 1
 
     def test_nearly_done_write_not_cancelled(self):
-        scheme = SchemeConfig(write_cancellation=True, wc_threshold=0.25)
+        scheme = SchemeConfig(write_cancellation=True)
         loop, ctrl, ex, counters = make_controller(scheme=scheme, wq=8)
         ctrl.try_enqueue_write(write(row=10))
         done = []

@@ -5,20 +5,26 @@ from __future__ import annotations
 from repro.config import TimingConfig
 from repro.pcm import line as L
 from repro.pcm.array import PCMArray
-from repro.pcm.cell import CellState
+from repro.pcm.cell import CellFault
 from repro.pcm.differential_write import rounds_latency
 
 
 class TestCellSemantics:
     def test_bit_encoding(self):
-        """Amorphous = 0, crystalline = 1 (Section 2.1)."""
-        assert CellState.AMORPHOUS.bit == 0
-        assert CellState.CRYSTALLINE.bit == 1
+        """Amorphous = 0, crystalline = 1 (Section 2.1): a cell stuck in
+        a phase reads that phase's bit."""
+        assert int(CellFault.STUCK_AMORPHOUS) == 0
+        assert int(CellFault.STUCK_CRYSTALLINE) == 1
 
     def test_vulnerability(self):
-        """Only idle amorphous cells can be disturbed (Section 2.2.1)."""
-        assert CellState.AMORPHOUS.vulnerable
-        assert not CellState.CRYSTALLINE.vulnerable
+        """Only idle amorphous cells can be disturbed (Section 2.2.1):
+        disturbing every cell of a line flips exactly its 0 bits."""
+        array = PCMArray(banks=1, rows_per_bank=4, seed=0)
+        key = (0, 2, 0)
+        stored = array.stored_int(key)
+        array.disturb_int(key, L.MASK_ALL)
+        assert array.disturbed_int(key) == ~stored & L.MASK_ALL
+        assert array.disturbed_int(key) & stored == 0
 
     def test_pulse_selection(self):
         """A 0 is programmed by a RESET pulse, a 1 by a SET pulse: a
