@@ -48,7 +48,7 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 
 
 _COUNT = _int_at_least(1)
-_LENGTH = _int_at_least(0)
+_NON_NEGATIVE = _int_at_least(0)
 
 
 def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
@@ -105,15 +105,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one workload under one scheme")
     sim.add_argument("workload", choices=WORKLOAD_ORDER)
     sim.add_argument("--scheme", choices=schemes.SCHEMES, default="baseline")
-    sim.add_argument("--length", type=_LENGTH, default=1000)
+    sim.add_argument("--length", type=_NON_NEGATIVE, default=1000)
     sim.add_argument("--cores", type=_COUNT, default=8)
-    sim.add_argument("--seed", type=int, default=1)
+    sim.add_argument("--seed", type=_NON_NEGATIVE, default=1)
 
     cmp_p = sub.add_parser("compare", help="run the Figure 11 line-up on one workload")
     cmp_p.add_argument("workload", choices=WORKLOAD_ORDER)
-    cmp_p.add_argument("--length", type=_LENGTH, default=1000)
+    cmp_p.add_argument("--length", type=_NON_NEGATIVE, default=1000)
     cmp_p.add_argument("--cores", type=_COUNT, default=8)
-    cmp_p.add_argument("--seed", type=int, default=1)
+    cmp_p.add_argument("--seed", type=_NON_NEGATIVE, default=1)
 
     exp = sub.add_parser("experiment", help="run paper experiments by name")
     add_sweep_arguments(exp)
@@ -135,12 +135,12 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("light", "stress"),
         help="fault intensity; repeatable (default: both)",
     )
-    fsweep.add_argument("--length", type=_LENGTH, default=None)
+    fsweep.add_argument("--length", type=_NON_NEGATIVE, default=None)
     fsweep.add_argument("--cores", type=_COUNT, default=None)
-    fsweep.add_argument("--seed", type=int, default=1)
+    fsweep.add_argument("--seed", type=_NON_NEGATIVE, default=1)
     fsweep.add_argument(
         "--fault-seed",
-        type=int,
+        type=_NON_NEGATIVE,
         default=3,
         help="seed of the fault plan's RNG streams (fixed seed => "
         "bit-identical sweep)",
@@ -156,9 +156,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     prof.add_argument("workload", choices=WORKLOAD_ORDER)
     prof.add_argument("--scheme", choices=schemes.SCHEMES, default="LazyC+PreRead")
-    prof.add_argument("--length", type=_LENGTH, default=2000)
+    prof.add_argument("--length", type=_NON_NEGATIVE, default=2000)
     prof.add_argument("--cores", type=_COUNT, default=4)
-    prof.add_argument("--seed", type=int, default=1)
+    prof.add_argument("--seed", type=_NON_NEGATIVE, default=1)
     prof.add_argument(
         "--kernel-backend",
         choices=envconfig.KERNEL_BACKENDS,
@@ -171,8 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-trace", help="generate and save a workload trace")
     gen.add_argument("workload", choices=WORKLOAD_ORDER)
     gen.add_argument("path", help="output file (.npz binary or .trace text)")
-    gen.add_argument("--length", type=_LENGTH, default=10_000)
-    gen.add_argument("--seed", type=int, default=1)
+    gen.add_argument("--length", type=_NON_NEGATIVE, default=10_000)
+    gen.add_argument("--seed", type=_NON_NEGATIVE, default=1)
 
     ana = sub.add_parser("analyze", help="characterise a saved trace")
     ana.add_argument("path", help="trace file (.npz or text)")
@@ -337,13 +337,22 @@ def _cmd_perf_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fail(command: str, message: object) -> int:
+    """Report an error as one stderr line; the exit status is 2."""
+    print(f"repro {command}: error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_gen_trace(args: argparse.Namespace) -> int:
     from .traces import file_io
     from .traces.synthetic import generate_trace
 
-    records = generate_trace(args.workload, args.length, seed=args.seed)
-    file_io.save(records, args.path)
-    print(f"wrote {len(records)} records to {args.path}")
+    trace = generate_trace(args.workload, args.length, seed=args.seed)
+    try:
+        file_io.save(trace, args.path)
+    except OSError as exc:
+        return _fail("gen-trace", exc)
+    print(f"wrote {len(trace)} records to {args.path}")
     return 0
 
 
@@ -353,13 +362,13 @@ def _cmd_analyze(path: str) -> int:
     from .traces.analysis import analyse
 
     try:
-        records = file_io.load(path)
+        trace = file_io.load(path)
     except (OSError, TraceError) as exc:
-        print(f"repro analyze: error: {exc}", file=sys.stderr)
-        return 2
-    profile = analyse(records)
+        return _fail("analyze", exc)
+    if not len(trace):
+        return _fail("analyze", f"{path}: empty trace")
     print(format_table(f"trace profile: {path}", ["metric", "value"],
-                       profile.summary_rows()))
+                       analyse(trace).summary_rows()))
     return 0
 
 
@@ -369,8 +378,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _dispatch(args)
     except EnvError as exc:
         # A bad REPRO_* value is reported like a bad flag.
-        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args.command, exc)
 
 
 def _dispatch(args: argparse.Namespace) -> int:

@@ -26,7 +26,7 @@ from ..mem.address import AddressMapper
 from ..mem.controller import MemoryController
 from ..mem.request import Request
 from ..pcm.array import LineAddress
-from ..traces.record import trace_columns
+from ..traces.record import check_trace
 from ..traces.workload import Workload
 
 _heappush = heapq.heappush
@@ -137,11 +137,12 @@ class Engine:
         base_cpi = config.timing.base_cpi
         self.cores = []
         for i, trace in enumerate(workload.traces):
-            is_write, address, gap = trace_columns(trace)
+            check_trace(trace)
+            address, gap = trace.address, trace.gap
             self.cores.append(CoreState(
                 index=i,
                 page_table=page_tables[i],
-                is_write=is_write.tolist(),
+                is_write=trace.is_write.tolist(),
                 page=(address >> 12).tolist(),
                 line=((address >> 6) % LINES_PER_PAGE).tolist(),
                 gap=gap.tolist(),

@@ -16,7 +16,6 @@ a process pool when ``--jobs``/``REPRO_JOBS`` allows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 from .. import envconfig
@@ -32,7 +31,6 @@ from ..perf import engine
 from ..perf.cellspec import CellSpec
 from ..stats.report import format_table
 from ..traces.profiles import WORKLOAD_ORDER
-from ..traces.workload import Workload, homogeneous_workload
 
 DEFAULT_SEED = 1
 
@@ -45,12 +43,6 @@ def trace_length(default: int = 1200) -> int:
 def core_count(default: int = 8) -> int:
     """Core count, overridable via ``REPRO_CORES``."""
     return envconfig.core_count(default)
-
-
-@lru_cache(maxsize=64)
-def workload(name: str, length: int, cores: int, seed: int = DEFAULT_SEED) -> Workload:
-    """Cached workload construction (traces are immutable)."""
-    return homogeneous_workload(name, cores=cores, length=length, seed=seed)
 
 
 def paper_workload_names(subset: Optional[Sequence[str]] = None) -> List[str]:
@@ -98,28 +90,6 @@ def run_cells(specs: Sequence[CellSpec]) -> List[SimulationResult]:
     CLI's ``--jobs`` configuration) applies to every experiment module.
     """
     return engine.get_runner().run_cells(list(specs))
-
-
-def run(
-    bench: str,
-    scheme: SchemeConfig,
-    length: Optional[int] = None,
-    cores: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
-    write_queue_entries: Optional[int] = None,
-    lifetime_fraction: float = 0.0,
-) -> SimulationResult:
-    """Simulate one (workload, scheme) cell with the standard configuration."""
-    spec = cell(
-        bench,
-        scheme,
-        length=length,
-        cores=cores,
-        seed=seed,
-        write_queue_entries=write_queue_entries,
-        lifetime_fraction=lifetime_fraction,
-    )
-    return run_cells([spec])[0]
 
 
 @dataclass

@@ -49,6 +49,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List
 
+from .. import envconfig
 from ..cli import _Parser, add_sweep_arguments
 from ..errors import EnvError
 
@@ -107,9 +108,7 @@ EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
 
 def manifest_path() -> Path:
     """Where the completed-experiment manifest lives (beside the cache)."""
-    from ..perf.cache import default_cache_dir
-
-    return default_cache_dir() / "runner_manifest.json"
+    return envconfig.cache_dir() / "runner_manifest.json"
 
 
 def _manifest_stamp() -> Dict[str, object]:

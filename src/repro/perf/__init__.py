@@ -14,7 +14,6 @@ from .engine import (
     STATS,
     CellRunner,
     configure,
-    default_jobs,
     get_runner,
     use_runner,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "WarmPool",
     "cache_key",
     "configure",
-    "default_jobs",
     "get_runner",
     "use_runner",
 ]

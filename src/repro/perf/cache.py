@@ -117,21 +117,13 @@ def _count_drop(key: str, reason: str) -> None:
         _LOG.debug("dropping cache write %s (%s)", key, reason)
 
 
-def default_cache_dir() -> Path:
-    return envconfig.cache_dir()
-
-
-def cache_enabled() -> bool:
-    return envconfig.cache_enabled()
-
-
 class ResultCache:
     """Load/store :class:`SimulationResult`\\ s keyed by spec hash."""
 
     def __init__(self, root: Optional[os.PathLike] = None,
                  enabled: Optional[bool] = None):
-        self.root = Path(root) if root is not None else default_cache_dir()
-        self.enabled = cache_enabled() if enabled is None else enabled
+        self.root = Path(root) if root is not None else envconfig.cache_dir()
+        self.enabled = envconfig.cache_enabled() if enabled is None else enabled
         self._writer: Optional[_AsyncWriter] = None
 
     def _path(self, key: str) -> Path:

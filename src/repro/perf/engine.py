@@ -98,20 +98,6 @@ BACKOFF_CAP = 2.0
 _OnResult = Callable[[int, SimulationResult], None]
 
 
-def default_jobs() -> int:
-    """Worker count from ``REPRO_JOBS`` or the machine's CPU count."""
-    return envconfig.jobs()
-
-
-def default_cell_timeout() -> Optional[float]:
-    """Per-cell wall-clock budget in seconds (``REPRO_CELL_TIMEOUT``).
-
-    Unset or ``0`` disables the timeout (the default: a cold cell's run
-    time scales with ``REPRO_TRACE_LEN``, so no universal bound exists).
-    """
-    return envconfig.cell_timeout()
-
-
 @dataclass
 class EngineStats:
     """Session-wide counters, shared by every runner instance."""
@@ -239,13 +225,13 @@ class CellRunner:
                  kernel_backend: Optional[str] = None):
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs if jobs is not None else default_jobs()
+        self.jobs = jobs if jobs is not None else envconfig.jobs()
         self.cache = cache if cache is not None else ResultCache()
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.retries = retries
         self.cell_timeout = (
-            cell_timeout if cell_timeout is not None else default_cell_timeout()
+            cell_timeout if cell_timeout is not None else envconfig.cell_timeout()
         )
         self.backoff = backoff
         self.kernel_backend = (

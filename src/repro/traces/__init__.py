@@ -3,7 +3,7 @@
 from . import file_io
 from .analysis import TraceProfile, analyse
 from .profiles import PROFILES, WORKLOAD_ORDER, BenchmarkProfile, profile
-from .record import TraceArray, TraceRecord
+from .record import TraceArray
 from .synthetic import SyntheticTraceGenerator, generate_trace
 from .workload import Workload, homogeneous_workload
 
@@ -16,7 +16,6 @@ __all__ = [
     "BenchmarkProfile",
     "profile",
     "TraceArray",
-    "TraceRecord",
     "SyntheticTraceGenerator",
     "generate_trace",
     "Workload",

@@ -9,13 +9,15 @@ characterise imported traces before simulating them.
 
 from __future__ import annotations
 
-from collections import Counter as Histogram
+import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
+
+import numpy as np
 
 from ..config import LINE_BYTES, PAGES_PER_STRIP, PAGE_BYTES
 from ..errors import TraceError
-from .record import TraceRecord
+from .record import TraceArray
 
 
 @dataclass(frozen=True)
@@ -52,61 +54,47 @@ class TraceProfile:
         ]
 
 
-def analyse(records: Sequence[TraceRecord]) -> TraceProfile:
+def analyse(trace: TraceArray) -> TraceProfile:
     """Measure one trace (addresses interpreted as physical-contiguous)."""
-    if not records:
+    references = len(trace)
+    if not references:
         raise TraceError("cannot analyse an empty trace")
-    instructions = sum(r.gap + 1 for r in records)
-    writes = sum(1 for r in records if r.is_write)
-    reads = len(records) - writes
+    instructions = references + int(trace.gap.sum())
+    writes = int(np.count_nonzero(trace.is_write))
+    reads = references - writes
 
-    pages = {r.address // PAGE_BYTES for r in records}
-    lines = {r.address // LINE_BYTES for r in records}
+    pages = trace.address // PAGE_BYTES
+    lines = np.unique(trace.address // LINE_BYTES)
+    sequential = int(np.count_nonzero(np.diff(trace.address) == LINE_BYTES))
 
-    sequential = sum(
-        1
-        for a, b in zip(records, records[1:])
-        if b.address - a.address == LINE_BYTES
+    # Bank counts in order of each bank's first reference, which fixes the
+    # entropy sum's float rounding.
+    _, first, counts = np.unique(
+        pages % PAGES_PER_STRIP, return_index=True, return_counts=True
     )
-
-    bank_hist: Histogram = Histogram(
-        (r.address // PAGE_BYTES) % PAGES_PER_STRIP for r in records
-    )
-    bank_balance = _normalised_entropy(list(bank_hist.values()), PAGES_PER_STRIP)
-
-    seen: set = set()
-    reuses = 0
-    for r in records:
-        line = r.address // LINE_BYTES
-        if line in seen:
-            reuses += 1
-        seen.add(line)
+    bank_counts = counts[np.argsort(first)].tolist()
 
     return TraceProfile(
-        references=len(records),
+        references=references,
         instructions=instructions,
         rpki=reads * 1000.0 / instructions,
         wpki=writes * 1000.0 / instructions,
-        write_fraction=writes / len(records),
-        footprint_pages=len(pages),
+        write_fraction=writes / references,
+        footprint_pages=len(np.unique(pages)),
         footprint_lines=len(lines),
-        sequential_fraction=sequential / max(1, len(records) - 1),
-        bank_balance=bank_balance,
-        line_reuse_fraction=reuses / len(records),
+        sequential_fraction=sequential / max(1, references - 1),
+        bank_balance=_normalised_entropy(bank_counts, PAGES_PER_STRIP),
+        # Every reference but the first to each line re-touches it.
+        line_reuse_fraction=(references - len(lines)) / references,
     )
 
 
 def _normalised_entropy(counts: List[int], bins: int) -> float:
-    """Shannon entropy of a histogram normalised to [0, 1] over ``bins``."""
-    import math
-
+    """Shannon entropy of non-zero ``counts``, normalised to [0, 1] over
+    ``bins`` (> 1) bins."""
     total = sum(counts)
-    if total == 0 or bins <= 1:
-        return 0.0
     entropy = 0.0
     for count in counts:
-        if count:
-            p = count / total
-            entropy -= p * math.log(p)
+        p = count / total
+        entropy -= p * math.log(p)
     return entropy / math.log(bins)
-

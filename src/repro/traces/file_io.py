@@ -2,104 +2,125 @@
 
 Two formats:
 
-* **binary** (``.npz``): three numpy arrays (``is_write``, ``address``,
-  ``gap``), compact and fast — the format to use for sweep campaigns so
-  trace generation is paid once.
+* **binary** (``.npz``): the three :class:`~repro.traces.record.TraceArray`
+  columns (``is_write``, ``address``, ``gap``), compact and fast — the
+  format to use for sweep campaigns so trace generation is paid once.
 * **text** (``.trace``): one ``R|W <hex-address> <gap>`` record per line,
   the classic simulator interchange format, handy for diffing and for
   importing traces produced by external tools (e.g. a real PIN run).
 
-Both formats round-trip exactly and validate on load.
+Both formats round-trip exactly.  A loaded trace passes the engine's own
+reference check; every load error is a :class:`TraceError` naming the file.
 """
 
 from __future__ import annotations
 
+import zipfile
+import zlib
 from pathlib import Path
-from typing import List, Union
+from typing import Union
 
 import numpy as np
 
 from ..config import LINE_BYTES
 from ..errors import TraceError
-from .record import TraceRecord
+from .record import TraceArray, check_trace
 
 PathLike = Union[str, Path]
 
+_FIELDS = ("is_write", "address", "gap")
 
-def save_npz(records: List[TraceRecord], path: PathLike) -> None:
-    """Save a trace as a compressed numpy archive."""
-    path = Path(path)
+
+def _loaded(path: Path, is_write, address, gap) -> TraceArray:
+    """The columns as a checked ``bool``/``int64`` :class:`TraceArray`."""
+    try:
+        trace = TraceArray(
+            np.asarray(is_write, dtype=bool),
+            np.asarray(address, dtype=np.int64),
+            np.asarray(gap, dtype=np.int64),
+        )
+        check_trace(trace)
+    except (TraceError, TypeError, ValueError, OverflowError) as exc:
+        raise TraceError(f"{path}: {exc}") from None
+    return trace
+
+
+def save_npz(trace: TraceArray, path: PathLike) -> None:
+    """Save a trace's columns as a compressed numpy archive."""
     np.savez_compressed(
-        path,
-        is_write=np.array([r.is_write for r in records], dtype=bool),
-        address=np.array([r.address for r in records], dtype=np.int64),
-        gap=np.array([r.gap for r in records], dtype=np.int64),
+        Path(path), is_write=trace.is_write, address=trace.address, gap=trace.gap
     )
 
 
-def load_npz(path: PathLike) -> List[TraceRecord]:
+def load_npz(path: PathLike) -> TraceArray:
     """Load a trace saved by :func:`save_npz`."""
     path = Path(path)
-    with np.load(path) as data:
-        for field in ("is_write", "address", "gap"):
-            if field not in data:
-                raise TraceError(f"{path}: missing field {field!r}")
-        is_write = data["is_write"]
-        address = data["address"]
-        gap = data["gap"]
-    if not (len(is_write) == len(address) == len(gap)):
-        raise TraceError(f"{path}: field lengths differ")
-    return [
-        TraceRecord(is_write=bool(w), address=int(a), gap=int(g))
-        for w, a, g in zip(is_write, address, gap)
-    ]
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("a single array, not an archive")
+        with data:
+            for field in _FIELDS:
+                if field not in data:
+                    raise TraceError(f"{path}: missing field {field!r}")
+            columns = [data[field] for field in _FIELDS]
+    except (ValueError, NotImplementedError, zipfile.BadZipFile,
+            zlib.error) as exc:
+        raise TraceError(f"{path}: not an .npz trace archive ({exc})") from None
+    return _loaded(path, *columns)
 
 
-def save_text(records: List[TraceRecord], path: PathLike) -> None:
+def save_text(trace: TraceArray, path: PathLike) -> None:
     """Save a trace in the line-oriented text format."""
-    path = Path(path)
-    with path.open("w") as fh:
+    with Path(path).open("w") as fh:
         fh.write("# SD-PCM trace: <R|W> <hex line address> <instruction gap>\n")
-        for r in records:
-            kind = "W" if r.is_write else "R"
-            fh.write(f"{kind} {r.address:#x} {r.gap}\n")
-
-
-def load_text(path: PathLike) -> List[TraceRecord]:
-    """Load a text trace; tolerant of comments and blank lines."""
-    path = Path(path)
-    records: List[TraceRecord] = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3 or parts[0] not in ("R", "W"):
-                raise TraceError(f"{path}:{lineno}: malformed record {line!r}")
-            try:
-                address = int(parts[1], 0)
-                gap = int(parts[2])
-            except ValueError as exc:
-                raise TraceError(f"{path}:{lineno}: {exc}") from exc
-            if address % LINE_BYTES:
-                # External traces may be byte-granular; align down.
-                address -= address % LINE_BYTES
-            records.append(
-                TraceRecord(is_write=parts[0] == "W", address=address, gap=gap)
+        fh.writelines(
+            f"{'W' if w else 'R'} {a:#x} {g}\n"
+            for w, a, g in zip(
+                trace.is_write.tolist(), trace.address.tolist(), trace.gap.tolist()
             )
-    return records
+        )
 
 
-def save(records: List[TraceRecord], path: PathLike) -> None:
+def load_text(path: PathLike) -> TraceArray:
+    """Load a text trace; tolerant of comments and blank lines.
+
+    Byte-granular addresses (as external tools may write) are aligned
+    down to their 64 B line.
+    """
+    path = Path(path)
+    is_write, address, gap = [], [], []
+    try:
+        with path.open() as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) != 3 or parts[0] not in ("R", "W"):
+                    raise TraceError(
+                        f"{path}:{lineno}: malformed record {line!r}")
+                try:
+                    byte_address, g = int(parts[1], 0), int(parts[2])
+                except ValueError as exc:
+                    raise TraceError(f"{path}:{lineno}: {exc}") from None
+                is_write.append(parts[0] == "W")
+                address.append(byte_address - byte_address % LINE_BYTES)
+                gap.append(g)
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"{path}: not a text trace ({exc})") from None
+    return _loaded(path, is_write, address, gap)
+
+
+def save(trace: TraceArray, path: PathLike) -> None:
     """Save by extension: ``.npz`` binary, anything else text."""
     if str(path).endswith(".npz"):
-        save_npz(records, path)
+        save_npz(trace, path)
     else:
-        save_text(records, path)
+        save_text(trace, path)
 
 
-def load(path: PathLike) -> List[TraceRecord]:
+def load(path: PathLike) -> TraceArray:
     """Load by extension: ``.npz`` binary, anything else text."""
     if str(path).endswith(".npz"):
         return load_npz(path)

@@ -68,7 +68,7 @@ class SyntheticTraceGenerator:
         self.base_page = base_page
 
     def generate(self, length: int) -> TraceArray:
-        """Produce ``length`` trace records (as a lazy columnar view).
+        """Produce a trace of ``length`` references.
 
         Fully vectorized: the two-mode address walk is resolved with a
         ``maximum.accumulate`` over fresh-draw positions instead of a

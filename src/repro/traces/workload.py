@@ -2,18 +2,18 @@
 
 "Each core runs one copy of these applications, forming multi-programming
 workloads running in different virtual address spaces."  A
-:class:`Workload` therefore bundles one per-core trace list; cores get
+:class:`Workload` therefore bundles one trace per core; cores get
 distinct RNG streams and disjoint virtual page ranges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List
 
 from ..errors import TraceError
 from .profiles import BenchmarkProfile, profile
-from .record import TraceRecord
+from .record import TraceArray
 from .synthetic import SyntheticTraceGenerator
 
 
@@ -22,7 +22,7 @@ class Workload:
     """Named bundle of per-core traces plus their source profiles."""
 
     name: str
-    traces: List[Sequence[TraceRecord]]
+    traces: List[TraceArray]
     profiles: List[BenchmarkProfile]
     flip_fractions: List[float] = field(default_factory=list)
 
@@ -42,12 +42,7 @@ class Workload:
 
     @property
     def total_instructions(self) -> int:
-        total = 0
-        for t in self.traces:
-            gaps = getattr(t, "gap", None)  # columnar traces sum in numpy
-            total += len(t) + (int(gaps.sum()) if gaps is not None
-                               else sum(r.gap for r in t))
-        return total
+        return sum(len(t) + int(t.gap.sum()) for t in self.traces)
 
 
 def homogeneous_workload(

@@ -17,6 +17,7 @@ from repro.config import (
     SystemConfig,
     TimingConfig,
 )
+from repro.traces.record import TraceArray
 from repro.traces.workload import Workload, homogeneous_workload
 
 
@@ -85,6 +86,20 @@ def small_config(scheme: SchemeConfig | None = None, **kwargs) -> SystemConfig:
     )
     defaults.update(kwargs)
     return SystemConfig(**defaults)
+
+
+def make_trace(references) -> TraceArray:
+    """A trace from ``(is_write, address, gap)`` tuples, one per reference."""
+    is_write, address, gap = zip(*references) if references else ((),) * 3
+    return TraceArray(np.array(is_write, dtype=bool),
+                      np.array(address, dtype=np.int64),
+                      np.array(gap, dtype=np.int64))
+
+
+def same_trace(a: TraceArray, b: TraceArray) -> bool:
+    """Whether two traces hold equal columns."""
+    return all(np.array_equal(getattr(a, column), getattr(b, column))
+               for column in ("is_write", "address", "gap"))
 
 
 def small_workload(bench: str = "stream", cores: int = 2, length: int = 300,

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro import envconfig
 from repro.experiments import common, runner
 from repro.core import schemes
 from repro.perf import cache as cache_mod
@@ -148,14 +149,14 @@ class TestFailureLadder:
 class TestEnvKnobs:
     def test_repro_cell_timeout_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_CELL_TIMEOUT", raising=False)
-        assert engine.default_cell_timeout() is None
+        assert envconfig.cell_timeout() is None
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "0")
-        assert engine.default_cell_timeout() is None  # 0 disables
+        assert envconfig.cell_timeout() is None  # 0 disables
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "2.5")
-        assert engine.default_cell_timeout() == 2.5
+        assert envconfig.cell_timeout() == 2.5
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "-1")
         with pytest.raises(ValueError, match="REPRO_CELL_TIMEOUT"):
-            engine.default_cell_timeout()
+            envconfig.cell_timeout()
 
 
 class TestCorruptCache:

@@ -95,6 +95,44 @@ class TestTraceCommands:
             "'X not-a-record'\n"
         )
 
+    @pytest.mark.parametrize("content, message", [
+        ("# header only\n", "empty trace"),
+        ("R 0x40 3\nW 0x41 -2\n", "negative instruction gap -2"),
+        ("R -0x80 0\n", "negative address -0x80"),
+    ], ids=["empty", "negative-gap", "negative-address"])
+    def test_analyze_bad_text_trace(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.trace"
+        path.write_text(content)
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"repro analyze: error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("content", [b"R 0x40 3\n", b"PK\x03\x04junk"],
+                             ids=["not-a-zip", "broken-zip"])
+    def test_analyze_npz_that_is_not_one(self, tmp_path, capsys, content):
+        path = tmp_path / "t.npz"
+        path.write_bytes(content)
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"repro analyze: error: {path}: not an .npz trace archive")
+        assert err.count("\n") == 1
+
+    def test_analyze_empty_npz(self, tmp_path, capsys):
+        path = tmp_path / "t.npz"
+        assert main(["gen-trace", "wrf", str(path), "--length", "0"]) == 0
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"repro analyze: error: {path}: empty trace\n")
+
+    def test_gen_trace_into_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "no-such-dir" / "t.npz"
+        assert main(["gen-trace", "wrf", str(path), "--length", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("repro gen-trace: error: ")
+        assert str(path.parent) in err and err.count("\n") == 1
+
     def test_gen_text_format(self, tmp_path, capsys):
         out = tmp_path / "t.trace"
         assert main(["gen-trace", "stream", str(out), "--length", "100"]) == 0
@@ -136,6 +174,19 @@ class TestBadNumbers:
          f"repro simulate: error: {bad_scheme_error('nope')}"),
         (["perf", "profile", "mcf", "--scheme", "nope"],
          f"repro perf profile: error: {bad_scheme_error('nope')}"),
+        (["simulate", "mcf", "--seed", "-1"],
+         "repro simulate: error: argument --seed: must be >= 0, got -1"),
+        (["compare", "mcf", "--seed", "-1"],
+         "repro compare: error: argument --seed: must be >= 0, got -1"),
+        (["gen-trace", "mcf", "x.npz", "--seed", "-1"],
+         "repro gen-trace: error: argument --seed: must be >= 0, got -1"),
+        (["perf", "profile", "mcf", "--seed", "-1"],
+         "repro perf profile: error: argument --seed: must be >= 0, got -1"),
+        (["faults", "sweep", "--seed", "-1"],
+         "repro faults sweep: error: argument --seed: must be >= 0, got -1"),
+        (["faults", "sweep", "--fault-seed", "-1"],
+         "repro faults sweep: error: argument --fault-seed: must be >= 0, "
+         "got -1"),
     ])
     def test_exits_2_with_one_stderr_line(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -14,8 +14,8 @@ from repro.experiments.common import (
     core_count,
     paper_workload_names,
     trace_length,
-    workload,
 )
+from repro.traces import shm
 from repro.traces.profiles import WORKLOAD_ORDER
 from tests.conftest import small_config
 
@@ -46,15 +46,13 @@ class TestEnvKnobs:
 
 
 class TestWorkloadCache:
-    def test_cache_returns_same_object(self):
-        a = workload("wrf", 50, 1, 9)
-        b = workload("wrf", 50, 1, 9)
-        assert a is b
-
     def test_distinct_keys_distinct_objects(self):
-        a = workload("wrf", 50, 1, 9)
-        b = workload("wrf", 60, 1, 9)
-        assert a is not b
+        a = shm.workload_for("wrf", length=50, cores=1, seed=9)
+        for other in [dict(length=60, cores=1, seed=9),
+                      dict(length=50, cores=2, seed=9),
+                      dict(length=50, cores=1, seed=10)]:
+            assert shm.workload_for("wrf", **other) is not a
+        assert shm.workload_for("mcf", length=50, cores=1, seed=9) is not a
 
     def test_paper_workload_names(self):
         assert paper_workload_names() == WORKLOAD_ORDER

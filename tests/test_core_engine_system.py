@@ -87,7 +87,7 @@ class TestSystemRuns:
         wl = small_workload(length=200)
         res = simulate(small_config(), wl)
         c = res.counters
-        expected_writes = sum(1 for t in wl.traces for r in t if r.is_write)
+        expected_writes = sum(int(t.is_write.sum()) for t in wl.traces)
         expected_reads = sum(len(t) for t in wl.traces) - expected_writes
         assert c.demand_writes == expected_writes
         assert c.demand_reads == expected_reads

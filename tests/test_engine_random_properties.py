@@ -14,8 +14,8 @@ from repro.config import MemoryConfig, SchemeConfig, SystemConfig
 from repro.core import schemes
 from repro.core.system import SDPCMSystem
 from repro.traces.profiles import profile
-from repro.traces.record import TraceRecord
 from repro.traces.workload import Workload
+from tests.conftest import make_trace
 
 record_strategy = st.tuples(
     st.booleans(),                    # is_write
@@ -40,16 +40,10 @@ scheme_strategy = st.sampled_from(
 
 
 def build_workload(raw_traces):
-    traces = []
-    for raw in raw_traces:
-        traces.append(
-            [
-                TraceRecord(
-                    is_write=w, address=(p * 64 + l) * 64, gap=g
-                )
-                for w, p, l, g in raw
-            ]
-        )
+    traces = [
+        make_trace([(w, (p * 64 + l) * 64, g) for w, p, l, g in raw])
+        for raw in raw_traces
+    ]
     return Workload("prop", traces, [profile("stream")] * len(traces))
 
 
@@ -67,7 +61,7 @@ class TestNoDeadlocks:
             seed=seed,
         )
         result = SDPCMSystem(config).run(workload)
-        expected_writes = sum(1 for t in workload.traces for r in t if r.is_write)
+        expected_writes = sum(int(t.is_write.sum()) for t in workload.traces)
         assert result.counters.demand_writes == expected_writes
         assert result.counters.demand_reads == (
             sum(len(t) for t in workload.traces) - expected_writes

@@ -7,17 +7,15 @@ import pytest
 from repro.config import MemoryConfig, SchemeConfig, SystemConfig, TimingConfig
 from repro.core import schemes
 from repro.core.system import SDPCMSystem
-from repro.traces.record import TraceRecord
 from repro.traces.profiles import profile
 from repro.traces.workload import Workload
+from tests.conftest import make_trace
 
 
 def burst_workload(writes: int, gap: int = 0, bench: str = "stream") -> Workload:
     """One core hammering consecutive lines of one page with writes."""
-    records = [
-        TraceRecord(is_write=True, address=64 * i, gap=gap) for i in range(writes)
-    ]
-    return Workload("burst", [records], [profile(bench)])
+    trace = make_trace([(True, 64 * i, gap) for i in range(writes)])
+    return Workload("burst", [trace], [profile(bench)])
 
 
 def tiny_queue_config(entries: int = 2) -> SystemConfig:
@@ -50,7 +48,7 @@ class TestQueuePressure:
         assert res.counters.demand_writes == 16
 
     def test_empty_trace_core_finishes(self):
-        wl = Workload("idle", [[]], [profile("wrf")])
+        wl = Workload("idle", [make_trace([])], [profile("wrf")])
         cfg = tiny_queue_config(4)
         res = SDPCMSystem(cfg).run(wl)
         assert res.cycles == 0 or res.instructions == 0
@@ -58,10 +56,8 @@ class TestQueuePressure:
 
 class TestStallAttribution:
     def test_read_stalls_accumulate(self):
-        records = [
-            TraceRecord(is_write=False, address=64 * i, gap=5) for i in range(20)
-        ]
-        wl = Workload("reads", [records], [profile("wrf")])
+        trace = make_trace([(False, 64 * i, 5) for i in range(20)])
+        wl = Workload("reads", [trace], [profile("wrf")])
         res = SDPCMSystem(tiny_queue_config(8)).run(wl)
         # Every read stalls at least the raw array latency.
         assert res.read_stall_cycles >= 20 * TimingConfig().read_cycles

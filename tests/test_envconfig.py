@@ -143,8 +143,9 @@ class TestConsumersDelegate:
 
         monkeypatch.setenv("REPRO_JOBS", "5")
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "1.5")
-        assert engine.default_jobs() == 5
-        assert engine.default_cell_timeout() == 1.5
+        runner = engine.CellRunner()
+        assert runner.jobs == 5
+        assert runner.cell_timeout == 1.5
 
     def test_common_delegates(self, monkeypatch):
         from repro.experiments import common

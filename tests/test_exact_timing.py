@@ -18,8 +18,8 @@ from repro.config import (
 )
 from repro.core.system import SDPCMSystem
 from repro.traces.profiles import profile
-from repro.traces.record import TraceRecord
 from repro.traces.workload import Workload
+from tests.conftest import make_trace
 
 READ = 400
 RESET = 400
@@ -37,25 +37,25 @@ def quiet_config(scheme=None, base_cpi=1.0):
     )
 
 
-def run(records, scheme=None, base_cpi=1.0):
-    workload = Workload("script", [records], [profile("wrf")])
+def run(references, scheme=None, base_cpi=1.0):
+    workload = Workload("script", [make_trace(references)], [profile("wrf")])
     return SDPCMSystem(quiet_config(scheme, base_cpi)).run(workload)
 
 
 class TestReadTiming:
     def test_single_read_finishes_at_read_latency(self):
-        res = run([TraceRecord(False, 0, 0)])
+        res = run([(False, 0, 0)])
         # Issue at t=0, data at t=400, core advances at 400.
         assert res.cycles == READ
 
     def test_two_reads_same_bank_serialise(self):
         res = run(
-            [TraceRecord(False, 0, 0), TraceRecord(False, 64, 0)]
+            [(False, 0, 0), (False, 64, 0)]
         )
         assert res.cycles == 2 * READ
 
     def test_gap_adds_base_cpi_cycles(self):
-        res = run([TraceRecord(False, 0, 100)], base_cpi=4.0)
+        res = run([(False, 0, 100)], base_cpi=4.0)
         assert res.cycles == 400 * 1 + 100 * 4
 
     def test_reads_to_different_banks_overlap(self):
@@ -63,7 +63,7 @@ class TestReadTiming:
         # serialises them (it blocks on each read), so no overlap for one
         # core — this pins the in-order semantics.
         res = run(
-            [TraceRecord(False, 0, 0), TraceRecord(False, 4096, 0)]
+            [(False, 0, 0), (False, 4096, 0)]
         )
         assert res.cycles == 2 * READ
 
@@ -71,7 +71,7 @@ class TestReadTiming:
 class TestWriteTiming:
     def test_posted_write_does_not_block(self):
         """A buffered write costs the core only the 1-cycle issue step."""
-        res = run([TraceRecord(True, 0, 0), TraceRecord(False, 4096, 0)])
+        res = run([(True, 0, 0), (False, 4096, 0)])
         # Write posts at t=0 (bank 0); read to bank 1 issues at t=1.
         assert res.cycles == 1 + READ
 
@@ -79,7 +79,7 @@ class TestWriteTiming:
         """Without VnC and below the drain threshold, the write stays
         buffered: the read proceeds immediately."""
         res = run(
-            [TraceRecord(True, 0, 0), TraceRecord(False, 64, 0)],
+            [(True, 0, 0), (False, 64, 0)],
             scheme=SchemeConfig(vnc=False),
         )
         # Read to the same line? No - different line (64B offset), same
@@ -88,7 +88,7 @@ class TestWriteTiming:
         assert res.cycles == 1 + READ
 
     def test_read_forwarded_from_queue(self):
-        res = run([TraceRecord(True, 0, 0), TraceRecord(False, 0, 0)])
+        res = run([(True, 0, 0), (False, 0, 0)])
         from repro.mem.controller import FORWARD_READ_CYCLES
 
         assert res.cycles == 1 + FORWARD_READ_CYCLES
@@ -98,11 +98,11 @@ class TestVnCTiming:
     def test_drain_write_with_vnc_blocks_read(self):
         """Fill a 2-entry queue so it drains; the next read waits for one
         full VnC composite op."""
-        records = [
-            TraceRecord(True, 0, 0),        # line 0 of page 0 (bank 0)
-            TraceRecord(True, 64, 0),       # fills the 2-entry queue: drain
-            TraceRecord(False, 64 * 32, 0),  # line 32 of page 0: same bank
-        ]
+        trace = make_trace([
+            (True, 0, 0),        # line 0 of page 0 (bank 0)
+            (True, 64, 0),       # fills the 2-entry queue: drain
+            (False, 64 * 32, 0),  # line 32 of page 0: same bank
+        ])
         cfg = SystemConfig(
             cores=1,
             timing=TimingConfig(base_cpi=1.0),
@@ -115,7 +115,7 @@ class TestVnCTiming:
         )
         workload = Workload(
             "script",
-            [records],
+            [trace],
             [profile("wrf")],
         )
         res = SDPCMSystem(cfg).run(workload)

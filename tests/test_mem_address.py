@@ -9,7 +9,6 @@ from repro.config import LINE_BYTES, LINES_PER_PAGE, PAGES_PER_STRIP, PAGE_BYTES
 from repro.errors import DeviceError
 from repro.mem.address import AddressMapper
 from repro.pcm.array import LineAddress, PCMArray
-from repro.traces.record import TraceRecord
 
 
 @pytest.fixture
@@ -62,9 +61,8 @@ class TestLineMapping:
         """A byte address splits into its page and its line in the page,
         as the engine's replay columns split it."""
         byte_addr = 17 * PAGE_BYTES + 5 * LINE_BYTES
-        record = TraceRecord(False, byte_addr, 0)
-        line = (record.address // LINE_BYTES) % LINES_PER_PAGE
-        assert LineAddress(*mapper.frame_to_bank_row(record.page), line) == (
+        page, line = byte_addr >> 12, (byte_addr >> 6) % LINES_PER_PAGE
+        assert LineAddress(*mapper.frame_to_bank_row(page), line) == (
             LineAddress(1, 1, 5))
 
     def test_bad_line_rejected(self, mapper):

@@ -12,8 +12,8 @@ from repro.errors import TraceError
 from repro.mem.address import AddressMapper
 from repro.pcm.din import _changed_table, _vulnerability_table
 from repro.traces.profiles import profile
-from repro.traces.record import TraceRecord
 from repro.traces.workload import Workload
+from tests.conftest import make_trace
 
 
 class TestDINTables:
@@ -56,7 +56,7 @@ class TestDINTables:
 class TestWorkloadValidation:
     def test_profile_count_mismatch(self):
         with pytest.raises(TraceError):
-            Workload("x", [[TraceRecord(False, 0, 0)]], [])
+            Workload("x", [make_trace([(False, 0, 0)])], [])
 
     def test_empty_traces_rejected(self):
         with pytest.raises(TraceError):
@@ -65,14 +65,14 @@ class TestWorkloadValidation:
     def test_flip_fraction_override(self):
         wl = Workload(
             "x",
-            [[TraceRecord(False, 0, 0)]],
+            [make_trace([(False, 0, 0)])],
             [profile("mcf")],
             flip_fractions=[0.42],
         )
         assert wl.flip_fractions == [0.42]
 
     def test_default_flip_fractions_from_profiles(self):
-        wl = Workload("x", [[TraceRecord(False, 0, 0)]], [profile("mcf")])
+        wl = Workload("x", [make_trace([(False, 0, 0)])], [profile("mcf")])
         assert wl.flip_fractions == [profile("mcf").flip_fraction]
 
 

@@ -34,7 +34,7 @@ class TestPerCoreTags:
         work in the mixed run is attributable to the (1:1) core."""
         res, _ = run_tagged([(1, 2), (1, 1)])
         wl = homogeneous_workload("mcf", cores=2, length=400, seed=7)
-        core1_writes = sum(1 for r in wl.traces[1] if r.is_write)
+        core1_writes = int(wl.traces[1].is_write.sum())
         # Each (1:1) write verifies both neighbours; the (1:2) core adds at
         # most a handful of 64 MB block-edge verifications.
         assert res.counters.verifications <= 2 * core1_writes + 8

@@ -11,9 +11,9 @@ import dataclasses
 
 import pytest
 
+from repro import envconfig
 from repro.core import schemes
 from repro.experiments import common
-from repro.perf import engine
 from repro.perf.cache import ResultCache
 from repro.perf.cellspec import CellSpec, cache_key, simulate_cell
 from repro.perf.engine import STATS, CellRunner
@@ -51,12 +51,12 @@ class TestEnvParsing:
     def test_repro_jobs_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "fast")
         with pytest.raises(ValueError, match="REPRO_JOBS"):
-            engine.default_jobs()
+            envconfig.jobs()
         monkeypatch.setenv("REPRO_JOBS", "0")
         with pytest.raises(ValueError, match="REPRO_JOBS"):
-            engine.default_jobs()
+            envconfig.jobs()
         monkeypatch.setenv("REPRO_JOBS", "3")
-        assert engine.default_jobs() == 3
+        assert envconfig.jobs() == 3
 
 
 class TestCacheKey:
@@ -162,10 +162,12 @@ class TestDeterminism:
         assert payload(first) == payload(second)
 
     def test_run_helper_hits_cache(self):
-        """common.run goes through the engine, so a repeat is a cache hit."""
-        kwargs = dict(length=SMALL["length"], cores=SMALL["cores"])
-        first = common.run("stream", schemes.baseline(), **kwargs)
+        """common.run_cells goes through the engine, so a repeat is a
+        cache hit."""
+        spec = common.cell("stream", schemes.baseline(),
+                           length=SMALL["length"], cores=SMALL["cores"])
+        [first] = common.run_cells([spec])
         before = STATS.simulated
-        again = common.run("stream", schemes.baseline(), **kwargs)
+        [again] = common.run_cells([spec])
         assert STATS.simulated == before
         assert payload(first) == payload(again)

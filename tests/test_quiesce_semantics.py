@@ -9,13 +9,13 @@ from repro.core import schemes
 from repro.core.system import SDPCMSystem
 from repro.pcm import line as L
 from repro.traces.profiles import profile
-from repro.traces.record import TraceRecord
 from repro.traces.workload import Workload
+from tests.conftest import make_trace
 
 
 def write_only_workload(writes: int) -> Workload:
-    records = [TraceRecord(True, i * 64, 0) for i in range(writes)]
-    return Workload("w", [records], [profile("stream")])
+    trace = make_trace([(True, i * 64, 0) for i in range(writes)])
+    return Workload("w", [trace], [profile("stream")])
 
 
 class TestQuiesce:

@@ -8,16 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cli import main
 from repro.config import LINE_BYTES, MemoryConfig, SystemConfig
 from repro.core import schemes
 from repro.core.engine import EventLoop
 from repro.core.system import SDPCMSystem
 from repro.errors import TraceError
 from repro.experiments.common import paper_workload_names
+from repro.traces import file_io
 from repro.traces.profiles import PROFILES, WORKLOAD_ORDER, profile
-from repro.traces.record import TraceArray, TraceRecord
+from repro.traces.record import TraceArray, check_trace
 from repro.traces.synthetic import SyntheticTraceGenerator, generate_trace
 from repro.traces.workload import Workload, homogeneous_workload
+from tests.conftest import make_trace, same_trace
 
 TABLE3 = {
     "bwaves": (17.45, 0.47),
@@ -64,71 +67,66 @@ class TestProfiles:
 
 
 class TestRecord:
+    """The reference check every replayed or loaded trace passes."""
+
     def test_valid(self):
-        r = TraceRecord(True, 0x1000, 5)
-        assert r.page == 1 and r.is_write and r.gap == 5
+        trace = make_trace([(True, 0x1000, 5)])
+        check_trace(trace)
+        assert len(trace) == 1 and trace.address[0] >> 12 == 1
 
     def test_misaligned_rejected(self):
-        with pytest.raises(TraceError):
-            TraceRecord(False, 0x1001, 0)
+        with pytest.raises(TraceError, match="address 0x1001 not 64 B aligned"):
+            check_trace(make_trace([(False, 0x1001, 0)]))
 
     def test_negative_gap_rejected(self):
-        with pytest.raises(TraceError):
-            TraceRecord(False, 0x1000, -1)
+        with pytest.raises(TraceError, match="negative instruction gap -1"):
+            check_trace(make_trace([(False, 0x1000, -1)]))
 
 
 class TestSynthetic:
     def test_deterministic(self):
         a = generate_trace("mcf", 500, seed=3)
         b = generate_trace("mcf", 500, seed=3)
-        assert a == b
+        assert same_trace(a, b)
 
     def test_seed_changes_trace(self):
         a = generate_trace("mcf", 500, seed=3)
         b = generate_trace("mcf", 500, seed=4)
-        assert a != b
+        assert not same_trace(a, b)
 
     def test_write_fraction_matches_profile(self):
         trace = generate_trace("mcf", 8000, seed=1)
-        writes = sum(r.is_write for r in trace)
+        writes = int(trace.is_write.sum())
         expected = profile("mcf").write_fraction
         assert writes / len(trace) == pytest.approx(expected, abs=0.03)
 
     def test_mean_gap_matches_profile(self):
         trace = generate_trace("stream", 8000, seed=1)
-        mean_gap = sum(r.gap for r in trace) / len(trace)
+        mean_gap = trace.gap.mean()
         assert mean_gap == pytest.approx(profile("stream").mean_gap - 1, rel=0.1)
 
     def test_addresses_within_working_set(self):
         bench = profile("xalan")
         trace = generate_trace("xalan", 2000, seed=1, base_page=0)
-        max_page = max(r.page for r in trace)
+        max_page = int(trace.address.max()) >> 12
         assert max_page < bench.working_set_pages
 
     def test_streaming_benchmark_is_sequential(self):
         trace = generate_trace("stream", 2000, seed=1)
-        seq = sum(
-            1
-            for a, b in zip(trace, trace[1:])
-            if b.address - a.address == LINE_BYTES
-        )
+        seq = np.count_nonzero(np.diff(trace.address) == LINE_BYTES)
         assert seq / len(trace) > 0.8
 
     def test_pointer_benchmark_is_not_sequential(self):
         trace = generate_trace("mcf", 2000, seed=1)
-        seq = sum(
-            1
-            for a, b in zip(trace, trace[1:])
-            if b.address - a.address == LINE_BYTES
-        )
+        seq = np.count_nonzero(np.diff(trace.address) == LINE_BYTES)
         assert seq / len(trace) < 0.35
 
     @given(st.sampled_from(WORKLOAD_ORDER), st.integers(0, 100))
     @settings(max_examples=15, deadline=None)
     def test_alignment_property(self, bench, seed):
-        for r in generate_trace(bench, 200, seed=seed):
-            assert r.address % LINE_BYTES == 0
-            assert r.gap >= 0
+        trace = generate_trace(bench, 200, seed=seed)
+        assert (trace.address % LINE_BYTES == 0).all()
+        assert (trace.gap >= 0).all()
 
 
 class TestWorkload:
@@ -140,12 +138,12 @@ class TestWorkload:
 
     def test_cores_have_distinct_traces(self):
         wl = homogeneous_workload("lbm", cores=2, length=200)
-        assert wl.traces[0] != wl.traces[1]
+        assert not same_trace(wl.traces[0], wl.traces[1])
 
     def test_cores_have_disjoint_address_spaces(self):
         wl = homogeneous_workload("lbm", cores=2, length=200)
-        pages0 = {r.page for r in wl.traces[0]}
-        pages1 = {r.page for r in wl.traces[1]}
+        pages0 = set((wl.traces[0].address >> 12).tolist())
+        pages1 = set((wl.traces[1].address >> 12).tolist())
         assert not (pages0 & pages1)
 
     def test_mixed_workload(self):
@@ -169,7 +167,7 @@ class TestWorkload:
 
     def test_total_instructions(self):
         wl = homogeneous_workload("wrf", cores=1, length=50)
-        expected = 50 + sum(r.gap for r in wl.traces[0])
+        expected = 50 + sum(wl.traces[0].gap.tolist())
         assert wl.total_instructions == expected
 
 
@@ -209,18 +207,27 @@ class TestColumnReplay:
         [schemes.lazyc_preread(), schemes.write_cancellation()],
         ids=["lazyc-preread", "write-cancellation"],
     )
-    def test_record_lists_and_trace_arrays_replay_identically(self, scheme):
-        # A 4-entry write queue also drives cores through the full-queue
-        # retry path.
+    def test_saved_traces_replay_like_synthesized(self, scheme, tmp_path):
+        # gen-trace writes one core's trace; core 0 replays it from the
+        # .npz file and core 1 from the text file.  A 4-entry write queue
+        # also drives cores through the full-queue retry path.
+        paths = [tmp_path / "mcf.npz", tmp_path / "mcf.trace"]
+        for path in paths:
+            argv = ["gen-trace", "mcf", str(path), "--length", "400",
+                    "--seed", "3"]
+            assert main(argv) == 0
+        loaded = [file_io.load(path) for path in paths]
+        for trace in loaded:
+            assert (trace.is_write.dtype, trace.address.dtype,
+                    trace.gap.dtype) == (bool, np.int64, np.int64)
+        synthesized = generate_trace("mcf", 400, seed=3)
         config = SystemConfig(
             cores=2, seed=3, memory=MemoryConfig(write_queue_entries=4)
         ).with_scheme(scheme)
-        arrays = homogeneous_workload("mcf", cores=2, length=400, seed=3)
-        assert all(isinstance(t, TraceArray) for t in arrays.traces)
-        records = Workload(
-            arrays.name, [list(t) for t in arrays.traces], arrays.profiles
-        )
-        from_arrays = SDPCMSystem(config).run(arrays)
-        from_records = SDPCMSystem(config).run(records)
-        assert from_arrays.counters.wq_full_stalls > 0
-        assert dataclasses.asdict(from_records) == dataclasses.asdict(from_arrays)
+        mcf = [profile("mcf")] * 2
+        from_files = SDPCMSystem(config).run(Workload("mcf", loaded, mcf))
+        from_synthesis = SDPCMSystem(config).run(
+            Workload("mcf", [synthesized, synthesized], mcf))
+        assert from_synthesis.counters.wq_full_stalls > 0
+        assert dataclasses.asdict(from_files) == dataclasses.asdict(
+            from_synthesis)
