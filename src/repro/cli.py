@@ -111,7 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmp_p = sub.add_parser("compare", help="run the Figure 11 line-up on one workload")
     cmp_p.add_argument("workload", choices=WORKLOAD_ORDER)
-    cmp_p.add_argument("--length", type=_NON_NEGATIVE, default=1000)
+    # A speedup divides CPIs, which needs at least one instruction.
+    cmp_p.add_argument("--length", type=_COUNT, default=1000)
     cmp_p.add_argument("--cores", type=_COUNT, default=8)
     cmp_p.add_argument("--seed", type=_NON_NEGATIVE, default=1)
 

@@ -24,8 +24,7 @@ from ..config import LINES_PER_PAGE, SystemConfig
 from ..errors import SimulationError
 from ..mem.address import AddressMapper
 from ..mem.controller import MemoryController
-from ..mem.request import Request
-from ..pcm.array import LineAddress
+from ..mem.request import WriteEntry
 from ..traces.record import check_trace
 from ..traces.workload import Workload
 
@@ -174,10 +173,11 @@ class Engine:
             bank, row = self.mapper.frame_to_bank_row(entry.frame)
             mapped = core.frames[page] = (bank, row, entry.nm_tag)
         bank, row, nm_tag = mapped
-        addr = LineAddress(bank, row, core.line[pos])
+        addr = (bank, row, core.line[pos])
         if core.is_write[pos]:
-            request = Request(core.index, addr, nm_tag)
-            if self.controller.try_enqueue_write(request):
+            if self.controller.try_enqueue_write(
+                WriteEntry(core.index, addr, nm_tag)
+            ):
                 loop = self.loop
                 seq = loop.seq
                 loop.seq = seq + 1

@@ -123,18 +123,8 @@ class SDPCMSystem:
             page_tables=page_tables,
             loop=self.loop,
         )
-        # Reference counting frees what the replay allocates: a cell leaves
-        # next to no cyclic garbage at any trace length
-        # (tests/test_replay_gc.py).  The cyclic collector would only
-        # rescan the process's long-lived pools, so it pauses here; the
-        # caller's setting is restored.
-        gc_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            engine.run()
-        finally:
-            if gc_enabled:
-                gc.enable()
+        engine.run()
+        executor.publish_counters()
         self.counters.fault_dead_ecp_entries = self.ecp.dead_entries_total
         return SimulationResult(
             workload=workload.name,
@@ -174,5 +164,20 @@ def simulate(
     workload: Workload,
     lifetime_fraction: float = 0.0,
 ) -> SimulationResult:
-    """Convenience one-call simulation (fresh system per call)."""
-    return SDPCMSystem(config, lifetime_fraction=lifetime_fraction).run(workload)
+    """One cell's whole life: build a fresh system, replay, release it.
+
+    Reference counting frees what a cell allocates: it leaves next to no
+    cyclic garbage at any trace length (tests/test_replay_gc.py).  A
+    collection would only walk the cell's live state (or, after it, the
+    process's long-lived pools), so the cyclic collector pauses for all
+    three steps; the caller's setting is restored.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return SDPCMSystem(config, lifetime_fraction=lifetime_fraction).run(
+            workload
+        )
+    finally:
+        if enabled:
+            gc.enable()

@@ -14,9 +14,12 @@ write popped off a write queue it plans one *composite operation*:
    cascade (Section 3.2) until a verification pass comes back clean.
 
 Planning is pure: all sampling happens up front against shadow line states,
-and the returned :class:`~repro.mem.controller.WriteOp` applies every
-mutation in ``commit()`` (write cancellation instead calls ``cancel()``,
-which applies only the partial disturbance of the pulses already fired).
+and ``execute`` returns the plan, which the controller hands back once:
+``_commit`` applies every mutation (write cancellation instead calls
+``_cancel``, which applies only the partial disturbance of the pulses
+already fired).  Committed plans' counter increments accumulate in the
+executor and reach :class:`~repro.stats.counters.Counters` once, through
+:meth:`VnCExecutor.publish_counters`, when the replay ends.
 
 Everything works in the **int domain** (512-bit integers, see
 :mod:`repro.pcm.line`): the array stores each touched line as ints, and
@@ -24,11 +27,12 @@ shadow states, masks, and sampling all use Python big-integer bitwise
 ops, which beat 8-word numpy ufuncs by 3-10x on this size.  All RNG draws
 happen in the same order and with the same counts as the original
 array-domain implementation, so results are bit-identical.  Line keys
-are :class:`~repro.pcm.array.LineAddress` tuples ``(bank, row, line)``.
+are plain :data:`~repro.pcm.array.LineAddress` tuples ``(bank, row, line)``.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -39,16 +43,13 @@ from ..ecp.chip import ECPChip
 from ..ecp.wear import WearModel
 from ..errors import ECPExhaustedError, SimulationError
 from ..faults.plan import FaultPlan
-from ..mem.controller import WriteOp
-from ..mem.request import PrereadSlot, Request, WriteEntry
+from ..mem.request import PrereadSlot, WriteEntry
 from ..pcm import kernels
 from ..pcm import line as L
 from ..pcm import stateplane
 from ..pcm.array import LineAddress, PCMArray
 from ..pcm.differential_write import correction_latency, rounds_latency
 from ..pcm.din import wordline_vulnerable_mask_int
-
-Key = Tuple[int, int, int]
 
 #: Safety valve on correction cascades.  At the paper's disturbance rates a
 #: correction RESETs only a handful of cells, so cascades die out within a
@@ -69,7 +70,8 @@ REPEAT_ENTRY_BITS = 0
 
 #: The :class:`~repro.stats.counters.Counters` fields a plan accumulates,
 #: in slot order: ``_Plan.counts[i]`` is the pending increment of field
-#: ``PLAN_COUNTERS[i]``, and ``_commit`` adds the non-zero slots.
+#: ``PLAN_COUNTERS[i]``; ``_commit`` adds the slots to the executor's
+#: totals, which :meth:`VnCExecutor.publish_counters` writes out.
 PLAN_COUNTERS = (
     "data_cell_writes_demand", "ecp_cell_writes_background",
     "wordline_vulnerable_cells", "wordline_errors", "ecp_cleared_by_write",
@@ -110,19 +112,19 @@ class _Plan:
     def __init__(self) -> None:
         self.latency = 0
         #: Shadow line states to write back on commit.
-        self.shadows: Dict[Key, _Shadow] = {}
+        self.shadows: Dict[LineAddress, _Shadow] = {}
         #: flags value for the written line.
         self.written_flags = 0
         #: ECP mutations: lines whose WD entries clear, and the mask of
         #: fresh WD cells to record per line.
-        self.ecp_clears: Set[Key] = set()
-        self.ecp_records: Dict[Key, int] = {}
+        self.ecp_clears: Set[LineAddress] = set()
+        self.ecp_records: Dict[LineAddress, int] = {}
         #: Deferred counter increments, one slot per ``PLAN_COUNTERS``.
         self.counts = [0] * len(PLAN_COUNTERS)
         self.adjacent_notes: List[int] = []
         #: uncovered-mask resolution: keys whose pending uncovered bits
         #: were detected and handled by this op.
-        self.uncovered_resolved: Set[Key] = set()
+        self.uncovered_resolved: Set[LineAddress] = set()
         #: First-level injections (victim addr, sampled int mask) for cancel().
         self.injections: List[Tuple[LineAddress, int]] = []
         #: Demand-write cell changes (wear + partial-cancel accounting).
@@ -160,25 +162,31 @@ class VnCExecutor:
         self.flip_fractions = flip_fractions or []
         self.default_flip = 0.14
         #: Per-line demand-write epoch, for PreRead staleness checks.
-        self.epochs: Dict[Key, int] = {}
+        self.epochs: Dict[LineAddress, int] = {}
         #: Disturbed-but-undetected bits left by cancelled partial writes
         #: (int-domain masks).
-        self.uncovered: Dict[Key, int] = {}
+        self.uncovered: Dict[LineAddress, int] = {}
+        #: The ECP chip's touched lines, probed directly on the write path
+        #: (:meth:`ECPChip.line` materialises a miss).
+        self._ecp_lines = ecp.lines
+        #: Committed plans' ``PLAN_COUNTERS`` increments, published once
+        #: per replay.
+        self._totals = [0] * len(PLAN_COUNTERS)
         #: Mask of cells ever buffered per line (ECP differential-write wear).
-        self._ecp_seen: Dict[Key, int] = {}
+        self._ecp_seen: Dict[LineAddress, int] = {}
         self.lifetime_fraction = lifetime_fraction
         self._wear_model = wear_model or WearModel()
-        self._hard_seeded: Set[Key] = set()
+        self._hard_seeded: Set[LineAddress] = set()
         #: Injected-fault state (all sampling uses the plan's own streams,
         #: never ``self.rng``, so fault-free sample paths are untouched).
         self.fault_plan = fault_plan
-        self._fault_seeded: Set[Key] = set()
+        self._fault_seeded: Set[LineAddress] = set()
         #: Stuck cells the line's exhausted ECP could not cover (int masks).
-        self._stuck_uncovered: Dict[Key, int] = {}
+        self._stuck_uncovered: Dict[LineAddress, int] = {}
         #: Per-line masks of disturbance-prone cells (process variation).
-        self._weak_masks: Dict[Key, int] = {}
+        self._weak_masks: Dict[LineAddress, int] = {}
         #: Per-line pools of recurring write flip patterns (data entropy).
-        self._flip_pools: Dict[Key, List[int]] = {}
+        self._flip_pools: Dict[LineAddress, List[int]] = {}
         #: :meth:`_verify_rows` of used rows, per ``(row, nm_tag)``.
         self._adjacency: Dict[tuple, Optional[Tuple[int, ...]]] = {}
 
@@ -204,33 +212,44 @@ class VnCExecutor:
 
     # -- WriteExecutor interface ---------------------------------------------
 
-    def preread_slots(self, request: Request) -> List[PrereadSlot]:
+    def preread_slots(self, entry: WriteEntry) -> List[PrereadSlot]:
         """Adjacent lines needing verification for this write (0..2)."""
         if not self._verifies:
             return []
         # For (1:2) both neighbours are no-use and no row is verified
         # except at the conservative 64 MB block edges.
-        bank, row, line = request.addr
-        rows = self._adjacency.get((row, request.nm_tag))
+        bank, row, line = entry.addr
+        nm_tag = entry.nm_tag
+        rows = self._adjacency.get((row, nm_tag))
         if rows is None:
-            rows = self._verify_rows(row, request.nm_tag)
+            rows = self._verify_rows(row, nm_tag)
             if rows is None:
-                adjacent_usage(row, *request.nm_tag)  # raises: no-use strip
-        slots = []
-        for victim_row in rows:
-            slots.append(PrereadSlot(LineAddress(bank, victim_row, line)))
-        return slots
+                adjacent_usage(row, *nm_tag)  # raises: no-use strip
+        return [PrereadSlot((bank, victim_row, line)) for victim_row in rows]
 
     def capture_baseline(self, slot: PrereadSlot) -> None:
         """PreRead completion: record the victim's write epoch."""
         slot.epoch = self.epochs.get(slot.addr, 0)
 
-    def execute(self, entry: WriteEntry, now: int) -> WriteOp:
-        plan = self._plan(entry)
-        return WriteOp(
-            latency=plan.latency,
-            commit=lambda: self._commit(entry, plan),
-            cancel=lambda progress: self._cancel(entry, plan, progress),
+    def execute(self, entry: WriteEntry, now: int) -> _Plan:
+        """Plan the composite op; the controller passes the plan back to
+        :meth:`_commit` at completion or :meth:`_cancel` on cancellation."""
+        return self._plan(entry)
+
+    def publish_counters(self) -> None:
+        """Add the committed plans' counts to ``counters``, once, when the
+        replay ends (the totals restart at zero).  The Figure 4 error
+        histograms fill as writes commit; their maxima are set here."""
+        counters = self.counters
+        for attr, total in zip(PLAN_COUNTERS, self._totals):
+            if total:
+                setattr(counters, attr, getattr(counters, attr) + total)
+        self._totals = [0] * len(PLAN_COUNTERS)
+        counters.max_errors_one_adjacent_line = max(
+            counters.errors_per_adjacent_line_hist, default=0
+        )
+        counters.max_errors_wordline = max(
+            counters.errors_per_wordline_hist, default=0
         )
 
     # -- planning ---------------------------------------------------------------
@@ -268,7 +287,7 @@ class VnCExecutor:
             or self.rng.random() < self.FLIP_REUSE_PROB
         ):
             return pool[int(self.rng.integers(len(pool)))]
-        core = entry.request.core
+        core = entry.core
         fraction = (self.flip_fractions[core] if 0 <= core < len(self.flip_fractions)
                     else self.default_flip)
         mask = self.kernels.draw_mask(self.rng, LINE_BITS, fraction)
@@ -276,7 +295,7 @@ class VnCExecutor:
         return mask
 
     def _expose(
-        self, shadows: Dict[Key, _Shadow], vaddr: LineAddress, pulses: int
+        self, shadows: Dict[LineAddress, _Shadow], vaddr: LineAddress, pulses: int
     ) -> Tuple[_Shadow, int, int, int]:
         """A victim's shadow and its cells exposed to RESET ``pulses``.
 
@@ -293,7 +312,7 @@ class VnCExecutor:
         stuck = 0
         if self.fault_plan is not None:
             stuck = self.fault_plan.stuck_profile(vaddr).mask
-        line = self.ecp.peek(vaddr)
+        line = self._ecp_lines.get(vaddr)
         if line is not None:
             stuck |= line.hard
         if stuck:
@@ -305,7 +324,7 @@ class VnCExecutor:
             )
         return shadow, vulnerable, vulnerable & weak, stuck
 
-    def _ecp_line(self, key: Key):
+    def _ecp_line(self, key: LineAddress):
         """ECP line, seeding age-dependent hard errors on first touch.
 
         Seeding uses a dedicated per-line RNG stream (not ``self.rng``) so
@@ -331,7 +350,7 @@ class VnCExecutor:
         self._fault_seed(key, line)
         return line
 
-    def _fault_seed(self, key: Key, line) -> None:
+    def _fault_seed(self, key: LineAddress, line) -> None:
         """Register the plan's stuck cells as ECP hard errors (first touch).
 
         This is Section 4.2's exhaustion path made reachable: stuck cells
@@ -411,7 +430,7 @@ class VnCExecutor:
         # A demand write makes the line's buffered WD corrections stale:
         # the rewrite physically repairs every deviating cell ("a normal
         # write operation clears the accumulated WD errors in ECP").
-        existing_ecp = self.ecp.peek(addr)
+        existing_ecp = self._ecp_lines.get(addr)
         if existing_ecp is not None and existing_ecp.wd_count:
             counts[_ECP_CLEARED] = existing_ecp.wd_count
             plan.ecp_clears.add(addr)
@@ -501,7 +520,7 @@ class VnCExecutor:
         counts[_VERIFICATIONS] += len(victims)
 
         # ---- correction / LazyCorrection ------------------------------------
-        nm_tag = entry.request.nm_tag
+        nm_tag = entry.nm_tag
         for vaddr, new_mask in detected:
             if new_mask:
                 self._handle_errors(plan, vaddr, new_mask, nm_tag, 0)
@@ -512,7 +531,12 @@ class VnCExecutor:
         """Absorb (LazyC) or correct the new WD errors (non-empty
         ``new_mask``) of one victim line."""
         counts = plan.counts
-        ecp_line = self.ecp.line(vaddr) if self._fault_free else self._ecp_line(vaddr)
+        if self._fault_free:
+            ecp_line = self._ecp_lines.get(vaddr)
+            if ecp_line is None:
+                ecp_line = self.ecp.line(vaddr)
+        else:
+            ecp_line = self._ecp_line(vaddr)
 
         if self._lazy:
             planned = plan.ecp_records.get(vaddr, 0)
@@ -562,18 +586,18 @@ class VnCExecutor:
         if depth >= MAX_CASCADE_DEPTH:
             counts[_TRUNCATIONS] += 1
             return
-        rows = self._adjacency.get((vaddr.row, nm_tag))
+        bank, vrow, line = vaddr
+        rows = self._adjacency.get((vrow, nm_tag))
         if rows is None:
-            rows = self._verify_rows(vaddr.row, nm_tag)
+            rows = self._verify_rows(vrow, nm_tag)
         if rows is None:
             # The conservative block-edge rule can verify (and correct) a
             # line in a *no-use* strip of the same allocator; it holds no
             # data, so its correction needs no cascade verification.
             return
         counts[_VERIFY_READS] += 1
-        bank, line = vaddr.bank, vaddr.line
         for row in rows:
-            waddr = LineAddress(bank, row, line)
+            waddr = (bank, row, line)
             wshadow, _, weak, _ = self._expose(plan.shadows, waddr, corr_mask)
             sampled = self.kernels.sample_mask_int(weak, self._p_bitline, self.rng)
             if not sampled:
@@ -595,15 +619,15 @@ class VnCExecutor:
                     key, shadow.stored, shadow.disturbed,
                     plan.written_flags if key == wkey else None,
                 )
-        # ECP state.
+        # ECP state (planning materialised every recorded line).
+        ecp_lines = self._ecp_lines
         for key in plan.ecp_clears:
-            line = self.ecp.peek(key)
+            line = ecp_lines.get(key)
             if line is not None:
                 line.clear_wd()
         ecp_seen = self._ecp_seen
         for key, mask in plan.ecp_records.items():
-            line = self.ecp.line(key) if self._fault_free else self._ecp_line(key)
-            if not line.record_wd(mask):
+            if not ecp_lines[key].record_wd(mask):
                 raise SimulationError("planned ECP absorption failed at commit")
             seen = ecp_seen.get(key, 0)
             ecp_seen[key] = seen | mask
@@ -616,14 +640,15 @@ class VnCExecutor:
             self.uncovered.pop(key, None)
         # Epoch bump for the written line (PreRead staleness).
         self.epochs[wkey] = self.epochs.get(wkey, 0) + 1
-        # Counters.
-        counters = self.counters
-        for attr, delta in zip(PLAN_COUNTERS, plan.counts):
-            if delta:
-                setattr(counters, attr, getattr(counters, attr) + delta)
+        # Counters (published at replay end) and the Figure 4 histograms.
+        counts = plan.counts
+        self._totals = list(map(add, self._totals, counts))
+        hist = self.counters.errors_per_adjacent_line_hist
         for note in plan.adjacent_notes:
-            counters.note_adjacent_errors(note)
-        counters.note_wordline_errors(plan.counts[_WL_ERRORS])
+            hist[note] = hist.get(note, 0) + 1
+        hist = self.counters.errors_per_wordline_hist
+        note = counts[_WL_ERRORS]
+        hist[note] = hist.get(note, 0) + 1
 
     def _cancel(self, entry: WriteEntry, plan: _Plan, progress: float) -> None:
         """Apply the partial effects of an interrupted write [22].

@@ -15,13 +15,12 @@ is counted by the write path (``Counters.ecp_cell_writes_wd``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..errors import DeviceError
+from ..pcm.array import LineAddress
 from ..pcm.geometry import DIN_ENHANCED, SUPER_DENSE
 from .line_ecp import ECPLine
-
-LineKey = Tuple[int, int, int]  # (bank, row, line)
 
 
 @dataclass(frozen=True)
@@ -60,13 +59,14 @@ class ECPChip:
             raise DeviceError("entries_per_line must be >= 0")
         self.entries_per_line = entries_per_line
         self.fault_plan = fault_plan
-        self._lines: Dict[LineKey, ECPLine] = {}
+        #: The lines touched so far; the write path probes it directly.
+        self.lines: Dict[LineAddress, ECPLine] = {}
         #: Entries lost to injected entry wear-out across all touched lines.
         self.dead_entries_total = 0
 
-    def line(self, key: LineKey) -> ECPLine:
+    def line(self, key: LineAddress) -> ECPLine:
         """The ECP state of one protected data line (materialised lazily)."""
-        state = self._lines.get(key)
+        state = self.lines.get(key)
         if state is None:
             capacity = self.entries_per_line
             if self.fault_plan is not None:
@@ -74,9 +74,5 @@ class ECPChip:
                 capacity -= dead
                 self.dead_entries_total += dead
             state = ECPLine(capacity)
-            self._lines[key] = state
+            self.lines[key] = state
         return state
-
-    def peek(self, key: LineKey) -> ECPLine | None:
-        """The ECP state if it was ever touched, else ``None``."""
-        return self._lines.get(key)

@@ -12,7 +12,7 @@ live in their modules (``perf.engine.RETRIES``, ``perf.engine.BACKOFF_S``,
 
 ========================  ======================================================
 ``REPRO_JOBS``            worker processes for cold cells (int >= 1; CPU count)
-``REPRO_TRACE_LEN``       per-core trace length (int >= 0; 1200)
+``REPRO_TRACE_LEN``       per-core trace length (int >= 1; 1200)
 ``REPRO_CORES``           simulated core count (int >= 1; 8)
 ``REPRO_CACHE``           ``0`` disables the disk result cache (on)
 ``REPRO_CACHE_DIR``       result-cache directory (``~/.cache/repro``)
@@ -116,8 +116,12 @@ def cell_timeout() -> Optional[float]:
 
 
 def trace_length(default: int = 1200) -> int:
-    """Per-core trace length, overridable via ``REPRO_TRACE_LEN``."""
-    return env_int("REPRO_TRACE_LEN", default, minimum=0)
+    """Per-core trace length, overridable via ``REPRO_TRACE_LEN``.
+
+    At least 1: the experiments divide CPIs, and an empty trace retires
+    no instruction (its CPI is 0).
+    """
+    return env_int("REPRO_TRACE_LEN", default, minimum=1)
 
 
 def core_count(default: int = 8) -> int:

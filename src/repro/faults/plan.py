@@ -19,16 +19,15 @@ nothing else is needed to reproduce the fault pattern.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, NamedTuple
 
 import numpy as np
 
 from ..config import LINE_BITS, FaultConfig
 from ..errors import FaultInjectionError
 from ..pcm import line as L
+from ..pcm.array import LineAddress
 from ..pcm.cell import CellFault
-
-Key = Tuple[int, int, int]  # (bank, row, line)
 
 #: Stream tags keeping the three fault kinds' RNG streams disjoint.
 _STUCK_TAG = 0xFA57_0001
@@ -63,13 +62,13 @@ class FaultPlan:
                 "fault-free runs must not construct a plan"
             )
         self.config = config
-        self._stuck: Dict[Key, StuckProfile] = {}
-        self._dead: Dict[Key, int] = {}
-        self._drift_epoch: Dict[Key, int] = {}
+        self._stuck: Dict[LineAddress, StuckProfile] = {}
+        self._dead: Dict[LineAddress, int] = {}
+        self._drift_epoch: Dict[LineAddress, int] = {}
 
     # -- stuck-at cells ------------------------------------------------------
 
-    def stuck_profile(self, key: Key) -> StuckProfile:
+    def stuck_profile(self, key: LineAddress) -> StuckProfile:
         """The line's stuck cells (memoised; Poisson-distributed count)."""
         profile = self._stuck.get(key)
         if profile is None:
@@ -99,7 +98,7 @@ class FaultPlan:
 
     # -- ECP entry failures --------------------------------------------------
 
-    def dead_entries(self, key: Key, capacity: int) -> int:
+    def dead_entries(self, key: LineAddress, capacity: int) -> int:
         """How many of the line's ``capacity`` ECP entries are dead."""
         if capacity < 0:
             raise FaultInjectionError(f"capacity must be >= 0, got {capacity}")
@@ -116,7 +115,7 @@ class FaultPlan:
 
     # -- resistance drift ----------------------------------------------------
 
-    def drift_mask(self, key: Key, vulnerable: int) -> int:
+    def drift_mask(self, key: LineAddress, vulnerable: int) -> int:
         """Drift flips among ``vulnerable`` cells for the line's next window.
 
         Each call advances the line's drift epoch, so a line queried at the

@@ -2,17 +2,15 @@
 
 from .address import AddressMapper
 from .bank import BankState, InFlightOp
-from .controller import FORWARD_READ_CYCLES, MemoryController, WriteOp
-from .request import PrereadSlot, Request, RequestKind, WriteEntry
+from .controller import FORWARD_READ_CYCLES, MemoryController
+from .request import PrereadSlot, RequestKind, WriteEntry
 
 __all__ = [
     "AddressMapper",
     "BankState",
     "InFlightOp",
     "MemoryController",
-    "WriteOp",
     "FORWARD_READ_CYCLES",
-    "Request",
     "RequestKind",
     "WriteEntry",
     "PrereadSlot",

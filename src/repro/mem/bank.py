@@ -4,13 +4,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from ..pcm.array import LineAddress
 from .request import PrereadSlot, RequestKind, WriteEntry
-
-#: (bank, row, line) — the unit the write-queue line index is keyed by
-#: (a :class:`~repro.pcm.array.LineAddress` is one).
-LineKey = Tuple[int, int, int]
 
 
 @dataclass(slots=True)
@@ -29,10 +26,9 @@ class InFlightOp:
     cancelled: bool = False
     #: The write-queue entry (WRITE ops) or owning entry (PREREAD ops).
     entry: Optional[WriteEntry] = None
-    #: Deferred state mutation, executed at completion (WRITE ops).
-    commit: Optional[Callable[[], None]] = None
-    #: Partial-effect application on cancellation (WRITE ops).
-    on_cancel: Optional[Callable[[float], None]] = None
+    #: The executor's plan, committed at completion or partially applied
+    #: on cancellation (WRITE ops).
+    plan: Any = None
     #: Slot index being filled (PREREAD ops).
     slot_index: int = -1
 
@@ -79,7 +75,7 @@ class BankState:
         default_factory=deque
     )
     write_q: Deque[WriteEntry] = field(default_factory=deque)
-    wq_index: Dict[LineKey, List[WriteEntry]] = field(default_factory=dict)
+    wq_index: Dict[LineAddress, List[WriteEntry]] = field(default_factory=dict)
     preread_cursor: Deque[WriteEntry] = field(default_factory=deque)
     current: Optional[InFlightOp] = None
     #: True while the controller is flushing the write queue (bursty write);

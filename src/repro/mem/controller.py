@@ -21,16 +21,15 @@ implementation — see :mod:`repro.core.vnc`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappush
-from typing import Callable, List, Protocol
+from typing import Any, Callable, List, Protocol
 
 from ..config import MemoryConfig, SchemeConfig, TimingConfig
 from ..errors import SimulationError
 from ..pcm.array import LineAddress
 from ..stats.counters import Counters
 from .bank import BankState, InFlightOp
-from .request import PausedWrite, PrereadSlot, Request, RequestKind, WriteEntry
+from .request import PausedWrite, PrereadSlot, RequestKind, WriteEntry
 
 #: Cycles to forward read data straight out of the write queue.
 FORWARD_READ_CYCLES = 4
@@ -65,31 +64,34 @@ class Scheduler(Protocol):
     ) -> None: ...
 
 
-@dataclass
-class WriteOp:
-    """A fully planned composite write operation.
+class WriteExecutor(Protocol):
+    """Scheme-specific write-path behaviour plugged into the controller.
 
-    ``latency`` covers the pre-write reads (unless PreRead already did
-    them), the differential write, verification reads, and any correction
-    writes including cascades.  ``commit`` applies all state mutations at
-    completion; ``cancel`` applies the partial effects of an interrupted
-    write (the cells already pulsed still disturbed their neighbours).
+    ``execute`` plans a fully composed write operation and returns the
+    plan; its ``latency`` covers the pre-write reads (unless PreRead
+    already did them), the differential write, verification reads, and
+    any correction writes including cascades.  The controller hands the
+    plan back once: to ``_commit``, which applies every state mutation
+    at completion, or to ``_cancel``, which applies the partial effects
+    of an interrupted write (the cells already pulsed still disturbed
+    their neighbours).  Only the controller calls those two, and
+    ``perfbench/layers.py`` wraps them by name.
     """
 
-    latency: int
-    commit: Callable[[], None]
-    cancel: Callable[[float], None]
-
-
-class WriteExecutor(Protocol):
-    """Scheme-specific write-path behaviour plugged into the controller."""
-
-    def preread_slots(self, request: Request) -> List[PrereadSlot]:
+    def preread_slots(self, entry: WriteEntry) -> List[PrereadSlot]:
         """Adjacent lines of this write that will need verification."""
         ...
 
-    def execute(self, entry: WriteEntry, now: int) -> WriteOp:
+    def execute(self, entry: WriteEntry, now: int) -> Any:
         """Plan the composite write op for an entry popped from the queue."""
+        ...
+
+    def _commit(self, entry: WriteEntry, plan: Any) -> None:
+        """Apply a completed write's plan."""
+        ...
+
+    def _cancel(self, entry: WriteEntry, plan: Any, progress: float) -> None:
+        """Apply the effects of the ``progress`` share of a cancelled write."""
         ...
 
     def capture_baseline(self, slot: PrereadSlot) -> None:
@@ -147,7 +149,7 @@ class MemoryController:
         callers pass a bound method plus its context, and the read queue
         holds ``(on_done, done_args)`` until the bank serves it.
         """
-        bank = self.banks[addr.bank]
+        bank = self.banks[addr[0]]
         counters = self.counters
         counters.demand_reads += 1
         if addr in bank.wq_index:
@@ -167,19 +169,19 @@ class MemoryController:
             self._maybe_pause_for_read(bank)
         self._kick(bank)
 
-    def try_enqueue_write(self, request: Request) -> bool:
+    def try_enqueue_write(self, entry: WriteEntry) -> bool:
         """Accept a write into its bank's queue; False when the queue is full.
 
         A full queue triggers (or continues) a bursty drain; the caller must
         retry via :meth:`wait_for_space`.
         """
-        bank = self.banks[request.addr.bank]
+        bank = self.banks[entry.addr[0]]
         if bank.wq_full:
             self.counters.wq_full_stalls += 1
             bank.draining = True
             self._kick(bank)
             return False
-        entry = WriteEntry(request, slots=self.executor.preread_slots(request))
+        entry.slots = self.executor.preread_slots(entry)
         self._apply_queue_forwarding(bank, entry)
         bank.wq_append(entry)
         self.counters.demand_writes += 1
@@ -246,10 +248,9 @@ class MemoryController:
             op.cancelled = True
             self.counters.writes_cancelled += 1
             self.counters.total_write_busy_cycles -= op.remaining(now)
-            if op.on_cancel is not None:
-                op.on_cancel(op.progress(now))
             if op.entry is None:
                 raise SimulationError("cancelled write op without entry")
+            self.executor._cancel(op.entry, op.plan, op.progress(now))
             op.entry.cancellations += 1
             bank.wq_appendleft(op.entry)
             bank.current = None
@@ -272,7 +273,7 @@ class MemoryController:
         if op.entry.pauses >= MAX_PAUSES_PER_WRITE:
             return  # starvation guard: let the write finish
         op.cancelled = True
-        op.entry.paused = PausedWrite(commit=op.commit, remaining=remaining)
+        op.entry.paused = PausedWrite(op.plan, remaining)
         op.entry.pauses += 1
         self.counters.writes_paused += 1
         # The remaining cycles will be re-charged when the write resumes.
@@ -304,28 +305,21 @@ class MemoryController:
 
     def _start_write(self, bank: BankState, now: int) -> None:
         entry = bank.wq_popleft()
-        self._wake_space_waiters(bank, now)
-        if entry.paused is not None:
+        if bank.space_waiters:
+            self._wake_space_waiters(bank, now)
+        paused = entry.paused
+        if paused is not None:
             # Resume a paused write: the op was already planned; only the
             # outstanding programming cycles remain.
-            paused, entry.paused = entry.paused, None
-            op = InFlightOp(
-                _WRITE, now, paused.remaining, False, entry, paused.commit
-            )
-            bank.current = op
-            self.counters.total_write_busy_cycles += paused.remaining
-            self.scheduler.schedule(
-                now + paused.remaining, self._finish, bank, op
-            )
-            return
-        op_plan = self.executor.execute(entry, now)
-        op = InFlightOp(
-            _WRITE, now, op_plan.latency, False, entry, op_plan.commit,
-            op_plan.cancel,
-        )
+            entry.paused = None
+            plan, latency = paused.plan, paused.remaining
+        else:
+            plan = self.executor.execute(entry, now)
+            latency = plan.latency
+        op = InFlightOp(_WRITE, now, latency, False, entry, plan)
         bank.current = op
-        self.counters.total_write_busy_cycles += op_plan.latency
-        self.scheduler.schedule(now + op_plan.latency, self._finish, bank, op)
+        self.counters.total_write_busy_cycles += latency
+        self.scheduler.schedule(now + latency, self._finish, bank, op)
 
     def _start_read(self, bank: BankState, now: int) -> None:
         bank.current = self._read_ops[bank.index]
@@ -350,9 +344,7 @@ class MemoryController:
             return
         entry, slot_index = target
         latency = self._read_cycles
-        op = InFlightOp(
-            _PREREAD, now, latency, False, entry, None, None, slot_index
-        )
+        op = InFlightOp(_PREREAD, now, latency, False, entry, None, slot_index)
         bank.current = op
         self.counters.prereads_issued += 1
         self.counters.total_preread_busy_cycles += latency
@@ -366,8 +358,7 @@ class MemoryController:
         bank.current = None
         kind = op.kind
         if kind is _WRITE:
-            if op.commit is not None:
-                op.commit()
+            self.executor._commit(op.entry, op.plan)
             low_water = 0 if bank.flush_all else self._drain_low_water
             if bank.draining and len(bank.write_q) <= low_water:
                 bank.draining = False

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Any, List, Optional, Tuple
 
 from ..pcm.array import LineAddress
 
@@ -21,23 +21,6 @@ class RequestKind(Enum):
 
 
 @dataclass(slots=True)
-class Request:
-    """One demand write from a core.
-
-    Slotted and built positionally on the replay hot path (one per trace
-    write).  Demand reads carry no request object (see
-    :meth:`~repro.mem.controller.MemoryController.enqueue_read`).
-    """
-
-    core: int
-    addr: LineAddress
-    #: Allocation tag of the page this line belongs to ((n:m)-Alloc,
-    #: Figure 9); the controller uses it to decide which adjacent lines
-    #: need verification.
-    nm_tag: tuple[int, int] = (1, 1)
-
-
-@dataclass
 class PrereadSlot:
     """PreRead bookkeeping for one adjacent line of a write-queue entry.
 
@@ -56,28 +39,38 @@ class PrereadSlot:
     forwarded: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class PausedWrite:
-    """State carried across a write pause [22]: the planned op's deferred
-    commit plus the programming cycles still owed when it resumes."""
+    """State carried across a write pause [22]: the executor's plan, still
+    to be committed, plus the programming cycles owed when it resumes."""
 
-    commit: Callable[[], None]
+    plan: Any
     remaining: int
 
 
-@dataclass(eq=False)
+@dataclass(slots=True, eq=False)
 class WriteEntry:
-    """One write-queue entry: the request plus its PreRead machinery.
+    """One demand write from a core and its write-queue bookkeeping.
 
-    Entries are queue bookkeeping with identity semantics (``eq=False``):
-    two distinct entries may carry field-equal requests, and the bank's
-    line index and preread cursor must distinguish them.
+    Slotted and built positionally on the replay hot path (one per trace
+    write).  Demand reads carry no request object (see
+    :meth:`~repro.mem.controller.MemoryController.enqueue_read`).
+
+    Entries have identity semantics (``eq=False``): two distinct entries
+    may carry field-equal writes, and the bank's line index and preread
+    cursor must distinguish them.
     """
 
-    request: Request
+    core: int
+    addr: LineAddress
+    #: Allocation tag of the page this line belongs to ((n:m)-Alloc,
+    #: Figure 9); the executor uses it to decide which adjacent lines
+    #: need verification.
+    nm_tag: Tuple[int, int] = (1, 1)
     #: PreRead slots for the adjacent lines that will need verification
-    #: (0, 1, or 2 of them depending on the (n:m) tag and block edges).
-    slots: list[PrereadSlot] = field(default_factory=list)
+    #: (0, 1, or 2 of them depending on the (n:m) tag and block edges);
+    #: filled by the controller when it accepts the write.
+    slots: List[PrereadSlot] = field(default_factory=list)
     #: Number of times this write was cancelled and re-queued [22].
     cancellations: int = 0
     #: The write's logical payload as a 512-bit integer, synthesised once
@@ -93,10 +86,6 @@ class WriteEntry:
     in_write_q: bool = False
     #: True while the entry is tracked by the bank's preread cursor.
     in_preread_cursor: bool = False
-
-    @property
-    def addr(self) -> LineAddress:
-        return self.request.addr
 
     def pending_preread(self) -> Optional[PrereadSlot]:
         """The first adjacent line still waiting for its pre-read."""

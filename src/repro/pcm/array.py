@@ -30,23 +30,17 @@ row ``r`` are line ``l`` of rows ``r - 1`` and ``r + 1`` in the same bank.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..config import LINE_BYTES, LINES_PER_PAGE
 from ..errors import DeviceError
 from . import stateplane
 
 
-class LineAddress(NamedTuple):
-    """A fully resolved device line coordinate; also its ``(bank, row,
-    line)`` dict key."""
-
-    bank: int
-    row: int
-    line: int
-
-
-Coord = Tuple[int, int, int]  # (bank, row, line); a LineAddress is one
+#: A fully resolved device line coordinate ``(bank, row, line)``, and the
+#: dict key of every per-line state (array, ECP chip, write queues, VnC).
+#: A plain tuple: the replay builds one per reference.
+LineAddress = Tuple[int, int, int]
 
 
 class PCMArray:
@@ -60,21 +54,13 @@ class PCMArray:
         self._seed = seed
         #: Pristine images of the rows touched so far (pooled, never copied).
         self._pristine: Dict[Tuple[int, int], bytes] = {}
-        self._stored: Dict[Coord, int] = {}
-        self._disturbed: Dict[Coord, int] = {}
-        self._flags: Dict[Coord, int] = {}
+        self._stored: Dict[LineAddress, int] = {}
+        self._disturbed: Dict[LineAddress, int] = {}
+        self._flags: Dict[LineAddress, int] = {}
 
     # -- materialisation -----------------------------------------------------
 
-    def _check(self, bank: int, row: int, line: int = 0) -> None:
-        if not 0 <= bank < self.banks:
-            raise DeviceError(f"bank {bank} out of range 0..{self.banks - 1}")
-        if not 0 <= row < self.rows_per_bank:
-            raise DeviceError(f"row {row} out of range 0..{self.rows_per_bank - 1}")
-        if not 0 <= line < LINES_PER_PAGE:
-            raise DeviceError(f"line {line} out of range 0..{LINES_PER_PAGE - 1}")
-
-    def _materialise(self, key: Coord) -> int:
+    def _materialise(self, key: LineAddress) -> int:
         """First touch of a line: validate it and read its pristine image.
 
         The image is a pure function of ``(seed, bank, row)``; the state
@@ -82,11 +68,17 @@ class PCMArray:
         key slices the same immutable bytes.
         """
         bank, row, line = key
-        self._check(bank, row, line)
-        image = self._pristine.get((bank, row))
+        if not (0 <= bank < self.banks and 0 <= row < self.rows_per_bank
+                and 0 <= line < LINES_PER_PAGE):
+            raise DeviceError(
+                f"line {key} out of range: {self.banks} banks x "
+                f"{self.rows_per_bank} rows x {LINES_PER_PAGE} lines"
+            )
+        pristine_key = (bank, row)
+        image = self._pristine.get(pristine_key)
         if image is None:
             image = stateplane.PLANE.pristine_row(self._seed, bank, row)
-            self._pristine[(bank, row)] = image
+            self._pristine[pristine_key] = image
         start = line * LINE_BYTES
         stored = int.from_bytes(image[start:start + LINE_BYTES], "little")
         self._stored[key] = stored
@@ -94,30 +86,34 @@ class PCMArray:
 
     # -- int-domain line state -----------------------------------------------
 
-    def stored_int(self, key: Coord) -> int:
+    def stored_int(self, key: LineAddress) -> int:
         """The correct stored-domain image of a line."""
         stored = self._stored.get(key)
         if stored is None:
             stored = self._materialise(key)
         return stored
 
-    def line_ints(self, key: Coord) -> Tuple[int, int]:
-        """``(stored, disturbed)`` of a line."""
-        return self.stored_int(key), self._disturbed.get(key, 0)
+    def line_ints(self, key: LineAddress) -> Tuple[int, int]:
+        """``(stored, disturbed)`` of a line (the write path's one probe)."""
+        stored = self._stored.get(key)
+        if stored is None:
+            stored = self._materialise(key)
+        return stored, self._disturbed.get(key, 0)
 
-    def disturbed_int(self, key: Coord) -> int:
+    def disturbed_int(self, key: LineAddress) -> int:
         """Outstanding WD flips of a line."""
         self.stored_int(key)
         return self._disturbed.get(key, 0)
 
-    def _set_disturbed(self, key: Coord, disturbed: int) -> None:
+    def _set_disturbed(self, key: LineAddress, disturbed: int) -> None:
         if disturbed:
             self._disturbed[key] = disturbed
         else:
             self._disturbed.pop(key, None)
 
     def commit_line(
-        self, key: Coord, stored: int, disturbed: int, flags: Optional[int] = None
+        self, key: LineAddress, stored: int, disturbed: int,
+        flags: Optional[int] = None,
     ) -> None:
         """Install a line's planned state (``flags`` only when rewritten)."""
         self._stored[key] = stored
@@ -125,7 +121,7 @@ class PCMArray:
         if flags is not None:
             self._flags[key] = flags
 
-    def disturb_int(self, key: Coord, mask: int) -> int:
+    def disturb_int(self, key: LineAddress, mask: int) -> int:
         """Apply WD flips to a line; returns the number of *new* flips.
 
         Only cells storing 0 can be disturbed; the caller supplies a mask
@@ -140,7 +136,7 @@ class PCMArray:
     def disturbed_lines(self) -> Iterator[Tuple[LineAddress, int, int]]:
         """``(addr, stored, disturbed)`` of every line with outstanding flips."""
         for key, disturbed in self._disturbed.items():
-            yield LineAddress(*key), self._stored[key], disturbed
+            yield key, self._stored[key], disturbed
 
     def line_flags(self, addr: LineAddress) -> int:
         return self._flags.get(addr, 0)
@@ -155,7 +151,7 @@ class PCMArray:
 
     def bitline_neighbours(self, addr: LineAddress) -> Iterator[LineAddress]:
         """Yield the (at most two) bit-line-adjacent lines of ``addr``."""
-        for direction in (-1, 1):
-            row = addr.row + direction
-            if 0 <= row < self.rows_per_bank:
-                yield LineAddress(addr.bank, row, addr.line)
+        bank, row, line = addr
+        for neighbour in (row - 1, row + 1):
+            if 0 <= neighbour < self.rows_per_bank:
+                yield bank, neighbour, line

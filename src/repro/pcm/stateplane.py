@@ -50,8 +50,8 @@ ROW_WORDS = LINES_PER_PAGE * LINE_WORDS
 
 RowKey = Tuple[int, int, int]  # (array seed, bank, row)
 #: (fraction, bank, row, line): a flat tuple of atoms, which the cyclic
-#: collector stops tracking after one pass (a ``LineAddress`` inside a
-#: key, as a tuple subclass, would keep every pooled key tracked).
+#: collector stops tracking after one pass (a nested tuple would keep
+#: every pooled key tracked).
 MaskKey = Tuple[float, int, int, int]
 
 

@@ -69,7 +69,7 @@ def simulate_cell(spec: CellSpec) -> SimulationResult:
     """
     from time import perf_counter
 
-    from ..core.system import SDPCMSystem
+    from ..core.system import simulate
     from ..traces.shm import workload_for
     from .profiler import PROFILER
 
@@ -81,8 +81,9 @@ def simulate_cell(spec: CellSpec) -> SimulationResult:
         seed=spec.config.seed,
     )
     t1 = perf_counter()
-    system = SDPCMSystem(spec.config, lifetime_fraction=spec.lifetime_fraction)
-    result = system.run(workload)
+    result = simulate(
+        spec.config, workload, lifetime_fraction=spec.lifetime_fraction
+    )
     PROFILER.add("trace_gen", t1 - t0)
     PROFILER.add("simulate", perf_counter() - t1)
     return result

@@ -85,22 +85,6 @@ class Counters:
     errors_per_adjacent_line_hist: Dict[int, int] = field(default_factory=dict)
     errors_per_wordline_hist: Dict[int, int] = field(default_factory=dict)
 
-    def note_adjacent_errors(self, count: int) -> None:
-        """Record the per-victim-line error count of one write (Figure 4b)."""
-        self.errors_per_adjacent_line_hist[count] = (
-            self.errors_per_adjacent_line_hist.get(count, 0) + 1
-        )
-        if count > self.max_errors_one_adjacent_line:
-            self.max_errors_one_adjacent_line = count
-
-    def note_wordline_errors(self, count: int) -> None:
-        """Record the same-word-line error count of one write (Figure 4a)."""
-        self.errors_per_wordline_hist[count] = (
-            self.errors_per_wordline_hist.get(count, 0) + 1
-        )
-        if count > self.max_errors_wordline:
-            self.max_errors_wordline = count
-
     # -- derived metrics --------------------------------------------------------
 
     @property

@@ -78,12 +78,12 @@ class TestStatePlane:
         assert plane.pristine_row(0, 0, 0) == stateplane._generate_row(0, 0, 0)
 
     def test_array_rows_copy_from_plane(self):
-        from repro.pcm.array import LineAddress, PCMArray
+        from repro.pcm.array import PCMArray
 
         stateplane.PLANE.reset()
         a = PCMArray(banks=2, rows_per_bank=16, seed=11)
         b = PCMArray(banks=2, rows_per_bank=16, seed=11)
-        addr = LineAddress(1, 4, 2)
+        addr = (1, 4, 2)
         assert a.stored_int(addr) == b.stored_int(addr)
         assert stateplane.PLANE.row_hits == 1
         pristine = stateplane.PLANE.pristine_row(11, 1, 4)[2 * 64:3 * 64]

@@ -187,6 +187,8 @@ class TestBadNumbers:
         (["faults", "sweep", "--fault-seed", "-1"],
          "repro faults sweep: error: argument --fault-seed: must be >= 0, "
          "got -1"),
+        (["compare", "wrf", "--length", "0", "--cores", "1"],
+         "repro compare: error: argument --length: must be >= 1, got 0"),
     ])
     def test_exits_2_with_one_stderr_line(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -249,7 +251,8 @@ class TestBadEnvValues:
         ("REPRO_CELL_TIMEOUT", "-1", "REPRO_CELL_TIMEOUT must be >= 0, got -1"),
         ("REPRO_CELL_TIMEOUT", "inf",
          "REPRO_CELL_TIMEOUT must be a finite number, got 'inf'"),
-        ("REPRO_TRACE_LEN", "-5", "REPRO_TRACE_LEN must be >= 0, got -5"),
+        ("REPRO_TRACE_LEN", "-5", "REPRO_TRACE_LEN must be >= 1, got -5"),
+        ("REPRO_TRACE_LEN", "0", "REPRO_TRACE_LEN must be >= 1, got 0"),
         ("REPRO_KERNEL_BACKEND", "bogus", "REPRO_KERNEL_BACKEND must be one "
          "of auto/python/numpy/compiled, got 'bogus'"),
     ]

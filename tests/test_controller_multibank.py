@@ -7,7 +7,6 @@ import pytest
 from repro.config import MemoryConfig, SchemeConfig, TimingConfig
 from repro.core.engine import EventLoop
 from repro.mem.controller import MemoryController
-from repro.pcm.array import LineAddress
 from repro.stats.counters import Counters
 from tests.test_mem_controller import StubExecutor, read, write
 

@@ -14,9 +14,9 @@ from repro.alloc.strips import adjacent_usage, is_no_use
 from repro.core.vnc import VnCExecutor
 from repro.ecp.chip import ECPChip
 from repro.errors import AllocationError
-from repro.mem.request import Request, WriteEntry
+from repro.mem.request import WriteEntry
 from repro.pcm import line as L
-from repro.pcm.array import LineAddress, PCMArray
+from repro.pcm.array import PCMArray
 from repro.stats.counters import Counters
 
 TIMING = TimingConfig()
@@ -50,21 +50,23 @@ def make_executor(
 
 
 def write_entry(executor, bank=2, row=10, line=3, core=0, nm=(1, 1)):
-    request = Request(core, LineAddress(bank, row, line), nm_tag=nm)
-    return WriteEntry(request, slots=executor.preread_slots(request))
+    entry = WriteEntry(core, (bank, row, line), nm)
+    entry.slots = executor.preread_slots(entry)
+    return entry
 
 
 def run_write(executor, entry):
-    op = executor.execute(entry, now=0)
-    op.commit()
-    return op
+    plan = executor.execute(entry, now=0)
+    executor._commit(entry, plan)
+    executor.publish_counters()
+    return plan
 
 
 class TestSlots:
     def test_baseline_two_slots(self):
         ex, *_ = make_executor(SchemeConfig())
         entry = write_entry(ex, row=10)
-        assert [s.addr.row for s in entry.slots] == [9, 11]
+        assert [s.addr[1] for s in entry.slots] == [9, 11]
 
     def test_din_no_slots(self):
         ex, *_ = make_executor(SchemeConfig(wd_free_bitlines=True, vnc=False))
@@ -73,7 +75,7 @@ class TestSlots:
     def test_top_edge_single_slot(self):
         ex, *_ = make_executor(SchemeConfig())
         entry = write_entry(ex, row=0)
-        assert [s.addr.row for s in entry.slots] == [1]
+        assert [s.addr[1] for s in entry.slots] == [1]
 
     def test_1_2_interior_no_slots(self):
         ex, *_ = make_executor(SchemeConfig(nm_ratio=(1, 2)))
@@ -83,12 +85,12 @@ class TestSlots:
     def test_1_2_block_edge_verifies_top(self):
         ex, *_ = make_executor(SchemeConfig(nm_ratio=(1, 2)), rows=2048)
         entry = write_entry(ex, row=1024, nm=(1, 2))  # first strip of block 2
-        assert [s.addr.row for s in entry.slots] == [1023]
+        assert [s.addr[1] for s in entry.slots] == [1023]
 
     def test_2_3_one_slot(self):
         ex, *_ = make_executor(SchemeConfig(nm_ratio=(2, 3)))
         entry = write_entry(ex, row=3, nm=(2, 3))  # local 3 % 3 == 0: top used
-        assert [s.addr.row for s in entry.slots] == [2]
+        assert [s.addr[1] for s in entry.slots] == [2]
 
 
     def test_slots_follow_each_writes_own_ratio(self):
@@ -109,7 +111,7 @@ class TestSlots:
                     want = [r for r, verify in ((row - 1, top), (row + 1, bottom))
                             if verify and 0 <= r < rows]
                     entry = write_entry(ex, row=row, nm=nm)
-                    assert [s.addr.row for s in entry.slots] == want, (row, nm)
+                    assert [s.addr[1] for s in entry.slots] == want, (row, nm)
 
 
 class TestWriteCommit:
@@ -134,7 +136,7 @@ class TestWriteCommit:
     def test_epoch_bumped(self):
         ex, *_ = make_executor(SchemeConfig(), p_bitline=0.0)
         entry = write_entry(ex)
-        key = (entry.addr.bank, entry.addr.row, entry.addr.line)
+        key = entry.addr
         run_write(ex, entry)
         assert ex.epochs[key] == 1
         run_write(ex, write_entry(ex))
@@ -183,8 +185,8 @@ class TestLazyCorrection:
         assert counters.corrections == 0
         assert counters.ecp_absorbed_errors == counters.bitline_errors
         for slot in entry.slots:
-            vkey = (slot.addr.bank, slot.addr.row, slot.addr.line)
-            line = ecp.peek(vkey)
+            vkey = slot.addr
+            line = ecp.lines.get(vkey)
             disturbed = array.disturbed_int(slot.addr).bit_count()
             assert (line.wd_count if line else 0) == disturbed
 
@@ -193,8 +195,8 @@ class TestLazyCorrection:
         entry = write_entry(ex)
         run_write(ex, entry)
         for slot in entry.slots:
-            vkey = (slot.addr.bank, slot.addr.row, slot.addr.line)
-            line = ecp.peek(vkey)
+            vkey = slot.addr
+            line = ecp.lines.get(vkey)
             if line is None:
                 continue
             stored, disturbed = array.line_ints(slot.addr)
@@ -216,7 +218,7 @@ class TestLazyCorrection:
             remaining = array.disturbed_int(slot.addr).bit_count()
             assert remaining <= 1
             if remaining:
-                vkey = (slot.addr.bank, slot.addr.row, slot.addr.line)
+                vkey = slot.addr
                 covered = {e.position for e in ecp.line(vkey).entries}
                 disturbed = array.disturbed_int(slot.addr)
                 assert set(L.bit_positions_int(disturbed)) <= covered
@@ -226,14 +228,14 @@ class TestLazyCorrection:
         entry = write_entry(ex, row=10)
         run_write(ex, entry)
         victim = entry.slots[1].addr  # row 11 accumulated entries
-        vkey = (victim.bank, victim.row, victim.line)
-        before = ecp.peek(vkey)
+        vkey = victim
+        bank, row, line = victim
+        before = ecp.lines.get(vkey)
         if before is None or before.wd_count == 0:
             pytest.skip("no errors sampled into bottom victim")
         # Now write the victim itself: its WD entries must clear.
-        run_write(ex, write_entry(ex, row=victim.row, line=victim.line,
-                                  bank=victim.bank))
-        assert ecp.peek(vkey).wd_count == (
+        run_write(ex, write_entry(ex, row=row, line=line, bank=bank))
+        assert ecp.lines.get(vkey).wd_count == (
             array.disturbed_int(victim).bit_count()
         ) == 0
         assert counters.ecp_cleared_by_write > 0
@@ -244,7 +246,7 @@ class TestLazyCorrection:
         )
         run_write(ex, write_entry(ex))
         # With end-of-life hard seeding, some lines start partially full.
-        seeded = [ecp.peek(k) for k in list(ecp._lines)]
+        seeded = list(ecp.lines.values())
         assert any(line.hard_count > 0 for line in seeded if line)
 
 
@@ -252,8 +254,7 @@ class TestCancel:
     def test_cancel_leaves_uncovered_partial_disturbance(self):
         ex, array, _, counters = make_executor(SchemeConfig(), p_bitline=1.0)
         entry = write_entry(ex)
-        op = ex.execute(entry, 0)
-        op.cancel(0.9)
+        ex._cancel(entry, ex.execute(entry, 0), 0.9)
         assert counters.partial_write_errors > 0
         assert len(ex.uncovered) > 0
         # The retried write detects and handles the partial flips.
@@ -264,8 +265,8 @@ class TestCancel:
 
     def test_cancel_zero_progress_is_noop(self):
         ex, _, _, counters = make_executor(SchemeConfig())
-        op = ex.execute(write_entry(ex), 0)
-        op.cancel(0.0)
+        entry = write_entry(ex)
+        ex._cancel(entry, ex.execute(entry, 0), 0.0)
         assert counters.partial_write_errors == 0
         assert not ex.uncovered
 

@@ -214,10 +214,10 @@ class TestMaskLineMatchesPositionsModel:
 class TestChipAndWear:
     def test_chip_lazy_lines(self):
         chip = ECPChip(entries_per_line=6)
-        assert chip.peek((0, 1, 2)) is None
+        assert chip.lines.get((0, 1, 2)) is None
         chip.line((0, 1, 2)).record_wd(bits(1))
-        assert chip.peek((0, 1, 2)) is not None
-        assert chip.peek((9, 9, 9)) is None
+        assert chip.lines.get((0, 1, 2)) is not None
+        assert chip.lines.get((9, 9, 9)) is None
 
     def test_chip_geometry_wd_free(self):
         geometry = ECPChipGeometry()

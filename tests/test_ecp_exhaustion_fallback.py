@@ -9,8 +9,8 @@ import pytest
 from repro.config import DisturbanceConfig, SchemeConfig, TimingConfig
 from repro.core.vnc import VnCExecutor
 from repro.ecp.chip import ECPChip
-from repro.mem.request import Request, WriteEntry
-from repro.pcm.array import LineAddress, PCMArray
+from repro.mem.request import WriteEntry
+from repro.pcm.array import PCMArray
 from repro.stats.counters import Counters
 
 
@@ -38,10 +38,10 @@ def build_with_full_hard_ecp(capacity=6):
 
 
 def write(executor, row=10):
-    request = Request(0, LineAddress(2, row, 3))
-    entry = WriteEntry(request, slots=executor.preread_slots(request))
-    op = executor.execute(entry, 0)
-    op.commit()
+    entry = WriteEntry(0, (2, row, 3))
+    entry.slots = executor.preread_slots(entry)
+    executor._commit(entry, executor.execute(entry, 0))
+    executor.publish_counters()
     return entry
 
 
@@ -61,7 +61,7 @@ class TestFallbackToBasicVnC:
             line = ecp.line((2, row, 3))
             assert line.wd_count == 0
             # Victims end up physically clean (basic-VnC behaviour).
-            addr = LineAddress(2, row, 3)
+            addr = (2, row, 3)
             assert array.disturbed_int(addr) == 0
 
     def test_hard_entries_survive_corrections(self):

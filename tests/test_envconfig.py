@@ -161,7 +161,8 @@ class TestConsumersDelegate:
             ("REPRO_JOBS", envconfig.jobs, "garbage", ""),
             ("REPRO_CELL_TIMEOUT", envconfig.cell_timeout, "garbage", ""),
             ("REPRO_TRACE_LEN", envconfig.trace_length, "garbage", ""),
-            ("REPRO_TRACE_LEN", envconfig.trace_length, "-5", " >= 0, got -5"),
+            ("REPRO_TRACE_LEN", envconfig.trace_length, "-5", " >= 1, got -5"),
+            ("REPRO_TRACE_LEN", envconfig.trace_length, "0", " >= 1, got 0"),
             ("REPRO_CORES", envconfig.core_count, "garbage", ""),
             ("REPRO_CORES", envconfig.core_count, "0", " >= 1, got 0"),
             ("REPRO_KERNEL_BACKEND", envconfig.kernel_backend, "garbage", ""),

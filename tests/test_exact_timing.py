@@ -135,8 +135,8 @@ class TestVnCTiming:
 
         from repro.core.vnc import VnCExecutor
         from repro.ecp.chip import ECPChip
-        from repro.mem.request import Request, WriteEntry
-        from repro.pcm.array import LineAddress, PCMArray
+        from repro.mem.request import WriteEntry
+        from repro.pcm.array import PCMArray
 
         array = PCMArray(banks=16, rows_per_bank=8, seed=0)
         executor = VnCExecutor(
@@ -151,8 +151,8 @@ class TestVnCTiming:
             rng=np.random.default_rng(0),
             flip_fractions=[0.12],
         )
-        request = Request(0, LineAddress(0, 4, 0))
-        entry = WriteEntry(request, slots=executor.preread_slots(request))
+        entry = WriteEntry(0, (0, 4, 0))
+        entry.slots = executor.preread_slots(entry)
         op = executor.execute(entry, 0)
         # <=128 changed cells with some SETs: exactly one SET round.
         assert op.latency == 4 * READ + SET

@@ -14,7 +14,6 @@ import pytest
 from repro.core import schemes
 from repro.core.system import SDPCMSystem
 from repro.pcm import line as L
-from repro.pcm.array import LineAddress
 from tests.conftest import small_config, small_workload
 
 
@@ -27,7 +26,7 @@ def audit_system(system: SDPCMSystem) -> dict:
     for addr, _, disturbed in array.disturbed_lines():
         n = disturbed.bit_count()
         physical_errors += n
-        ecp_line = system.ecp.peek(addr)
+        ecp_line = system.ecp.lines.get(addr)
         positions = set(L.bit_positions_int(disturbed))
         covered = (
             {e.position for e in ecp_line.entries} if ecp_line else set()
@@ -82,12 +81,12 @@ class TestReliabilityInvariant:
         from repro.alloc.strips import is_no_use
 
         for addr, _, disturbed in system.array.disturbed_lines():
-            ecp_line = system.ecp.peek(addr)
+            ecp_line = system.ecp.lines.get(addr)
             covered = (
                 {e.position for e in ecp_line.entries} if ecp_line else set()
             )
             positions = set(L.bit_positions_int(disturbed))
-            assert is_no_use(addr.row, 2, 3) or positions <= covered
+            assert is_no_use(addr[1], 2, 3) or positions <= covered
 
     def test_din_array_is_pristine(self):
         audit = run_and_audit(schemes.din())

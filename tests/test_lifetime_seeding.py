@@ -40,7 +40,7 @@ class TestLifetimeSeeding:
         system = SDPCMSystem(cfg, lifetime_fraction=1.0)
         system.run(wl)
         hard = sum(
-            line.hard_count for line in system.ecp._lines.values()
+            line.hard_count for line in system.ecp.lines.values()
         )
         assert hard > 0
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from repro.config import LINE_BYTES, LINES_PER_PAGE, PAGES_PER_STRIP, PAGE_BYTES
 from repro.errors import DeviceError
 from repro.mem.address import AddressMapper
-from repro.pcm.array import LineAddress, PCMArray
+from repro.pcm.array import PCMArray
 
 
 @pytest.fixture
@@ -54,21 +54,21 @@ class TestFrameMapping:
 
 class TestLineMapping:
     def test_line_address(self, mapper):
-        addr = LineAddress(*mapper.frame_to_bank_row(17), 5)
-        assert addr == LineAddress(bank=1, row=1, line=5)
+        addr = (*mapper.frame_to_bank_row(17), 5)
+        assert addr == (1, 1, 5)
 
     def test_physical_byte_address(self, mapper):
         """A byte address splits into its page and its line in the page,
         as the engine's replay columns split it."""
         byte_addr = 17 * PAGE_BYTES + 5 * LINE_BYTES
         page, line = byte_addr >> 12, (byte_addr >> 6) % LINES_PER_PAGE
-        assert LineAddress(*mapper.frame_to_bank_row(page), line) == (
-            LineAddress(1, 1, 5))
+        assert (*mapper.frame_to_bank_row(page), line) == (
+            (1, 1, 5))
 
     def test_bad_line_rejected(self, mapper):
         array = PCMArray(mapper.banks, mapper.rows_per_bank)
         with pytest.raises(DeviceError):
-            array.stored_int(LineAddress(0, 0, LINES_PER_PAGE))
+            array.stored_int((0, 0, LINES_PER_PAGE))
 
     def test_non_16_bank_layout_rejected(self):
         with pytest.raises(DeviceError):

@@ -8,16 +8,13 @@ from repro.mem.bank import BankState, InFlightOp
 from repro.mem.request import (
     PausedWrite,
     PrereadSlot,
-    Request,
     RequestKind,
     WriteEntry,
 )
-from repro.pcm.array import LineAddress
 
 
 def entry(row=5, line=0):
-    req = Request(0, LineAddress(0, row, line))
-    return WriteEntry(req)
+    return WriteEntry(0, (0, row, line))
 
 
 class TestInFlightOp:
@@ -69,8 +66,8 @@ class TestBankState:
 class TestWriteEntry:
     def test_pending_preread_order(self):
         e = entry()
-        a = PrereadSlot(addr=LineAddress(0, 4, 0))
-        b = PrereadSlot(addr=LineAddress(0, 6, 0))
+        a = PrereadSlot(addr=(0, 4, 0))
+        b = PrereadSlot(addr=(0, 6, 0))
         e.slots = [a, b]
         assert e.pending_preread() is a
         a.done = True
@@ -79,9 +76,9 @@ class TestWriteEntry:
         assert e.pending_preread() is None
 
     def test_paused_state_holds_commit(self):
-        called = []
+        """A paused write keeps the executor's plan, still to commit."""
+        plan = object()
         e = entry()
-        e.paused = PausedWrite(commit=lambda: called.append(1), remaining=300)
-        e.paused.commit()
-        assert called == [1]
+        e.paused = PausedWrite(plan, remaining=300)
+        assert e.paused.plan is plan
         assert e.paused.remaining == 300

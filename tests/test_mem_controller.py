@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import List
 
 import pytest
 
 from repro.config import MemoryConfig, SchemeConfig, TimingConfig
 from repro.core.engine import EventLoop
-from repro.mem.controller import (
-    FORWARD_READ_CYCLES,
-    MemoryController,
-    WriteOp,
-)
+from repro.mem.controller import FORWARD_READ_CYCLES, MemoryController
 from repro.mem.bank import InFlightOp
-from repro.mem.request import PrereadSlot, Request, RequestKind, WriteEntry
+from repro.mem.request import PrereadSlot, RequestKind, WriteEntry
 from repro.pcm.array import LineAddress
 from repro.stats.counters import Counters
 
@@ -29,19 +26,20 @@ class StubExecutor:
         self.cancels: List[float] = []
         self.baselines: List[PrereadSlot] = []
 
-    def preread_slots(self, request):
+    def preread_slots(self, entry):
+        bank, row, line = entry.addr
         return [
-            PrereadSlot(addr=LineAddress(request.addr.bank,
-                                         request.addr.row + d, request.addr.line))
-            for d in (1, 2)
+            PrereadSlot(addr=(bank, row + d, line)) for d in (1, 2)
         ][: self.slots_per_write]
 
     def execute(self, entry, now):
-        return WriteOp(
-            latency=self.latency,
-            commit=lambda: self.commits.append(entry.addr),
-            cancel=lambda p: self.cancels.append(p),
-        )
+        return SimpleNamespace(latency=self.latency)
+
+    def _commit(self, entry, plan):
+        self.commits.append(entry.addr)
+
+    def _cancel(self, entry, plan, progress):
+        self.cancels.append(progress)
 
     def capture_baseline(self, slot):
         self.baselines.append(slot)
@@ -63,11 +61,11 @@ def make_controller(scheme=None, wq=4, executor=None):
 
 
 def read(bank=0, row=10, line=0):
-    return LineAddress(bank, row, line)
+    return (bank, row, line)
 
 
 def write(bank=0, row=10, line=0, core=0):
-    return Request(core, LineAddress(bank, row, line))
+    return WriteEntry(core, (bank, row, line))
 
 
 class TestReads:
@@ -277,7 +275,7 @@ class TestKickTable:
         if busy:
             bank.current = InFlightOp(RequestKind.READ, 0, 400)
         if write_q:
-            bank.wq_append(WriteEntry(write(row=20)))
+            bank.wq_append(write(row=20))
         if read_q:
             bank.read_q.append((lambda t: None, ()))
         ctrl._kick(bank)

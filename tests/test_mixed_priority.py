@@ -66,4 +66,4 @@ class TestPerCoreTags:
         # allocator that owns them; everything else must be clean
         # (baseline corrects immediately).
         for addr, _, _ in system.array.disturbed_lines():
-            assert is_no_use(addr.row, 1, 2)
+            assert is_no_use(addr[1], 1, 2)

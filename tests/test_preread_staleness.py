@@ -8,8 +8,8 @@ import pytest
 from repro.config import DisturbanceConfig, SchemeConfig, TimingConfig
 from repro.core.vnc import VnCExecutor
 from repro.ecp.chip import ECPChip
-from repro.mem.request import PrereadSlot, Request, WriteEntry
-from repro.pcm.array import LineAddress, PCMArray
+from repro.mem.request import PrereadSlot, WriteEntry
+from repro.pcm.array import PCMArray
 from repro.stats.counters import Counters
 
 
@@ -30,8 +30,14 @@ def build(scheme=None):
 
 
 def entry_for(executor, row=10):
-    request = Request(0, LineAddress(1, row, 2))
-    return WriteEntry(request, slots=executor.preread_slots(request))
+    entry = WriteEntry(0, (1, row, 2))
+    entry.slots = executor.preread_slots(entry)
+    return entry
+
+
+def commit(executor, entry, now):
+    executor._commit(entry, executor.execute(entry, now))
+    executor.publish_counters()
 
 
 class TestFreshness:
@@ -41,7 +47,7 @@ class TestFreshness:
         for slot in entry.slots:
             executor.capture_baseline(slot)
             slot.done = True
-        executor.execute(entry, 0).commit()
+        commit(executor, entry, 0)
         assert counters.preread_hits == 2
         assert counters.pre_write_reads == 0
         assert counters.preread_stale == 0
@@ -49,7 +55,7 @@ class TestFreshness:
     def test_missing_preread_charges_read(self):
         executor, counters = build()
         entry = entry_for(executor)
-        executor.execute(entry, 0).commit()
+        commit(executor, entry, 0)
         assert counters.pre_write_reads == 2
         assert counters.preread_hits == 0
 
@@ -63,8 +69,8 @@ class TestFreshness:
             slot.done = True
         # Demand write to the top victim (row 9) bumps its epoch.
         victim_entry = entry_for(executor, row=9)
-        executor.execute(victim_entry, 0).commit()
-        executor.execute(entry, 100).commit()
+        commit(executor, victim_entry, 0)
+        commit(executor, entry, 100)
         assert counters.preread_stale == 1
         assert counters.preread_hits == 1  # the other victim stayed fresh
 
@@ -77,8 +83,8 @@ class TestFreshness:
             slot.done = True
             slot.forwarded = True
         victim_entry = entry_for(executor, row=9)
-        executor.execute(victim_entry, 0).commit()
-        executor.execute(entry, 100).commit()
+        commit(executor, victim_entry, 0)
+        commit(executor, entry, 100)
         assert counters.preread_stale == 0
         assert counters.preread_forwards == 0  # counted by the controller
 

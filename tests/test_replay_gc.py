@@ -1,6 +1,7 @@
-"""The replay runs with the cyclic collector paused: it must leave no
-cyclic garbage behind, restore the caller's collector state, and keep the
-process-wide weak-mask pool invisible to the collector."""
+"""A cell runs with the cyclic collector paused: building its system,
+the replay and releasing it.  It must leave no cyclic garbage behind,
+restore the caller's collector state, and keep the process-wide
+weak-mask pool invisible to the collector."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import pytest
 
 from repro.core import schemes
 from repro.core.engine import Engine
-from repro.core.system import SDPCMSystem
+from repro.core.system import SDPCMSystem, simulate
 from repro.errors import SimulationError
 from repro.pcm import stateplane
 from tests.conftest import small_config, small_workload
@@ -41,12 +42,34 @@ def test_cyclic_garbage_does_not_grow_with_trace_length(name):
     assert long <= 20 and short <= 20, (short, long)
 
 
+def test_no_collection_during_a_cells_life():
+    """Nothing collects while a cell builds, replays and drops its system
+    (a collection there would only walk the cell's live state)."""
+    workload = small_workload("mcf", length=400)
+    config = small_config(schemes.lazyc_preread())
+    started = []
+    inside = [True]
+
+    def note(phase, info):
+        if phase == "start" and inside[0]:
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(note)
+    try:
+        simulate(config, workload)
+        inside[0] = False  # a store: allocates nothing a collection counts
+    finally:
+        gc.callbacks.remove(note)
+    assert started == []
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_run_restores_collector_state(enabled):
     was = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
-        SDPCMSystem(small_config()).run(small_workload(length=50))
+        simulate(small_config(), small_workload(length=50))
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was else gc.disable()
@@ -60,7 +83,7 @@ def test_run_restores_collector_when_replay_raises(monkeypatch):
     monkeypatch.setattr(Engine, "run", boom)
     assert gc.isenabled()
     with pytest.raises(SimulationError):
-        SDPCMSystem(small_config()).run(small_workload(length=50))
+        simulate(small_config(), small_workload(length=50))
     assert gc.isenabled()
 
 

@@ -2,11 +2,31 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.config import DisturbanceConfig, SchemeConfig, TimingConfig
+from repro.core.vnc import VnCExecutor
+from repro.ecp.chip import ECPChip
+from repro.pcm.array import PCMArray
 from repro.stats.counters import Counters
 from repro.stats.lifetime import lifetime_report
 from repro.stats.report import format_table
+
+
+def publish(counters: Counters) -> None:
+    """Publish an idle VnC executor's (empty) totals into ``counters``:
+    the end-of-replay step that sets the histograms' maxima."""
+    executor = VnCExecutor(
+        array=PCMArray(banks=1, rows_per_bank=4),
+        ecp=ECPChip(),
+        scheme=SchemeConfig(),
+        timing=TimingConfig(),
+        disturbance=DisturbanceConfig(),
+        counters=counters,
+        rng=np.random.default_rng(0),
+    )
+    executor.publish_counters()
 
 
 class TestCounters:
@@ -20,18 +40,18 @@ class TestCounters:
 
     def test_adjacent_error_histogram(self):
         c = Counters()
-        for n in (0, 2, 2, 9):
-            c.note_adjacent_errors(n)
+        c.errors_per_adjacent_line_hist.update({0: 1, 2: 2, 9: 1})
         assert c.avg_errors_per_adjacent_line == pytest.approx(13 / 4)
+        publish(c)
         assert c.max_errors_one_adjacent_line == 9
-        assert c.errors_per_adjacent_line_hist == {0: 1, 2: 2, 9: 1}
 
     def test_wordline_histogram(self):
         c = Counters()
-        c.note_wordline_errors(0)
-        c.note_wordline_errors(2)
+        c.errors_per_wordline_hist.update({0: 1, 2: 1})
         assert c.avg_errors_wordline == 1.0
+        publish(c)
         assert c.max_errors_wordline == 2
+        assert Counters().avg_errors_wordline == 0.0
 
     def test_data_chip_lifetime(self):
         c = Counters()

@@ -15,9 +15,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.config import DisturbanceConfig, SchemeConfig, TimingConfig
 from repro.core.vnc import VnCExecutor
 from repro.ecp.chip import ECPChip
-from repro.mem.request import Request, WriteEntry
+from repro.mem.request import WriteEntry
 from repro.pcm import line as L
-from repro.pcm.array import LineAddress, PCMArray
+from repro.pcm.array import PCMArray
 from repro.stats.counters import Counters
 
 ROWS = 24
@@ -40,20 +40,20 @@ def build(scheme: SchemeConfig, seed: int, p_bitline: float):
 
 
 def do_write(executor, bank, row, line, cancel_progress=None):
-    request = Request(0, LineAddress(bank, row, line), nm_tag=(1, 1))
-    entry = WriteEntry(request, slots=executor.preread_slots(request))
-    op = executor.execute(entry, 0)
+    entry = WriteEntry(0, (bank, row, line), (1, 1))
+    entry.slots = executor.preread_slots(entry)
+    plan = executor.execute(entry, 0)
     if cancel_progress is not None:
-        op.cancel(cancel_progress)
+        executor._cancel(entry, plan, cancel_progress)
     else:
-        op.commit()
+        executor._commit(entry, plan)
 
 
 def audit(executor, array, ecp) -> None:
     """Every disturbed bit must be covered by ECP unless marked uncovered."""
     for key, _, disturbed in array.disturbed_lines():
         positions = set(L.bit_positions_int(disturbed))
-        ecp_line = ecp.peek(key)
+        ecp_line = ecp.lines.get(key)
         covered = (
             {e.position for e in ecp_line.entries} if ecp_line else set()
         )
@@ -134,8 +134,8 @@ class TestInvariantUnderRandomSequences:
         upper = 4 * timing.set_cycles + timing.reset_cycles + 4 * timing.read_cycles
         upper += 40 * (timing.read_cycles + 4 * timing.reset_cycles)
         for bank, row, line, _ in script:
-            request = Request(0, LineAddress(bank, row, line))
-            entry = WriteEntry(request, slots=executor.preread_slots(request))
-            op = executor.execute(entry, 0)
-            assert timing.reset_cycles <= op.latency <= upper
-            op.commit()
+            entry = WriteEntry(0, (bank, row, line))
+            entry.slots = executor.preread_slots(entry)
+            plan = executor.execute(entry, 0)
+            assert timing.reset_cycles <= plan.latency <= upper
+            executor._commit(entry, plan)

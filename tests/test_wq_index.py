@@ -10,13 +10,13 @@ stays consistent with the queue contents.
 from __future__ import annotations
 
 from collections import defaultdict
+from types import SimpleNamespace
 
 from repro.config import MemoryConfig, SchemeConfig, TimingConfig
 from repro.core.engine import EventLoop
 from repro.mem.bank import BankState
-from repro.mem.controller import MemoryController, WriteOp
-from repro.mem.request import PrereadSlot, Request, WriteEntry
-from repro.pcm.array import LineAddress
+from repro.mem.controller import MemoryController
+from repro.mem.request import PrereadSlot, WriteEntry
 from repro.stats.counters import Counters
 
 
@@ -25,7 +25,7 @@ def assert_consistent(bank: BankState) -> None:
     expected = defaultdict(list)
     for e in bank.write_q:
         assert e.in_write_q
-        expected[(e.addr.bank, e.addr.row, e.addr.line)].append(e)
+        expected[e.addr].append(e)
     assert set(bank.wq_index) == set(expected)
     for key, entries in expected.items():
         assert bank.wq_index[key] == entries
@@ -36,12 +36,11 @@ def assert_consistent(bank: BankState) -> None:
 
 
 def entry(row=5, line=0, slots=()):
-    req = Request(0, LineAddress(0, row, line))
-    return WriteEntry(req, slots=list(slots))
+    return WriteEntry(0, (0, row, line), slots=list(slots))
 
 
 def slot(row):
-    return PrereadSlot(addr=LineAddress(0, row, 0))
+    return PrereadSlot(addr=(0, row, 0))
 
 
 class StubExecutor:
@@ -50,22 +49,20 @@ class StubExecutor:
         self.with_slots = with_slots
         self.commits = []
 
-    def preread_slots(self, request):
+    def preread_slots(self, entry):
         if not self.with_slots:
             return []
-        return [
-            PrereadSlot(addr=LineAddress(request.addr.bank,
-                                         request.addr.row + d,
-                                         request.addr.line))
-            for d in (1, 2)
-        ]
+        bank, row, line = entry.addr
+        return [PrereadSlot(addr=(bank, row + d, line)) for d in (1, 2)]
 
     def execute(self, entry, now):
-        return WriteOp(
-            latency=self.latency,
-            commit=lambda: self.commits.append(entry.addr),
-            cancel=lambda p: None,
-        )
+        return SimpleNamespace(latency=self.latency)
+
+    def _commit(self, entry, plan):
+        self.commits.append(entry.addr)
+
+    def _cancel(self, entry, plan, progress):
+        pass
 
     def capture_baseline(self, slot):
         pass
@@ -87,11 +84,11 @@ def make_controller(scheme=None, wq=8):
 
 
 def read(row=10, line=0):
-    return LineAddress(0, row, line)
+    return (0, row, line)
 
 
 def write(row=10, line=0):
-    return Request(0, LineAddress(0, row, line))
+    return WriteEntry(0, (0, row, line))
 
 
 class TestBankQueueMethods:
