@@ -35,6 +35,9 @@ class SimulationResult:
         Figures normalise to the basic-VnC ``baseline`` scheme, so a value
         above 1 means this run is faster than ``baseline``.
         """
+        empty = [f"{r.workload} under {r.scheme}" for r in (self, baseline) if not r.cpi]
+        if empty:
+            raise SimulationError(f"no speedup for an empty run: {empty[0]}")
         return baseline.cpi / self.cpi
 
 

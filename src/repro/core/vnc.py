@@ -22,8 +22,9 @@ executor and reach :class:`~repro.stats.counters.Counters` once, through
 :meth:`VnCExecutor.publish_counters`, when the replay ends.
 
 Everything works in the **int domain** (512-bit integers, see
-:mod:`repro.pcm.line`): the array stores each touched line as ints, and
-shadow states, masks, and sampling all use Python big-integer bitwise
+:mod:`repro.pcm.line`): the array keeps one record per touched line (its
+ints plus this module's per-line memo), a plan's shadow of a line holds
+the line's record, and masks and sampling use Python big-integer bitwise
 ops, which beat 8-word numpy ufuncs by 3-10x on this size.  All RNG draws
 happen in the same order and with the same counts as the original
 array-domain implementation, so results are bit-identical.  Line keys
@@ -32,7 +33,7 @@ are plain :data:`~repro.pcm.array.LineAddress` tuples ``(bank, row, line)``.
 
 from __future__ import annotations
 
-from operator import add
+from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -47,7 +48,7 @@ from ..mem.request import PrereadSlot, WriteEntry
 from ..pcm import kernels
 from ..pcm import line as L
 from ..pcm import stateplane
-from ..pcm.array import LineAddress, PCMArray
+from ..pcm.array import LineAddress, LineRecord, PCMArray
 from ..pcm.differential_write import correction_latency, rounds_latency
 from ..pcm.din import wordline_vulnerable_mask_int
 
@@ -65,7 +66,6 @@ MAX_CASCADE_DEPTH = 8
 #: cells repeatedly, which is why the paper sees only ~8% ECP-chip wear
 #: (Figure 18) despite ~4 buffered errors per write.
 NOVEL_ENTRY_BITS = 10
-REPEAT_ENTRY_BITS = 0
 
 
 #: The :class:`~repro.stats.counters.Counters` fields a plan accumulates,
@@ -90,24 +90,31 @@ PLAN_COUNTERS = (
     _TRUNCATIONS,
 ) = range(len(PLAN_COUNTERS))
 
+#: Committed plans' counts are summed in blocks of this many plans.
+FOLD_BLOCK = 1024
+
 
 class _Shadow:
-    """Copy-on-write planning state for one line (int-domain masks)."""
+    """Copy-on-write planning state of one line's record and its ECP changes."""
 
-    __slots__ = ("stored", "disturbed", "write_back")
+    __slots__ = ("record", "stored", "disturbed", "write_back",
+                 "ecp_clear", "ecp_fresh")
 
-    def __init__(self, stored: int, disturbed: int, write_back: bool = False):
+    def __init__(self, record: LineRecord, stored: int, disturbed: int):
+        self.record = record
         self.stored = stored
         self.disturbed = disturbed
-        self.write_back = write_back
+        self.write_back = False
+        self.ecp_clear = False
+        self.ecp_fresh = 0
 
 
 class _Plan:
     """Everything one composite write op will do."""
 
-    __slots__ = ("latency", "shadows", "written_flags", "ecp_clears",
-                 "ecp_records", "counts", "adjacent_notes",
-                 "uncovered_resolved", "injections", "demand_cell_writes")
+    __slots__ = ("latency", "shadows", "written_flags", "counts",
+                 "adjacent_notes", "uncovered_resolved", "injections",
+                 "demand_cell_writes")
 
     def __init__(self) -> None:
         self.latency = 0
@@ -115,17 +122,12 @@ class _Plan:
         self.shadows: Dict[LineAddress, _Shadow] = {}
         #: flags value for the written line.
         self.written_flags = 0
-        #: ECP mutations: lines whose WD entries clear, and the mask of
-        #: fresh WD cells to record per line.
-        self.ecp_clears: Set[LineAddress] = set()
-        self.ecp_records: Dict[LineAddress, int] = {}
         #: Deferred counter increments, one slot per ``PLAN_COUNTERS``.
         self.counts = [0] * len(PLAN_COUNTERS)
         self.adjacent_notes: List[int] = []
-        #: uncovered-mask resolution: keys whose pending uncovered bits
-        #: were detected and handled by this op.
+        #: Keys whose pending uncovered bits this op detects and handles.
         self.uncovered_resolved: Set[LineAddress] = set()
-        #: First-level injections (victim addr, sampled int mask) for cancel().
+        #: First-level injections (addr, sampled mask) if the scheme cancels.
         self.injections: List[Tuple[LineAddress, int]] = []
         #: Demand-write cell changes (wear + partial-cancel accounting).
         self.demand_cell_writes = 0
@@ -150,9 +152,7 @@ class VnCExecutor:
     ):
         self.array = array
         self.ecp = ecp
-        self.scheme = scheme
         self.timing = timing
-        self.disturbance = disturbance
         self.counters = counters
         self.rng = rng
         #: The process-wide active bit-kernel backend, captured at
@@ -161,32 +161,26 @@ class VnCExecutor:
         self.kernels = kernels.active()
         self.flip_fractions = flip_fractions or []
         self.default_flip = 0.14
-        #: Per-line demand-write epoch, for PreRead staleness checks.
-        self.epochs: Dict[LineAddress, int] = {}
         #: Disturbed-but-undetected bits left by cancelled partial writes
         #: (int-domain masks).
         self.uncovered: Dict[LineAddress, int] = {}
-        #: The ECP chip's touched lines, probed directly on the write path
-        #: (:meth:`ECPChip.line` materialises a miss).
+        #: The array's line records and the ECP chip's lines, probed
+        #: directly on the write path (:meth:`_open` fills a miss).
+        self._lines = array.lines
         self._ecp_lines = ecp.lines
-        #: Committed plans' ``PLAN_COUNTERS`` increments, published once
-        #: per replay.
+        #: Committed plans' ``PLAN_COUNTERS`` increments and Figure 4
+        #: histogram notes, published once per replay.
         self._totals = [0] * len(PLAN_COUNTERS)
-        #: Mask of cells ever buffered per line (ECP differential-write wear).
-        self._ecp_seen: Dict[LineAddress, int] = {}
+        self._pending: List[List[int]] = []
+        self._adjacent_notes: List[int] = []
+        self._wordline_notes: List[int] = []
         self.lifetime_fraction = lifetime_fraction
         self._wear_model = wear_model or WearModel()
-        self._hard_seeded: Set[LineAddress] = set()
         #: Injected-fault state (all sampling uses the plan's own streams,
         #: never ``self.rng``, so fault-free sample paths are untouched).
         self.fault_plan = fault_plan
-        self._fault_seeded: Set[LineAddress] = set()
         #: Stuck cells the line's exhausted ECP could not cover (int masks).
         self._stuck_uncovered: Dict[LineAddress, int] = {}
-        #: Per-line masks of disturbance-prone cells (process variation).
-        self._weak_masks: Dict[LineAddress, int] = {}
-        #: Per-line pools of recurring write flip patterns (data entropy).
-        self._flip_pools: Dict[LineAddress, List[int]] = {}
         #: :meth:`_verify_rows` of used rows, per ``(row, nm_tag)``.
         self._adjacency: Dict[tuple, Optional[Tuple[int, ...]]] = {}
 
@@ -194,6 +188,7 @@ class VnCExecutor:
         self._verifies = scheme.vnc and not scheme.wd_free_bitlines
         self._vnc = scheme.vnc
         self._lazy = scheme.lazy_correction
+        self._cancellable = scheme.write_cancellation
         self._wordline_wd = disturbance.enabled
         self._bitline_wd = disturbance.enabled and not scheme.wd_free_bitlines
         self._p_wordline = disturbance.p_wordline * disturbance.din_residual_scale
@@ -207,8 +202,6 @@ class VnCExecutor:
         self._ecp_verify_cycles = 0 if scheme.low_density_ecp else (
             2 * timing.read_cycles + timing.reset_cycles
         )
-        #: No fault plan and a fresh device: ECP lines need no seeding.
-        self._fault_free = fault_plan is None and not lifetime_fraction > 0.0
 
     # -- WriteExecutor interface ---------------------------------------------
 
@@ -229,7 +222,8 @@ class VnCExecutor:
 
     def capture_baseline(self, slot: PrereadSlot) -> None:
         """PreRead completion: record the victim's write epoch."""
-        slot.epoch = self.epochs.get(slot.addr, 0)
+        record = self._lines.get(slot.addr)
+        slot.epoch = 0 if record is None else record.epoch
 
     def execute(self, entry: WriteEntry, now: int) -> _Plan:
         """Plan the composite op; the controller passes the plan back to
@@ -237,20 +231,29 @@ class VnCExecutor:
         return self._plan(entry)
 
     def publish_counters(self) -> None:
-        """Add the committed plans' counts to ``counters``, once, when the
-        replay ends (the totals restart at zero).  The Figure 4 error
-        histograms fill as writes commit; their maxima are set here."""
+        """Add the committed plans' counts and Figure 4 error histogram
+        notes to ``counters``, once, when the replay ends (the totals
+        restart at zero); histogram keys keep their first-seen order."""
         counters = self.counters
+        self._fold()
         for attr, total in zip(PLAN_COUNTERS, self._totals):
             if total:
                 setattr(counters, attr, getattr(counters, attr) + total)
         self._totals = [0] * len(PLAN_COUNTERS)
-        counters.max_errors_one_adjacent_line = max(
-            counters.errors_per_adjacent_line_hist, default=0
-        )
-        counters.max_errors_wordline = max(
-            counters.errors_per_wordline_hist, default=0
-        )
+        adjacent = counters.errors_per_adjacent_line_hist
+        wordline = counters.errors_per_wordline_hist
+        for hist, notes in ((adjacent, self._adjacent_notes),
+                            (wordline, self._wordline_notes)):
+            for note, count in Counter(notes).items():
+                hist[note] = hist.get(note, 0) + count
+            notes.clear()
+        counters.max_errors_one_adjacent_line = max(adjacent, default=0)
+        counters.max_errors_wordline = max(wordline, default=0)
+
+    def _fold(self) -> None:
+        """Sum the pending plans' counts into ``_totals``."""
+        self._totals = list(map(sum, zip(self._totals, *self._pending)))
+        self._pending.clear()
 
     # -- planning ---------------------------------------------------------------
 
@@ -280,8 +283,8 @@ class VnCExecutor:
     FLIP_POOL_SIZE = 3
     FLIP_REUSE_PROB = 0.8
 
-    def _flip_mask(self, entry: WriteEntry) -> int:
-        pool = self._flip_pools.setdefault(entry.addr, [])
+    def _flip_mask(self, entry: WriteEntry, record: LineRecord) -> int:
+        pool = record.pool or []
         if pool and (
             len(pool) >= self.FLIP_POOL_SIZE
             or self.rng.random() < self.FLIP_REUSE_PROB
@@ -292,49 +295,64 @@ class VnCExecutor:
                     else self.default_flip)
         mask = self.kernels.draw_mask(self.rng, LINE_BITS, fraction)
         pool.append(mask)
+        record.pool = pool
         return mask
 
-    def _expose(
-        self, shadows: Dict[LineAddress, _Shadow], vaddr: LineAddress, pulses: int
-    ) -> Tuple[_Shadow, int, int, int]:
-        """A victim's shadow and its cells exposed to RESET ``pulses``.
+    def _open(self, shadows: Dict[LineAddress, _Shadow],
+              key: LineAddress) -> _Shadow:
+        """Open the plan's shadow of a line it has none of yet; a line's first
+        touch materialises its record and links the chip's ECP line, if any."""
+        record = self._lines.get(key)
+        if record is None:
+            record = self.array.materialise(key)
+            record.ecp = self._ecp_lines.get(key)
+        shadow = shadows[key] = _Shadow(record, record.stored, record.disturbed)
+        return shadow
 
-        Returns ``(shadow, vulnerable, weak, stuck)``: the idle amorphous
-        cells under a pulse, less stuck cells (ECP hard errors and
-        injected stuck cells: no phase left to change); their fixed
-        per-line disturbance-prone subset [4, 13, 25] (state plane,
-        memoised per executor); and the stuck mask.
+    def _expose(
+        self, shadow: _Shadow, vaddr: LineAddress, pulses: int
+    ) -> Tuple[int, int, int]:
+        """A victim's cells exposed to RESET ``pulses``.
+
+        Returns ``(vulnerable, weak, stuck)``: the idle amorphous cells
+        under a pulse, less stuck cells (ECP hard errors and injected
+        stuck cells: no phase left to change); their fixed per-line
+        disturbance-prone subset [4, 13, 25] (state plane, memoised in
+        the line's record); and the stuck mask.
         """
-        shadow = shadows.get(vaddr)
-        if shadow is None:
-            shadow = shadows[vaddr] = _Shadow(*self.array.line_ints(vaddr))
+        record = shadow.record
         vulnerable = pulses & ((shadow.stored | shadow.disturbed) ^ L.MASK_ALL)
         stuck = 0
         if self.fault_plan is not None:
             stuck = self.fault_plan.stuck_profile(vaddr).mask
-        line = self._ecp_lines.get(vaddr)
+        line = record.ecp
         if line is not None:
             stuck |= line.hard
         if stuck:
             vulnerable &= stuck ^ L.MASK_ALL
-        weak = self._weak_masks.get(vaddr)
+        weak = record.weak
         if weak is None:
-            weak = self._weak_masks[vaddr] = stateplane.PLANE.weak_mask(
+            weak = record.weak = stateplane.PLANE.weak_mask(
                 self._weak_fraction, vaddr
             )
-        return shadow, vulnerable, vulnerable & weak, stuck
+        return vulnerable, vulnerable & weak, stuck
 
-    def _ecp_line(self, key: LineAddress):
-        """ECP line, seeding age-dependent hard errors on first touch.
+    def _ecp_line(self, key: LineAddress, record: LineRecord):
+        """Link a line's new ECP state into its record, seeding age-dependent
+        hard errors and injected stuck cells.
 
         Seeding uses a dedicated per-line RNG stream (not ``self.rng``) so
         that runs at different lifetime fractions share an identical
         disturbance/payload sample path — the Figure 14 sweep then isolates
         the hard-error effect instead of re-rolling all randomness.
+
+        Stuck cells beyond the line's (possibly fault-shrunk) capacity raise
+        :class:`ECPExhaustedError`, absorbed here (Section 4.2's exhaustion
+        path): the line degrades to partial coverage and its uncovered stuck
+        cells are charged as uncorrectable on every later demand write.
         """
-        line = self.ecp.line(key)
-        if self.lifetime_fraction > 0.0 and key not in self._hard_seeded:
-            self._hard_seeded.add(key)
+        line = record.ecp = self.ecp.line(key)
+        if self.lifetime_fraction > 0.0:
             rng = np.random.default_rng(
                 (0xECB, *key, int(self.lifetime_fraction * 1000))
             )
@@ -347,34 +365,21 @@ class VnCExecutor:
             positions = rng.choice(LINE_BITS, size=count, replace=False)
             for pos in positions:
                 line.add_hard_error(int(pos), int(rng.integers(2)))
-        self._fault_seed(key, line)
-        return line
-
-    def _fault_seed(self, key: LineAddress, line) -> None:
-        """Register the plan's stuck cells as ECP hard errors (first touch).
-
-        This is Section 4.2's exhaustion path made reachable: stuck cells
-        beyond the line's (possibly fault-shrunk) ECP capacity raise
-        :class:`ECPExhaustedError`, which is absorbed here — the line
-        degrades to partial coverage and its uncovered stuck cells are
-        charged as uncorrectable on every subsequent demand write.
-        """
-        if self.fault_plan is None or key in self._fault_seeded:
-            return
-        self._fault_seeded.add(key)
+        if self.fault_plan is None:
+            return line
         profile = self.fault_plan.stuck_profile(key)
-        if not profile.mask:
-            return
-        self.counters.fault_stuck_cells += profile.count
-        uncovered = 0
-        for pos in self.kernels.bit_positions_int(profile.mask):
-            try:
-                line.add_hard_error(pos, (profile.values >> pos) & 1)
-            except ECPExhaustedError:
-                uncovered |= 1 << pos
-        if uncovered:
-            self.counters.ecp_exhausted_lines += 1
-            self._stuck_uncovered[key] = uncovered
+        if profile.mask:
+            self.counters.fault_stuck_cells += profile.count
+            uncovered = 0
+            for pos in self.kernels.bit_positions_int(profile.mask):
+                try:
+                    line.add_hard_error(pos, (profile.values >> pos) & 1)
+                except ECPExhaustedError:
+                    uncovered |= 1 << pos
+            if uncovered:
+                self.counters.ecp_exhausted_lines += 1
+                self._stuck_uncovered[key] = uncovered
+        return line
 
     def _plan(self, entry: WriteEntry) -> _Plan:
         plan = _Plan()
@@ -385,13 +390,16 @@ class VnCExecutor:
         rng = self.rng
 
         # ---- the data write itself ---------------------------------------
-        stored_old, disturbed_old = self.array.line_ints(addr)
-        physical_old = stored_old | disturbed_old
+        wshadow = self._open(shadows, addr)
+        record = wshadow.record
+        stored_old = wshadow.stored
+        physical_old = stored_old | wshadow.disturbed
         new_logical = entry.payload_int
         if new_logical is None:
             # Synthesised once per entry, so a retried write rewrites it.
-            logical_old = backend.decode_int(stored_old, self.array.line_flags(addr))
-            new_logical = entry.payload_int = logical_old ^ self._flip_mask(entry)
+            logical_old = backend.decode_int(stored_old, record.flags)
+            flips = self._flip_mask(entry, record)
+            new_logical = entry.payload_int = logical_old ^ flips
         stored_new, plan.written_flags = backend.encode_stored_int(
             physical_old, new_logical
         )
@@ -423,17 +431,17 @@ class VnCExecutor:
                 counts[_DEMAND_WRITES] += wl_errors
 
         # Shadow commit of the written line: stored image in, flips cleared.
-        shadows[addr] = _Shadow(stored_new, 0, True)
+        wshadow.stored, wshadow.disturbed, wshadow.write_back = stored_new, 0, True
         uncovered = self.uncovered
         if addr in uncovered:
             plan.uncovered_resolved.add(addr)
         # A demand write makes the line's buffered WD corrections stale:
         # the rewrite physically repairs every deviating cell ("a normal
         # write operation clears the accumulated WD errors in ECP").
-        existing_ecp = self._ecp_lines.get(addr)
-        if existing_ecp is not None and existing_ecp.wd_count:
+        existing_ecp = record.ecp
+        if existing_ecp is not None and existing_ecp.wd:
             counts[_ECP_CLEARED] = existing_ecp.wd_count
-            plan.ecp_clears.add(addr)
+            wshadow.ecp_clear = True
 
         # ---- stuck-at faults on the written line ---------------------------
         fault_plan = self.fault_plan
@@ -443,7 +451,8 @@ class VnCExecutor:
                 # Materialise the line's ECP cover (and the exhaustion
                 # fallback) on first touch, then charge the bits no entry
                 # covers and whose frozen value disagrees with this write.
-                self._ecp_line(addr)
+                if record.ecp is None:
+                    self._ecp_line(addr, record)
                 wrong = L.stuck_error_mask_int(
                     stored_new, stuck.mask, stuck.values
                 ) & self._stuck_uncovered.get(addr, 0)
@@ -454,15 +463,16 @@ class VnCExecutor:
             return plan  # 8F^2 chip: no bit-line WD, no VnC.
 
         # ---- pre-write reads ------------------------------------------------
-        epochs = self.epochs
-        victims: List[LineAddress] = []
-        for slot in entry.slots:
-            victims.append(slot.addr)
+        victims: List[Tuple[LineAddress, _Shadow]] = []
+        for slot in entry.slots:  # distinct lines, none of them ``addr``
+            vaddr = slot.addr
+            vshadow = self._open(shadows, vaddr)
+            victims.append((vaddr, vshadow))
             if slot.forwarded:
                 continue  # satisfied from the write queue, no array access
             if not slot.done:
                 counts[_PRE_WRITE_READS] += 1
-            elif slot.epoch == epochs.get(slot.addr, 0):
+            elif slot.epoch == vshadow.record.epoch:
                 counts[_PREREAD_HITS] += 1
                 continue
             else:
@@ -475,18 +485,21 @@ class VnCExecutor:
         # per-victim sampling; nothing between the draws touches
         # ``self.rng``).
         vnc = self._vnc
-        targets = victims if vnc else list(self.array.bitline_neighbours(addr))
-        staged = [self._expose(shadows, vaddr, reset_mask) for vaddr in targets]
+        if not vnc:
+            victims = [(vaddr, self._open(shadows, vaddr))
+                       for vaddr in self.array.bitline_neighbours(addr)]
+        staged = [self._expose(shadow, vaddr, reset_mask) for vaddr, shadow in victims]
         sampled_masks = backend.sample_masks_int(
-            [weak for _, _, weak, _ in staged], self._p_bitline, rng
+            [weak for _, weak, _ in staged], self._p_bitline, rng
         )
-        detected: List[Tuple[LineAddress, int]] = []
-        for vaddr, (vshadow, vulnerable, _, stuck), sampled in zip(
-            targets, staged, sampled_masks
+        detected: List[Tuple[LineAddress, _Shadow, int]] = []
+        vulnerable_cells = error_cells = 0
+        for (vaddr, vshadow), (vulnerable, _, stuck), sampled in zip(
+            victims, staged, sampled_masks
         ):
             errors = sampled.bit_count()
-            counts[_BL_VULNERABLE] += vulnerable.bit_count()
-            counts[_BL_ERRORS] += errors
+            vulnerable_cells += vulnerable.bit_count()
+            error_cells += errors
             plan.adjacent_notes.append(errors)
             if fault_plan is not None:
                 # Resistance drift: any idle amorphous (non-stuck) cell can
@@ -500,7 +513,8 @@ class VnCExecutor:
                     sampled |= new_drift
             vshadow.disturbed |= sampled
             vshadow.write_back = True
-            plan.injections.append((vaddr, sampled))
+            if self._cancellable:
+                plan.injections.append((vaddr, sampled))
             if not vnc:
                 # Unprotected super dense PCM: disturbance lands undetected.
                 if sampled:
@@ -510,56 +524,56 @@ class VnCExecutor:
             if pending is not None:
                 sampled |= pending & vshadow.disturbed
                 plan.uncovered_resolved.add(vaddr)
-            detected.append((vaddr, sampled))
+            detected.append((vaddr, vshadow, sampled))
+        counts[_BL_VULNERABLE], counts[_BL_ERRORS] = vulnerable_cells, error_cells
         if not vnc:
             return plan
 
         # ---- verification ---------------------------------------------------
-        plan.latency += self._read_cycles * len(victims)
-        counts[_VERIFY_READS] += len(victims)
-        counts[_VERIFICATIONS] += len(victims)
+        verified = len(victims)
+        plan.latency += self._read_cycles * verified
+        counts[_VERIFY_READS] = counts[_VERIFICATIONS] = verified
 
         # ---- correction / LazyCorrection ------------------------------------
         nm_tag = entry.nm_tag
-        for vaddr, new_mask in detected:
+        for vaddr, vshadow, new_mask in detected:
             if new_mask:
-                self._handle_errors(plan, vaddr, new_mask, nm_tag, 0)
+                self._handle_errors(plan, vaddr, vshadow, new_mask, nm_tag, 0)
         return plan
 
-    def _handle_errors(self, plan: _Plan, vaddr: LineAddress, new_mask: int,
-                       nm_tag: Tuple[int, int], depth: int) -> None:
+    def _handle_errors(self, plan: _Plan, vaddr: LineAddress, vshadow: _Shadow,
+                       new_mask: int, nm_tag: Tuple[int, int],
+                       depth: int) -> None:
         """Absorb (LazyC) or correct the new WD errors (non-empty
         ``new_mask``) of one victim line."""
         counts = plan.counts
-        if self._fault_free:
-            ecp_line = self._ecp_lines.get(vaddr)
-            if ecp_line is None:
-                ecp_line = self.ecp.line(vaddr)
-        else:
-            ecp_line = self._ecp_line(vaddr)
+        ecp_line = vshadow.record.ecp
+        if ecp_line is None:
+            ecp_line = self._ecp_line(vaddr, vshadow.record)
 
         if self._lazy:
-            planned = plan.ecp_records.get(vaddr, 0)
-            if vaddr in plan.ecp_clears:
+            planned = vshadow.ecp_fresh
+            if vshadow.ecp_clear:
                 # The line's WD entries go at commit; only its hard entries
                 # stay (``record_wd`` skips their cells at commit).
                 fresh = new_mask & ~planned
-                occupied = ecp_line.hard_count
+                occupied = planned.bit_count() + ecp_line.hard_count
             else:
-                fresh = new_mask & ~(ecp_line.wd | ecp_line.hard | planned)
-                occupied = ecp_line.occupied
+                # The line's WD, hard and planned cells are disjoint.
+                held = ecp_line.wd | ecp_line.hard | planned
+                fresh = new_mask & ~held
+                occupied = held.bit_count()
             programmed = fresh.bit_count()
-            if planned.bit_count() + occupied + programmed <= ecp_line.capacity:
+            if occupied + programmed <= ecp_line.capacity:
                 counts[_ECP_ABSORBED] += new_mask.bit_count()
                 if fresh:
-                    plan.ecp_records[vaddr] = planned | fresh
+                    vshadow.ecp_fresh = planned | fresh
                     counts[_ECP_PROGRAMMED] += programmed
                     plan.latency += self._ecp_verify_cycles
                 return
             counts[_ECP_OVERFLOWS] += 1
 
         # ---- correction write -------------------------------------------------
-        vshadow = plan.shadows[vaddr]
         corr_mask = vshadow.disturbed
         corr_bits = corr_mask.bit_count()
         # A correction is a RESET-only write plus one additional
@@ -573,8 +587,8 @@ class VnCExecutor:
         counts[_CORRECTIONS if depth == 0 else _CASCADES] += 1
         vshadow.disturbed = 0
         vshadow.write_back = True
-        plan.ecp_clears.add(vaddr)
-        plan.ecp_records.pop(vaddr, None)
+        vshadow.ecp_clear = True
+        vshadow.ecp_fresh = 0
         if vaddr in self.uncovered:
             plan.uncovered_resolved.add(vaddr)
 
@@ -596,59 +610,55 @@ class VnCExecutor:
             # data, so its correction needs no cascade verification.
             return
         counts[_VERIFY_READS] += 1
+        shadows = plan.shadows
         for row in rows:
             waddr = (bank, row, line)
-            wshadow, _, weak, _ = self._expose(plan.shadows, waddr, corr_mask)
+            wshadow = shadows.get(waddr) or self._open(shadows, waddr)
+            _, weak, _ = self._expose(wshadow, waddr, corr_mask)
             sampled = self.kernels.sample_mask_int(weak, self._p_bitline, self.rng)
             if not sampled:
                 continue
             counts[_BL_ERRORS] += sampled.bit_count()
             wshadow.disturbed |= sampled
             wshadow.write_back = True
-            self._handle_errors(plan, waddr, sampled, nm_tag, depth + 1)
+            self._handle_errors(plan, waddr, wshadow, sampled, nm_tag, depth + 1)
 
     # -- commit / cancel -----------------------------------------------------------
 
     def _commit(self, entry: WriteEntry, plan: _Plan) -> None:
-        commit_line = self.array.commit_line
-        wkey = entry.addr
-        # Line states.
-        for key, shadow in plan.shadows.items():
+        # Line and ECP states (planning linked every ECP line it changes).
+        wd_writes = 0
+        for shadow in plan.shadows.values():
+            record = shadow.record
             if shadow.write_back:
-                commit_line(
-                    key, shadow.stored, shadow.disturbed,
-                    plan.written_flags if key == wkey else None,
-                )
-        # ECP state (planning materialised every recorded line).
-        ecp_lines = self._ecp_lines
-        for key in plan.ecp_clears:
-            line = ecp_lines.get(key)
-            if line is not None:
-                line.clear_wd()
-        ecp_seen = self._ecp_seen
-        for key, mask in plan.ecp_records.items():
-            if not ecp_lines[key].record_wd(mask):
-                raise SimulationError("planned ECP absorption failed at commit")
-            seen = ecp_seen.get(key, 0)
-            ecp_seen[key] = seen | mask
-            self.counters.ecp_cell_writes_wd += (
-                (mask & ~seen).bit_count() * NOVEL_ENTRY_BITS
-                + (mask & seen).bit_count() * REPEAT_ENTRY_BITS
-            )
+                record.stored = shadow.stored
+                record.disturbed = shadow.disturbed
+            if shadow.ecp_clear:
+                record.ecp.clear_wd()
+            fresh = shadow.ecp_fresh
+            if fresh:
+                line = record.ecp
+                if not line.record_wd(fresh):
+                    raise SimulationError("planned ECP absorption failed at commit")
+                seen = record.seen
+                record.seen = seen | fresh
+                wd_writes += (fresh & ~seen).bit_count() * NOVEL_ENTRY_BITS
+        self.counters.ecp_cell_writes_wd += wd_writes
+        # The written line's flags and epoch bump (PreRead staleness).
+        written = plan.shadows[entry.addr].record
+        written.flags = plan.written_flags
+        written.epoch += 1
         # Uncovered bookkeeping.
         for key in plan.uncovered_resolved:
             self.uncovered.pop(key, None)
-        # Epoch bump for the written line (PreRead staleness).
-        self.epochs[wkey] = self.epochs.get(wkey, 0) + 1
-        # Counters (published at replay end) and the Figure 4 histograms.
+        # Counters and Figure 4 notes (published at replay end).
         counts = plan.counts
-        self._totals = list(map(add, self._totals, counts))
-        hist = self.counters.errors_per_adjacent_line_hist
-        for note in plan.adjacent_notes:
-            hist[note] = hist.get(note, 0) + 1
-        hist = self.counters.errors_per_wordline_hist
-        note = counts[_WL_ERRORS]
-        hist[note] = hist.get(note, 0) + 1
+        pending = self._pending
+        pending.append(counts)
+        if len(pending) >= FOLD_BLOCK:
+            self._fold()
+        self._adjacent_notes += plan.adjacent_notes
+        self._wordline_notes.append(counts[_WL_ERRORS])
 
     def _cancel(self, entry: WriteEntry, plan: _Plan, progress: float) -> None:
         """Apply the partial effects of an interrupted write [22].
@@ -657,6 +667,7 @@ class VnCExecutor:
         stay physically present and *undetected* until the retried write's
         verification finds them.  The written line itself is left with its
         old contents plus partial programming, which the retry overwrites.
+        Only a write-cancellation scheme records the injections it needs.
         """
         progress = min(1.0, max(0.0, progress))
         if progress <= 0.0:
@@ -666,7 +677,7 @@ class VnCExecutor:
             applied = self.array.disturb_int(vaddr, partial)
             if applied:
                 merged = self.uncovered.get(vaddr, 0) | partial
-                self.uncovered[vaddr] = merged & self.array.disturbed_int(vaddr)
+                self.uncovered[vaddr] = merged & self._lines[vaddr].disturbed
                 self.counters.partial_write_errors += applied
         burned = int(progress * plan.demand_cell_writes)
         self.counters.data_cell_writes_demand += burned

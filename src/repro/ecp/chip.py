@@ -45,9 +45,7 @@ class ECPChip:
     """Lazy per-line ECP store.
 
     ``entries_per_line`` is the ECP-N level (6 by default).  The chip hands
-    out one :class:`ECPLine` per protected data line on first touch.  The
-    cell writes that programming entries costs (Section 6.7) are counted
-    by the write path, in ``Counters.ecp_cell_writes_wd``.
+    out one :class:`ECPLine` per protected data line on first touch.
     """
 
     def __init__(self, entries_per_line: int = 6, fault_plan=None):
@@ -59,7 +57,7 @@ class ECPChip:
             raise DeviceError("entries_per_line must be >= 0")
         self.entries_per_line = entries_per_line
         self.fault_plan = fault_plan
-        #: The lines touched so far; the write path probes it directly.
+        #: The lines touched so far (linked into the data lines' records).
         self.lines: Dict[LineAddress, ECPLine] = {}
         #: Entries lost to injected entry wear-out across all touched lines.
         self.dead_entries_total = 0

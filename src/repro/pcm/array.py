@@ -10,19 +10,19 @@ reproducible without allocating the full 8 GB.
 
 A line is a 512-bit Python int (bit ``i`` = cell ``i``; see
 :mod:`repro.pcm.line`), sliced from the pristine row the first time
-anything touches it.  Per touched line the array tracks:
+anything touches it.  Each touched line has one :class:`LineRecord` in
+:attr:`PCMArray.lines`, holding:
 
 * ``stored``   — the *correct* stored-domain image (post-DIN encoding),
-* ``flags``    — the line's DIN per-byte inversion flags (WD-free metadata),
 * ``disturbed``— mask of cells whose physical state currently deviates from
-  ``stored`` due to uncorrected write disturbance (kept only while non-zero).
+  ``stored`` due to uncorrected write disturbance,
+* ``flags``    — the line's DIN per-byte inversion flags (WD-free metadata),
+* the write path's per-line memo (:mod:`repro.core.vnc`): weak-cell mask,
+  ECP line, cells its WD entries ever held, flip pool and PreRead epoch.
 
 The physical contents of a line are ``stored | disturbed`` — disturbance
 only ever flips amorphous ``0`` cells to ``1`` (partial crystallisation), so
 ``stored & disturbed == 0`` is a core invariant, checked in debug helpers.
-
-:mod:`repro.core.vnc` reads and writes the ints through
-:meth:`PCMArray.line_ints` and :meth:`PCMArray.commit_line`.
 
 uTrench adjacency (Section 2.2): the bit-line neighbours of line ``l`` of
 row ``r`` are line ``l`` of rows ``r - 1`` and ``r + 1`` in the same bank.
@@ -30,7 +30,7 @@ row ``r`` are line ``l`` of rows ``r - 1`` and ``r + 1`` in the same bank.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..config import LINE_BYTES, LINES_PER_PAGE
 from ..errors import DeviceError
@@ -41,6 +41,25 @@ from . import stateplane
 #: dict key of every per-line state (array, ECP chip, write queues, VnC).
 #: A plain tuple: the replay builds one per reference.
 LineAddress = Tuple[int, int, int]
+
+
+class LineRecord:
+    """The state of one touched line (see the module docstring).  ``weak``,
+    ``ecp`` and ``pool`` stay ``None`` until the write path needs them; no
+    record refers back to its array, so reference counting frees a cell."""
+
+    __slots__ = ("stored", "disturbed", "flags", "weak", "ecp", "seen",
+                 "pool", "epoch")
+
+    def __init__(self, stored: int) -> None:
+        self.stored = stored
+        self.disturbed = 0
+        self.flags = 0
+        self.weak: Optional[int] = None
+        self.ecp = None
+        self.seen = 0
+        self.pool: Optional[List[int]] = None
+        self.epoch = 0
 
 
 class PCMArray:
@@ -54,19 +73,15 @@ class PCMArray:
         self._seed = seed
         #: Pristine images of the rows touched so far (pooled, never copied).
         self._pristine: Dict[Tuple[int, int], bytes] = {}
-        self._stored: Dict[LineAddress, int] = {}
-        self._disturbed: Dict[LineAddress, int] = {}
-        self._flags: Dict[LineAddress, int] = {}
+        #: The records of the lines touched so far; the write path probes
+        #: it directly (:meth:`materialise` fills a miss).
+        self.lines: Dict[LineAddress, LineRecord] = {}
 
-    # -- materialisation -----------------------------------------------------
+    # -- line records --------------------------------------------------------
 
-    def _materialise(self, key: LineAddress) -> int:
-        """First touch of a line: validate it and read its pristine image.
-
-        The image is a pure function of ``(seed, bank, row)``; the state
-        plane generates it once per process and every array sharing the
-        key slices the same immutable bytes.
-        """
+    def materialise(self, key: LineAddress) -> LineRecord:
+        """First touch of a line: validate it and record its pristine image
+        (sliced from the state plane's row, shared by every array)."""
         bank, row, line = key
         if not (0 <= bank < self.banks and 0 <= row < self.rows_per_bank
                 and 0 <= line < LINES_PER_PAGE):
@@ -81,45 +96,15 @@ class PCMArray:
             self._pristine[pristine_key] = image
         start = line * LINE_BYTES
         stored = int.from_bytes(image[start:start + LINE_BYTES], "little")
-        self._stored[key] = stored
-        return stored
+        record = self.lines[key] = LineRecord(stored)
+        return record
 
-    # -- int-domain line state -----------------------------------------------
-
-    def stored_int(self, key: LineAddress) -> int:
-        """The correct stored-domain image of a line."""
-        stored = self._stored.get(key)
-        if stored is None:
-            stored = self._materialise(key)
-        return stored
-
-    def line_ints(self, key: LineAddress) -> Tuple[int, int]:
-        """``(stored, disturbed)`` of a line (the write path's one probe)."""
-        stored = self._stored.get(key)
-        if stored is None:
-            stored = self._materialise(key)
-        return stored, self._disturbed.get(key, 0)
-
-    def disturbed_int(self, key: LineAddress) -> int:
-        """Outstanding WD flips of a line."""
-        self.stored_int(key)
-        return self._disturbed.get(key, 0)
-
-    def _set_disturbed(self, key: LineAddress, disturbed: int) -> None:
-        if disturbed:
-            self._disturbed[key] = disturbed
-        else:
-            self._disturbed.pop(key, None)
-
-    def commit_line(
-        self, key: LineAddress, stored: int, disturbed: int,
-        flags: Optional[int] = None,
-    ) -> None:
-        """Install a line's planned state (``flags`` only when rewritten)."""
-        self._stored[key] = stored
-        self._set_disturbed(key, disturbed)
-        if flags is not None:
-            self._flags[key] = flags
+    def line(self, key: LineAddress) -> LineRecord:
+        """The record of a line (materialised on first touch)."""
+        record = self.lines.get(key)
+        if record is None:
+            record = self.materialise(key)
+        return record
 
     def disturb_int(self, key: LineAddress, mask: int) -> int:
         """Apply WD flips to a line; returns the number of *new* flips.
@@ -128,23 +113,22 @@ class PCMArray:
         already restricted to vulnerable cells, but the array re-masks
         defensively to preserve the ``stored & disturbed == 0`` invariant.
         """
-        current = self.disturbed_int(key)
-        legal = mask & ~self._stored[key]
-        self._set_disturbed(key, current | legal)
+        record = self.line(key)
+        current = record.disturbed
+        legal = mask & ~record.stored
+        record.disturbed = current | legal
         return (legal & ~current).bit_count()
 
     def disturbed_lines(self) -> Iterator[Tuple[LineAddress, int, int]]:
         """``(addr, stored, disturbed)`` of every line with outstanding flips."""
-        for key, disturbed in self._disturbed.items():
-            yield key, self._stored[key], disturbed
-
-    def line_flags(self, addr: LineAddress) -> int:
-        return self._flags.get(addr, 0)
+        for key, record in self.lines.items():
+            if record.disturbed:
+                yield key, record.stored, record.disturbed
 
     def check_invariants(self, addr: LineAddress) -> None:
         """Raise if the line violates ``stored & disturbed == 0``."""
-        stored, disturbed = self.line_ints(addr)
-        if stored & disturbed:
+        record = self.line(addr)
+        if record.stored & record.disturbed:
             raise DeviceError(f"disturbed crystalline cell at {addr}")
 
     # -- adjacency -----------------------------------------------------------

@@ -173,13 +173,17 @@ def _build_library() -> Path:
     return out
 
 
+#: Packers of ``n`` little-endian uint32 words, by ``n`` (keys have 3 or 4).
+_PACKERS = tuple(struct.Struct(f"<{n}I") for n in range(9))
+
+
 def _entropy(key: Tuple[int, ...]) -> bytes:
     """``key`` as the little-endian uint32 words numpy's ``SeedSequence``
     coerces it to: each int split into 32-bit words, low word first, and
     ``0`` as one zero word.  Negative ints fail the way numpy fails."""
     try:  # the common case: every int fits one word
-        return struct.pack(f"<{len(key)}I", *key)
-    except struct.error:
+        return _PACKERS[len(key)].pack(*key)
+    except (IndexError, struct.error):
         pass
     words: List[int] = []
     for value in map(operator.index, key):

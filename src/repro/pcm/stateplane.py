@@ -101,7 +101,7 @@ class StatePlane:
 
     def weak_mask(self, fraction: float, key: Tuple[int, int, int]) -> int:
         """The fixed weak-cell mask of one line coordinate (int domain)."""
-        pool_key = (fraction, *key)
+        pool_key = (fraction,) + key
         mask = self._masks.get(pool_key)
         if mask is not None:
             self.mask_hits += 1

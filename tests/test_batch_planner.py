@@ -84,14 +84,14 @@ class TestStatePlane:
         a = PCMArray(banks=2, rows_per_bank=16, seed=11)
         b = PCMArray(banks=2, rows_per_bank=16, seed=11)
         addr = (1, 4, 2)
-        assert a.stored_int(addr) == b.stored_int(addr)
+        assert a.line(addr).stored == b.line(addr).stored
         assert stateplane.PLANE.row_hits == 1
         pristine = stateplane.PLANE.pristine_row(11, 1, 4)[2 * 64:3 * 64]
         # Rewriting one array's line must not leak into the other array
         # or the pool.
-        a.commit_line(addr, a.stored_int(addr) ^ 1, 0, flags=0)
-        assert a.stored_int(addr) != b.stored_int(addr)
-        assert b.stored_int(addr) == int.from_bytes(pristine, "little")
+        a.line(addr).stored ^= 1
+        assert a.line(addr).stored != b.line(addr).stored
+        assert b.line(addr).stored == int.from_bytes(pristine, "little")
         assert stateplane.PLANE.pristine_row(11, 1, 4) == (
             stateplane._generate_row(11, 1, 4)
         )

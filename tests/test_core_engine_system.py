@@ -165,6 +165,16 @@ class TestResults:
         base = simulate(small_config(schemes.baseline()), wl)
         assert base.speedup_over(base) == pytest.approx(1.0)
 
+    def test_speedup_of_an_empty_run_raises(self):
+        """An empty run has CPI 0: a speedup against it (or of it) is a
+        named error, not a ZeroDivisionError or a silent 0.0."""
+        base = simulate(small_config(schemes.baseline()), small_workload(length=200))
+        empty = simulate(small_config(schemes.lazyc()), small_workload(length=0))
+        assert empty.cpi == 0
+        for run, against in ((empty, base), (base, empty)):
+            with pytest.raises(SimulationError, match="empty run: stream under"):
+                run.speedup_over(against)
+
     def test_base_cpi_scales_runtime(self):
         wl = small_workload(length=200)
         slow = simulate(

@@ -120,9 +120,8 @@ class TestWriteCommit:
         entry = write_entry(ex)
         run_write(ex, entry)
         addr = entry.addr
-        decoded = ex.kernels.decode_int(
-            array.stored_int(addr), array.line_flags(addr)
-        )
+        record = array.line(addr)
+        decoded = ex.kernels.decode_int(record.stored, record.flags)
         assert decoded == entry.payload_int
 
     def test_payload_stable_across_retries(self):
@@ -134,13 +133,15 @@ class TestWriteCommit:
         assert entry.payload_int == payload_first
 
     def test_epoch_bumped(self):
-        ex, *_ = make_executor(SchemeConfig(), p_bitline=0.0)
+        ex, array, *_ = make_executor(SchemeConfig(), p_bitline=0.0)
         entry = write_entry(ex)
         key = entry.addr
         run_write(ex, entry)
-        assert ex.epochs[key] == 1
+        assert array.line(key).epoch == 1
         run_write(ex, write_entry(ex))
-        assert ex.epochs[key] == 2
+        assert array.line(key).epoch == 2
+        # Victims were read, never written.
+        assert [array.line(s.addr).epoch for s in entry.slots] == [0, 0]
 
     def test_latency_includes_prereads_and_verify(self):
         ex, *_ = make_executor(SchemeConfig(), p_bitline=0.0)
@@ -155,7 +156,7 @@ class TestBaselineCorrection:
         entry = write_entry(ex)
         run_write(ex, entry)
         for slot in entry.slots:
-            assert array.disturbed_int(slot.addr).bit_count() == 0
+            assert array.line(slot.addr).disturbed.bit_count() == 0
         assert counters.corrections >= 1
         assert counters.bitline_errors > 0
 
@@ -187,7 +188,7 @@ class TestLazyCorrection:
         for slot in entry.slots:
             vkey = slot.addr
             line = ecp.lines.get(vkey)
-            disturbed = array.disturbed_int(slot.addr).bit_count()
+            disturbed = array.line(slot.addr).disturbed.bit_count()
             assert (line.wd_count if line else 0) == disturbed
 
     def test_victim_reads_correctly_via_ecp(self):
@@ -199,7 +200,8 @@ class TestLazyCorrection:
             line = ecp.lines.get(vkey)
             if line is None:
                 continue
-            stored, disturbed = array.line_ints(slot.addr)
+            record = array.line(slot.addr)
+            stored, disturbed = record.stored, record.disturbed
             # ECP overrides covered cells: WD entries read 0, hard entries
             # read their recorded value.
             covered = line.hard | line.wd
@@ -215,12 +217,12 @@ class TestLazyCorrection:
         assert counters.corrections >= 1
         for slot in entry.slots:
             # Anything left disturbed must fit in (and be covered by) ECP-1.
-            remaining = array.disturbed_int(slot.addr).bit_count()
+            remaining = array.line(slot.addr).disturbed.bit_count()
             assert remaining <= 1
             if remaining:
                 vkey = slot.addr
                 covered = {e.position for e in ecp.line(vkey).entries}
-                disturbed = array.disturbed_int(slot.addr)
+                disturbed = array.line(slot.addr).disturbed
                 assert set(L.bit_positions_int(disturbed)) <= covered
 
     def test_demand_write_clears_own_wd_entries(self):
@@ -236,7 +238,7 @@ class TestLazyCorrection:
         # Now write the victim itself: its WD entries must clear.
         run_write(ex, write_entry(ex, row=row, line=line, bank=bank))
         assert ecp.lines.get(vkey).wd_count == (
-            array.disturbed_int(victim).bit_count()
+            array.line(victim).disturbed.bit_count()
         ) == 0
         assert counters.ecp_cleared_by_write > 0
 
@@ -251,8 +253,13 @@ class TestLazyCorrection:
 
 
 class TestCancel:
+    """Write cancellation [22]: only a scheme that can cancel records
+    the injections :meth:`VnCExecutor._cancel` replays."""
+
     def test_cancel_leaves_uncovered_partial_disturbance(self):
-        ex, array, _, counters = make_executor(SchemeConfig(), p_bitline=1.0)
+        ex, array, _, counters = make_executor(
+            SchemeConfig(write_cancellation=True), p_bitline=1.0
+        )
         entry = write_entry(ex)
         ex._cancel(entry, ex.execute(entry, 0), 0.9)
         assert counters.partial_write_errors > 0
@@ -261,10 +268,10 @@ class TestCancel:
         run_write(ex, entry)
         assert not ex.uncovered
         for slot in entry.slots:
-            assert array.disturbed_int(slot.addr).bit_count() == 0
+            assert array.line(slot.addr).disturbed.bit_count() == 0
 
     def test_cancel_zero_progress_is_noop(self):
-        ex, _, _, counters = make_executor(SchemeConfig())
+        ex, _, _, counters = make_executor(SchemeConfig(write_cancellation=True))
         entry = write_entry(ex)
         ex._cancel(entry, ex.execute(entry, 0), 0.0)
         assert counters.partial_write_errors == 0

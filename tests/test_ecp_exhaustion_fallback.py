@@ -62,7 +62,7 @@ class TestFallbackToBasicVnC:
             assert line.wd_count == 0
             # Victims end up physically clean (basic-VnC behaviour).
             addr = (2, row, 3)
-            assert array.disturbed_int(addr) == 0
+            assert array.line(addr).disturbed == 0
 
     def test_hard_entries_survive_corrections(self):
         executor, array, ecp, counters = build_with_full_hard_ecp()

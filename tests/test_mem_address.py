@@ -68,7 +68,7 @@ class TestLineMapping:
     def test_bad_line_rejected(self, mapper):
         array = PCMArray(mapper.banks, mapper.rows_per_bank)
         with pytest.raises(DeviceError):
-            array.stored_int((0, 0, LINES_PER_PAGE))
+            array.line((0, 0, LINES_PER_PAGE))
 
     def test_non_16_bank_layout_rejected(self):
         with pytest.raises(DeviceError):

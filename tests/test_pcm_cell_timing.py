@@ -21,10 +21,10 @@ class TestCellSemantics:
         disturbing every cell of a line flips exactly its 0 bits."""
         array = PCMArray(banks=1, rows_per_bank=4, seed=0)
         key = (0, 2, 0)
-        stored = array.stored_int(key)
+        stored = array.line(key).stored
         array.disturb_int(key, L.MASK_ALL)
-        assert array.disturbed_int(key) == ~stored & L.MASK_ALL
-        assert array.disturbed_int(key) & stored == 0
+        assert array.line(key).disturbed == ~stored & L.MASK_ALL
+        assert array.line(key).disturbed & stored == 0
 
     def test_pulse_selection(self):
         """A 0 is programmed by a RESET pulse, a 1 by a SET pulse: a
@@ -37,7 +37,7 @@ class TestCellSemantics:
         """Partial crystallisation collapses resistance: reads as 1."""
         array = PCMArray(banks=1, rows_per_bank=4, seed=0)
         key = (0, 1, 0)
-        stored = array.stored_int(key)
+        stored = array.line(key).stored
         amorphous = ~stored & L.MASK_ALL
         assert array.disturb_int(key, L.MASK_ALL) == amorphous.bit_count()
-        assert stored | array.disturbed_int(key) == L.MASK_ALL
+        assert stored | array.line(key).disturbed == L.MASK_ALL

@@ -1,9 +1,10 @@
 """The callables ``perfbench/layers.py`` wraps still exist and still run.
 
 The benchmark's traced run patches layer boundaries by attribute name
-(``VnCExecutor._commit``, ``ECPChip.line``, ``StatePlane.weak_mask``,
-``MemoryController.try_enqueue_write``, ...).  A rename in ``src/`` would
-otherwise surface only when that traced run fails.  The install runs in
+(``VnCExecutor._commit``, ``ECPChip.line``, ``StatePlane.pristine_row``,
+``StatePlane.weak_mask``, ``MemoryController.try_enqueue_write``, ...).
+A rename in ``src/``, or a first touch routed around the plane, would
+otherwise surface only when that traced run fails or reports zero calls.  The install runs in
 a subprocess, so the wrappers never leak into this test process.
 """
 
@@ -34,7 +35,8 @@ tracer.enabled = False
 for name in ("core.system.init", "core.system.run", "core.engine.loop_run",
              "mem.controller.try_enqueue_write", "mem.controller.enqueue_read",
              "core.vnc.execute", "core.vnc.commit", "core.vnc.preread_slots",
-             "ecp.line", "pcm.stateplane.weak_mask"):
+             "ecp.line", "pcm.stateplane.pristine_row",
+             "pcm.stateplane.weak_mask"):
     assert tracer.calls[name] > 0, name
 """
 

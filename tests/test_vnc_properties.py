@@ -104,7 +104,9 @@ class TestInvariantUnderRandomSequences:
         """Cancelled partial writes may leave flips, but only ones the
         executor tracks in its uncovered map (retries then resolve them)."""
         executor, array, ecp = build(
-            SchemeConfig(lazy_correction=True, ecp_entries=6), seed, 0.115
+            SchemeConfig(lazy_correction=True, ecp_entries=6,
+                         write_cancellation=True),
+            seed, 0.115,
         )
         for bank, row, line, cancel_draw in script:
             cancel = cancel_draw if cancel_draw < 0.4 else None
