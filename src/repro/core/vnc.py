@@ -1,7 +1,7 @@
 """Verify-and-Correct write execution, with SD-PCM's three schemes.
 
 This is the write path of Figure 6's memory controller.  For every demand
-write popped off a write queue it plans one *composite operation*:
+write popped off a write queue it runs one *composite operation*:
 
 1. **pre-write reads** of the adjacent lines that hold data (skipped when
    PreRead already buffered them, or a queued write forwarded them),
@@ -13,28 +13,33 @@ write popped off a write queue it plans one *composite operation*:
    **correction write**, whose RESET pulses can disturb *its* neighbours and
    cascade (Section 3.2) until a verification pass comes back clean.
 
-Planning is pure: all sampling happens up front against shadow line states,
-and ``execute`` returns the plan, which the controller hands back once:
-``_commit`` applies every mutation (write cancellation instead calls
-``_cancel``, which applies only the partial disturbance of the pulses
-already fired).  Committed plans' counter increments accumulate in the
-executor and reach :class:`~repro.stats.counters.Counters` once, through
-:meth:`VnCExecutor.publish_counters`, when the replay ends.
+``execute`` samples the op and applies it as it goes, in place in the
+touched lines' records and ECP lines; it returns the plan, which the
+controller hands back once.  No event can read those lines in between: a
+bank runs one op at a time, every line an op touches sits in its bank,
+and a paused write resumes before its bank starts anything else.
+``_commit`` then charges what completion costs (novel ECP-entry wear, the
+uncovered bookkeeping, the counters).  Only write cancellation throws an
+op away: a scheme that can cancel logs each touched line's prior values,
+and ``_cancel`` restores them before it applies the partial disturbance of
+the pulses already fired.  Committed plans' counter increments accumulate
+in the executor and reach :class:`~repro.stats.counters.Counters` once,
+through :meth:`VnCExecutor.publish_counters`, when the replay ends.
 
 Everything works in the **int domain** (512-bit integers, see
 :mod:`repro.pcm.line`): the array keeps one record per touched line (its
-ints plus this module's per-line memo), a plan's shadow of a line holds
-the line's record, and masks and sampling use Python big-integer bitwise
-ops, which beat 8-word numpy ufuncs by 3-10x on this size.  All RNG draws
-happen in the same order and with the same counts as the original
-array-domain implementation, so results are bit-identical.  Line keys
-are plain :data:`~repro.pcm.array.LineAddress` tuples ``(bank, row, line)``.
+ints plus this module's per-line memo), and masks and sampling use Python
+big-integer bitwise ops, which beat 8-word numpy ufuncs by 3-10x on this
+size.  All RNG draws happen in the same order and with the same counts as
+the original array-domain implementation, so results are bit-identical.
+Line keys are plain :data:`~repro.pcm.array.LineAddress` tuples
+``(bank, row, line)``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +47,7 @@ from ..alloc.strips import adjacent_usage, is_no_use
 from ..config import LINE_BITS, DisturbanceConfig, SchemeConfig, TimingConfig
 from ..ecp.chip import ECPChip
 from ..ecp.wear import WearModel
-from ..errors import ECPExhaustedError, SimulationError
+from ..errors import ECPExhaustedError
 from ..faults.plan import FaultPlan
 from ..mem.request import PrereadSlot, WriteEntry
 from ..pcm import kernels
@@ -94,41 +99,33 @@ PLAN_COUNTERS = (
 FOLD_BLOCK = 1024
 
 
-class _Shadow:
-    """Copy-on-write planning state of one line's record and its ECP changes."""
-
-    __slots__ = ("record", "stored", "disturbed", "write_back",
-                 "ecp_clear", "ecp_fresh")
-
-    def __init__(self, record: LineRecord, stored: int, disturbed: int):
-        self.record = record
-        self.stored = stored
-        self.disturbed = disturbed
-        self.write_back = False
-        self.ecp_clear = False
-        self.ecp_fresh = 0
-
-
 class _Plan:
-    """Everything one composite write op will do."""
+    """What one composite write op did, and what its completion charges."""
 
-    __slots__ = ("latency", "shadows", "written_flags", "counts",
-                 "adjacent_notes", "uncovered_resolved", "injections",
+    __slots__ = ("latency", "counts", "adjacent_notes", "uncovered_resolved",
+                 "absorbed", "cleared", "injections", "undo",
                  "demand_cell_writes")
 
-    def __init__(self) -> None:
+    def __init__(self, cancellable: bool) -> None:
         self.latency = 0
-        #: Shadow line states to write back on commit.
-        self.shadows: Dict[LineAddress, _Shadow] = {}
-        #: flags value for the written line.
-        self.written_flags = 0
         #: Deferred counter increments, one slot per ``PLAN_COUNTERS``.
         self.counts = [0] * len(PLAN_COUNTERS)
         self.adjacent_notes: List[int] = []
         #: Keys whose pending uncovered bits this op detects and handles.
-        self.uncovered_resolved: Set[LineAddress] = set()
-        #: First-level injections (addr, sampled mask) if the scheme cancels.
-        self.injections: List[Tuple[LineAddress, int]] = []
+        self.uncovered_resolved: List[LineAddress] = []
+        #: Records whose ECP line took WD entries in this op.
+        self.absorbed: List[LineRecord] = []
+        #: Records whose WD entries this op cleared (demand write or
+        #: correction).
+        self.cleared: List[LineRecord] = []
+        #: If the scheme cancels: the first-level injections (addr, sampled
+        #: mask) and each touched record's prior values (record, stored,
+        #: disturbed, flags, epoch, ECP WD mask), in touch order.
+        self.injections: Optional[List[Tuple[LineAddress, int]]] = None
+        self.undo: Optional[List[tuple]] = None
+        if cancellable:
+            self.injections = []
+            self.undo = []
         #: Demand-write cell changes (wear + partial-cancel accounting).
         self.demand_cell_writes = 0
 
@@ -298,19 +295,23 @@ class VnCExecutor:
         record.pool = pool
         return mask
 
-    def _open(self, shadows: Dict[LineAddress, _Shadow],
-              key: LineAddress) -> _Shadow:
-        """Open the plan's shadow of a line it has none of yet; a line's first
-        touch materialises its record and links the chip's ECP line, if any."""
+    def _open(self, plan: _Plan, key: LineAddress) -> LineRecord:
+        """The record of a line the op touches; a line's first touch
+        materialises it and links the chip's ECP line, if any.  A
+        cancellable op logs the record's values before it changes them."""
         record = self._lines.get(key)
         if record is None:
             record = self.array.materialise(key)
             record.ecp = self._ecp_lines.get(key)
-        shadow = shadows[key] = _Shadow(record, record.stored, record.disturbed)
-        return shadow
+        undo = plan.undo
+        if undo is not None:
+            line = record.ecp
+            undo.append((record, record.stored, record.disturbed, record.flags,
+                         record.epoch, 0 if line is None else line.wd))
+        return record
 
     def _expose(
-        self, shadow: _Shadow, vaddr: LineAddress, pulses: int
+        self, record: LineRecord, vaddr: LineAddress, pulses: int
     ) -> Tuple[int, int, int]:
         """A victim's cells exposed to RESET ``pulses``.
 
@@ -320,8 +321,7 @@ class VnCExecutor:
         disturbance-prone subset [4, 13, 25] (state plane, memoised in
         the line's record); and the stuck mask.
         """
-        record = shadow.record
-        vulnerable = pulses & ((shadow.stored | shadow.disturbed) ^ L.MASK_ALL)
+        vulnerable = pulses & ((record.stored | record.disturbed) ^ L.MASK_ALL)
         stuck = 0
         if self.fault_plan is not None:
             stuck = self.fault_plan.stuck_profile(vaddr).mask
@@ -352,19 +352,14 @@ class VnCExecutor:
         cells are charged as uncorrectable on every later demand write.
         """
         line = record.ecp = self.ecp.line(key)
-        if self.lifetime_fraction > 0.0:
-            rng = np.random.default_rng(
-                (0xECB, *key, int(self.lifetime_fraction * 1000))
-            )
-            count = int(
-                self._wear_model.sample_line_hard_errors(
-                    self.lifetime_fraction, rng
-                )[0]
-            )
+        fraction = self.lifetime_fraction
+        if fraction > 0.0:
+            rng = self.kernels.seeded_rng((0xECB, *key, int(fraction * 1000)))
+            count = int(self._wear_model.sample_line_hard_errors(fraction, rng)[0])
             count = min(count, line.capacity)
-            positions = rng.choice(LINE_BITS, size=count, replace=False)
-            for pos in positions:
-                line.add_hard_error(int(pos), int(rng.integers(2)))
+            if count:
+                for pos in rng.choice(LINE_BITS, size=count, replace=False):
+                    line.add_hard_error(int(pos), int(rng.integers(2)))
         if self.fault_plan is None:
             return line
         profile = self.fault_plan.stuck_profile(key)
@@ -382,27 +377,23 @@ class VnCExecutor:
         return line
 
     def _plan(self, entry: WriteEntry) -> _Plan:
-        plan = _Plan()
+        plan = _Plan(self._cancellable)
         counts = plan.counts
-        shadows = plan.shadows
         addr = entry.addr
         backend = self.kernels
         rng = self.rng
 
         # ---- the data write itself ---------------------------------------
-        wshadow = self._open(shadows, addr)
-        record = wshadow.record
-        stored_old = wshadow.stored
-        physical_old = stored_old | wshadow.disturbed
+        record = self._open(plan, addr)
+        stored_old = record.stored
+        physical_old = stored_old | record.disturbed
         new_logical = entry.payload_int
         if new_logical is None:
             # Synthesised once per entry, so a retried write rewrites it.
             logical_old = backend.decode_int(stored_old, record.flags)
             flips = self._flip_mask(entry, record)
             new_logical = entry.payload_int = logical_old ^ flips
-        stored_new, plan.written_flags = backend.encode_stored_int(
-            physical_old, new_logical
-        )
+        stored_new, flags = backend.encode_stored_int(physical_old, new_logical)
         # Differential write: only changed cells are pulsed; for them the
         # old value is the complement of the new one.
         changed = physical_old ^ stored_new
@@ -430,18 +421,20 @@ class VnCExecutor:
                 plan.latency += self._reset_cycles
                 counts[_DEMAND_WRITES] += wl_errors
 
-        # Shadow commit of the written line: stored image in, flips cleared.
-        wshadow.stored, wshadow.disturbed, wshadow.write_back = stored_new, 0, True
+        # The write lands: stored image in, flips cleared, and the epoch
+        # bump that makes PreRead copies of this line stale.
+        record.stored, record.disturbed, record.flags = stored_new, 0, flags
+        record.epoch += 1
         uncovered = self.uncovered
         if addr in uncovered:
-            plan.uncovered_resolved.add(addr)
+            plan.uncovered_resolved.append(addr)
         # A demand write makes the line's buffered WD corrections stale:
         # the rewrite physically repairs every deviating cell ("a normal
         # write operation clears the accumulated WD errors in ECP").
         existing_ecp = record.ecp
         if existing_ecp is not None and existing_ecp.wd:
-            counts[_ECP_CLEARED] = existing_ecp.wd_count
-            wshadow.ecp_clear = True
+            counts[_ECP_CLEARED] = existing_ecp.clear_wd()
+            plan.cleared.append(record)
 
         # ---- stuck-at faults on the written line ---------------------------
         fault_plan = self.fault_plan
@@ -463,16 +456,16 @@ class VnCExecutor:
             return plan  # 8F^2 chip: no bit-line WD, no VnC.
 
         # ---- pre-write reads ------------------------------------------------
-        victims: List[Tuple[LineAddress, _Shadow]] = []
+        victims: List[Tuple[LineAddress, LineRecord]] = []
         for slot in entry.slots:  # distinct lines, none of them ``addr``
             vaddr = slot.addr
-            vshadow = self._open(shadows, vaddr)
-            victims.append((vaddr, vshadow))
+            vrecord = self._open(plan, vaddr)
+            victims.append((vaddr, vrecord))
             if slot.forwarded:
                 continue  # satisfied from the write queue, no array access
             if not slot.done:
                 counts[_PRE_WRITE_READS] += 1
-            elif slot.epoch == vshadow.record.epoch:
+            elif slot.epoch == vrecord.epoch:
                 counts[_PREREAD_HITS] += 1
                 continue
             else:
@@ -486,15 +479,17 @@ class VnCExecutor:
         # ``self.rng``).
         vnc = self._vnc
         if not vnc:
-            victims = [(vaddr, self._open(shadows, vaddr))
+            victims = [(vaddr, self._open(plan, vaddr))
                        for vaddr in self.array.bitline_neighbours(addr)]
-        staged = [self._expose(shadow, vaddr, reset_mask) for vaddr, shadow in victims]
+        staged = [self._expose(vrecord, vaddr, reset_mask)
+                  for vaddr, vrecord in victims]
         sampled_masks = backend.sample_masks_int(
             [weak for _, weak, _ in staged], self._p_bitline, rng
         )
-        detected: List[Tuple[LineAddress, _Shadow, int]] = []
+        detected: List[Tuple[LineAddress, LineRecord, int]] = []
         vulnerable_cells = error_cells = 0
-        for (vaddr, vshadow), (vulnerable, _, stuck), sampled in zip(
+        injections = plan.injections
+        for (vaddr, vrecord), (vulnerable, _, stuck), sampled in zip(
             victims, staged, sampled_masks
         ):
             errors = sampled.bit_count()
@@ -506,15 +501,14 @@ class VnCExecutor:
                 # have drifted since the last verification, not just cells
                 # under this write's RESET pulses.  Sampled from the plan's
                 # own stream, so it never perturbs ``self.rng``.
-                idle = (vshadow.stored | vshadow.disturbed | stuck) ^ L.MASK_ALL
+                idle = (vrecord.stored | vrecord.disturbed | stuck) ^ L.MASK_ALL
                 new_drift = fault_plan.drift_mask(vaddr, idle) & ~sampled
                 if new_drift:
                     counts[_DRIFT_FLIPS] += new_drift.bit_count()
                     sampled |= new_drift
-            vshadow.disturbed |= sampled
-            vshadow.write_back = True
-            if self._cancellable:
-                plan.injections.append((vaddr, sampled))
+            vrecord.disturbed |= sampled
+            if injections is not None:
+                injections.append((vaddr, sampled))
             if not vnc:
                 # Unprotected super dense PCM: disturbance lands undetected.
                 if sampled:
@@ -522,9 +516,9 @@ class VnCExecutor:
                 continue
             pending = uncovered.get(vaddr)
             if pending is not None:
-                sampled |= pending & vshadow.disturbed
-                plan.uncovered_resolved.add(vaddr)
-            detected.append((vaddr, vshadow, sampled))
+                sampled |= pending & vrecord.disturbed
+                plan.uncovered_resolved.append(vaddr)
+            detected.append((vaddr, vrecord, sampled))
         counts[_BL_VULNERABLE], counts[_BL_ERRORS] = vulnerable_cells, error_cells
         if not vnc:
             return plan
@@ -536,45 +530,34 @@ class VnCExecutor:
 
         # ---- correction / LazyCorrection ------------------------------------
         nm_tag = entry.nm_tag
-        for vaddr, vshadow, new_mask in detected:
+        for vaddr, vrecord, new_mask in detected:
             if new_mask:
-                self._handle_errors(plan, vaddr, vshadow, new_mask, nm_tag, 0)
+                self._handle_errors(plan, vaddr, vrecord, new_mask, nm_tag, 0)
         return plan
 
-    def _handle_errors(self, plan: _Plan, vaddr: LineAddress, vshadow: _Shadow,
-                       new_mask: int, nm_tag: Tuple[int, int],
-                       depth: int) -> None:
+    def _handle_errors(self, plan: _Plan, vaddr: LineAddress,
+                       record: LineRecord, new_mask: int,
+                       nm_tag: Tuple[int, int], depth: int) -> None:
         """Absorb (LazyC) or correct the new WD errors (non-empty
         ``new_mask``) of one victim line."""
         counts = plan.counts
-        ecp_line = vshadow.record.ecp
+        ecp_line = record.ecp
         if ecp_line is None:
-            ecp_line = self._ecp_line(vaddr, vshadow.record)
+            ecp_line = self._ecp_line(vaddr, record)
 
         if self._lazy:
-            planned = vshadow.ecp_fresh
-            if vshadow.ecp_clear:
-                # The line's WD entries go at commit; only its hard entries
-                # stay (``record_wd`` skips their cells at commit).
-                fresh = new_mask & ~planned
-                occupied = planned.bit_count() + ecp_line.hard_count
-            else:
-                # The line's WD, hard and planned cells are disjoint.
-                held = ecp_line.wd | ecp_line.hard | planned
-                fresh = new_mask & ~held
-                occupied = held.bit_count()
-            programmed = fresh.bit_count()
-            if occupied + programmed <= ecp_line.capacity:
+            fresh = ecp_line.record_wd(new_mask, record in plan.cleared)
+            if fresh >= 0:
                 counts[_ECP_ABSORBED] += new_mask.bit_count()
                 if fresh:
-                    vshadow.ecp_fresh = planned | fresh
-                    counts[_ECP_PROGRAMMED] += programmed
+                    plan.absorbed.append(record)
+                    counts[_ECP_PROGRAMMED] += fresh.bit_count()
                     plan.latency += self._ecp_verify_cycles
                 return
             counts[_ECP_OVERFLOWS] += 1
 
         # ---- correction write -------------------------------------------------
-        corr_mask = vshadow.disturbed
+        corr_mask = record.disturbed
         corr_bits = corr_mask.bit_count()
         # A correction is a RESET-only write plus one additional
         # verification read (Section 6.8's cost: "2 correction write
@@ -585,12 +568,11 @@ class VnCExecutor:
         plan.latency += self._read_cycles + correction_latency(corr_bits, self.timing)
         counts[_CORRECTION_WRITES] += corr_bits
         counts[_CORRECTIONS if depth == 0 else _CASCADES] += 1
-        vshadow.disturbed = 0
-        vshadow.write_back = True
-        vshadow.ecp_clear = True
-        vshadow.ecp_fresh = 0
+        record.disturbed = 0
+        ecp_line.clear_wd()
+        plan.cleared.append(record)
         if vaddr in self.uncovered:
-            plan.uncovered_resolved.add(vaddr)
+            plan.uncovered_resolved.append(vaddr)
 
         # Cascade: the correction's RESET pulses disturb vaddr's neighbours.
         # At realistic disturbance rates the cascade decays geometrically
@@ -610,44 +592,35 @@ class VnCExecutor:
             # data, so its correction needs no cascade verification.
             return
         counts[_VERIFY_READS] += 1
-        shadows = plan.shadows
         for row in rows:
             waddr = (bank, row, line)
-            wshadow = shadows.get(waddr) or self._open(shadows, waddr)
-            _, weak, _ = self._expose(wshadow, waddr, corr_mask)
+            wrecord = self._open(plan, waddr)
+            _, weak, _ = self._expose(wrecord, waddr, corr_mask)
             sampled = self.kernels.sample_mask_int(weak, self._p_bitline, self.rng)
             if not sampled:
                 continue
             counts[_BL_ERRORS] += sampled.bit_count()
-            wshadow.disturbed |= sampled
-            wshadow.write_back = True
-            self._handle_errors(plan, waddr, wshadow, sampled, nm_tag, depth + 1)
+            wrecord.disturbed |= sampled
+            self._handle_errors(plan, waddr, wrecord, sampled, nm_tag, depth + 1)
 
     # -- commit / cancel -----------------------------------------------------------
 
     def _commit(self, entry: WriteEntry, plan: _Plan) -> None:
-        # Line and ECP states (planning linked every ECP line it changes).
-        wd_writes = 0
-        for shadow in plan.shadows.values():
-            record = shadow.record
-            if shadow.write_back:
-                record.stored = shadow.stored
-                record.disturbed = shadow.disturbed
-            if shadow.ecp_clear:
-                record.ecp.clear_wd()
-            fresh = shadow.ecp_fresh
-            if fresh:
+        # Novel ECP-entry wear: the cells of the WD entries that survive
+        # the op and that the line's ECP region never held before.  An
+        # entry the op placed on a hard entry's cell after clearing the
+        # line's WD entries is charged, then dropped (the hard entry stays).
+        absorbed = plan.absorbed
+        if absorbed:
+            wd_writes = 0
+            for record in absorbed:
                 line = record.ecp
-                if not line.record_wd(fresh):
-                    raise SimulationError("planned ECP absorption failed at commit")
+                wd = line.wd
                 seen = record.seen
-                record.seen = seen | fresh
-                wd_writes += (fresh & ~seen).bit_count() * NOVEL_ENTRY_BITS
-        self.counters.ecp_cell_writes_wd += wd_writes
-        # The written line's flags and epoch bump (PreRead staleness).
-        written = plan.shadows[entry.addr].record
-        written.flags = plan.written_flags
-        written.epoch += 1
+                wd_writes += (wd & ~seen).bit_count()
+                record.seen = seen | wd
+                line.wd = wd & ~line.hard
+            self.counters.ecp_cell_writes_wd += wd_writes * NOVEL_ENTRY_BITS
         # Uncovered bookkeeping.
         for key in plan.uncovered_resolved:
             self.uncovered.pop(key, None)
@@ -661,14 +634,21 @@ class VnCExecutor:
         self._wordline_notes.append(counts[_WL_ERRORS])
 
     def _cancel(self, entry: WriteEntry, plan: _Plan, progress: float) -> None:
-        """Apply the partial effects of an interrupted write [22].
+        """Undo an interrupted write [22] and apply its partial effects.
 
+        The op's line and ECP changes are rolled back from its undo log
+        (newest first, so each record ends at its value before the op).
         The cells already pulsed disturbed their neighbours; those flips
         stay physically present and *undetected* until the retried write's
         verification finds them.  The written line itself is left with its
         old contents plus partial programming, which the retry overwrites.
-        Only a write-cancellation scheme records the injections it needs.
+        Only a write-cancellation scheme records the log and injections.
         """
+        for record, stored, disturbed, flags, epoch, wd in reversed(plan.undo):
+            record.stored, record.disturbed = stored, disturbed
+            record.flags, record.epoch = flags, epoch
+            if record.ecp is not None:
+                record.ecp.wd = wd
         progress = min(1.0, max(0.0, progress))
         if progress <= 0.0:
             return

@@ -13,17 +13,17 @@ all WD entries (old and new) are cleared — only hard entries persist.
 
 State is three 512-bit int masks (bit ``i`` = cell ``i``): the WD entries
 (a WD error is a cell RESET by disturbance, so its correct value is always
-0), the hard errors, and the hard errors' stored values.
+0), the hard errors, and the hard errors' stored values.  An entry is a
+9-bit cell pointer plus the 1-bit value the read path substitutes [28].
+The write path (:mod:`repro.core.vnc`) changes the WD mask in place while
+it samples a write op.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from ..errors import ECPExhaustedError
-from ..pcm import line as L
-from .entry import ECPEntry, EntryKind
 
 
 @dataclass(slots=True)
@@ -48,24 +48,12 @@ class ECPLine:
         return self.hard.bit_count()
 
     @property
-    def wd_count(self) -> int:
-        return self.wd.bit_count()
-
-    @property
     def occupied(self) -> int:
         return self.hard.bit_count() + self.wd.bit_count()
 
     @property
     def free(self) -> int:
         return self.capacity - self.occupied
-
-    @property
-    def entries(self) -> List[ECPEntry]:
-        """All programmed entries, hard first (their allocation priority)."""
-        out = [ECPEntry(p, (self.hard_values >> p) & 1, EntryKind.HARD)
-               for p in L.bit_positions_int(self.hard)]
-        out += [ECPEntry(p, 0, EntryKind.WD) for p in L.bit_positions_int(self.wd)]
-        return out
 
     # -- hard errors ---------------------------------------------------------
 
@@ -101,22 +89,30 @@ class ECPLine:
 
     def would_overflow(self, new_errors: int) -> bool:
         """Section 4.2's X + Y > N test."""
-        return self.occupied + new_errors > self.capacity
+        return (self.hard.bit_count() + self.wd.bit_count() + new_errors
+                > self.capacity)
 
-    def record_wd(self, errors: int) -> bool:
+    def record_wd(self, errors: int, cleared: bool = False) -> int:
         """Buffer the WD errors of mask ``errors`` if they fit.
 
         Either *all* offered errors are absorbed or none are (on overflow
         the hardware performs one correction write covering everything, so
         partially programming entries would be wasted ECP-chip wear).
-        Cells an entry already holds cost nothing.  Returns whether the
-        errors were absorbed.
+        Cells an entry already holds cost nothing.  Once the write op in
+        flight has cleared the line's WD entries (``cleared``), the entries
+        it programs are counted apart from the hard ones: a cell a hard
+        entry holds takes a WD entry too, which the op's commit drops.
+
+        Returns the mask of newly programmed cells (0 when every error was
+        already held), or -1 when the errors overflow the line.
         """
-        fresh = errors & ~(self.wd | self.hard)
+        fresh = errors & ~self.wd
+        if not cleared:
+            fresh &= ~self.hard
         if self.would_overflow(fresh.bit_count()):
-            return False
+            return -1
         self.wd |= fresh
-        return True
+        return fresh
 
     def clear_wd(self) -> int:
         """Drop all buffered WD entries; returns how many were dropped.

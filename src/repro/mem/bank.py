@@ -26,8 +26,8 @@ class InFlightOp:
     cancelled: bool = False
     #: The write-queue entry (WRITE ops) or owning entry (PREREAD ops).
     entry: Optional[WriteEntry] = None
-    #: The executor's plan, committed at completion or partially applied
-    #: on cancellation (WRITE ops).
+    #: The executor's plan, already applied: committed at completion, or
+    #: undone and partially re-applied on cancellation (WRITE ops).
     plan: Any = None
     #: Slot index being filled (PREREAD ops).
     slot_index: int = -1

@@ -67,15 +67,18 @@ class Scheduler(Protocol):
 class WriteExecutor(Protocol):
     """Scheme-specific write-path behaviour plugged into the controller.
 
-    ``execute`` plans a fully composed write operation and returns the
-    plan; its ``latency`` covers the pre-write reads (unless PreRead
-    already did them), the differential write, verification reads, and
-    any correction writes including cascades.  The controller hands the
-    plan back once: to ``_commit``, which applies every state mutation
-    at completion, or to ``_cancel``, which applies the partial effects
-    of an interrupted write (the cells already pulsed still disturbed
-    their neighbours).  Only the controller calls those two, and
-    ``perfbench/layers.py`` wraps them by name.
+    ``execute`` samples a fully composed write operation, applies its
+    effects on the array and ECP state at once, and returns the plan;
+    its ``latency`` covers the pre-write reads (unless PreRead already
+    did them), the differential write, verification reads, and any
+    correction writes including cascades.  That is safe because nothing
+    else touches the op's bank until the plan comes back: the controller
+    hands it back once, to ``_commit`` at completion (which charges wear
+    and counters), or to ``_cancel``, which undoes the op and applies the
+    partial effects of an interrupted write (the cells already pulsed
+    still disturbed their neighbours).  A paused write keeps its plan and
+    resumes before its bank starts any other op.  Only the controller
+    calls those two, and ``perfbench/layers.py`` wraps them by name.
     """
 
     def preread_slots(self, entry: WriteEntry) -> List[PrereadSlot]:
@@ -309,8 +312,8 @@ class MemoryController:
             self._wake_space_waiters(bank, now)
         paused = entry.paused
         if paused is not None:
-            # Resume a paused write: the op was already planned; only the
-            # outstanding programming cycles remain.
+            # Resume a paused write: the op was already planned and
+            # applied; only the outstanding programming cycles remain.
             entry.paused = None
             plan, latency = paused.plan, paused.remaining
         else:

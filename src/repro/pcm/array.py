@@ -83,17 +83,18 @@ class PCMArray:
         """First touch of a line: validate it and record its pristine image
         (sliced from the state plane's row, shared by every array)."""
         bank, row, line = key
-        if not (0 <= bank < self.banks and 0 <= row < self.rows_per_bank
-                and 0 <= line < LINES_PER_PAGE):
-            raise DeviceError(
-                f"line {key} out of range: {self.banks} banks x "
-                f"{self.rows_per_bank} rows x {LINES_PER_PAGE} lines"
+        image = self._pristine.get((bank, row))
+        # A row enters ``_pristine`` checked: a known row checks the line only.
+        if image is None or not 0 <= line < LINES_PER_PAGE:
+            if not (0 <= bank < self.banks and 0 <= row < self.rows_per_bank
+                    and 0 <= line < LINES_PER_PAGE):
+                raise DeviceError(
+                    f"line {key} out of range: {self.banks} banks x "
+                    f"{self.rows_per_bank} rows x {LINES_PER_PAGE} lines"
+                )
+            image = self._pristine[bank, row] = stateplane.PLANE.pristine_row(
+                self._seed, bank, row
             )
-        pristine_key = (bank, row)
-        image = self._pristine.get(pristine_key)
-        if image is None:
-            image = stateplane.PLANE.pristine_row(self._seed, bank, row)
-            self._pristine[pristine_key] = image
         start = line * LINE_BYTES
         stored = int.from_bytes(image[start:start + LINE_BYTES], "little")
         record = self.lines[key] = LineRecord(stored)

@@ -34,7 +34,7 @@
 #include <string.h>
 
 /* The loader accepts a module only with this ABI. */
-#define SD_ABI_VERSION 6
+#define SD_ABI_VERSION 7
 
 #define LINE_BYTES 64
 #define DIN_TABLE_BYTES (256 * 256)
@@ -132,7 +132,7 @@ static void keep_bits(const uint8_t *cand, Py_ssize_t nbytes, double p,
         uint8_t o = 0;
         while (c) {
             uint8_t low = (uint8_t)(c & (uint8_t)(-c));
-            if (bg->next_double(bg->state) < p) o |= low;
+            o |= (uint8_t)(low & -(uint8_t)(bg->next_double(bg->state) < p));
             c = (uint8_t)(c ^ low);
         }
         out[b] = o;
@@ -204,9 +204,8 @@ static PyObject *sd_draw_less_than(PyObject *self, PyObject *const *args,
     uint8_t *out = nbytes <= LINE_BYTES ? local : PyMem_Malloc(nbytes);
     if (out == NULL) return PyErr_NoMemory();
     memset(out, 0, nbytes);
-    for (Py_ssize_t i = 0; i < n; ++i) {
-        if (bg->next_double(bg->state) < p) out[i >> 3] |= (uint8_t)(1u << (i & 7));
-    }
+    for (Py_ssize_t i = 0; i < n; ++i)
+        out[i >> 3] |= (uint8_t)((bg->next_double(bg->state) < p) << (i & 7));
     PyObject *result = int_from_bytes(out, nbytes);
     if (out != local) PyMem_Free(out);
     return result;
@@ -432,11 +431,38 @@ static PyObject *sd_seeded_less_than(PyObject *self, PyObject *const *args,
     memset(out, 0, nbytes);
     for (Py_ssize_t i = 0; i < n; ++i) {
         const double d = (double)(pcg64_next(&rng) >> 11) * (1.0 / 9007199254740992.0);
-        if (d < p) out[i >> 3] |= (uint8_t)(1u << (i & 7));
+        out[i >> 3] |= (uint8_t)((d < p) << (i & 7));
     }
     PyObject *result = int_from_bytes(out, nbytes);
     if (out != local) PyMem_Free(out);
     return result;
+}
+
+/* seeded_state(entropy) -> (state, inc): the 128-bit PCG64 state and
+ * increment of default_rng(entropy), as PCG64.state reports them. */
+static PyObject *sd_seeded_state(PyObject *self, PyObject *const *args,
+                                 Py_ssize_t nargs) {
+    (void)self;
+    pcg64_t rng;
+    if (check_nargs("seeded_state", nargs, 1) < 0
+        || seeded_from(args[0], &rng) < 0)
+        return NULL;
+    uint8_t buf[32];
+    for (int i = 0; i < 16; ++i) {
+        buf[i] = (uint8_t)(rng.state >> (8 * i));
+        buf[16 + i] = (uint8_t)(rng.inc >> (8 * i));
+    }
+    PyObject *state = int_from_bytes(buf, 16);
+    if (state == NULL) return NULL;
+    PyObject *inc = int_from_bytes(buf + 16, 16);
+    if (inc == NULL) {
+        Py_DECREF(state);
+        return NULL;
+    }
+    PyObject *pair = PyTuple_Pack(2, state, inc);
+    Py_DECREF(state);
+    Py_DECREF(inc);
+    return pair;
 }
 
 /* ---- module ------------------------------------------------------------ */
@@ -452,6 +478,7 @@ static PyMethodDef sd_methods[] = {
     SD_FASTCALL(din_encode),
     SD_FASTCALL(seeded_words),
     SD_FASTCALL(seeded_less_than),
+    SD_FASTCALL(seeded_state),
     {NULL, NULL, 0, NULL},
 };
 

@@ -133,5 +133,14 @@ class KernelBackend:
         """
         raise NotImplementedError
 
+    def seeded_rng(self, key: Tuple[int, ...]) -> np.random.Generator:
+        """A generator in the state of ``default_rng(key)``.
+
+        The lifetime study's per-line hard-error seeding.  A backend may
+        hand out one reused generator, re-seeded on every call: draw from
+        it before the next call.
+        """
+        raise NotImplementedError
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KernelBackend {self.name}>"

@@ -35,8 +35,11 @@ simulator drives each generator from one thread.
 plane's pristine rows and weak-cell masks) run numpy's ``SeedSequence``
 -> ``PCG64`` recipe in C, bit for bit, after :func:`_entropy` coerces
 the key to 32-bit words exactly as numpy does (a bad key raises numpy's
-error here, before the native call).  They read no caller stream, so a
-failure falls back by regenerating the value with the numpy reference.
+error here, before the native call).  ``seeded_rng`` runs only the
+seeding in C and sets the resulting ``PCG64`` state on one reused
+generator, from which numpy draws as usual.  They read no caller stream,
+so a failure falls back by regenerating the value with the numpy
+reference.
 
 **Crash containment**: a native sampler that raises does so *before*
 it consumes any draw — every fallible step (the int conversions, of
@@ -77,7 +80,7 @@ from .python_backend import PythonBackend
 
 #: Expected ``ABI`` of a loadable module; a module with another
 #: entry-point set fails the probe and is rebuilt from source.
-_ABI_VERSION = 6
+_ABI_VERSION = 7
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 #: Where a prebuilt module sits (next to this package's sources).
@@ -227,6 +230,9 @@ class CompiledBackend(KernelBackend):
         self._dead = False
         self._bitgen = None
         self._capsule = None
+        #: The one generator ``seeded_rng`` re-seeds and hands out, made
+        #: on first use (numpy's first seeding costs milliseconds).
+        self._seeded: Optional[np.random.Generator] = None
 
     @property
     def dead(self) -> bool:
@@ -327,7 +333,7 @@ class CompiledBackend(KernelBackend):
 
     def decode_int(self, stored: int, flags: int) -> int:
         # The int-table XOR is already faster than a native round trip.
-        return self._py.decode_int(stored, flags)
+        return D.invert_flagged_bytes(stored, flags)
 
     # -- seeded generation -------------------------------------------------------
 
@@ -350,3 +356,23 @@ class CompiledBackend(KernelBackend):
         except Exception as exc:
             self._retire(exc)
             return self._py.seeded_mask(key, bits, threshold)
+
+    def seeded_rng(self, key: Tuple[int, ...]) -> np.random.Generator:
+        if self._dead:
+            return self._py.seeded_rng(key)
+        entropy = _entropy(key)
+        try:
+            state, inc = self._ops.seeded_state(entropy)
+        except Exception as exc:
+            self._retire(exc)
+            return self._py.seeded_rng(key)
+        rng = self._seeded
+        if rng is None:
+            rng = self._seeded = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return rng

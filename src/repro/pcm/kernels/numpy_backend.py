@@ -82,3 +82,6 @@ class NumpyBackend(KernelBackend):
 
     def seeded_mask(self, key: Tuple[int, ...], bits: int, threshold: float) -> int:
         return L.seeded_mask(key, bits, threshold)
+
+    def seeded_rng(self, key: Tuple[int, ...]) -> np.random.Generator:
+        return np.random.default_rng(key)

@@ -35,7 +35,8 @@ content is deterministic either way.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from collections import deque
+from typing import Deque, Dict, Tuple
 
 from ..config import LINE_BITS, LINE_WORDS, LINES_PER_PAGE
 from . import kernels
@@ -73,6 +74,11 @@ class StatePlane:
     def __init__(self) -> None:
         self._rows: Dict[RowKey, bytes] = {}
         self._masks: Dict[MaskKey, int] = {}
+        #: Each pool's keys, oldest first, from its first eviction on:
+        #: finding a plain dict's oldest key walks every slot deleted
+        #: before it, and an ordered dict costs memory below the cap.
+        self._row_order: Deque[RowKey] = deque()
+        self._mask_order: Deque[MaskKey] = deque()
         self.row_hits = 0
         self.row_misses = 0
         self.mask_hits = 0
@@ -93,10 +99,7 @@ class StatePlane:
             return stored
         self.row_misses += 1
         stored = _generate_row(seed, bank, row)
-        if len(self._rows) >= ROW_POOL_CAP:
-            self._rows.pop(next(iter(self._rows)))
-            self.evictions += 1
-        self._rows[key] = stored
+        self._admit(self._rows, self._row_order, ROW_POOL_CAP, key, stored)
         return stored
 
     def weak_mask(self, fraction: float, key: Tuple[int, int, int]) -> int:
@@ -108,11 +111,18 @@ class StatePlane:
             return mask
         self.mask_misses += 1
         mask = _generate_weak_mask(fraction, key)
-        if len(self._masks) >= MASK_POOL_CAP:
-            self._masks.pop(next(iter(self._masks)))
-            self.evictions += 1
-        self._masks[pool_key] = mask
+        self._admit(self._masks, self._mask_order, MASK_POOL_CAP, pool_key, mask)
         return mask
+
+    def _admit(self, pool: dict, order: deque, cap: int, key, value) -> None:
+        """Pool a new value, evicting the oldest one when the pool is full."""
+        if len(pool) >= cap:
+            if not order:
+                order.extend(pool)
+            del pool[order.popleft()]
+            order.append(key)
+            self.evictions += 1
+        pool[key] = value
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -124,6 +134,8 @@ class StatePlane:
         """Drop every pooled value and zero the counters (test isolation)."""
         self._rows.clear()
         self._masks.clear()
+        self._row_order.clear()
+        self._mask_order.clear()
         self.reset_counters()
 
     def reset_counters(self) -> None:

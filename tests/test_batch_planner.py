@@ -76,6 +76,17 @@ class TestStatePlane:
         assert len(plane._rows) == 2
         # The evicted key regenerates identical bytes on re-touch.
         assert plane.pristine_row(0, 0, 0) == stateplane._generate_row(0, 0, 0)
+        assert list(plane._rows) == [(0, 0, 2), (0, 0, 0)]
+        # The mask pool evicts the same way, oldest key first.
+        monkeypatch.setattr(stateplane, "MASK_POOL_CAP", 2)
+        for line in range(3):
+            plane.weak_mask(0.1, (0, 0, line))
+        assert plane.evictions == 3
+        assert list(plane._masks) == [(0.1, 0, 0, 1), (0.1, 0, 0, 2)]
+        assert plane.weak_mask(0.1, (0, 0, 0)) == (
+            stateplane._generate_weak_mask(0.1, (0, 0, 0))
+        )
+        assert list(plane._masks) == [(0.1, 0, 0, 2), (0.1, 0, 0, 0)]
 
     def test_array_rows_copy_from_plane(self):
         from repro.pcm.array import PCMArray

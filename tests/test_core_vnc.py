@@ -15,7 +15,6 @@ from repro.core.vnc import VnCExecutor
 from repro.ecp.chip import ECPChip
 from repro.errors import AllocationError
 from repro.mem.request import WriteEntry
-from repro.pcm import line as L
 from repro.pcm.array import PCMArray
 from repro.stats.counters import Counters
 
@@ -189,7 +188,7 @@ class TestLazyCorrection:
             vkey = slot.addr
             line = ecp.lines.get(vkey)
             disturbed = array.line(slot.addr).disturbed.bit_count()
-            assert (line.wd_count if line else 0) == disturbed
+            assert (line.wd.bit_count() if line else 0) == disturbed
 
     def test_victim_reads_correctly_via_ecp(self):
         ex, array, ecp, _ = make_executor(self.scheme(512))
@@ -220,10 +219,9 @@ class TestLazyCorrection:
             remaining = array.line(slot.addr).disturbed.bit_count()
             assert remaining <= 1
             if remaining:
-                vkey = slot.addr
-                covered = {e.position for e in ecp.line(vkey).entries}
+                line = ecp.line(slot.addr)
                 disturbed = array.line(slot.addr).disturbed
-                assert set(L.bit_positions_int(disturbed)) <= covered
+                assert disturbed & ~(line.hard | line.wd) == 0
 
     def test_demand_write_clears_own_wd_entries(self):
         ex, array, ecp, counters = make_executor(self.scheme(512))
@@ -233,11 +231,11 @@ class TestLazyCorrection:
         vkey = victim
         bank, row, line = victim
         before = ecp.lines.get(vkey)
-        if before is None or before.wd_count == 0:
+        if before is None or before.wd.bit_count() == 0:
             pytest.skip("no errors sampled into bottom victim")
         # Now write the victim itself: its WD entries must clear.
         run_write(ex, write_entry(ex, row=row, line=line, bank=bank))
-        assert ecp.lines.get(vkey).wd_count == (
+        assert ecp.lines.get(vkey).wd.bit_count() == (
             array.line(victim).disturbed.bit_count()
         ) == 0
         assert counters.ecp_cleared_by_write > 0
@@ -276,6 +274,63 @@ class TestCancel:
         ex._cancel(entry, ex.execute(entry, 0), 0.0)
         assert counters.partial_write_errors == 0
         assert not ex.uncovered
+
+
+def line_states(array, ecp):
+    """Every touched line's ``(stored, disturbed, flags, epoch)`` and
+    every ECP line's WD mask."""
+    records = {key: (r.stored, r.disturbed, r.flags, r.epoch)
+               for key, r in array.lines.items()}
+    return records, {key: line.wd for key, line in ecp.lines.items()}
+
+
+def untouched(key):
+    """The state of a line no write has touched (``make_executor``'s array)."""
+    return PCMArray(banks=16, rows_per_bank=64, seed=5).line(key).stored, 0, 0, 0
+
+
+class TestCancelUndo:
+    """A cancelled op's undo log restores every line it changed."""
+
+    def prepared(self):
+        """A LazyC write-cancellation executor whose second write (to a
+        line holding WD entries, so the demand write clears them) is
+        planned but not yet completed."""
+        scheme = SchemeConfig(write_cancellation=True, lazy_correction=True)
+        ex, array, ecp, _ = make_executor(
+            scheme, p_bitline=0.5, lifetime_fraction=0.5
+        )
+        run_write(ex, write_entry(ex, row=10))
+        victim = next(key for key, line in ecp.lines.items() if line.wd)
+        entry = write_entry(ex, bank=victim[0], row=victim[1], line=victim[2])
+        before = line_states(array, ecp)
+        plan = ex.execute(entry, 0)
+        assert line_states(array, ecp) != before  # applied in place
+        return ex, array, ecp, entry, plan, before
+
+    def test_zero_progress_restores_everything(self):
+        ex, array, ecp, entry, plan, (records, wds) = self.prepared()
+        ex._cancel(entry, plan, 0.0)
+        after_records, after_wds = line_states(array, ecp)
+        # Lines first touched by the op read their pristine image again.
+        for key, state in after_records.items():
+            assert state == (records.get(key) or untouched(key)), key
+        for key, wd in after_wds.items():
+            assert wd == wds.get(key, 0), key
+
+    def test_partial_progress_differs_only_by_partial_disturbance(self):
+        ex, array, ecp, entry, plan, (records, wds) = self.prepared()
+        injected = dict(plan.injections)
+        ex._cancel(entry, plan, 0.9)
+        after_records, after_wds = line_states(array, ecp)
+        assert ex.counters.partial_write_errors > 0
+        for key, (stored, disturbed, flags, epoch) in after_records.items():
+            was = records.get(key) or untouched(key)
+            assert (stored, flags, epoch) == (was[0], was[2], was[3]), key
+            assert disturbed & was[1] == was[1], key
+            assert disturbed & ~was[1] & ~injected.get(key, 0) == 0, key
+        for key, wd in after_wds.items():
+            assert wd == wds.get(key, 0), key
 
 
 class TestDisturbanceDisabled:

@@ -1,4 +1,4 @@
-"""Tests for the ECP substrate: entries, per-line ECP-N, chip, wear."""
+"""Tests for the ECP substrate: per-line ECP-N, chip, wear."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import LINE_BITS
+from repro.core.vnc import NOVEL_ENTRY_BITS
 from repro.ecp.chip import ECPChip, ECPChipGeometry
-from repro.ecp.entry import ENTRY_BITS, ECPEntry, EntryKind
 from repro.ecp.line_ecp import ECPLine
 from repro.ecp.wear import WearModel, relative_lifetime
 from repro.errors import ECPExhaustedError, ConfigError
@@ -16,20 +16,11 @@ from repro.pcm import line as L
 
 
 class TestEntry:
-    def test_valid_entry(self):
-        e = ECPEntry(position=511, value=1, kind=EntryKind.WD)
-        assert e.position == 511
-
-    def test_bad_position(self):
-        with pytest.raises(ValueError):
-            ECPEntry(position=512, value=0, kind=EntryKind.HARD)
-
-    def test_bad_value(self):
-        with pytest.raises(ValueError):
-            ECPEntry(position=0, value=2, kind=EntryKind.HARD)
-
     def test_entry_bits(self):
-        assert ENTRY_BITS == 10  # 9-bit pointer + 1-bit value
+        # A novel entry programs a 9-bit pointer (one of 512 cells) plus
+        # its 1-bit value.
+        assert LINE_BITS == 1 << 9
+        assert NOVEL_ENTRY_BITS == 10
 
 
 def bits(*positions: int) -> int:
@@ -40,27 +31,39 @@ def bits(*positions: int) -> int:
 class TestECPLineWD:
     def test_absorb_within_capacity(self):
         line = ECPLine(capacity=6)
-        assert line.record_wd(bits(1, 2))
+        assert line.record_wd(bits(1, 2)) == bits(1, 2)
         assert line.wd == bits(1, 2)
-        assert line.wd_count == 2 and line.free == 4
+        assert line.wd.bit_count() == 2 and line.free == 4
 
     def test_overflow_is_all_or_nothing(self):
         line = ECPLine(capacity=3)
-        assert line.record_wd(bits(1, 2))
-        assert not line.record_wd(bits(3, 4))
+        assert line.record_wd(bits(1, 2)) == bits(1, 2)
+        assert line.record_wd(bits(3, 4)) == -1
         assert line.wd == bits(1, 2)  # nothing partially programmed
 
     def test_duplicate_positions_free(self):
         line = ECPLine(capacity=2)
         line.record_wd(bits(5))
-        assert line.record_wd(bits(5, 6))  # only cell 6 takes an entry
+        assert line.record_wd(bits(5, 6)) == bits(6)  # only cell 6 is new
+        assert line.record_wd(bits(5, 6)) == 0  # held: absorbed for free
         assert line.free == 0
+
+    def test_after_a_clear_hard_cells_count_apart(self):
+        """Once the op in flight cleared the line, a hard entry's cell
+        takes a WD entry too, and X counts it beside the hard entry."""
+        line = ECPLine(capacity=3)
+        line.add_hard_error(4, 1)
+        assert line.record_wd(bits(4, 5)) == bits(5)
+        line.clear_wd()
+        assert line.record_wd(bits(4, 5), cleared=True) == bits(4, 5)
+        assert line.occupied == 3
+        assert line.record_wd(bits(6), cleared=True) == -1
 
     def test_clear_wd(self):
         line = ECPLine(capacity=6)
         line.record_wd(bits(1, 2, 3))
         assert line.clear_wd() == 3
-        assert line.wd_count == 0
+        assert line.wd.bit_count() == 0
 
     def test_would_overflow(self):
         line = ECPLine(capacity=6)
@@ -77,7 +80,7 @@ class TestECPLineHard:
         line.record_wd(bits(1, 2))
         evicted = line.add_hard_error(9, 1)
         assert evicted in (1, 2)
-        assert line.hard_count == 1 and line.wd_count == 1
+        assert line.hard_count == 1 and line.wd.bit_count() == 1
 
     def test_hard_overflow_raises(self):
         line = ECPLine(capacity=1)
@@ -91,7 +94,7 @@ class TestECPLineHard:
         line.record_wd(bits(1))
         line.clear_wd()
         assert line.hard_count == 1
-        assert line.entries[0].kind is EntryKind.HARD
+        assert (line.hard, line.hard_values, line.wd) == (bits(7), bits(7), 0)
 
     def test_duplicate_hard_noop(self):
         line = ECPLine(capacity=2)
@@ -187,7 +190,8 @@ class TestMaskLineMatchesPositionsModel:
         line, model = ECPLine(capacity), PositionsModel(capacity)
         for op, arg in ops:
             if op == "record":
-                assert line.record_wd(bits(*arg)) == model.record(arg)
+                absorbed = line.record_wd(bits(*arg)) >= 0
+                assert absorbed == model.record(arg)
             elif op == "clear":
                 assert line.clear_wd() == model.clear()
             else:
@@ -201,14 +205,15 @@ class TestMaskLineMatchesPositionsModel:
                     assert line.add_hard_error(position, value) == expected
             assert line.occupied == model.occupied()
             assert line.hard_count == len(model.hard)
-            assert line.wd_count == len(model.wd)
+            assert line.wd.bit_count() == len(model.wd)
             assert L.bit_positions_int(line.hard | line.wd) == sorted(
                 set(model.hard) | set(model.wd)
             )
-            assert [(e.position, e.value, e.kind) for e in line.entries] == (
-                [(p, v, EntryKind.HARD) for p, v in sorted(model.hard.items())]
-                + [(p, 0, EntryKind.WD) for p in sorted(model.wd)]
+            assert line.hard == bits(*model.hard)
+            assert line.hard_values == bits(
+                *(p for p, v in model.hard.items() if v)
             )
+            assert line.wd == bits(*model.wd)
 
 
 class TestChipAndWear:

@@ -59,7 +59,7 @@ class TestFallbackToBasicVnC:
         assert counters.corrections >= 1
         for row in (9, 11):
             line = ecp.line((2, row, 3))
-            assert line.wd_count == 0
+            assert line.wd.bit_count() == 0
             # Victims end up physically clean (basic-VnC behaviour).
             addr = (2, row, 3)
             assert array.line(addr).disturbed == 0
@@ -71,7 +71,7 @@ class TestFallbackToBasicVnC:
         for row in (9, 11):
             line = ecp.line((2, row, 3))
             assert line.hard_count == 6
-            assert line.wd_count == 0
+            assert line.wd.bit_count() == 0
 
     def test_partial_hard_occupancy_halves_buffering(self):
         """With k hard errors, only N-k WD errors fit before overflow."""

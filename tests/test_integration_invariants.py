@@ -13,7 +13,6 @@ import pytest
 
 from repro.core import schemes
 from repro.core.system import SDPCMSystem
-from repro.pcm import line as L
 from tests.conftest import small_config, small_workload
 
 
@@ -27,11 +26,8 @@ def audit_system(system: SDPCMSystem) -> dict:
         n = disturbed.bit_count()
         physical_errors += n
         ecp_line = system.ecp.lines.get(addr)
-        positions = set(L.bit_positions_int(disturbed))
-        covered = (
-            {e.position for e in ecp_line.entries} if ecp_line else set()
-        )
-        if positions <= covered:
+        covered = ecp_line.hard | ecp_line.wd if ecp_line else 0
+        if disturbed & ~covered == 0:
             covered_errors += n
         else:
             uncovered_lines += 1
@@ -82,11 +78,8 @@ class TestReliabilityInvariant:
 
         for addr, _, disturbed in system.array.disturbed_lines():
             ecp_line = system.ecp.lines.get(addr)
-            covered = (
-                {e.position for e in ecp_line.entries} if ecp_line else set()
-            )
-            positions = set(L.bit_positions_int(disturbed))
-            assert is_no_use(addr[1], 2, 3) or positions <= covered
+            covered = ecp_line.hard | ecp_line.wd if ecp_line else 0
+            assert is_no_use(addr[1], 2, 3) or disturbed & ~covered == 0
 
     def test_din_array_is_pristine(self):
         audit = run_and_audit(schemes.din())

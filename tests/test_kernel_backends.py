@@ -325,6 +325,24 @@ class TestBackendEquivalence:
             numpy_mask(key, 37, fraction)
         )
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed_keys)
+    def test_seeded_rng_matches_numpy(self, name, key):
+        """The lifetime seeding's generator starts in ``default_rng(key)``'s
+        state and then draws numpy's stream (multi-word keys included)."""
+        backend = backend_or_skip(name)
+        ref = np.random.default_rng(key)
+        rng = backend.seeded_rng(key)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.poisson(2.0) == ref.poisson(2.0)
+        assert (rng.choice(LINE_BITS, size=4, replace=False).tolist()
+                == ref.choice(LINE_BITS, size=4, replace=False).tolist())
+        assert rng.integers(2) == ref.integers(2)
+        # A re-seeded generator starts over, whatever was drawn from it.
+        assert backend.seeded_rng(key).bit_generator.state == (
+            np.random.default_rng(key).bit_generator.state
+        )
+
     def test_seeded_generation_rejects_negative_keys(self, name):
         backend = backend_or_skip(name)
         with pytest.raises(ValueError):
@@ -401,6 +419,9 @@ class _FlakyOps:
 
     def seeded_less_than(self, *args):
         return self._call("seeded_less_than", *args)
+
+    def seeded_state(self, *args):
+        return self._call("seeded_state", *args)
 
 
 def _fresh_compiled():
@@ -489,6 +510,16 @@ class TestCompiledCrashFallback:
             warnings.simplefilter("error")
             assert getattr(backend, method)(*args) == want
 
+    def test_seeded_rng_crash_falls_back_to_numpy(self):
+        backend = _fresh_compiled()
+        backend._ops = _FlakyOps(backend._ops, fuse=0)
+        key = (0xECB, 3, 2**33, 700)
+        want = np.random.default_rng(key).bit_generator.state
+        with pytest.warns(RuntimeWarning, match="falling back") as caught:
+            assert backend.seeded_rng(key).bit_generator.state == want
+        assert len(caught) == 1
+        assert backend.dead is True
+
     @pytest.mark.parametrize("mask", (-(1 << 300), (1 << 512) | 0xF0F0))
     def test_out_of_range_mask_raises_before_drawing(self, mask):
         """A mask outside [0, 2**512) fails the native int conversion:
@@ -552,7 +583,7 @@ class TestCompiledBuild:
         assert compiled_backend._prebuilt_library(reasons) is None
         assert len(reasons) == 1 and "_kernels.so" in reasons[0]
         backend = _fresh_compiled()
-        assert backend.abi == compiled_backend._ABI_VERSION == 6
+        assert backend.abi == compiled_backend._ABI_VERSION == 7
         assert backend.encode_stored_int(3, 5) == REFERENCE.encode_stored_int(3, 5)
         assert not backend.dead
         # A current module under the interpreter's own suffix is accepted.
@@ -560,7 +591,7 @@ class TestCompiledBuild:
         shutil.copy(compiled_backend._build_library(), current)
         module = compiled_backend._prebuilt_library([])
         assert module is not None and module.__file__ == str(current)
-        assert module.ABI == 6
+        assert module.ABI == 7
 
     def test_missing_python_headers_fail_cleanly(self, tmp_path, monkeypatch):
         """No ``Python.h``: BackendUnavailable naming it, no compiler run,

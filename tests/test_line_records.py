@@ -60,6 +60,17 @@ def test_ecp_references_are_the_chips_lines(sim):
         assert line is sim.ecp.lines[key], key
 
 
+def test_ecp_entries_settle_at_commit(sim):
+    """Writes change ECP lines in place; once every op has committed, each
+    line's WD entries are cells its record has seen and no hard entry
+    holds."""
+    for key, record in sim.array.lines.items():
+        line = record.ecp
+        if line is not None:
+            assert line.wd & line.hard == 0, key
+            assert line.wd & ~record.seen == 0, key
+
+
 def test_disturbed_lines_are_the_records_with_flips(sim):
     listed = {key: (stored, disturbed)
               for key, stored, disturbed in sim.array.disturbed_lines()}

@@ -49,6 +49,12 @@ class TestMaterialisation:
         with pytest.raises(DeviceError):
             array.line((0, 0, 64))
         assert array.lines == {}
+        # A row already touched still checks the line index.
+        array.line((0, 0, 0))
+        for line in (64, -1):
+            with pytest.raises(DeviceError):
+                array.line((0, 0, line))
+        assert list(array.lines) == [(0, 0, 0)]
 
 
 class TestDisturbAndCorrect:

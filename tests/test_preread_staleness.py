@@ -90,10 +90,12 @@ class TestFreshness:
 
     def test_latency_reflects_hits(self):
         """Same write, planned with and without pre-read hits: the latency
-        difference is exactly the two hidden array reads."""
+        difference is exactly the two hidden array reads.  A plan applies
+        its write, so each plan gets its own identically seeded executor."""
+        executor, _ = build()
+        miss_latency = executor.execute(entry_for(executor, row=20), 0).latency
         executor, _ = build()
         entry = entry_for(executor, row=20)
-        miss_latency = executor.execute(entry, 0).latency  # planned, not committed
         for slot in entry.slots:
             executor.capture_baseline(slot)
             slot.done = True

@@ -16,7 +16,6 @@ from repro.config import DisturbanceConfig, SchemeConfig, TimingConfig
 from repro.core.vnc import VnCExecutor
 from repro.ecp.chip import ECPChip
 from repro.mem.request import WriteEntry
-from repro.pcm import line as L
 from repro.pcm.array import PCMArray
 from repro.stats.counters import Counters
 
@@ -52,16 +51,10 @@ def do_write(executor, bank, row, line, cancel_progress=None):
 def audit(executor, array, ecp) -> None:
     """Every disturbed bit must be covered by ECP unless marked uncovered."""
     for key, _, disturbed in array.disturbed_lines():
-        positions = set(L.bit_positions_int(disturbed))
         ecp_line = ecp.lines.get(key)
-        covered = (
-            {e.position for e in ecp_line.entries} if ecp_line else set()
-        )
-        pending = executor.uncovered.get(key)
-        pending_positions = (
-            set(L.bit_positions_int(pending)) if pending is not None else set()
-        )
-        assert positions <= covered | pending_positions
+        covered = ecp_line.hard | ecp_line.wd if ecp_line else 0
+        pending = executor.uncovered.get(key, 0)
+        assert disturbed & ~(covered | pending) == 0
 
 
 writes = st.lists(
