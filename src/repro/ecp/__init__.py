@@ -3,12 +3,11 @@ and the endurance model used by the lifetime experiments."""
 
 from .chip import ECPChip, ECPChipGeometry
 from .line_ecp import ECPLine
-from .wear import WearModel, relative_lifetime
+from .wear import WearModel
 
 __all__ = [
     "ECPChip",
     "ECPChipGeometry",
     "ECPLine",
     "WearModel",
-    "relative_lifetime",
 ]

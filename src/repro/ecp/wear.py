@@ -60,18 +60,3 @@ class WearModel:
         mean = self.mean_hard_errors(lifetime_fraction)
         return rng.poisson(mean, size=size)
 
-
-def relative_lifetime(
-    baseline_cell_writes: float, actual_cell_writes: float
-) -> float:
-    """Normalised lifetime given extra wear (Figures 17/18).
-
-    Endurance is consumed proportionally to cell writes; extra correction
-    or entry-programming writes shorten lifetime by the inverse of the wear
-    ratio.  Returns 1.0 when no extra wear occurred.
-    """
-    if baseline_cell_writes < 0 or actual_cell_writes < 0:
-        raise ConfigError("cell write counts must be >= 0")
-    if actual_cell_writes <= baseline_cell_writes or baseline_cell_writes == 0:
-        return 1.0
-    return baseline_cell_writes / actual_cell_writes

@@ -18,13 +18,7 @@ from typing import Optional, Sequence
 
 from ..config import DisturbanceConfig
 from ..core import schemes
-from ..core.results import geometric_mean
-from .common import (
-    ExperimentResult,
-    cell,
-    paper_workload_names,
-    run_cells,
-)
+from .common import Column, ExperimentResult, grid_experiment
 
 DEFAULT_WORKLOADS = ("gemsFDTD", "lbm", "mcf", "stream")
 
@@ -34,33 +28,21 @@ def run_ecp_density_ablation(
     workloads: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
     """Low-density vs super dense ECP chip under LazyCorrection."""
-    result = ExperimentResult(
-        title="Ablation: ECP chip density under LazyC (speedup over baseline)",
-        headers=["workload", "low-density ECP (SD-PCM)", "super dense ECP (naive)"],
+    base = Column(None, None, schemes.baseline())
+    return grid_experiment(
+        "Ablation: ECP chip density under LazyC (speedup over baseline)",
+        workloads or DEFAULT_WORKLOADS,
+        [
+            base,
+            Column("low-density ECP (SD-PCM)", "low_density", schemes.lazyc(),
+                   over=base),
+            Column("super dense ECP (naive)", "dense", schemes.lazyc_dense_ecp(),
+                   over=base),
+        ],
+        length=length,
+        notes=["Section 4.2: buffering WD errors only pays off when the ECP chip "
+               "itself is WD-free"],
     )
-    low, dense = [], []
-    benches = paper_workload_names(workloads or DEFAULT_WORKLOADS)
-    specs = [
-        cell(bench, factory(), length=length)
-        for bench in benches
-        for factory in (schemes.baseline, schemes.lazyc, schemes.lazyc_dense_ecp)
-    ]
-    cells = iter(run_cells(specs))
-    for bench in benches:
-        base, a, b = next(cells), next(cells), next(cells)
-        result.rows.append(
-            [bench, a.speedup_over(base), b.speedup_over(base)]
-        )
-        low.append(a.speedup_over(base))
-        dense.append(b.speedup_over(base))
-    result.rows.append(["gmean", geometric_mean(low), geometric_mean(dense)])
-    result.metrics["low_density"] = geometric_mean(low)
-    result.metrics["dense"] = geometric_mean(dense)
-    result.notes.append(
-        "Section 4.2: buffering WD errors only pays off when the ECP chip "
-        "itself is WD-free"
-    )
-    return result
 
 
 def run_read_priority_ablation(
@@ -68,35 +50,21 @@ def run_read_priority_ablation(
     workloads: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
     """Bursty drains vs write cancellation vs write pausing, over LazyC."""
-    result = ExperimentResult(
-        title="Ablation: read-priority policy over LazyC (speedup over baseline)",
-        headers=["workload", "LazyC (bursty)", "WC+LazyC", "WP+LazyC"],
+    base = Column(None, None, schemes.baseline())
+    columns = [base] + [
+        Column(header, name, schemes.by_name(name), over=base)
+        for header, name in (("LazyC (bursty)", "LazyC"),
+                             ("WC+LazyC", "WC+LazyC"),
+                             ("WP+LazyC", "WP+LazyC"))
+    ]
+    return grid_experiment(
+        "Ablation: read-priority policy over LazyC (speedup over baseline)",
+        workloads or DEFAULT_WORKLOADS,
+        columns,
+        length=length,
+        notes=["pausing loses no programmed work on pre-emption, so it should "
+               "match or beat cancellation under VnC-lengthened writes"],
     )
-    cols: dict = {"LazyC": [], "WC+LazyC": [], "WP+LazyC": []}
-    benches = paper_workload_names(workloads or DEFAULT_WORKLOADS)
-    specs = []
-    for bench in benches:
-        specs.append(cell(bench, schemes.baseline(), length=length))
-        specs.extend(
-            cell(bench, schemes.by_name(name), length=length) for name in cols
-        )
-    cells = iter(run_cells(specs))
-    for bench in benches:
-        base = next(cells)
-        row: list = [bench]
-        for name in cols:
-            speedup = next(cells).speedup_over(base)
-            row.append(speedup)
-            cols[name].append(speedup)
-        result.rows.append(row)
-    result.rows.append(["gmean"] + [geometric_mean(v) for v in cols.values()])
-    for name, values in cols.items():
-        result.metrics[name] = geometric_mean(values)
-    result.notes.append(
-        "pausing loses no programmed work on pre-emption, so it should "
-        "match or beat cancellation under VnC-lengthened writes"
-    )
-    return result
 
 
 def run_din_ablation(
@@ -104,37 +72,22 @@ def run_din_ablation(
     workloads: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
     """Word-line error rates with the DIN encoder active vs disabled."""
-    result = ExperimentResult(
-        title="Ablation: DIN word-line encoding (residual WL errors per write)",
-        headers=["workload", "with DIN", "without DIN"],
+    no_din = {"disturbance": DisturbanceConfig(din_residual_scale=1.0)}
+    columns = [
+        Column(header, key, schemes.baseline(), options,
+               value=lambda c: c.avg_errors_wordline)
+        for header, key, options in (("with DIN", "with_din", {}),
+                                     ("without DIN", "without_din", no_din))
+    ]
+    return grid_experiment(
+        "Ablation: DIN word-line encoding (residual WL errors per write)",
+        workloads or DEFAULT_WORKLOADS,
+        columns,
+        summary="mean",
+        length=length,
+        notes=["the paper inherits DIN [10] precisely because unencoded "
+               "word-lines would add several errors per write"],
     )
-    with_din, without = [], []
-    benches = paper_workload_names(workloads or DEFAULT_WORKLOADS)
-    no_din = DisturbanceConfig(din_residual_scale=1.0)
-    specs = []
-    for bench in benches:
-        specs.append(cell(bench, schemes.baseline(), length=length))
-        specs.append(
-            cell(bench, schemes.baseline(), length=length, disturbance=no_din)
-        )
-    cells = iter(run_cells(specs))
-    for bench in benches:
-        on, off = next(cells), next(cells)
-        result.rows.append(
-            [bench, on.counters.avg_errors_wordline, off.counters.avg_errors_wordline]
-        )
-        with_din.append(on.counters.avg_errors_wordline)
-        without.append(off.counters.avg_errors_wordline)
-    mean_on = sum(with_din) / len(with_din)
-    mean_off = sum(without) / len(without)
-    result.rows.append(["mean", mean_on, mean_off])
-    result.metrics["with_din"] = mean_on
-    result.metrics["without_din"] = mean_off
-    result.notes.append(
-        "the paper inherits DIN [10] precisely because unencoded word-lines "
-        "would add several errors per write"
-    )
-    return result
 
 
 def run_weak_cell_ablation(
@@ -149,53 +102,18 @@ def run_weak_cell_ablation(
     must therefore be insensitive to it.  (What it *does* change is how
     quickly ECP entry positions repeat — see EXPERIMENTS.md D2.)
     """
-    result = ExperimentResult(
-        title="Ablation: weak-cell fraction (WD errors per adjacent line)",
-        headers=["workload"] + [f"f={f:g}" for f in fractions],
-    )
-    sums = [0.0] * len(fractions)
-    names = paper_workload_names(workloads or DEFAULT_WORKLOADS)
-    specs = [
-        cell(bench, schemes.baseline(), length=length,
-             disturbance=DisturbanceConfig(weak_cell_fraction=fraction))
-        for bench in names
-        for fraction in fractions
+    columns = [
+        Column(f"f={f:g}", f"f{f:g}", schemes.baseline(),
+               {"disturbance": DisturbanceConfig(weak_cell_fraction=f)},
+               value=lambda c: c.avg_errors_per_adjacent_line)
+        for f in fractions
     ]
-    cells = iter(run_cells(specs))
-    for bench in names:
-        row: list = [bench]
-        for i, _fraction in enumerate(fractions):
-            value = next(cells).counters.avg_errors_per_adjacent_line
-            row.append(value)
-            sums[i] += value
-        result.rows.append(row)
-    means: list = ["mean"]
-    for i, fraction in enumerate(fractions):
-        mean = sums[i] / len(names)
-        means.append(mean)
-        result.metrics[f"f{fraction:g}"] = mean
-    result.rows.append(means)
-    result.notes.append(
-        "mean error rate is preserved by construction "
-        "(p_weak = p / fraction); only the per-line position pool changes"
+    return grid_experiment(
+        "Ablation: weak-cell fraction (WD errors per adjacent line)",
+        workloads or DEFAULT_WORKLOADS,
+        columns,
+        summary="mean",
+        length=length,
+        notes=["mean error rate is preserved by construction "
+               "(p_weak = p / fraction); only the per-line position pool changes"],
     )
-    return result
-
-
-def run_experiment(
-    length: Optional[int] = None,
-    workloads: Optional[Sequence[str]] = None,
-) -> ExperimentResult:
-    """Aggregate ablation (used by the runner): the ECP-density study."""
-    return run_ecp_density_ablation(length=length, workloads=workloads)
-
-
-if __name__ == "__main__":
-    for fn in (
-        run_ecp_density_ablation,
-        run_read_priority_ablation,
-        run_din_ablation,
-        run_weak_cell_ablation,
-    ):
-        print(fn().render())
-        print()

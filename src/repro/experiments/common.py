@@ -11,12 +11,19 @@ Every simulation cell goes through :func:`cell`/:func:`run_cells`, which
 delegate to the :mod:`repro.perf` engine: identical cells are simulated
 once, results are cached on disk across runs, and cold cells fan out over
 a process pool when ``--jobs``/``REPRO_JOBS`` allows.
+
+Most figures are one shape: benches x declared columns (:class:`Column`),
+each cell read as a speedup over another column or as a counter, with a
+gmean or mean summary row.  :func:`grid_experiment` builds such a table
+from one ``run_cells`` call; :func:`grid_values` is its simulation half,
+for studies that summarise the columns into rows of their own (one row
+per technology node or lifetime point).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from .. import envconfig
 from ..config import (
@@ -29,8 +36,8 @@ from ..config import (
 from ..core.results import SimulationResult, geometric_mean
 from ..perf import engine
 from ..perf.cellspec import CellSpec
+from ..stats.counters import Counters
 from ..stats.report import format_table
-from ..traces.profiles import WORKLOAD_ORDER
 
 DEFAULT_SEED = 1
 
@@ -43,10 +50,6 @@ def trace_length(default: int = 1200) -> int:
 def core_count(default: int = 8) -> int:
     """Core count, overridable via ``REPRO_CORES``."""
     return envconfig.core_count(default)
-
-
-def paper_workload_names(subset: Optional[Sequence[str]] = None) -> List[str]:
-    return list(subset) if subset else list(WORKLOAD_ORDER)
 
 
 def cell(
@@ -109,13 +112,86 @@ class ExperimentResult:
         return out
 
 
-def add_gmean_row(result: ExperimentResult, label: str = "gmean") -> None:
-    """Append a geometric-mean summary row over the numeric columns."""
-    if not result.rows:
-        return
-    cols = len(result.headers)
-    summary: List[object] = [label]
-    for c in range(1, cols):
-        values = [float(r[c]) for r in result.rows if isinstance(r[c], (int, float))]
-        summary.append(geometric_mean(values) if values else "")
-    result.rows.append(summary)
+def mean(values: Sequence[float]) -> float:
+    """Arithmetic mean, the summary of counter-valued columns."""
+    return sum(values) / len(values)
+
+
+SUMMARIES: Dict[str, Callable[[Sequence[float]], float]] = {
+    "gmean": geometric_mean,
+    "mean": mean,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class Column:
+    """One column of a bench x column grid.
+
+    Each bench gets one cell running ``scheme`` with the ``options``
+    given to :func:`cell` (``disturbance``, ``write_queue_entries``,
+    ``lifetime_fraction``).  The column reads ``value(counters)`` of that
+    cell when ``value`` is set, else the cell's speedup over the same
+    bench's cell in column ``over``; a column with neither is a baseline
+    and reads 1.0.  ``header`` is the table heading and ``key`` the
+    metric the column's summary is stored under; ``None`` leaves the
+    column out of the table or the metrics.  Columns compare by
+    identity, so two columns running the same cell stay two cells.
+    """
+
+    header: Optional[str]
+    key: Optional[str]
+    scheme: SchemeConfig
+    options: Mapping[str, object] = field(default_factory=dict)
+    over: Optional["Column"] = None
+    value: Optional[Callable[[Counters], float]] = None
+
+    def read(self, cells: Mapping["Column", SimulationResult]) -> float:
+        """This column's value from one bench's cells."""
+        if self.value is not None:
+            return self.value(cells[self].counters)
+        return cells[self].speedup_over(cells[self.over or self])
+
+
+def grid_values(
+    benches: Sequence[str],
+    columns: Sequence[Column],
+    length: Optional[int] = None,
+) -> List[List[float]]:
+    """Each bench's value in each column, simulated in one ``run_cells`` call."""
+    results = iter(run_cells([
+        cell(bench, column.scheme, length=length, **column.options)
+        for bench in benches
+        for column in columns
+    ]))
+    rows = []
+    for _bench in benches:
+        cells = {column: next(results) for column in columns}
+        rows.append([column.read(cells) for column in columns])
+    return rows
+
+
+def grid_experiment(
+    title: str,
+    benches: Sequence[str],
+    columns: Sequence[Column],
+    summary: str = "gmean",
+    length: Optional[int] = None,
+    notes: Sequence[str] = (),
+) -> ExperimentResult:
+    """A table of one row per bench plus a ``summary`` ("gmean" or "mean") row.
+
+    Columns with a header are shown in their declared order; every column
+    with a key stores its summary as a metric, also in declared order.
+    """
+    values = grid_values(benches, columns, length)
+    summaries = [SUMMARIES[summary](column) for column in zip(*values)]
+    shown = [i for i, column in enumerate(columns) if column.header is not None]
+    result = ExperimentResult(
+        title, ["workload"] + [columns[i].header for i in shown], notes=list(notes)
+    )
+    for label, row in zip([*benches, summary], values + [summaries]):
+        result.rows.append([label] + [row[i] for i in shown])
+    for column, value in zip(columns, summaries):
+        if column.key is not None:
+            result.metrics[column.key] = value
+    return result

@@ -22,7 +22,7 @@ from ..pcm import line as L
 from ..pcm.din import DINEncoder
 from ..pcm.flip_n_write import FlipNWriteEncoder
 from ..traces.profiles import profile
-from .common import ExperimentResult, paper_workload_names, trace_length
+from .common import ExperimentResult, trace_length
 
 DEFAULT_WORKLOADS = ("gemsFDTD", "lbm", "mcf", "stream")
 
@@ -61,7 +61,7 @@ def run_experiment(
     fnw = FlipNWriteEncoder()
     rng = np.random.default_rng(7)
     totals = np.zeros(6)
-    names = paper_workload_names(workloads or DEFAULT_WORKLOADS)
+    names = workloads or DEFAULT_WORKLOADS
     for bench in names:
         sums = np.zeros(6)
         count = 0
@@ -95,7 +95,3 @@ def run_experiment(
         "few extra cells for fewer disturbance-vulnerable patterns [10]"
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run_experiment(length=500).render())

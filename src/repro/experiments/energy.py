@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from ..core import schemes
 from ..stats.energy import energy_report
-from .common import ExperimentResult, cell, paper_workload_names, run_cells
+from .common import Column, ExperimentResult, grid_experiment
 
 DEFAULT_WORKLOADS = ("gemsFDTD", "lbm", "mcf", "stream")
 SCHEME_LINEUP = ("DIN", "baseline", "LazyC", "LazyC+PreRead", "(1:2)")
@@ -22,39 +22,21 @@ def run_experiment(
     length: Optional[int] = None,
     workloads: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        title="Extension: WD-mitigation energy overhead (fraction of total pJ)",
-        headers=["workload"] + list(SCHEME_LINEUP),
-    )
-    sums = {name: 0.0 for name in SCHEME_LINEUP}
-    names = paper_workload_names(workloads or DEFAULT_WORKLOADS)
-    specs = [
-        cell(bench, schemes.by_name(name), length=length)
-        for bench in names
+    columns = [
+        Column(name, name, schemes.by_name(name),
+               value=lambda c: energy_report(c).wd_overhead_fraction)
         for name in SCHEME_LINEUP
     ]
-    cells = iter(run_cells(specs))
-    for bench in names:
-        row: list = [bench]
-        for name in SCHEME_LINEUP:
-            report = energy_report(next(cells).counters)
-            row.append(report.wd_overhead_fraction)
-            sums[name] += report.wd_overhead_fraction
-        result.rows.append(row)
-    means: list = ["mean"]
-    for name in SCHEME_LINEUP:
-        mean = sums[name] / len(names)
-        means.append(mean)
-        result.metrics[name] = mean
-    result.rows.append(means)
-    result.notes.append(
-        "DIN and (1:2) pay ~0 (no VnC); baseline pays verification reads "
-        "plus correction RESETs; LazyC trades corrections for cheaper ECP "
-        "entry writes; PreRead moves read energy off the critical path but "
-        "cannot remove it"
+    return grid_experiment(
+        "Extension: WD-mitigation energy overhead (fraction of total pJ)",
+        workloads or DEFAULT_WORKLOADS,
+        columns,
+        summary="mean",
+        length=length,
+        notes=[
+            "DIN and (1:2) pay ~0 (no VnC); baseline pays verification reads "
+            "plus correction RESETs; LazyC trades corrections for cheaper ECP "
+            "entry writes; PreRead moves read energy off the critical path but "
+            "cannot remove it"
+        ],
     )
-    return result
-
-
-if __name__ == "__main__":
-    print(run_experiment().render())

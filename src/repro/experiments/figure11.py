@@ -11,13 +11,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core import schemes
-from .common import (
-    ExperimentResult,
-    add_gmean_row,
-    cell,
-    paper_workload_names,
-    run_cells,
-)
+from ..traces.profiles import WORKLOAD_ORDER
+from .common import Column, ExperimentResult, grid_experiment
 
 PAPER_GMEANS = {
     "DIN": 1.45,
@@ -34,33 +29,16 @@ def run_experiment(
     length: Optional[int] = None,
     workloads: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
-    names = list(schemes.FIGURE11_SCHEMES)
-    result = ExperimentResult(
-        title="Figure 11: normalized speedup over baseline VnC (bigger is better)",
-        headers=["workload"] + names,
-    )
-    benches = paper_workload_names(workloads)
-    specs = [
-        cell(bench, factory(), length=length)
-        for bench in benches
-        for factory in schemes.FIGURE11_SCHEMES.values()
+    base = Column("baseline", "baseline", schemes.baseline())
+    columns = [
+        base if name == "baseline" else Column(name, name, factory(), over=base)
+        for name, factory in schemes.FIGURE11_SCHEMES.items()
     ]
-    cells = iter(run_cells(specs))
-    for bench in benches:
-        results = {name: next(cells) for name in names}
-        base = results["baseline"]
-        result.rows.append(
-            [bench] + [results[name].speedup_over(base) for name in names]
-        )
-    add_gmean_row(result)
-    gmeans = result.rows[-1]
-    for i, name in enumerate(names, start=1):
-        result.metrics[name] = float(gmeans[i])
-    result.notes.append(
-        "paper gmeans: " + ", ".join(f"{k}={v}" for k, v in PAPER_GMEANS.items())
+    return grid_experiment(
+        "Figure 11: normalized speedup over baseline VnC (bigger is better)",
+        workloads or WORKLOAD_ORDER,
+        columns,
+        length=length,
+        notes=["paper gmeans: "
+               + ", ".join(f"{k}={v}" for k, v in PAPER_GMEANS.items())],
     )
-    return result
-
-
-if __name__ == "__main__":
-    print(run_experiment().render())

@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core import schemes
-from .common import ExperimentResult, cell, paper_workload_names, run_cells
+from ..traces.profiles import WORKLOAD_ORDER
+from .common import Column, ExperimentResult, grid_experiment
 
 ECP_LEVELS = (0, 2, 4, 6, 8, 10)
 
@@ -22,35 +23,17 @@ def run_experiment(
     workloads: Optional[Sequence[str]] = None,
     levels: Sequence[int] = ECP_LEVELS,
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        title="Figure 12: corrections per write vs ECP entries (LazyC)",
-        headers=["workload"] + [f"ECP-{n}" for n in levels],
-    )
-    sums = [0.0] * len(levels)
-    names = paper_workload_names(workloads)
-    specs = [
-        cell(bench, schemes.lazyc(ecp_entries=n) if n else schemes.baseline(),
-             length=length)
-        for bench in names
+    columns = [
+        Column(f"ECP-{n}", f"ecp{n}",
+               schemes.lazyc(ecp_entries=n) if n else schemes.baseline(),
+               value=lambda c: c.corrections_per_write)
         for n in levels
     ]
-    cells = iter(run_cells(specs))
-    for bench in names:
-        row: list = [bench]
-        for i, _n in enumerate(levels):
-            cpw = next(cells).counters.corrections_per_write
-            row.append(cpw)
-            sums[i] += cpw
-        result.rows.append(row)
-    means: list = ["mean"]
-    for i, n in enumerate(levels):
-        mean = sums[i] / len(names)
-        means.append(mean)
-        result.metrics[f"ecp{n}"] = mean
-    result.rows.append(means)
-    result.notes.append("paper means: ECP-0 ~1.8, ECP-4 ~0.14, ECP-6+ ~0")
-    return result
-
-
-if __name__ == "__main__":
-    print(run_experiment().render())
+    return grid_experiment(
+        "Figure 12: corrections per write vs ECP entries (LazyC)",
+        workloads or WORKLOAD_ORDER,
+        columns,
+        summary="mean",
+        length=length,
+        notes=["paper means: ECP-0 ~1.8, ECP-4 ~0.14, ECP-6+ ~0"],
+    )

@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core import schemes
-from ..core.results import geometric_mean
-from .common import ExperimentResult, cell, paper_workload_names, run_cells
+from ..traces.profiles import WORKLOAD_ORDER
+from .common import Column, ExperimentResult, grid_experiment
 
 ECP_LEVELS = (0, 2, 4, 6, 8, 10)
 
@@ -21,38 +21,17 @@ def run_experiment(
     workloads: Optional[Sequence[str]] = None,
     levels: Sequence[int] = ECP_LEVELS,
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        title="Figure 13: normalized speedup vs ECP entries (LazyC over baseline)",
-        headers=["workload"] + [f"ECP-{n}" for n in levels],
+    base = Column(None, None, schemes.baseline())
+    columns = [base] + [
+        Column(f"ECP-{n}", f"ecp{n}",
+               schemes.lazyc(ecp_entries=n) if n else schemes.baseline(),
+               over=base)
+        for n in levels
+    ]
+    return grid_experiment(
+        "Figure 13: normalized speedup vs ECP entries (LazyC over baseline)",
+        workloads or WORKLOAD_ORDER,
+        columns,
+        length=length,
+        notes=["paper: ECP-6 reaches ~1.21x; more entries add little"],
     )
-    columns: dict = {n: [] for n in levels}
-    benches = paper_workload_names(workloads)
-    specs = []
-    for bench in benches:
-        specs.append(cell(bench, schemes.baseline(), length=length))
-        specs.extend(
-            cell(bench, schemes.lazyc(ecp_entries=n) if n else schemes.baseline(),
-                 length=length)
-            for n in levels
-        )
-    cells = iter(run_cells(specs))
-    for bench in benches:
-        base = next(cells)
-        row: list = [bench]
-        for n in levels:
-            speedup = next(cells).speedup_over(base)
-            row.append(speedup)
-            columns[n].append(speedup)
-        result.rows.append(row)
-    summary: list = ["gmean"]
-    for n in levels:
-        g = geometric_mean(columns[n])
-        summary.append(g)
-        result.metrics[f"ecp{n}"] = g
-    result.rows.append(summary)
-    result.notes.append("paper: ECP-6 reaches ~1.21x; more entries add little")
-    return result
-
-
-if __name__ == "__main__":
-    print(run_experiment().render())

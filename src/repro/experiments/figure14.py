@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from ..core import schemes
 from ..core.results import geometric_mean
-from .common import ExperimentResult, cell, paper_workload_names, run_cells
+from .common import Column, ExperimentResult, grid_values
 
 LIFETIME_POINTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 #: Write-intensive subset (the figure's sensitivity is write-driven).
@@ -30,26 +30,16 @@ def run_experiment(
         title="Figure 14: normalized performance across DIMM lifetime (LazyC ECP-6)",
         headers=["lifetime"] + ["gmean speedup vs fresh", "degradation %"],
     )
-    names = paper_workload_names(workloads or DEFAULT_WORKLOADS)
-    specs = [
-        cell(bench, schemes.lazyc(), length=length, lifetime_fraction=0.0)
-        for bench in names
-    ]
-    specs += [
-        cell(bench, schemes.lazyc(), length=length, lifetime_fraction=fraction)
+    fresh = Column(None, None, schemes.lazyc())
+    columns = [fresh] + [
+        Column(None, None, schemes.lazyc(), {"lifetime_fraction": fraction},
+               over=fresh)
         for fraction in points
-        for bench in names
     ]
-    cells = iter(run_cells(specs))
-    fresh = {bench: next(cells) for bench in names}
-    for fraction in points:
-        speedups = [fresh[bench].cpi / next(cells).cpi for bench in names]
-        g = geometric_mean(speedups)
+    values = grid_values(workloads or DEFAULT_WORKLOADS, columns, length)
+    gmeans = [geometric_mean(column) for column in zip(*values)][1:]
+    for fraction, g in zip(points, gmeans):
         result.rows.append([f"{fraction:.0%}", g, (1.0 - g) * 100.0])
         result.metrics[f"life{int(fraction * 100)}"] = g
     result.notes.append("paper: ~0.2% degradation near end of life")
     return result
-
-
-if __name__ == "__main__":
-    print(run_experiment().render())

@@ -8,13 +8,27 @@ beyond 8 entries; 32 entries per bank suffice to keep LazyC+PreRead within
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core import schemes
-from ..core.results import geometric_mean
-from .common import ExperimentResult, cell, paper_workload_names, run_cells
+from ..traces.profiles import WORKLOAD_ORDER
+from .common import Column, ExperimentResult, grid_experiment
 
 QUEUE_SIZES = (8, 16, 32, 64)
+
+
+def _queue_columns(size: int) -> List[Column]:
+    """Baseline, LazyC+PreRead and DIN at one write-queue size.
+
+    The DIN column reads LazyC+PreRead's CPI over DIN's (``wq{s}_vs_din``):
+    how far the scheme stays from the no-VnC bound.
+    """
+    options = {"write_queue_entries": size}
+    base = Column(None, None, schemes.baseline(), options)
+    lpr = Column(f"{size} entries", f"wq{size}", schemes.lazyc_preread(),
+                 options, over=base)
+    return [base, lpr,
+            Column(None, f"wq{size}_vs_din", schemes.din(), options, over=lpr)]
 
 
 def run_experiment(
@@ -22,41 +36,10 @@ def run_experiment(
     workloads: Optional[Sequence[str]] = None,
     sizes: Sequence[int] = QUEUE_SIZES,
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        title="Figure 15: LazyC+PreRead speedup over baseline vs write-queue size",
-        headers=["workload"] + [f"{s} entries" for s in sizes],
+    return grid_experiment(
+        "Figure 15: LazyC+PreRead speedup over baseline vs write-queue size",
+        workloads or WORKLOAD_ORDER,
+        [column for size in sizes for column in _queue_columns(size)],
+        length=length,
+        notes=["paper: 32 entries suffice; LazyC+PreRead lands within ~10% of DIN"],
     )
-    columns: dict = {s: [] for s in sizes}
-    din_gap: dict = {s: [] for s in sizes}
-    benches = paper_workload_names(workloads)
-    specs = [
-        cell(bench, factory(), length=length, write_queue_entries=s)
-        for bench in benches
-        for s in sizes
-        for factory in (schemes.baseline, schemes.lazyc_preread, schemes.din)
-    ]
-    cells = iter(run_cells(specs))
-    for bench in benches:
-        row: list = [bench]
-        for s in sizes:
-            base, res, din = next(cells), next(cells), next(cells)
-            speedup = res.speedup_over(base)
-            row.append(speedup)
-            columns[s].append(speedup)
-            din_gap[s].append(res.cpi / din.cpi)
-        result.rows.append(row)
-    summary: list = ["gmean"]
-    for s in sizes:
-        g = geometric_mean(columns[s])
-        summary.append(g)
-        result.metrics[f"wq{s}"] = g
-        result.metrics[f"wq{s}_vs_din"] = geometric_mean(din_gap[s])
-    result.rows.append(summary)
-    result.notes.append(
-        "paper: 32 entries suffice; LazyC+PreRead lands within ~10% of DIN"
-    )
-    return result
-
-
-if __name__ == "__main__":
-    print(run_experiment().render())

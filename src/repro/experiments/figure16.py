@@ -12,8 +12,8 @@ from typing import Optional, Sequence
 
 from ..alloc.strips import usable_fraction
 from ..core import schemes
-from ..core.results import geometric_mean
-from .common import ExperimentResult, cell, paper_workload_names, run_cells
+from ..traces.profiles import WORKLOAD_ORDER
+from .common import Column, ExperimentResult, grid_experiment
 
 RATIOS = ((1, 2), (2, 3), (3, 4), (7, 8))
 
@@ -23,42 +23,20 @@ def run_experiment(
     workloads: Optional[Sequence[str]] = None,
     ratios: Sequence[tuple] = RATIOS,
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        title="Figure 16: speedup over baseline for different (n:m) allocators",
-        headers=["workload"] + [f"({n}:{m})" for n, m in ratios],
+    base = Column(None, None, schemes.baseline())
+    columns = [base] + [
+        Column(f"({n}:{m})", f"{n}:{m}", schemes.nm_alloc(n, m), over=base)
+        for n, m in ratios
+    ]
+    result = grid_experiment(
+        "Figure 16: speedup over baseline for different (n:m) allocators",
+        workloads or WORKLOAD_ORDER,
+        columns,
+        length=length,
+        notes=["paper: monotone increase in speedup from (7:8) toward (1:2); "
+               "(1:2) eliminates VnC entirely"],
     )
-    columns: dict = {r: [] for r in ratios}
-    benches = paper_workload_names(workloads)
-    specs = []
-    for bench in benches:
-        specs.append(cell(bench, schemes.baseline(), length=length))
-        specs.extend(
-            cell(bench, schemes.nm_alloc(n, m), length=length) for n, m in ratios
-        )
-    cells = iter(run_cells(specs))
-    for bench in benches:
-        base = next(cells)
-        row: list = [bench]
-        for n, m in ratios:
-            speedup = next(cells).speedup_over(base)
-            row.append(speedup)
-            columns[(n, m)].append(speedup)
-        result.rows.append(row)
-    summary: list = ["gmean"]
-    for n, m in ratios:
-        g = geometric_mean(columns[(n, m)])
-        summary.append(g)
-        result.metrics[f"{n}:{m}"] = g
-    result.rows.append(summary)
-    capacity: list = ["usable capacity"]
-    capacity += [usable_fraction(n, m) for n, m in ratios]
-    result.rows.append(capacity)
-    result.notes.append(
-        "paper: monotone increase in speedup from (7:8) toward (1:2); "
-        "(1:2) eliminates VnC entirely"
+    result.rows.append(
+        ["usable capacity"] + [usable_fraction(n, m) for n, m in ratios]
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run_experiment().render())

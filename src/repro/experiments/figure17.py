@@ -7,36 +7,45 @@ Correction writes are the only extra data-chip wear LazyCorrection leaves
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..core import schemes
-from ..stats.lifetime import lifetime_report
-from .common import ExperimentResult, cell, paper_workload_names, run_cells
+from ..stats.counters import Counters
+from ..traces.profiles import WORKLOAD_ORDER
+from .common import ExperimentResult, cell, mean, run_cells
+
+
+def lifetime_experiment(
+    title: str,
+    lifetime: Callable[[Counters], float],
+    length: Optional[int] = None,
+    workloads: Optional[Sequence[str]] = None,
+) -> ExperimentResult:
+    """Each bench's normalised chip ``lifetime`` under LazyC+PreRead, and the
+    mean degradation (Figures 17 and 18)."""
+    benches = workloads or WORKLOAD_ORDER
+    specs = [cell(bench, schemes.lazyc_preread(), length=length) for bench in benches]
+    lifetimes = [lifetime(res.counters) for res in run_cells(specs)]
+    degradation = mean([1.0 - value for value in lifetimes])
+    return ExperimentResult(
+        title=title,
+        headers=["workload", "normalized lifetime", "degradation %"],
+        rows=[[bench, value, (1.0 - value) * 100.0]
+              for bench, value in zip(benches, lifetimes)]
+        + [["mean", 1.0 - degradation, degradation * 100.0]],
+        metrics={"mean_degradation": degradation},
+    )
 
 
 def run_experiment(
     length: Optional[int] = None,
     workloads: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        title="Figure 17: normalized data-chip lifetime (LazyC+PreRead)",
-        headers=["workload", "normalized lifetime", "degradation %"],
+    result = lifetime_experiment(
+        "Figure 17: normalized data-chip lifetime (LazyC+PreRead)",
+        lambda counters: counters.data_chip_lifetime,
+        length,
+        workloads,
     )
-    degradations = []
-    benches = paper_workload_names(workloads)
-    specs = [cell(bench, schemes.lazyc_preread(), length=length) for bench in benches]
-    for bench, res in zip(benches, run_cells(specs)):
-        report = lifetime_report(bench, res.counters)
-        result.rows.append(
-            [bench, report.data_chip, report.data_degradation * 100.0]
-        )
-        degradations.append(report.data_degradation)
-    mean = sum(degradations) / len(degradations)
-    result.metrics["mean_degradation"] = mean
-    result.rows.append(["mean", 1.0 - mean, mean * 100.0])
     result.notes.append("paper: ~0.04% average data-chip lifetime degradation")
     return result
-
-
-if __name__ == "__main__":
-    print(run_experiment().render())

@@ -11,29 +11,26 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..core import schemes
-from ..stats.lifetime import INTRA_ROW_WL_LOSS, lifetime_report
-from .common import ExperimentResult, cell, paper_workload_names, run_cells
+from .common import ExperimentResult
+from .figure17 import lifetime_experiment
+
+#: Intra-row wear-levelling across data and ECP chips improves DIMM
+#: lifetime by ~12.5% [28]; SD-PCM's low-density ECP chip cannot join that
+#: rotation (Section 6.7), which is the design's one lifetime concession.
+INTRA_ROW_WL_LOSS = 0.125
 
 
 def run_experiment(
     length: Optional[int] = None,
     workloads: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        title="Figure 18: normalized ECP-chip lifetime (LazyC+PreRead)",
-        headers=["workload", "normalized lifetime", "degradation %"],
+    result = lifetime_experiment(
+        "Figure 18: normalized ECP-chip lifetime (LazyC+PreRead)",
+        lambda counters: counters.ecp_chip_lifetime,
+        length,
+        workloads,
     )
-    degradations = []
-    benches = paper_workload_names(workloads)
-    specs = [cell(bench, schemes.lazyc_preread(), length=length) for bench in benches]
-    for bench, res in zip(benches, run_cells(specs)):
-        report = lifetime_report(bench, res.counters)
-        result.rows.append([bench, report.ecp_chip, report.ecp_degradation * 100.0])
-        degradations.append(report.ecp_degradation)
-    mean = sum(degradations) / len(degradations)
-    result.metrics["mean_degradation"] = mean
-    result.rows.append(["mean", 1.0 - mean, mean * 100.0])
+    mean = result.metrics["mean_degradation"]
     effective = 10.0 * (1.0 - mean)
     result.metrics["effective_headroom_vs_data_chip"] = effective
     result.notes.append(
@@ -50,6 +47,3 @@ def run_experiment(
     )
     return result
 
-
-if __name__ == "__main__":
-    print(run_experiment().render())

@@ -11,13 +11,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core import schemes
-from .common import (
-    ExperimentResult,
-    add_gmean_row,
-    cell,
-    paper_workload_names,
-    run_cells,
-)
+from ..traces.profiles import WORKLOAD_ORDER
+from .common import Column, ExperimentResult, grid_experiment
 
 SCHEMES = ("VnC", "eager", "WC", "LazyC", "WC+LazyC")
 
@@ -26,36 +21,21 @@ def run_experiment(
     length: Optional[int] = None,
     workloads: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        title="Figure 19: write cancellation x LazyC (speedup over baseline VnC)",
-        headers=["workload"] + list(SCHEMES),
-    )
-    benches = paper_workload_names(workloads)
-    specs = [
-        cell(bench, schemes.by_name(name), length=length)
-        for bench in benches
-        for name in SCHEMES
+    base = Column("VnC", "VnC", schemes.by_name("VnC"))
+    columns = [base] + [
+        Column(name, name, schemes.by_name(name), over=base)
+        for name in SCHEMES[1:]
     ]
-    cells = iter(run_cells(specs))
-    for bench in benches:
-        results = {name: next(cells) for name in SCHEMES}
-        base = results["VnC"]
-        result.rows.append(
-            [bench] + [results[name].speedup_over(base) for name in SCHEMES]
-        )
-    add_gmean_row(result)
-    gmeans = result.rows[-1]
-    for i, name in enumerate(SCHEMES, start=1):
-        result.metrics[name] = float(gmeans[i])
-    result.notes.append("paper gmeans: WC ~1.05-1.1, LazyC ~1.21, WC+LazyC ~1.31")
-    result.notes.append(
-        "the extra 'eager' column isolates scheduling from pre-emption: in "
-        "our controller WC implies eager write issue (as in [22]), which by "
-        "itself already beats the paper's bursty-drain baseline; compare WC "
-        "against 'eager' for the cancellation effect the paper reports"
+    return grid_experiment(
+        "Figure 19: write cancellation x LazyC (speedup over baseline VnC)",
+        workloads or WORKLOAD_ORDER,
+        columns,
+        length=length,
+        notes=[
+            "paper gmeans: WC ~1.05-1.1, LazyC ~1.21, WC+LazyC ~1.31",
+            "the extra 'eager' column isolates scheduling from pre-emption: in "
+            "our controller WC implies eager write issue (as in [22]), which by "
+            "itself already beats the paper's bursty-drain baseline; compare WC "
+            "against 'eager' for the cancellation effect the paper reports",
+        ],
     )
-    return result
-
-
-if __name__ == "__main__":
-    print(run_experiment().render())

@@ -12,12 +12,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core import schemes
-from .common import (
-    ExperimentResult,
-    cell,
-    paper_workload_names,
-    run_cells,
-)
+from ..traces.profiles import WORKLOAD_ORDER
+from .common import ExperimentResult, cell, run_cells
 
 
 def run_experiment(
@@ -35,7 +31,7 @@ def run_experiment(
         ],
     )
     adj_avgs, wl_avgs = [], []
-    benches = paper_workload_names(workloads)
+    benches = workloads or WORKLOAD_ORDER
     specs = [cell(bench, schemes.baseline(), length=length) for bench in benches]
     for bench, res in zip(benches, run_cells(specs)):
         c = res.counters
@@ -60,7 +56,3 @@ def run_experiment(
         "adjacent 64B line"
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run_experiment().render())

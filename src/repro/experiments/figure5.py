@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 from ..config import LINE_BITS, SchemeConfig
 from ..core import schemes
 from ..core.results import geometric_mean
-from .common import ExperimentResult, cell, paper_workload_names, run_cells
+from ..traces.profiles import WORKLOAD_ORDER
+from .common import ExperimentResult, cell, run_cells
 
 
 def unprotected() -> SchemeConfig:
@@ -41,7 +42,7 @@ def run_experiment(
         headers=["workload", "verification", "correction", "VnC total"],
     )
     verif_bars, corr_bars, total_bars = [], [], []
-    benches = paper_workload_names(workloads)
+    benches = workloads or WORKLOAD_ORDER
     specs = [
         cell(bench, factory(), length=length)
         for bench in benches
@@ -70,7 +71,3 @@ def run_experiment(
     result.metrics["total_overhead"] = geometric_mean(total_bars) - 1.0
     result.notes.append("paper: verification ~19%, correction ~28%, total ~47%")
     return result
-
-
-if __name__ == "__main__":
-    print(run_experiment().render())

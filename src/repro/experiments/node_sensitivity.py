@@ -13,21 +13,17 @@ rather than with per-write verification (constant).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..config import DisturbanceConfig
 from ..core import schemes
 from ..core.results import geometric_mean
 from ..pcm.scaling import ScalingModel
-from .common import (
-    ExperimentResult,
-    cell,
-    paper_workload_names,
-    run_cells,
-)
+from .common import Column, ExperimentResult, grid_values
 
 NODES_NM = (30.0, 20.0, 16.0)
 DEFAULT_WORKLOADS = ("gemsFDTD", "lbm", "mcf", "stream")
+LINEUP = ("DIN", "LazyC", "LazyC+PreRead")
 
 
 def _disturbance_for_node(node_nm: float) -> DisturbanceConfig:
@@ -41,6 +37,16 @@ def _disturbance_for_node(node_nm: float) -> DisturbanceConfig:
     )
 
 
+def _node_columns(disturbance: DisturbanceConfig) -> List[Column]:
+    """Baseline VnC and the line-up at one node's disturbance rates."""
+    options = {"disturbance": disturbance}
+    base = Column(None, None, schemes.baseline(), options)
+    return [base] + [
+        Column(None, None, schemes.by_name(name), options, over=base)
+        for name in LINEUP
+    ]
+
+
 def run_experiment(
     length: Optional[int] = None,
     workloads: Optional[Sequence[str]] = None,
@@ -49,45 +55,23 @@ def run_experiment(
     result = ExperimentResult(
         title="Extension: scheme speedups vs technology node "
         "(normalized to baseline VnC at each node)",
-        headers=["node"]
-        + ["p_bitline", "DIN", "LazyC", "LazyC+PreRead"],
+        headers=["node", "p_bitline", *LINEUP],
     )
-    scheme_names = ("DIN", "baseline", "LazyC", "LazyC+PreRead")
-    benches = paper_workload_names(workloads or DEFAULT_WORKLOADS)
-    for node in nodes:
-        disturbance = _disturbance_for_node(node)
-        specs = [
-            cell(bench, schemes.by_name(name), length=length,
-                 disturbance=disturbance)
-            for name in scheme_names
-            for bench in benches
-        ]
-        cells = iter(run_cells(specs))
-        runs = {name: [next(cells) for _ in benches] for name in scheme_names}
-        speedups = {}
-        base = runs["baseline"]
-        for name in ("DIN", "LazyC", "LazyC+PreRead"):
-            speedups[name] = geometric_mean(
-                [r.speedup_over(b) for r, b in zip(runs[name], base)]
-            )
+    disturbances = [_disturbance_for_node(node) for node in nodes]
+    groups = [_node_columns(disturbance) for disturbance in disturbances]
+    columns = [column for group in groups for column in group]
+    values = grid_values(workloads or DEFAULT_WORKLOADS, columns, length)
+    gmeans = dict(zip(columns, map(geometric_mean, zip(*values))))
+    for node, disturbance, (_base, *lineup) in zip(nodes, disturbances, groups):
+        din, lazyc, lazyc_preread = (gmeans[column] for column in lineup)
         result.rows.append(
-            [
-                f"{node:g} nm",
-                disturbance.p_bitline,
-                speedups["DIN"],
-                speedups["LazyC"],
-                speedups["LazyC+PreRead"],
-            ]
+            [f"{node:g} nm", disturbance.p_bitline, din, lazyc, lazyc_preread]
         )
-        result.metrics[f"din_{int(node)}"] = speedups["DIN"]
-        result.metrics[f"lazyc_{int(node)}"] = speedups["LazyC"]
+        result.metrics[f"din_{int(node)}"] = din
+        result.metrics[f"lazyc_{int(node)}"] = lazyc
         result.metrics[f"p_bl_{int(node)}"] = disturbance.p_bitline
     result.notes.append(
         "disturbance probabilities derived from the calibrated node-scaling "
         "model; 20 nm reproduces Table 1 exactly"
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run_experiment().render())

@@ -35,7 +35,3 @@ def run_experiment() -> ExperimentResult:
     result.rows.append(["ECP chip WD-free", int(geom.wd_free), 1])
     result.metrics["preread_bytes"] = float(cost.total_bytes)
     return result
-
-
-if __name__ == "__main__":
-    print(run_experiment().render())

@@ -148,7 +148,3 @@ def run_experiment(
         "conclusion-level property (details in EXPERIMENTS.md)"
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run_experiment().render())

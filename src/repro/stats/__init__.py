@@ -2,13 +2,10 @@
 
 from .counters import Counters
 from .energy import EnergyModel, EnergyReport, energy_report
-from .lifetime import LifetimeReport, lifetime_report
 
 __all__ = [
     "Counters",
     "EnergyModel",
     "EnergyReport",
     "energy_report",
-    "LifetimeReport",
-    "lifetime_report",
 ]

@@ -119,7 +119,12 @@ class Counters:
 
     @property
     def data_chip_lifetime(self) -> float:
-        """Figure 17's normalised data-chip lifetime."""
+        """Figure 17's normalised data-chip lifetime.
+
+        Endurance is consumed linearly in cell writes, so extra wear
+        shortens life to ``base / (base + extra)``: here demand-write cell
+        changes over those plus correction RESETs.  1.0 without wear.
+        """
         demand = self.data_cell_writes_demand
         total = demand + self.data_cell_writes_correction
         return 1.0 if total == 0 or demand == 0 else demand / total
@@ -138,7 +143,8 @@ class Counters:
 
     @property
     def ecp_chip_lifetime(self) -> float:
-        """Figure 18's normalised ECP-chip lifetime."""
+        """Figure 18's normalised ECP-chip lifetime: the scaled background
+        wear over it plus WD entry programming (see ``data_chip_lifetime``)."""
         base = self.ecp_cell_writes_background / self.ECP_BACKGROUND_DIVISOR
         total = base + self.ecp_cell_writes_wd
         return 1.0 if total == 0 or base == 0 else base / total

@@ -5,18 +5,21 @@ from __future__ import annotations
 import pytest
 
 from repro.core import schemes
+from repro.core.results import SimulationResult
 from repro.core.system import SDPCMSystem
 from repro.errors import ConfigError
+from repro.experiments import figure16
 from repro.experiments.common import (
+    Column,
     ExperimentResult,
-    add_gmean_row,
     cell,
     core_count,
-    paper_workload_names,
+    grid_experiment,
     trace_length,
 )
+from repro.perf import engine
+from repro.stats.counters import Counters
 from repro.traces import shm
-from repro.traces.profiles import WORKLOAD_ORDER
 from tests.conftest import small_config
 
 
@@ -54,26 +57,98 @@ class TestWorkloadCache:
             assert shm.workload_for("wrf", **other) is not a
         assert shm.workload_for("mcf", length=50, cores=1, seed=9) is not a
 
-    def test_paper_workload_names(self):
-        assert paper_workload_names() == WORKLOAD_ORDER
-        assert paper_workload_names(("mcf",)) == ["mcf"]
-
 
 class TestExperimentResult:
-    def test_gmean_row_skips_text_cells(self):
-        result = ExperimentResult("t", ["w", "x"], rows=[["a", 2.0], ["b", 8.0]])
-        add_gmean_row(result)
-        assert result.rows[-1][0] == "gmean"
-        assert result.rows[-1][1] == pytest.approx(4.0)
-
-    def test_gmean_row_on_empty(self):
-        result = ExperimentResult("t", ["w", "x"])
-        add_gmean_row(result)
-        assert result.rows == []
-
     def test_render_includes_notes(self):
         result = ExperimentResult("t", ["a"], rows=[["x"]], notes=["hello"])
         assert "note: hello" in result.render()
+
+
+#: Stub CPIs: bench -> factor, scheme -> CPI at factor 1.
+BENCH_FACTOR = {"mcf": 1.0, "lbm": 4.0}
+SCHEME_CPI = {schemes.baseline(): 2.0, schemes.lazyc(): 1.0, schemes.din(): 0.5}
+
+
+class StubRunner:
+    """Answers every cell without simulating: CPI from the bench and the
+    scheme, and ``corrections`` per demand write equal to the CPI."""
+
+    def __init__(self):
+        self.calls = []
+
+    def run_cells(self, specs):
+        self.calls.append(list(specs))
+        return [self._result(spec) for spec in specs]
+
+    @staticmethod
+    def _result(spec):
+        cpi = BENCH_FACTOR.get(spec.bench, 1.0) * SCHEME_CPI.get(
+            spec.config.scheme, 2.0
+        )
+        return SimulationResult(
+            workload=spec.bench, scheme="stub", cycles=0, instructions=1,
+            per_core_cpi=[cpi],
+            counters=Counters(demand_writes=10, corrections=int(cpi * 10)),
+            read_stall_cycles=0, wq_stall_cycles=0,
+        )
+
+
+@pytest.fixture
+def stub():
+    runner = StubRunner()
+    with engine.use_runner(runner):
+        yield runner
+
+
+class TestGrid:
+    def test_speedups_gmean_and_metric_order(self, stub):
+        base = Column("base", "base", schemes.baseline())
+        din = Column("DIN", "din", schemes.din(), over=base)
+        columns = [
+            din,
+            Column(None, "lazyc", schemes.lazyc(), over=base),
+            base,
+            Column(None, None, schemes.din(), over=din),
+        ]
+        result = grid_experiment("t", ["mcf", "lbm"], columns, length=5)
+        assert result.headers == ["workload", "DIN", "base"]
+        assert result.rows == [["mcf", 4.0, 1.0], ["lbm", 4.0, 1.0],
+                               ["gmean", 4.0, 1.0]]
+        assert list(result.metrics) == ["din", "lazyc", "base"]
+        assert result.metrics["lazyc"] == 2.0
+        assert len(stub.calls) == 1
+        # Two columns running the same scheme stay two cells per bench.
+        assert len(stub.calls[0]) == 2 * len(columns)
+        assert {spec.length for spec in stub.calls[0]} == {5}
+
+    def test_counter_columns_take_the_mean(self, stub):
+        columns = [
+            Column(name, name, scheme, value=lambda c: c.corrections_per_write)
+            for name, scheme in (("base", schemes.baseline()),
+                                 ("lazyc", schemes.lazyc()))
+        ]
+        result = grid_experiment("t", ["mcf", "lbm"], columns, summary="mean",
+                                 notes=["n"])
+        assert result.rows[-1] == ["mean", 5.0, 2.5]
+        assert result.metrics == {"base": 5.0, "lazyc": 2.5}
+        assert result.notes == ["n"]
+        assert len(stub.calls) == 1
+
+    def test_cell_options_reach_the_spec(self, stub):
+        column = Column("q", None, schemes.baseline(), {"write_queue_entries": 16})
+        grid_experiment("t", ["mcf"], [column])
+        (spec,) = stub.calls[0]
+        assert spec.config.memory.write_queue_entries == 16
+
+    def test_trailing_row_follows_the_summary(self, stub):
+        result = figure16.run_experiment(workloads=("mcf", "lbm"),
+                                         ratios=((1, 2), (7, 8)))
+        assert [row[0] for row in result.rows] == [
+            "mcf", "lbm", "gmean", "usable capacity"
+        ]
+        assert result.rows[-1][1:] == [0.5, 0.875]
+        assert list(result.metrics) == ["1:2", "7:8"]
+        assert len(stub.calls) == 1 and len(stub.calls[0]) == 2 * 3
 
 
 class TestSchemeLabels:

@@ -10,7 +10,7 @@ from repro.config import LINE_BITS
 from repro.core.vnc import NOVEL_ENTRY_BITS
 from repro.ecp.chip import ECPChip, ECPChipGeometry
 from repro.ecp.line_ecp import ECPLine
-from repro.ecp.wear import WearModel, relative_lifetime
+from repro.ecp.wear import WearModel
 from repro.errors import ECPExhaustedError, ConfigError
 from repro.pcm import line as L
 
@@ -241,13 +241,6 @@ class TestChipAndWear:
         rng = np.random.default_rng(0)
         samples = model.sample_line_hard_errors(1.0, rng, size=1000)
         assert samples.mean() == pytest.approx(2.0, rel=0.15)
-
-    def test_relative_lifetime(self):
-        assert relative_lifetime(100, 100) == 1.0
-        assert relative_lifetime(100, 200) == 0.5
-        assert relative_lifetime(0, 50) == 1.0
-        with pytest.raises(ConfigError):
-            relative_lifetime(-1, 0)
 
     def test_bad_lifetime_fraction(self):
         with pytest.raises(ConfigError):

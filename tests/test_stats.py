@@ -10,7 +10,6 @@ from repro.core.vnc import VnCExecutor
 from repro.ecp.chip import ECPChip
 from repro.pcm.array import PCMArray
 from repro.stats.counters import Counters
-from repro.stats.lifetime import lifetime_report
 from repro.stats.report import format_table
 
 
@@ -66,23 +65,32 @@ class TestCounters:
         c.ecp_cell_writes_wd = 10
         assert c.ecp_chip_lifetime == pytest.approx(100 / 110)
 
-
-class TestLifetimeReport:
-    def test_report(self):
+    def test_both_chip_lifetimes(self):
         c = Counters()
         c.data_cell_writes_demand = 1000
         c.data_cell_writes_correction = 1
         c.ecp_cell_writes_background = 1000
         c.ecp_cell_writes_wd = 8
-        report = lifetime_report("mcf", c)
-        assert report.workload == "mcf"
-        assert 0.99 < report.data_chip <= 1.0
-        assert report.ecp_chip == pytest.approx(100 / 108)
-        assert report.ecp_degradation == pytest.approx(8 / 108)
+        assert 0.99 < c.data_chip_lifetime <= 1.0
+        assert c.ecp_chip_lifetime == pytest.approx(100 / 108)
+        assert 1.0 - c.ecp_chip_lifetime == pytest.approx(8 / 108)
 
     def test_no_traffic_is_unit_lifetime(self):
-        report = lifetime_report("idle", Counters())
-        assert report.data_chip == 1.0 and report.ecp_chip == 1.0
+        c = Counters()
+        assert c.data_chip_lifetime == 1.0 and c.ecp_chip_lifetime == 1.0
+
+    def test_lifetime_is_base_over_base_plus_extra(self):
+        # The ratio is exact, and 1.0 with no extra wear or no base wear.
+        def data(demand, correction):
+            return Counters(data_cell_writes_demand=demand,
+                            data_cell_writes_correction=correction)
+
+        assert data(100, 0).data_chip_lifetime == 1.0
+        assert data(100, 100).data_chip_lifetime == 0.5
+        assert data(0, 50).data_chip_lifetime == 1.0
+        ecp = Counters(ecp_cell_writes_background=1000, ecp_cell_writes_wd=100)
+        assert ecp.ecp_chip_lifetime == 0.5
+        assert Counters(ecp_cell_writes_wd=50).ecp_chip_lifetime == 1.0
 
 
 class TestReport:

@@ -14,7 +14,6 @@ from repro.core import schemes
 from repro.core.engine import EventLoop
 from repro.core.system import SDPCMSystem
 from repro.errors import TraceError
-from repro.experiments.common import paper_workload_names
 from repro.traces import file_io
 from repro.traces.profiles import PROFILES, WORKLOAD_ORDER, profile
 from repro.traces.record import TraceArray, check_trace
@@ -156,9 +155,7 @@ class TestWorkload:
         assert wl.flip_fractions[0] != wl.flip_fractions[1]
 
     def test_paper_workloads_complete(self):
-        names = paper_workload_names()
-        assert names == WORKLOAD_ORDER
-        for name in names:
+        for name in WORKLOAD_ORDER:
             assert homogeneous_workload(name, cores=1, length=10).name == name
 
     def test_empty_mix_rejected(self):
