@@ -5,7 +5,8 @@ and splits larger blocks on demand.  A simulated process never frees a
 page, so blocks are never returned and never coalesce (the free path is
 listed as not modelled in ``docs/PAPER_MAP.md``).  This is the
 Free-(1:1) backing store; :mod:`repro.alloc.nm_alloc` layers the
-per-(n:m) free-block-list arrays on top of it.
+per-(n:m) free-block-list arrays on top of it, pulling whole 64 MB
+blocks.
 """
 
 from __future__ import annotations

@@ -19,9 +19,14 @@ TAG_BITS = 4
 MAX_ALLOCATORS = 1 << TAG_BITS
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PageTableEntry:
-    """One PTE: the frame plus the (n:m) allocator tag."""
+    """One PTE: the frame plus the (n:m) allocator tag.
+
+    Slotted, not frozen: a fault builds one, and a frozen dataclass's
+    ``__init__`` costs two ``object.__setattr__`` calls.  Nothing
+    rewrites an entry (page tables never remap).
+    """
 
     frame: int
     nm_tag: Tuple[int, int]
@@ -53,8 +58,8 @@ class PageTable:
         entry = self._entries.get(vpage)
         if entry is None:
             self.faults += 1
-            frame = self._frame_source(*self.nm_tag)
-            entry = PageTableEntry(frame=frame, nm_tag=self.nm_tag)
-            self._entries[vpage] = entry
+            entry = self._entries[vpage] = PageTableEntry(
+                self._frame_source(*self.nm_tag), self.nm_tag
+            )
         return entry
 

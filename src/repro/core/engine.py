@@ -43,6 +43,10 @@ class EventLoop:
     Hot paths skip :meth:`schedule` and push ``(time, loop.seq, fn,
     args)`` onto ``heap`` themselves, bumping ``seq``; they must pass a
     ``time`` no earlier than ``now`` (``schedule`` clamps, they do not).
+    They are the engine's ``_advance`` and ``_read_done`` (the next
+    reference's issue) and a write's successful ``_issue``; and the
+    controller's demand reads: ``enqueue_read`` (a forwarded read, or a
+    read that finds its bank idle) and ``_start_read``.
     """
 
     def __init__(self) -> None:
@@ -161,7 +165,7 @@ class Engine:
         loop = self.loop
         seq = loop.seq
         loop.seq = seq + 1
-        _heappush(loop.heap, (now + core.delay[pos], seq, self._issue, (core, pos)))
+        _heappush(loop.heap, (now + core.delay[pos], seq, self._on_issue, (core, pos)))
 
     def _issue(self, core: CoreState, pos: int, now: int) -> None:
         page = core.page[pos]
@@ -181,7 +185,7 @@ class Engine:
                 loop = self.loop
                 seq = loop.seq
                 loop.seq = seq + 1
-                _heappush(loop.heap, (now + 1, seq, self._advance, (core,)))
+                _heappush(loop.heap, (now + 1, seq, self._on_advance, (core,)))
             else:
                 stall_from = now
                 def retry(t: int) -> None:
@@ -189,7 +193,7 @@ class Engine:
                     self._issue(core, pos, t)
                 self.controller.wait_for_space(bank, retry)
         else:
-            self.controller.enqueue_read(addr, self._read_done, core, now)
+            self.controller.enqueue_read(addr, self._on_read_done, core, now)
 
     def _read_done(self, core: CoreState, issued: int, now: int) -> None:
         """A read returned: charge the stall and advance (``_advance``
@@ -204,22 +208,33 @@ class Engine:
         loop = self.loop
         seq = loop.seq
         loop.seq = seq + 1
-        _heappush(loop.heap, (now + core.delay[pos], seq, self._issue, (core, pos)))
+        _heappush(loop.heap, (now + core.delay[pos], seq, self._on_issue, (core, pos)))
 
     # -- top level ------------------------------------------------------------------
 
     def run(self) -> None:
-        """Replay every core's trace to completion, then flush the queues."""
-        for core in self.cores:
-            self.loop.schedule(0, self._advance, core)
-        self.loop.run()
-        unfinished = [c.index for c in self.cores if not c.done]
-        if unfinished:
-            raise SimulationError(f"cores {unfinished} deadlocked")
-        # Drain any writes still buffered (their effects belong in the
-        # statistics even though no core waits on them).
-        while self.controller.quiesce():
+        """Replay every core's trace to completion, then flush the queues.
+
+        The three callbacks every reference's events carry are bound once
+        here, not once per event; each holds the engine, so the
+        ``finally`` drops them to leave no engine <-> method cycle behind.
+        """
+        self._on_issue = self._issue
+        self._on_advance = self._advance
+        self._on_read_done = self._read_done
+        try:
+            for core in self.cores:
+                self.loop.schedule(0, self._on_advance, core)
             self.loop.run()
+            unfinished = [c.index for c in self.cores if not c.done]
+            if unfinished:
+                raise SimulationError(f"cores {unfinished} deadlocked")
+            # Drain any writes still buffered (their effects belong in the
+            # statistics even though no core waits on them).
+            while self.controller.quiesce():
+                self.loop.run()
+        finally:
+            del self._on_issue, self._on_advance, self._on_read_done
 
     @property
     def total_instructions(self) -> int:

@@ -17,6 +17,7 @@ that live in :mod:`repro.alloc.strips` — this module only maps addresses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..config import PAGES_PER_STRIP, PAGE_BYTES
 from ..errors import DeviceError
@@ -38,13 +39,16 @@ class AddressMapper:
         if self.rows_per_bank <= 0:
             raise DeviceError("rows_per_bank must be positive")
 
-    @property
+    @cached_property
     def total_frames(self) -> int:
+        # Computed on first use, then a plain instance attribute: the
+        # engine range-checks every page's first touch against it.
         return self.banks * self.rows_per_bank
 
     def frame_to_bank_row(self, frame: int) -> tuple[int, int]:
         """Device (bank, row) of a physical page frame."""
         if not 0 <= frame < self.total_frames:
             raise DeviceError(f"frame {frame} out of range")
-        return frame % self.banks, frame // self.banks
+        row, bank = divmod(frame, self.banks)
+        return bank, row
 

@@ -62,7 +62,9 @@ class BankState:
       owe PreRead work, so :meth:`next_preread_target` stops rescanning
       the whole queue on every scheduler kick.  Entries are invalidated
       lazily (``in_write_q``/pending-slot checks) when they reach the
-      cursor head.
+      cursor head.  Only a PreRead scheme reads it, so a bank built with
+      ``prereads=False`` keeps it empty (it would otherwise hold every
+      write of the run).
 
     Mutate the queue only through :meth:`wq_append`, :meth:`wq_appendleft`
     and :meth:`wq_popleft`; they keep all three structures consistent.
@@ -70,6 +72,8 @@ class BankState:
 
     index: int
     wq_capacity: int
+    #: Whether PreRead runs: only then does the cursor track entries.
+    prereads: bool = True
     #: Pending demand reads: (on_done, leading args for on_done).
     read_q: Deque[Tuple[Callable[..., None], tuple]] = field(
         default_factory=deque
@@ -101,7 +105,7 @@ class BankState:
         self.write_q.append(entry)
         entry.in_write_q = True
         self.wq_index.setdefault(entry.addr, []).append(entry)
-        if entry.pending_preread() is not None:
+        if self.prereads and entry.pending_preread() is not None:
             self._cursor_add(entry, front=False)
 
     def wq_appendleft(self, entry: WriteEntry) -> None:
@@ -109,7 +113,7 @@ class BankState:
         self.write_q.appendleft(entry)
         entry.in_write_q = True
         self.wq_index.setdefault(entry.addr, []).insert(0, entry)
-        if entry.pending_preread() is not None:
+        if self.prereads and entry.pending_preread() is not None:
             self._cursor_add(entry, front=True)
 
     def wq_popleft(self) -> WriteEntry:

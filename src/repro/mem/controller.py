@@ -51,8 +51,10 @@ WC_THRESHOLD = 0.25
 class Scheduler(Protocol):
     """The event loop interface the controller schedules completions on.
 
-    Read events skip ``schedule``: they push ``(time, seq, fn, args)``
-    onto ``heap`` and bump ``seq`` (see :class:`repro.core.engine.EventLoop`).
+    Read events skip ``schedule``: :meth:`MemoryController.enqueue_read`
+    (a forwarded read, or a read that finds its bank idle) and
+    ``_start_read`` push ``(time, seq, fn, args)`` onto ``heap`` and bump
+    ``seq`` (see :class:`repro.core.engine.EventLoop`).
     """
 
     now: int
@@ -121,7 +123,7 @@ class MemoryController:
         self.executor = executor
         self.counters = counters
         self.banks = [
-            BankState(index=i, wq_capacity=memory.write_queue_entries)
+            BankState(i, memory.write_queue_entries, scheme.preread)
             for i in range(memory.banks)
         ]
         #: Bursty drains run until the queue falls to this low-water mark,
@@ -130,8 +132,11 @@ class MemoryController:
         #: Scheme flags resolved once (the scheme is frozen).  A demand
         #: read can pre-empt a write only under cancellation or pausing,
         #: and either policy also schedules writes eagerly.
-        self._preempt = scheme.write_cancellation or scheme.write_pausing
-        self._eager = self._preempt or scheme.eager_writes
+        self._cancel_for_read = scheme.write_cancellation
+        self._pause_for_read = scheme.write_pausing
+        self._eager = (
+            self._cancel_for_read or self._pause_for_read or scheme.eager_writes
+        )
         self._preread = scheme.preread
         self._read_cycles = timing.read_cycles
         #: Per bank, the one READ op every demand read holds the bank with
@@ -151,6 +156,13 @@ class MemoryController:
         A read carries no request object: the leading arguments let
         callers pass a bound method plus its context, and the read queue
         holds ``(on_done, done_args)`` until the bank serves it.
+
+        Two cases push their event here, with no further call: a read
+        forwarded from the write queue completes ``FORWARD_READ_CYCLES``
+        later, and a read that finds its bank idle (no op, not draining,
+        no read queued) holds the bank's READ op at once, the event
+        ``_kick`` would push through ``_start_read``.  Any other read
+        joins the bank's FIFO read queue.
         """
         bank = self.banks[addr[0]]
         counters = self.counters
@@ -166,9 +178,23 @@ class MemoryController:
                 (loop.now + FORWARD_READ_CYCLES, seq, on_done, done_args),
             )
             return
+        if bank.current is None and not bank.draining and not bank.read_q:
+            # An idle bank serves a demand read first (see ``_kick``).
+            bank.current = self._read_ops[bank.index]
+            latency = self._read_cycles
+            counters.total_read_busy_cycles += latency
+            loop = self.scheduler
+            seq = loop.seq
+            loop.seq = seq + 1
+            heappush(loop.heap, (
+                loop.now + latency, seq, self._finish_read,
+                (bank, on_done, done_args),
+            ))
+            return
         bank.read_q.append((on_done, done_args))
-        if self._preempt:
+        if self._cancel_for_read:
             self._maybe_cancel_for_read(bank)
+        if self._pause_for_read:
             self._maybe_pause_for_read(bank)
         self._kick(bank)
 
@@ -234,8 +260,6 @@ class MemoryController:
         (``VnCExecutor._cancel`` applies it in proportion to progress), and
         the retry disturbs again.
         """
-        if not self.scheme.write_cancellation:
-            return
         op = bank.current
         if op is None or bank.draining:
             return
@@ -262,8 +286,6 @@ class MemoryController:
     def _maybe_pause_for_read(self, bank: BankState) -> None:
         """Write-pausing policy [22]: stop an in-flight write at a round
         boundary, serve the read, resume later with no lost work."""
-        if not self.scheme.write_pausing:
-            return
         op = bank.current
         if op is None or bank.draining or op.kind is not _WRITE:
             return
@@ -290,7 +312,8 @@ class MemoryController:
 
         Priority: a draining bank writes (or idles once its queue is
         empty); otherwise demand reads go first, then eager writes, then
-        PreRead.
+        PreRead, tried only while a queued write still owes one (the
+        bank's ``preread_cursor`` holds an entry).
         """
         if bank.current is not None:
             return
@@ -303,7 +326,7 @@ class MemoryController:
             # Eager write scheduling: reads can still pre-empt via
             # cancellation or pausing, so writes need not wait for drains.
             self._start_write(bank, self.scheduler.now)
-        elif self._preread:
+        elif self._preread and bank.preread_cursor:
             self._start_preread(bank, self.scheduler.now)
 
     def _start_write(self, bank: BankState, now: int) -> None:
@@ -328,18 +351,24 @@ class MemoryController:
         bank.current = self._read_ops[bank.index]
         latency = self._read_cycles
         self.counters.total_read_busy_cycles += latency
+        on_done, done_args = bank.read_q.popleft()
         loop = self.scheduler
         seq = loop.seq
         loop.seq = seq + 1
         heappush(loop.heap, (
-            now + latency, seq, self._finish_read, (bank, bank.read_q.popleft())
+            now + latency, seq, self._finish_read, (bank, on_done, done_args)
         ))
 
-    def _finish_read(self, bank: BankState, read: tuple, now: int) -> None:
+    def _finish_read(
+        self, bank: BankState, on_done: Callable[..., None], done_args: tuple,
+        now: int,
+    ) -> None:
         bank.current = None
-        on_done, done_args = read
         on_done(*done_args, now)
-        self._kick(bank)
+        if bank.read_q or bank.write_q:
+            # Otherwise ``_kick`` finds no read, no write and no PreRead
+            # work (every entry owing one is queued).
+            self._kick(bank)
 
     def _start_preread(self, bank: BankState, now: int) -> None:
         target = bank.next_preread_target()

@@ -179,6 +179,16 @@ class TestPreread:
         assert done[0] == 400  # demand read went first
         assert counters.prereads_issued == 2  # prereads follow afterwards
 
+    def test_cursor_tracks_nothing_without_preread(self):
+        """Without PreRead nothing drains the cursor, so no entry enters
+        it: it would hold every write of the run."""
+        loop, ctrl, _, _ = make_controller(wq=8)
+        for row in range(4):
+            ctrl.try_enqueue_write(write(row=10 * row))
+        ctrl.quiesce()
+        loop.run()
+        assert all(not bank.preread_cursor for bank in ctrl.banks)
+
     def test_queue_forwarding_marks_slot(self):
         scheme = SchemeConfig(preread=True)
         loop, ctrl, ex, counters = make_controller(scheme=scheme, wq=8)
@@ -221,8 +231,10 @@ class TestWriteCancellation:
         assert len(ex.commits) == 1  # written eagerly, queue never filled
 
 
-def reference_kick(scheme, busy, draining, write_q, read_q):
-    """The bank-scheduling cascade as first written, branch for branch."""
+def reference_kick(scheme, busy, draining, write_q, read_q, preread_owed):
+    """The bank-scheduling cascade as first written, branch for branch,
+    except that PreRead is tried only while the bank's PreRead cursor
+    holds an entry (a write owing a pre-read)."""
     if busy:
         return None
     if draining and write_q:
@@ -239,7 +251,7 @@ def reference_kick(scheme, busy, draining, write_q, read_q):
         and not read_q
     ):
         return "write"
-    elif scheme.preread and not draining:
+    elif scheme.preread and not draining and preread_owed:
         return "preread"
     return None
 
@@ -250,8 +262,15 @@ EAGER_FLAGS = (None, "eager_writes", "write_cancellation", "write_pausing")
 
 class TestKickTable:
     """``_kick`` picks the same action as the reference cascade for every
-    combination of bank state and scheme flags."""
+    combination of bank state and scheme flags.
 
+    ``preread_owed``: a write still owes a pre-read, so the bank's PreRead
+    cursor holds it.  With ``write_q`` that write is the queued one; with
+    no write queued it is a write that already left the queue, which the
+    cursor drops lazily (``_start_preread`` then finds nothing to do).
+    """
+
+    @pytest.mark.parametrize("preread_owed", [False, True])
     @pytest.mark.parametrize("eager", EAGER_FLAGS)
     @pytest.mark.parametrize("preread", [False, True])
     @pytest.mark.parametrize("read_q", [False, True])
@@ -259,7 +278,7 @@ class TestKickTable:
     @pytest.mark.parametrize("draining", [False, True])
     @pytest.mark.parametrize("busy", [False, True])
     def test_action_matches_reference(
-        self, busy, draining, write_q, read_q, preread, eager
+        self, busy, draining, write_q, read_q, preread, eager, preread_owed
     ):
         flags = {"preread": preread}
         if eager is not None:
@@ -274,10 +293,107 @@ class TestKickTable:
         bank.draining = draining
         if busy:
             bank.current = InFlightOp(RequestKind.READ, 0, 400)
-        if write_q:
+        if preread_owed:
+            owing = write(row=30)
+            owing.slots = [PrereadSlot(addr=(0, 31, 0))]
+            bank.wq_append(owing)
+            # Only a PreRead scheme's banks track the cursor.
+            assert bool(bank.preread_cursor) == preread
+            if not write_q:
+                bank.wq_popleft()  # in flight: stale in the cursor
+        if write_q and not preread_owed:
             bank.wq_append(write(row=20))
         if read_q:
             bank.read_q.append((lambda t: None, ()))
         ctrl._kick(bank)
-        expected = reference_kick(scheme, busy, draining, write_q, read_q)
+        expected = reference_kick(
+            scheme, busy, draining, write_q, read_q, preread_owed
+        )
         assert taken == ([] if expected is None else [expected])
+
+
+class TestReadPath:
+    """Where a demand read goes on arrival, and when it completes."""
+
+    def test_read_to_idle_bank_starts_at_once(self):
+        loop, ctrl, _, counters = make_controller()
+        done = []
+        ctrl.enqueue_read(read(row=3), done.append)
+        bank = ctrl.banks[0]
+        assert bank.current is not None
+        assert bank.current.kind is RequestKind.READ
+        assert not bank.read_q
+        assert len(loop.heap) == 1 and loop.heap[0][0] == 400
+        assert counters.total_read_busy_cycles == 400
+        loop.run()
+        assert done == [400]
+        assert bank.current is None
+
+    def test_reads_to_a_busy_bank_queue_fifo(self):
+        loop, ctrl, _, _ = make_controller()
+        done = []
+        for name in "abc":
+            ctrl.enqueue_read(read(row=ord(name)),
+                              lambda t, name=name: done.append((name, t)))
+        bank = ctrl.banks[0]
+        assert bank.current.kind is RequestKind.READ
+        assert len(bank.read_q) == 2
+        loop.run()
+        assert done == [("a", 400), ("b", 800), ("c", 1200)]
+
+    def test_reads_during_a_drain_queue_fifo(self):
+        loop, ctrl, _, _ = make_controller(wq=2)
+        ctrl.try_enqueue_write(write(row=1))
+        ctrl.try_enqueue_write(write(row=2))  # full: drain starts a write
+        bank = ctrl.banks[0]
+        assert bank.draining and bank.current.kind is RequestKind.WRITE
+        done = []
+        ctrl.enqueue_read(read(row=5), lambda t: done.append(("a", t)))
+        ctrl.enqueue_read(read(row=6), lambda t: done.append(("b", t)))
+        assert len(bank.read_q) == 2
+        loop.run()
+        # The drain runs to the low-water mark (one 800-cycle write),
+        # then the reads go in arrival order.
+        assert done == [("a", 1200), ("b", 1600)]
+
+    def test_read_to_a_draining_idle_bank_waits(self):
+        """A draining bank queues a read even while no op holds it."""
+        loop, ctrl, _, _ = make_controller()
+        bank = ctrl.banks[0]
+        bank.draining = True
+        done = []
+        ctrl.enqueue_read(read(), done.append)
+        assert bank.current is None and len(bank.read_q) == 1
+        bank.draining = False
+        ctrl._kick(bank)
+        loop.run()
+        assert done == [400]
+
+    def test_forwarded_read_skips_a_busy_bank(self):
+        loop, ctrl, _, counters = make_controller(wq=2)
+        ctrl.try_enqueue_write(write(row=1))
+        ctrl.try_enqueue_write(write(row=2))  # drain: the bank is busy
+        done = []
+        loop.schedule(100, lambda t: ctrl.enqueue_read(read(row=2), done.append))
+        loop.run()
+        assert done == [100 + FORWARD_READ_CYCLES]
+        assert counters.wq_forwarded_reads == 1
+        assert counters.total_read_busy_cycles == 0
+
+    def test_reads_alone_never_try_preread(self):
+        loop, ctrl, _, _ = make_controller(SchemeConfig(preread=True))
+        tried = []
+        ctrl._start_preread = lambda bank, now: tried.append(now)
+        for row in range(4):
+            ctrl.enqueue_read(read(row=row), lambda t: None)
+        loop.run()
+        assert tried == []
+
+    def test_finished_read_kicks_a_queued_write(self):
+        """After a read, a bank with a queued write still owing a
+        pre-read goes on to PreRead."""
+        loop, ctrl, ex, counters = make_controller(SchemeConfig(preread=True))
+        ctrl.enqueue_read(read(row=3), lambda t: None)
+        ctrl.try_enqueue_write(write(row=10))
+        loop.run()
+        assert counters.prereads_issued == 2 and len(ex.baselines) == 2
