@@ -3,14 +3,14 @@
 The array is organised as ``banks x rows x 64 lines x 512 cells`` (Figure 6:
 one device row holds one 4 KB OS page, split into 64-byte lines; each line's
 eight 64-bit words live in the eight data chips).  Contents are materialised
-lazily and deterministically — an untouched row reads as the seeded random
-pristine image the state plane pools for it (one shared, immutable 4 KB
-``bytes`` object per ``(seed, bank, row)``), so simulations are
-reproducible without allocating the full 8 GB.
+lazily and deterministically — an untouched line reads as its line of the
+seeded random pristine image of its row, ``(seed, bank, row)``, so
+simulations are reproducible without allocating the full 8 GB.
 
 A line is a 512-bit Python int (bit ``i`` = cell ``i``; see
-:mod:`repro.pcm.line`), sliced from the pristine row the first time
-anything touches it.  Each touched line has one :class:`LineRecord` in
+:mod:`repro.pcm.line`), drawn from its row's pristine stream (opened once
+per row through the state plane) the first time anything touches it; no
+row image is held.  Each touched line has one :class:`LineRecord` in
 :attr:`PCMArray.lines`, holding:
 
 * ``stored``   — the *correct* stored-domain image (post-DIN encoding),
@@ -30,9 +30,9 @@ row ``r`` are line ``l`` of rows ``r - 1`` and ``r + 1`` in the same bank.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..config import LINE_BYTES, LINES_PER_PAGE
+from ..config import LINES_PER_PAGE
 from ..errors import DeviceError
 from . import stateplane
 
@@ -71,8 +71,8 @@ class PCMArray:
         self.banks = banks
         self.rows_per_bank = rows_per_bank
         self._seed = seed
-        #: Pristine images of the rows touched so far (pooled, never copied).
-        self._pristine: Dict[Tuple[int, int], bytes] = {}
+        #: The pristine streams of the rows touched so far, by ``(bank, row)``.
+        self._streams: Dict[Tuple[int, int], Callable[[int], int]] = {}
         #: The records of the lines touched so far; the write path probes
         #: it directly (:meth:`materialise` fills a miss).
         self.lines: Dict[LineAddress, LineRecord] = {}
@@ -81,23 +81,21 @@ class PCMArray:
 
     def materialise(self, key: LineAddress) -> LineRecord:
         """First touch of a line: validate it and record its pristine image
-        (sliced from the state plane's row, shared by every array)."""
+        (drawn from its row's stream, which the first touch opens)."""
         bank, row, line = key
-        image = self._pristine.get((bank, row))
-        # A row enters ``_pristine`` checked: a known row checks the line only.
-        if image is None or not 0 <= line < LINES_PER_PAGE:
+        draw = self._streams.get((bank, row))
+        # A row's stream is opened checked: a known row checks the line only.
+        if draw is None or not 0 <= line < LINES_PER_PAGE:
             if not (0 <= bank < self.banks and 0 <= row < self.rows_per_bank
                     and 0 <= line < LINES_PER_PAGE):
                 raise DeviceError(
                     f"line {key} out of range: {self.banks} banks x "
                     f"{self.rows_per_bank} rows x {LINES_PER_PAGE} lines"
                 )
-            image = self._pristine[bank, row] = stateplane.PLANE.pristine_row(
+            draw = self._streams[bank, row] = stateplane.PLANE.pristine_row(
                 self._seed, bank, row
             )
-        start = line * LINE_BYTES
-        stored = int.from_bytes(image[start:start + LINE_BYTES], "little")
-        record = self.lines[key] = LineRecord(stored)
+        record = self.lines[key] = LineRecord(draw(line))
         return record
 
     def line(self, key: LineAddress) -> LineRecord:

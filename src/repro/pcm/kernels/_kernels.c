@@ -34,9 +34,12 @@
 #include <string.h>
 
 /* The loader accepts a module only with this ABI. */
-#define SD_ABI_VERSION 7
+#define SD_ABI_VERSION 8
 
 #define LINE_BYTES 64
+#define LINE_WORDS 8
+/* Lines in one row (one 4 KB page). */
+#define ROW_LINES 64
 #define DIN_TABLE_BYTES (256 * 256)
 
 /* numpy's bitgen_t (numpy/random/bitgen.h): the struct behind a
@@ -389,26 +392,48 @@ static int seeded_from(PyObject *entropy, pcg64_t *rng) {
     return 0;
 }
 
-/* seeded_words(entropy, n): the bytes of
- * default_rng(entropy).integers(0, 2**64, n, dtype=uint64) -- full-range
- * draws are the raw PCG64 outputs, in native byte order as numpy's
- * tobytes() gives them. */
-static PyObject *sd_seeded_words(PyObject *self, PyObject *const *args,
-                                 Py_ssize_t nargs) {
+/* The stream `steps` outputs ahead: the LCG's O(log steps) jump (Brown,
+ * "Random number generation with arbitrary strides"), as numpy's
+ * PCG64.advance computes it. */
+static void pcg64_advance(pcg64_t *rng, u128 steps) {
+    u128 mult = PCG_MULT, plus = rng->inc, acc_mult = 1, acc_plus = 0;
+    while (steps) {
+        if (steps & 1) {
+            acc_mult *= mult;
+            acc_plus = acc_plus * mult + plus;
+        }
+        plus = (mult + 1) * plus;
+        mult *= mult;
+        steps >>= 1;
+    }
+    rng->state = acc_mult * rng->state + acc_plus;
+}
+
+/* seeded_line(entropy, line): line `line` of a row's pristine image, i.e.
+ * words 8*line .. 8*line+7 of
+ * default_rng(entropy).integers(0, 2**64, 512, dtype=uint64)
+ * (full-range draws are the raw PCG64 outputs) as the little-endian int
+ * of their native bytes, the bytes numpy's tobytes() gives them. */
+static PyObject *sd_seeded_line(PyObject *self, PyObject *const *args,
+                                Py_ssize_t nargs) {
     (void)self;
-    Py_ssize_t n;
+    Py_ssize_t line;
     pcg64_t rng;
-    if (check_nargs("seeded_words", nargs, 2) < 0 || count_of(args[1], &n) < 0
+    if (check_nargs("seeded_line", nargs, 2) < 0 || count_of(args[1], &line) < 0
         || seeded_from(args[0], &rng) < 0)
         return NULL;
-    PyObject *out = PyBytes_FromStringAndSize(NULL, n * 8);
-    if (out == NULL) return NULL;
-    char *dst = PyBytes_AS_STRING(out);
-    for (Py_ssize_t i = 0; i < n; ++i) {
-        const uint64_t word = pcg64_next(&rng);
-        memcpy(dst + 8 * i, &word, 8);
+    if (line >= ROW_LINES) {
+        PyErr_Format(PyExc_ValueError, "line %zd outside a %d-line row",
+                     line, ROW_LINES);
+        return NULL;
     }
-    return out;
+    pcg64_advance(&rng, (u128)LINE_WORDS * (u128)line);
+    uint8_t buf[LINE_BYTES];
+    for (int i = 0; i < LINE_WORDS; ++i) {
+        const uint64_t word = pcg64_next(&rng);
+        memcpy(buf + 8 * i, &word, 8);
+    }
+    return int_from_bytes(buf, LINE_BYTES);
 }
 
 /* seeded_less_than(entropy, p, n): bit i set iff
@@ -476,7 +501,7 @@ static PyMethodDef sd_methods[] = {
     SD_FASTCALL(bit_positions),
     SD_FASTCALL(set_din_tables),
     SD_FASTCALL(din_encode),
-    SD_FASTCALL(seeded_words),
+    SD_FASTCALL(seeded_line),
     SD_FASTCALL(seeded_less_than),
     SD_FASTCALL(seeded_state),
     {NULL, NULL, 0, NULL},

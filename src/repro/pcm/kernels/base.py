@@ -118,10 +118,13 @@ class KernelBackend:
         """
         raise NotImplementedError
 
-    def seeded_words(self, key: Tuple[int, ...], count: int) -> bytes:
-        """``default_rng(key).integers(0, 2**64, count, dtype=uint64)`` as bytes.
+    def seeded_line(self, key: Tuple[int, ...], line: int) -> int:
+        """Line ``line`` (``0 <= line < 64``) of the row image
+        ``default_rng(key).integers(0, 2**64, 512, dtype=uint64)``: its
+        words ``8 * line`` to ``8 * line + 7``, as the little-endian int
+        of their bytes.
 
-        The state plane's pristine-row recipe.  ``key`` is a tuple of
+        The state plane's pristine-line recipe.  ``key`` is a tuple of
         non-negative ints, seeded exactly as numpy seeds it.
         """
         raise NotImplementedError

@@ -31,13 +31,16 @@ ascending cell order, or ``n`` uniforms for a flip mask).  The caller's
 generator must not be used from another thread during the call; the
 simulator drives each generator from one thread.
 
-**Seeded generation**: ``seeded_words``/``seeded_mask`` (the state
-plane's pristine rows and weak-cell masks) run numpy's ``SeedSequence``
--> ``PCG64`` recipe in C, bit for bit, after :func:`_entropy` coerces
-the key to 32-bit words exactly as numpy does (a bad key raises numpy's
-error here, before the native call).  ``seeded_rng`` runs only the
-seeding in C and sets the resulting ``PCG64`` state on one reused
-generator, from which numpy draws as usual.  They read no caller stream,
+**Seeded generation**: ``seeded_line``/``seeded_mask`` (the pristine
+lines and weak-cell masks of the state plane) run numpy's
+``SeedSequence`` -> ``PCG64`` recipe in C, bit for bit, after
+:func:`_entropy` coerces the key to 32-bit words exactly as numpy does
+(a bad key raises numpy's error here, before the native call).
+``seeded_line`` seeds the row's stream and jumps it ``8 * line``
+outputs ahead (the LCG's O(log n) jump), so a line costs eight draws
+whichever line it is, and no row image is ever built.  ``seeded_rng``
+runs only the seeding in C and sets the resulting ``PCG64`` state on
+one reused generator, from which numpy draws as usual.  They read no caller stream,
 so a failure falls back by regenerating the value with the numpy
 reference.
 
@@ -80,7 +83,7 @@ from .python_backend import PythonBackend
 
 #: Expected ``ABI`` of a loadable module; a module with another
 #: entry-point set fails the probe and is rebuilt from source.
-_ABI_VERSION = 7
+_ABI_VERSION = 8
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 #: Where a prebuilt module sits (next to this package's sources).
@@ -337,15 +340,15 @@ class CompiledBackend(KernelBackend):
 
     # -- seeded generation -------------------------------------------------------
 
-    def seeded_words(self, key: Tuple[int, ...], count: int) -> bytes:
+    def seeded_line(self, key: Tuple[int, ...], line: int) -> int:
         if self._dead:
-            return self._py.seeded_words(key, count)
+            return self._py.seeded_line(key, line)
         entropy = _entropy(key)
         try:
-            return self._ops.seeded_words(entropy, count)
+            return self._ops.seeded_line(entropy, line)
         except Exception as exc:
             self._retire(exc)
-            return self._py.seeded_words(key, count)
+            return self._py.seeded_line(key, line)
 
     def seeded_mask(self, key: Tuple[int, ...], bits: int, threshold: float) -> int:
         if self._dead:

@@ -77,8 +77,8 @@ class NumpyBackend(KernelBackend):
     ) -> int:
         return L.draw_mask(rng, bits, threshold)
 
-    def seeded_words(self, key: Tuple[int, ...], count: int) -> bytes:
-        return L.seeded_words(key, count)
+    def seeded_line(self, key: Tuple[int, ...], line: int) -> int:
+        return L.seeded_line(key, line)
 
     def seeded_mask(self, key: Tuple[int, ...], bits: int, threshold: float) -> int:
         return L.seeded_mask(key, bits, threshold)

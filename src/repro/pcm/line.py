@@ -19,18 +19,19 @@ Two other shapes appear here and nowhere else:
   kernels against them bit-for-bit and RNG-draw-for-draw.
 
 :func:`sample_masks_int` samples several lines — e.g. a write's two
-bit-line neighbours — with one RNG draw.  :func:`seeded_words` and
+bit-line neighbours — with one RNG draw.  :func:`seeded_line` and
 :func:`seeded_mask` are the reference recipes of the state plane's
 per-key seeded state.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
 
-from ..config import LINE_BITS, LINE_WORDS
+from ..config import LINE_BITS, LINE_BYTES, LINE_WORDS, LINES_PER_PAGE
 
 #: dtype of the ``(N, 8)`` row batches and the scalar references.
 WORD_DTYPE = np.uint64
@@ -251,10 +252,30 @@ def draw_mask(rng: np.random.Generator, bits: int, threshold: float) -> int:
     return mask_from_draws(rng.random(bits), threshold)
 
 
-def seeded_words(key: Tuple[int, ...], count: int) -> bytes:
-    """``count`` full-range uint64 draws of ``default_rng(key)``, as bytes."""
+#: Row images :func:`seeded_line` keeps, least recently used out first.
+#: Seeding numpy costs about 15 us, so the lines of a recently drawn row
+#: are slices; 2048 rows hold 8 MiB.
+ROW_MEMO = 2048
+
+
+@lru_cache(maxsize=ROW_MEMO)
+def _seeded_row(key: Tuple[int, ...]) -> bytes:
+    """A row's 64 lines: ``default_rng(key).integers(0, 2**64, 512,
+    dtype=uint64)`` as bytes."""
     rng = np.random.default_rng(key)
-    return rng.integers(0, 1 << 64, size=count, dtype=WORD_DTYPE).tobytes()
+    return rng.integers(
+        0, 1 << 64, size=LINES_PER_PAGE * LINE_WORDS, dtype=WORD_DTYPE
+    ).tobytes()
+
+
+def seeded_line(key: Tuple[int, ...], line: int) -> int:
+    """Line ``line`` of the row ``key`` seeds: words ``8 * line`` to
+    ``8 * line + 7`` of ``default_rng(key).integers(0, 2**64, 512,
+    dtype=uint64)``, as the little-endian int of their bytes."""
+    if not 0 <= line < LINES_PER_PAGE:
+        raise ValueError(f"line {line} outside a {LINES_PER_PAGE}-line row")
+    start = line * LINE_BYTES
+    return int.from_bytes(_seeded_row(key)[start:start + LINE_BYTES], "little")
 
 
 def seeded_mask(key: Tuple[int, ...], bits: int, threshold: float) -> int:

@@ -204,7 +204,7 @@ class EngineStats:
                 f"{self.kernel_compiled_picks} compiled picks"
             )
         plane = stateplane.PLANE
-        if plane.row_hits or plane.mask_hits:
+        if plane.rows_opened:
             base += f"; state plane: {plane.summary()}"
         phases = PROFILER.summary()
         return f"{base}; phases: {phases}" if phases else base

@@ -2,8 +2,9 @@
 
 Covers three pieces of the execution layer:
 
-* :mod:`repro.pcm.stateplane` — deterministic pooled state is identical
-  to fresh generation, read-only and capped;
+* :mod:`repro.pcm.stateplane` — row streams draw numpy's pristine
+  lines and hold no row image, and pooled weak masks are identical to
+  fresh generation and capped;
 * the ``auto`` kernel rule — compiled when it builds, else pure Python;
 * the cold-batch mode rule — a batch runs in-process with one job or
   one cell, and on the warm pool otherwise, whatever the CPU count.
@@ -17,6 +18,7 @@ import os
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core import schemes
@@ -41,15 +43,21 @@ def payload(result) -> dict:
     return dataclasses.asdict(result)
 
 
+def numpy_line(key, line: int) -> int:
+    """Line ``line`` of the row image numpy draws for ``key``."""
+    row = np.random.default_rng(key).integers(0, 1 << 64, 512, dtype=np.uint64)
+    return int.from_bytes(row[8 * line:8 * line + 8].tobytes(), "little")
+
+
 class TestStatePlane:
     def test_pooled_values_match_fresh_generation(self):
         plane = stateplane.StatePlane()
-        fresh_row = stateplane._generate_row(7, 1, 3)
-        pooled = plane.pristine_row(7, 1, 3)
-        assert pooled == fresh_row
-        assert plane.row_misses == 1
-        again = plane.pristine_row(7, 1, 3)
-        assert again is pooled and plane.row_hits == 1
+        stream = plane.pristine_row(7, 1, 3)
+        assert [stream(line) for line in (0, 1, 63)] == [
+            numpy_line((7, 1, 3), line) for line in (0, 1, 63)
+        ]
+        assert plane.rows_opened == plane.row_misses == 1
+        assert plane.row_hits == 0
 
         key = (0, 5, 9)
         fresh_mask = stateplane._generate_weak_mask(0.1, key)
@@ -58,34 +66,31 @@ class TestStatePlane:
         assert plane.mask_hits == 1 and plane.mask_misses == 1
         # Saturated fraction short-circuits to the all-ones mask.
         assert plane.weak_mask(1.0, key) == L.MASK_ALL
+        assert plane.summary() == (
+            "1 rows opened, weak masks 1 hits / 2 misses, 2 pooled, "
+            "0 evictions"
+        )
 
-    def test_pooled_rows_are_read_only(self):
+    def test_row_streams_hold_no_row_image(self):
+        """A row stream holds its seed key, not an image: every draw of a
+        line is a fresh int, equal to the last one."""
         plane = stateplane.StatePlane()
-        pooled = plane.pristine_row(1, 0, 0)
-        # One immutable 4 KB image: nothing can write through the pool.
-        assert isinstance(pooled, bytes) and len(pooled) == 4096
-        with pytest.raises(TypeError):
-            pooled[0] = 1
+        stream = plane.pristine_row(1, 0, 0)
+        assert stream.args == ((1, 0, 0),)
+        assert stream(5) == stream(5) == numpy_line((1, 0, 0), 5)
 
     def test_fifo_eviction_under_cap(self, monkeypatch):
-        monkeypatch.setattr(stateplane, "ROW_POOL_CAP", 2)
-        plane = stateplane.StatePlane()
-        for row in range(3):
-            plane.pristine_row(0, 0, row)
-        assert plane.evictions == 1
-        assert len(plane._rows) == 2
-        # The evicted key regenerates identical bytes on re-touch.
-        assert plane.pristine_row(0, 0, 0) == stateplane._generate_row(0, 0, 0)
-        assert list(plane._rows) == [(0, 0, 2), (0, 0, 0)]
-        # The mask pool evicts the same way, oldest key first.
         monkeypatch.setattr(stateplane, "MASK_POOL_CAP", 2)
+        plane = stateplane.StatePlane()
         for line in range(3):
             plane.weak_mask(0.1, (0, 0, line))
-        assert plane.evictions == 3
+        assert plane.evictions == 1
         assert list(plane._masks) == [(0.1, 0, 0, 1), (0.1, 0, 0, 2)]
+        # The evicted key regenerates the identical mask on re-touch.
         assert plane.weak_mask(0.1, (0, 0, 0)) == (
             stateplane._generate_weak_mask(0.1, (0, 0, 0))
         )
+        assert plane.evictions == 2
         assert list(plane._masks) == [(0.1, 0, 0, 2), (0.1, 0, 0, 0)]
 
     def test_array_rows_copy_from_plane(self):
@@ -96,15 +101,15 @@ class TestStatePlane:
         b = PCMArray(banks=2, rows_per_bank=16, seed=11)
         addr = (1, 4, 2)
         assert a.line(addr).stored == b.line(addr).stored
-        assert stateplane.PLANE.row_hits == 1
-        pristine = stateplane.PLANE.pristine_row(11, 1, 4)[2 * 64:3 * 64]
+        # Each array opens its own stream of the row.
+        assert stateplane.PLANE.rows_opened == 2
         # Rewriting one array's line must not leak into the other array
-        # or the pool.
+        # or the row's stream.
         a.line(addr).stored ^= 1
         assert a.line(addr).stored != b.line(addr).stored
-        assert b.line(addr).stored == int.from_bytes(pristine, "little")
-        assert stateplane.PLANE.pristine_row(11, 1, 4) == (
-            stateplane._generate_row(11, 1, 4)
+        assert b.line(addr).stored == numpy_line((11, 1, 4), 2)
+        assert stateplane.PLANE.pristine_row(11, 1, 4)(2) == (
+            numpy_line((11, 1, 4), 2)
         )
 
 

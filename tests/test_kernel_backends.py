@@ -27,7 +27,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import envconfig
 from repro.config import LINE_BITS, LINE_WORDS, SystemConfig
@@ -91,10 +91,11 @@ def backend_or_skip(name: str) -> kernels.KernelBackend:
         pytest.skip(f"{name} backend unavailable here: {exc}")
 
 
-def numpy_words(key, count: int) -> bytes:
-    """The pristine-row recipe, spelled out with numpy."""
-    rng = np.random.default_rng(key)
-    return rng.integers(0, 1 << 64, size=count, dtype=np.uint64).tobytes()
+def numpy_line(key, line: int) -> int:
+    """The pristine-line recipe, spelled out with numpy: a slice of the
+    row image ``default_rng(key)`` draws."""
+    row = np.random.default_rng(key).integers(0, 1 << 64, 512, dtype=np.uint64)
+    return int.from_bytes(row[8 * line:8 * line + 8].tobytes(), "little")
 
 
 def numpy_mask(key, bits: int, threshold: float) -> int:
@@ -312,18 +313,23 @@ class TestBackendEquivalence:
 
     @settings(max_examples=150, deadline=None)
     @given(seed_keys, fractions)
+    @example(key=(2**40 + 5, 3, 2**33 + 1), fraction=0.5)
     def test_seeded_generation_matches_numpy(self, name, key, fraction):
         """The state plane's recipes: numpy's SeedSequence -> PCG64 stream,
-        with numpy's entropy coercion (multi-word and zero-valued ints)."""
+        with numpy's entropy coercion (multi-word and zero-valued ints).
+        A pristine line is the slice of numpy's row image that the row
+        jump lands on, first, second and last line alike."""
         backend = backend_or_skip(name)
-        assert backend.seeded_words(key, 512) == numpy_words(key, 512)
-        assert backend.seeded_words(key, 3) == numpy_words(key, 3)
+        for line in (0, 1, 63):
+            assert backend.seeded_line(key, line) == numpy_line(key, line)
         assert backend.seeded_mask(key, LINE_BITS, fraction) == (
             numpy_mask(key, LINE_BITS, fraction)
         )
         assert backend.seeded_mask(key, 37, fraction) == (
             numpy_mask(key, 37, fraction)
         )
+        # Natively, not through a retired backend's reference fallback.
+        assert not getattr(backend, "dead", False)
 
     @settings(max_examples=150, deadline=None)
     @given(seed_keys)
@@ -346,7 +352,7 @@ class TestBackendEquivalence:
     def test_seeded_generation_rejects_negative_keys(self, name):
         backend = backend_or_skip(name)
         with pytest.raises(ValueError):
-            backend.seeded_words((1, -2), 4)
+            backend.seeded_line((1, -2), 4)
         with pytest.raises(ValueError):
             backend.seeded_mask((-1,), 8, 0.5)
 
@@ -414,8 +420,8 @@ class _FlakyOps:
     def bit_positions(self, *args):
         return self._call("bit_positions", *args)
 
-    def seeded_words(self, *args):
-        return self._call("seeded_words", *args)
+    def seeded_line(self, *args):
+        return self._call("seeded_line", *args)
 
     def seeded_less_than(self, *args):
         return self._call("seeded_less_than", *args)
@@ -491,15 +497,15 @@ class TestCompiledCrashFallback:
         assert backend.dead is True
         assert len(caught) == 1
 
-    @pytest.mark.parametrize("method", ("seeded_words", "seeded_mask"))
+    @pytest.mark.parametrize("method", ("seeded_line", "seeded_mask"))
     def test_seeded_crash_falls_back_to_numpy(self, method):
         """A dying seeded generator: one warning, a retired backend, and
-        the numpy reference's bytes."""
+        the numpy reference's value."""
         backend = _fresh_compiled()
         backend._ops = _FlakyOps(backend._ops, fuse=0)
         key = (7, 2**32, 0, 2**100)
-        args = (key, 512) if method == "seeded_words" else (key, LINE_BITS, 0.1)
-        want = (numpy_words if method == "seeded_words" else numpy_mask)(*args)
+        args = (key, 63) if method == "seeded_line" else (key, LINE_BITS, 0.1)
+        want = (numpy_line if method == "seeded_line" else numpy_mask)(*args)
         with pytest.warns(RuntimeWarning, match="falling back") as caught:
             assert getattr(backend, method)(*args) == want
         assert len(caught) == 1
@@ -583,7 +589,7 @@ class TestCompiledBuild:
         assert compiled_backend._prebuilt_library(reasons) is None
         assert len(reasons) == 1 and "_kernels.so" in reasons[0]
         backend = _fresh_compiled()
-        assert backend.abi == compiled_backend._ABI_VERSION == 7
+        assert backend.abi == compiled_backend._ABI_VERSION == 8
         assert backend.encode_stored_int(3, 5) == REFERENCE.encode_stored_int(3, 5)
         assert not backend.dead
         # A current module under the interpreter's own suffix is accepted.
@@ -591,7 +597,7 @@ class TestCompiledBuild:
         shutil.copy(compiled_backend._build_library(), current)
         module = compiled_backend._prebuilt_library([])
         assert module is not None and module.__file__ == str(current)
-        assert module.ABI == 7
+        assert module.ABI == 8
 
     def test_missing_python_headers_fail_cleanly(self, tmp_path, monkeypatch):
         """No ``Python.h``: BackendUnavailable naming it, no compiler run,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.alloc import PAGES_PER_BLOCK
 from repro.core import schemes
 from repro.core.system import SDPCMSystem
 from repro.errors import SimulationError
@@ -40,10 +41,23 @@ class TestPerCoreTags:
         assert res.counters.verifications <= 2 * core1_writes + 8
 
     def test_mixed_tags_keep_allocations_disjoint(self):
-        res, system = run_tagged([(1, 2), (1, 1)])
+        cfg = small_config(schemes.baseline())
+        wl = homogeneous_workload("mcf", cores=2, length=400, seed=7)
+        system = SDPCMSystem(cfg, nm_tags=[(1, 2), (1, 1)])
+        allocate = system.allocator.allocate_frame
+        blocks = {(1, 2): set(), (1, 1): set()}
+
+        def recording(n=1, m=1):
+            frame = allocate(n, m)
+            blocks[n, m].add(frame // PAGES_PER_BLOCK)
+            return frame
+
+        system.allocator.allocate_frame = recording
+        system.run(wl)
         # Blocks are handed to (1:2) wholesale, so the two allocators never
         # share a 64 MB block (and hence never abut except at block edges).
-        assert (1, 2) in system.allocator._ratios
+        assert blocks[1, 2] and blocks[1, 1]
+        assert not blocks[1, 2] & blocks[1, 1]
 
     def test_uniform_tags_match_global_scheme(self):
         """Tagging every core (2:3) behaves like the global (2:3) scheme."""

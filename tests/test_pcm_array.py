@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+from collections import deque
+from functools import partial
+
+import numpy as np
 import pytest
 
+from repro.core import schemes
+from repro.core.system import SDPCMSystem
 from repro.errors import DeviceError
 from repro.pcm import line as L
-from repro.pcm.array import PCMArray
+from repro.pcm import stateplane
+from repro.pcm.array import LineRecord, PCMArray
+from tests.conftest import small_config, small_workload
 
 
 @pytest.fixture
@@ -25,11 +33,18 @@ def line_ints(array, addr):
 
 class TestMaterialisation:
     def test_lazy(self, array):
-        assert array._pristine == {}
+        stateplane.PLANE.reset()
+        assert array.lines == {}
         record = array.line(ADDR)
-        assert list(array._pristine) == [(1, 5)]
         assert array.lines == {ADDR: record}
         assert array.line(ADDR) is record
+        # The first touch opens the row's stream and draws only its line;
+        # a second line of the row draws from the same stream.
+        assert stateplane.PLANE.rows_opened == 1
+        bank, row, line = ADDR
+        assert record.stored == L.seeded_line((1, bank, row), line)
+        array.line((bank, row, line + 1))
+        assert stateplane.PLANE.rows_opened == 1
 
     def test_deterministic_contents(self):
         a = PCMArray(4, 16, seed=9)
@@ -55,6 +70,44 @@ class TestMaterialisation:
             with pytest.raises(DeviceError):
                 array.line((0, 0, line))
         assert list(array.lines) == [(0, 0, 0)]
+
+
+def held(*roots):
+    """Every object reachable from ``roots`` through containers, line
+    records and the arguments of row streams."""
+    seen, stack = set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+            stack.extend(obj)
+        elif isinstance(obj, partial):
+            stack.extend(obj.args)
+        elif isinstance(obj, LineRecord):
+            stack.extend(getattr(obj, name) for name in LineRecord.__slots__)
+
+
+class TestMemoryShape:
+    def test_replay_holds_no_row_images(self):
+        """After a small replay neither the state plane nor the array
+        holds a 4 KB row image: a touched line is an int, and a touched
+        row is an open stream over its seed key."""
+        stateplane.PLANE.reset()
+        system = SDPCMSystem(small_config(schemes.lazyc_preread()))
+        system.run(small_workload("mcf", length=200))
+        assert system.array.lines and stateplane.PLANE.rows_opened > 0
+        images = [
+            obj for obj in held(vars(stateplane.PLANE), vars(system.array))
+            if isinstance(obj, (bytes, bytearray, memoryview, np.ndarray))
+            and len(memoryview(obj).cast("B")) >= 4096
+        ]
+        assert images == []
 
 
 class TestDisturbAndCorrect:

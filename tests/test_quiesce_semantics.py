@@ -30,9 +30,9 @@ class TestQuiesce:
         )
         system = SDPCMSystem(cfg)
         system.run(write_only_workload(5))
-        # All five lines of page 0 were physically written (row materialised
-        # and the payloads committed).
-        assert (0, 0) in system.array._pristine
+        # All five lines of page 0 were physically written (each line
+        # materialised and its payload committed).
+        assert {(0, 0, line) for line in range(5)} <= system.array.lines.keys()
 
     def test_flush_effects_counted(self):
         cfg = SystemConfig(
