@@ -112,7 +112,6 @@ class DisturbanceConfig:
     #: disturbance hits the same cells — which is what keeps LazyC's ECP
     #: entry wear low (Figure 18).  1.0 disables the variation.
     weak_cell_fraction: float = 0.25
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         for name in ("p_bitline", "p_wordline", "din_residual_scale"):
@@ -177,29 +176,48 @@ class FaultConfig:
         )
 
 
+#: The values of ``SchemeConfig.bitlines`` and ``.read_priority``.
+BITLINES = ("wd_free", "unverified", "vnc")
+READ_PRIORITIES = ("drain", "eager", "cancel", "pause")
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Which SD-PCM mechanisms are active (Section 5.3's compared schemes).
 
-    The paper's named schemes map to flag combinations:
+    The named schemes (:data:`repro.core.schemes.SCHEMES`) set these
+    fields; any field not listed keeps its default:
 
     ========================  ==========================================
-    Paper scheme              Flags
+    Scheme                    Fields
     ========================  ==========================================
-    ``DIN``                   ``wd_free_bitlines=True`` (8F^2 chip)
-    ``baseline``              ``vnc=True`` only
-    ``LazyC``                 ``vnc=True, lazy_correction=True``
-    ``PreRead``               ``vnc=True, preread=True``
-    ``(n:m)-Alloc``           ``vnc=True, nm_ratio=(n, m)``
-    ``WC``                    ``... write_cancellation=True``
+    ``DIN``                   ``bitlines="wd_free"``
+    ``baseline``              defaults (``bitlines="vnc"``)
+    ``LazyC``                 ``lazy_correction=True``
+    ``LazyC+PreRead``         ``lazy_correction=True, preread=True``
+    ``LazyC+(2:3)``           ``lazy_correction=True, nm_ratio=(2, 3)``
+    ``LazyC+PreRead+(2:3)``   ``lazy_correction=True, preread=True,
+                              nm_ratio=(2, 3)``
+    ``(1:2)``                 ``nm_ratio=(1, 2)``
+    ``PreRead``               ``preread=True``
+    ``VnC``                   defaults (the same scheme as ``baseline``)
+    ``WC``                    ``read_priority="cancel"``
+    ``WC+LazyC``              ``read_priority="cancel", lazy_correction=True``
+    ``WP``                    ``read_priority="pause"``
+    ``WP+LazyC``              ``read_priority="pause", lazy_correction=True``
+    ``eager``                 ``read_priority="eager"``
+    ``LazyC-denseECP``        ``lazy_correction=True, low_density_ecp=False``
+    unprotected (Figure 5)    ``bitlines="unverified"``
     ========================  ==========================================
     """
 
-    #: 8F^2 chip with 4F bit-line spacing: bit-line WD cannot occur and no
-    #: VnC is performed.  This is the DIN comparison point.
-    wd_free_bitlines: bool = False
-    #: Basic verify-and-correct on every write (Section 3.2).
-    vnc: bool = True
+    #: One of :data:`BITLINES`.  ``"wd_free"`` is the DIN comparison
+    #: point, an 8F^2 chip whose 4F bit-line spacing is WD-free: no
+    #: bit-line WD and no VnC.  ``"unverified"`` is a super dense 4F^2
+    #: array whose bit-line WD lands undetected (Figure 5's reference).
+    #: ``"vnc"`` verifies and corrects the neighbours of every write
+    #: (Section 3.2).
+    bitlines: str = "vnc"
     #: LazyCorrection: buffer WD errors in ECP entries (Section 4.2).
     lazy_correction: bool = False
     #: Number of ECP entries per 64 B line (ECP-6 default).
@@ -208,16 +226,13 @@ class SchemeConfig:
     preread: bool = False
     #: (n:m) allocation ratio; (1, 1) means all strips used (Section 4.4).
     nm_ratio: Tuple[int, int] = (1, 1)
-    #: Write cancellation of in-flight write ops by demand reads [22].
-    write_cancellation: bool = False
-    #: Write pausing [22]: an in-flight write pauses at a programming-round
-    #: boundary to let a demand read through, then resumes with no lost
-    #: work (unlike cancellation, nothing is re-pulsed).
-    write_pausing: bool = False
-    #: Schedule writes eagerly on idle banks instead of buffering until the
-    #: queue fills (implied by cancellation/pausing; can be enabled alone
-    #: to attribute their gains between scheduling and pre-emption).
-    eager_writes: bool = False
+    #: One of :data:`READ_PRIORITIES`.  ``"drain"`` buffers writes until
+    #: the queue fills (the paper's default).  The other three schedule
+    #: writes eagerly on idle banks: ``"eager"`` alone (it attributes WC's
+    #: and WP's gains between scheduling and pre-emption), ``"cancel"``
+    #: lets a demand read cancel an in-flight write, and ``"pause"`` stops
+    #: it at a programming-round boundary and resumes it with no lost work.
+    read_priority: str = "drain"
     #: Section 4.2 design choice: keep the ECP chip at low density (8F^2,
     #: WD-free).  Setting this False models the naive super dense ECP chip,
     #: whose entry writes suffer WD themselves and need their own VnC.
@@ -229,13 +244,11 @@ class SchemeConfig:
             raise ConfigError(f"(n:m) requires 0 < n <= m, got ({n}:{m})")
         if self.ecp_entries < 0:
             raise ConfigError("ecp_entries must be >= 0")
-        if self.wd_free_bitlines and self.vnc:
-            raise ConfigError("a WD-free (8F^2) chip does not perform VnC")
-        if self.write_pausing and self.write_cancellation:
-            raise ConfigError(
-                "write pausing and write cancellation are alternative "
-                "read-priority policies; enable at most one"
-            )
+        for name, allowed in (("bitlines", BITLINES),
+                              ("read_priority", READ_PRIORITIES)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 @dataclass(frozen=True)

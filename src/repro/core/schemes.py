@@ -15,85 +15,70 @@ from ..errors import ConfigError
 def din() -> SchemeConfig:
     """DIN-enhanced 8F^2 PCM: WD-free bit-lines, no VnC (the comparison
     upper bound)."""
-    return SchemeConfig(wd_free_bitlines=True, vnc=False)
+    return SchemeConfig(bitlines="wd_free")
 
 
 def baseline() -> SchemeConfig:
     """Basic verify-and-correct on super dense 4F^2 PCM."""
-    return SchemeConfig(vnc=True)
+    return SchemeConfig()
 
 
 def lazyc(ecp_entries: int = 6) -> SchemeConfig:
     """LazyCorrection on top of basic VnC (ECP-6 by default)."""
-    return SchemeConfig(vnc=True, lazy_correction=True, ecp_entries=ecp_entries)
+    return SchemeConfig(lazy_correction=True, ecp_entries=ecp_entries)
 
 
 def preread() -> SchemeConfig:
     """PreRead on top of basic VnC."""
-    return SchemeConfig(vnc=True, preread=True)
+    return SchemeConfig(preread=True)
 
 
 def lazyc_preread(ecp_entries: int = 6) -> SchemeConfig:
     """LazyC + PreRead combined."""
-    return SchemeConfig(
-        vnc=True, lazy_correction=True, ecp_entries=ecp_entries, preread=True
-    )
+    return SchemeConfig(lazy_correction=True, ecp_entries=ecp_entries, preread=True)
 
 
 def nm_alloc(n: int, m: int, with_lazyc: bool = False, with_preread: bool = False) -> SchemeConfig:
     """(n:m)-Alloc on top of basic VnC, optionally with LazyC/PreRead."""
     return SchemeConfig(
-        vnc=True,
-        nm_ratio=(n, m),
-        lazy_correction=with_lazyc,
-        preread=with_preread,
+        nm_ratio=(n, m), lazy_correction=with_lazyc, preread=with_preread
     )
 
 
 def all_combined(ecp_entries: int = 6) -> SchemeConfig:
     """LazyC + PreRead + (2:3)-Alloc (the paper's best VnC-bearing combo)."""
     return SchemeConfig(
-        vnc=True,
-        lazy_correction=True,
-        ecp_entries=ecp_entries,
-        preread=True,
-        nm_ratio=(2, 3),
+        lazy_correction=True, ecp_entries=ecp_entries, preread=True, nm_ratio=(2, 3)
     )
 
 
 def write_cancellation() -> SchemeConfig:
     """Basic VnC with write cancellation [22] (Figure 19's WC)."""
-    return SchemeConfig(vnc=True, write_cancellation=True)
+    return SchemeConfig(read_priority="cancel")
 
 
 def wc_lazyc(ecp_entries: int = 6) -> SchemeConfig:
     """Write cancellation + LazyCorrection (Figure 19's WC+LazyC)."""
     return SchemeConfig(
-        vnc=True,
-        lazy_correction=True,
-        ecp_entries=ecp_entries,
-        write_cancellation=True,
+        lazy_correction=True, ecp_entries=ecp_entries, read_priority="cancel"
     )
 
 
 def eager() -> SchemeConfig:
     """Basic VnC with eager write scheduling but no pre-emption; isolates
     the scheduling component of WC/WP's gains."""
-    return SchemeConfig(vnc=True, eager_writes=True)
+    return SchemeConfig(read_priority="eager")
 
 
 def write_pausing() -> SchemeConfig:
     """Basic VnC with write pausing [22] (extension study)."""
-    return SchemeConfig(vnc=True, write_pausing=True)
+    return SchemeConfig(read_priority="pause")
 
 
 def wp_lazyc(ecp_entries: int = 6) -> SchemeConfig:
     """Write pausing + LazyCorrection (extension study)."""
     return SchemeConfig(
-        vnc=True,
-        lazy_correction=True,
-        ecp_entries=ecp_entries,
-        write_pausing=True,
+        lazy_correction=True, ecp_entries=ecp_entries, read_priority="pause"
     )
 
 
@@ -101,10 +86,7 @@ def lazyc_dense_ecp(ecp_entries: int = 6) -> SchemeConfig:
     """Ablation: LazyCorrection over a naive super dense ECP chip whose
     entry writes need their own VnC (Section 4.2's rejected design)."""
     return SchemeConfig(
-        vnc=True,
-        lazy_correction=True,
-        ecp_entries=ecp_entries,
-        low_density_ecp=False,
+        lazy_correction=True, ecp_entries=ecp_entries, low_density_ecp=False
     )
 
 

@@ -39,6 +39,9 @@ from .engine import Engine, EventLoop
 from .results import SimulationResult
 from .vnc import VnCExecutor
 
+#: Result-label token of each non-default ``SchemeConfig.read_priority``.
+_READ_PRIORITY_LABELS = {"eager": "eager", "cancel": "WC", "pause": "WP"}
+
 
 class SDPCMSystem:
     """One fully wired SD-PCM memory system (Figure 6)."""
@@ -139,21 +142,17 @@ class SDPCMSystem:
 
     def _scheme_label(self) -> str:
         s = self.config.scheme
-        if s.wd_free_bitlines:
+        if s.bitlines == "wd_free":
             return "DIN"
-        parts = []
+        parts = ["unprotected"] if s.bitlines == "unverified" else []
         if s.lazy_correction:
             parts.append(f"LazyC(ECP-{s.ecp_entries})")
         if s.preread:
             parts.append("PreRead")
         if s.nm_ratio != (1, 1):
             parts.append(f"({s.nm_ratio[0]}:{s.nm_ratio[1]})")
-        if s.write_cancellation:
-            parts.append("WC")
-        if s.write_pausing:
-            parts.append("WP")
-        elif s.eager_writes:
-            parts.append("eager")
+        if s.read_priority != "drain":
+            parts.append(_READ_PRIORITY_LABELS[s.read_priority])
         if not s.low_density_ecp:
             parts.append("denseECP")
         return "+".join(parts) if parts else "baseline-VnC"

@@ -181,13 +181,12 @@ class VnCExecutor:
         #: :meth:`_verify_rows` of used rows, per ``(row, nm_tag)``.
         self._adjacency: Dict[tuple, Optional[Tuple[int, ...]]] = {}
 
-        # The scheme and configuration, resolved once for the write path.
-        self._verifies = scheme.vnc and not scheme.wd_free_bitlines
-        self._vnc = scheme.vnc
+        # The scheme and configuration, resolved once for the write path:
+        # an 8F^2 chip has no bit-line WD, and only VnC verifies victims.
+        self._bitline_wd = scheme.bitlines != "wd_free"
+        self._vnc = scheme.bitlines == "vnc"
         self._lazy = scheme.lazy_correction
-        self._cancellable = scheme.write_cancellation
-        self._wordline_wd = disturbance.enabled
-        self._bitline_wd = disturbance.enabled and not scheme.wd_free_bitlines
+        self._cancellable = scheme.read_priority == "cancel"
         self._p_wordline = disturbance.p_wordline * disturbance.din_residual_scale
         self._p_bitline = disturbance.p_bitline_weak
         self._weak_fraction = disturbance.weak_cell_fraction
@@ -204,7 +203,7 @@ class VnCExecutor:
 
     def preread_slots(self, entry: WriteEntry) -> List[PrereadSlot]:
         """Adjacent lines needing verification for this write (0..2)."""
-        if not self._verifies:
+        if not self._vnc:
             return []
         # For (1:2) both neighbours are no-use and no row is verified
         # except at the conservative 64 MB block edges.
@@ -408,18 +407,15 @@ class VnCExecutor:
         counts[_BACKGROUND_WRITES] = changed_bits
 
         # ---- word-line disturbance (suppressed by DIN, checked in-write) ---
-        if self._wordline_wd:
-            wl_vuln = wordline_vulnerable_mask_int(physical_old, reset_mask, changed)
-            wl_errors = backend.sample_mask_int(
-                wl_vuln, self._p_wordline, rng
-            ).bit_count()
-            counts[_WL_VULNERABLE] = wl_vuln.bit_count()
-            counts[_WL_ERRORS] = wl_errors
-            if wl_errors:
-                # DIN's in-write check rewrites the disturbed cells: one
-                # extra RESET round (both DIN and SD-PCM pay this).
-                plan.latency += self._reset_cycles
-                counts[_DEMAND_WRITES] += wl_errors
+        wl_vuln = wordline_vulnerable_mask_int(physical_old, reset_mask, changed)
+        wl_errors = backend.sample_mask_int(wl_vuln, self._p_wordline, rng).bit_count()
+        counts[_WL_VULNERABLE] = wl_vuln.bit_count()
+        counts[_WL_ERRORS] = wl_errors
+        if wl_errors:
+            # DIN's in-write check rewrites the disturbed cells: one extra
+            # RESET round (both DIN and SD-PCM pay this).
+            plan.latency += self._reset_cycles
+            counts[_DEMAND_WRITES] += wl_errors
 
         # The write lands: stored image in, flips cleared, and the epoch
         # bump that makes PreRead copies of this line stale.

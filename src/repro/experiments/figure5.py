@@ -25,12 +25,12 @@ from .common import ExperimentResult, cell, run_cells
 
 def unprotected() -> SchemeConfig:
     """Super dense PCM with VnC disabled (timing reference only)."""
-    return SchemeConfig(vnc=False)
+    return SchemeConfig(bitlines="unverified")
 
 
 def verification_only() -> SchemeConfig:
     """VnC that never corrects: an ECP with one entry per cell."""
-    return SchemeConfig(vnc=True, lazy_correction=True, ecp_entries=LINE_BITS)
+    return SchemeConfig(lazy_correction=True, ecp_entries=LINE_BITS)
 
 
 def run_experiment(

@@ -4,11 +4,14 @@ Scheduling policy, per bank:
 
 * Demand reads have priority and are serviced FIFO whenever the bank is
   free and not draining.
-* Writes are buffered in the per-bank write queue.  In the paper's default
-  policy the queue is flushed when full ("bursty write"), blocking reads to
-  the bank until the flush completes.  With write cancellation [22] the
-  controller instead schedules writes eagerly whenever a bank is idle and
-  lets a demand read cancel an in-flight write that is not nearly done.
+* Writes are buffered in the per-bank write queue.  The scheme's
+  ``read_priority`` picks the policy once: ``"drain"`` (the paper's
+  default) flushes the queue when full ("bursty write"), blocking reads to
+  the bank until the flush completes; ``"eager"`` also starts writes
+  whenever a bank is idle; ``"cancel"`` (write cancellation [22]) adds that
+  a demand read cancels an in-flight write that is not nearly done, and
+  ``"pause"`` (write pausing [22]) that it pauses the write at a
+  programming-round boundary, to resume later with no lost work.
 * With PreRead (Section 4.3), idle banks opportunistically perform the
   pre-write reads of queued writes' adjacent lines, at lower priority than
   demand reads.
@@ -116,9 +119,7 @@ class MemoryController:
         executor: WriteExecutor,
         counters: Counters,
     ):
-        self.memory = memory
         self.timing = timing
-        self.scheme = scheme
         self.scheduler = scheduler
         self.executor = executor
         self.counters = counters
@@ -129,14 +130,15 @@ class MemoryController:
         #: Bursty drains run until the queue falls to this low-water mark,
         #: then reads regain the bank (high/low watermark flushing).
         self._drain_low_water = memory.write_queue_entries // 2
-        #: Scheme flags resolved once (the scheme is frozen).  A demand
-        #: read can pre-empt a write only under cancellation or pausing,
-        #: and either policy also schedules writes eagerly.
-        self._cancel_for_read = scheme.write_cancellation
-        self._pause_for_read = scheme.write_pausing
-        self._eager = (
-            self._cancel_for_read or self._pause_for_read or scheme.eager_writes
-        )
+        #: The read-priority policy, resolved once (the scheme is frozen):
+        #: the handler a queued demand read calls to pre-empt its bank's
+        #: write, if any (held unbound: a bound method would be a reference
+        #: cycle), and whether idle banks start writes eagerly.
+        self._preempt = {
+            "cancel": MemoryController._maybe_cancel_for_read,
+            "pause": MemoryController._maybe_pause_for_read,
+        }.get(scheme.read_priority)
+        self._eager = scheme.read_priority != "drain"
         self._preread = scheme.preread
         self._read_cycles = timing.read_cycles
         #: Per bank, the one READ op every demand read holds the bank with
@@ -192,10 +194,8 @@ class MemoryController:
             ))
             return
         bank.read_q.append((on_done, done_args))
-        if self._cancel_for_read:
-            self._maybe_cancel_for_read(bank)
-        if self._pause_for_read:
-            self._maybe_pause_for_read(bank)
+        if self._preempt is not None:
+            self._preempt(self, bank)
         self._kick(bank)
 
     def try_enqueue_write(self, entry: WriteEntry) -> bool:

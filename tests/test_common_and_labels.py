@@ -8,7 +8,7 @@ from repro.core import schemes
 from repro.core.results import SimulationResult
 from repro.core.system import SDPCMSystem
 from repro.errors import ConfigError
-from repro.experiments import figure16
+from repro.experiments import figure5, figure16
 from repro.experiments.common import (
     Column,
     ExperimentResult,
@@ -169,3 +169,11 @@ class TestSchemeLabels:
     def test_nm_label(self):
         label = SDPCMSystem(small_config(schemes.nm_alloc(1, 2)))._scheme_label()
         assert "(1:2)" in label
+
+    def test_unprotected_label_differs_from_basic_vnc(self):
+        """Figure 5's unverified 4F^2 reference is not basic VnC."""
+        def label(scheme):
+            return SDPCMSystem(small_config(scheme))._scheme_label()
+
+        assert label(figure5.unprotected()) == "unprotected"
+        assert label(schemes.baseline()) == "baseline-VnC"

@@ -83,12 +83,10 @@ class TestDisturbance:
 
 class TestScheme:
     def test_needs_vnc_matrix(self):
-        """Verification needs ``vnc`` plus a used neighbour under the
-        Figure 9 rule (strip 2 is used and inside its block)."""
-        assert SchemeConfig().vnc
+        """Verification needs ``bitlines="vnc"`` plus a used neighbour
+        under the Figure 9 rule (strip 2 is used and inside its block)."""
+        assert SchemeConfig().bitlines == "vnc"
         assert adjacent_usage(2, *SchemeConfig().nm_ratio) == (True, True)
-        assert not SchemeConfig(wd_free_bitlines=True, vnc=False).vnc
-        assert not SchemeConfig(vnc=False).vnc
         assert adjacent_usage(2, *SchemeConfig(nm_ratio=(1, 2)).nm_ratio) == (
             False, False)
         assert any(adjacent_usage(2, *SchemeConfig(nm_ratio=(2, 3)).nm_ratio))

@@ -54,7 +54,7 @@ class TestBankParallelism:
         assert counters.prereads_issued == 4
 
     def test_wc_cancellation_is_per_bank(self):
-        scheme = SchemeConfig(write_cancellation=True)
+        scheme = SchemeConfig(read_priority="cancel")
         loop, ctrl, ex, counters = make(scheme=scheme)
         ctrl.try_enqueue_write(write(bank=0, row=10))  # eager, in flight
         done = []

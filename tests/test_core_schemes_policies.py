@@ -26,7 +26,7 @@ class TestSchemeFactories:
 
     def test_din_has_no_vnc(self):
         s = schemes.din()
-        assert s.wd_free_bitlines and not s.vnc
+        assert s.bitlines == "wd_free"
 
     # Which neighbours a write verifies is the Figure 9 rule in
     # ``adjacent_usage``, applied to the scheme's (n:m) ratio.  Strip 2
@@ -34,7 +34,8 @@ class TestSchemeFactories:
 
     def test_baseline_needs_vnc(self):
         s = schemes.baseline()
-        assert s.vnc and adjacent_usage(2, *s.nm_ratio) == (True, True)
+        assert s.bitlines == "vnc"
+        assert adjacent_usage(2, *s.nm_ratio) == (True, True)
 
     def test_1_2_needs_no_vnc(self):
         s = schemes.nm_alloc(1, 2)
@@ -42,7 +43,7 @@ class TestSchemeFactories:
 
     def test_2_3_needs_vnc(self):
         s = schemes.nm_alloc(2, 3)
-        assert s.vnc and any(adjacent_usage(2, *s.nm_ratio))
+        assert s.bitlines == "vnc" and any(adjacent_usage(2, *s.nm_ratio))
 
     def test_by_name_roundtrip(self):
         for name in list(schemes.FIGURE11_SCHEMES) + ["WC", "WC+LazyC", "PreRead"]:
@@ -52,9 +53,9 @@ class TestSchemeFactories:
         with pytest.raises(ConfigError):
             schemes.by_name("nope")
 
-    def test_wd_free_with_vnc_rejected(self):
-        with pytest.raises(ConfigError):
-            SchemeConfig(wd_free_bitlines=True, vnc=True)
+    def test_unknown_bitlines_rejected(self):
+        with pytest.raises(ConfigError, match="'wd_free', 'unverified', 'vnc'"):
+            SchemeConfig(bitlines="barrier")
 
     def test_ratio_sweep(self):
         assert RATIOS == ((1, 2), (2, 3), (3, 4), (7, 8))

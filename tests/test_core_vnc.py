@@ -68,7 +68,7 @@ class TestSlots:
         assert [s.addr[1] for s in entry.slots] == [9, 11]
 
     def test_din_no_slots(self):
-        ex, *_ = make_executor(SchemeConfig(wd_free_bitlines=True, vnc=False))
+        ex, *_ = make_executor(SchemeConfig(bitlines="wd_free"))
         assert write_entry(ex).slots == []
 
     def test_top_edge_single_slot(self):
@@ -256,7 +256,7 @@ class TestCancel:
 
     def test_cancel_leaves_uncovered_partial_disturbance(self):
         ex, array, _, counters = make_executor(
-            SchemeConfig(write_cancellation=True), p_bitline=1.0
+            SchemeConfig(read_priority="cancel"), p_bitline=1.0
         )
         entry = write_entry(ex)
         ex._cancel(entry, ex.execute(entry, 0), 0.9)
@@ -269,7 +269,7 @@ class TestCancel:
             assert array.line(slot.addr).disturbed.bit_count() == 0
 
     def test_cancel_zero_progress_is_noop(self):
-        ex, _, _, counters = make_executor(SchemeConfig(write_cancellation=True))
+        ex, _, _, counters = make_executor(SchemeConfig(read_priority="cancel"))
         entry = write_entry(ex)
         ex._cancel(entry, ex.execute(entry, 0), 0.0)
         assert counters.partial_write_errors == 0
@@ -296,7 +296,7 @@ class TestCancelUndo:
         """A LazyC write-cancellation executor whose second write (to a
         line holding WD entries, so the demand write clears them) is
         planned but not yet completed."""
-        scheme = SchemeConfig(write_cancellation=True, lazy_correction=True)
+        scheme = SchemeConfig(read_priority="cancel", lazy_correction=True)
         ex, array, ecp, _ = make_executor(
             scheme, p_bitline=0.5, lifetime_fraction=0.5
         )
@@ -336,7 +336,7 @@ class TestCancelUndo:
 class TestDisturbanceDisabled:
     def test_din_chip_never_disturbs(self):
         ex, array, _, counters = make_executor(
-            SchemeConfig(wd_free_bitlines=True, vnc=False), p_bitline=1.0
+            SchemeConfig(bitlines="wd_free"), p_bitline=1.0
         )
         entry = write_entry(ex)
         run_write(ex, entry)
@@ -345,7 +345,7 @@ class TestDisturbanceDisabled:
 
     def test_unprotected_mode_accumulates_uncovered(self):
         ex, array, _, counters = make_executor(
-            SchemeConfig(vnc=False), p_bitline=1.0
+            SchemeConfig(bitlines="unverified"), p_bitline=1.0
         )
         entry = write_entry(ex)
         run_write(ex, entry)

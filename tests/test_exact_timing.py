@@ -1,7 +1,7 @@
 """Hand-computed cycle accounting for scripted scenarios.
 
 These pin the timing model exactly: for deterministic configurations
-(disturbance off) every latency is computable by hand from Table 2's
+(zero disturbance probabilities) every latency is computable by hand from Table 2's
 numbers, so a regression here means the timing semantics changed.
 """
 
@@ -31,8 +31,8 @@ def quiet_config(scheme=None, base_cpi=1.0):
         cores=1,
         timing=TimingConfig(base_cpi=base_cpi),
         memory=MemoryConfig(),
-        disturbance=DisturbanceConfig(enabled=False),
-        scheme=scheme or SchemeConfig(vnc=False),
+        disturbance=DisturbanceConfig(p_bitline=0.0, p_wordline=0.0),
+        scheme=scheme or SchemeConfig(bitlines="unverified"),
         seed=0,
     )
 
@@ -80,7 +80,7 @@ class TestWriteTiming:
         buffered: the read proceeds immediately."""
         res = run(
             [(True, 0, 0), (False, 64, 0)],
-            scheme=SchemeConfig(vnc=False),
+            scheme=SchemeConfig(bitlines="unverified"),
         )
         # Read to the same line? No - different line (64B offset), same
         # bank. The write is only buffered (not draining), so the read
@@ -110,7 +110,7 @@ class TestVnCTiming:
             disturbance=DisturbanceConfig(
                 p_bitline=0.0, p_wordline=0.0
             ),
-            scheme=SchemeConfig(vnc=True),
+            scheme=SchemeConfig(),
             seed=0,
         )
         workload = Workload(
@@ -142,7 +142,7 @@ class TestVnCTiming:
         executor = VnCExecutor(
             array=array,
             ecp=ECPChip(6),
-            scheme=SchemeConfig(vnc=True),
+            scheme=SchemeConfig(),
             timing=TimingConfig(),
             disturbance=DisturbanceConfig(p_bitline=0.0, p_wordline=0.0),
             counters=__import__(

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import List
 
 import pytest
 
 from repro.config import MemoryConfig, SchemeConfig, TimingConfig
+from repro.core import schemes
 from repro.core.engine import EventLoop
 from repro.mem.controller import FORWARD_READ_CYCLES, MemoryController
 from repro.mem.bank import InFlightOp
@@ -199,7 +201,7 @@ class TestPreread:
 
 class TestWriteCancellation:
     def test_read_cancels_inflight_write(self):
-        scheme = SchemeConfig(write_cancellation=True)
+        scheme = SchemeConfig(read_priority="cancel")
         loop, ctrl, ex, counters = make_controller(scheme=scheme, wq=8)
         ctrl.try_enqueue_write(write(row=10))
         # Eager write starts immediately; read arrives at t=0 mid-op.
@@ -213,7 +215,7 @@ class TestWriteCancellation:
         assert len(ex.commits) == 1
 
     def test_nearly_done_write_not_cancelled(self):
-        scheme = SchemeConfig(write_cancellation=True)
+        scheme = SchemeConfig(read_priority="cancel")
         loop, ctrl, ex, counters = make_controller(scheme=scheme, wq=8)
         ctrl.try_enqueue_write(write(row=10))
         done = []
@@ -224,7 +226,7 @@ class TestWriteCancellation:
         assert done[0] == 1200  # waited for the write
 
     def test_eager_writes_without_drain(self):
-        scheme = SchemeConfig(write_cancellation=True)
+        scheme = SchemeConfig(read_priority="cancel")
         loop, ctrl, ex, _ = make_controller(scheme=scheme, wq=8)
         ctrl.try_enqueue_write(write(row=10))
         loop.run()
@@ -241,28 +243,21 @@ def reference_kick(scheme, busy, draining, write_q, read_q, preread_owed):
         return "write"
     elif read_q and not draining:
         return "read"
-    elif (
-        (
-            scheme.write_cancellation
-            or scheme.write_pausing
-            or scheme.eager_writes
-        )
-        and write_q
-        and not read_q
-    ):
+    elif scheme.read_priority != "drain" and write_q and not read_q:
         return "write"
     elif scheme.preread and not draining and preread_owed:
         return "preread"
     return None
 
 
-#: Every way a scheme can make writes eager (or not).
-EAGER_FLAGS = (None, "eager_writes", "write_cancellation", "write_pausing")
+#: Every read priority, by the ``repro.core.schemes`` factory that sets it
+#: on basic VnC (``None``: the default bursty drain).
+EAGER_SCHEMES = (None, "eager", "write_cancellation", "write_pausing")
 
 
 class TestKickTable:
     """``_kick`` picks the same action as the reference cascade for every
-    combination of bank state and scheme flags.
+    combination of bank state, PreRead and read priority.
 
     ``preread_owed``: a write still owes a pre-read, so the bank's PreRead
     cursor holds it.  With ``write_q`` that write is the queued one; with
@@ -271,7 +266,7 @@ class TestKickTable:
     """
 
     @pytest.mark.parametrize("preread_owed", [False, True])
-    @pytest.mark.parametrize("eager", EAGER_FLAGS)
+    @pytest.mark.parametrize("eager", EAGER_SCHEMES)
     @pytest.mark.parametrize("preread", [False, True])
     @pytest.mark.parametrize("read_q", [False, True])
     @pytest.mark.parametrize("write_q", [False, True])
@@ -280,10 +275,8 @@ class TestKickTable:
     def test_action_matches_reference(
         self, busy, draining, write_q, read_q, preread, eager, preread_owed
     ):
-        flags = {"preread": preread}
-        if eager is not None:
-            flags[eager] = True
-        scheme = SchemeConfig(**flags)
+        scheme = SchemeConfig() if eager is None else getattr(schemes, eager)()
+        scheme = replace(scheme, preread=preread)
         _, ctrl, _, _ = make_controller(scheme)
         taken = []
         ctrl._start_write = lambda bank, now: taken.append("write")

@@ -14,8 +14,7 @@ from repro.experiments.figure5 import unprotected, verification_only
 
 class TestFigure5Configs:
     def test_unprotected_has_no_vnc(self):
-        scheme = unprotected()
-        assert not scheme.vnc and not scheme.wd_free_bitlines
+        assert unprotected().bitlines == "unverified"
 
     def test_verification_only_never_overflows(self):
         scheme = verification_only()

@@ -25,7 +25,7 @@ class TestQuiesce:
         cfg = SystemConfig(
             cores=1,
             memory=MemoryConfig(write_queue_entries=32),
-            scheme=SchemeConfig(vnc=False),
+            scheme=SchemeConfig(bitlines="unverified"),
             seed=1,
         )
         system = SDPCMSystem(cfg)

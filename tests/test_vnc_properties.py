@@ -98,7 +98,7 @@ class TestInvariantUnderRandomSequences:
         executor tracks in its uncovered map (retries then resolve them)."""
         executor, array, ecp = build(
             SchemeConfig(lazy_correction=True, ecp_entries=6,
-                         write_cancellation=True),
+                         read_priority="cancel"),
             seed, 0.115,
         )
         for bank, row, line, cancel_draw in script:

@@ -194,7 +194,7 @@ class TestControllerKeepsIndexConsistent:
         assert bank.wq_index == {}
 
     def test_cancellation_reinserts_consistently(self):
-        scheme = SchemeConfig(write_cancellation=True)
+        scheme = SchemeConfig(read_priority="cancel")
         loop, ctrl, _, counters = make_controller(scheme=scheme)
         ctrl.try_enqueue_write(write(row=10))
         bank = ctrl.banks[0]
@@ -209,7 +209,7 @@ class TestControllerKeepsIndexConsistent:
         assert bank.wq_index == {}
 
     def test_pause_reinserts_consistently(self):
-        scheme = SchemeConfig(write_pausing=True)
+        scheme = SchemeConfig(read_priority="pause")
         loop, ctrl, ex, counters = make_controller(scheme=scheme)
         ctrl.try_enqueue_write(write(row=10))
         bank = ctrl.banks[0]

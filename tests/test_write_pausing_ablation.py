@@ -34,7 +34,7 @@ def make_controller(scheme, wq=8):
 class TestPausingController:
     def test_read_pauses_write(self):
         loop, ctrl, ex, counters = make_controller(
-            SchemeConfig(write_pausing=True)
+            SchemeConfig(read_priority="pause")
         )
         ctrl.try_enqueue_write(write(row=10))  # eager write starts at t=0
         done = []
@@ -47,7 +47,7 @@ class TestPausingController:
 
     def test_resume_pays_only_remaining(self):
         loop, ctrl, ex, counters = make_controller(
-            SchemeConfig(write_pausing=True)
+            SchemeConfig(read_priority="pause")
         )
         ctrl.try_enqueue_write(write(row=10))       # 800-cycle write at t=0
         loop.schedule(300, lambda t: ctrl.enqueue_read(read(row=3), lambda x: None))
@@ -59,7 +59,7 @@ class TestPausingController:
 
     def test_final_round_not_paused(self):
         loop, ctrl, ex, counters = make_controller(
-            SchemeConfig(write_pausing=True)
+            SchemeConfig(read_priority="pause")
         )
         ctrl.try_enqueue_write(write(row=10))
         done = []
@@ -75,7 +75,7 @@ class TestPausingController:
         from repro.mem.controller import MAX_PAUSES_PER_WRITE
 
         loop, ctrl, ex, counters = make_controller(
-            SchemeConfig(write_pausing=True)
+            SchemeConfig(read_priority="pause")
         )
         ctrl.try_enqueue_write(write(row=10))
         # A read arrives every 100 cycles, forever trying to pre-empt.
@@ -86,9 +86,10 @@ class TestPausingController:
         assert len(ex.commits) == 1
         assert counters.writes_paused <= MAX_PAUSES_PER_WRITE
 
-    def test_pausing_and_cancellation_exclusive(self):
-        with pytest.raises(ConfigError):
-            SchemeConfig(write_pausing=True, write_cancellation=True)
+    def test_unknown_read_priority_rejected(self):
+        allowed = "'drain', 'eager', 'cancel', 'pause'"
+        with pytest.raises(ConfigError, match=allowed):
+            SchemeConfig(read_priority="pause+cancel")
 
 
 class TestPausingSystem:
