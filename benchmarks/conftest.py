@@ -5,6 +5,10 @@ Every benchmark regenerates one paper table/figure via the corresponding
 ``pytest -s``), and archives it under ``benchmarks/out/`` so a full
 ``pytest benchmarks/ --benchmark-only`` run leaves the complete set of
 reproduced tables on disk.
+
+Each session simulates into its own empty result cache, never the user's
+``~/.cache/repro``: a benchmark must not pass on results an older version
+of the simulator left there.
 """
 
 from __future__ import annotations
@@ -14,7 +18,24 @@ from pathlib import Path
 
 import pytest
 
+from repro.perf import engine
+
 OUT_DIR = Path(os.environ.get("REPRO_BENCH_OUT", Path(__file__).parent / "out"))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_result_cache(tmp_path_factory):
+    """Point the result cache at a fresh per-session directory.
+
+    The session's benchmarks share it, so a cell one experiment simulated
+    is a cache hit for the next, and the compiled kernel module is built
+    into it once and reused by every benchmark.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache")))
+        engine.reset()
+        yield
+        engine.reset()
 
 
 @pytest.fixture

@@ -14,17 +14,22 @@ write popped off a write queue it runs one *composite operation*:
    cascade (Section 3.2) until a verification pass comes back clean.
 
 ``execute`` samples the op and applies it as it goes, in place in the
-touched lines' records and ECP lines; it returns the plan, which the
-controller hands back once.  No event can read those lines in between: a
-bank runs one op at a time, every line an op touches sits in its bank,
-and a paused write resumes before its bank starts anything else.
-``_commit`` then charges what completion costs (novel ECP-entry wear, the
-uncovered bookkeeping, the counters).  Only write cancellation throws an
-op away: a scheme that can cancel logs each touched line's prior values,
-and ``_cancel`` restores them before it applies the partial disturbance of
-the pulses already fired.  Committed plans' counter increments accumulate
-in the executor and reach :class:`~repro.stats.counters.Counters` once,
-through :meth:`VnCExecutor.publish_counters`, when the replay ends.
+touched lines' records and ECP lines, adds its counts straight into the
+executor's totals, and returns the plan, which the controller hands back
+once.  No event can read those lines in between: a bank runs one op at a
+time, every line an op touches sits in its bank, and a paused write
+resumes before its bank starts anything else.  ``_commit`` charges what
+completion costs (novel ECP-entry wear, the uncovered bookkeeping) and
+files the op's Figure 4 notes, so histogram keys keep their first-seen
+order when a paused op commits out of plan order.  Only write
+cancellation throws an op away: a cancellable op keeps its counts apart
+until ``_commit`` and logs each touched line's prior values, which
+``_cancel`` restores before it applies the partial disturbance of the
+pulses already fired.  Totals and notes reach
+:class:`~repro.stats.counters.Counters` once, through
+:meth:`VnCExecutor.publish_counters`, when the replay ends.  How a
+victim's new errors are handled (LazyCorrection's absorb-else-correct or
+the plain correction) is bound once per executor.
 
 Everything works in the **int domain** (512-bit integers, see
 :mod:`repro.pcm.line`): the array keeps one record per touched line (its
@@ -39,6 +44,7 @@ Line keys are plain :data:`~repro.pcm.array.LineAddress` tuples
 from __future__ import annotations
 
 from collections import Counter
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -72,11 +78,18 @@ MAX_CASCADE_DEPTH = 8
 #: (Figure 18) despite ~4 buffered errors per write.
 NOVEL_ENTRY_BITS = 10
 
+#: Per-line pool of recurring flip patterns and the reuse probability.
+#: Real applications rewrite the same fields of the same lines, so the
+#: set of cells a line's writes toggle is far smaller than random data
+#: would suggest; PIN-captured traces carry that low entropy implicitly,
+#: and the pool reproduces it.
+FLIP_POOL_SIZE = 3
+FLIP_REUSE_PROB = 0.8
 
-#: The :class:`~repro.stats.counters.Counters` fields a plan accumulates,
-#: in slot order: ``_Plan.counts[i]`` is the pending increment of field
-#: ``PLAN_COUNTERS[i]``; ``_commit`` adds the slots to the executor's
-#: totals, which :meth:`VnCExecutor.publish_counters` writes out.
+
+#: The :class:`~repro.stats.counters.Counters` fields an op increments:
+#: slot ``i`` of the executor's totals (or of a cancellable op's counts)
+#: adds to field ``PLAN_COUNTERS[i]``.
 PLAN_COUNTERS = (
     "data_cell_writes_demand", "ecp_cell_writes_background",
     "wordline_vulnerable_cells", "wordline_errors", "ecp_cleared_by_write",
@@ -95,39 +108,31 @@ PLAN_COUNTERS = (
     _TRUNCATIONS,
 ) = range(len(PLAN_COUNTERS))
 
-#: Committed plans' counts are summed in blocks of this many plans.
-FOLD_BLOCK = 1024
-
 
 class _Plan:
     """What one composite write op did, and what its completion charges."""
 
-    __slots__ = ("latency", "counts", "adjacent_notes", "uncovered_resolved",
-                 "absorbed", "cleared", "injections", "undo",
-                 "demand_cell_writes")
+    __slots__ = ("latency", "wordline_errors", "notes", "resolved",
+                 "absorbed", "cleared", "counts", "injections", "undo")
 
     def __init__(self, cancellable: bool) -> None:
         self.latency = 0
-        #: Deferred counter increments, one slot per ``PLAN_COUNTERS``.
-        self.counts = [0] * len(PLAN_COUNTERS)
-        self.adjacent_notes: List[int] = []
+        #: Figure 4 notes: word-line errors, each victim's bit-line errors.
+        self.wordline_errors = 0
+        self.notes: List[int] = []
         #: Keys whose pending uncovered bits this op detects and handles.
-        self.uncovered_resolved: List[LineAddress] = []
-        #: Records whose ECP line took WD entries in this op.
+        self.resolved: List[LineAddress] = []
+        #: Records whose ECP line took WD entries, and records whose WD
+        #: entries this op cleared (demand write or correction).
         self.absorbed: List[LineRecord] = []
-        #: Records whose WD entries this op cleared (demand write or
-        #: correction).
         self.cleared: List[LineRecord] = []
-        #: If the scheme cancels: the first-level injections (addr, sampled
-        #: mask) and each touched record's prior values (record, stored,
-        #: disturbed, flags, epoch, ECP WD mask), in touch order.
-        self.injections: Optional[List[Tuple[LineAddress, int]]] = None
-        self.undo: Optional[List[tuple]] = None
+        #: Only if the scheme cancels: the op's ``PLAN_COUNTERS`` slots,
+        #: the first-level injections (addr, sampled mask) and each touched
+        #: record's prior values (record, stored, disturbed, flags, epoch,
+        #: ECP WD mask), in touch order.
+        self.counts = self.injections = self.undo = None
         if cancellable:
-            self.injections = []
-            self.undo = []
-        #: Demand-write cell changes (wear + partial-cancel accounting).
-        self.demand_cell_writes = 0
+            self.counts, self.injections, self.undo = [0] * len(PLAN_COUNTERS), [], []
 
 
 class VnCExecutor:
@@ -165,10 +170,8 @@ class VnCExecutor:
         #: directly on the write path (:meth:`_open` fills a miss).
         self._lines = array.lines
         self._ecp_lines = ecp.lines
-        #: Committed plans' ``PLAN_COUNTERS`` increments and Figure 4
-        #: histogram notes, published once per replay.
+        #: ``PLAN_COUNTERS`` totals and Figure 4 notes, published per replay.
         self._totals = [0] * len(PLAN_COUNTERS)
-        self._pending: List[List[int]] = []
         self._adjacent_notes: List[int] = []
         self._wordline_notes: List[int] = []
         self.lifetime_fraction = lifetime_fraction
@@ -185,19 +188,21 @@ class VnCExecutor:
         # an 8F^2 chip has no bit-line WD, and only VnC verifies victims.
         self._bitline_wd = scheme.bitlines != "wd_free"
         self._vnc = scheme.bitlines == "vnc"
-        self._lazy = scheme.lazy_correction
         self._cancellable = scheme.read_priority == "cancel"
         self._p_wordline = disturbance.p_wordline * disturbance.din_residual_scale
         self._p_bitline = disturbance.p_bitline_weak
         self._weak_fraction = disturbance.weak_cell_fraction
         self._read_cycles = timing.read_cycles
         self._reset_cycles = timing.reset_cycles
+        #: The error policy for a victim's new errors, held unbound (a bound
+        #: method would be a reference cycle): ``_handle_errors(self, ...)``.
+        self._handle_errors = (VnCExecutor._absorb_or_correct
+                               if scheme.lazy_correction else VnCExecutor._correct)
         #: Ablation (Section 4.2): a naive super dense ECP chip suffers WD
         #: on its own entry writes, so programming entries needs its own
-        #: verify-and-correct pass.
-        self._ecp_verify_cycles = 0 if scheme.low_density_ecp else (
-            2 * timing.read_cycles + timing.reset_cycles
-        )
+        #: verify-and-correct pass (charged by LazyCorrection's absorb).
+        self._ecp_verify_cycles = (0 if scheme.low_density_ecp
+                                   else 2 * timing.read_cycles + timing.reset_cycles)
 
     # -- WriteExecutor interface ---------------------------------------------
 
@@ -222,16 +227,194 @@ class VnCExecutor:
         slot.epoch = 0 if record is None else record.epoch
 
     def execute(self, entry: WriteEntry, now: int) -> _Plan:
-        """Plan the composite op; the controller passes the plan back to
-        :meth:`_commit` at completion or :meth:`_cancel` on cancellation."""
-        return self._plan(entry)
+        """Sample and apply the composite op; the controller passes the
+        plan back to :meth:`_commit` at completion or :meth:`_cancel` on
+        cancellation."""
+        plan = _Plan(self._cancellable)
+        counts = plan.counts
+        if counts is None:
+            counts = self._totals
+        undo = plan.undo
+        addr = entry.addr
+        backend = self.kernels
+        rng = self.rng
+        lines = self._lines
+
+        # ---- the data write itself ---------------------------------------
+        record = lines.get(addr)
+        if record is None or undo is not None:
+            record = self._open(addr, record, undo)
+        stored_old = record.stored
+        physical_old = stored_old | record.disturbed
+        new_logical = entry.payload_int
+        if new_logical is None:
+            # Synthesised once per entry, so a retried write rewrites it:
+            # mostly one of the line's recurring flip patterns.
+            logical_old = backend.decode_int(stored_old, record.flags)
+            pool = record.pool
+            if pool and (len(pool) >= FLIP_POOL_SIZE
+                         or rng.random() < FLIP_REUSE_PROB):
+                flips = pool[int(rng.integers(len(pool)))]
+            else:
+                flips = self._new_flips(entry.core, record)
+            new_logical = entry.payload_int = logical_old ^ flips
+        stored_new, flags = backend.encode_stored_int(physical_old, new_logical)
+        # Differential write: only changed cells are pulsed; for them the
+        # old value is the complement of the new one.
+        changed = physical_old ^ stored_new
+        reset_mask = changed & physical_old
+        reset_bits = reset_mask.bit_count()
+        changed_bits = changed.bit_count()
+        latency = rounds_latency(reset_bits, changed_bits - reset_bits, self.timing)
+        counts[_BACKGROUND_WRITES] += changed_bits
+
+        # ---- word-line disturbance (suppressed by DIN, checked in-write) ---
+        wl_vuln = wordline_vulnerable_mask_int(physical_old, reset_mask, changed)
+        wl_errors = backend.sample_mask_int(wl_vuln, self._p_wordline, rng).bit_count()
+        counts[_WL_VULNERABLE] += wl_vuln.bit_count()
+        counts[_WL_ERRORS] += wl_errors
+        plan.wordline_errors = wl_errors
+        if wl_errors:
+            # DIN's in-write check rewrites the disturbed cells: one extra
+            # RESET round (both DIN and SD-PCM pay this).
+            latency += self._reset_cycles
+        counts[_DEMAND_WRITES] += changed_bits + wl_errors
+
+        # The write lands: stored image in, flips cleared, and the epoch
+        # bump that makes PreRead copies of this line stale.
+        record.stored, record.disturbed, record.flags = stored_new, 0, flags
+        record.epoch += 1
+        uncovered = self.uncovered
+        if addr in uncovered:
+            plan.resolved.append(addr)
+        # A demand write makes the line's buffered WD corrections stale:
+        # the rewrite physically repairs every deviating cell ("a normal
+        # write operation clears the accumulated WD errors in ECP").
+        line = record.ecp
+        if line is not None and line.wd:
+            counts[_ECP_CLEARED] += line.clear_wd()
+            plan.cleared.append(record)
+
+        # ---- stuck-at faults on the written line ---------------------------
+        fault_plan = self.fault_plan
+        if fault_plan is not None:
+            stuck = fault_plan.stuck_profile(addr)
+            if stuck.mask:
+                # Materialise the line's ECP cover (and the exhaustion
+                # fallback) on first touch, then charge the bits no entry
+                # covers and whose frozen value disagrees with this write.
+                if record.ecp is None:
+                    self._ecp_line(addr, record)
+                wrong = L.stuck_error_mask_int(
+                    stored_new, stuck.mask, stuck.values
+                ) & self._stuck_uncovered.get(addr, 0)
+                counts[_UNCORRECTABLE] += wrong.bit_count()
+
+        if not self._bitline_wd:
+            plan.latency = latency
+            return plan  # 8F^2 chip: no bit-line WD, no VnC.
+
+        # ---- pre-write reads and bit-line exposure, one pass ---------------
+        # VnC's victims are the write's PreRead slots (distinct lines, none
+        # of them ``addr``); an unverified chip disturbs both neighbours.
+        # Exposed: idle amorphous cells under a RESET pulse, less stuck
+        # cells (ECP hard errors, injected stuck cells).  Their fixed weak
+        # subset [4, 13, 25] is staged for one batched draw (equivalent
+        # to per-victim draws), and with a fault plan, resistance drift of
+        # any idle cell since the last verification (the plan's stream).
+        vnc = self._vnc
+        targets = entry.slots if vnc else tuple(self.array.bitline_neighbours(addr))
+        read_cycles = self._read_cycles
+        weak_mask = stateplane.PLANE.weak_mask
+        keys, records, staged = [], [], []
+        drifts: Optional[List[int]] = None if fault_plan is None else []
+        vulnerable_cells = 0
+        for target in targets:
+            vaddr = target.addr if vnc else target
+            vrecord = lines.get(vaddr)
+            if vrecord is None or undo is not None:
+                vrecord = self._open(vaddr, vrecord, undo)
+            keys.append(vaddr)
+            records.append(vrecord)
+            # A forwarded slot was satisfied from the write queue, and a
+            # PreRead copy is good while the victim's epoch is unchanged.
+            if vnc and not target.forwarded:
+                if not target.done:
+                    counts[_PRE_WRITE_READS] += 1
+                    latency += read_cycles
+                elif target.epoch == vrecord.epoch:
+                    counts[_PREREAD_HITS] += 1
+                else:
+                    counts[_PREREAD_STALE] += 1
+                    latency += read_cycles
+            vline = vrecord.ecp
+            occupied = (vrecord.stored | vrecord.disturbed
+                        | (0 if vline is None else vline.hard))
+            if drifts is not None:
+                occupied |= fault_plan.stuck_profile(vaddr).mask
+                drifts.append(fault_plan.drift_mask(vaddr, occupied ^ L.MASK_ALL))
+            vulnerable = reset_mask & ~occupied
+            vulnerable_cells += vulnerable.bit_count()
+            weak = vrecord.weak
+            if weak is None:
+                weak = vrecord.weak = weak_mask(self._weak_fraction, vaddr)
+            staged.append(vulnerable & weak)
+        counts[_BL_VULNERABLE] += vulnerable_cells
+
+        # ---- bit-line disturbance injection --------------------------------
+        # Each victim's draw is replaced by its new errors to handle.
+        found = backend.sample_masks_int(staged, self._p_bitline, rng)
+        notes = plan.notes
+        injections = plan.injections
+        error_cells = 0
+        for i, sampled in enumerate(found):
+            errors = sampled.bit_count()
+            error_cells += errors
+            notes.append(errors)
+            if drifts is not None:
+                new_drift = drifts[i] & ~sampled
+                if new_drift:
+                    counts[_DRIFT_FLIPS] += new_drift.bit_count()
+                    sampled |= new_drift
+            vrecord = records[i]
+            vrecord.disturbed |= sampled
+            vaddr = keys[i]
+            if injections is not None:
+                injections.append((vaddr, sampled))
+            if not vnc:
+                # Unprotected super dense PCM: disturbance lands undetected.
+                if sampled:
+                    uncovered[vaddr] = uncovered.get(vaddr, 0) | sampled
+                continue
+            pending = uncovered.get(vaddr)
+            if pending is not None:
+                sampled |= pending & vrecord.disturbed
+                plan.resolved.append(vaddr)
+            found[i] = sampled
+        counts[_BL_ERRORS] += error_cells
+        if not vnc:
+            plan.latency = latency
+            return plan
+
+        # ---- verification ---------------------------------------------------
+        verified = len(records)
+        plan.latency = latency + read_cycles * verified
+        counts[_VERIFY_READS] += verified
+        counts[_VERIFICATIONS] += verified
+
+        # ---- correction / LazyCorrection ------------------------------------
+        handle = self._handle_errors
+        nm_tag = entry.nm_tag
+        for i, new_mask in enumerate(found):
+            if new_mask:
+                handle(self, plan, counts, keys[i], records[i], new_mask, nm_tag, 0)
+        return plan
 
     def publish_counters(self) -> None:
-        """Add the committed plans' counts and Figure 4 error histogram
-        notes to ``counters``, once, when the replay ends (the totals
-        restart at zero); histogram keys keep their first-seen order."""
+        """Add the counts and Figure 4 error histogram notes to
+        ``counters``, once, when the replay ends (the totals restart at
+        zero); histogram keys keep their first-seen order."""
         counters = self.counters
-        self._fold()
         for attr, total in zip(PLAN_COUNTERS, self._totals):
             if total:
                 setattr(counters, attr, getattr(counters, attr) + total)
@@ -245,11 +428,6 @@ class VnCExecutor:
             notes.clear()
         counters.max_errors_one_adjacent_line = max(adjacent, default=0)
         counters.max_errors_wordline = max(wordline, default=0)
-
-    def _fold(self) -> None:
-        """Sum the pending plans' counts into ``_totals``."""
-        self._totals = list(map(sum, zip(self._totals, *self._pending)))
-        self._pending.clear()
 
     # -- planning ---------------------------------------------------------------
 
@@ -271,70 +449,28 @@ class VnCExecutor:
         )
         return rows
 
-    #: Per-line pool of recurring flip patterns and the reuse probability.
-    #: Real applications rewrite the same fields of the same lines, so the
-    #: set of cells a line's writes toggle is far smaller than random data
-    #: would suggest; PIN-captured traces carry that low entropy
-    #: implicitly, and the pool reproduces it.
-    FLIP_POOL_SIZE = 3
-    FLIP_REUSE_PROB = 0.8
-
-    def _flip_mask(self, entry: WriteEntry, record: LineRecord) -> int:
-        pool = record.pool or []
-        if pool and (
-            len(pool) >= self.FLIP_POOL_SIZE
-            or self.rng.random() < self.FLIP_REUSE_PROB
-        ):
-            return pool[int(self.rng.integers(len(pool)))]
-        core = entry.core
+    def _new_flips(self, core: int, record: LineRecord) -> int:
+        """Draw a fresh flip pattern for the line and pool it."""
         fraction = (self.flip_fractions[core] if 0 <= core < len(self.flip_fractions)
                     else self.default_flip)
         mask = self.kernels.draw_mask(self.rng, LINE_BITS, fraction)
-        pool.append(mask)
-        record.pool = pool
+        record.pool = (record.pool or []) + [mask]
         return mask
 
-    def _open(self, plan: _Plan, key: LineAddress) -> LineRecord:
-        """The record of a line the op touches; a line's first touch
-        materialises it and links the chip's ECP line, if any.  A
-        cancellable op logs the record's values before it changes them."""
-        record = self._lines.get(key)
+    def _open(self, key: LineAddress, record: Optional[LineRecord],
+              undo: Optional[List[tuple]]) -> LineRecord:
+        """A line the op touches, off the hot path (``record`` is the probe
+        of ``_lines``): a first touch materialises its record and links the
+        chip's ECP line, if any, and a cancellable op logs the record's
+        values before it changes them."""
         if record is None:
             record = self.array.materialise(key)
             record.ecp = self._ecp_lines.get(key)
-        undo = plan.undo
         if undo is not None:
             line = record.ecp
             undo.append((record, record.stored, record.disturbed, record.flags,
                          record.epoch, 0 if line is None else line.wd))
         return record
-
-    def _expose(
-        self, record: LineRecord, vaddr: LineAddress, pulses: int
-    ) -> Tuple[int, int, int]:
-        """A victim's cells exposed to RESET ``pulses``.
-
-        Returns ``(vulnerable, weak, stuck)``: the idle amorphous cells
-        under a pulse, less stuck cells (ECP hard errors and injected
-        stuck cells: no phase left to change); their fixed per-line
-        disturbance-prone subset [4, 13, 25] (state plane, memoised in
-        the line's record); and the stuck mask.
-        """
-        vulnerable = pulses & ((record.stored | record.disturbed) ^ L.MASK_ALL)
-        stuck = 0
-        if self.fault_plan is not None:
-            stuck = self.fault_plan.stuck_profile(vaddr).mask
-        line = record.ecp
-        if line is not None:
-            stuck |= line.hard
-        if stuck:
-            vulnerable &= stuck ^ L.MASK_ALL
-        weak = record.weak
-        if weak is None:
-            weak = record.weak = stateplane.PLANE.weak_mask(
-                self._weak_fraction, vaddr
-            )
-        return vulnerable, vulnerable & weak, stuck
 
     def _ecp_line(self, key: LineAddress, record: LineRecord):
         """Link a line's new ECP state into its record, seeding age-dependent
@@ -375,184 +511,30 @@ class VnCExecutor:
                 self._stuck_uncovered[key] = uncovered
         return line
 
-    def _plan(self, entry: WriteEntry) -> _Plan:
-        plan = _Plan(self._cancellable)
-        counts = plan.counts
-        addr = entry.addr
-        backend = self.kernels
-        rng = self.rng
+    # -- error policies (one is bound per executor as ``_handle_errors``) ------
 
-        # ---- the data write itself ---------------------------------------
-        record = self._open(plan, addr)
-        stored_old = record.stored
-        physical_old = stored_old | record.disturbed
-        new_logical = entry.payload_int
-        if new_logical is None:
-            # Synthesised once per entry, so a retried write rewrites it.
-            logical_old = backend.decode_int(stored_old, record.flags)
-            flips = self._flip_mask(entry, record)
-            new_logical = entry.payload_int = logical_old ^ flips
-        stored_new, flags = backend.encode_stored_int(physical_old, new_logical)
-        # Differential write: only changed cells are pulsed; for them the
-        # old value is the complement of the new one.
-        changed = physical_old ^ stored_new
-        reset_mask = changed & physical_old
-        reset_bits = reset_mask.bit_count()
-        changed_bits = changed.bit_count()
-        plan.latency = rounds_latency(
-            reset_bits, changed_bits - reset_bits, self.timing
-        )
-        plan.demand_cell_writes = changed_bits
-        counts[_DEMAND_WRITES] = changed_bits
-        counts[_BACKGROUND_WRITES] = changed_bits
-
-        # ---- word-line disturbance (suppressed by DIN, checked in-write) ---
-        wl_vuln = wordline_vulnerable_mask_int(physical_old, reset_mask, changed)
-        wl_errors = backend.sample_mask_int(wl_vuln, self._p_wordline, rng).bit_count()
-        counts[_WL_VULNERABLE] = wl_vuln.bit_count()
-        counts[_WL_ERRORS] = wl_errors
-        if wl_errors:
-            # DIN's in-write check rewrites the disturbed cells: one extra
-            # RESET round (both DIN and SD-PCM pay this).
-            plan.latency += self._reset_cycles
-            counts[_DEMAND_WRITES] += wl_errors
-
-        # The write lands: stored image in, flips cleared, and the epoch
-        # bump that makes PreRead copies of this line stale.
-        record.stored, record.disturbed, record.flags = stored_new, 0, flags
-        record.epoch += 1
-        uncovered = self.uncovered
-        if addr in uncovered:
-            plan.uncovered_resolved.append(addr)
-        # A demand write makes the line's buffered WD corrections stale:
-        # the rewrite physically repairs every deviating cell ("a normal
-        # write operation clears the accumulated WD errors in ECP").
-        existing_ecp = record.ecp
-        if existing_ecp is not None and existing_ecp.wd:
-            counts[_ECP_CLEARED] = existing_ecp.clear_wd()
-            plan.cleared.append(record)
-
-        # ---- stuck-at faults on the written line ---------------------------
-        fault_plan = self.fault_plan
-        if fault_plan is not None:
-            stuck = fault_plan.stuck_profile(addr)
-            if stuck.mask:
-                # Materialise the line's ECP cover (and the exhaustion
-                # fallback) on first touch, then charge the bits no entry
-                # covers and whose frozen value disagrees with this write.
-                if record.ecp is None:
-                    self._ecp_line(addr, record)
-                wrong = L.stuck_error_mask_int(
-                    stored_new, stuck.mask, stuck.values
-                ) & self._stuck_uncovered.get(addr, 0)
-                if wrong:
-                    counts[_UNCORRECTABLE] = wrong.bit_count()
-
-        if not self._bitline_wd:
-            return plan  # 8F^2 chip: no bit-line WD, no VnC.
-
-        # ---- pre-write reads ------------------------------------------------
-        victims: List[Tuple[LineAddress, LineRecord]] = []
-        for slot in entry.slots:  # distinct lines, none of them ``addr``
-            vaddr = slot.addr
-            vrecord = self._open(plan, vaddr)
-            victims.append((vaddr, vrecord))
-            if slot.forwarded:
-                continue  # satisfied from the write queue, no array access
-            if not slot.done:
-                counts[_PRE_WRITE_READS] += 1
-            elif slot.epoch == vrecord.epoch:
-                counts[_PREREAD_HITS] += 1
-                continue
-            else:
-                counts[_PREREAD_STALE] += 1
-            plan.latency += self._read_cycles
-
-        # ---- bit-line disturbance injection --------------------------------
-        # Vulnerable/weak masks are computed per victim, then every victim
-        # is sampled in one batched call (RNG-stream-equivalent to
-        # per-victim sampling; nothing between the draws touches
-        # ``self.rng``).
-        vnc = self._vnc
-        if not vnc:
-            victims = [(vaddr, self._open(plan, vaddr))
-                       for vaddr in self.array.bitline_neighbours(addr)]
-        staged = [self._expose(vrecord, vaddr, reset_mask)
-                  for vaddr, vrecord in victims]
-        sampled_masks = backend.sample_masks_int(
-            [weak for _, weak, _ in staged], self._p_bitline, rng
-        )
-        detected: List[Tuple[LineAddress, LineRecord, int]] = []
-        vulnerable_cells = error_cells = 0
-        injections = plan.injections
-        for (vaddr, vrecord), (vulnerable, _, stuck), sampled in zip(
-            victims, staged, sampled_masks
-        ):
-            errors = sampled.bit_count()
-            vulnerable_cells += vulnerable.bit_count()
-            error_cells += errors
-            plan.adjacent_notes.append(errors)
-            if fault_plan is not None:
-                # Resistance drift: any idle amorphous (non-stuck) cell can
-                # have drifted since the last verification, not just cells
-                # under this write's RESET pulses.  Sampled from the plan's
-                # own stream, so it never perturbs ``self.rng``.
-                idle = (vrecord.stored | vrecord.disturbed | stuck) ^ L.MASK_ALL
-                new_drift = fault_plan.drift_mask(vaddr, idle) & ~sampled
-                if new_drift:
-                    counts[_DRIFT_FLIPS] += new_drift.bit_count()
-                    sampled |= new_drift
-            vrecord.disturbed |= sampled
-            if injections is not None:
-                injections.append((vaddr, sampled))
-            if not vnc:
-                # Unprotected super dense PCM: disturbance lands undetected.
-                if sampled:
-                    uncovered[vaddr] = uncovered.get(vaddr, 0) | sampled
-                continue
-            pending = uncovered.get(vaddr)
-            if pending is not None:
-                sampled |= pending & vrecord.disturbed
-                plan.uncovered_resolved.append(vaddr)
-            detected.append((vaddr, vrecord, sampled))
-        counts[_BL_VULNERABLE], counts[_BL_ERRORS] = vulnerable_cells, error_cells
-        if not vnc:
-            return plan
-
-        # ---- verification ---------------------------------------------------
-        verified = len(victims)
-        plan.latency += self._read_cycles * verified
-        counts[_VERIFY_READS] = counts[_VERIFICATIONS] = verified
-
-        # ---- correction / LazyCorrection ------------------------------------
-        nm_tag = entry.nm_tag
-        for vaddr, vrecord, new_mask in detected:
-            if new_mask:
-                self._handle_errors(plan, vaddr, vrecord, new_mask, nm_tag, 0)
-        return plan
-
-    def _handle_errors(self, plan: _Plan, vaddr: LineAddress,
-                       record: LineRecord, new_mask: int,
-                       nm_tag: Tuple[int, int], depth: int) -> None:
-        """Absorb (LazyC) or correct the new WD errors (non-empty
-        ``new_mask``) of one victim line."""
-        counts = plan.counts
-        ecp_line = record.ecp
-        if ecp_line is None:
-            ecp_line = self._ecp_line(vaddr, record)
-
-        if self._lazy:
-            fresh = ecp_line.record_wd(new_mask, record in plan.cleared)
-            if fresh >= 0:
-                counts[_ECP_ABSORBED] += new_mask.bit_count()
-                if fresh:
-                    plan.absorbed.append(record)
-                    counts[_ECP_PROGRAMMED] += fresh.bit_count()
-                    plan.latency += self._ecp_verify_cycles
-                return
+    def _absorb_or_correct(self, plan: _Plan, counts: List[int], vaddr: LineAddress,
+                           record: LineRecord, new_mask: int, nm_tag, depth: int):
+        """LazyCorrection: buffer the victim's new errors in its line's
+        spare ECP entries, or correct the line when they do not fit."""
+        line = record.ecp
+        if line is None:
+            line = self._ecp_line(vaddr, record)
+        fresh = line.record_wd(new_mask, record in plan.cleared)
+        if fresh < 0:
             counts[_ECP_OVERFLOWS] += 1
+            self._correct(plan, counts, vaddr, record, new_mask, nm_tag, depth)
+            return
+        counts[_ECP_ABSORBED] += new_mask.bit_count()
+        if fresh:
+            plan.absorbed.append(record)
+            counts[_ECP_PROGRAMMED] += fresh.bit_count()
+            plan.latency += self._ecp_verify_cycles
 
-        # ---- correction write -------------------------------------------------
+    def _correct(self, plan: _Plan, counts: List[int], vaddr: LineAddress,
+                 record: LineRecord, new_mask: int, nm_tag, depth: int) -> None:
+        """Correction write of the victim's disturbed cells, then the
+        cascade its RESET pulses start."""
         corr_mask = record.disturbed
         corr_bits = corr_mask.bit_count()
         # A correction is a RESET-only write plus one additional
@@ -565,10 +547,10 @@ class VnCExecutor:
         counts[_CORRECTION_WRITES] += corr_bits
         counts[_CORRECTIONS if depth == 0 else _CASCADES] += 1
         record.disturbed = 0
-        ecp_line.clear_wd()
+        (record.ecp or self._ecp_line(vaddr, record)).clear_wd()
         plan.cleared.append(record)
         if vaddr in self.uncovered:
-            plan.uncovered_resolved.append(vaddr)
+            plan.resolved.append(vaddr)
 
         # Cascade: the correction's RESET pulses disturb vaddr's neighbours.
         # At realistic disturbance rates the cascade decays geometrically
@@ -578,26 +560,41 @@ class VnCExecutor:
         if depth >= MAX_CASCADE_DEPTH:
             counts[_TRUNCATIONS] += 1
             return
-        bank, vrow, line = vaddr
+        bank, vrow, column = vaddr
         rows = self._adjacency.get((vrow, nm_tag))
         if rows is None:
             rows = self._verify_rows(vrow, nm_tag)
-        if rows is None:
-            # The conservative block-edge rule can verify (and correct) a
-            # line in a *no-use* strip of the same allocator; it holds no
-            # data, so its correction needs no cascade verification.
-            return
+            if rows is None:
+                # The conservative block-edge rule can verify (and correct)
+                # a line in a *no-use* strip of the same allocator; it holds
+                # no data, so its correction needs no cascade verification.
+                return
         counts[_VERIFY_READS] += 1
+        fault_plan = self.fault_plan
+        undo = plan.undo
+        weak_mask = stateplane.PLANE.weak_mask
         for row in rows:
-            waddr = (bank, row, line)
-            wrecord = self._open(plan, waddr)
-            _, weak, _ = self._expose(wrecord, waddr, corr_mask)
-            sampled = self.kernels.sample_mask_int(weak, self._p_bitline, self.rng)
+            waddr = (bank, row, column)
+            wrecord = self._lines.get(waddr)
+            if wrecord is None or undo is not None:
+                wrecord = self._open(waddr, wrecord, undo)
+            # Exposed weak cells, as in the op's victim pass.
+            wline = wrecord.ecp
+            occupied = (wrecord.stored | wrecord.disturbed
+                        | (0 if wline is None else wline.hard))
+            if fault_plan is not None:
+                occupied |= fault_plan.stuck_profile(waddr).mask
+            weak = wrecord.weak
+            if weak is None:
+                weak = wrecord.weak = weak_mask(self._weak_fraction, waddr)
+            sampled = self.kernels.sample_mask_int(
+                corr_mask & ~occupied & weak, self._p_bitline, self.rng)
             if not sampled:
                 continue
             counts[_BL_ERRORS] += sampled.bit_count()
             wrecord.disturbed |= sampled
-            self._handle_errors(plan, waddr, wrecord, sampled, nm_tag, depth + 1)
+            self._handle_errors(self, plan, counts, waddr, wrecord, sampled,
+                                nm_tag, depth + 1)
 
     # -- commit / cancel -----------------------------------------------------------
 
@@ -618,27 +615,26 @@ class VnCExecutor:
                 line.wd = wd & ~line.hard
             self.counters.ecp_cell_writes_wd += wd_writes * NOVEL_ENTRY_BITS
         # Uncovered bookkeeping.
-        for key in plan.uncovered_resolved:
+        for key in plan.resolved:
             self.uncovered.pop(key, None)
-        # Counters and Figure 4 notes (published at replay end).
+        # A cancellable op's counts, and every op's Figure 4 notes.
         counts = plan.counts
-        pending = self._pending
-        pending.append(counts)
-        if len(pending) >= FOLD_BLOCK:
-            self._fold()
-        self._adjacent_notes += plan.adjacent_notes
-        self._wordline_notes.append(counts[_WL_ERRORS])
+        if counts is not None:
+            self._totals = list(map(add, self._totals, counts))
+        self._adjacent_notes += plan.notes
+        self._wordline_notes.append(plan.wordline_errors)
 
     def _cancel(self, entry: WriteEntry, plan: _Plan, progress: float) -> None:
         """Undo an interrupted write [22] and apply its partial effects.
 
         The op's line and ECP changes are rolled back from its undo log
-        (newest first, so each record ends at its value before the op).
-        The cells already pulsed disturbed their neighbours; those flips
-        stay physically present and *undetected* until the retried write's
-        verification finds them.  The written line itself is left with its
-        old contents plus partial programming, which the retry overwrites.
-        Only a write-cancellation scheme records the log and injections.
+        (newest first, so each record ends at its value before the op),
+        and its counts are dropped.  The cells already pulsed disturbed
+        their neighbours; those flips stay physically present and
+        *undetected* until the retried write's verification finds them.
+        The written line itself is left with its old contents plus partial
+        programming, which the retry overwrites.  Only a write-cancellation
+        scheme records the log, counts and injections.
         """
         for record, stored, disturbed, flags, epoch, wd in reversed(plan.undo):
             record.stored, record.disturbed = stored, disturbed
@@ -655,5 +651,6 @@ class VnCExecutor:
                 merged = self.uncovered.get(vaddr, 0) | partial
                 self.uncovered[vaddr] = merged & self._lines[vaddr].disturbed
                 self.counters.partial_write_errors += applied
-        burned = int(progress * plan.demand_cell_writes)
+        # The pulses fired wore the demand write's changed cells.
+        burned = int(progress * plan.counts[_BACKGROUND_WRITES])
         self.counters.data_cell_writes_demand += burned

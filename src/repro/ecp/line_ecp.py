@@ -87,11 +87,6 @@ class ECPLine:
 
     # -- WD buffering (LazyCorrection) ----------------------------------------
 
-    def would_overflow(self, new_errors: int) -> bool:
-        """Section 4.2's X + Y > N test."""
-        return (self.hard.bit_count() + self.wd.bit_count() + new_errors
-                > self.capacity)
-
     def record_wd(self, errors: int, cleared: bool = False) -> int:
         """Buffer the WD errors of mask ``errors`` if they fit.
 
@@ -106,12 +101,15 @@ class ECPLine:
         Returns the mask of newly programmed cells (0 when every error was
         already held), or -1 when the errors overflow the line.
         """
-        fresh = errors & ~self.wd
+        wd = self.wd
+        hard = self.hard
+        fresh = errors & ~wd
         if not cleared:
-            fresh &= ~self.hard
-        if self.would_overflow(fresh.bit_count()):
+            fresh &= ~hard
+        # Section 4.2's X + Y > N test.
+        if hard.bit_count() + wd.bit_count() + fresh.bit_count() > self.capacity:
             return -1
-        self.wd |= fresh
+        self.wd = wd | fresh
         return fresh
 
     def clear_wd(self) -> int:

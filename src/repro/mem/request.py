@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from ..pcm.array import LineAddress
 
@@ -69,8 +69,8 @@ class WriteEntry:
     nm_tag: Tuple[int, int] = (1, 1)
     #: PreRead slots for the adjacent lines that will need verification
     #: (0, 1, or 2 of them depending on the (n:m) tag and block edges);
-    #: filled by the controller when it accepts the write.
-    slots: List[PrereadSlot] = field(default_factory=list)
+    #: set by the controller when it accepts the write.
+    slots: Sequence[PrereadSlot] = ()
     #: Number of times this write was cancelled and re-queued [22].
     cancellations: int = 0
     #: The write's logical payload as a 512-bit integer, synthesised once

@@ -14,8 +14,8 @@ same seeded :func:`numpy.random.default_rng` recipe:
   slices a bounded memo of recent rows
   (:func:`repro.pcm.line.seeded_line`);
 * **weak-cell masks** — a line's fixed set of disturbance-prone cells,
-  keyed ``(fraction, bank, row, line)`` (see
-  :meth:`repro.core.vnc.VnCExecutor._expose`) and pooled here.
+  keyed ``(fraction, bank, row, line)`` (read by the victim pass of
+  :meth:`repro.core.vnc.VnCExecutor.execute`) and pooled here.
 
 Generation goes through the active kernel backend's ``seeded_line`` /
 ``seeded_mask``: the compiled backend runs numpy's ``SeedSequence`` ->

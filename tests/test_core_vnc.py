@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.config import (
     TimingConfig,
 )
 from repro.alloc.strips import adjacent_usage, is_no_use
-from repro.core.vnc import VnCExecutor
+from repro.core.vnc import PLAN_COUNTERS, VnCExecutor
 from repro.ecp.chip import ECPChip
 from repro.errors import AllocationError
 from repro.mem.request import WriteEntry
@@ -274,6 +276,73 @@ class TestCancel:
         ex._cancel(entry, ex.execute(entry, 0), 0.0)
         assert counters.partial_write_errors == 0
         assert not ex.uncovered
+
+
+def plan_counts(counters):
+    """The counter fields ops increment, and the Figure 4 histograms."""
+    return ({name: getattr(counters, name) for name in PLAN_COUNTERS},
+            counters.errors_per_wordline_hist,
+            counters.errors_per_adjacent_line_hist)
+
+
+class TestCounting:
+    """An op's counts reach :class:`Counters` exactly once: most schemes
+    add them in place, a cancellable op keeps them apart until it
+    commits, and the totals are published once per replay."""
+
+    @pytest.mark.parametrize("priority", ["drain", "pause", "cancel"])
+    def test_committed_op_counts_once(self, priority):
+        ex, _, _, counters = make_executor(
+            SchemeConfig(read_priority=priority), p_bitline=0.0
+        )
+        run_write(ex, write_entry(ex))
+        assert counters.pre_write_reads == 2
+        assert counters.verify_reads == counters.verifications == 2
+        assert counters.data_cell_writes_demand == (
+            counters.ecp_cell_writes_background) > 0
+        assert sum(counters.errors_per_wordline_hist.values()) == 1
+        assert sum(counters.errors_per_adjacent_line_hist.values()) == 2
+
+    def test_cancelled_at_zero_progress_counts_nothing(self):
+        ex, _, _, counters = make_executor(
+            SchemeConfig(read_priority="cancel", lazy_correction=True)
+        )
+        entry = write_entry(ex)
+        ex._cancel(entry, ex.execute(entry, 0), 0.0)
+        ex.publish_counters()
+        totals, wordline, adjacent = plan_counts(counters)
+        assert not any(totals.values()) and not wordline and not adjacent
+        # The retried write then counts once.
+        run_write(ex, entry)
+        assert counters.verifications == 2
+
+    def test_paused_then_resumed_op_counts_once(self):
+        """A paused op commits after a later op; it counts the same as
+        when the two commit in plan order."""
+        scheme = SchemeConfig(read_priority="pause", lazy_correction=True)
+        results = []
+        for paused_first in (False, True):
+            ex, _, _, counters = make_executor(scheme, p_bitline=0.5)
+            first, second = write_entry(ex, row=10), write_entry(ex, bank=3)
+            plans = [ex.execute(first, 0), ex.execute(second, 0)]
+            order = [(second, plans[1]), (first, plans[0])] if paused_first \
+                else [(first, plans[0]), (second, plans[1])]
+            for entry, plan in order:
+                ex._commit(entry, plan)
+            ex.publish_counters()
+            assert counters.verifications == 4
+            results.append(plan_counts(counters))
+        assert results[0] == results[1]
+
+    def test_second_publish_adds_nothing(self):
+        ex, _, _, counters = make_executor(
+            SchemeConfig(lazy_correction=True), p_bitline=0.5
+        )
+        run_write(ex, write_entry(ex))
+        once = asdict(counters)
+        assert once["bitline_errors"] > 0
+        ex.publish_counters()
+        assert asdict(counters) == once
 
 
 def line_states(array, ecp):

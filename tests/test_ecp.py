@@ -66,12 +66,13 @@ class TestECPLineWD:
         assert line.wd.bit_count() == 0
 
     def test_would_overflow(self):
+        """Section 4.2's X + Y > N test, at its boundary."""
         line = ECPLine(capacity=6)
         line.record_wd(bits(*range(5)))
-        assert not line.would_overflow(1)
-        assert line.would_overflow(2)
+        assert line.record_wd(bits(5, 6)) == -1  # 5 + 2 > 6
+        assert line.record_wd(bits(5)) == bits(5)  # 5 + 1 <= 6
         # ECP-0 still absorbs an offer of no new errors (0 + 0 <= 0).
-        assert not ECPLine(capacity=0).would_overflow(0)
+        assert ECPLine(capacity=0).record_wd(0) == 0
 
 
 class TestECPLineHard:

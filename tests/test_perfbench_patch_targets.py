@@ -2,10 +2,13 @@
 
 The benchmark's traced run patches layer boundaries by attribute name
 (``VnCExecutor._commit``, ``ECPChip.line``, ``StatePlane.pristine_row``,
-``StatePlane.weak_mask``, ``MemoryController.try_enqueue_write``, ...).
-A rename in ``src/``, or a first touch routed around the plane, would
-otherwise surface only when that traced run fails or reports zero calls.  The install runs in
-a subprocess, so the wrappers never leak into this test process.
+``StatePlane.weak_mask``, ``MemoryController.try_enqueue_write``, the
+kernel backends' methods, ...).  A rename in ``src/``, a first touch
+routed around the plane, or a write path that binds around the
+backend's methods (which retire a failing native kernel onto the Python
+path) would otherwise surface only when that traced run fails or
+reports zero calls.  The install runs in a subprocess, so the wrappers
+never leak into this test process.
 """
 
 from __future__ import annotations
@@ -35,8 +38,10 @@ tracer.enabled = False
 for name in ("core.system.init", "core.system.run", "core.engine.loop_run",
              "mem.controller.try_enqueue_write", "mem.controller.enqueue_read",
              "core.vnc.execute", "core.vnc.commit", "core.vnc.preread_slots",
-             "ecp.line", "pcm.stateplane.pristine_row",
-             "pcm.stateplane.weak_mask"):
+             "core.vnc.capture_baseline", "ecp.line",
+             "pcm.stateplane.pristine_row", "pcm.stateplane.weak_mask",
+             "pcm.kernels.sample_mask_int", "pcm.kernels.sample_masks_int",
+             "pcm.kernels.encode_stored_int", "pcm.kernels.decode_int"):
     assert tracer.calls[name] > 0, name
 """
 
