@@ -66,10 +66,15 @@ def is_no_use(strip: int, n: int, m: int) -> bool:
     return block_local_index(strip) % m in no_use_positions(n, m)
 
 
-def used_strips_in_block(n: int, m: int) -> list[int]:
-    """Block-local indices of the used strips of one 64 MB block."""
-    return [s for s in range(STRIPS_PER_BLOCK) if block_local_index(s) % m
-            not in no_use_positions(n, m)]
+@lru_cache(maxsize=None)
+def used_strips_in_block(n: int, m: int) -> Tuple[int, ...]:
+    """Block-local indices of the used strips of one 64 MB block.
+
+    Memoised per ``(n, m)`` (an allocator asks once per block it pulls);
+    the tuple is immutable, so callers share it.
+    """
+    no_use = no_use_positions(n, m)
+    return tuple(s for s in range(STRIPS_PER_BLOCK) if s % m not in no_use)
 
 
 def usable_fraction(n: int, m: int) -> float:

@@ -7,8 +7,11 @@ returns data; a write deposits into the per-bank write queue and stalls
 only when that queue is full.
 
 The engine owns the event loop; the memory controller schedules its
-completions on it.  Determinism: events at equal times fire in scheduling
-order (a monotonically increasing sequence number breaks ties).
+completions on it.  A read hands the controller the core's next issue
+as its continuation, which the read's completion pushes: one event,
+with no call back into the engine.  Determinism: events at equal times
+fire in scheduling order (a monotonically increasing sequence number
+breaks ties).
 """
 
 from __future__ import annotations
@@ -43,10 +46,12 @@ class EventLoop:
     Hot paths skip :meth:`schedule` and push ``(time, loop.seq, fn,
     args)`` onto ``heap`` themselves, bumping ``seq``; they must pass a
     ``time`` no earlier than ``now`` (``schedule`` clamps, they do not).
-    They are the engine's ``_advance`` and ``_read_done`` (the next
-    reference's issue) and a write's successful ``_issue``; and the
-    controller's demand reads: ``enqueue_read`` (a forwarded read, or a
-    read that finds its bank idle) and ``_start_read``.
+    They are the engine's ``_advance`` (the next reference's issue) and
+    a write's successful ``_issue``; and the controller's demand reads:
+    ``enqueue_read`` (a forwarded read, or a read that finds its bank
+    idle), ``_start_read``, and the read completions ``_finish_read``
+    and ``_finish_forward``, which push the core's continuation (its
+    next ``_issue``, or ``_finish`` after its last reference).
     """
 
     def __init__(self) -> None:
@@ -155,7 +160,8 @@ class Engine:
     # -- core state machine ------------------------------------------------------
 
     def _advance(self, core: CoreState, now: int) -> None:
-        """Consume the next trace reference (or finish)."""
+        """Consume the next trace reference (or finish): it issues after
+        its gap, with nothing to charge (``issued`` is ``now``)."""
         pos = core.position
         if pos >= len(core.gap):
             core.finish_time = now
@@ -165,9 +171,21 @@ class Engine:
         loop = self.loop
         seq = loop.seq
         loop.seq = seq + 1
-        _heappush(loop.heap, (now + core.delay[pos], seq, self._on_issue, (core, pos)))
+        _heappush(loop.heap, (
+            now + core.delay[pos], seq, self._on_issue, (core, pos, now)
+        ))
 
-    def _issue(self, core: CoreState, pos: int, now: int) -> None:
+    def _issue(self, core: CoreState, pos: int, issued: int, now: int) -> None:
+        """Issue reference ``pos``, which was consumed ``delay[pos]``
+        cycles ago at the completion of the read issued at ``issued``:
+        the core stalled on that read for ``now - delay[pos] - issued``.
+
+        A read consumes the next reference at once and hands the
+        controller that reference's issue as its continuation (or, for
+        the core's last reference, ``_finish`` at delay 0), so a read's
+        completion is one event, not a call back into the engine.
+        """
+        core.read_stall_cycles += now - core.delay[pos] - issued
         page = core.page[pos]
         mapped = core.frames.get(page)
         if mapped is None:
@@ -190,25 +208,25 @@ class Engine:
                 stall_from = now
                 def retry(t: int) -> None:
                     core.wq_stall_cycles += t - stall_from
-                    self._issue(core, pos, t)
+                    self._issue(core, pos, t - core.delay[pos], t)
                 self.controller.wait_for_space(bank, retry)
         else:
-            self.controller.enqueue_read(addr, self._on_read_done, core, now)
+            nxt = pos + 1
+            if nxt < len(core.gap):
+                core.position = nxt + 1
+                core.instructions += core.gap[nxt] + 1
+                self.controller.enqueue_read(
+                    addr, core.delay[nxt], self._on_issue, (core, nxt, now)
+                )
+            else:
+                self.controller.enqueue_read(
+                    addr, 0, self._on_finish, (core, now)
+                )
 
-    def _read_done(self, core: CoreState, issued: int, now: int) -> None:
-        """A read returned: charge the stall and advance (``_advance``
-        inlined, as every read ends here)."""
+    def _finish(self, core: CoreState, issued: int, now: int) -> None:
+        """The core's last reference, a read issued at ``issued``, returned."""
         core.read_stall_cycles += now - issued
-        pos = core.position
-        if pos >= len(core.gap):
-            core.finish_time = now
-            return
-        core.position = pos + 1
-        core.instructions += core.gap[pos] + 1
-        loop = self.loop
-        seq = loop.seq
-        loop.seq = seq + 1
-        _heappush(loop.heap, (now + core.delay[pos], seq, self._on_issue, (core, pos)))
+        core.finish_time = now
 
     # -- top level ------------------------------------------------------------------
 
@@ -221,7 +239,7 @@ class Engine:
         """
         self._on_issue = self._issue
         self._on_advance = self._advance
-        self._on_read_done = self._read_done
+        self._on_finish = self._finish
         try:
             for core in self.cores:
                 self.loop.schedule(0, self._on_advance, core)
@@ -234,7 +252,7 @@ class Engine:
             while self.controller.quiesce():
                 self.loop.run()
         finally:
-            del self._on_issue, self._on_advance, self._on_read_done
+            del self._on_issue, self._on_advance, self._on_finish
 
     @property
     def total_instructions(self) -> int:

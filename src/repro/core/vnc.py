@@ -166,10 +166,9 @@ class VnCExecutor:
         #: Disturbed-but-undetected bits left by cancelled partial writes
         #: (int-domain masks).
         self.uncovered: Dict[LineAddress, int] = {}
-        #: The array's line records and the ECP chip's lines, probed
-        #: directly on the write path (:meth:`_open` fills a miss).
+        #: The array's line records, probed directly on the write path (a
+        #: miss is materialised; each record links its own ECP line).
         self._lines = array.lines
-        self._ecp_lines = ecp.lines
         #: ``PLAN_COUNTERS`` totals and Figure 4 notes, published per replay.
         self._totals = [0] * len(PLAN_COUNTERS)
         self._adjacent_notes: List[int] = []
@@ -326,14 +325,17 @@ class VnCExecutor:
         targets = entry.slots if vnc else tuple(self.array.bitline_neighbours(addr))
         read_cycles = self._read_cycles
         weak_mask = stateplane.PLANE.weak_mask
+        materialise = self.array.materialise
         keys, records, staged = [], [], []
         drifts: Optional[List[int]] = None if fault_plan is None else []
         vulnerable_cells = 0
         for target in targets:
             vaddr = target.addr if vnc else target
             vrecord = lines.get(vaddr)
-            if vrecord is None or undo is not None:
+            if undo is not None:
                 vrecord = self._open(vaddr, vrecord, undo)
+            elif vrecord is None:
+                vrecord = materialise(vaddr)
             keys.append(vaddr)
             records.append(vrecord)
             # A forwarded slot was satisfied from the write queue, and a
@@ -460,12 +462,14 @@ class VnCExecutor:
     def _open(self, key: LineAddress, record: Optional[LineRecord],
               undo: Optional[List[tuple]]) -> LineRecord:
         """A line the op touches, off the hot path (``record`` is the probe
-        of ``_lines``): a first touch materialises its record and links the
-        chip's ECP line, if any, and a cancellable op logs the record's
-        values before it changes them."""
+        of ``_lines``): a first touch materialises its record, and a
+        cancellable op logs the record's values before it changes them.
+
+        A new record links no ECP line: lines are born only in
+        :meth:`_ecp_line`, which links each one into its record.
+        """
         if record is None:
             record = self.array.materialise(key)
-            record.ecp = self._ecp_lines.get(key)
         if undo is not None:
             line = record.ecp
             undo.append((record, record.stored, record.disturbed, record.flags,
@@ -576,8 +580,10 @@ class VnCExecutor:
         for row in rows:
             waddr = (bank, row, column)
             wrecord = self._lines.get(waddr)
-            if wrecord is None or undo is not None:
+            if undo is not None:
                 wrecord = self._open(waddr, wrecord, undo)
+            elif wrecord is None:
+                wrecord = self.array.materialise(waddr)
             # Exposed weak cells, as in the op's victim pass.
             wline = wrecord.ecp
             occupied = (wrecord.stored | wrecord.disturbed

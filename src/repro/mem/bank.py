@@ -74,8 +74,9 @@ class BankState:
     wq_capacity: int
     #: Whether PreRead runs: only then does the cursor track entries.
     prereads: bool = True
-    #: Pending demand reads: (on_done, leading args for on_done).
-    read_q: Deque[Tuple[Callable[..., None], tuple]] = field(
+    #: Pending demand reads: (delay, on_done, args), the continuation
+    #: each read's completion pushes (see ``MemoryController.enqueue_read``).
+    read_q: Deque[Tuple[int, Callable[..., None], tuple]] = field(
         default_factory=deque
     )
     write_q: Deque[WriteEntry] = field(default_factory=deque)

@@ -55,9 +55,11 @@ class Scheduler(Protocol):
     """The event loop interface the controller schedules completions on.
 
     Read events skip ``schedule``: :meth:`MemoryController.enqueue_read`
-    (a forwarded read, or a read that finds its bank idle) and
-    ``_start_read`` push ``(time, seq, fn, args)`` onto ``heap`` and bump
-    ``seq`` (see :class:`repro.core.engine.EventLoop`).
+    (a forwarded read, or a read that finds its bank idle),
+    ``_start_read``, and the completions ``_finish_read`` and
+    ``_finish_forward`` (which push the caller's continuation) push
+    ``(time, seq, fn, args)`` onto ``heap`` and bump ``seq`` (see
+    :class:`repro.core.engine.EventLoop`).
     """
 
     now: int
@@ -84,6 +86,11 @@ class WriteExecutor(Protocol):
     still disturbed their neighbours).  A paused write keeps its plan and
     resumes before its bank starts any other op.  Only the controller
     calls those two, and ``perfbench/layers.py`` wraps them by name.
+
+    Writes start only from ``_kick``, which a demand read's completion
+    calls after pushing the core's continuation, and only when the bank
+    could start an op: ``execute`` never runs between a read's
+    completion and the scheduling of the core's next issue.
     """
 
     def preread_slots(self, entry: WriteEntry) -> List[PrereadSlot]:
@@ -150,21 +157,26 @@ class MemoryController:
     # -- request entry points --------------------------------------------------
 
     def enqueue_read(
-        self, addr: LineAddress, on_done: Callable[..., None], *done_args
+        self, addr: LineAddress, delay: int, on_done: Callable[..., None],
+        args: tuple = (),
     ) -> None:
-        """Accept a demand read of ``addr``; completes via
-        ``on_done(*done_args, finish_time)``.
+        """Accept a demand read of ``addr``.  Its completion at ``t`` is
+        the caller's continuation: it pushes the event ``on_done(*args,
+        t + delay)`` (the engine passes the core's next issue and that
+        reference's gap), after freeing the bank and before the bank
+        starts its next op.
 
-        A read carries no request object: the leading arguments let
-        callers pass a bound method plus its context, and the read queue
-        holds ``(on_done, done_args)`` until the bank serves it.
+        A read carries no request object: the bank's read queue holds
+        ``(delay, on_done, args)`` until the bank serves it.
 
         Two cases push their event here, with no further call: a read
         forwarded from the write queue completes ``FORWARD_READ_CYCLES``
-        later, and a read that finds its bank idle (no op, not draining,
-        no read queued) holds the bank's READ op at once, the event
-        ``_kick`` would push through ``_start_read``.  Any other read
-        joins the bank's FIFO read queue.
+        later (that completion event, not this call, pushes the
+        continuation, so no equal-time event is reordered), and a read
+        that finds its bank idle (no op, not draining, no read queued)
+        holds the bank's READ op at once, the event ``_kick`` would push
+        through ``_start_read``.  Any other read joins the bank's FIFO
+        read queue.
         """
         bank = self.banks[addr[0]]
         counters = self.counters
@@ -175,10 +187,10 @@ class MemoryController:
             loop = self.scheduler
             seq = loop.seq
             loop.seq = seq + 1
-            heappush(
-                loop.heap,
-                (loop.now + FORWARD_READ_CYCLES, seq, on_done, done_args),
-            )
+            heappush(loop.heap, (
+                loop.now + FORWARD_READ_CYCLES, seq, self._finish_forward,
+                (delay, on_done, args),
+            ))
             return
         if bank.current is None and not bank.draining and not bank.read_q:
             # An idle bank serves a demand read first (see ``_kick``).
@@ -190,10 +202,10 @@ class MemoryController:
             loop.seq = seq + 1
             heappush(loop.heap, (
                 loop.now + latency, seq, self._finish_read,
-                (bank, on_done, done_args),
+                (bank, delay, on_done, args),
             ))
             return
-        bank.read_q.append((on_done, done_args))
+        bank.read_q.append((delay, on_done, args))
         if self._preempt is not None:
             self._preempt(self, bank)
         self._kick(bank)
@@ -351,24 +363,36 @@ class MemoryController:
         bank.current = self._read_ops[bank.index]
         latency = self._read_cycles
         self.counters.total_read_busy_cycles += latency
-        on_done, done_args = bank.read_q.popleft()
         loop = self.scheduler
         seq = loop.seq
         loop.seq = seq + 1
         heappush(loop.heap, (
-            now + latency, seq, self._finish_read, (bank, on_done, done_args)
+            now + latency, seq, self._finish_read, (bank, *bank.read_q.popleft())
         ))
 
     def _finish_read(
-        self, bank: BankState, on_done: Callable[..., None], done_args: tuple,
-        now: int,
+        self, bank: BankState, delay: int, on_done: Callable[..., None],
+        args: tuple, now: int,
     ) -> None:
         bank.current = None
-        on_done(*done_args, now)
-        if bank.read_q or bank.write_q:
-            # Otherwise ``_kick`` finds no read, no write and no PreRead
-            # work (every entry owing one is queued).
+        loop = self.scheduler
+        seq = loop.seq
+        loop.seq = seq + 1
+        heappush(loop.heap, (now + delay, seq, on_done, args))
+        if (bank.write_q if bank.draining else bank.read_q
+                or (self._eager and bank.write_q) or bank.preread_cursor):
+            # ``_kick``'s table on an idle bank: otherwise it would start
+            # nothing (``TestKickTable`` pins the two together).
             self._kick(bank)
+
+    def _finish_forward(
+        self, delay: int, on_done: Callable[..., None], args: tuple, now: int,
+    ) -> None:
+        """A forwarded read completed: push its continuation."""
+        loop = self.scheduler
+        seq = loop.seq
+        loop.seq = seq + 1
+        heappush(loop.heap, (now + delay, seq, on_done, args))
 
     def _start_preread(self, bank: BankState, now: int) -> None:
         target = bank.next_preread_target()

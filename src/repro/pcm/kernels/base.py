@@ -39,7 +39,8 @@ all registered backends.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from functools import partial
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -128,6 +129,12 @@ class KernelBackend:
         non-negative ints, seeded exactly as numpy seeds it.
         """
         raise NotImplementedError
+
+    def row_stream(self, key: Tuple[int, ...]) -> Callable[[int], int]:
+        """``seeded_line`` bound to one row's ``key``: the state plane
+        opens one stream per row and draws each line it touches from it.
+        """
+        return partial(self.seeded_line, key)
 
     def seeded_mask(self, key: Tuple[int, ...], bits: int, threshold: float) -> int:
         """``draw_mask(default_rng(key), bits, threshold)``.

@@ -38,8 +38,9 @@ lines and weak-cell masks of the state plane) run numpy's
 (a bad key raises numpy's error here, before the native call).
 ``seeded_line`` seeds the row's stream and jumps it ``8 * line``
 outputs ahead (the LCG's O(log n) jump), so a line costs eight draws
-whichever line it is, and no row image is ever built.  ``seeded_rng``
-runs only the seeding in C and sets the resulting ``PCG64`` state on
+whichever line it is, and no row image is ever built; ``row_stream``
+packs a row's key once and draws each of its lines that way.
+``seeded_rng`` runs only the seeding in C and sets the resulting ``PCG64`` state on
 one reused generator, from which numpy draws as usual.  They read no caller stream,
 so a failure falls back by regenerating the value with the numpy
 reference.
@@ -71,7 +72,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
 from types import ModuleType
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -341,14 +342,24 @@ class CompiledBackend(KernelBackend):
     # -- seeded generation -------------------------------------------------------
 
     def seeded_line(self, key: Tuple[int, ...], line: int) -> int:
+        return self.row_stream(key)(line)
+
+    def row_stream(self, key: Tuple[int, ...]) -> Callable[[int], int]:
+        """``seeded_line`` bound to one row, with the row's key packed
+        once when the stream opens, not once per line it draws."""
         if self._dead:
-            return self._py.seeded_line(key, line)
+            return self._py.row_stream(key)
         entropy = _entropy(key)
-        try:
-            return self._ops.seeded_line(entropy, line)
-        except Exception as exc:
-            self._retire(exc)
+
+        def line_of(line: int) -> int:
+            if not self._dead:
+                try:
+                    return self._ops.seeded_line(entropy, line)
+                except Exception as exc:
+                    self._retire(exc)
             return self._py.seeded_line(key, line)
+
+        return line_of
 
     def seeded_mask(self, key: Tuple[int, ...], bits: int, threshold: float) -> int:
         if self._dead:

@@ -7,10 +7,11 @@ same seeded :func:`numpy.random.default_rng` recipe:
 * **pristine lines** — a line's initial stored contents.  Line ``l`` of
   row ``(bank, row)`` is words ``8 * l`` to ``8 * l + 7`` of the 64-line
   image ``default_rng((seed, bank, row))`` draws for the row.
-  :meth:`StatePlane.pristine_row` opens a row's stream, and the array
-  draws from it each line it touches, once, on first touch.  No row
-  image is kept: the compiled backend seeds the row's ``PCG64`` and
-  jumps it ``8 * l`` outputs ahead, and the pure-Python reference
+  :meth:`StatePlane.pristine_row` opens a row's stream (the backend's
+  ``row_stream``), and the array draws from it each line it touches,
+  once, on first touch.  No row image is kept: the compiled backend
+  packs the row's key once, then seeds the row's ``PCG64`` and jumps it
+  ``8 * l`` outputs ahead per line, and the pure-Python reference
   slices a bounded memo of recent rows
   (:func:`repro.pcm.line.seeded_line`);
 * **weak-cell masks** — a line's fixed set of disturbance-prone cells,
@@ -39,7 +40,6 @@ content is deterministic either way.
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import Callable, Deque, Dict, Tuple
 
 from ..config import LINE_BITS
@@ -88,7 +88,7 @@ class StatePlane:
         """Open one row's pristine stream: a callable taking a line index
         ``l`` (``0 <= l < 64``) to that line's pristine int."""
         self.rows_opened += 1
-        return partial(kernels.active().seeded_line, (seed, bank, row))
+        return kernels.active().row_stream((seed, bank, row))
 
     def weak_mask(self, fraction: float, key: Tuple[int, int, int]) -> int:
         """The fixed weak-cell mask of one line coordinate (int domain)."""

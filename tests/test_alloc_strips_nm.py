@@ -165,8 +165,9 @@ def _reference_no_use(strip: int, n: int, m: int) -> bool:
 
 
 class TestMemoisedMarking:
-    """``no_use_positions``/``validate_ratio`` are memoised per (n, m);
-    the marking and the Figure 9 rule must not change with it."""
+    """``no_use_positions``, ``validate_ratio`` and ``used_strips_in_block``
+    are memoised per (n, m); the marking and the Figure 9 rule must not
+    change with it."""
 
     @pytest.mark.parametrize("nm", [(1, 1), (2, 3), (1, 2), (1, 4)])
     def test_every_block_local_strip_unchanged(self, nm):
@@ -188,6 +189,16 @@ class TestMemoisedMarking:
                 assert adjacent_usage(strip, n, m) == want
         assert no_use_positions(n, m) is no_use_positions(n, m)
 
+    @pytest.mark.parametrize("nm", [(1, 1), (2, 3), (1, 2), (1, 4)])
+    def test_used_strips_match_the_marking(self, nm):
+        """One shared, immutable tuple per (n, m): every strip of a block
+        that the marking keeps, in order."""
+        n, m = nm
+        used = used_strips_in_block(n, m)
+        assert used == tuple(s for s in range(STRIPS_PER_BLOCK)
+                             if not _reference_no_use(s, n, m))
+        assert used_strips_in_block(n, m) is used
+
     @pytest.mark.parametrize("nm", [(3, 2), (0, 2), (0, 0), (-1, 4)])
     def test_bad_ratios_raise_on_every_call(self, nm):
         for _ in range(2):
@@ -197,3 +208,5 @@ class TestMemoisedMarking:
                 no_use_positions(*nm)
             with pytest.raises(AllocationError):
                 is_no_use(5, *nm)
+            with pytest.raises(AllocationError):
+                used_strips_in_block(*nm)

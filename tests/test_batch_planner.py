@@ -26,6 +26,7 @@ from repro.experiments import common
 from repro.pcm import kernels
 from repro.pcm import line as L
 from repro.pcm import stateplane
+from repro.pcm.kernels import compiled_backend
 from repro.perf import engine
 from repro.perf.cache import ResultCache
 from repro.perf.engine import STATS, CellRunner
@@ -73,11 +74,28 @@ class TestStatePlane:
 
     def test_row_streams_hold_no_row_image(self):
         """A row stream holds its seed key, not an image: every draw of a
-        line is a fresh int, equal to the last one."""
+        line is a fresh int, equal to the last one.  The compiled
+        backend's stream holds the key and its packed seed words."""
         plane = stateplane.StatePlane()
-        stream = plane.pristine_row(1, 0, 0)
-        assert stream.args == ((1, 0, 0),)
-        assert stream(5) == stream(5) == numpy_line((1, 0, 0), 5)
+        for name in kernels.available_backends():
+            kernels.activate(name)
+            try:
+                stream = plane.pristine_row(1, 0, 0)
+            finally:
+                kernels.reset()
+            if name == "compiled":
+                held = [
+                    cell.cell_contents for cell in stream.__closure__
+                    if not isinstance(
+                        cell.cell_contents, compiled_backend.CompiledBackend
+                    )
+                ]
+                assert sorted(held, key=repr) == sorted(
+                    [(1, 0, 0), compiled_backend._entropy((1, 0, 0))], key=repr
+                )
+            else:
+                assert stream.args == ((1, 0, 0),)
+            assert stream(5) == stream(5) == numpy_line((1, 0, 0), 5)
 
     def test_fifo_eviction_under_cap(self, monkeypatch):
         monkeypatch.setattr(stateplane, "MASK_POOL_CAP", 2)

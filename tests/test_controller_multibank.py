@@ -31,7 +31,7 @@ class TestBankParallelism:
         loop, ctrl, _, _ = make()
         done = []
         for bank in range(16):
-            ctrl.enqueue_read(read(bank=bank), done.append)
+            ctrl.enqueue_read(read(bank=bank), 0, done.append)
         loop.run()
         assert done == [400] * 16
 
@@ -40,7 +40,7 @@ class TestBankParallelism:
         ctrl.try_enqueue_write(write(bank=3, row=1))
         ctrl.try_enqueue_write(write(bank=3, row=2))  # bank 3 drains
         done = []
-        ctrl.enqueue_read(read(bank=4), done.append)
+        ctrl.enqueue_read(read(bank=4), 0, done.append)
         loop.run()
         assert done == [400]  # bank 4 unaffected by bank 3's drain
 
@@ -59,7 +59,7 @@ class TestBankParallelism:
         ctrl.try_enqueue_write(write(bank=0, row=10))  # eager, in flight
         done = []
         # Read to a DIFFERENT bank must not cancel bank 0's write.
-        ctrl.enqueue_read(read(bank=1), done.append)
+        ctrl.enqueue_read(read(bank=1), 0, done.append)
         loop.run()
         assert counters.writes_cancelled == 0
         assert len(ex.commits) == 1
@@ -69,7 +69,7 @@ class TestBankParallelism:
         ctrl.try_enqueue_write(write(bank=0, row=10))
         done = []
         # Same (row, line) coordinates but a different bank: no forwarding.
-        ctrl.enqueue_read(read(bank=1, row=10), done.append)
+        ctrl.enqueue_read(read(bank=1, row=10), 0, done.append)
         loop.run()
         assert counters.wq_forwarded_reads == 0
         assert done == [400]

@@ -13,7 +13,7 @@ from repro.config import (
     TimingConfig,
 )
 from repro.alloc.strips import adjacent_usage, is_no_use
-from repro.core.vnc import PLAN_COUNTERS, VnCExecutor
+from repro.core.vnc import NOVEL_ENTRY_BITS, PLAN_COUNTERS, VnCExecutor
 from repro.ecp.chip import ECPChip
 from repro.errors import AllocationError
 from repro.mem.request import WriteEntry
@@ -241,6 +241,38 @@ class TestLazyCorrection:
             array.line(victim).disturbed.bit_count()
         ) == 0
         assert counters.ecp_cleared_by_write > 0
+
+    def test_error_on_a_hard_cell_after_a_clearing_write(self):
+        """Once a demand write has cleared a line's WD entries, a later
+        error of the same op on a cell a hard entry holds takes a WD
+        entry of its own: it counts as programmed and its novel entry
+        wear is charged, and the commit then drops that WD entry (the
+        hard entry stays)."""
+        ex, array, _, counters = make_executor(self.scheme(6), p_bitline=0.0)
+        key = (2, 10, 3)
+        record = array.line(key)
+        line = ex._ecp_line(key, record)
+        hard_cell = 100
+        line.add_hard_error(hard_cell, 1)
+        assert line.record_wd((1 << 7) | (1 << 9)) == (1 << 7) | (1 << 9)
+        entry = write_entry(ex, row=10)
+        assert entry.addr == key
+        plan = ex.execute(entry, 0)
+        assert plan.cleared == [record] and line.wd == 0
+        # A victim error of the same op (as a cascade would bring) on the
+        # hard entry's cell.
+        record.disturbed |= 1 << hard_cell
+        ex._handle_errors(ex, plan, ex._totals, key, record, 1 << hard_cell,
+                          entry.nm_tag, 1)
+        assert line.wd == 1 << hard_cell
+        ex._commit(entry, plan)
+        ex.publish_counters()
+        assert counters.ecp_cleared_by_write == 2
+        assert counters.ecp_absorbed_errors == 1
+        assert counters.ecp_entries_programmed == 1
+        assert counters.ecp_overflows == counters.corrections == 0
+        assert counters.ecp_cell_writes_wd == NOVEL_ENTRY_BITS
+        assert line.wd == 0 and line.hard == 1 << hard_cell
 
     def test_hard_errors_reduce_spare_capacity(self):
         ex, _, ecp, counters = make_executor(

@@ -320,8 +320,10 @@ class TestBackendEquivalence:
         A pristine line is the slice of numpy's row image that the row
         jump lands on, first, second and last line alike."""
         backend = backend_or_skip(name)
+        stream = backend.row_stream(key)
         for line in (0, 1, 63):
             assert backend.seeded_line(key, line) == numpy_line(key, line)
+            assert stream(line) == numpy_line(key, line)
         assert backend.seeded_mask(key, LINE_BITS, fraction) == (
             numpy_mask(key, LINE_BITS, fraction)
         )
@@ -515,6 +517,36 @@ class TestCompiledCrashFallback:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert getattr(backend, method)(*args) == want
+
+    def test_row_stream_packs_its_key_once(self, monkeypatch):
+        backend = _fresh_compiled()
+        packed = []
+        real = compiled_backend._entropy
+        monkeypatch.setattr(compiled_backend, "_entropy",
+                            lambda key: packed.append(key) or real(key))
+        key = (7, 2**33 + 1, 5)
+        stream = backend.row_stream(key)
+        assert [stream(line) for line in (0, 9, 63)] == [
+            numpy_line(key, line) for line in (0, 9, 63)
+        ]
+        assert packed == [key]
+
+    def test_row_stream_crash_falls_back_to_numpy(self):
+        """A stream whose native draw dies mid-row: one warning, a
+        retired backend, and the numpy reference's lines from then on."""
+        backend = _fresh_compiled()
+        backend._ops = _FlakyOps(backend._ops, fuse=1)
+        key = (3, 1, 2**40)
+        stream = backend.row_stream(key)
+        assert stream(4) == numpy_line(key, 4)  # native
+        with pytest.warns(RuntimeWarning, match="falling back") as caught:
+            assert stream(5) == numpy_line(key, 5)
+        assert len(caught) == 1
+        assert backend.dead is True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stream(6) == numpy_line(key, 6)
+            assert backend.row_stream(key)(7) == numpy_line(key, 7)
 
     def test_seeded_rng_crash_falls_back_to_numpy(self):
         backend = _fresh_compiled()

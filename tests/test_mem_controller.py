@@ -8,14 +8,19 @@ from typing import List
 
 import pytest
 
-from repro.config import MemoryConfig, SchemeConfig, TimingConfig
+from repro.alloc.page_table import PageTable
+from repro.config import MemoryConfig, SchemeConfig, SystemConfig, TimingConfig
 from repro.core import schemes
-from repro.core.engine import EventLoop
+from repro.core.engine import Engine, EventLoop
+from repro.mem.address import AddressMapper
 from repro.mem.controller import FORWARD_READ_CYCLES, MemoryController
 from repro.mem.bank import InFlightOp
 from repro.mem.request import PrereadSlot, RequestKind, WriteEntry
 from repro.pcm.array import LineAddress
 from repro.stats.counters import Counters
+from repro.traces.profiles import profile
+from repro.traces.workload import Workload
+from tests.conftest import make_trace
 
 
 class StubExecutor:
@@ -74,23 +79,23 @@ class TestReads:
     def test_read_latency(self):
         loop, ctrl, _, _ = make_controller()
         done = []
-        ctrl.enqueue_read(read(), done.append)
+        ctrl.enqueue_read(read(), 0, done.append)
         loop.run()
         assert done == [400]
 
     def test_reads_fifo_per_bank(self):
         loop, ctrl, _, _ = make_controller()
         done = []
-        ctrl.enqueue_read(read(row=1), lambda t: done.append(("a", t)))
-        ctrl.enqueue_read(read(row=2), lambda t: done.append(("b", t)))
+        ctrl.enqueue_read(read(row=1), 0, lambda t: done.append(("a", t)))
+        ctrl.enqueue_read(read(row=2), 0, lambda t: done.append(("b", t)))
         loop.run()
         assert done == [("a", 400), ("b", 800)]
 
     def test_reads_to_different_banks_parallel(self):
         loop, ctrl, _, _ = make_controller()
         done = []
-        ctrl.enqueue_read(read(bank=0), lambda t: done.append(t))
-        ctrl.enqueue_read(read(bank=1), lambda t: done.append(t))
+        ctrl.enqueue_read(read(bank=0), 0, lambda t: done.append(t))
+        ctrl.enqueue_read(read(bank=1), 0, lambda t: done.append(t))
         loop.run()
         assert done == [400, 400]
 
@@ -98,7 +103,7 @@ class TestReads:
         loop, ctrl, _, counters = make_controller()
         assert ctrl.try_enqueue_write(write(row=10))
         done = []
-        ctrl.enqueue_read(read(row=10), done.append)
+        ctrl.enqueue_read(read(row=10), 0, done.append)
         loop.run()
         assert done[0] == FORWARD_READ_CYCLES
         assert counters.wq_forwarded_reads == 1
@@ -119,7 +124,7 @@ class TestWrites:
     def test_full_queue_rejects(self):
         loop, ctrl, _, counters = make_controller(wq=2)
         # Occupy the bank with a read so the drain cannot start yet.
-        ctrl.enqueue_read(read(row=9), lambda t: None)
+        ctrl.enqueue_read(read(row=9), 0, lambda t: None)
         assert ctrl.try_enqueue_write(write(row=1))
         assert ctrl.try_enqueue_write(write(row=2))
         # Queue is now full and the bank is busy; a third write is rejected.
@@ -129,7 +134,7 @@ class TestWrites:
     def test_space_waiter_woken(self):
         loop, ctrl, _, _ = make_controller(wq=2)
         # Bank busy with a read so the queue can genuinely fill.
-        ctrl.enqueue_read(read(row=9), lambda t: None)
+        ctrl.enqueue_read(read(row=9), 0, lambda t: None)
         ctrl.try_enqueue_write(write(row=1))
         ctrl.try_enqueue_write(write(row=2))
         assert not ctrl.try_enqueue_write(write(row=3))
@@ -143,7 +148,7 @@ class TestWrites:
         ctrl.try_enqueue_write(write(row=1))
         ctrl.try_enqueue_write(write(row=2))  # triggers drain (800 each)
         done = []
-        ctrl.enqueue_read(read(row=5), done.append)
+        ctrl.enqueue_read(read(row=5), 0, done.append)
         loop.run()
         # Read waits for at least one 800-cycle write before its 400 read.
         assert done[0] >= 1200
@@ -175,7 +180,7 @@ class TestPreread:
         done = []
         # With a demand read pending, the idle bank serves it before any
         # preread of the queued write.
-        ctrl.enqueue_read(read(row=3), done.append)
+        ctrl.enqueue_read(read(row=3), 0, done.append)
         ctrl.try_enqueue_write(write(row=10))
         loop.run()
         assert done[0] == 400  # demand read went first
@@ -206,7 +211,7 @@ class TestWriteCancellation:
         ctrl.try_enqueue_write(write(row=10))
         # Eager write starts immediately; read arrives at t=0 mid-op.
         done = []
-        ctrl.enqueue_read(read(row=3), done.append)
+        ctrl.enqueue_read(read(row=3), 0, done.append)
         loop.run()
         assert counters.writes_cancelled == 1
         assert ex.cancels and 0.0 <= ex.cancels[0] <= 1.0
@@ -220,7 +225,7 @@ class TestWriteCancellation:
         ctrl.try_enqueue_write(write(row=10))
         done = []
         # Schedule the read to arrive at 90% progress.
-        loop.schedule(720, lambda t: ctrl.enqueue_read(read(row=3), done.append))
+        loop.schedule(720, lambda t: ctrl.enqueue_read(read(row=3), 0, done.append))
         loop.run()
         assert counters.writes_cancelled == 0
         assert done[0] == 1200  # waited for the write
@@ -257,7 +262,8 @@ EAGER_SCHEMES = (None, "eager", "write_cancellation", "write_pausing")
 
 class TestKickTable:
     """``_kick`` picks the same action as the reference cascade for every
-    combination of bank state, PreRead and read priority.
+    combination of bank state, PreRead and read priority, and
+    ``_finish_read`` calls it exactly when that action is not idling.
 
     ``preread_owed``: a write still owes a pre-read, so the bank's PreRead
     cursor holds it.  With ``write_q`` that write is the queued one; with
@@ -297,12 +303,20 @@ class TestKickTable:
         if write_q and not preread_owed:
             bank.wq_append(write(row=20))
         if read_q:
-            bank.read_q.append((lambda t: None, ()))
+            bank.read_q.append((0, lambda t: None, ()))
         ctrl._kick(bank)
         expected = reference_kick(
             scheme, busy, draining, write_q, read_q, preread_owed
         )
         assert taken == ([] if expected is None else [expected])
+        # A read's completion frees the bank and calls ``_kick`` exactly
+        # when ``_kick`` could start an op on the now idle bank.
+        kicked = []
+        ctrl._kick = kicked.append
+        ctrl._finish_read(bank, 0, lambda t: None, (), 0)
+        idle = reference_kick(scheme, False, draining, write_q, read_q,
+                              preread_owed)
+        assert kicked == ([] if idle is None else [bank])
 
 
 class TestReadPath:
@@ -311,7 +325,7 @@ class TestReadPath:
     def test_read_to_idle_bank_starts_at_once(self):
         loop, ctrl, _, counters = make_controller()
         done = []
-        ctrl.enqueue_read(read(row=3), done.append)
+        ctrl.enqueue_read(read(row=3), 0, done.append)
         bank = ctrl.banks[0]
         assert bank.current is not None
         assert bank.current.kind is RequestKind.READ
@@ -326,7 +340,7 @@ class TestReadPath:
         loop, ctrl, _, _ = make_controller()
         done = []
         for name in "abc":
-            ctrl.enqueue_read(read(row=ord(name)),
+            ctrl.enqueue_read(read(row=ord(name)), 0,
                               lambda t, name=name: done.append((name, t)))
         bank = ctrl.banks[0]
         assert bank.current.kind is RequestKind.READ
@@ -341,8 +355,8 @@ class TestReadPath:
         bank = ctrl.banks[0]
         assert bank.draining and bank.current.kind is RequestKind.WRITE
         done = []
-        ctrl.enqueue_read(read(row=5), lambda t: done.append(("a", t)))
-        ctrl.enqueue_read(read(row=6), lambda t: done.append(("b", t)))
+        ctrl.enqueue_read(read(row=5), 0, lambda t: done.append(("a", t)))
+        ctrl.enqueue_read(read(row=6), 0, lambda t: done.append(("b", t)))
         assert len(bank.read_q) == 2
         loop.run()
         # The drain runs to the low-water mark (one 800-cycle write),
@@ -355,7 +369,7 @@ class TestReadPath:
         bank = ctrl.banks[0]
         bank.draining = True
         done = []
-        ctrl.enqueue_read(read(), done.append)
+        ctrl.enqueue_read(read(), 0, done.append)
         assert bank.current is None and len(bank.read_q) == 1
         bank.draining = False
         ctrl._kick(bank)
@@ -367,7 +381,7 @@ class TestReadPath:
         ctrl.try_enqueue_write(write(row=1))
         ctrl.try_enqueue_write(write(row=2))  # drain: the bank is busy
         done = []
-        loop.schedule(100, lambda t: ctrl.enqueue_read(read(row=2), done.append))
+        loop.schedule(100, lambda t: ctrl.enqueue_read(read(row=2), 0, done.append))
         loop.run()
         assert done == [100 + FORWARD_READ_CYCLES]
         assert counters.wq_forwarded_reads == 1
@@ -378,7 +392,7 @@ class TestReadPath:
         tried = []
         ctrl._start_preread = lambda bank, now: tried.append(now)
         for row in range(4):
-            ctrl.enqueue_read(read(row=row), lambda t: None)
+            ctrl.enqueue_read(read(row=row), 0, lambda t: None)
         loop.run()
         assert tried == []
 
@@ -386,7 +400,84 @@ class TestReadPath:
         """After a read, a bank with a queued write still owing a
         pre-read goes on to PreRead."""
         loop, ctrl, ex, counters = make_controller(SchemeConfig(preread=True))
-        ctrl.enqueue_read(read(row=3), lambda t: None)
+        ctrl.enqueue_read(read(row=3), 0, lambda t: None)
         ctrl.try_enqueue_write(write(row=10))
         loop.run()
         assert counters.prereads_issued == 2 and len(ex.baselines) == 2
+
+    def test_continuation_fires_at_completion_plus_delay_before_the_kick(self):
+        """A read's completion pushes its continuation after freeing the
+        bank and before the kick that starts the bank's next op: at equal
+        times the continuation runs first, while the next read still
+        holds the bank."""
+        loop, ctrl, _, _ = make_controller()
+        bank = ctrl.banks[0]
+        seen = []
+        read_cycles = TimingConfig().read_cycles
+        ctrl.enqueue_read(
+            read(row=1), read_cycles,
+            lambda tag, t: seen.append((tag, t, bank.current is not None)),
+            ("a",),
+        )
+        ctrl.enqueue_read(read(row=2), 0, lambda t: seen.append(("b", t)))
+        loop.run()
+        assert seen == [("a", 2 * read_cycles, True), ("b", 2 * read_cycles)]
+
+    def test_forwarded_read_continues_from_its_completion_event(self):
+        """The ``+FORWARD_READ_CYCLES`` completion pushes the continuation,
+        so an event scheduled for the same time before it runs first."""
+        loop, ctrl, _, counters = make_controller()
+        assert ctrl.try_enqueue_write(write(row=10))
+        seen = []
+        ctrl.enqueue_read(read(row=10), 30, lambda t: seen.append(("read", t)))
+        loop.schedule(FORWARD_READ_CYCLES + 30,
+                      lambda t: seen.append(("other", t)))
+        loop.run()
+        when = FORWARD_READ_CYCLES + 30
+        assert seen == [("other", when), ("read", when)]
+        assert counters.wq_forwarded_reads == 1
+
+    @pytest.mark.parametrize("gaps", [(0,), (3,), (2, 5), (0, 0, 7)])
+    def test_last_reference_read_sets_finish_time_and_stall(self, gaps):
+        """A core whose last reference is a read finishes when that read
+        returns, and every read's latency is charged as a stall."""
+        loop, ctrl, _, counters = make_controller()
+        trace = make_trace([(False, 64 * i, gap) for i, gap in enumerate(gaps)])
+        frames = iter(range(1 << 10))
+        engine = Engine(
+            SystemConfig(cores=1),
+            Workload("reads", [trace], [profile("wrf")]),
+            ctrl, AddressMapper(),
+            [PageTable((1, 1), lambda n, m: next(frames))], loop,
+        )
+        engine.run()
+        core = engine.cores[0]
+        timing = TimingConfig()
+        delays = sum(int(gap * timing.base_cpi) for gap in gaps)
+        assert core.finish_time == delays + len(gaps) * timing.read_cycles
+        assert core.read_stall_cycles == len(gaps) * timing.read_cycles
+        assert core.instructions == sum(gaps) + len(gaps)
+        assert counters.demand_reads == len(gaps)
+
+    @pytest.mark.parametrize("scheme, kicked", [
+        (SchemeConfig(), False),
+        (SchemeConfig(read_priority="eager"), True),
+        (SchemeConfig(preread=True), True),
+    ])
+    def test_finished_read_kicks_only_when_the_bank_can_start(
+        self, scheme, kicked
+    ):
+        """A read that finishes on a bank that neither drains nor writes
+        eagerly, with no PreRead owed, skips ``_kick``: a queued write
+        waits for the drain either way."""
+        loop, ctrl, _, _ = make_controller(scheme, wq=8)
+        ctrl.enqueue_read(read(row=3), 0, lambda t: None)
+        assert ctrl.try_enqueue_write(write(row=20))
+        calls = []
+        kick = ctrl._kick
+        ctrl._kick = lambda bank: calls.append(bank.index) or kick(bank)
+        loop.run()
+        if kicked:
+            assert calls[0] == 0  # the read's completion started an op
+        else:
+            assert calls == [] and len(ctrl.banks[0].write_q) == 1

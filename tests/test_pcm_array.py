@@ -11,6 +11,7 @@ import pytest
 from repro.core import schemes
 from repro.core.system import SDPCMSystem
 from repro.errors import DeviceError
+from repro.pcm import kernels
 from repro.pcm import line as L
 from repro.pcm import stateplane
 from repro.pcm.array import LineRecord, PCMArray
@@ -74,7 +75,8 @@ class TestMaterialisation:
 
 def held(*roots):
     """Every object reachable from ``roots`` through containers, line
-    records and the arguments of row streams."""
+    records and what row streams hold (a ``partial``'s arguments, a
+    closure's cells)."""
     seen, stack = set(), list(roots)
     while stack:
         obj = stack.pop()
@@ -89,6 +91,8 @@ def held(*roots):
             stack.extend(obj)
         elif isinstance(obj, partial):
             stack.extend(obj.args)
+        elif getattr(obj, "__closure__", None) is not None:
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
         elif isinstance(obj, LineRecord):
             stack.extend(getattr(obj, name) for name in LineRecord.__slots__)
 
@@ -97,17 +101,23 @@ class TestMemoryShape:
     def test_replay_holds_no_row_images(self):
         """After a small replay neither the state plane nor the array
         holds a 4 KB row image: a touched line is an int, and a touched
-        row is an open stream over its seed key."""
-        stateplane.PLANE.reset()
-        system = SDPCMSystem(small_config(schemes.lazyc_preread()))
-        system.run(small_workload("mcf", length=200))
-        assert system.array.lines and stateplane.PLANE.rows_opened > 0
-        images = [
-            obj for obj in held(vars(stateplane.PLANE), vars(system.array))
-            if isinstance(obj, (bytes, bytearray, memoryview, np.ndarray))
-            and len(memoryview(obj).cast("B")) >= 4096
-        ]
-        assert images == []
+        row is an open stream over its seed key, under every backend."""
+        for name in kernels.available_backends():
+            kernels.activate(name)
+            try:
+                stateplane.PLANE.reset()
+                system = SDPCMSystem(small_config(schemes.lazyc_preread()))
+                system.run(small_workload("mcf", length=200))
+                assert system.array.lines and stateplane.PLANE.rows_opened > 0
+                images = [
+                    obj for obj in held(vars(stateplane.PLANE), vars(system.array))
+                    if isinstance(obj, (bytes, bytearray, memoryview, np.ndarray))
+                    and len(memoryview(obj).cast("B")) >= 4096
+                ]
+            finally:
+                kernels.reset()
+                stateplane.PLANE.reset()
+            assert images == [], name
 
 
 class TestDisturbAndCorrect:

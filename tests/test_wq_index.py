@@ -173,7 +173,7 @@ class TestControllerKeepsIndexConsistent:
         bank = ctrl.banks[0]
         assert_consistent(bank)
         done = []
-        ctrl.enqueue_read(read(row=10), done.append)
+        ctrl.enqueue_read(read(row=10), 0, done.append)
         assert counters.wq_forwarded_reads == 1
         loop.run()
         assert_consistent(bank)
@@ -200,7 +200,7 @@ class TestControllerKeepsIndexConsistent:
         bank = ctrl.banks[0]
         # Eager write is in flight; the read cancels it back into the queue.
         done = []
-        ctrl.enqueue_read(read(row=3), done.append)
+        ctrl.enqueue_read(read(row=3), 0, done.append)
         assert counters.writes_cancelled == 1
         assert_consistent(bank)
         assert (0, 10, 0) in bank.wq_index
@@ -214,7 +214,7 @@ class TestControllerKeepsIndexConsistent:
         ctrl.try_enqueue_write(write(row=10))
         bank = ctrl.banks[0]
         done = []
-        ctrl.enqueue_read(read(row=3), done.append)
+        ctrl.enqueue_read(read(row=3), 0, done.append)
         assert counters.writes_paused == 1
         assert_consistent(bank)
         loop.run()

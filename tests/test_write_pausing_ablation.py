@@ -38,7 +38,7 @@ class TestPausingController:
         )
         ctrl.try_enqueue_write(write(row=10))  # eager write starts at t=0
         done = []
-        ctrl.enqueue_read(read(row=3), done.append)
+        ctrl.enqueue_read(read(row=3), 0, done.append)
         loop.run()
         assert counters.writes_paused == 1
         assert done[0] == 400           # the read went straight through
@@ -50,7 +50,7 @@ class TestPausingController:
             SchemeConfig(read_priority="pause")
         )
         ctrl.try_enqueue_write(write(row=10))       # 800-cycle write at t=0
-        loop.schedule(300, lambda t: ctrl.enqueue_read(read(row=3), lambda x: None))
+        loop.schedule(300, lambda t: ctrl.enqueue_read(read(row=3), 0, lambda x: None))
         loop.run()
         # 300 done + 400 read + 500 remaining = commit by 1200; the bank
         # was genuinely busy writing for exactly the op's 800 cycles.
@@ -63,7 +63,7 @@ class TestPausingController:
         )
         ctrl.try_enqueue_write(write(row=10))
         done = []
-        loop.schedule(500, lambda t: ctrl.enqueue_read(read(row=3), done.append))
+        loop.schedule(500, lambda t: ctrl.enqueue_read(read(row=3), 0, done.append))
         loop.run()
         # Remaining 300 < one RESET round (400): the write finishes first.
         assert counters.writes_paused == 0
@@ -81,7 +81,7 @@ class TestPausingController:
         # A read arrives every 100 cycles, forever trying to pre-empt.
         for i in range(20):
             loop.schedule(i * 100 + 10,
-                          lambda t: ctrl.enqueue_read(read(row=3), lambda x: None))
+                          lambda t: ctrl.enqueue_read(read(row=3), 0, lambda x: None))
         loop.run()
         assert len(ex.commits) == 1
         assert counters.writes_paused <= MAX_PAUSES_PER_WRITE
