@@ -28,6 +28,7 @@ from ..errors import SimulationError
 from ..mem.address import AddressMapper
 from ..mem.controller import MemoryController
 from ..mem.request import WriteEntry
+from ..pcm import kernels
 from ..traces.record import check_trace
 from ..traces.workload import Workload
 
@@ -35,23 +36,21 @@ _heappush = heapq.heappush
 
 
 class EventLoop:
-    """A deterministic discrete-event scheduler.
+    """A deterministic discrete-event scheduler: the reference loop.
 
     Events are ``(time, seq, fn, args)`` heap tuples dispatched as
     ``fn(*args, time)``.  Passing a bound method plus its arguments avoids
     allocating a closure per event — the dominant allocation in the replay
     loop — while single-argument callbacks (``fn(time)``) keep working
-    unchanged with empty ``args``.
+    unchanged with empty ``args``.  :meth:`push` takes a ``time`` no
+    earlier than ``now`` as given; :meth:`schedule` clamps an earlier one
+    to ``now``.
 
-    Hot paths skip :meth:`schedule` and push ``(time, loop.seq, fn,
-    args)`` onto ``heap`` themselves, bumping ``seq``; they must pass a
-    ``time`` no earlier than ``now`` (``schedule`` clamps, they do not).
-    They are the engine's ``_advance`` (the next reference's issue) and
-    a write's successful ``_issue``; and the controller's demand reads:
-    ``enqueue_read`` (a forwarded read, or a read that finds its bank
-    idle), ``_start_read``, and the read completions ``_finish_read``
-    and ``_finish_forward``, which push the core's continuation (its
-    next ``_issue``, or ``_finish`` after its last reference).
+    The compiled kernel backend runs replays on ``NativeEventLoop``
+    (see :func:`new_loop`): this class's subclass whose heap, ``push``,
+    ``schedule`` and :meth:`drain` are the compiled module's, with the
+    same ``(time, seq)`` order.  Both run through this class's
+    :meth:`run`, so wrapping ``EventLoop.run`` sees every replay.
     """
 
     def __init__(self) -> None:
@@ -60,14 +59,21 @@ class EventLoop:
         self.seq = 0
         self.now = 0
 
-    def schedule(self, time: int, fn: Callable[..., None], *args) -> None:
-        if time < self.now:
-            time = self.now
+    def push(self, time: int, fn: Callable[..., None], args: tuple) -> None:
         seq = self.seq
         self.seq = seq + 1
         _heappush(self.heap, (time, seq, fn, args))
 
+    def schedule(self, time: int, fn: Callable[..., None], *args) -> None:
+        if time < self.now:
+            time = self.now
+        self.push(time, fn, args)
+
     def run(self) -> None:
+        """Dispatch events until none is pending."""
+        self.drain()
+
+    def drain(self) -> None:
         heap = self.heap
         pop = heapq.heappop
         while heap:
@@ -80,6 +86,25 @@ class EventLoop:
     @property
     def pending(self) -> int:
         return len(self.heap)
+
+
+#: ``NativeEventLoop`` per compiled base type (a rebuilt module has its own).
+_native_loops: Dict[type, type] = {}
+
+
+def new_loop() -> EventLoop:
+    """A fresh event loop for one replay: ``NativeEventLoop`` while the
+    active kernel backend offers a compiled loop (``compiled``, until it
+    retires), else the reference :class:`EventLoop`."""
+    base = kernels.active().native_loop
+    if base is None:
+        return EventLoop()
+    cls = _native_loops.get(base)
+    if cls is None:
+        cls = _native_loops[base] = type(
+            "NativeEventLoop", (base, EventLoop), {"__module__": __name__}
+        )
+    return cls()
 
 
 @dataclass(slots=True)
@@ -142,6 +167,7 @@ class Engine:
         self.controller = controller
         self.mapper = mapper
         self.loop = loop
+        self._push = loop.push
         base_cpi = config.timing.base_cpi
         self.cores = []
         for i, trace in enumerate(workload.traces):
@@ -168,12 +194,7 @@ class Engine:
             return
         core.position = pos + 1
         core.instructions += core.gap[pos] + 1
-        loop = self.loop
-        seq = loop.seq
-        loop.seq = seq + 1
-        _heappush(loop.heap, (
-            now + core.delay[pos], seq, self._on_issue, (core, pos, now)
-        ))
+        self._push(now + core.delay[pos], self._on_issue, (core, pos, now))
 
     def _issue(self, core: CoreState, pos: int, issued: int, now: int) -> None:
         """Issue reference ``pos``, which was consumed ``delay[pos]``
@@ -200,10 +221,7 @@ class Engine:
             if self.controller.try_enqueue_write(
                 WriteEntry(core.index, addr, nm_tag)
             ):
-                loop = self.loop
-                seq = loop.seq
-                loop.seq = seq + 1
-                _heappush(loop.heap, (now + 1, seq, self._on_advance, (core,)))
+                self._push(now + 1, self._on_advance, (core,))
             else:
                 stall_from = now
                 def retry(t: int) -> None:

@@ -35,7 +35,7 @@ from ..mem.controller import MemoryController
 from ..pcm.array import PCMArray
 from ..stats.counters import Counters
 from ..traces.workload import Workload
-from .engine import Engine, EventLoop
+from .engine import Engine, new_loop
 from .results import SimulationResult
 from .vnc import VnCExecutor
 
@@ -73,7 +73,7 @@ class SDPCMSystem:
         self.allocator = NMAllocManager(total_frames=mem.total_pages)
         self.counters = Counters()
         self.rng = np.random.default_rng(config.seed)
-        self.loop = EventLoop()
+        self.loop = new_loop()
         self.lifetime_fraction = lifetime_fraction
         self.wear_model = wear_model
         if nm_tags is not None and len(nm_tags) != config.cores:

@@ -593,8 +593,11 @@ class VnCExecutor:
             weak = wrecord.weak
             if weak is None:
                 weak = wrecord.weak = weak_mask(self._weak_fraction, waddr)
+            candidates = corr_mask & ~occupied & weak
+            if not candidates:
+                continue  # every backend samples 0 from 0, drawing nothing
             sampled = self.kernels.sample_mask_int(
-                corr_mask & ~occupied & weak, self._p_bitline, self.rng)
+                candidates, self._p_bitline, self.rng)
             if not sampled:
                 continue
             counts[_BL_ERRORS] += sampled.bit_count()

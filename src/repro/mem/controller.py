@@ -24,7 +24,6 @@ implementation — see :mod:`repro.core.vnc`.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Any, Callable, List, Protocol
 
 from ..config import MemoryConfig, SchemeConfig, TimingConfig
@@ -52,19 +51,15 @@ WC_THRESHOLD = 0.25
 
 
 class Scheduler(Protocol):
-    """The event loop interface the controller schedules completions on.
-
-    Read events skip ``schedule``: :meth:`MemoryController.enqueue_read`
-    (a forwarded read, or a read that finds its bank idle),
-    ``_start_read``, and the completions ``_finish_read`` and
-    ``_finish_forward`` (which push the caller's continuation) push
-    ``(time, seq, fn, args)`` onto ``heap`` and bump ``seq`` (see
-    :class:`repro.core.engine.EventLoop`).
+    """The event loop interface the controller schedules completions on
+    (see :class:`repro.core.engine.EventLoop`): ``push`` queues
+    ``fn(*args, time)`` at a ``time`` no earlier than ``now``, and
+    ``schedule`` clamps an earlier one to ``now``.
     """
 
     now: int
-    heap: list
-    seq: int
+
+    def push(self, time: int, fn: Callable[..., None], args: tuple) -> None: ...
 
     def schedule(
         self, time: int, fn: Callable[..., None], *args
@@ -128,6 +123,7 @@ class MemoryController:
     ):
         self.timing = timing
         self.scheduler = scheduler
+        self._push = scheduler.push
         self.executor = executor
         self.counters = counters
         self.banks = [
@@ -184,26 +180,16 @@ class MemoryController:
         if addr in bank.wq_index:
             # Read-around-write: newest data is still in the write queue.
             counters.wq_forwarded_reads += 1
-            loop = self.scheduler
-            seq = loop.seq
-            loop.seq = seq + 1
-            heappush(loop.heap, (
-                loop.now + FORWARD_READ_CYCLES, seq, self._finish_forward,
-                (delay, on_done, args),
-            ))
+            self._push(self.scheduler.now + FORWARD_READ_CYCLES,
+                       self._finish_forward, (delay, on_done, args))
             return
         if bank.current is None and not bank.draining and not bank.read_q:
             # An idle bank serves a demand read first (see ``_kick``).
             bank.current = self._read_ops[bank.index]
             latency = self._read_cycles
             counters.total_read_busy_cycles += latency
-            loop = self.scheduler
-            seq = loop.seq
-            loop.seq = seq + 1
-            heappush(loop.heap, (
-                loop.now + latency, seq, self._finish_read,
-                (bank, delay, on_done, args),
-            ))
+            self._push(self.scheduler.now + latency, self._finish_read,
+                       (bank, delay, on_done, args))
             return
         bank.read_q.append((delay, on_done, args))
         if self._preempt is not None:
@@ -363,22 +349,15 @@ class MemoryController:
         bank.current = self._read_ops[bank.index]
         latency = self._read_cycles
         self.counters.total_read_busy_cycles += latency
-        loop = self.scheduler
-        seq = loop.seq
-        loop.seq = seq + 1
-        heappush(loop.heap, (
-            now + latency, seq, self._finish_read, (bank, *bank.read_q.popleft())
-        ))
+        self._push(now + latency, self._finish_read,
+                   (bank, *bank.read_q.popleft()))
 
     def _finish_read(
         self, bank: BankState, delay: int, on_done: Callable[..., None],
         args: tuple, now: int,
     ) -> None:
         bank.current = None
-        loop = self.scheduler
-        seq = loop.seq
-        loop.seq = seq + 1
-        heappush(loop.heap, (now + delay, seq, on_done, args))
+        self._push(now + delay, on_done, args)
         if (bank.write_q if bank.draining else bank.read_q
                 or (self._eager and bank.write_q) or bank.preread_cursor):
             # ``_kick``'s table on an idle bank: otherwise it would start
@@ -389,10 +368,7 @@ class MemoryController:
         self, delay: int, on_done: Callable[..., None], args: tuple, now: int,
     ) -> None:
         """A forwarded read completed: push its continuation."""
-        loop = self.scheduler
-        seq = loop.seq
-        loop.seq = seq + 1
-        heappush(loop.heap, (now + delay, seq, on_done, args))
+        self._push(now + delay, on_done, args)
 
     def _start_preread(self, bank: BankState, now: int) -> None:
         target = bank.next_preread_target()

@@ -1,11 +1,15 @@
-/* Compiled bit-kernels for the SD-PCM simulator's write inner loops.
+/* Compiled bit-kernels for the SD-PCM simulator's write inner loops,
+ * and the replay's event loop.
  *
  * A CPython extension module (repro.pcm.kernels._kernels), built from
  * this one file against the running interpreter's Python.h and loaded
  * by compiled_backend.py.  Every function mirrors a retained
  * pure-Python reference in repro.pcm.line / repro.pcm.din
  * byte-for-byte; the property-based equivalence suite
- * (tests/test_kernel_backends.py) pins that contract.
+ * (tests/test_kernel_backends.py) pins that contract.  The NativeLoop
+ * type mirrors repro.core.engine.EventLoop, whose subclass
+ * NativeEventLoop runs every replay on the compiled backend
+ * (tests/test_event_loop.py pins the two loops together).
  *
  * Calling conventions:
  *   - a line travels as a Python int in [0, 2**512); bit i is cell i
@@ -34,7 +38,7 @@
 #include <string.h>
 
 /* The loader accepts a module only with this ABI. */
-#define SD_ABI_VERSION 8
+#define SD_ABI_VERSION 9
 
 #define LINE_BYTES 64
 #define LINE_WORDS 8
@@ -490,12 +494,319 @@ static PyObject *sd_seeded_state(PyObject *self, PyObject *const *args,
     return pair;
 }
 
+/* ---- event loop --------------------------------------------------------
+ *
+ * NativeLoop holds a replay's pending events in a binary heap of C
+ * structs keyed by (time, seq) as C integers, so it builds no tuple per
+ * event.  An event stores the time object its caller passed; the drain
+ * hands that object to the callback and reports it as `now`, as the
+ * reference heap does.  The type is GC-tracked: pending events hold
+ * bound methods of the engine and controller, which hold the loop, so a
+ * replay that raises leaves a cycle only the collector can free. */
+
+typedef struct {
+    long long time;
+    unsigned long long seq;
+    PyObject *time_obj;
+    PyObject *fn;
+    PyObject *args; /* a tuple */
+} sd_event;
+
+typedef struct {
+    PyObject_HEAD
+    sd_event *heap;
+    Py_ssize_t len, cap;
+    long long now;
+    PyObject *now_obj;
+    unsigned long long seq;
+} sd_loop;
+
+/* Raised by the drain when an event's time precedes `now`; installed at
+ * load by set_time_error (repro.errors.SimulationError). */
+static PyObject *time_error = NULL;
+
+/* Callback arguments passed on the C stack; an event with more goes
+ * through a tuple. */
+#define LOOP_STACK_ARGS 8
+
+static inline int event_before(const sd_event *a, const sd_event *b) {
+    return a->time < b->time || (a->time == b->time && a->seq < b->seq);
+}
+
+/* Queue fn(*args, time), without a clamp, taking new references to
+ * time_obj, fn and args. */
+static int loop_insert(sd_loop *self, PyObject *time_obj, long long time,
+                       PyObject *fn, PyObject *args) {
+    if (self->len == self->cap) {
+        Py_ssize_t cap = self->cap ? 2 * self->cap : 64;
+        sd_event *heap = PyMem_Realloc(self->heap, (size_t)cap * sizeof(sd_event));
+        if (heap == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        self->heap = heap;
+        self->cap = cap;
+    }
+    sd_event ev = {time, self->seq++, time_obj, fn, args};
+    Py_INCREF(time_obj);
+    Py_INCREF(fn);
+    Py_INCREF(args);
+    sd_event *heap = self->heap;
+    Py_ssize_t i = self->len++;
+    while (i > 0) {
+        Py_ssize_t parent = (i - 1) >> 1;
+        if (!event_before(&ev, &heap[parent])) break;
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = ev;
+    return 0;
+}
+
+/* Remove the least event into *out; the caller owns its references. */
+static void loop_pop(sd_loop *self, sd_event *out) {
+    sd_event *heap = self->heap;
+    *out = heap[0];
+    sd_event last = heap[--self->len];
+    Py_ssize_t len = self->len, i = 0;
+    if (len == 0) return;
+    for (;;) {
+        Py_ssize_t child = 2 * i + 1;
+        if (child >= len) break;
+        if (child + 1 < len && event_before(&heap[child + 1], &heap[child]))
+            ++child;
+        if (!event_before(&heap[child], &last)) break;
+        heap[i] = heap[child];
+        i = child;
+    }
+    heap[i] = last;
+}
+
+static void event_release(sd_event *ev) {
+    Py_DECREF(ev->time_obj);
+    Py_DECREF(ev->fn);
+    Py_DECREF(ev->args);
+}
+
+static PyObject *loop_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    (void)args;
+    (void)kwds;
+    sd_loop *self = (sd_loop *)type->tp_alloc(type, 0);
+    if (self == NULL) return NULL;
+    self->now_obj = PyLong_FromLong(0);
+    if (self->now_obj == NULL) {
+        Py_DECREF(self);
+        return NULL;
+    }
+    return (PyObject *)self;
+}
+
+/* Defined so that a subclass's __init__ resolves here, not further
+ * along its MRO. */
+static int loop_init(PyObject *self, PyObject *args, PyObject *kwds) {
+    if (PyTuple_GET_SIZE(args) || (kwds != NULL && PyDict_GET_SIZE(kwds))) {
+        PyErr_Format(PyExc_TypeError, "%.100s() takes no arguments",
+                     Py_TYPE(self)->tp_name);
+        return -1;
+    }
+    return 0;
+}
+
+static int loop_traverse(sd_loop *self, visitproc visit, void *arg) {
+    for (Py_ssize_t i = 0; i < self->len; ++i) {
+        Py_VISIT(self->heap[i].time_obj);
+        Py_VISIT(self->heap[i].fn);
+        Py_VISIT(self->heap[i].args);
+    }
+    Py_VISIT(self->now_obj);
+    return 0;
+}
+
+/* Drop every pending event.  `now_obj` stays: a cycle through it also
+ * runs through an object whose own clear breaks it. */
+static int loop_clear(sd_loop *self) {
+    sd_event *heap = self->heap;
+    Py_ssize_t len = self->len;
+    self->heap = NULL;
+    self->len = self->cap = 0;
+    for (Py_ssize_t i = 0; i < len; ++i) event_release(&heap[i]);
+    PyMem_Free(heap);
+    return 0;
+}
+
+static void loop_dealloc(sd_loop *self) {
+    PyObject_GC_UnTrack(self);
+    loop_clear(self);
+    Py_CLEAR(self->now_obj);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* A time argument: an int that fits a C long long. */
+static int time_of(PyObject *obj, long long *out) {
+    *out = PyLong_AsLongLong(obj);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* push(time, fn, args): queue fn(*args, time); `time` must not precede
+ * `now` (no clamp). */
+static PyObject *loop_push(sd_loop *self, PyObject *const *args,
+                           Py_ssize_t nargs) {
+    long long time;
+    if (check_nargs("push", nargs, 3) < 0 || time_of(args[0], &time) < 0)
+        return NULL;
+    if (!PyTuple_Check(args[2])) {
+        PyErr_SetString(PyExc_TypeError, "push() args must be a tuple");
+        return NULL;
+    }
+    if (loop_insert(self, args[0], time, args[1], args[2]) < 0) return NULL;
+    Py_RETURN_NONE;
+}
+
+/* schedule(time, fn, *args): push, with a time before `now` moved to `now`. */
+static PyObject *loop_schedule(sd_loop *self, PyObject *const *args,
+                               Py_ssize_t nargs) {
+    long long time;
+    if (nargs < 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "schedule() takes at least 2 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (time_of(args[0], &time) < 0) return NULL;
+    PyObject *time_obj = args[0];
+    if (time < self->now) {
+        time = self->now;
+        time_obj = self->now_obj;
+    }
+    PyObject *rest = PyTuple_New(nargs - 2);
+    if (rest == NULL) return NULL;
+    for (Py_ssize_t i = 2; i < nargs; ++i) {
+        Py_INCREF(args[i]);
+        PyTuple_SET_ITEM(rest, i - 2, args[i]);
+    }
+    int status = loop_insert(self, time_obj, time, args[1], rest);
+    Py_DECREF(rest);
+    if (status < 0) return NULL;
+    Py_RETURN_NONE;
+}
+
+/* fn(*args, time) through vectorcall, one slot before the arguments
+ * left free so a bound method can prepend its self in place. */
+static PyObject *event_call(const sd_event *ev) {
+    Py_ssize_t n = PyTuple_GET_SIZE(ev->args);
+    if (n >= LOOP_STACK_ARGS) {
+        PyObject *all = PyTuple_New(n + 1);
+        if (all == NULL) return NULL;
+        for (Py_ssize_t i = 0; i < n; ++i) {
+            PyObject *item = PyTuple_GET_ITEM(ev->args, i);
+            Py_INCREF(item);
+            PyTuple_SET_ITEM(all, i, item);
+        }
+        Py_INCREF(ev->time_obj);
+        PyTuple_SET_ITEM(all, n, ev->time_obj);
+        PyObject *result = PyObject_Call(ev->fn, all, NULL);
+        Py_DECREF(all);
+        return result;
+    }
+    PyObject *stack[LOOP_STACK_ARGS + 1];
+    for (Py_ssize_t i = 0; i < n; ++i)
+        stack[i + 1] = PyTuple_GET_ITEM(ev->args, i);
+    stack[n + 1] = ev->time_obj;
+    return PyObject_Vectorcall(ev->fn, stack + 1,
+                               (size_t)(n + 1) | PY_VECTORCALL_ARGUMENTS_OFFSET,
+                               NULL);
+}
+
+/* drain(): dispatch events in (time, seq) order until none is pending.
+ * An event that raises propagates its exception and leaves the rest
+ * queued. */
+static PyObject *loop_drain(sd_loop *self, PyObject *unused) {
+    (void)unused;
+    sd_event ev;
+    while (self->len > 0) {
+        loop_pop(self, &ev);
+        if (ev.time < self->now) {
+            event_release(&ev);
+            PyErr_SetString(time_error ? time_error : PyExc_RuntimeError,
+                            "time went backwards");
+            return NULL;
+        }
+        self->now = ev.time;
+        Py_INCREF(ev.time_obj);
+        Py_SETREF(self->now_obj, ev.time_obj);
+        PyObject *result = event_call(&ev);
+        event_release(&ev);
+        if (result == NULL) return NULL;
+        Py_DECREF(result);
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *loop_get_now(sd_loop *self, void *closure) {
+    (void)closure;
+    Py_INCREF(self->now_obj);
+    return self->now_obj;
+}
+
+static PyObject *loop_get_pending(sd_loop *self, void *closure) {
+    (void)closure;
+    return PyLong_FromSsize_t(self->len);
+}
+
+static PyMethodDef loop_methods[] = {
+    {"push", (PyCFunction)(void (*)(void))loop_push, METH_FASTCALL,
+     "push(time, fn, args): queue fn(*args, time), with no clamp."},
+    {"schedule", (PyCFunction)(void (*)(void))loop_schedule, METH_FASTCALL,
+     "schedule(time, fn, *args): push at max(time, now)."},
+    {"drain", (PyCFunction)loop_drain, METH_NOARGS,
+     "drain(): dispatch every pending event in (time, seq) order."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyGetSetDef loop_getset[] = {
+    {"now", (getter)loop_get_now, NULL,
+     "Time of the event being (or last) dispatched.", NULL},
+    {"pending", (getter)loop_get_pending, NULL, "Events not yet dispatched.",
+     NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject sd_loop_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_kernels.NativeLoop",
+    .tp_basicsize = sizeof(sd_loop),
+    .tp_dealloc = (destructor)loop_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "The replay's event heap and dispatch loop (see _kernels.c).",
+    .tp_traverse = (traverseproc)loop_traverse,
+    .tp_clear = (inquiry)loop_clear,
+    .tp_methods = loop_methods,
+    .tp_getset = loop_getset,
+    .tp_init = loop_init,
+    .tp_new = loop_new,
+};
+
+/* set_time_error(cls): the exception a drain raises when time goes
+ * backwards. */
+static PyObject *sd_set_time_error(PyObject *self, PyObject *const *args,
+                                   Py_ssize_t nargs) {
+    (void)self;
+    if (check_nargs("set_time_error", nargs, 1) < 0) return NULL;
+    if (!PyExceptionClass_Check(args[0])) {
+        PyErr_SetString(PyExc_TypeError, "expected an exception class");
+        return NULL;
+    }
+    Py_INCREF(args[0]);
+    Py_XSETREF(time_error, args[0]);
+    Py_RETURN_NONE;
+}
+
 /* ---- module ------------------------------------------------------------ */
 
 #define SD_FASTCALL(name) \
     {#name, (PyCFunction)(void (*)(void))sd_##name, METH_FASTCALL, NULL}
 
 static PyMethodDef sd_methods[] = {
+    SD_FASTCALL(set_time_error),
     SD_FASTCALL(sample_keep),
     SD_FASTCALL(draw_less_than),
     SD_FASTCALL(bit_positions),
@@ -517,8 +828,13 @@ static struct PyModuleDef sd_module = {
 };
 
 PyMODINIT_FUNC PyInit__kernels(void) {
+    if (PyType_Ready(&sd_loop_type) < 0) return NULL;
     PyObject *module = PyModule_Create(&sd_module);
-    if (module != NULL && PyModule_AddIntConstant(module, "ABI", SD_ABI_VERSION) < 0) {
+    if (module == NULL) return NULL;
+    Py_INCREF(&sd_loop_type);
+    if (PyModule_AddIntConstant(module, "ABI", SD_ABI_VERSION) < 0
+        || PyModule_AddObject(module, "NativeLoop", (PyObject *)&sd_loop_type) < 0) {
+        Py_DECREF(&sd_loop_type);
         Py_DECREF(module);
         return NULL;
     }

@@ -40,7 +40,7 @@ all registered backends.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,6 +71,10 @@ class KernelBackend:
 
     #: Registry name ("python" / "numpy" / "compiled").
     name: str = "base"
+    #: A compiled base type for the replay's event loop, or ``None``:
+    #: :func:`repro.core.engine.new_loop` then builds the reference
+    #: :class:`~repro.core.engine.EventLoop`.
+    native_loop: Optional[type] = None
 
     # -- disturbance sampling ----------------------------------------------------
 

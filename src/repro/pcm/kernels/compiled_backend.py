@@ -21,6 +21,10 @@ If none loads (no compiler, no ``Python.h``), construction raises
 backend instead.  ``decode_int`` (a 256-entry int-table XOR) stays in
 Python, which beats a native round trip.
 
+**Event loop**: the module also holds ``NativeLoop``, the replay's
+event heap and dispatch in C; :attr:`CompiledBackend.native_loop` hands
+it to :func:`repro.core.engine.new_loop` until the backend retires.
+
 **Caller-stream draws**: ``sample_mask_int``, ``sample_masks_int`` and
 ``draw_mask`` draw their uniforms in C from the caller's generator,
 through its ``bit_generator.capsule`` (numpy's ``bitgen_t``) and its
@@ -77,6 +81,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ... import envconfig
+from ...errors import SimulationError
 from .. import din as D
 from .. import line as L
 from .base import BackendUnavailable, KernelBackend
@@ -84,7 +89,7 @@ from .python_backend import PythonBackend
 
 #: Expected ``ABI`` of a loadable module; a module with another
 #: entry-point set fails the probe and is rebuilt from source.
-_ABI_VERSION = 8
+_ABI_VERSION = 9
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 #: Where a prebuilt module sits (next to this package's sources).
@@ -125,6 +130,7 @@ def _load_module(path: Path) -> ModuleType:
         )
     stored, invert = D.din_tables()
     module.set_din_tables(stored.tobytes(), invert.tobytes())
+    module.set_time_error(SimulationError)
     return module
 
 
@@ -230,6 +236,7 @@ class CompiledBackend(KernelBackend):
         self._ops = _make_ops()
         #: ``ABI`` of the loaded extension module.
         self.abi: int = self._ops.ABI
+        self._loop_type: type = self._ops.NativeLoop
         self._py = PythonBackend()
         self._dead = False
         self._bitgen = None
@@ -242,6 +249,11 @@ class CompiledBackend(KernelBackend):
     def dead(self) -> bool:
         """True once a runtime failure retired the native kernels."""
         return self._dead
+
+    @property
+    def native_loop(self) -> Optional[type]:
+        """The module's ``NativeLoop`` type, until the backend retires."""
+        return None if self._dead else self._loop_type
 
     def _retire(self, exc: BaseException) -> None:
         if not self._dead:

@@ -621,7 +621,7 @@ class TestCompiledBuild:
         assert compiled_backend._prebuilt_library(reasons) is None
         assert len(reasons) == 1 and "_kernels.so" in reasons[0]
         backend = _fresh_compiled()
-        assert backend.abi == compiled_backend._ABI_VERSION == 8
+        assert backend.abi == compiled_backend._ABI_VERSION == 9
         assert backend.encode_stored_int(3, 5) == REFERENCE.encode_stored_int(3, 5)
         assert not backend.dead
         # A current module under the interpreter's own suffix is accepted.
@@ -629,7 +629,7 @@ class TestCompiledBuild:
         shutil.copy(compiled_backend._build_library(), current)
         module = compiled_backend._prebuilt_library([])
         assert module is not None and module.__file__ == str(current)
-        assert module.ABI == 8
+        assert module.ABI == 9
 
     def test_missing_python_headers_fail_cleanly(self, tmp_path, monkeypatch):
         """No ``Python.h``: BackendUnavailable naming it, no compiler run,
