@@ -2,7 +2,7 @@
 
 from .buddy import BuddyAllocator
 from .nm_alloc import BLOCK_ORDER, NMAllocManager
-from .page_table import MAX_ALLOCATORS, TAG_BITS, PageTable, PageTableEntry
+from .page_table import MAX_ALLOCATORS, TAG_BITS, PageTable
 from .strips import (
     PAGES_PER_BLOCK,
     STRIPS_PER_BLOCK,
@@ -17,7 +17,6 @@ __all__ = [
     "NMAllocManager",
     "BLOCK_ORDER",
     "PageTable",
-    "PageTableEntry",
     "TAG_BITS",
     "MAX_ALLOCATORS",
     "adjacent_usage",

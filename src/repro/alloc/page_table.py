@@ -9,7 +9,6 @@ The paper sizes the tag at 4 bits (16 allocators, Section 6.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from ..errors import AllocationError
@@ -19,25 +18,14 @@ TAG_BITS = 4
 MAX_ALLOCATORS = 1 << TAG_BITS
 
 
-@dataclass(slots=True)
-class PageTableEntry:
-    """One PTE: the frame plus the (n:m) allocator tag.
-
-    Slotted, not frozen: a fault builds one, and a frozen dataclass's
-    ``__init__`` costs two ``object.__setattr__`` calls.  Nothing
-    rewrites an entry (page tables never remap).
-    """
-
-    frame: int
-    nm_tag: Tuple[int, int]
-
-
 class PageTable:
-    """Per-process map of virtual pages to tagged frames.
+    """Per-process map of virtual pages to frames, all tagged ``nm_tag``.
 
     ``frame_source`` is called on demand faults with the process's (n:m)
     ratio and must return a fresh frame (the engine wires this to
-    :class:`~repro.alloc.nm_alloc.NMAllocManager`).
+    :class:`~repro.alloc.nm_alloc.NMAllocManager`).  Every PTE carries the
+    table's one tag, so the table stores frames only.  Nothing rewrites
+    an entry (page tables never remap).
     """
 
     def __init__(
@@ -50,16 +38,14 @@ class PageTable:
             raise AllocationError(f"bad (n:m) tag ({n}:{m})")
         self.nm_tag = nm_tag
         self._frame_source = frame_source
-        self._entries: Dict[int, PageTableEntry] = {}
+        self._frames: Dict[int, int] = {}
         self.faults = 0
 
-    def translate(self, vpage: int) -> PageTableEntry:
-        """Translate, demand-allocating a frame on first touch."""
-        entry = self._entries.get(vpage)
-        if entry is None:
+    def translate(self, vpage: int) -> int:
+        """The page's frame, demand-allocated on first touch."""
+        frame = self._frames.get(vpage)
+        if frame is None:
             self.faults += 1
-            entry = self._entries[vpage] = PageTableEntry(
-                self._frame_source(*self.nm_tag), self.nm_tag
-            )
-        return entry
+            frame = self._frames[vpage] = self._frame_source(*self.nm_tag)
+        return frame
 

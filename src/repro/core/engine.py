@@ -11,7 +11,8 @@ completions on it.  A read hands the controller the core's next issue
 as its continuation, which the read's completion pushes: one event,
 with no call back into the engine.  Determinism: events at equal times
 fire in scheduling order (a monotonically increasing sequence number
-breaks ties).
+breaks ties).  No reference is charged as it goes: the replay's totals
+follow from the trace and the finish times, derived once at its end.
 """
 
 from __future__ import annotations
@@ -112,7 +113,9 @@ class CoreState:
     """Progress of one in-order core through its trace.
 
     The trace is held as plain per-reference columns (position ``i`` of
-    each list is reference ``i``), built once by the engine.
+    each list is reference ``i``), built once by the engine.  Only
+    write-queue stalls are tallied as they happen; :meth:`Engine.run`
+    derives ``instructions`` and ``read_stall_cycles`` at the end.
     """
 
     index: int
@@ -186,35 +189,32 @@ class Engine:
     # -- core state machine ------------------------------------------------------
 
     def _advance(self, core: CoreState, now: int) -> None:
-        """Consume the next trace reference (or finish): it issues after
-        its gap, with nothing to charge (``issued`` is ``now``)."""
+        """Consume the next trace reference, which issues after its gap,
+        or finish the core once none is left."""
         pos = core.position
         if pos >= len(core.gap):
             core.finish_time = now
             return
         core.position = pos + 1
-        core.instructions += core.gap[pos] + 1
-        self._push(now + core.delay[pos], self._on_issue, (core, pos, now))
+        self._push(now + core.delay[pos], self._on_issue, (core, pos))
 
-    def _issue(self, core: CoreState, pos: int, issued: int, now: int) -> None:
-        """Issue reference ``pos``, which was consumed ``delay[pos]``
-        cycles ago at the completion of the read issued at ``issued``:
-        the core stalled on that read for ``now - delay[pos] - issued``.
+    def _issue(self, core: CoreState, pos: int, now: int) -> None:
+        """Issue reference ``pos``.
 
         A read consumes the next reference at once and hands the
         controller that reference's issue as its continuation (or, for
-        the core's last reference, ``_finish`` at delay 0), so a read's
-        completion is one event, not a call back into the engine.
+        the core's last reference, ``_advance`` at delay 0, which
+        finishes the core), so a read's completion is one event, not a
+        call back into the engine.
         """
-        core.read_stall_cycles += now - core.delay[pos] - issued
         page = core.page[pos]
         mapped = core.frames.get(page)
         if mapped is None:
             # First touch of the page: translate (demand-faulting a frame)
             # and range-check the frame once; page tables never remap.
-            entry = core.page_table.translate(page)
-            bank, row = self.mapper.frame_to_bank_row(entry.frame)
-            mapped = core.frames[page] = (bank, row, entry.nm_tag)
+            table = core.page_table
+            bank, row = self.mapper.frame_to_bank_row(table.translate(page))
+            mapped = core.frames[page] = (bank, row, table.nm_tag)
         bank, row, nm_tag = mapped
         addr = (bank, row, core.line[pos])
         if core.is_write[pos]:
@@ -226,38 +226,35 @@ class Engine:
                 stall_from = now
                 def retry(t: int) -> None:
                     core.wq_stall_cycles += t - stall_from
-                    self._issue(core, pos, t - core.delay[pos], t)
+                    self._issue(core, pos, t)
                 self.controller.wait_for_space(bank, retry)
         else:
             nxt = pos + 1
             if nxt < len(core.gap):
                 core.position = nxt + 1
-                core.instructions += core.gap[nxt] + 1
                 self.controller.enqueue_read(
-                    addr, core.delay[nxt], self._on_issue, (core, nxt, now)
+                    addr, core.delay[nxt], self._on_issue, (core, nxt)
                 )
             else:
                 self.controller.enqueue_read(
-                    addr, 0, self._on_finish, (core, now)
+                    addr, 0, self._on_advance, (core,)
                 )
-
-    def _finish(self, core: CoreState, issued: int, now: int) -> None:
-        """The core's last reference, a read issued at ``issued``, returned."""
-        core.read_stall_cycles += now - issued
-        core.finish_time = now
 
     # -- top level ------------------------------------------------------------------
 
     def run(self) -> None:
         """Replay every core's trace to completion, then flush the queues.
 
-        The three callbacks every reference's events carry are bound once
+        The two callbacks every reference's events carry are bound once
         here, not once per event; each holds the engine, so the
         ``finally`` drops them to leave no engine <-> method cycle behind.
+
+        Then the totals: a core retires ``sum(gap) + n`` instructions,
+        and finishes after its gaps' cycles, one issue cycle per write,
+        and its write-queue and read stalls.
         """
         self._on_issue = self._issue
         self._on_advance = self._advance
-        self._on_finish = self._finish
         try:
             for core in self.cores:
                 self.loop.schedule(0, self._on_advance, core)
@@ -269,8 +266,16 @@ class Engine:
             # statistics even though no core waits on them).
             while self.controller.quiesce():
                 self.loop.run()
+            reads = 0
+            for core in self.cores:
+                writes = sum(core.is_write)
+                reads += len(core.gap) - writes
+                core.instructions = sum(core.gap) + len(core.gap)
+                core.read_stall_cycles = (core.finish_time - sum(core.delay)
+                                          - writes - core.wq_stall_cycles)
+            self.controller.publish_counters(reads)
         finally:
-            del self._on_issue, self._on_advance, self._on_finish
+            del self._on_issue, self._on_advance
 
     @property
     def total_instructions(self) -> int:

@@ -178,6 +178,9 @@ class VnCExecutor:
         #: Injected-fault state (all sampling uses the plan's own streams,
         #: never ``self.rng``, so fault-free sample paths are untouched).
         self.fault_plan = fault_plan
+        #: Whether a new ECP line is seeded (hard errors, stuck cells, dead
+        #: entries), so its birth must not wait for the first absorb.
+        self._seeds_ecp = lifetime_fraction > 0.0 or fault_plan is not None
         #: Stuck cells the line's exhausted ECP could not cover (int masks).
         self._stuck_uncovered: Dict[LineAddress, int] = {}
         #: :meth:`_verify_rows` of used rows, per ``(row, nm_tag)``.
@@ -551,7 +554,10 @@ class VnCExecutor:
         counts[_CORRECTION_WRITES] += corr_bits
         counts[_CORRECTIONS if depth == 0 else _CASCADES] += 1
         record.disturbed = 0
-        (record.ecp or self._ecp_line(vaddr, record)).clear_wd()
+        line = record.ecp
+        if line is not None or self._seeds_ecp:
+            # An unseeded new line is empty: the first absorb creates it.
+            (line or self._ecp_line(vaddr, record)).clear_wd()
         plan.cleared.append(record)
         if vaddr in self.uncovered:
             plan.resolved.append(vaddr)

@@ -24,13 +24,13 @@ class InFlightOp:
     latency: int
     #: Cooperative cancellation flag checked when the completion event fires.
     cancelled: bool = False
-    #: The write-queue entry (WRITE ops) or owning entry (PREREAD ops).
+    #: The write-queue entry (WRITE ops).
     entry: Optional[WriteEntry] = None
     #: The executor's plan, already applied: committed at completion, or
     #: undone and partially re-applied on cancellation (WRITE ops).
     plan: Any = None
-    #: Slot index being filled (PREREAD ops).
-    slot_index: int = -1
+    #: The slot being filled (PREREAD ops).
+    slot: Optional[PrereadSlot] = None
 
     @property
     def end(self) -> int:
@@ -95,10 +95,6 @@ class BankState:
     def busy(self) -> bool:
         return self.current is not None
 
-    @property
-    def wq_full(self) -> bool:
-        return len(self.write_q) >= self.wq_capacity
-
     # -- write-queue mutation (keeps the index and cursor in sync) -------------
 
     def wq_append(self, entry: WriteEntry) -> None:
@@ -142,18 +138,15 @@ class BankState:
         else:
             self.preread_cursor.append(entry)
 
-    def next_preread_target(self) -> Optional[Tuple[WriteEntry, int]]:
-        """The first queued entry (in queue order) still owing a pre-read,
-        plus the index of its first pending slot; drops exhausted or
-        dequeued entries from the cursor head on the way."""
+    def next_preread_target(self) -> Optional[PrereadSlot]:
+        """The first pending slot of the first queued entry (in queue
+        order) still owing a pre-read; drops exhausted or dequeued entries
+        from the cursor head on the way."""
         while self.preread_cursor:
             entry = self.preread_cursor[0]
-            slot: Optional[PrereadSlot] = (
-                entry.pending_preread() if entry.in_write_q else None
-            )
-            if slot is None:
-                self.preread_cursor.popleft()
-                entry.in_preread_cursor = False
-                continue
-            return entry, entry.slots.index(slot)
+            slot = entry.pending_preread() if entry.in_write_q else None
+            if slot is not None:
+                return slot
+            self.preread_cursor.popleft()
+            entry.in_preread_cursor = False
         return None

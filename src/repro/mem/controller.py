@@ -53,17 +53,12 @@ WC_THRESHOLD = 0.25
 class Scheduler(Protocol):
     """The event loop interface the controller schedules completions on
     (see :class:`repro.core.engine.EventLoop`): ``push`` queues
-    ``fn(*args, time)`` at a ``time`` no earlier than ``now``, and
-    ``schedule`` clamps an earlier one to ``now``.
+    ``fn(*args, time)`` at a ``time`` no earlier than ``now``.
     """
 
     now: int
 
     def push(self, time: int, fn: Callable[..., None], args: tuple) -> None: ...
-
-    def schedule(
-        self, time: int, fn: Callable[..., None], *args
-    ) -> None: ...
 
 
 class WriteExecutor(Protocol):
@@ -82,10 +77,10 @@ class WriteExecutor(Protocol):
     resumes before its bank starts any other op.  Only the controller
     calls those two, and ``perfbench/layers.py`` wraps them by name.
 
-    Writes start only from ``_kick``, which a demand read's completion
-    calls after pushing the core's continuation, and only when the bank
-    could start an op: ``execute`` never runs between a read's
-    completion and the scheduling of the core's next issue.
+    A demand read's completion pushes the core's continuation before
+    it kicks its bank (and kicks it only when the bank could start an
+    op), so ``execute`` never runs between a read's completion and the
+    scheduling of the core's next issue.
     """
 
     def preread_slots(self, entry: WriteEntry) -> List[PrereadSlot]:
@@ -163,7 +158,9 @@ class MemoryController:
         starts its next op.
 
         A read carries no request object: the bank's read queue holds
-        ``(delay, on_done, args)`` until the bank serves it.
+        ``(delay, on_done, args)`` until the bank serves it.  Nor does it
+        count itself: :meth:`publish_counters` sets the read totals when
+        the replay ends.
 
         Two cases push their event here, with no further call: a read
         forwarded from the write queue completes ``FORWARD_READ_CYCLES``
@@ -175,21 +172,17 @@ class MemoryController:
         read queue.
         """
         bank = self.banks[addr[0]]
-        counters = self.counters
-        counters.demand_reads += 1
         if addr in bank.wq_index:
             # Read-around-write: newest data is still in the write queue.
-            counters.wq_forwarded_reads += 1
+            self.counters.wq_forwarded_reads += 1
             self._push(self.scheduler.now + FORWARD_READ_CYCLES,
                        self._finish_forward, (delay, on_done, args))
             return
         if bank.current is None and not bank.draining and not bank.read_q:
             # An idle bank serves a demand read first (see ``_kick``).
             bank.current = self._read_ops[bank.index]
-            latency = self._read_cycles
-            counters.total_read_busy_cycles += latency
-            self._push(self.scheduler.now + latency, self._finish_read,
-                       (bank, delay, on_done, args))
+            self._push(self.scheduler.now + self._read_cycles,
+                       self._finish_read, (bank, delay, on_done, args))
             return
         bank.read_q.append((delay, on_done, args))
         if self._preempt is not None:
@@ -200,27 +193,38 @@ class MemoryController:
         """Accept a write into its bank's queue; False when the queue is full.
 
         A full queue triggers (or continues) a bursty drain; the caller must
-        retry via :meth:`wait_for_space`.
+        retry via :meth:`wait_for_space`.  Only an idle bank is kicked.
         """
         bank = self.banks[entry.addr[0]]
-        if bank.wq_full:
+        if len(bank.write_q) >= bank.wq_capacity:
             self.counters.wq_full_stalls += 1
             bank.draining = True
-            self._kick(bank)
+            if bank.current is None:
+                self._kick(bank)
             return False
         entry.slots = self.executor.preread_slots(entry)
         self._apply_queue_forwarding(bank, entry)
         bank.wq_append(entry)
         self.counters.demand_writes += 1
-        if bank.wq_full:
+        if len(bank.write_q) >= bank.wq_capacity:
             bank.draining = True
             self.counters.drains += 1
-        self._kick(bank)
+        if bank.current is None:
+            self._kick(bank)
         return True
 
     def wait_for_space(self, bank_index: int, waiter: Callable[[int], None]) -> None:
         """Register a callback for when the bank's write queue has space."""
         self.banks[bank_index].space_waiters.append(waiter)
+
+    def publish_counters(self, reads: int) -> None:
+        """Set the read totals when the replay ends: ``reads`` demand
+        reads, each of which holds its bank ``read_cycles`` unless the
+        write queue forwarded it."""
+        counters = self.counters
+        counters.demand_reads = reads
+        counters.total_read_busy_cycles = (
+            reads - counters.wq_forwarded_reads) * self._read_cycles
 
     def quiesce(self) -> bool:
         """Start drains everywhere so queued writes finish (end of trace)."""
@@ -343,13 +347,11 @@ class MemoryController:
         op = InFlightOp(_WRITE, now, latency, False, entry, plan)
         bank.current = op
         self.counters.total_write_busy_cycles += latency
-        self.scheduler.schedule(now + latency, self._finish, bank, op)
+        self._push(now + latency, self._finish_write, (bank, op))
 
     def _start_read(self, bank: BankState, now: int) -> None:
         bank.current = self._read_ops[bank.index]
-        latency = self._read_cycles
-        self.counters.total_read_busy_cycles += latency
-        self._push(now + latency, self._finish_read,
+        self._push(now + self._read_cycles, self._finish_read,
                    (bank, *bank.read_q.popleft()))
 
     def _finish_read(
@@ -371,40 +373,43 @@ class MemoryController:
         self._push(now + delay, on_done, args)
 
     def _start_preread(self, bank: BankState, now: int) -> None:
-        target = bank.next_preread_target()
-        if target is None:
+        slot = bank.next_preread_target()
+        if slot is None:
             return
-        entry, slot_index = target
         latency = self._read_cycles
-        op = InFlightOp(_PREREAD, now, latency, False, entry, None, slot_index)
+        op = InFlightOp(_PREREAD, now, latency, False, None, None, slot)
         bank.current = op
         self.counters.prereads_issued += 1
         self.counters.total_preread_busy_cycles += latency
-        self.scheduler.schedule(now + latency, self._finish, bank, op)
+        self._push(now + latency, self._finish_preread, (bank, op))
 
-    def _finish(self, bank: BankState, op: InFlightOp, now: int) -> None:
+    def _finish_write(self, bank: BankState, op: InFlightOp, now: int) -> None:
         if op.cancelled:
             return
         if bank.current is not op:
             raise SimulationError("bank completion for a non-current op")
         bank.current = None
-        kind = op.kind
-        if kind is _WRITE:
-            self.executor._commit(op.entry, op.plan)
-            low_water = 0 if bank.flush_all else self._drain_low_water
-            if bank.draining and len(bank.write_q) <= low_water:
-                bank.draining = False
-                if not bank.write_q:
-                    bank.flush_all = False
-        elif kind is _PREREAD:
-            if op.entry is not None and 0 <= op.slot_index < len(op.entry.slots):
-                slot = op.entry.slots[op.slot_index]
-                if not slot.done:
-                    slot.done = True
-                    self.executor.capture_baseline(slot)
+        self.executor._commit(op.entry, op.plan)
+        low_water = 0 if bank.flush_all else self._drain_low_water
+        if bank.draining and len(bank.write_q) <= low_water:
+            bank.draining = False
+            if not bank.write_q:
+                bank.flush_all = False
+        self._kick(bank)
+
+    def _finish_preread(self, bank: BankState, op: InFlightOp, now: int) -> None:
+        if op.cancelled:
+            return
+        if bank.current is not op:
+            raise SimulationError("bank completion for a non-current op")
+        bank.current = None
+        slot = op.slot
+        if not slot.done:
+            slot.done = True
+            self.executor.capture_baseline(slot)
         self._kick(bank)
 
     def _wake_space_waiters(self, bank: BankState, now: int) -> None:
         waiters, bank.space_waiters = bank.space_waiters, []
         for waiter in waiters:
-            self.scheduler.schedule(now, waiter)
+            self._push(now, waiter, ())

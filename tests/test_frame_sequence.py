@@ -40,8 +40,8 @@ def replay():
         which = rng.randrange(len(tables))
         # Fresh pages and revisits (a revisit must not fault again).
         vpage = rng.randrange(40_000)
-        entry = tables[which].translate(vpage)
-        records.append((which, vpage, entry.frame, entry.nm_tag))
+        frame = tables[which].translate(vpage)
+        records.append((which, vpage, frame, tables[which].nm_tag))
     return manager, tables, records
 
 

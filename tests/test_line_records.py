@@ -53,9 +53,12 @@ def test_weak_masks_are_the_planes(sim):
 
 
 def test_ecp_references_are_the_chips_lines(sim):
+    """Records link exactly the chip's lines.  Only an absorb (or a
+    seeded birth) makes a line, so a lifetime-0 baseline links none."""
     linked = {k: r.ecp for k, r in sim.array.lines.items()
               if r.ecp is not None}
-    assert linked
+    assert bool(linked) == sim.config.scheme.lazy_correction
+    assert linked.keys() == sim.ecp.lines.keys()
     for key, line in linked.items():
         assert line is sim.ecp.lines[key], key
 

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import MemoryConfig, SchemeConfig, TimingConfig
+from repro.core.engine import EventLoop
 from repro.mem.bank import BankState, InFlightOp
+from repro.mem.controller import MemoryController
 from repro.mem.request import (
     PausedWrite,
     PrereadSlot,
     RequestKind,
     WriteEntry,
 )
+from repro.stats.counters import Counters
 
 
 def entry(row=5, line=0):
@@ -35,11 +39,19 @@ class TestInFlightOp:
 
 class TestBankState:
     def test_wq_full(self):
-        bank = BankState(index=0, wq_capacity=2)
-        assert not bank.wq_full
+        """The controller turns away a write once the queue holds
+        ``wq_capacity`` entries, and starts a drain."""
+        ctrl = MemoryController(
+            MemoryConfig(write_queue_entries=2), TimingConfig(),
+            SchemeConfig(), EventLoop(), None, Counters(),
+        )
+        bank = ctrl.banks[0]
+        bank.current = InFlightOp(kind=RequestKind.READ, start=0, latency=1)
         bank.wq_append(entry(1))
         bank.wq_append(entry(2))
-        assert bank.wq_full
+        assert not ctrl.try_enqueue_write(entry(3))
+        assert bank.draining and ctrl.counters.wq_full_stalls == 1
+        assert len(bank.write_q) == bank.wq_capacity
 
     def test_find_write_returns_youngest(self):
         """The line index lists a line's queued writes oldest first."""

@@ -331,10 +331,11 @@ class TestReadPath:
         assert bank.current.kind is RequestKind.READ
         assert not bank.read_q
         assert len(loop.heap) == 1 and loop.heap[0][0] == 400
-        assert counters.total_read_busy_cycles == 400
         loop.run()
         assert done == [400]
         assert bank.current is None
+        ctrl.publish_counters(1)
+        assert counters.total_read_busy_cycles == 400
 
     def test_reads_to_a_busy_bank_queue_fifo(self):
         loop, ctrl, _, _ = make_controller()
@@ -385,6 +386,7 @@ class TestReadPath:
         loop.run()
         assert done == [100 + FORWARD_READ_CYCLES]
         assert counters.wq_forwarded_reads == 1
+        ctrl.publish_counters(1)
         assert counters.total_read_busy_cycles == 0
 
     def test_reads_alone_never_try_preread(self):

@@ -126,7 +126,7 @@ class TestBankQueueMethods:
         done_slot.done = True
         e = entry(5, slots=[done_slot, pending])
         bank.wq_append(e)
-        assert bank.next_preread_target() == (e, 1)
+        assert bank.next_preread_target() is pending
         pending.done = True
         assert bank.next_preread_target() is None
         assert not bank.preread_cursor
@@ -139,7 +139,7 @@ class TestBankQueueMethods:
         bank.wq_append(no_slots)
         bank.wq_append(with_slots)
         assert not no_slots.in_preread_cursor
-        assert bank.next_preread_target() == (with_slots, 0)
+        assert bank.next_preread_target() is with_slots.slots[0]
 
     def test_cursor_drops_dequeued_entries(self):
         bank = BankState(index=0, wq_capacity=8)
@@ -149,7 +149,7 @@ class TestBankQueueMethods:
         bank.wq_append(second)
         assert bank.wq_popleft() is first
         # first left the queue with a pending slot; the cursor must skip it.
-        assert bank.next_preread_target() == (second, 0)
+        assert bank.next_preread_target() is second.slots[0]
         assert not first.in_preread_cursor
 
     def test_reinsert_refreshes_cursor_position(self):
@@ -163,7 +163,7 @@ class TestBankQueueMethods:
         assert_consistent(bank)
         assert list(bank.preread_cursor).count(a) == 1
         # a is back at the queue front, so it is the preread target again.
-        assert bank.next_preread_target() == (a, 0)
+        assert bank.next_preread_target() is a.slots[0]
 
 
 class TestControllerKeepsIndexConsistent:
