@@ -3,8 +3,8 @@
 Measurements, written machine-readably to ``BENCH_kernels.json``:
 
 * **Kernel microbenchmarks** — the int-domain/batched kernels (including
-  the row-batched mask sampling and DIN row coders) against the retained
-  ``_scalar_*`` / per-line references, same machine, same run, so the
+  the row-batched mask sampling) against the retained ``_scalar_*``
+  references, same machine, same run, so the
   asserted ratios are machine-independent.
 * **Trace synthesis** — the vectorized generator against an inline replica
   of the original per-record Python loop (also an equivalence check).
@@ -38,7 +38,6 @@ import numpy as np
 from repro.config import LINES_PER_PAGE, LINE_BYTES, LINE_WORDS, PAGE_BYTES
 from repro.core import schemes
 from repro.experiments import common
-from repro.pcm import din as D
 from repro.pcm import line as L
 from repro.perf import engine
 from repro.perf.cache import ResultCache
@@ -58,7 +57,9 @@ from conftest import OUT_DIR
 #: ratio; no planner reads this file any more.
 #: v5: the cross-cell batch layer is gone, and with it the ``batched_*``
 #: and ``percell_cells_s`` fields.
-SCHEMA_VERSION = 5
+#: v6: ``DINEncoder.encode_stored_rows`` is gone, and with it the
+#: ``din_perline_s``, ``din_rows_s`` and ``din_rows_speedup`` fields.
+SCHEMA_VERSION = 6
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -92,7 +93,7 @@ MIN_TRACE_SPEEDUP = 3.0
 #: its own hard MIN_CELL_SPEEDUP assertion instead.
 BASELINE_RATIO_FIELDS = (
     "popcount_speedup", "sample_speedup", "trace_speedup",
-    "rows_sample_speedup", "din_rows_speedup",
+    "rows_sample_speedup",
     "kernel_numpy_speedup", "kernel_compiled_speedup",
 )
 BASELINE_TOLERANCE = 0.8
@@ -163,15 +164,11 @@ def _bench_kernels() -> dict:
 
 
 def _bench_row_kernels() -> dict:
-    """Row-batched mask sampling and DIN coding vs their per-line forms."""
+    """Row-batched mask sampling vs its per-line form."""
     rng = np.random.default_rng(99)
     rows = rng.integers(
         0, 1 << 64, size=(LINES_PER_PAGE, LINE_WORDS), dtype=np.uint64
     )
-    row_ints = [_as_int(row) for row in rows]
-    data = rng.integers(0, 256, size=(LINES_PER_PAGE, 64), dtype=np.uint8)
-    data_ints = [int.from_bytes(d.tobytes(), "little") for d in data]
-    coder = D.DINEncoder()
 
     def scalar_rows_sample():
         r = np.random.default_rng(5)
@@ -187,29 +184,10 @@ def _bench_row_kernels() -> dict:
     ]
     scalar_s = _best_of(15, scalar_rows_sample)
     rows_s = _best_of(15, batched_rows_sample)
-
-    def perline_din():
-        return [
-            coder.encode_stored_int(row, d)
-            for row, d in zip(row_ints, data_ints)
-        ]
-
-    def rows_din():
-        return coder.encode_stored_rows(rows, data)
-
-    stored_rows, flag_rows = rows_din()
-    reference = perline_din()
-    assert [_as_int(s) for s in stored_rows] == [s for s, _ in reference]
-    assert [int(f) for f in flag_rows] == [f for _, f in reference]
-    perline_s = _best_of(15, perline_din)
-    din_rows_s = _best_of(15, rows_din)
     return {
         "rows_sample_scalar_s": scalar_s,
         "rows_sample_batched_s": rows_s,
         "rows_sample_speedup": scalar_s / max(rows_s, 1e-12),
-        "din_perline_s": perline_s,
-        "din_rows_s": din_rows_s,
-        "din_rows_speedup": perline_s / max(din_rows_s, 1e-12),
     }
 
 
@@ -385,7 +363,6 @@ def test_bench_kernels(tmp_path):
         f"\npopcount {results['popcount_speedup']:.1f}x, "
         f"sampling {results['sample_speedup']:.1f}x, "
         f"row sampling {results['rows_sample_speedup']:.1f}x, "
-        f"DIN rows {results['din_rows_speedup']:.1f}x, "
         f"trace gen {results['trace_speedup']:.1f}x, "
         f"cold cell {results['cold_cell_s']:.3f}s via "
         f"{results['best_backend']} "

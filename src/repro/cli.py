@@ -122,32 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache")
     cache_p.add_argument("action", choices=("stats", "clear"))
 
-    faults_p = sub.add_parser("faults", help="fault-injection tooling")
-    faults_sub = faults_p.add_subparsers(dest="faults_command", required=True)
-    fsweep = faults_sub.add_parser(
-        "sweep",
-        help="run the scheme line-up under injected faults and report "
-        "end-to-end uncorrectable-error rates",
-    )
-    fsweep.add_argument("--workload", default="mcf", choices=WORKLOAD_ORDER)
-    fsweep.add_argument(
-        "--profile",
-        action="append",
-        choices=("light", "stress"),
-        help="fault intensity; repeatable (default: both)",
-    )
-    fsweep.add_argument("--length", type=_NON_NEGATIVE, default=None)
-    fsweep.add_argument("--cores", type=_COUNT, default=None)
-    fsweep.add_argument("--seed", type=_NON_NEGATIVE, default=1)
-    fsweep.add_argument(
-        "--fault-seed",
-        type=_NON_NEGATIVE,
-        default=3,
-        help="seed of the fault plan's RNG streams (fixed seed => "
-        "bit-identical sweep)",
-    )
-    fsweep.add_argument("--jobs", type=_COUNT, default=None)
-
     perf_p = sub.add_parser("perf", help="performance tooling")
     perf_sub = perf_p.add_subparsers(dest="perf_command", required=True)
     prof = perf_sub.add_parser(
@@ -282,26 +256,6 @@ def _cmd_cache(action: str) -> int:
     return 0
 
 
-def _cmd_faults_sweep(args: argparse.Namespace) -> int:
-    from .faults import sweep
-    from .perf import engine
-
-    if args.jobs is not None:
-        engine.configure(jobs=args.jobs)
-    for result in sweep.sweep_rows(
-        profiles=args.profile,
-        bench=args.workload,
-        length=args.length,
-        cores=args.cores,
-        seed=args.seed,
-        fault_seed=args.fault_seed,
-    ):
-        print(result.render())
-        print()
-    print(f"  [engine: {engine.STATS.summary()}]")
-    return 0
-
-
 def _cmd_perf_profile(args: argparse.Namespace) -> int:
     from .pcm import kernels, stateplane
     from .perf.cache import ResultCache
@@ -395,8 +349,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_experiment(args)
     if args.command == "cache":
         return _cmd_cache(args.action)
-    if args.command == "faults":
-        return _cmd_faults_sweep(args)
     if args.command == "perf":
         return _cmd_perf_profile(args)
     if args.command == "gen-trace":

@@ -131,11 +131,12 @@ class DisturbanceConfig:
 class FaultConfig:
     """Deterministic device-fault injection (the chaos model).
 
-    All faults are sampled from dedicated per-line RNG streams derived from
-    ``seed`` — never from the simulation's main RNG — so enabling a fault
-    plan does not perturb the disturbance/payload sample path, and a
-    fault-free run is byte-identical to one with no :class:`FaultConfig`
-    at all.  Three fault classes from the PCM reliability literature:
+    A config is active when any of its three rates is positive.  All
+    faults are sampled from dedicated per-line RNG streams derived from
+    ``seed`` — never from the simulation's main RNG — so an active config
+    does not perturb the disturbance/payload sample path, and an all-zero
+    config is byte-identical to a fault-free run.  Three fault classes
+    from the PCM reliability literature:
 
     * **stuck-at cells** — wear-out: cells that can no longer change phase.
       They are immune to WD, are covered by ECP hard-error entries while
@@ -149,7 +150,6 @@ class FaultConfig:
       shrinking the per-line ECP capacity.
     """
 
-    enabled: bool = False
     seed: int = 0
     #: Poisson mean of stuck-at cells per 512-cell line.
     stuck_cells_per_line: float = 0.0
@@ -169,7 +169,7 @@ class FaultConfig:
     @property
     def active(self) -> bool:
         """Whether any fault can actually be injected."""
-        return self.enabled and (
+        return (
             self.stuck_cells_per_line > 0
             or self.drift_flip_prob > 0
             or self.ecp_entry_failure_prob > 0

@@ -53,12 +53,12 @@ _NO_STUCK = StuckProfile(mask=0, values=0)
 
 
 class FaultPlan:
-    """Deterministic per-line fault sampler for one enabled config."""
+    """Deterministic per-line fault sampler for one active config."""
 
     def __init__(self, config: FaultConfig):
-        if not config.enabled:
+        if not config.active:
             raise FaultInjectionError(
-                "FaultPlan requires an enabled FaultConfig; "
+                "FaultPlan requires an active FaultConfig; "
                 "fault-free runs must not construct a plan"
             )
         self.config = config

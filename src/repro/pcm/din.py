@@ -185,25 +185,6 @@ class DINEncoder:
         """Invert the encoding: recover logical data from stored bytes."""
         return invert_flagged_bytes(stored, flags)
 
-    def encode_stored_rows(
-        self, physical: np.ndarray, data: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Row-batched :meth:`encode_stored_int` over ``(N, 8)`` line batches.
-
-        One LUT gather covers every byte of every line in the batch:
-        returns ``(stored, flags)`` where ``stored`` is ``(N, 8)`` uint64
-        and ``flags`` is ``(N,)`` uint64 — row ``r`` equal to
-        ``encode_stored_int`` of the corresponding int-domain line pair.
-        """
-        n = len(physical)
-        old = physical.view(np.uint8).reshape(n, -1)
-        raw = data.view(np.uint8).reshape(n, -1)
-        stored = _stored_table()[old, raw].view(L.WORD_DTYPE)
-        flags = np.packbits(
-            _invert_table()[old, raw], axis=1, bitorder="little"
-        ).view(np.uint64).reshape(n)
-        return stored, flags
-
     @staticmethod
     def vulnerable_pairs(physical: int, stored: int) -> int:
         """Word-line-vulnerable cells a stored image creates over ``physical``.

@@ -129,13 +129,6 @@ class Counters:
         total = demand + self.data_cell_writes_correction
         return 1.0 if total == 0 or demand == 0 else demand / total
 
-    @property
-    def uncorrectable_bit_rate(self) -> float:
-        """Uncorrectable bits per demand line write (fault sweeps' metric)."""
-        if self.demand_writes == 0:
-            return 0.0
-        return self.uncorrectable_bits / self.demand_writes
-
     #: Without WD, the ECP chip sees ~10x fewer cell changes than the data
     #: chips for the same write stream (Section 6.7); the background counter
     #: accumulates raw data-chip cell changes and is scaled here.

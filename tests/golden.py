@@ -22,6 +22,8 @@ import sys
 from pathlib import Path
 from typing import Dict
 
+from repro.config import FaultConfig
+
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "GOLDEN.json"
 
 #: The reference cold cell (bench, scheme, per-core length, cores, seed).
@@ -35,6 +37,21 @@ REFERENCE_CELL = {
 #: Experiment scale: small enough that the whole sweep runs serially in
 #: about 15 s on a 2-CPU host.
 SWEEP_ENV = {"REPRO_TRACE_LEN": "60", "REPRO_CORES": "8"}
+
+#: Fault intensities of the fault tests and the stress scheme pins (fault
+#: seed 0).  ``STRESS_FAULTS`` is calibrated so Poisson stuck-cell counts
+#: routinely exceed ECP-6 capacity (driving ``ECPExhaustedError``) and
+#: drift routinely overflows LazyCorrection.
+LIGHT_FAULTS = FaultConfig(
+    stuck_cells_per_line=0.5,
+    drift_flip_prob=0.002,
+    ecp_entry_failure_prob=0.02,
+)
+STRESS_FAULTS = FaultConfig(
+    stuck_cells_per_line=8.0,
+    drift_flip_prob=0.02,
+    ecp_entry_failure_prob=0.3,
+)
 
 
 def sha256_text(text: str) -> str:

@@ -164,8 +164,8 @@ class TestBadNumbers:
          "repro simulate: error: argument --length: must be >= 0, got -4"),
         (["gen-trace", "mcf", "x.npz", "--length", "-1"],
          "repro gen-trace: error: argument --length: must be >= 0, got -1"),
-        (["faults", "sweep", "--jobs", "0"],
-         "repro faults sweep: error: argument --jobs: must be >= 1, got 0"),
+        (["perf", "profile", "mcf", "--length", "-1"],
+         "repro perf profile: error: argument --length: must be >= 0, got -1"),
         (["experiment", "table1", "--jobs", "0"],
          "repro experiment: error: argument --jobs: must be >= 1, got 0"),
         (["simulate", "mcf", "--cores", "x"],
@@ -182,11 +182,11 @@ class TestBadNumbers:
          "repro gen-trace: error: argument --seed: must be >= 0, got -1"),
         (["perf", "profile", "mcf", "--seed", "-1"],
          "repro perf profile: error: argument --seed: must be >= 0, got -1"),
-        (["faults", "sweep", "--seed", "-1"],
-         "repro faults sweep: error: argument --seed: must be >= 0, got -1"),
-        (["faults", "sweep", "--fault-seed", "-1"],
-         "repro faults sweep: error: argument --fault-seed: must be >= 0, "
-         "got -1"),
+        (["analyze"],
+         "repro analyze: error: the following arguments are required: path"),
+        (["gen-trace", "mcf", "x.npz", "--length", "1.5"],
+         "repro gen-trace: error: argument --length: invalid int value: "
+         "'1.5'"),
         (["compare", "wrf", "--length", "0", "--cores", "1"],
          "repro compare: error: argument --length: must be >= 1, got 0"),
     ])
@@ -240,6 +240,12 @@ class TestBadNumbers:
             main(["health"])
         assert exit_info.value.code == 2
         assert "invalid choice: 'health'" in capsys.readouterr().err
+
+    def test_faults_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["faults", "sweep"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'faults'" in capsys.readouterr().err
 
 
 class TestBadEnvValues:

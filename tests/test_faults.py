@@ -21,13 +21,14 @@ from repro.core import schemes
 from repro.errors import FaultInjectionError
 from repro.experiments import common
 from repro.faults import FaultPlan, build_plan
-from repro.faults import sweep
 from repro.perf.cellspec import cache_key, simulate_cell
+
+from .golden import LIGHT_FAULTS, STRESS_FAULTS
 
 SMALL = dict(length=120, cores=2)
 
-STRESS = dataclasses.replace(sweep.PROFILES["stress"], seed=3)
-LIGHT = dataclasses.replace(sweep.PROFILES["light"], seed=3)
+STRESS = dataclasses.replace(STRESS_FAULTS, seed=3)
+LIGHT = dataclasses.replace(LIGHT_FAULTS, seed=3)
 
 KEYS = [(0, 0, 0), (0, 3, 1), (1, 17, 0), (3, 200, 1)]
 
@@ -44,20 +45,26 @@ def payload(result) -> dict:
 
 class TestFaultConfig:
     def test_defaults_are_inactive(self):
-        config = FaultConfig()
-        assert not config.enabled
-        assert not config.active
-
-    def test_enabled_with_zero_rates_is_inactive(self):
-        assert not FaultConfig(enabled=True).active
-        assert build_plan(FaultConfig(enabled=True)) is None
+        assert not FaultConfig().active
 
     def test_rates_make_it_active(self):
-        assert FaultConfig(enabled=True, stuck_cells_per_line=0.1).active
-        assert FaultConfig(enabled=True, drift_flip_prob=0.1).active
-        assert FaultConfig(enabled=True, ecp_entry_failure_prob=0.1).active
-        # enabled=False gates everything off regardless of rates
-        assert not FaultConfig(stuck_cells_per_line=5.0).active
+        assert FaultConfig(stuck_cells_per_line=0.1).active
+        assert FaultConfig(drift_flip_prob=0.1).active
+        assert FaultConfig(ecp_entry_failure_prob=0.1).active
+
+    @pytest.mark.parametrize("stuck", [0.0, 0.1])
+    @pytest.mark.parametrize("drift", [0.0, 0.1])
+    @pytest.mark.parametrize("ecp", [0.0, 0.1])
+    def test_active_iff_some_rate_is_positive(self, stuck, drift, ecp):
+        config = FaultConfig(stuck_cells_per_line=stuck, drift_flip_prob=drift,
+                             ecp_entry_failure_prob=ecp)
+        assert config.active == (stuck > 0 or drift > 0 or ecp > 0)
+        if config.active:
+            assert isinstance(build_plan(config), FaultPlan)
+        else:
+            assert build_plan(config) is None
+            with pytest.raises(FaultInjectionError):
+                FaultPlan(config)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -118,7 +125,7 @@ class TestFaultPlan:
             assert mask & ~vulnerable == 0
 
     def test_inactive_kinds_sample_nothing(self):
-        plan = FaultPlan(FaultConfig(enabled=True, drift_flip_prob=0.5))
+        plan = FaultPlan(FaultConfig(drift_flip_prob=0.5))
         assert plan.stuck_profile(KEYS[0]).mask == 0
         assert plan.dead_entries(KEYS[0], 6) == 0
 
@@ -136,7 +143,7 @@ class TestDeviceIntegration:
     def test_zero_rate_config_is_byte_identical_to_fault_free(self):
         plain = simulate_cell(common.cell("mcf", schemes.lazyc(), **SMALL))
         gated = simulate_cell(faulty_cell(scheme=schemes.lazyc(),
-                                          faults=FaultConfig(enabled=True)))
+                                          faults=FaultConfig(seed=7)))
         assert payload(plain) == payload(gated)
 
     def test_faulty_run_is_deterministic(self):
@@ -152,7 +159,7 @@ class TestDeviceIntegration:
         assert c.drift_flips > 0
         assert c.ecp_exhausted_lines >= 1
         assert c.uncorrectable_bits > 0
-        assert 0.0 < c.uncorrectable_bit_rate
+        assert 0.0 < c.uncorrectable_bits / c.demand_writes
 
     def test_light_profile_is_gentler_than_stress(self):
         light = simulate_cell(faulty_cell(faults=LIGHT)).counters
@@ -170,25 +177,3 @@ class TestDeviceIntegration:
             "mcf", schemes.baseline(), **SMALL
         )) != base
 
-
-class TestSweep:
-    def test_unknown_profile_raises(self):
-        with pytest.raises(ValueError, match="unknown fault profile"):
-            sweep.run_sweep(profile="apocalypse")
-
-    def test_sweep_reports_every_scheme(self):
-        result = sweep.run_sweep(profile="light", **SMALL)
-        assert [row[0] for row in result.rows] == list(sweep.SWEEP_SCHEMES)
-        assert "uncorrectable bits" in result.headers
-        assert "max_uncorrectable_rate" in result.metrics
-        assert "fault sweep" in result.render()
-
-    def test_stress_sweep_exhausts_ecp_lines(self):
-        result = sweep.run_sweep(profile="stress", **SMALL)
-        assert result.metrics["exhausted_lines_total"] >= 1
-
-    def test_sweep_is_deterministic_without_the_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        first = sweep.run_sweep(profile="light", **SMALL)
-        second = sweep.run_sweep(profile="light", **SMALL)
-        assert first.rows == second.rows

@@ -1,8 +1,8 @@
 """Every named scheme's simulated result, pinned to committed digests.
 
 One small ``mcf`` cell per :data:`repro.core.schemes.SCHEMES` entry (200
-references per core, 4 cores, seed 1), both fault-free and under the
-``stress`` fault profile at lifetime 0.7, is compared with the
+references per core, 4 cores, seed 1), both fault-free and under
+:data:`tests.golden.STRESS_FAULTS` at lifetime 0.7, is compared with the
 :func:`tests.golden.result_digest` recorded here (every field of the
 ``SimulationResult``, its scheme label included).  ``GOLDEN.json`` pins
 only the schemes the experiments run at their own scale; this pins each
@@ -16,10 +16,9 @@ import pytest
 
 from repro.core import schemes
 from repro.experiments.common import cell
-from repro.faults.sweep import PROFILES
 from repro.perf.cellspec import simulate_cell
 
-from .golden import result_digest
+from .golden import STRESS_FAULTS, result_digest
 
 PLAIN = {
     "DIN": "7d04a817cbf8065315b1c56325798a68dc177cf6841b1e15a0861249a9482cb6",
@@ -39,7 +38,7 @@ PLAIN = {
     "LazyC-denseECP": "bb6e72269f3bb4004ebabc73e9e87a0cdbe5880b5866ec5b7feb275c0db4e4b1",
 }
 
-#: The same cells under ``PROFILES["stress"]`` at lifetime fraction 0.7.
+#: The same cells under ``STRESS_FAULTS`` at lifetime fraction 0.7.
 STRESS = {
     "DIN": "5277851a3107ae51c46759b406971bef07acd2eedb5556b307306cab3f062de3",
     "baseline": "6239897b8d6b18ce8ff8f53994a987e69a50c4d86094af019282ff895c228ef3",
@@ -68,7 +67,7 @@ def test_every_named_scheme_is_pinned():
 def test_scheme_result_matches_pin(name, variant):
     options = {}
     if variant == "stress":
-        options = {"faults": PROFILES["stress"], "lifetime_fraction": 0.7}
+        options = {"faults": STRESS_FAULTS, "lifetime_fraction": 0.7}
     spec = cell("mcf", schemes.by_name(name), length=200, cores=4, seed=1,
                 **options)
     pins = PLAIN if variant == "plain" else STRESS
