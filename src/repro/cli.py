@@ -78,12 +78,6 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         "completed under the current parameters",
     )
     parser.add_argument(
-        "--no-pipeline",
-        action="store_true",
-        help="disable cross-experiment pipelining (global spec prefetch "
-        "into the warm pool)",
-    )
-    parser.add_argument(
         "--kernel-backend",
         choices=envconfig.KERNEL_BACKENDS,
         default=None,

@@ -95,6 +95,40 @@ def run_cells(specs: Sequence[CellSpec]) -> List[SimulationResult]:
     return engine.get_runner().run_cells(list(specs))
 
 
+class _PlanAborted(Exception):
+    """Control flow: a planning pass stops a call at its first
+    ``run_cells`` (the specs are recorded; nothing is simulated)."""
+
+
+class _PlanningRunner:
+    """Engine stub that records submitted specs instead of running them."""
+
+    def __init__(self) -> None:
+        self.specs: List[CellSpec] = []
+
+    def run_cells(self, specs):
+        self.specs.extend(specs)
+        raise _PlanAborted
+
+
+def first_batch(call: Callable[[], object]) -> List[CellSpec]:
+    """The specs of ``call``'s first ``run_cells`` batch, simulating none.
+
+    Runs ``call`` (spec-list construction is cheap) against a recording
+    engine stub that aborts it at its first ``run_cells``.  A call that
+    never reaches ``run_cells`` (an analytic experiment) or that raises
+    contributes nothing: it runs normally, and any real error surfaces,
+    when it is called for real.
+    """
+    recorder = _PlanningRunner()
+    with engine.use_runner(recorder):
+        try:
+            call()
+        except Exception:  # _PlanAborted, or an error the real call raises
+            pass
+    return recorder.specs
+
+
 @dataclass
 class ExperimentResult:
     """Uniform result bundle: a titled table plus named headline metrics."""

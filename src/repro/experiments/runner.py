@@ -7,7 +7,6 @@ Usage::
     python -m repro.experiments.runner figure11 --jobs 4     # parallel cells
     python -m repro.experiments.runner --json out figure11   # + JSON export
     python -m repro.experiments.runner --resume         # continue a sweep
-    python -m repro.experiments.runner --no-pipeline    # strictly sequential
     REPRO_TRACE_LEN=4000 python -m repro.experiments.runner
 
 Timing-simulation experiments scale with REPRO_TRACE_LEN; the analytic ones
@@ -16,20 +15,19 @@ Timing-simulation experiments scale with REPRO_TRACE_LEN; the analytic ones
 a warm process pool, and finished cells are cached on disk
 (``REPRO_CACHE_DIR``) so re-runs skip them entirely.
 
-With ``--jobs`` > 1 the sweep is **pipelined across experiments**: a
-planning pass collects every selected experiment's cell specs up front
-(by running each experiment preamble against a spec-recording engine
-stub), dedups them globally, and prefetches the cold cells into the warm
-pool.  Each experiment then collects its own cells as they complete —
-experiment N+1's cells simulate while experiment N's table renders — and
-finished results stream to disk on a background cache-writer thread.
-Disable with ``--no-pipeline``; results are
-byte-identical either way (every cell is an independent simulation
-seeded from its own spec).
+With ``--jobs`` > 1 and several experiments selected, a planning pass
+collects every experiment's first-batch cell specs up front (by running
+each experiment preamble against a spec-recording engine stub), dedups
+them globally, and prefetches the cold cells into the warm pool.  Each
+experiment then collects its own cells as they complete — experiment
+N+1's cells simulate while experiment N's table renders — and finished
+results stream to disk on a background cache-writer thread.  Results
+are byte-identical to a serial run (every cell is an independent
+simulation seeded from its own spec).
 
 Long sweeps are interrupt-safe: every completed experiment is checkpointed
 to a manifest next to the result cache, and Ctrl-C exits cleanly after
-flushing what finished (in-flight prefetched cells are cancelled, the
+flushing what finished (in-flight cells are cancelled, the
 warm pool is torn down, and every shared-memory trace segment is
 unlinked).  ``--resume`` skips every experiment the manifest records as
 completed under the same trace length / core count / cache schema —
@@ -75,7 +73,7 @@ from . import (
     table1,
 )
 from ..perf import engine
-from .common import ExperimentResult
+from .common import ExperimentResult, first_batch
 
 EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
     "table1": table1.run_experiment,
@@ -176,48 +174,14 @@ def is_completed(name: str, manifest: Dict[str, Dict[str, object]]) -> bool:
 # -- cross-experiment sweep planning ----------------------------------------
 
 
-class _PlanAborted(Exception):
-    """Control flow: the planning pass stops an experiment at its first
-    ``run_cells`` call (the specs are recorded; nothing is simulated)."""
-
-
-class _PlanningRunner:
-    """Engine stub that records submitted specs instead of running them."""
-
-    def __init__(self) -> None:
-        self.specs: List[object] = []
-
-    def run_cells(self, specs):
-        self.specs.extend(specs)
-        raise _PlanAborted
-
-
 def collect_sweep_specs(names: List[str]) -> List[object]:
     """Every selected experiment's first-batch cell specs, in sweep order.
 
-    Runs each experiment's preamble (spec-list construction is cheap)
-    against a recording engine stub and aborts at the first
-    ``run_cells`` call.  Experiments that never reach ``run_cells``
-    (analytic ones) or that raise during planning contribute nothing —
-    they run normally, and any real error surfaces, in the main loop.
     Experiments that batch in several ``run_cells`` calls have only
     their first batch prefetched; the rest still benefit from the warm
-    pool and trace plane.
+    pool and trace plane (see :func:`repro.experiments.common.first_batch`).
     """
-    from ..perf import engine
-
-    collected: List[object] = []
-    for name in names:
-        recorder = _PlanningRunner()
-        with engine.use_runner(recorder):
-            try:
-                EXPERIMENTS[name]()
-            except _PlanAborted:
-                pass
-            except Exception:
-                continue
-        collected.extend(recorder.specs)
-    return collected
+    return [spec for name in names for spec in first_batch(EXPERIMENTS[name])]
 
 
 def main(argv: list[str]) -> int:
@@ -272,7 +236,7 @@ def sweep(args: argparse.Namespace, prog: str) -> int:
     # pool's workers (otherwise they orphan, holding stdout open) and
     # unlink the trace segments already published.
     try:
-        if not args.no_pipeline and runner.jobs > 1 and len(pending) > 1:
+        if runner.jobs > 1 and len(pending) > 1:
             specs = collect_sweep_specs(pending)
             submitted = runner.prefetch(specs)
             if submitted:
@@ -298,7 +262,7 @@ def sweep(args: argparse.Namespace, prog: str) -> int:
             completed += 1
     except KeyboardInterrupt:
         # Finished experiments are already checkpointed (and their cells
-        # cached); cancel in-flight prefetches, tear the warm pool down
+        # cached); cancel in-flight cells, tear the warm pool down
         # without joining possibly-busy workers, unlink every
         # shared-memory trace segment, then exit cleanly.  Further
         # Ctrl-C presses are ignored while this runs: a second

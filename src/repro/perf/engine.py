@@ -23,9 +23,14 @@ is synthesized once in the parent and shared with workers zero-copy via
 the :mod:`repro.traces.shm` trace plane.
 
 A cold batch runs in-process (:func:`repro.perf.batch.simulate_batch`)
-when ``jobs`` is 1 or when it holds one cell; otherwise it runs on the
-warm pool, one future per cell.  Both modes are byte-identical: every
-cell is an independent simulation seeded from its own spec.
+when ``jobs`` is 1 or when it holds one cell.  Otherwise every cell
+becomes one future in the runner's in-flight table, the only way a
+cell reaches the pool: :meth:`CellRunner.prefetch` puts a sweep's
+globally deduplicated cold cells there ahead of their experiments (so
+experiment N+1's cells simulate while experiment N's table renders), and
+``run_cells`` puts its own cold cells there, then collects them together
+with any of its cells already in flight.  Both modes are byte-identical:
+every cell is an independent simulation seeded from its own spec.
 
 Pooled execution is crash-proof: a worker that raises, dies (broken
 pool), or exceeds the per-cell wall-clock budget (``REPRO_CELL_TIMEOUT``
@@ -43,12 +48,6 @@ cell completes, so a cell is only declared timed out after the pool has
 made no progress for a full ``REPRO_CELL_TIMEOUT`` — its own wall clock
 is then at least the budget, and one hung batch costs one budget, not
 one budget per cell.
-
-Cross-experiment pipelining: :meth:`CellRunner.prefetch` submits a
-sweep's globally deduplicated cold cells to the warm pool up front;
-later ``run_cells`` calls then collect their cells from the in-flight
-futures as they complete, so experiment N+1's cells simulate while
-experiment N's table renders.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from concurrent.futures import wait as _futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .. import envconfig
 from ..core.results import SimulationResult
@@ -94,9 +93,6 @@ BACKOFF_S = 0.5
 #: Upper bound on one backoff sleep, seconds.
 BACKOFF_CAP = 2.0
 
-#: Result callback type: (position in the cold list, finished result).
-_OnResult = Callable[[int, SimulationResult], None]
-
 
 @dataclass
 class EngineStats:
@@ -117,9 +113,9 @@ class EngineStats:
     pool_reuses: int = 0
     #: Pool generations retired by a failure and re-forked lazily.
     pool_recycles: int = 0
-    #: Cells submitted ahead of their experiment by the sweep planner.
+    #: Cells submitted ahead of their batch by ``CellRunner.prefetch``.
     prefetched: int = 0
-    #: Cells resolved from an in-flight prefetched future.
+    #: Cells a batch found already in flight (prefetched) when it asked.
     inflight_hits: int = 0
     #: Duplicate specs dropped by cross-experiment (global) dedup.
     cross_exp_dedup: int = 0
@@ -244,9 +240,9 @@ class CellRunner:
                 f"{'/'.join(envconfig.KERNEL_BACKENDS)}, "
                 f"got {self.kernel_backend!r}"
             )
-        #: Prefetched cells still cooking in the warm pool, by cache key.
+        #: Pool futures not yet collected, by cache key: cells prefetched
+        #: ahead of their experiment and a batch's own cold cells.
         self._inflight: Dict[str, Future] = {}
-        self._inflight_specs: Dict[str, CellSpec] = {}
 
     # -- the batched entry point ------------------------------------------
 
@@ -262,10 +258,10 @@ class CellRunner:
 
         results: Dict[str, SimulationResult] = {}
         cold: List[str] = []
-        inflight: List[str] = []
+        pooled: List[str] = []
         for key, spec in unique.items():
             if key in self._inflight:
-                inflight.append(key)
+                pooled.append(key)
                 continue
             cached = self.cache.load(key)
             if cached is not None:
@@ -273,21 +269,29 @@ class CellRunner:
                 STATS.cache_hits += 1
             else:
                 cold.append(key)
+        STATS.inflight_hits += len(pooled)
 
-        # Prefetched futures first (they may already be done); failures
-        # rejoin the cold list and walk the normal retry ladder.
-        cold.extend(self._collect_inflight(inflight, results))
-
-        cold_specs = [unique[key] for key in cold]
-
-        def _store(index: int, result: SimulationResult) -> None:
-            # Stream finished cells to the background cache writer so
-            # disk writes overlap the remaining simulation.
-            self.cache.store_async(cold[index], result)
-
-        for key, result in zip(cold, self._simulate(cold_specs, _store)):
-            results[key] = result
-            STATS.simulated += 1
+        kernel: Optional[str] = None
+        if cold:
+            # One kernel backend per cold batch: activated here for the
+            # in-process path and shipped by name to every pool worker.
+            kernel = self._resolve_kernel()
+            kernels.activate(kernel)
+            if self._runs_serial(len(cold)):
+                STATS.planner_serial_picks += 1
+                # simulate_cell feeds PROFILER directly in-process.
+                batchexec.simulate_batch(
+                    [unique[key] for key in cold],
+                    lambda index, result: self._store(
+                        cold[index], result, results
+                    ),
+                )
+            else:
+                STATS.planner_pool_picks += 1
+                self._submit({key: unique[key] for key in cold}, kernel)
+                pooled.extend(cold)
+        if pooled:
+            self._settle(pooled, unique, results, kernel)
         self.cache.flush()
 
         return [results[key] for key in keys]
@@ -306,91 +310,28 @@ class CellRunner:
         """
         if self._runs_serial(len(specs)):
             return 0
-        kernel = self._resolve_kernel()
-        submitted = 0
         seen: set = set()
-        pool = None
+        cells: Dict[str, CellSpec] = {}
         for spec in specs:
             key = cache_key(spec)
             if key in seen or key in self._inflight:
                 STATS.cross_exp_dedup += 1
                 continue
             seen.add(key)
-            if self.cache.contains(key):
-                continue
-            if pool is None:
-                pool = self._get_pool(self.jobs)
-            # Publishing creates a shared-memory segment and submit()
-            # lazily forks workers; a Ctrl-C landing inside either can
-            # leak an unrecorded segment or orphan an unregistered
-            # worker, so defer it past the submit (it is then raised
-            # here and unwinds normally, with the segment on the plane
-            # and the future in the in-flight table for teardown and
-            # cancel_prefetch to find).
-            with defer_sigint():
-                handle = _publish_trace(spec)
-                try:
-                    future = pool.submit(
-                        _simulate_with_phases, spec, handle, kernel,
-                    )
-                except (BrokenProcessPool, RuntimeError):
-                    # The pool died mid-prefetch; unsubmitted cells simply
-                    # run through the normal ladder when their batch comes.
-                    break
-                self._inflight[key] = future
-                self._inflight_specs[key] = spec
-            submitted += 1
-        STATS.prefetched += submitted
-        return submitted
+            if not self.cache.contains(key):
+                cells[key] = spec
+        if cells:
+            self._submit(cells, self._resolve_kernel())
+        STATS.prefetched += len(cells)
+        return len(cells)
 
     def cancel_prefetch(self) -> None:
-        """Drop in-flight prefetched cells (interrupt handling)."""
+        """Drop every in-flight cell (interrupt handling)."""
         for future in self._inflight.values():
             future.cancel()
         self._inflight.clear()
-        self._inflight_specs.clear()
-
-    def _collect_inflight(
-        self, keys: List[str], results: Dict[str, SimulationResult]
-    ) -> List[str]:
-        """Wait for this batch's prefetched futures; returns failed keys."""
-        if not keys:
-            return []
-        futures = {key: self._inflight.pop(key) for key in keys}
-        for key in keys:
-            self._inflight_specs.pop(key, None)
-        payloads, failed, hung, broken = self._collect_futures(futures)
-        for key, (result, phases) in payloads.items():
-            PROFILER.merge(phases)
-            results[key] = result
-            STATS.simulated += 1
-            STATS.inflight_hits += 1
-            self.cache.store_async(key, result)
-        if hung or broken or failed:
-            self._retire_pool(terminate=hung)
-        return failed
 
     # -- execution ladder --------------------------------------------------
-
-    def _simulate(
-        self, specs: List[CellSpec], on_result: Optional[_OnResult] = None
-    ) -> List[SimulationResult]:
-        notify = on_result or (lambda index, result: None)
-        if not specs:
-            return []
-        serial = self._runs_serial(len(specs))
-        if serial:
-            STATS.planner_serial_picks += 1
-        else:
-            STATS.planner_pool_picks += 1
-        # One kernel backend per cold batch: activated here for the
-        # in-process path and shipped by name to every pool worker.
-        kernel = self._resolve_kernel()
-        kernels.activate(kernel)
-        if serial:
-            # simulate_cell feeds PROFILER directly in-process.
-            return batchexec.simulate_batch(specs, notify)
-        return self._simulate_pooled(specs, notify, kernel)
 
     def _runs_serial(self, cells: int) -> bool:
         """Whether a cold batch of ``cells`` cells runs in-process.
@@ -425,106 +366,98 @@ class CellRunner:
         STATS.kernel_python_picks += 1
         return "python"
 
-    def _simulate_pooled(
-        self, specs: List[CellSpec], notify: _OnResult, kernel: str,
-    ) -> List[SimulationResult]:
+    def _submit(self, cells: Dict[str, CellSpec], kernel: str) -> None:
+        """Put ``cells`` in flight on the warm pool, one future per cell."""
+        pool = self._get_pool(self.jobs)
+        for key, spec in cells.items():
+            # Publishing creates a shared-memory segment and submit()
+            # lazily forks workers; a Ctrl-C landing inside either can
+            # leak an unrecorded segment or orphan an unregistered
+            # worker, so defer it past the submit (it is then raised
+            # here and unwinds normally, with the segment on the plane
+            # and the future in the in-flight table for teardown to
+            # find).
+            with defer_sigint():
+                handle = _publish_trace(spec)
+                try:
+                    future = pool.submit(
+                        _simulate_with_phases, spec, handle, kernel,
+                    )
+                except RuntimeError as exc:  # BrokenProcessPool included
+                    # The pool died under us: the cell fails as a crash
+                    # and walks the retry ladder like any other.
+                    future = Future()
+                    future.set_exception(BrokenProcessPool(str(exc)))
+                self._inflight[key] = future
+
+    def _settle(
+        self,
+        keys: List[str],
+        specs: Dict[str, CellSpec],
+        results: Dict[str, SimulationResult],
+        kernel: Optional[str],
+    ) -> None:
         """The failure-handling ladder: pool -> retries -> serial fallback.
 
-        Results are keyed by submission index, so whatever mix of pool
-        rounds and serial fallback produced them, the returned list is in
-        submission order — byte-identical to a clean run (each cell is an
-        independent simulation seeded from its own spec).
+        Collects the in-flight ``keys``, then resubmits what failed for
+        up to ``retries`` rounds with capped exponential backoff, then
+        runs what still fails in-process.  Results land in ``results``
+        by key, so whatever mix of rounds produced them, the batch is
+        byte-identical to a clean run (each cell is an independent
+        simulation seeded from its own spec).  ``kernel`` is None when
+        every key was prefetched; a retry then picks the backend anew.
         """
-        results: List[Optional[SimulationResult]] = [None] * len(specs)
-        pending = list(range(len(specs)))
-        for attempt in range(self.retries + 1):
-            if not pending:
-                break
-            if attempt:
-                delay = min(BACKOFF_CAP, self.backoff * (2 ** (attempt - 1)))
-                if delay > 0:
-                    time.sleep(delay)
-                STATS.worker_retries += len(pending)
-                _LOG.warning(
-                    "retrying %d failed cell(s), round %d/%d",
-                    len(pending), attempt, self.retries,
-                )
-            pending = self._pool_round(
-                specs, pending, results, notify, kernel
+        failed = self._collect(keys, results)
+        if failed and kernel is None:
+            kernel = self._resolve_kernel()
+        for attempt in range(1, self.retries + 1):
+            if not failed:
+                return
+            delay = min(BACKOFF_CAP, self.backoff * (2 ** (attempt - 1)))
+            if delay > 0:
+                time.sleep(delay)
+            STATS.worker_retries += len(failed)
+            _LOG.warning(
+                "retrying %d failed cell(s), round %d/%d",
+                len(failed), attempt, self.retries,
             )
-        if pending:
-            STATS.serial_fallback_cells += len(pending)
+            self._submit({key: specs[key] for key in failed}, kernel)
+            failed = self._collect(failed, results)
+        if failed:
+            STATS.serial_fallback_cells += len(failed)
             _LOG.warning(
                 "%d cell(s) failed every pool round; degrading to "
-                "in-process serial execution", len(pending),
+                "in-process serial execution", len(failed),
             )
-            for index in pending:
-                results[index] = simulate_cell(specs[index])
-                notify(index, results[index])
-        return results  # type: ignore[return-value]  # every slot is filled
+            kernels.activate(kernel)
+            for key in failed:
+                self._store(key, simulate_cell(specs[key]), results)
 
-    def _pool_round(
-        self,
-        specs: List[CellSpec],
-        indices: List[int],
-        results: List[Optional[SimulationResult]],
-        notify: _OnResult,
-        kernel: str,
-    ) -> List[int]:
-        """Run one warm-pool attempt over ``indices``; returns the failures.
+    def _collect(
+        self, keys: List[str], results: Dict[str, SimulationResult],
+    ) -> List[str]:
+        """Wait for ``keys``' in-flight futures; returns the failed keys.
 
-        Any failure retires the pool generation — with a hard terminate
-        when a worker may be hung — so the next round (or next batch)
-        forks a fresh one; clean rounds leave the pool warm for reuse.
+        Each result is stored as it arrives.  Any failure retires the
+        pool generation — with a hard terminate when a worker may be
+        hung — so the next submit forks a fresh one; a clean collection
+        leaves the pool warm for reuse.
+
+        Collection is deadline-based: the timeout window restarts on
+        every completion, so it fires only after the pool makes **no
+        progress** for a full ``cell_timeout`` — each still-pending cell
+        has then burned at least its own budget, and N hung cells cost
+        one budget, not N.
         """
-        workers = min(self.jobs, len(indices))
-        pool = self._get_pool(workers)
-        futures: Dict[int, Future] = {}
-        try:
-            for index in indices:
-                # Defer Ctrl-C past the segment publish and the lazy
-                # worker fork inside submit() (see prefetch); deferred
-                # interrupts are raised at the end of each iteration and
-                # unwind through run_cells.
-                with defer_sigint():
-                    handle = _publish_trace(specs[index])
-                    futures[index] = pool.submit(
-                        _simulate_with_phases, specs[index], handle, kernel,
-                    )
-        except (BrokenProcessPool, RuntimeError):
-            for future in futures.values():
-                future.cancel()
-            STATS.worker_crashes += len(indices)
-            self._retire_pool(terminate=False)
-            return list(indices)
-        payloads, failed, hung, broken = self._collect_futures(futures)
-        for index, (result, phases) in payloads.items():
-            PROFILER.merge(phases)
-            results[index] = result
-            notify(index, result)
-        if hung or broken or failed:
-            self._retire_pool(terminate=hung)
-        return failed
-
-    def _collect_futures(
-        self, futures: Dict[object, Future],
-    ) -> Tuple[Dict[object, tuple], List[object], bool, bool]:
-        """Deadline-based collection of (result, phases) payloads.
-
-        Returns ``(payloads, failed, hung, broken)``.  The timeout
-        window restarts on every completion, so it fires only after the
-        pool makes **no progress** for a full ``cell_timeout`` — each
-        still-pending cell has then burned at least its own budget
-        (unlike the old submission-order ``result(timeout=...)`` walk,
-        where N hung cells serially accumulated N budgets and a cell's
-        window silently included time spent waiting on earlier futures).
-        """
-        payloads: Dict[object, tuple] = {}
-        failed: List[object] = []
-        hung = broken = False
-        pending = dict(futures)
+        pending = {key: self._inflight.pop(key) for key in keys}
+        failed: List[str] = []
+        hung = False
         timeout = self.cell_timeout
         deadline = (time.monotonic() + timeout) if timeout else None
+        # A retire cancels the queued futures of every batch, and a future
+        # cancelled that way never wakes wait(): harvest those first.
+        cancelled = {f for f in pending.values() if f.cancelled()}
+        self._drain_done(pending, cancelled, results, failed)
         while pending:
             wait_timeout: Optional[float] = None
             if deadline is not None:
@@ -536,8 +469,7 @@ class CellRunner:
                         failed.append(key)
                         _LOG.warning(
                             "cell %s exceeded REPRO_CELL_TIMEOUT=%ss: %s",
-                            key, timeout,
-                            CellTimeoutError(str(key)),
+                            key, timeout, CellTimeoutError(key),
                         )
                     hung = True
                     break
@@ -546,33 +478,28 @@ class CellRunner:
                 set(pending.values()), timeout=wait_timeout,
                 return_when=FIRST_COMPLETED,
             )
-            if not done:
-                continue  # re-check the deadline and re-wait
-            self._drain_done(pending, done, payloads, failed)
-            broken = broken or self._round_broken
-            if self._round_progressed and deadline is not None:
+            progressed = self._drain_done(pending, done, results, failed)
+            if progressed and deadline is not None:
                 deadline = time.monotonic() + timeout
-        return payloads, failed, hung, broken
+        if failed:
+            self._retire_pool(terminate=hung)
+        return failed
 
     def _drain_done(
         self,
-        pending: Dict[object, Future],
+        pending: Dict[str, Future],
         done,
-        payloads: Dict[object, tuple],
-        failed: List[object],
-    ) -> None:
-        """Harvest completed futures; sets ``_round_progressed`` /
-        ``_round_broken`` for the collection loop."""
-        self._round_progressed = False
-        self._round_broken = False
+        results: Dict[str, SimulationResult],
+        failed: List[str],
+    ) -> bool:
+        """Harvest completed futures; returns whether any succeeded."""
+        progressed = False
         for key in [k for k, f in pending.items() if f in done]:
             future = pending.pop(key)
             try:
-                payloads[key] = future.result()
-                self._round_progressed = True
+                result, phases = future.result()
             except BrokenProcessPool as exc:
                 STATS.worker_crashes += 1
-                self._round_broken = True
                 failed.append(key)
                 _LOG.warning(
                     "worker died simulating cell %s: %s",
@@ -582,7 +509,6 @@ class CellRunner:
                 # The executor cancelled queued cells when the pool
                 # broke; charge them as crashes so they retry.
                 STATS.worker_crashes += 1
-                self._round_broken = True
                 failed.append(key)
             except Exception as exc:
                 STATS.worker_crashes += 1
@@ -590,6 +516,21 @@ class CellRunner:
                 _LOG.warning(
                     "worker raised simulating cell %s: %r", key, exc
                 )
+            else:
+                PROFILER.merge(phases)
+                self._store(key, result, results)
+                progressed = True
+        return progressed
+
+    def _store(
+        self, key: str, result: SimulationResult,
+        results: Dict[str, SimulationResult],
+    ) -> None:
+        """Record one simulated cell and stream it to the background
+        cache writer, so disk writes overlap the remaining simulation."""
+        results[key] = result
+        STATS.simulated += 1
+        self.cache.store_async(key, result)
 
     # -- warm-pool plumbing ------------------------------------------------
 

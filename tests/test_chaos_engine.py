@@ -252,8 +252,9 @@ class TestCheckpointResume:
 
     def test_interrupt_checkpoints_finished_work(self, capsys, monkeypatch):
         monkeypatch.setitem(runner.EXPERIMENTS, "boom", self._boom)
-        # Sequential sweep: table1 finishes before boom's interrupt.
-        argv = ["--no-pipeline", "table1", "boom", "capacity"]
+        # Serial sweep (no planning pass): table1 finishes before boom's
+        # interrupt.
+        argv = ["--jobs", "1", "table1", "boom", "capacity"]
         assert runner.main(argv) == 130
         out = capsys.readouterr().out
         assert "interrupted after 1/3" in out

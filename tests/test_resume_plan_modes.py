@@ -2,11 +2,11 @@
 
 The contract under test: a sweep killed mid-experiment and restarted
 with ``--resume`` renders **byte-identical tables** no matter which
-mode (``serial``: ``--jobs 1``; ``pool``: ``--jobs 2``) or pipelining
-setting the interrupted and resumed runs used.  The interrupt lands in
-the parent process via a cache ``store_async`` that raises
-``KeyboardInterrupt`` after N stores — portable across both modes, and
-mid-experiment by construction (figure4 stores nine cells).
+mode (``serial``: ``--jobs 1``; ``pool``: ``--jobs 2``) the interrupted
+and resumed runs used.  The interrupt lands in the parent process via a
+cache ``store_async`` that raises ``KeyboardInterrupt`` after N stores —
+portable across both modes, and mid-experiment by construction (figure4
+stores nine cells).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.perf import engine
 pytestmark = pytest.mark.chaos
 
 #: ``--jobs`` per execution mode: one job runs every cold batch in-process,
-#: two run multi-cell batches (and the pipeline prefetch) on the warm pool.
+#: two run multi-cell batches (and the sweep's prefetch) on the warm pool.
 JOBS = {"serial": "1", "pool": "2"}
 
 #: figure4 simulates nine cells; table1 is analytic (exercises the
@@ -64,14 +64,9 @@ class _InterruptAfterStores:
         return store_async
 
 
-@pytest.mark.parametrize("mode,no_pipeline", [
-    ("serial", False),
-    ("serial", True),
-    ("pool", False),
-    ("pool", True),
-])
+@pytest.mark.parametrize("mode", ["serial", "pool"])
 def test_kill_midexperiment_then_resume_byte_identical(
-    mode, no_pipeline, tmp_path, monkeypatch, capsys, small_sweep_env
+    mode, tmp_path, monkeypatch, capsys, small_sweep_env
 ):
     # Ground truth: a clean serial run in its own cache universe.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ref-cache"))
@@ -85,8 +80,6 @@ def test_kill_midexperiment_then_resume_byte_identical(
     bomb = _InterruptAfterStores(after=3)
     monkeypatch.setattr(cache_mod.ResultCache, "store_async", bomb.method())
     argv = ["--jobs", JOBS[mode]]
-    if no_pipeline:
-        argv.append("--no-pipeline")
     assert runner.main(argv + SWEEP) == 130
     out = capsys.readouterr().out
     assert "interrupted after 0/2" in out
@@ -115,8 +108,7 @@ def test_resume_skips_completed_under_every_plan_mode(
     engine.reset()
     assert runner.main(["--jobs", "1"] + SWEEP) == 0
     capsys.readouterr()
-    for argv in (["--jobs", JOBS["serial"]], ["--jobs", JOBS["pool"]],
-                 ["--jobs", JOBS["pool"], "--no-pipeline"]):
+    for argv in (["--jobs", JOBS["serial"]], ["--jobs", JOBS["pool"]]):
         engine.reset()
         assert runner.main(["--resume"] + argv + SWEEP) == 0
         out = capsys.readouterr().out

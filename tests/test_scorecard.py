@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import scorecard
+from repro.perf import engine
 
 
 class TestScorecard:
@@ -29,3 +30,15 @@ class TestScorecard:
         monkeypatch.delenv("REPRO_CORES", raising=False)
         result = scorecard.run_experiment()
         assert result.metrics["passed"] == result.metrics["checks"] == 15
+
+    def test_standalone_run_prefetches_every_cold_cell(self, monkeypatch):
+        """Run on its own with a pool, the scorecard puts all four
+        figures' cold cells in flight in one wave: each figure then only
+        collects, and no cold batch waits on its slowest cell."""
+        monkeypatch.setenv("REPRO_CORES", "2")
+        engine.configure(jobs=2)
+        scorecard.run_experiment(length=60, workloads=("stream", "mcf"))
+        stats = engine.STATS
+        assert stats.simulated > 0
+        assert stats.prefetched == stats.simulated  # distinct cold cells
+        assert stats.planner_pool_picks == stats.planner_serial_picks == 0

@@ -285,8 +285,76 @@ class TestWarmPoolChaos:
         assert runner.prefetch(specs) == 2
         results = runner.run_cells(specs)  # collect -> fail -> ladder
         assert sweep_hash(results) == want
+        # The prefetch was each cell's first pool attempt and the one
+        # retry round its second: 2 cells x (retries + 1) crashes.
+        assert STATS.worker_crashes == 4
+        assert STATS.worker_retries == 2
         assert STATS.serial_fallback_cells == 2
         assert not runner._inflight
+
+    def test_lone_prefetched_crash_walks_the_ladder(
+        self, monkeypatch, tmp_path
+    ):
+        """A batch of one prefetched cell is not a serial batch: its
+        failure retries on the pool like any other before falling back."""
+        stream, mcf = small_cell("stream"), small_cell("mcf")
+        want = sweep_hash(
+            CellRunner(jobs=1, cache=ResultCache(tmp_path / "clean",
+                                                 enabled=True))
+            .run_cells([mcf])
+        )
+
+        def crash_mcf_in_worker(spec):
+            if spec.bench == "mcf":
+                return self.crash_in_worker(spec)
+            return REAL_SIMULATE(spec)
+
+        monkeypatch.setattr(engine, "simulate_cell", crash_mcf_in_worker)
+        runner = CellRunner(jobs=2, retries=1, backoff=0.0,
+                            cache=ResultCache(tmp_path / "chaos",
+                                              enabled=True))
+        assert runner.prefetch([stream, mcf]) == 2
+        assert sweep_hash(runner.run_cells([mcf])) == want
+        assert STATS.worker_crashes == runner.retries + 1
+        assert STATS.worker_retries == 1
+        assert STATS.serial_fallback_cells == 1
+        runner.cancel_prefetch()
+
+    def test_cells_cancelled_by_a_retire_are_retried(
+        self, monkeypatch, tmp_path
+    ):
+        """A failure elsewhere retires the pool, cancelling prefetched
+        cells still queued; wait() never wakes for a future cancelled
+        that way, so the collector must harvest them itself and retry
+        them, not block forever."""
+        specs = [small_cell("stream", seed=seed) for seed in range(8)]
+        want = sweep_hash(
+            CellRunner(jobs=1, cache=ResultCache(tmp_path / "clean",
+                                                 enabled=True))
+            .run_cells(specs)
+        )
+
+        def slow_in_worker(spec):
+            if os.getpid() != MAIN_PID:
+                time.sleep(0.5)
+            return REAL_SIMULATE(spec)
+
+        monkeypatch.setattr(engine, "simulate_cell", slow_in_worker)
+        runner = CellRunner(jobs=2, retries=1, backoff=0.0,
+                            cache=ResultCache(tmp_path / "chaos",
+                                              enabled=True))
+        assert runner.prefetch(specs) == 8
+        WARM_POOL.retire()  # 2 workers hold at most 5 cells; 3+ cancelled
+        got = []
+        collector = threading.Thread(
+            target=lambda: got.append(runner.run_cells(specs)), daemon=True,
+        )
+        collector.start()
+        collector.join(timeout=30)
+        assert not collector.is_alive(), "run_cells blocked on a cancelled cell"
+        assert sweep_hash(got[0]) == want
+        assert STATS.worker_crashes >= 3  # each cancelled cell, charged once
+        assert STATS.serial_fallback_cells == 0
 
     def test_sigint_leaves_no_shm_segments(self, tmp_path):
         """Interrupt a pooled, pipelined sweep; /dev/shm must end clean
